@@ -354,7 +354,7 @@ impl Checkpoint {
 /// hash; see `plan.rs`).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     bytes
         .iter()
         .fold(FNV_OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))

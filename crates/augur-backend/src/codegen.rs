@@ -125,9 +125,8 @@ impl Plan {
                 let em = crate::native::emit::emit_module(&self.artifact.table, &self.state);
                 let symbols = em
                     .symbols
-                    .iter()
-                    .flatten()
-                    .map(|name| SymbolInfo { name: name.clone(), kind: SymbolKind::NativeProc })
+                    .into_iter()
+                    .map(|name| SymbolInfo { name, kind: SymbolKind::NativeProc })
                     .collect();
                 Ok(CodegenUnit { source: em.source, symbols })
             }

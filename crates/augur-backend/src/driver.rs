@@ -9,11 +9,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use augur_blk::{OptFlags, OptReport};
-use augur_density::{DensityModel, DensityError};
+use augur_density::DensityError;
 use augur_dist::Prng;
 use augur_kernel::{KernelError, KernelPlan, KernelUnit, UpdateKind};
 use augur_lang::LangError;
-use augur_low::{LowerError, LoweredModel, Step};
+use augur_low::{LowerError, Step};
 use augur_math::PoolVec;
 use gpu_sim::{Device, DeviceConfig};
 
@@ -24,10 +24,12 @@ use crate::fault::FaultPlan;
 use crate::metrics::{ExecReport, KernelReport, KernelStats, RunReport, TraceSink, UpdateOutcome};
 use crate::tape::ExecBackend;
 use crate::mcmc::{self, GradTarget, McmcConfig, Proposal};
-use crate::plan::{CompiledModel, Plan};
+use crate::plan::Plan;
 use crate::profile::{ExplainPlan, MemWatermark, Profile, Span, StepProfile};
 use crate::setup::SetupError;
-use crate::state::{BufId, HostValue, State};
+use crate::state::{BufId, State};
+#[cfg(test)]
+use crate::{plan::CompiledModel, state::HostValue};
 
 /// Compilation target (Fig. 2's `Opt(target=...)`).
 #[derive(Debug, Clone)]
@@ -332,62 +334,6 @@ pub struct Session {
 }
 
 impl Session {
-    /// Builds a sampler from model source, an optional user schedule
-    /// (Fig. 2's `setUserSched`), positional arguments, and named data.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BuildError`] naming the failing phase.
-    pub fn build(
-        src: &str,
-        schedule: Option<&str>,
-        args: Vec<HostValue>,
-        data: Vec<(&str, HostValue)>,
-        config: SessionConfig,
-    ) -> Result<Session, BuildError> {
-        let model = CompiledModel::compile(src, schedule)?;
-        let plan = model.plan_opt(args, data, config.opt_flags.clone())?;
-        plan.session(config)
-    }
-
-    /// Builds a sampler from an already-lowered model (used by `augur`'s
-    /// pipeline API and the benches that reuse a lowering).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BuildError`] for binding/allocation problems.
-    pub fn from_lowered(
-        dm: &DensityModel,
-        lowered: &LoweredModel,
-        args: Vec<HostValue>,
-        data: Vec<(&str, HostValue)>,
-        config: SessionConfig,
-    ) -> Result<Session, BuildError> {
-        Session::from_lowered_explained(dm, lowered, args, data, config, Vec::new())
-    }
-
-    /// [`Session::from_lowered`] with caller-timed front-end explain spans
-    /// (frontend, density, kernel-plan, lowering) prepended to the plan —
-    /// the backend appends its own size-inference, autodiff, and codegen
-    /// spans. Callers that lower the model themselves can build the front
-    /// spans with [`explain_plan_spans`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BuildError`] for binding/allocation problems.
-    pub fn from_lowered_explained(
-        dm: &DensityModel,
-        lowered: &LoweredModel,
-        args: Vec<HostValue>,
-        data: Vec<(&str, HostValue)>,
-        config: SessionConfig,
-        front: Vec<Span>,
-    ) -> Result<Session, BuildError> {
-        let model = CompiledModel::from_parts(dm.clone(), lowered.clone(), front);
-        let plan = model.plan_opt(args, data, config.opt_flags.clone())?;
-        plan.session(config)
-    }
-
     /// Binds an executable session to a shape-specialized [`Plan`]: the
     /// compiled tapes and schedule steps are shared by reference, the
     /// plan's pristine data-bound state is cloned (copy-on-write), and
@@ -1078,7 +1024,8 @@ pub(crate) fn table_index(table: &ProcTable, name: &str) -> usize {
 /// kernel plan: one child span per kernel unit naming the §3.3 rewrite
 /// that aligned each conditional factor (or why alignment fell back), and
 /// one naming the per-update strategy (conjugacy relation / finite-sum
-/// support). Shared by [`Session::build`] and `augur`'s pipeline API.
+/// support). Shared by [`CompiledModel::compile`](crate::plan::CompiledModel::compile)
+/// and `augur`'s pipeline API.
 pub fn explain_plan_spans(kp: &KernelPlan) -> (Span, Span) {
     let mut density = Span::new("density");
     let mut kernel = Span::new("kernel-plan");
@@ -1213,6 +1160,20 @@ pub(crate) fn compile_step(state: &State, table: &ProcTable, s: &Step) -> Compil
     }
 }
 
+/// Source → plan → session in one call: the unit tests' shorthand for
+/// `CompiledModel::compile` → `plan_opt` → `session`.
+#[cfg(test)]
+fn build_session(
+    src: &str,
+    schedule: Option<&str>,
+    args: Vec<HostValue>,
+    data: Vec<(&str, HostValue)>,
+    config: SessionConfig,
+) -> Result<Session, BuildError> {
+    let model = CompiledModel::compile(src, schedule)?;
+    model.plan_opt(args, data, config.opt_flags.clone())?.session(config)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1233,7 +1194,7 @@ mod tests {
         let (post_mu, post_var) = augur_dist::conjugacy::normal_normal_mean(
             0.0, tau2, s2, sum, n,
         );
-        let mut s = Session::build(
+        let mut s = build_session(
             src,
             None,
             vec![HostValue::Int(5), HostValue::Real(tau2), HostValue::Real(s2)],
@@ -1264,7 +1225,7 @@ mod tests {
         let k: f64 = data.iter().sum();
         let n = data.len() as f64;
         let expect = (2.0 + k) / (4.0 + n);
-        let mut s = Session::build(
+        let mut s = build_session(
             src,
             None,
             vec![HostValue::Int(8)],
@@ -1295,7 +1256,7 @@ mod tests {
             mcmc: McmcConfig { step_size: 0.15, leapfrog_steps: 12, ..Default::default() },
             ..Default::default()
         };
-        let mut s = Session::build(
+        let mut s = build_session(
             src,
             Some("HMC m"),
             vec![HostValue::Int(5), HostValue::Real(4.0), HostValue::Real(1.0)],
@@ -1333,7 +1294,7 @@ mod tests {
             rows.push(vec![c + 0.3 * rng.std_normal(), c + 0.3 * rng.std_normal()]);
         }
         let data = augur_math::FlatRagged::from_rows(rows);
-        let mut s = Session::build(
+        let mut s = build_session(
             src,
             Some("ESlice mu (*) Gibbs z"),
             vec![
@@ -1370,7 +1331,7 @@ mod tests {
         }";
         let data = vec![1.0, 0.5, -0.5, 0.2];
         let build = |target| {
-            Session::build(
+            build_session(
                 src,
                 None,
                 vec![HostValue::Int(4), HostValue::Real(4.0), HostValue::Real(1.0)],
@@ -1396,7 +1357,7 @@ mod tests {
 
     #[test]
     fn build_error_names_phase() {
-        let err = Session::build("(((", None, vec![], vec![], SessionConfig::default())
+        let err = build_session("(((", None, vec![], vec![], SessionConfig::default())
             .unwrap_err();
         assert!(format!("{err}").starts_with("frontend:"));
     }
@@ -1422,7 +1383,7 @@ mod exactness_tests {
         let prec = 1.0 / tau2 + 5.0 / s2;
         let post_var = 1.0 / prec;
         let post_mu = post_var * (1.0 / tau2 + sum / s2);
-        let mut s = Session::build(
+        let mut s = build_session(
             src,
             Some("ESlice m"),
             vec![HostValue::Int(5), HostValue::Real(tau2), HostValue::Real(s2)],
@@ -1463,7 +1424,7 @@ mod exactness_tests {
             mcmc: crate::mcmc::McmcConfig { mh_step: 0.3, ..Default::default() },
             ..Default::default()
         };
-        let mut s = Session::build(
+        let mut s = build_session(
             src,
             Some("MH r"),
             vec![HostValue::Int(6), HostValue::Real(a), HostValue::Real(b)],
@@ -1504,7 +1465,7 @@ mod exactness_tests {
         let sum: f64 = data.iter().sum();
         let (post_mu, post_var) =
             augur_dist::conjugacy::normal_normal_mean(0.0, 4.0, 1.0, sum, 5.0);
-        let mut s = Session::build(
+        let mut s = build_session(
             src,
             Some("Slice m"),
             vec![HostValue::Int(5), HostValue::Real(4.0), HostValue::Real(1.0)],
@@ -1541,7 +1502,7 @@ mod exactness_tests {
             mcmc: crate::mcmc::McmcConfig { step_size: 0.25, leapfrog_steps: 8, ..Default::default() },
             ..Default::default()
         };
-        let mut s = Session::build(
+        let mut s = build_session(
             src,
             Some("HMC p"),
             vec![HostValue::Int(8)],
@@ -1583,7 +1544,7 @@ mod exactness_tests {
             mcmc: crate::mcmc::McmcConfig { step_size: 0.2, ..Default::default() },
             ..Default::default()
         };
-        let mut s = Session::build(
+        let mut s = build_session(
             src,
             Some("NUTS m"),
             vec![HostValue::Int(5), HostValue::Real(4.0), HostValue::Real(1.0)],
@@ -1645,7 +1606,7 @@ mod proposal_tests {
         let (a, b) = (2.0, 1.0);
         let post_mean = (a + sum) / (b + 6.0);
         let post_var = (a + sum) / ((b + 6.0) * (b + 6.0));
-        let mut s = Session::build(
+        let mut s = build_session(
             src,
             Some("MH r"),
             vec![HostValue::Int(6), HostValue::Real(a), HostValue::Real(b)],
@@ -1677,7 +1638,7 @@ mod proposal_tests {
             param p ~ Beta(1.0, 1.0) ;
             data y[n] ~ Bernoulli(p) for n <- 0 until N ;
         }";
-        let mut s = Session::build(
+        let mut s = build_session(
             src,
             None,
             vec![HostValue::Int(2)],
@@ -1710,7 +1671,7 @@ mod mala_tests {
             mcmc: crate::mcmc::McmcConfig { step_size: 0.35, ..Default::default() },
             ..Default::default()
         };
-        let mut s = Session::build(
+        let mut s = build_session(
             src,
             Some("MALA m"),
             vec![HostValue::Int(5), HostValue::Real(4.0), HostValue::Real(1.0)],
@@ -1752,7 +1713,7 @@ mod mala_tests {
             mcmc: crate::mcmc::McmcConfig { step_size: 0.15, ..Default::default() },
             ..Default::default()
         };
-        let mut s = Session::build(
+        let mut s = build_session(
             src,
             Some("MALA r"),
             vec![HostValue::Int(6), HostValue::Real(2.0), HostValue::Real(1.0)],

@@ -119,12 +119,10 @@ pub struct Engine {
     /// produce bit-identical traces.
     pub backend: ExecBackend,
     /// The dlopen'ed native module when `backend == Native` and the
-    /// plan's C artifact built; procedures it covers dispatch through
-    /// the extern-C ABI, the rest fall back to the tape.
+    /// plan's C artifact built; every CPU procedure then runs through it.
     pub(crate) native: Option<std::sync::Arc<crate::native::NativeModule>>,
-    /// Slot stack for owned temporaries created by native-code callbacks
-    /// (handles passed back to C instead of raw pointers).
-    pub(crate) native_own: Vec<View>,
+    /// Recycled buffer-pointer table handed to native procedures.
+    pub(crate) native_bufs: crate::native::BufTable,
     /// Master RNG saved across a native parallel region (the native
     /// analogue of the tree-walker's stack-local `master` clone).
     pub(crate) native_master_rng: Option<Prng>,
@@ -181,7 +179,7 @@ impl Engine {
             mode,
             backend: ExecBackend::default(),
             native: None,
-            native_own: Vec::new(),
+            native_bufs: Default::default(),
             native_master_rng: None,
             env: Vec::new(),
             work: 0,
@@ -237,7 +235,7 @@ impl Engine {
             // Workers run tape/tree bodies handed to them by the
             // dispatcher; the native module stays on the main engine.
             native: None,
-            native_own: Vec::new(),
+            native_bufs: Default::default(),
             native_master_rng: None,
             env: self.env.clone(),
             work: 0,
@@ -402,24 +400,18 @@ impl Engine {
                 self.device.sequential(delta);
                 table.procs[idx].ret.as_ref().map(|e| self.eval_num(e))
             }
-            (ExecMode::Cpu, ExecBackend::Native)
-                if self.native.as_ref().is_some_and(|m| m.covers(idx)) =>
-            {
-                let module = self.native.clone().expect("checked above");
-                let before = self.work;
-                crate::native::run_native_proc(self, &module, idx);
-                let delta = (self.work - before) as f64;
-                self.device.sequential(delta);
-                table.procs[idx].ret.as_ref().map(|e| self.eval_num(e))
-            }
             (ExecMode::Cpu, ExecBackend::Tape | ExecBackend::Native) => {
                 let proc_ = &table.tapes[idx];
                 let before = self.work;
-                let retired = self.run_tape(&proc_.tape);
-                self.metrics.instrs_retired += retired;
+                if let Some(module) = self.native.clone() {
+                    crate::native::run_native_proc(self, &module, idx, &proc_.tape);
+                } else {
+                    let retired = self.run_tape(&proc_.tape);
+                    self.metrics.instrs_retired += retired;
+                    self.device.tape_dispatch(retired);
+                }
                 let delta = (self.work - before) as f64;
                 self.device.sequential(delta);
-                self.device.tape_dispatch(retired);
                 proc_.ret.as_ref().map(|e| self.eval_num(e))
             }
             (ExecMode::Gpu, ExecBackend::Tree) => {

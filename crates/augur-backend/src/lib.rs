@@ -7,16 +7,16 @@
 //!   are bound to host values; every parameter and planned temporary is
 //!   allocated *up front* by resolving the symbolic shapes of
 //!   `augur-low`'s size inference (§5.2);
-//! * **compilation** ([`compile`]) — procedures are resolved to buffer
-//!   slots (the stand-in for Cuda/C emission; a readable C-like rendering
-//!   is available via `augur_low::il::pretty_proc`), and for the GPU
-//!   target translated to Blk IL and optimized (§5.3–5.4);
-//! * **execution** ([`eval`], [`tape`]) — a CPU interpreter and a
-//!   simulated-GPU executor that charge virtual time to a
-//!   `gpu_sim::Device`. Procedures run either as a reference
-//!   tree-walker or (the default) as a flat register-machine tape
-//!   compiled at table-insertion time; both produce bit-identical
-//!   traces for a fixed seed;
+//! * **compilation** ([`compile`], [`tape`]) — procedures are resolved to
+//!   buffer slots, lowered once more to a flat register-machine tape
+//!   (fused loads/stores, value numbering, precomputed work charges), and
+//!   for the GPU target translated to Blk IL and optimized (§5.3–5.4);
+//! * **execution** ([`eval`], [`tape`], [`native`]) — a CPU interpreter
+//!   and a simulated-GPU executor that charge virtual time to a
+//!   `gpu_sim::Device`. CPU procedures run as a reference tree-walker,
+//!   as the tape (the default), or as C printed from the tape, compiled
+//!   by the host toolchain and `dlopen`ed (the paper's Cuda/C emission,
+//!   §2.3); all three produce bit-identical traces for a fixed seed;
 //! * **the MCMC library** ([`mcmc`]) — leapfrog HMC (+ a NUTS prototype),
 //!   reflective and elliptical slice sampling, random-walk MH, and the
 //!   acceptance-ratio/state-duplication discipline of §5.5;
@@ -82,4 +82,4 @@ pub use fault::{FaultParseError, FaultPlan};
 pub use metrics::{ExecReport, KernelReport, KernelStats, RunReport, UpdateOutcome};
 pub use profile::{ExplainPlan, MemWatermark, Profile, Span, StepProfile};
 pub use state::HostValue;
-pub use tape::{ExecBackend, ExecStrategy};
+pub use tape::ExecBackend;

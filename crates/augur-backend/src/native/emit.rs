@@ -1,117 +1,63 @@
-//! The native C emitter: one translation unit per specialized plan.
+//! The native C emitter: one translation unit per specialized plan,
+//! printed from each procedure's [`TapeProc`](crate::tape::TapeProc).
 //!
-//! Each covered procedure of the [`ProcTable`](crate::compile::ProcTable)
-//! is compiled from its slot-resolved CPU tree (`RProc`) into a C
-//! function that replicates the tree-walker of [`crate::eval`] *exactly*:
-//! the same arithmetic in the same order, the same bounds checks (as
-//! traps back into Rust panics carrying the same messages), and the same
-//! abstract-work accounting — `+1` per expression node, `+1` per
-//! `index_view`, and the distribution/vector-op costs of
-//! [`dist_op_cost`](crate::eval::dist_op_cost). Scalar arithmetic,
-//! indexing, loops, `dot`, and the hot scalar distribution primitives
-//! (Normal, Bernoulli[Logit], Categorical, Exponential) are inlined in C
-//! with formulas copied operation-for-operation from `augur-dist`
-//! (bit-identical on hosts where Rust's `ln`/`exp`/`log1p` lower to the
-//! same libm, which the differential suite verifies); everything else —
-//! sampling, vector/matrix primitives, the remaining densities — calls
-//! back into the engine through the extern-C vtable, where the Rust code
-//! *is* the reference implementation.
+//! The tape lowering is the last IL of the pipeline: it has already
+//! fused loads and stores, value-numbered repeated subexpressions, and
+//! charged every elided node's work. The emitter prints that instruction
+//! stream as C, one function per procedure, so the tape interpreter and
+//! the native engine share one lowering:
 //!
-//! Shape specialization makes the emitted code static: buffer ids,
-//! vector lengths, matrix dimensions and ragged-row offset tables are
-//! baked in as constants, which is what lets the C compiler vectorize
-//! the flat loop bodies the interpreters dispatch one node at a time.
+//! * scalar registers (`fN`) become C locals, loops become C `for`
+//!   loops, and jumps become `goto`s to the tape's own targets;
+//! * loads, stores, arithmetic, `dot`, loop bookkeeping, and the hot
+//!   scalar densities and gradients (Normal, Bernoulli[Logit],
+//!   Exponential, Poisson, Categorical over a buffer row) run inline,
+//!   with the same operations in the same order and the same work
+//!   charges as the interpreter (formulas copied from `augur-dist`;
+//!   `-ffp-contract=off` keeps them bit-identical);
+//! * every other instruction — sampling, vector/matrix primitives, the
+//!   remaining densities — is a `step(pc)` callback that runs the
+//!   interpreter's own code for that instruction (`Engine::exec_instr`)
+//!   against the engine's register banks. C spills the scalar registers
+//!   the instruction reads into the bank and reloads the one it writes.
 //!
-//! A procedure using a construct the emitter does not cover (or whose
-//! exact semantics cannot be decided statically, e.g. destination
-//! indexing through a degenerate single-row ragged buffer) is skipped
-//! with a recorded reason; the engine runs it on the tape, which is
-//! bit-identical anyway.
+//! Buffer regions (`RefBufV`/`LoadRow1` views) live in C as `(start,
+//! len)` coordinates; a callback that reads one rebuilds it in the view
+//! bank by re-running its definition. Owned temporaries live only in the
+//! bank, and inlined scalar gradients only in C unless a callback reads
+//! them.
+//!
+//! Inline bounds checks mirror the interpreter's assertions. When one
+//! fails, C calls `trap(pc)`, which re-runs the instruction in Rust so
+//! the panic carries the interpreter's exact message.
+//!
+//! Shape specialization makes the code static: buffer ids, vector
+//! lengths, matrix dimensions, and ragged-row offset tables are baked in
+//! as constants.
 
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
 
-use augur_dist::{DistKind, SimpleTy, ALL_KINDS};
+use augur_dist::DistKind;
 use augur_lang::ast::{BinOp, Builtin};
-use augur_low::il::{AssignOp, LoopKind, OpN};
+use augur_low::il::{AssignOp, LoopKind};
 
-use crate::compile::{ProcTable, RExpr, RLValue, RRef, RStmt};
+use crate::compile::ProcTable;
 use crate::state::{BufId, RowElem, Shape, State};
+use crate::tape::{GradWrt, Opd, TDest, TInstr, Tape};
 
-/// Bumped whenever the emitted C or the extern-C ABI changes shape;
-/// part of the on-disk artifact cache key so stale `.so`s never load.
-pub const CODEGEN_VERSION: u32 = 1;
-
-/// Trap codes understood by the runtime's `trap` callback. Each maps to
-/// the panic message of the corresponding interpreter assertion.
-pub(crate) mod trap {
-    pub const NEG_INDEX: i32 = 0;
-    pub const OOB_SLICE: i32 = 1;
-    pub const OOB_MAT_ROW: i32 = 2;
-    pub const OOB_OWN: i32 = 3;
-    pub const OOB_OWN_ROW: i32 = 4;
-    pub const ROW_RANGE: i32 = 5;
-    pub const NEG_STORE: i32 = 6;
-    pub const STORE_OOB: i32 = 7;
-    pub const DOT_LEN: i32 = 8;
-    pub const STORE_LEN: i32 = 9;
-}
-
-/// Stable ABI code of a distribution: its index in
-/// [`augur_dist::ALL_KINDS`].
-pub(crate) fn dist_code(d: DistKind) -> i32 {
-    ALL_KINDS
-        .iter()
-        .position(|k| *k == d)
-        .expect("every DistKind appears in ALL_KINDS") as i32
-}
-
-/// Stable ABI code of a vector/matrix primitive.
-pub(crate) fn op_code(op: OpN) -> i32 {
-    match op {
-        OpN::VecAdd => 0,
-        OpN::VecSub => 1,
-        OpN::VecScale => 2,
-        OpN::MatAdd => 3,
-        OpN::MatScale => 4,
-        OpN::MatInv => 5,
-        OpN::MatVec => 6,
-        OpN::OuterSub => 7,
-    }
-}
-
-/// Inverse of [`op_code`], used by the runtime side of the ABI.
-pub(crate) fn op_from_code(code: i32) -> OpN {
-    match code {
-        0 => OpN::VecAdd,
-        1 => OpN::VecSub,
-        2 => OpN::VecScale,
-        3 => OpN::MatAdd,
-        4 => OpN::MatScale,
-        5 => OpN::MatInv,
-        6 => OpN::MatVec,
-        7 => OpN::OuterSub,
-        other => panic!("unknown native op code {other}"),
-    }
-}
+/// Version of the emitted C and the callback ABI, named in the artifact
+/// cache directory.
+pub const CODEGEN_VERSION: u32 = 2;
 
 /// The result of emitting a plan's translation unit.
 #[derive(Debug, Clone)]
 pub struct EmittedModule {
     /// The complete C source.
     pub source: String,
-    /// Per-procedure entry in the exported `aug_procs` table: `Some`
-    /// when covered (value is a comment-friendly symbol name), `None`
-    /// when the procedure falls back to the tape.
-    pub symbols: Vec<Option<String>>,
-    /// `(proc name, reason)` for every uncovered procedure.
-    pub skipped: Vec<(String, String)>,
-}
-
-impl EmittedModule {
-    /// Number of procedures the native module covers.
-    pub fn covered(&self) -> usize {
-        self.symbols.iter().filter(|s| s.is_some()).count()
-    }
+    /// The C function of each procedure, in table order (the order of
+    /// the exported `aug_procs` entry table).
+    pub symbols: Vec<String>,
 }
 
 /// Formats an `f64` so that C's `strtod` round-trips it bit-exactly
@@ -131,194 +77,498 @@ fn fmt_f64(v: f64) -> String {
 
 /// Emits the whole translation unit for a proc table.
 pub(crate) fn emit_module(table: &ProcTable, state: &State) -> EmittedModule {
-    let mut symbols = Vec::new();
-    let mut skipped = Vec::new();
-    let mut used_offs: BTreeSet<BufId> = BTreeSet::new();
+    let mut used_offs = BTreeSet::new();
     let mut fns = String::new();
-    for (idx, p) in table.procs.iter().enumerate() {
-        let em = ProcEmitter::new(state, &mut used_offs);
-        match em.proc(p, idx) {
-            Ok(text) => {
-                fns.push_str(&text);
-                fns.push('\n');
-                symbols.push(Some(format!("aug_p{idx}")));
-            }
-            Err(reason) => {
-                skipped.push((p.name.clone(), reason));
-                symbols.push(None);
-            }
-        }
+    let mut symbols = Vec::new();
+    for (idx, p) in table.tapes.iter().enumerate() {
+        let symbol = format!("aug_p{idx}");
+        let _ = writeln!(fns, "/* proc {idx}: {} */", p.name);
+        fns.push_str(&ProcEmitter::new(state, &p.tape, &mut used_offs).emit(&symbol));
+        symbols.push(symbol);
     }
-    let mut src = String::new();
-    src.push_str(&preamble());
-    for &buf in &used_offs {
+    let mut src = PREAMBLE.replace("{CODEGEN_VERSION}", &CODEGEN_VERSION.to_string());
+    for buf in used_offs {
         let Shape::Rows { offsets, .. } = state.shape(buf) else {
             unreachable!("offset table requested for non-Rows buffer");
         };
         let vals: Vec<String> = offsets.iter().map(|o| o.to_string()).collect();
-        src.push_str(&format!(
-            "static const int64_t off{buf}[{}] = {{{}}};\n",
+        let _ = writeln!(
+            src,
+            "static const int64_t off{buf}[{}] = {{{}}};",
             offsets.len(),
             vals.join(", ")
-        ));
+        );
     }
     src.push('\n');
     src.push_str(&fns);
-    // The exported entry table: one slot per procedure, 0 when the
-    // procedure is not covered.
-    src.push_str("typedef void (*augproc)(augctx*);\n");
-    src.push_str(&format!("augproc aug_procs[{}] = {{\n", symbols.len()));
-    for (idx, sym) in symbols.iter().enumerate() {
-        match sym {
-            Some(s) => src.push_str(&format!("  {s}, /* {} */\n", table.procs[idx].name)),
-            None => src.push_str(&format!("  0, /* {} (tape fallback) */\n", table.procs[idx].name)),
-        }
+    let _ = writeln!(src, "void (*const aug_procs[{}])(augctx*) = {{", symbols.len());
+    for s in &symbols {
+        let _ = writeln!(src, "  {s},");
     }
     src.push_str("};\n");
-    src.push_str(&format!("const uint32_t aug_abi_version = {CODEGEN_VERSION};\n"));
-    EmittedModule { source: src, symbols, skipped }
+    EmittedModule { source: src, symbols }
 }
 
-fn preamble() -> String {
-    format!(
-        r#"/* Generated by augur-backend native codegen v{CODEGEN_VERSION}. Do not edit. */
+const PREAMBLE: &str = r#"/* Generated by augur-backend native codegen v{CODEGEN_VERSION} from the tape. Do not edit. */
 #include <stdint.h>
-#include <stddef.h>
 #include <math.h>
 
-typedef struct {{ int32_t tag; int32_t buf; int64_t a; int64_t b; double x; }} augv;
 typedef struct augctx augctx;
-typedef struct {{
-  double   (*dist_ll)(augctx*, int32_t, int32_t, const augv*, augv);
-  augv     (*dist_grad)(augctx*, int32_t, int32_t, int32_t, const augv*, augv);
-  augv     (*op)(augctx*, int32_t, int32_t, augv, augv);
-  double   (*dot)(augctx*, augv, augv);
-  double   (*own_get)(augctx*, augv, int64_t);
-  augv     (*own_row)(augctx*, augv, int64_t);
-  void     (*write)(augctx*, int32_t, int64_t, int64_t, int32_t, augv);
-  void     (*sample)(augctx*, int32_t, int32_t, const augv*, int32_t, int32_t, int64_t, int64_t);
-  void     (*sample_logits)(augctx*, augv, int32_t, int64_t);
+typedef struct {
+  void     (*step)(augctx*, uint32_t);
+  void     (*trap)(augctx*, uint32_t);
   uint64_t (*par_enter)(augctx*);
   void     (*par_iter)(augctx*, uint64_t, int64_t);
   void     (*par_exit)(augctx*);
-  void     (*trap)(augctx*, int32_t, double, double);
-}} augvt;
-struct augctx {{ double** B; const augvt* vt; void* eng; uint64_t W; }};
+} augvt;
+struct augctx { double** B; double* F; const augvt* vt; uint64_t W; };
 
-static inline augv av_num(double x) {{ augv v = {{0, 0, 0, 0, x}}; return v; }}
-static inline augv av_slice(int32_t b, int64_t s, int64_t l) {{ augv v = {{1, b, s, l, 0.0}}; return v; }}
-static inline augv av_mat(int32_t b, int64_t s, int64_t d) {{ augv v = {{2, b, s, d, 0.0}}; return v; }}
-static inline augv av_rows(int32_t b) {{ augv v = {{3, b, 0, 0, 0.0}}; return v; }}
-
-/* Rust `f64 as i64` / `as u64`: truncating, saturating, NaN -> 0. */
-static inline int64_t aug_i64(double x) {{
+/* Rust `f64 as i64`: truncating, saturating, NaN -> 0. */
+static inline int64_t aug_i64(double x) {
   if (x != x) return 0;
   if (x <= -9223372036854775808.0) return INT64_MIN;
   if (x >= 9223372036854775807.0) return INT64_MAX;
   return (int64_t)x;
-}}
-static inline int64_t aug_idx(double x) {{ /* `f64 as usize`, stored as int64 (saturated -> -1 compares OOB as uint64) */
-  if (!(x >= 1.0)) return 0;
-  if (x >= 18446744073709551615.0) return (int64_t)UINT64_MAX;
-  return (int64_t)(uint64_t)x;
-}}
-static inline double aug_u8(double x) {{ /* Rust `f64 as u8` then back to f64 */
+}
+/* Rust `f64 as u8`, back to f64. */
+static inline double aug_u8(double x) {
   if (!(x >= 0.0)) return 0.0;
   if (x > 255.0) return 255.0;
   return (double)(uint64_t)x;
-}}
+}
 
-/* augur_math::special — exact formula copies. */
-static inline double aug_sigmoid(double x) {{
-  if (x >= 0.0) {{ double e = exp(-x); return 1.0 / (1.0 + e); }}
-  else {{ double e = exp(x); return e / (1.0 + e); }}
-}}
-static inline double aug_log1p_exp(double x) {{
+/* augur_math::special and augur_dist — exact formula copies. */
+static inline double aug_sigmoid(double x) {
+  if (x >= 0.0) { double e = exp(-x); return 1.0 / (1.0 + e); }
+  else { double e = exp(x); return e / (1.0 + e); }
+}
+static inline double aug_log1p_exp(double x) {
   return x > 0.0 ? x + log1p(exp(-x)) : log1p(exp(x));
-}}
-
-/* augur_dist::scalar / kind.rs wrappers — exact formula copies. */
-static inline double aug_normal_ll(double x, double mu, double var) {{
+}
+static inline double aug_normal_ll(double x, double mu, double var) {
   if (var <= 0.0) return -INFINITY;
   double d = x - mu;
   return -0.5 * (1.8378770664093456 + log(var)) - 0.5 * d * d / var;
-}}
-static inline double aug_bern_ll(double x, double p) {{
+}
+static inline double aug_bern_ll(double x, double p) {
   if (!(x == 0.0 || x == 1.0)) return -INFINITY;
   if (!(p >= 0.0 && p <= 1.0)) return -INFINITY;
   return x == 1.0 ? log(p) : log1p(-p);
-}}
-static inline double aug_bernlogit_ll(double x, double eta) {{
+}
+static inline double aug_bernlogit_ll(double x, double eta) {
   if (!(x == 0.0 || x == 1.0)) return -INFINITY;
   return x == 1.0 ? -aug_log1p_exp(-eta) : -aug_log1p_exp(eta);
-}}
-static inline double aug_exp_ll(double x, double rate) {{
+}
+static inline double aug_exp_ll(double x, double rate) {
   if (x < 0.0 || rate <= 0.0) return -INFINITY;
   return log(rate) - rate * x;
-}}
-static inline double aug_cat_ll(double k, const double* p, int64_t len) {{
+}
+/* `k as usize` is 0 for NaN and saturates above. */
+static inline double aug_cat_ll(double k, const double* p, int64_t len) {
   if (k < 0.0) return -INFINITY;
-  uint64_t ku = (uint64_t)aug_idx(k);
-  if (ku < (uint64_t)len && p[ku] > 0.0) return log(p[ku]);
-  return -INFINITY;
-}}
-
-"#
-    )
+  if (!(k >= 1.0)) k = 0.0;
+  if (!(k < (double)len)) return -INFINITY;
+  double pk = p[(int64_t)k];
+  return pk > 0.0 ? log(pk) : -INFINITY;
 }
 
-/// A statically-typed compiled value: the emitter's analogue of
-/// [`View`](crate::eval::View), with buffer coordinates as C expressions.
-#[derive(Debug, Clone)]
-enum CV {
-    /// A C `double` expression.
-    Num(String),
-    /// A vector region of a buffer (start/len are C `int64_t` exprs).
-    Vec { buf: BufId, start: String, len: String },
-    /// A matrix region of a buffer.
-    Mat { buf: BufId, start: String, dim: usize },
-    /// A whole `Rows` buffer.
-    RowsV { buf: BufId },
-    /// An owned vector held engine-side; the string names a C `augv`
-    /// temporary carrying the handle.
-    Own(String),
-    /// An owned matrix held engine-side (`augv` temporary, `b` = dim).
-    OwnMat(String),
+"#;
+
+/// Where a view register lives while its procedure runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Home {
+    /// A buffer region whose coordinates C computes (`RefBufV`,
+    /// `LoadRow1`).
+    Region,
+    /// A scalar gradient in the C local `gN` (an inlined `DistGrad`).
+    Scalar,
+    /// Only the interpreter's view bank.
+    Bank,
 }
 
-/// A statically-resolved store destination.
-#[derive(Debug, Clone)]
-enum CDest {
-    Cell { buf: BufId, idx: String },
-    Range { buf: BufId, start: String, len: String },
+/// A view register's region as C expressions over its buffer.
+struct Region {
+    buf: BufId,
+    start: String,
+    len: String,
+    /// Whether the interpreter hands the view to a density as a vector
+    /// (slices and whole `Rows` buffers) rather than a matrix.
+    vector: bool,
 }
 
+/// Visits every operand an instruction reads, in either bank.
+pub(crate) fn reads(i: &TInstr, out: &mut impl FnMut(Opd)) {
+    let f = Opd::f;
+    match i {
+        TInstr::ConstF { .. }
+        | TInstr::LoopIdx { .. }
+        | TInstr::LoadScalar { .. }
+        | TInstr::RefBufV { .. }
+        | TInstr::Jump { .. }
+        | TInstr::LoopEnd { .. }
+        | TInstr::ChargeW { .. } => {}
+        TInstr::LoadCell1 { i, .. } | TInstr::LoadRow1 { i, .. } => out(f(*i)),
+        TInstr::NegF { a, .. } | TInstr::Call1F { a, .. } => out(f(*a)),
+        TInstr::NumOf { a, .. } | TInstr::LenV { a, .. } => out(Opd::v(*a)),
+        TInstr::Op1 { a, .. } => out(*a),
+        TInstr::LoadCell2 { row: a, col: b, .. }
+        | TInstr::BinopF { a, b, .. }
+        | TInstr::JumpIfNe { a, b, .. }
+        | TInstr::LoopStart { lo: a, hi: b, .. } => {
+            out(f(*a));
+            out(f(*b));
+        }
+        TInstr::IndexF { base, idx, .. } | TInstr::IndexV { base, idx, .. } => {
+            out(f(*idx));
+            out(*base);
+        }
+        TInstr::DotF { a, b, .. } | TInstr::Op2 { a, b, .. } => {
+            out(*a);
+            out(*b);
+        }
+        TInstr::DistLl { args, n_args, point, .. }
+        | TInstr::DistGrad { args, n_args, point, .. } => {
+            args[..*n_args as usize].iter().for_each(|a| out(*a));
+            out(*point);
+        }
+        TInstr::Write { lhs, src, .. } => {
+            out(*src);
+            dest_reads(lhs, out);
+        }
+        TInstr::Sample { lhs, args, n_args, .. } => {
+            args[..*n_args as usize].iter().for_each(|a| out(*a));
+            dest_reads(lhs, out);
+        }
+        TInstr::SampleLogits { lhs, w } => {
+            out(*w);
+            dest_reads(lhs, out);
+        }
+        TInstr::WriteImm { lhs, .. } => dest_reads(lhs, out),
+        TInstr::LlStore { lhs, args, n_args, point, .. } => {
+            args[..*n_args as usize].iter().for_each(|a| out(*a));
+            out(*point);
+            dest_reads(lhs, out);
+        }
+    }
+}
+
+fn dest_reads(d: &TDest, out: &mut impl FnMut(Opd)) {
+    match d {
+        TDest::Cell0 { .. } => {}
+        TDest::Cell1 { i, .. } | TDest::Row1 { i, .. } => out(Opd::f(*i)),
+        TDest::Cell2 { row, col, .. } => {
+            out(Opd::f(*row));
+            out(Opd::f(*col));
+        }
+        TDest::Slow { idx, n_idx, .. } => {
+            idx[..*n_idx as usize].iter().for_each(|r| out(Opd::f(*r)))
+        }
+    }
+}
+
+/// Marks a view register that is not a region in [`region_defs`].
+pub(crate) const NOT_REGION: u32 = u32::MAX;
+
+/// For each view register, the instruction defining it when it is a
+/// region (`RefBufV`/`LoadRow1`, whose coordinates C computes), else
+/// [`NOT_REGION`]. A callback that reads a region rebuilds it in the
+/// view bank by re-running that definition.
+pub(crate) fn region_defs(tape: &Tape) -> Vec<u32> {
+    let mut defs = vec![NOT_REGION; tape.n_vregs];
+    for (pc, i) in tape.instrs.iter().enumerate() {
+        if let TInstr::RefBufV { dst, .. } | TInstr::LoadRow1 { dst, .. } = i {
+            defs[*dst as usize] = pc as u32;
+        }
+    }
+    defs
+}
+
+/// The register an instruction writes, in either bank.
+fn writes(i: &TInstr) -> Option<Opd> {
+    match i {
+        TInstr::ConstF { dst, .. }
+        | TInstr::LoopIdx { dst, .. }
+        | TInstr::LoadScalar { dst, .. }
+        | TInstr::LoadCell1 { dst, .. }
+        | TInstr::LoadCell2 { dst, .. }
+        | TInstr::NumOf { dst, .. }
+        | TInstr::IndexF { dst, .. }
+        | TInstr::BinopF { dst, .. }
+        | TInstr::NegF { dst, .. }
+        | TInstr::Call1F { dst, .. }
+        | TInstr::DotF { dst, .. }
+        | TInstr::DistLl { dst, .. }
+        | TInstr::LenV { dst, .. } => Some(Opd::f(*dst)),
+        TInstr::RefBufV { dst, .. }
+        | TInstr::LoadRow1 { dst, .. }
+        | TInstr::IndexV { dst, .. }
+        | TInstr::Op1 { dst, .. }
+        | TInstr::Op2 { dst, .. }
+        | TInstr::DistGrad { dst, .. } => Some(Opd::v(*dst)),
+        _ => None,
+    }
+}
+
+/// The C expression of an inlined scalar log-density, when `dist` has
+/// one and its operands are scalar registers (the Categorical's weights
+/// a vector region instead).
+fn scalar_ll(dist: DistKind, args: &[Opd; 2], n_args: u8, point: Opd) -> Option<String> {
+    if point.is_view() {
+        return None;
+    }
+    let x = format!("f{}", point.index());
+    let a = |k: usize| (!args[k].is_view()).then(|| format!("f{}", args[k].index()));
+    match (dist, n_args) {
+        (DistKind::Normal, 2) => Some(format!("aug_normal_ll({x}, {}, {})", a(0)?, a(1)?)),
+        (DistKind::Bernoulli, 1) => Some(format!("aug_bern_ll({x}, {})", a(0)?)),
+        (DistKind::BernoulliLogit, 1) => Some(format!("aug_bernlogit_ll({x}, {})", a(0)?)),
+        (DistKind::Exponential, 1) => Some(format!("aug_exp_ll({x}, {})", a(0)?)),
+        _ => None,
+    }
+}
+
+/// The C expression of an inlined scalar gradient (the value `grad_*`
+/// accumulates into a fresh `0.0`), when one exists and every operand is
+/// a scalar register.
+fn scalar_grad(
+    dist: DistKind,
+    wrt: GradWrt,
+    args: &[Opd; 2],
+    n_args: u8,
+    point: Opd,
+) -> Option<String> {
+    if point.is_view() || args[..n_args as usize].iter().any(|a| a.is_view()) {
+        return None;
+    }
+    let x = format!("f{}", point.index());
+    let a = |k: usize| format!("f{}", args[k].index());
+    let g = match (dist, n_args, wrt) {
+        (DistKind::Normal, 2, GradWrt::Param(0)) => format!("({x} - {}) / {}", a(0), a(1)),
+        (DistKind::Normal, 2, GradWrt::Param(1)) => format!(
+            "-0.5 / {v} + 0.5 * ({x} - {m}) * ({x} - {m}) / ({v} * {v})",
+            m = a(0),
+            v = a(1)
+        ),
+        (DistKind::Normal, 2, GradWrt::Point) => format!("-({x} - {}) / {}", a(0), a(1)),
+        (DistKind::BernoulliLogit, 1, GradWrt::Param(0)) => {
+            format!("aug_u8({x}) - aug_sigmoid({})", a(0))
+        }
+        (DistKind::Bernoulli, 1, GradWrt::Param(0)) => {
+            format!("{x} == 1.0 ? 1.0 / {p} : -1.0 / (1.0 - {p})", p = a(0))
+        }
+        (DistKind::Exponential, 1, GradWrt::Param(0)) => format!("1.0 / {} - {x}", a(0)),
+        (DistKind::Exponential, 1, GradWrt::Point) => format!("-{}", a(0)),
+        (DistKind::Poisson, 1, GradWrt::Param(0)) => format!("{x} / {} - 1.0", a(0)),
+        _ => return None,
+    };
+    Some(format!("0.0 + ({g})"))
+}
+
+/// Emits one procedure's C function from its tape.
 struct ProcEmitter<'a> {
     state: &'a State,
+    tape: &'a Tape,
     used_offs: &'a mut BTreeSet<BufId>,
+    home: Vec<Home>,
+    /// The defining instruction of each view register.
+    def: Vec<usize>,
+    /// View registers inline C reads.
+    in_c: Vec<bool>,
+    /// Instructions C runs itself (the rest are `step` callbacks).
+    inline: Vec<bool>,
+    used_bufs: BTreeSet<BufId>,
     body: String,
     indent: usize,
-    tmp: usize,
-    depth: usize,
-    in_par: bool,
-    used_bufs: BTreeSet<BufId>,
-    /// Buffers whose contents may be touched by a runtime callback in
-    /// this procedure; these must not be `restrict`-qualified.
-    escaped: BTreeSet<BufId>,
+    /// Static work charges not yet flushed into `W`.
+    pending_w: u64,
+    /// Freshness (`Par` outside any `Par`) of each open loop.
+    loops: Vec<bool>,
 }
 
 impl<'a> ProcEmitter<'a> {
-    fn new(state: &'a State, used_offs: &'a mut BTreeSet<BufId>) -> ProcEmitter<'a> {
-        ProcEmitter {
+    fn new(state: &'a State, tape: &'a Tape, used_offs: &'a mut BTreeSet<BufId>) -> Self {
+        let n = tape.instrs.len();
+        let mut em = ProcEmitter {
             state,
+            tape,
             used_offs,
+            home: vec![Home::Bank; tape.n_vregs],
+            def: vec![0; tape.n_vregs],
+            in_c: vec![false; tape.n_vregs],
+            inline: vec![true; n],
+            used_bufs: BTreeSet::new(),
             body: String::new(),
             indent: 1,
-            tmp: 0,
-            depth: 0,
-            in_par: false,
-            used_bufs: BTreeSet::new(),
-            escaped: BTreeSet::new(),
+            pending_w: 0,
+            loops: Vec::new(),
+        };
+        em.place();
+        em
+    }
+
+    /// Decides which instructions run inline and where each view
+    /// register lives. Regions always live in C (a callback that reads
+    /// one rebuilds it in the bank). Inlining an instruction needs its
+    /// other view operands in C; a scalar gradient a callback reads must
+    /// live in the bank, which in turn moves its inline readers to
+    /// callbacks — iterated to a fixpoint.
+    fn place(&mut self) {
+        let tape = self.tape;
+        for (pc, i) in tape.instrs.iter().enumerate() {
+            let Some(dst) = writes(i).filter(|d| d.is_view()) else {
+                continue;
+            };
+            let r = dst.index();
+            self.def[r] = pc;
+            self.home[r] = match i {
+                TInstr::RefBufV { .. } | TInstr::LoadRow1 { .. } => Home::Region,
+                TInstr::DistGrad { dist, wrt, args, n_args, point, .. }
+                    if scalar_grad(*dist, *wrt, args, *n_args, *point).is_some() =>
+                {
+                    Home::Scalar
+                }
+                _ => Home::Bank,
+            };
+        }
+        loop {
+            for (pc, i) in tape.instrs.iter().enumerate() {
+                self.inline[pc] = self.inlinable(i);
+            }
+            let mut changed = false;
+            for (pc, i) in tape.instrs.iter().enumerate() {
+                if !self.inline[pc] {
+                    reads(i, &mut |o| {
+                        if o.is_view() && self.home[o.index()] == Home::Scalar {
+                            self.home[o.index()] = Home::Bank;
+                            changed = true;
+                        }
+                    });
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        for (pc, i) in tape.instrs.iter().enumerate() {
+            if self.inline[pc] {
+                reads(i, &mut |o| {
+                    if o.is_view() {
+                        self.in_c[o.index()] = true;
+                    }
+                });
+            }
+        }
+    }
+
+    /// Whether C can run `i` itself, given the current view homes.
+    fn inlinable(&self, i: &TInstr) -> bool {
+        let region = |o: &Opd| o.is_view() && self.home[o.index()] == Home::Region;
+        match i {
+            TInstr::ConstF { .. }
+            | TInstr::LoopIdx { .. }
+            | TInstr::LoadScalar { .. }
+            | TInstr::BinopF { .. }
+            | TInstr::NegF { .. }
+            | TInstr::Call1F { .. }
+            | TInstr::ChargeW { .. }
+            | TInstr::JumpIfNe { .. }
+            | TInstr::Jump { .. }
+            | TInstr::LoopStart { .. }
+            | TInstr::LoopEnd { .. } => true,
+            TInstr::RefBufV { .. } | TInstr::LoadRow1 { .. } => true,
+            TInstr::LoadCell1 { buf, .. } => matches!(self.state.shape(*buf), Shape::Vector(_)),
+            TInstr::LoadCell2 { buf, .. } => matches!(
+                self.state.shape(*buf),
+                Shape::Matrix(_) | Shape::Rows { elem: RowElem::Vec, .. }
+            ),
+            TInstr::NumOf { a, .. } => self.home[*a as usize] == Home::Scalar,
+            TInstr::DotF { a, b, .. } => region(a) && region(b),
+            TInstr::LenV { a, .. } => self.home[*a as usize] != Home::Bank,
+            TInstr::DistGrad { dst, .. } => self.home[*dst as usize] == Home::Scalar,
+            TInstr::DistLl { dist, args, n_args, point, .. } => {
+                self.ll_expr(*dist, args, *n_args, *point).is_some()
+            }
+            TInstr::LlStore { lhs, dist, args, n_args, point, .. } => {
+                self.cell(lhs).is_some() && self.ll_expr(*dist, args, *n_args, *point).is_some()
+            }
+            TInstr::Write { lhs, src, .. } => {
+                self.cell(lhs).is_some()
+                    && (!src.is_view() || self.home[src.index()] == Home::Scalar)
+            }
+            TInstr::WriteImm { lhs, .. } => self.cell(lhs).is_some(),
+            TInstr::IndexF { .. }
+            | TInstr::IndexV { .. }
+            | TInstr::Op1 { .. }
+            | TInstr::Op2 { .. }
+            | TInstr::Sample { .. }
+            | TInstr::SampleLogits { .. } => false,
+        }
+    }
+
+    /// An inlined log-density's C expression, if it has one.
+    fn ll_expr(&self, dist: DistKind, args: &[Opd; 2], n_args: u8, point: Opd) -> Option<String> {
+        if dist == DistKind::Categorical && n_args == 1 && !point.is_view() {
+            let w = args[0];
+            if !w.is_view() || self.home[w.index()] != Home::Region {
+                return None;
+            }
+            let r = self.region(w.index());
+            if !r.vector {
+                return None;
+            }
+            return Some(format!(
+                "aug_cat_ll(f{}, b{} + {}, {})",
+                point.index(),
+                r.buf,
+                r.start,
+                r.len
+            ));
+        }
+        scalar_ll(dist, args, n_args, point)
+    }
+
+    /// The region of a `Region`-homed view register.
+    fn region(&self, r: usize) -> Region {
+        let (buf, loaded) = match &self.tape.instrs[self.def[r]] {
+            TInstr::RefBufV { buf, .. } => (*buf, false),
+            TInstr::LoadRow1 { buf, .. } => (*buf, true),
+            other => unreachable!("view register {r} defined by {other:?}"),
+        };
+        let whole =
+            |len: usize, vector| Region { buf, start: "0".into(), len: len.to_string(), vector };
+        let row = |len: String, vector| Region { buf, start: format!("vs{r}"), len, vector };
+        match (self.state.shape(buf), loaded) {
+            (Shape::Vector(n), false) => whole(*n, true),
+            (Shape::Matrix(d), false) => whole(d * d, false),
+            (shape @ Shape::Rows { .. }, false) => whole(shape.num_cells(), true),
+            (Shape::Matrix(d), true) => row(d.to_string(), true),
+            (Shape::Rows { elem: RowElem::Vec, .. }, true) => row(format!("vl{r}"), true),
+            (Shape::Rows { elem: RowElem::Mat(d), .. }, true) => row((d * d).to_string(), false),
+            (shape, _) => unreachable!("no view region over a {shape:?} buffer"),
+        }
+    }
+
+    /// The guard and cell index of a directly-addressed destination
+    /// (`None` for row and generic destinations, which stay in Rust).
+    fn cell(&self, lhs: &TDest) -> Option<(BufId, Option<String>, String)> {
+        match lhs {
+            TDest::Cell0 { buf } => Some((*buf, None, "0".into())),
+            TDest::Cell1 { buf, i, len } => {
+                Some((*buf, Some(format!("f{i} >= 0.0 && f{i} < {len}")), format!("(int64_t)f{i}")))
+            }
+            TDest::Cell2 { buf, row, col } => {
+                let nrows = self.state.shape(*buf).num_rows();
+                let k = format!("(int64_t)f{row}");
+                Some((
+                    *buf,
+                    Some(format!(
+                        "f{row} >= 0.0 && f{row} < {nrows} && f{col} >= 0.0 && \
+                         f{col} < (double)(off{buf}[{k} + 1] - off{buf}[{k}])"
+                    )),
+                    format!("off{buf}[{k}] + (int64_t)f{col}"),
+                ))
+            }
+            TDest::Row1 { .. } | TDest::Slow { .. } => None,
         }
     }
 
@@ -330,731 +580,359 @@ impl<'a> ProcEmitter<'a> {
         self.body.push('\n');
     }
 
-    fn tmp_name(&mut self, prefix: &str) -> String {
-        let n = format!("{prefix}{}", self.tmp);
-        self.tmp += 1;
-        n
-    }
-
-    fn tmp_d(&mut self, expr: &str) -> String {
-        let n = self.tmp_name("t");
-        self.line(&format!("double {n} = {expr};"));
-        n
-    }
-
-    fn tmp_i(&mut self, expr: &str) -> String {
-        let n = self.tmp_name("k");
-        self.line(&format!("int64_t {n} = {expr};"));
-        n
-    }
-
-    fn tmp_v(&mut self, expr: &str) -> String {
-        let n = self.tmp_name("v");
-        self.line(&format!("augv {n} = {expr};"));
-        n
-    }
-
-    fn flush(&mut self, w: &mut u64) {
-        if *w > 0 {
+    fn flush_w(&mut self) {
+        if self.pending_w > 0 {
+            let w = std::mem::take(&mut self.pending_w);
             self.line(&format!("W += {w};"));
-            *w = 0;
         }
     }
 
-    fn buf_ref(&mut self, id: BufId) -> String {
+    fn buf(&mut self, id: BufId) -> String {
         self.used_bufs.insert(id);
         format!("b{id}")
     }
 
-    /// Builds a C `augv` expression for a value crossing the callback
-    /// boundary; buffer-backed views escape (no `restrict`).
-    fn augv_of(&mut self, cv: &CV) -> String {
-        match cv {
-            CV::Num(x) => format!("av_num({x})"),
-            CV::Vec { buf, start, len } => {
-                self.escaped.insert(*buf);
-                self.used_bufs.insert(*buf);
-                format!("av_slice({buf}, {start}, {len})")
+    /// C that spills into the bank the scalar registers `pc` reads,
+    /// including those the definitions of its region operands read (the
+    /// callback re-runs them).
+    fn spills(&self, pc: usize) -> String {
+        let mut regs = BTreeSet::new();
+        let mut scalar = |o: Opd| {
+            if !o.is_view() {
+                regs.insert(o.index());
             }
-            CV::Mat { buf, start, dim } => {
-                self.escaped.insert(*buf);
-                self.used_bufs.insert(*buf);
-                format!("av_mat({buf}, {start}, {dim})")
+        };
+        reads(&self.tape.instrs[pc], &mut |o| {
+            if !o.is_view() {
+                scalar(o);
+            } else if self.home[o.index()] == Home::Region {
+                reads(&self.tape.instrs[self.def[o.index()]], &mut scalar);
             }
-            CV::RowsV { buf } => {
-                self.escaped.insert(*buf);
-                self.used_bufs.insert(*buf);
-                format!("av_rows({buf})")
-            }
-            CV::Own(v) | CV::OwnMat(v) => v.clone(),
+        });
+        regs.iter().map(|r| format!("F[{r}] = f{r}; ")).collect()
+    }
+
+    /// A `step(pc)` callback: spill, call, reload the scalar result.
+    fn step(&mut self, pc: usize) {
+        let mut s = self.spills(pc);
+        let _ = write!(s, "vt->step(c, {pc});");
+        if let Some(d) = writes(&self.tape.instrs[pc]).filter(|d| !d.is_view()) {
+            let _ = write!(s, " f{0} = F[{0}];", d.index());
         }
+        self.line(&s);
     }
 
-    /// `view_len` of a compiled value, as a C `int64_t` expression.
-    fn len_expr(&self, cv: &CV) -> String {
-        match cv {
-            CV::Num(_) => "0".into(),
-            CV::Vec { len, .. } => len.clone(),
-            CV::Mat { dim, .. } => (dim * dim).to_string(),
-            CV::RowsV { buf } => self.state.shape(*buf).num_cells().to_string(),
-            CV::Own(v) => format!("{v}.b"),
-            CV::OwnMat(v) => format!("({v}.b * {v}.b)"),
-        }
-    }
-
-    /// `(pointer, len)` C expressions for `slice_of` on a static view.
-    fn slice_exprs(&mut self, cv: &CV) -> Option<(String, String)> {
-        match cv {
-            CV::Vec { buf, start, len } => {
-                let b = self.buf_ref(*buf);
-                Some((format!("({b} + ({start}))"), len.clone()))
+    /// `if (!(cond)) trap(pc)`: re-runs `pc` in Rust — first defining any
+    /// scalar gradient it reads, which lives only in C — so the
+    /// interpreter raises its own panic.
+    fn guard(&mut self, pc: usize, cond: &str) {
+        let mut s = String::new();
+        let mut grads = Vec::new();
+        reads(&self.tape.instrs[pc], &mut |o| {
+            if o.is_view() && self.home[o.index()] == Home::Scalar {
+                grads.push(self.def[o.index()]);
             }
-            CV::Mat { buf, start, dim } => {
-                let b = self.buf_ref(*buf);
-                Some((format!("({b} + ({start}))"), (dim * dim).to_string()))
-            }
-            CV::RowsV { buf } => {
-                let b = self.buf_ref(*buf);
-                let total = self.state.shape(*buf).num_cells();
-                Some((b, total.to_string()))
-            }
-            _ => None,
+        });
+        for def in grads {
+            let _ = write!(s, "{}vt->step(c, {def}); ", self.spills(def));
         }
+        let _ = write!(s, "{}vt->trap(c, {pc});", self.spills(pc));
+        self.line(&format!("if (!({cond})) {{ {s} }}"));
     }
 
-    fn num(&self, cv: CV, what: &str) -> Result<String, String> {
-        match cv {
-            CV::Num(x) => Ok(x),
-            other => Err(format!("{what} is not scalar (kind {other:?})")),
-        }
-    }
-
-    /// Emits a non-negative runtime index from a scalar expression,
-    /// replicating `eval`'s negative-index assertion and Rust's
-    /// saturating `f64 as usize` cast.
-    fn index_from(&mut self, num: &str, trap_code: i32) -> String {
-        let t = self.tmp_d(num);
-        self.line(&format!("if (!({t} >= 0.0)) vt->trap(c, {trap_code}, {t}, 0.0);"));
-        self.tmp_i(&format!("aug_idx({t})"))
-    }
-
-    fn bounds_check(&mut self, k: &str, len: &str, code: i32) {
-        self.line(&format!(
-            "if (!((uint64_t){k} < (uint64_t)({len}))) vt->trap(c, {code}, (double)(uint64_t){k}, (double)({len}));"
-        ));
-    }
-
-    /// Compiles an expression; static node charges accumulate into `w`,
-    /// dynamic charges are emitted inline as `W +=` statements.
-    fn expr(&mut self, e: &RExpr, w: &mut u64) -> Result<CV, String> {
-        *w += 1; // eval() charges one unit per node entry
-        match e {
-            RExpr::Const(v) => Ok(CV::Num(fmt_f64(*v))),
-            RExpr::Ref(RRef::Loop(d)) => {
-                if *d >= self.depth {
-                    return Err(format!("loop variable depth {d} out of scope"));
+    /// A `LoadRow1` region: the interpreter's bounds check, then the
+    /// coordinates when inline code reads them.
+    fn load_row(&mut self, pc: usize, r: usize, buf: BufId, i: u32) {
+        let coords = self.in_c[r];
+        match self.state.shape(buf).clone() {
+            Shape::Matrix(d) => {
+                self.guard(pc, &format!("f{i} >= 0.0 && f{i} < {d}"));
+                if coords {
+                    self.line(&format!("vs{r} = (int64_t)f{i} * {d};"));
                 }
-                Ok(CV::Num(format!("(double)i{d}")))
             }
-            RExpr::Ref(RRef::Buf(id)) => Ok(match self.state.shape(*id) {
-                Shape::Num => {
-                    let b = self.buf_ref(*id);
-                    CV::Num(format!("{b}[0]"))
+            Shape::Rows { elem, offsets } => {
+                self.guard(pc, &format!("f{i} >= 0.0 && f{i} < {}", offsets.len() - 1));
+                if coords {
+                    self.used_offs.insert(buf);
+                    self.line(&format!("vs{r} = off{buf}[(int64_t)f{i}];"));
+                    if elem == RowElem::Vec {
+                        self.line(&format!("vl{r} = off{buf}[(int64_t)f{i} + 1] - vs{r};"));
+                    }
                 }
-                Shape::Vector(n) => CV::Vec { buf: *id, start: "0".into(), len: n.to_string() },
-                Shape::Matrix(d) => CV::Mat { buf: *id, start: "0".into(), dim: *d },
-                Shape::Rows { .. } => CV::RowsV { buf: *id },
-            }),
-            RExpr::Index(base, idx) => {
-                // eval order: index expression first (negative check),
-                // then the base, then index_view's bound check.
-                let iv = self.expr(idx, w)?;
-                let ix = self.num(iv, "index expression")?;
-                let k = self.index_from(&ix, trap::NEG_INDEX);
-                let bv = self.expr(base, w)?;
-                *w += 1; // index_view charges one unit
-                match bv {
-                    CV::Vec { buf, start, len } => {
-                        self.bounds_check(&k, &len, trap::OOB_SLICE);
-                        let b = self.buf_ref(buf);
-                        Ok(CV::Num(format!("{b}[({start}) + {k}]")))
-                    }
-                    CV::Mat { buf, start, dim } => {
-                        self.bounds_check(&k, &dim.to_string(), trap::OOB_MAT_ROW);
-                        Ok(CV::Vec {
-                            buf,
-                            start: format!("(({start}) + {k} * {dim})"),
-                            len: dim.to_string(),
-                        })
-                    }
-                    CV::RowsV { buf } => {
-                        let Shape::Rows { offsets, elem } = self.state.shape(buf) else {
-                            unreachable!("Rows view over non-Rows shape");
-                        };
-                        let noff = offsets.len();
-                        let elem = *elem;
-                        self.used_offs.insert(buf);
-                        self.used_bufs.insert(buf);
-                        // row_range: assert!(i + 1 < offsets.len())
+            }
+            shape => unreachable!("row load from a {shape:?} buffer"),
+        }
+    }
+
+    /// A scalar store into a directly-addressed cell.
+    fn store(&mut self, pc: usize, lhs: &TDest, op: AssignOp, x: &str) {
+        let (buf, cond, idx) = self.cell(lhs).expect("inline stores address a cell");
+        if matches!(lhs, TDest::Cell2 { .. }) {
+            self.used_offs.insert(buf);
+        }
+        if let Some(cond) = cond {
+            self.guard(pc, &cond);
+        }
+        let b = self.buf(buf);
+        let sym = if op == AssignOp::Set { "=" } else { "+=" };
+        self.line(&format!("{b}[{idx}] {sym} {x};"));
+    }
+
+    fn instr(&mut self, pc: usize) {
+        let tape = self.tape;
+        let i = &tape.instrs[pc];
+        if !self.inline[pc] {
+            self.step(pc);
+            return;
+        }
+        match i {
+            TInstr::ConstF { dst, val } => {
+                self.pending_w += 1;
+                self.line(&format!("f{dst} = {};", fmt_f64(*val)));
+            }
+            TInstr::LoopIdx { dst, depth } => {
+                self.pending_w += 1;
+                self.line(&format!("f{dst} = (double)i{depth};"));
+            }
+            TInstr::LoadScalar { dst, buf } => {
+                self.pending_w += 1;
+                let b = self.buf(*buf);
+                self.line(&format!("f{dst} = {b}[0];"));
+            }
+            TInstr::RefBufV { .. } => self.pending_w += 1,
+            TInstr::LoadRow1 { dst, buf, i } => {
+                self.pending_w += 3;
+                self.load_row(pc, *dst as usize, *buf, *i);
+            }
+            TInstr::LoadCell1 { dst, buf, i } => {
+                self.pending_w += 3;
+                let Shape::Vector(n) = *self.state.shape(*buf) else { unreachable!() };
+                self.guard(pc, &format!("f{i} >= 0.0 && f{i} < {n}"));
+                let b = self.buf(*buf);
+                self.line(&format!("f{dst} = {b}[(int64_t)f{i}];"));
+            }
+            TInstr::LoadCell2 { dst, buf, row, col } => {
+                self.pending_w += 5;
+                let b = self.buf(*buf);
+                match self.state.shape(*buf).clone() {
+                    Shape::Matrix(d) => {
+                        self.guard(
+                            pc,
+                            &format!(
+                                "f{row} >= 0.0 && f{col} >= 0.0 && f{row} < {d} && f{col} < {d}"
+                            ),
+                        );
                         self.line(&format!(
-                            "if (!((uint64_t)({k} + 1) < (uint64_t){noff})) vt->trap(c, {}, (double)(uint64_t){k}, 0.0);",
-                            trap::ROW_RANGE
+                            "f{dst} = {b}[(int64_t)f{row} * {d} + (int64_t)f{col}];"
                         ));
-                        match elem {
-                            RowElem::Vec => Ok(CV::Vec {
-                                buf,
-                                start: format!("off{buf}[{k}]"),
-                                len: format!("(off{buf}[{k} + 1] - off{buf}[{k}])"),
-                            }),
-                            RowElem::Mat(d) => {
-                                Ok(CV::Mat { buf, start: format!("off{buf}[{k}]"), dim: d })
-                            }
-                        }
                     }
-                    CV::Own(v) => {
-                        self.bounds_check(&k, &format!("{v}.b"), trap::OOB_OWN);
-                        let t = self.tmp_d(&format!("vt->own_get(c, {v}, {k})"));
-                        Ok(CV::Num(t))
+                    Shape::Rows { offsets, .. } => {
+                        self.used_offs.insert(*buf);
+                        let k = format!("(int64_t)f{row}");
+                        self.guard(
+                            pc,
+                            &format!(
+                                "f{row} >= 0.0 && f{col} >= 0.0 && f{row} < {} && \
+                                 f{col} < (double)(off{buf}[{k} + 1] - off{buf}[{k}])",
+                                offsets.len() - 1
+                            ),
+                        );
+                        self.line(&format!("f{dst} = {b}[off{buf}[{k}] + (int64_t)f{col}];"));
                     }
-                    CV::OwnMat(v) => {
-                        self.bounds_check(&k, &format!("{v}.b"), trap::OOB_OWN_ROW);
-                        let t = self.tmp_v(&format!("vt->own_row(c, {v}, {k})"));
-                        Ok(CV::Own(t))
-                    }
-                    CV::Num(_) => Err("indexing into a scalar".into()),
+                    shape => unreachable!("cell load from a {shape:?} buffer"),
                 }
             }
-            RExpr::Binop(op, a, b) => {
-                let av = self.expr(a, w)?;
-                let ax = self.num(av, "left operand")?;
-                let ta = self.tmp_d(&ax);
-                let bv = self.expr(b, w)?;
-                let bx = self.num(bv, "right operand")?;
-                let tb = self.tmp_d(&bx);
+            TInstr::NumOf { dst, a } => self.line(&format!("f{dst} = g{a};")),
+            TInstr::BinopF { dst, op, a, b } => {
+                self.pending_w += 1;
                 let sym = match op {
                     BinOp::Add => "+",
                     BinOp::Sub => "-",
                     BinOp::Mul => "*",
                     BinOp::Div => "/",
                 };
-                Ok(CV::Num(format!("({ta} {sym} {tb})")))
+                self.line(&format!("f{dst} = f{a} {sym} f{b};"));
             }
-            RExpr::Neg(a) => {
-                let av = self.expr(a, w)?;
-                let ax = self.num(av, "negation operand")?;
-                Ok(CV::Num(format!("(-{ax})")))
+            TInstr::NegF { dst, a } => {
+                self.pending_w += 1;
+                self.line(&format!("f{dst} = -f{a};"));
             }
-            RExpr::Call(f, args) => self.call(*f, args, w),
-            RExpr::DistLl { dist, args, point } => self.dist_ll(*dist, args, point, w),
-            RExpr::DistGradParam { dist, i, args, point } => {
-                self.dist_grad(*dist, Some(*i), args, point, w)
-            }
-            RExpr::DistGradPoint { dist, args, point } => {
-                self.dist_grad(*dist, None, args, point, w)
-            }
-            RExpr::Op(op, args) => {
-                let a = self.expr(&args[0], w)?;
-                let b = if args.len() > 1 {
-                    self.expr(&args[1], w)?
-                } else {
-                    CV::Num("0.0".into())
-                };
-                let (aa, ab) = (self.augv_of(&a), self.augv_of(&b));
-                let t = self.tmp_v(&format!(
-                    "vt->op(c, {}, {}, {aa}, {ab})",
-                    op_code(*op),
-                    args.len()
-                ));
-                Ok(match op {
-                    OpN::VecAdd | OpN::VecSub | OpN::VecScale | OpN::MatVec => CV::Own(t),
-                    OpN::MatAdd | OpN::MatScale | OpN::MatInv | OpN::OuterSub => CV::OwnMat(t),
-                })
-            }
-            RExpr::Len(a) => {
-                let av = self.expr(a, w)?;
-                let l = self.len_expr(&av);
-                Ok(CV::Num(format!("(double)({l})")))
-            }
-        }
-    }
-
-    fn call(&mut self, f: Builtin, args: &[RExpr], w: &mut u64) -> Result<CV, String> {
-        match f {
-            Builtin::Sigmoid | Builtin::Exp | Builtin::Log | Builtin::Sqrt => {
-                let av = self.expr(&args[0], w)?;
-                let x = self.num(av, "builtin argument")?;
-                let fname = match f {
+            TInstr::Call1F { dst, f, a } => {
+                self.pending_w += 1;
+                let name = match f {
                     Builtin::Sigmoid => "aug_sigmoid",
                     Builtin::Exp => "exp",
                     Builtin::Log => "log",
                     Builtin::Sqrt => "sqrt",
-                    Builtin::Dot => unreachable!(),
+                    Builtin::Dot => unreachable!("Dot compiles to a DotF instruction"),
                 };
-                Ok(CV::Num(format!("{fname}({x})")))
+                self.line(&format!("f{dst} = {name}(f{a});"));
             }
-            Builtin::Dot => {
-                let a = self.expr(&args[0], w)?;
-                let b = self.expr(&args[1], w)?;
-                if let (Some((pa, la)), Some((pb, lb))) =
-                    (self.slice_exprs(&a), self.slice_exprs(&b))
-                {
-                    let ta = self.tmp_i(&la);
-                    let tb = self.tmp_i(&lb);
-                    self.line(&format!(
-                        "if (!({ta} == {tb})) vt->trap(c, {}, (double){ta}, (double){tb});",
-                        trap::DOT_LEN
-                    ));
-                    self.line(&format!("W += (uint64_t){ta};"));
-                    let acc = self.tmp_d("0.0");
-                    let q = self.tmp_name("q");
-                    self.line(&format!(
-                        "for (int64_t {q} = 0; {q} < {ta}; {q}++) {acc} += {pa}[{q}] * {pb}[{q}];"
-                    ));
-                    Ok(CV::Num(acc))
+            TInstr::DotF { dst, a, b } => {
+                self.pending_w += 1;
+                let (ra, rb) = (self.region(a.index()), self.region(b.index()));
+                let (ba, bb) = (self.buf(ra.buf), self.buf(rb.buf));
+                if ra.len != rb.len {
+                    self.guard(pc, &format!("{} == {}", ra.len, rb.len));
+                }
+                match ra.len.parse::<u64>() {
+                    Ok(n) => self.pending_w += n,
+                    Err(_) => self.line(&format!("W += (uint64_t){};", ra.len)),
+                }
+                self.line(&format!(
+                    "{{ double s = -0.0; for (int64_t q = 0; q < {}; q++) s += {ba}[{} + q] * {bb}[{} + q]; f{dst} = s; }}",
+                    ra.len, ra.start, rb.start
+                ));
+            }
+            TInstr::LenV { dst, a } => {
+                self.pending_w += 1;
+                let len = match self.home[*a as usize] {
+                    Home::Region => self.region(*a as usize).len,
+                    _ => "0".into(),
+                };
+                self.line(&format!("f{dst} = (double)({len});"));
+            }
+            TInstr::DistLl { dst, dist, args, n_args, point } => {
+                self.pending_w += 5;
+                let e = self.ll_expr(*dist, args, *n_args, *point).expect("inlinable");
+                self.ll_bufs(*dist, args);
+                self.line(&format!("f{dst} = {e};"));
+            }
+            TInstr::DistGrad { dst, dist, wrt, args, n_args, point } => {
+                self.pending_w += 5;
+                let e = scalar_grad(*dist, *wrt, args, *n_args, *point).expect("inlinable");
+                self.line(&format!("g{dst} = {e};"));
+            }
+            TInstr::Write { lhs, op, src } => {
+                self.pending_w += 1;
+                let x = if src.is_view() {
+                    format!("g{}", src.index())
                 } else {
-                    let (aa, ab) = (self.augv_of(&a), self.augv_of(&b));
-                    let t = self.tmp_d(&format!("vt->dot(c, {aa}, {ab})"));
-                    Ok(CV::Num(t))
-                }
+                    format!("f{}", src.index())
+                };
+                self.store(pc, lhs, *op, &x);
             }
-        }
-    }
-
-    fn dist_ll(
-        &mut self,
-        dist: DistKind,
-        args: &[RExpr],
-        point: &RExpr,
-        w: &mut u64,
-    ) -> Result<CV, String> {
-        let mut avs = Vec::new();
-        for a in args {
-            let v = self.expr(a, w)?;
-            avs.push(v);
-        }
-        let pv = self.expr(point, w)?;
-        // Inline fast paths: scalar-point primitives whose formulas are
-        // replicated in the preamble. dist_op_cost(scalar point) == 4.
-        let inline = match (dist, &pv) {
-            (DistKind::Normal, CV::Num(x)) => {
-                if let (CV::Num(mu), CV::Num(var)) = (&avs[0], &avs[1]) {
-                    Some(format!("aug_normal_ll({x}, {mu}, {var})"))
-                } else {
-                    None
-                }
+            TInstr::WriteImm { lhs, op, val } => {
+                self.pending_w += 2;
+                self.store(pc, lhs, *op, &fmt_f64(*val));
             }
-            (DistKind::Bernoulli, CV::Num(x)) => match &avs[0] {
-                CV::Num(p) => Some(format!("aug_bern_ll({x}, {p})")),
-                _ => None,
-            },
-            (DistKind::BernoulliLogit, CV::Num(x)) => match &avs[0] {
-                CV::Num(eta) => Some(format!("aug_bernlogit_ll({x}, {eta})")),
-                _ => None,
-            },
-            (DistKind::Exponential, CV::Num(x)) => match &avs[0] {
-                CV::Num(rate) => Some(format!("aug_exp_ll({x}, {rate})")),
-                _ => None,
-            },
-            (DistKind::Categorical, CV::Num(x)) => {
-                let weights = avs[0].clone();
-                self.slice_exprs(&weights).map(|(p, l)| format!("aug_cat_ll({x}, {p}, {l})"))
+            TInstr::LlStore { lhs, op, dist, args, n_args, point } => {
+                self.pending_w += 6;
+                let e = self.ll_expr(*dist, args, *n_args, *point).expect("inlinable");
+                self.ll_bufs(*dist, args);
+                self.store(pc, lhs, *op, &e);
             }
-            _ => None,
-        };
-        if let Some(expr) = inline {
-            *w += 4;
-            let t = self.tmp_d(&expr);
-            return Ok(CV::Num(t));
-        }
-        let arr = self.augv_array(&avs);
-        let pa = self.augv_of(&pv);
-        let t = self.tmp_d(&format!(
-            "vt->dist_ll(c, {}, {}, {arr}, {pa})",
-            dist_code(dist),
-            args.len()
-        ));
-        Ok(CV::Num(t))
-    }
-
-    fn dist_grad(
-        &mut self,
-        dist: DistKind,
-        i: Option<usize>,
-        args: &[RExpr],
-        point: &RExpr,
-        w: &mut u64,
-    ) -> Result<CV, String> {
-        let mut avs = Vec::new();
-        for a in args {
-            let v = self.expr(a, w)?;
-            avs.push(v);
-        }
-        let pv = self.expr(point, w)?;
-        // Inline fast paths (all scalar in, scalar out; cost 4, no
-        // out-length charge). Gradients accumulate into a fresh 0.0, so
-        // the value is the formula itself.
-        let scalar =
-            |cv: &CV| -> Option<String> { if let CV::Num(x) = cv { Some(x.clone()) } else { None } };
-        let inline = match (dist, i) {
-            (DistKind::Normal, Some(0)) => {
-                match (scalar(&pv), scalar(&avs[0]), scalar(&avs[1])) {
-                    (Some(x), Some(mu), Some(var)) => Some(format!("(({x} - {mu}) / {var})")),
-                    _ => None,
-                }
+            TInstr::ChargeW { n } => self.pending_w += *n as u64,
+            TInstr::JumpIfNe { a, b, target } => {
+                self.flush_w();
+                self.line(&format!("if (f{a} != f{b}) goto L{target};"));
             }
-            (DistKind::Normal, Some(1)) => {
-                match (scalar(&pv), scalar(&avs[0]), scalar(&avs[1])) {
-                    (Some(x), Some(mu), Some(var)) => {
-                        let d = self.tmp_d(&format!("({x} - {mu})"));
-                        Some(format!("(-0.5 / {var} + 0.5 * {d} * {d} / ({var} * {var}))"))
-                    }
-                    _ => None,
-                }
+            TInstr::Jump { target } => {
+                self.flush_w();
+                self.line(&format!("goto L{target};"));
             }
-            (DistKind::Normal, None) => match (scalar(&pv), scalar(&avs[0]), scalar(&avs[1])) {
-                (Some(x), Some(mu), Some(var)) => Some(format!("(-({x} - {mu}) / {var})")),
-                _ => None,
-            },
-            (DistKind::BernoulliLogit, Some(0)) => match (scalar(&pv), scalar(&avs[0])) {
-                (Some(x), Some(eta)) => Some(format!("(aug_u8({x}) - aug_sigmoid({eta}))")),
-                _ => None,
-            },
-            (DistKind::Bernoulli, Some(0)) => match (scalar(&pv), scalar(&avs[0])) {
-                (Some(y), Some(p)) => {
-                    Some(format!("({y} == 1.0 ? 1.0 / {p} : -1.0 / (1.0 - {p}))"))
-                }
-                _ => None,
-            },
-            (DistKind::Exponential, Some(0)) => match (scalar(&pv), scalar(&avs[0])) {
-                (Some(x), Some(rate)) => Some(format!("(1.0 / {rate} - {x})")),
-                _ => None,
-            },
-            (DistKind::Exponential, None) => {
-                scalar(&avs[0]).map(|rate| format!("(-{rate})"))
-            }
-            (DistKind::Poisson, Some(0)) => match (scalar(&pv), scalar(&avs[0])) {
-                (Some(x), Some(lam)) => Some(format!("({x} / {lam} - 1.0)")),
-                _ => None,
-            },
-            _ => None,
-        };
-        if let Some(expr) = inline {
-            *w += 4;
-            let t = self.tmp_d(&expr);
-            return Ok(CV::Num(t));
-        }
-        // Output slot type from the differentiated argument — static,
-        // matching eval::dist_grad's runtime classification.
-        let vec_out = match i {
-            Some(pos) => dist.param_tys()[pos] == SimpleTy::Vec,
-            None => dist.point_ty() == SimpleTy::Vec,
-        };
-        let arr = self.augv_array(&avs);
-        let pa = self.augv_of(&pv);
-        let which = i.map(|p| p as i64).unwrap_or(-1);
-        let t = self.tmp_v(&format!(
-            "vt->dist_grad(c, {}, {which}, {}, {arr}, {pa})",
-            dist_code(dist),
-            args.len()
-        ));
-        Ok(if vec_out { CV::Own(t) } else { CV::Num(format!("{t}.x")) })
-    }
-
-    /// Materializes an `augv[2]` argument spine (unused slots zeroed).
-    fn augv_array(&mut self, avs: &[CV]) -> String {
-        let exprs: Vec<String> = avs.iter().map(|v| self.augv_of(v)).collect();
-        let n = self.tmp_name("a");
-        self.line(&format!("augv {n}[2];"));
-        for (j, e) in exprs.iter().enumerate() {
-            self.line(&format!("{n}[{j}] = {e};"));
-        }
-        for j in exprs.len()..2 {
-            self.line(&format!("{n}[{j}] = av_num(0.0);"));
-        }
-        n
-    }
-
-    /// Statically resolves a store destination, emitting the index
-    /// evaluation and the interpreter's destination assertions.
-    fn dest(&mut self, l: &RLValue, w: &mut u64) -> Result<CDest, String> {
-        let shape = self.state.shape(l.buf).clone();
-        let total = self.state.flat(l.buf).len();
-        let mut d = match &shape {
-            Shape::Num => CDest::Cell { buf: l.buf, idx: "0".into() },
-            Shape::Vector(n) => CDest::Range { buf: l.buf, start: "0".into(), len: n.to_string() },
-            Shape::Matrix(dd) => {
-                CDest::Range { buf: l.buf, start: "0".into(), len: (dd * dd).to_string() }
-            }
-            Shape::Rows { .. } => {
-                CDest::Range { buf: l.buf, start: "0".into(), len: total.to_string() }
-            }
-        };
-        for (pos, idx) in l.indices.iter().enumerate() {
-            let iv = self.expr(idx, w)?;
-            let ix = self.num(iv, "store index")?;
-            let k = self.index_from(&ix, trap::NEG_STORE);
-            d = match d {
-                CDest::Range { buf, start, len } => {
-                    let full_rows = matches!(self.state.shape(buf), Shape::Rows { .. })
-                        && pos == 0
-                        && start == "0";
-                    if full_rows {
-                        // dest_index routes a full Rows range through
-                        // row_range. A later index would re-trigger that
-                        // routing only if some row spans the whole buffer
-                        // — statically detectable; such degenerate shapes
-                        // are left to the tape.
-                        let Shape::Rows { offsets, .. } = self.state.shape(buf) else {
-                            unreachable!()
-                        };
-                        if l.indices.len() > pos + 1
-                            && offsets.windows(2).any(|p| p[0] == 0 && p[1] == total)
-                        {
-                            return Err(
-                                "degenerate single-row destination indexing is tape-only".into()
-                            );
-                        }
-                        let noff = offsets.len();
-                        self.used_offs.insert(buf);
-                        self.used_bufs.insert(buf);
-                        self.line(&format!(
-                            "if (!((uint64_t)({k} + 1) < (uint64_t){noff})) vt->trap(c, {}, (double)(uint64_t){k}, 0.0);",
-                            trap::ROW_RANGE
-                        ));
-                        CDest::Range {
-                            buf,
-                            start: format!("off{buf}[{k}]"),
-                            len: format!("(off{buf}[{k} + 1] - off{buf}[{k}])"),
-                        }
-                    } else {
-                        self.bounds_check(&k, &len, trap::STORE_OOB);
-                        CDest::Cell { buf, idx: format!("(({start}) + {k})") }
-                    }
-                }
-                CDest::Cell { .. } => {
-                    return Err("indexing into a scalar destination is tape-only".into())
-                }
-            };
-        }
-        Ok(d)
-    }
-
-    fn stmt(&mut self, s: &RStmt) -> Result<(), String> {
-        let mut w = 0u64;
-        match s {
-            RStmt::Seq(stmts) => {
-                for t in stmts {
-                    self.stmt(t)?;
-                }
-            }
-            RStmt::Assign { lhs, op, rhs } => {
-                let v = self.expr(rhs, &mut w)?;
-                let d = self.dest(lhs, &mut w)?;
-                match (&d, &v) {
-                    (CDest::Cell { buf, idx }, CV::Num(x)) => {
-                        w += 1;
-                        let t = self.tmp_d(x);
-                        let b = self.buf_ref(*buf);
-                        let sym = if *op == AssignOp::Set { "=" } else { "+=" };
-                        self.line(&format!("{b}[{idx}] {sym} {t};"));
-                    }
-                    (CDest::Range { buf, start, len }, CV::Num(x)) => {
-                        if *op != AssignOp::Set {
-                            return Err("broadcast increment is tape-only".into());
-                        }
-                        let t = self.tmp_d(x);
-                        let b = self.buf_ref(*buf);
-                        self.line(&format!("W += (uint64_t)({len});"));
-                        let q = self.tmp_name("q");
-                        self.line(&format!(
-                            "for (int64_t {q} = 0; {q} < ({len}); {q}++) {b}[({start}) + {q}] = {t};"
-                        ));
-                    }
-                    (CDest::Range { buf, start, len }, CV::Vec { .. })
-                    | (CDest::Range { buf, start, len }, CV::Mat { .. })
-                    | (CDest::Range { buf, start, len }, CV::RowsV { .. }) => {
-                        let src_buf = match &v {
-                            CV::Vec { buf, .. } | CV::Mat { buf, .. } | CV::RowsV { buf } => *buf,
-                            _ => unreachable!(),
-                        };
-                        if src_buf == *buf {
-                            // Same-buffer copies go through the engine,
-                            // which materializes the source first (exact
-                            // overlap semantics).
-                            let (buf, start, len) = (*buf, start.clone(), len.clone());
-                            let a = self.augv_of(&v);
-                            self.escaped.insert(buf);
-                            self.flush(&mut w);
-                            self.line(&format!(
-                                "vt->write(c, {buf}, {start}, {len}, {}, {a});",
-                                if *op == AssignOp::Set { 0 } else { 1 }
-                            ));
-                        } else {
-                            let (ps, ls) =
-                                self.slice_exprs(&v).expect("static views are sliceable");
-                            let ts = self.tmp_i(&ls);
-                            let td = self.tmp_i(len);
-                            self.line(&format!(
-                                "if (!({ts} == {td})) vt->trap(c, {}, (double){ts}, (double){td});",
-                                trap::STORE_LEN
-                            ));
-                            self.line(&format!("W += (uint64_t){td};"));
-                            let b = self.buf_ref(*buf);
-                            let sym = if *op == AssignOp::Set { "=" } else { "+=" };
-                            let q = self.tmp_name("q");
-                            self.line(&format!(
-                                "for (int64_t {q} = 0; {q} < {td}; {q}++) {b}[({start}) + {q}] {sym} {ps}[{q}];"
-                            ));
-                        }
-                    }
-                    (CDest::Range { buf, start, len }, CV::Own(_) | CV::OwnMat(_)) => {
-                        let (buf, start, len) = (*buf, start.clone(), len.clone());
-                        let a = self.augv_of(&v);
-                        self.escaped.insert(buf);
-                        self.used_bufs.insert(buf);
-                        self.flush(&mut w);
-                        self.line(&format!(
-                            "vt->write(c, {buf}, {start}, {len}, {}, {a});",
-                            if *op == AssignOp::Set { 0 } else { 1 }
-                        ));
-                    }
-                    (CDest::Cell { .. }, _) => {
-                        return Err("vector store into a scalar cell is tape-only".into())
-                    }
-                }
-                self.flush(&mut w);
-            }
-            RStmt::IfEq { a, b, then, els } => {
-                let av = self.expr(a, &mut w)?;
-                let ax = self.num(av, "IfEq left")?;
-                let ta = self.tmp_d(&ax);
-                let bv = self.expr(b, &mut w)?;
-                let bx = self.num(bv, "IfEq right")?;
-                let tb = self.tmp_d(&bx);
-                self.flush(&mut w);
-                self.line(&format!("if ({ta} == {tb}) {{"));
+            TInstr::LoopStart { kind, lo, hi, .. } => {
+                self.flush_w();
+                let d = self.loops.len();
+                // A `Par` loop outside any fresh `Par` loop is one kernel
+                // launch with per-iteration RNG streams.
+                let fresh = *kind == LoopKind::Par && !self.loops.contains(&true);
+                self.line(&format!("{{ int64_t n{d} = aug_i64(f{hi});"));
                 self.indent += 1;
-                self.stmt(then)?;
-                self.indent -= 1;
-                if let Some(e) = els {
-                    self.line("} else {");
-                    self.indent += 1;
-                    self.stmt(e)?;
-                    self.indent -= 1;
+                if fresh {
+                    self.line(&format!("uint64_t L{d} = vt->par_enter(c);"));
                 }
+                self.line(&format!("for (int64_t i{d} = aug_i64(f{lo}); i{d} < n{d}; i{d}++) {{"));
+                self.indent += 1;
+                if fresh {
+                    self.line(&format!("vt->par_iter(c, L{d}, i{d});"));
+                }
+                self.loops.push(fresh);
+            }
+            TInstr::LoopEnd { w } => {
+                // Elided-work charges land once per iteration.
+                self.pending_w += *w as u64;
+                self.flush_w();
+                let fresh = self.loops.pop().expect("LoopEnd closes a LoopStart");
+                self.indent -= 1;
+                self.line("}");
+                if fresh {
+                    self.line("vt->par_exit(c);");
+                }
+                self.indent -= 1;
                 self.line("}");
             }
-            RStmt::Loop { kind, lo, hi, body } => {
-                let lv = self.expr(lo, &mut w)?;
-                let lx = self.num(lv, "loop lower bound")?;
-                let tl = self.tmp_i(&format!("aug_i64({lx})"));
-                let hv = self.expr(hi, &mut w)?;
-                let hx = self.num(hv, "loop upper bound")?;
-                let th = self.tmp_i(&format!("aug_i64({hx})"));
-                self.flush(&mut w);
-                let fresh = *kind == LoopKind::Par && !self.in_par;
-                let var = format!("i{}", self.depth);
-                if fresh {
-                    let launch = self.tmp_name("L");
-                    self.line("{");
-                    self.indent += 1;
-                    self.line(&format!("uint64_t {launch} = vt->par_enter(c);"));
-                    self.line(&format!(
-                        "for (int64_t {var} = {tl}; {var} < {th}; {var}++) {{"
-                    ));
-                    self.indent += 1;
-                    self.line(&format!("vt->par_iter(c, {launch}, {var});"));
-                    self.depth += 1;
-                    self.in_par = true;
-                    self.stmt(body)?;
-                    self.in_par = false;
-                    self.depth -= 1;
-                    self.indent -= 1;
-                    self.line("}");
-                    self.line("vt->par_exit(c);");
-                    self.indent -= 1;
-                    self.line("}");
-                } else {
-                    self.line(&format!(
-                        "for (int64_t {var} = {tl}; {var} < {th}; {var}++) {{"
-                    ));
-                    self.indent += 1;
-                    self.depth += 1;
-                    let was_par = self.in_par;
-                    self.stmt(body)?;
-                    self.in_par = was_par;
-                    self.depth -= 1;
-                    self.indent -= 1;
-                    self.line("}");
-                }
-            }
-            RStmt::Sample { lhs, dist, args } => {
-                if args.len() > 2 {
-                    return Err("distribution arity exceeds 2".into());
-                }
-                let mut avs = Vec::new();
-                for a in args {
-                    let v = self.expr(a, &mut w)?;
-                    avs.push(v);
-                }
-                let d = self.dest(lhs, &mut w)?;
-                let arr = self.augv_array(&avs);
-                self.escaped.insert(lhs.buf);
-                self.used_bufs.insert(lhs.buf);
-                self.flush(&mut w);
-                match d {
-                    CDest::Cell { buf, idx } => self.line(&format!(
-                        "vt->sample(c, {}, {}, {arr}, {buf}, 1, {idx}, 0);",
-                        dist_code(*dist),
-                        args.len()
-                    )),
-                    CDest::Range { buf, start, len } => self.line(&format!(
-                        "vt->sample(c, {}, {}, {arr}, {buf}, 0, {start}, {len});",
-                        dist_code(*dist),
-                        args.len()
-                    )),
-                }
-            }
-            RStmt::SampleLogits { lhs, weights } => {
-                w += 4;
-                let wv = self.expr(weights, &mut w)?;
-                let d = self.dest(lhs, &mut w)?;
-                let CDest::Cell { buf, idx } = d else {
-                    // The interpreter panics on a range destination; the
-                    // tape replicates that, so leave it there.
-                    return Err("SampleLogits into a range destination is tape-only".into());
-                };
-                let a = self.augv_of(&wv);
-                self.escaped.insert(buf);
-                self.used_bufs.insert(buf);
-                self.flush(&mut w);
-                self.line(&format!("vt->sample_logits(c, {a}, {buf}, {idx});"));
-            }
+            TInstr::IndexF { .. }
+            | TInstr::IndexV { .. }
+            | TInstr::Op1 { .. }
+            | TInstr::Op2 { .. }
+            | TInstr::Sample { .. }
+            | TInstr::SampleLogits { .. } => unreachable!("{i:?} always runs in Rust"),
         }
-        Ok(())
     }
 
-    /// Emits the full C function for one procedure.
-    fn proc(mut self, p: &crate::compile::RProc, idx: usize) -> Result<String, String> {
-        self.stmt(&p.body)?;
-        let body = std::mem::take(&mut self.body);
-        let mut f = String::new();
-        f.push_str(&format!("/* proc {idx}: {} */\n", p.name));
-        f.push_str(&format!("static void aug_p{idx}(augctx* c) {{\n"));
-        f.push_str("  double** B = c->B;\n");
-        f.push_str("  const augvt* vt = c->vt;\n");
-        f.push_str("  uint64_t W = 0;\n");
-        for &b in &self.used_bufs {
-            if self.escaped.contains(&b) {
-                f.push_str(&format!("  double* b{b} = B[{b}];\n"));
-            } else {
-                f.push_str(&format!("  double* restrict b{b} = B[{b}];\n"));
+    /// Declares the weight buffer of an inlined Categorical.
+    fn ll_bufs(&mut self, dist: DistKind, args: &[Opd; 2]) {
+        if dist == DistKind::Categorical {
+            let r = self.region(args[0].index());
+            self.buf(r.buf);
+        }
+    }
+
+    /// The complete C function.
+    fn emit(mut self, symbol: &str) -> String {
+        let mut labels = BTreeSet::new();
+        for i in &self.tape.instrs {
+            if let TInstr::JumpIfNe { target, .. } | TInstr::Jump { target } = i {
+                labels.insert(*target as usize);
             }
         }
-        f.push_str(&body);
-        f.push_str("  c->W += W;\n");
-        f.push_str("  (void)B; (void)vt;\n");
-        f.push_str("}\n");
-        Ok(f)
+        for pc in 0..self.tape.instrs.len() {
+            if labels.contains(&pc) {
+                self.flush_w();
+                self.line(&format!("L{pc}:;"));
+            }
+            self.instr(pc);
+        }
+        if labels.contains(&self.tape.instrs.len()) {
+            self.flush_w();
+            self.line(&format!("L{}:;", self.tape.instrs.len()));
+        }
+        self.pending_w += self.tape.tail_w as u64;
+        self.flush_w();
+
+        let mut f = format!("static void {symbol}(augctx* c) {{\n");
+        f.push_str("  const augvt* vt = c->vt;\n  double* F = c->F;\n  uint64_t W = 0;\n");
+        for b in &self.used_bufs {
+            let _ = writeln!(f, "  double* b{b} = c->B[{b}];");
+        }
+        let regs: Vec<String> = (0..self.tape.n_fregs).map(|r| format!("f{r}")).collect();
+        if !regs.is_empty() {
+            let _ = writeln!(f, "  double {};", regs.join(", "));
+        }
+        let mut coords = Vec::new();
+        let mut grads = Vec::new();
+        for r in 0..self.home.len() {
+            match self.home[r] {
+                Home::Region if self.in_c[r] && self.region(r).start != "0" => {
+                    coords.push(format!("vs{r}"));
+                    if self.region(r).len == format!("vl{r}") {
+                        coords.push(format!("vl{r}"));
+                    }
+                }
+                Home::Scalar => grads.push(format!("g{r}")),
+                _ => {}
+            }
+        }
+        if !coords.is_empty() {
+            let _ = writeln!(f, "  int64_t {};", coords.join(", "));
+        }
+        if !grads.is_empty() {
+            let _ = writeln!(f, "  double {};", grads.join(", "));
+        }
+        f.push_str(&self.body);
+        f.push_str("  c->W += W;\n  (void)vt; (void)F;\n}\n\n");
+        f
     }
 }

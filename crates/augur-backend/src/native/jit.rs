@@ -1,6 +1,6 @@
 //! Host-toolchain plumbing for the native backend: find a C compiler,
-//! compile the emitted translation unit to a shared object (with an
-//! on-disk artifact cache keyed by plan fingerprint), and `dlopen` it.
+//! compile the emitted translation unit to a shared object (with a
+//! content-addressed on-disk artifact cache), and `dlopen` it.
 //!
 //! Nothing here is model-specific; correctness-sensitive flags are
 //! chosen once: `-ffp-contract=off` (no fused multiply-add, so C
@@ -39,13 +39,34 @@ pub(crate) fn find_cc() -> Result<String, String> {
     Err(format!("no C compiler found (tried {})", candidates.join(", ")))
 }
 
-/// Directory of the on-disk artifact cache; versioned so ABI changes
-/// never load a stale object.
+/// The fixed compiler arguments: `-ffp-contract=off` and `-fexceptions`
+/// are correctness flags (see the module docs). Part of the artifact
+/// key, so a flag change never loads an object built without it.
+const CC_ARGS: [&str; 6] = ["-O2", "-fPIC", "-shared", "-fexceptions", "-ffp-contract=off", "-lm"];
+
+/// Directory of the on-disk artifact cache, named by codegen version.
 pub(crate) fn cache_dir() -> PathBuf {
     std::env::temp_dir().join(format!("augur-native-v{CODEGEN_VERSION}"))
 }
 
-/// The compiled artifact for one plan.
+/// The cache path of the object compiled from `source`: named by the
+/// FNV-1a hash of the source and the compiler arguments, so an object is
+/// only ever loaded for the exact code it was built from — whichever plan
+/// emitted it.
+fn artifact_path(source: &str) -> PathBuf {
+    let key = crate::checkpoint::fnv1a(format!("{source}\0{}", CC_ARGS.join(" ")).as_bytes());
+    cache_dir().join(format!("unit-{key:016x}.so"))
+}
+
+/// The cached shared object built from `source`, if one exists — a
+/// cached artifact makes `Native` selectable even with no toolchain on
+/// the host (the compile-once/reuse-everywhere contract).
+pub(crate) fn cached_artifact(source: &str) -> Option<PathBuf> {
+    let so = artifact_path(source);
+    so.exists().then_some(so)
+}
+
+/// The compiled artifact for one translation unit.
 pub(crate) struct Artifact {
     /// Path of the shared object on disk.
     pub path: PathBuf,
@@ -55,36 +76,28 @@ pub(crate) struct Artifact {
     pub compile_secs: f64,
 }
 
-/// The cached shared object for a plan fingerprint, if one exists — a
-/// cached artifact makes `Native` selectable even with no toolchain on
-/// the host (the compile-once/reuse-everywhere contract).
-pub(crate) fn cached_artifact(fingerprint: u64) -> Option<PathBuf> {
-    let so = cache_dir().join(format!("plan-{fingerprint:016x}.so"));
-    so.exists().then_some(so)
-}
-
-/// Compiles `source` for the plan with the given fingerprint, reusing an
-/// existing on-disk object when present.
-pub(crate) fn compile(fingerprint: u64, source: &str) -> Result<Artifact, String> {
-    if let Some(so) = cached_artifact(fingerprint) {
+/// Compiles `source` to a shared object, reusing the on-disk object
+/// built from the same source when present.
+pub(crate) fn compile(source: &str) -> Result<Artifact, String> {
+    if let Some(so) = cached_artifact(source) {
         return Ok(Artifact { path: so, disk_hit: true, compile_secs: 0.0 });
     }
-    let dir = cache_dir();
-    let so = dir.join(format!("plan-{fingerprint:016x}.so"));
+    let so = artifact_path(source);
     let cc = find_cc()?;
+    let dir = cache_dir();
     std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let c_path = dir.join(format!("plan-{fingerprint:016x}.c"));
+    let c_path = so.with_extension("c");
     std::fs::write(&c_path, source).map_err(|e| format!("writing {}: {e}", c_path.display()))?;
     // Compile to a unique temp name, then rename: concurrent sessions
-    // racing on the same fingerprint each succeed and the winner's
-    // (identical) object is what everyone loads.
-    let tmp = dir.join(format!("plan-{fingerprint:016x}.so.tmp-{}", std::process::id()));
+    // racing on the same unit each succeed and the winner's (identical)
+    // object is what everyone loads.
+    let tmp = so.with_extension(format!("so.tmp-{}", std::process::id()));
     let t0 = std::time::Instant::now();
     let out = Command::new(&cc)
-        .args(["-O2", "-fPIC", "-shared", "-fexceptions", "-ffp-contract=off", "-o"])
-        .arg(&tmp)
         .arg(&c_path)
-        .arg("-lm")
+        .arg("-o")
+        .arg(&tmp)
+        .args(CC_ARGS)
         .output()
         .map_err(|e| format!("running {cc}: {e}"))?;
     let compile_secs = t0.elapsed().as_secs_f64();

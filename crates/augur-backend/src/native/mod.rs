@@ -1,82 +1,59 @@
-//! The native execution backend: emitted C, compiled with the host
-//! toolchain and `dlopen`ed, dispatching sweeps through a stable
-//! extern-C ABI.
+//! The native execution backend: C printed from the tape, compiled with
+//! the host toolchain and `dlopen`ed.
 //!
 //! Layout:
 //!
-//! * [`emit`] — compiles each procedure's slot-resolved tree into a C
-//!   function (inlined arithmetic, loops, indexing and hot scalar
-//!   densities; callbacks into Rust for everything stochastic or
-//!   matrix-shaped);
-//! * [`jit`] — toolchain discovery, compilation, the fingerprint-keyed
+//! * [`emit`] — prints each procedure's [`Tape`] as a C function: scalar
+//!   registers as locals, loads/arithmetic/loops/hot densities inline,
+//!   every other instruction a callback into the interpreter's own code;
+//! * [`jit`] — toolchain discovery, compilation, the content-addressed
 //!   on-disk artifact cache, and `dlopen`;
-//! * this module — the ABI types ([`AugV`], `AugCtx`, the callback
-//!   vtable), the runtime callbacks (each a thin wrapper over the same
-//!   engine method the tree-walker uses, so semantics and work
-//!   accounting agree by construction), and [`NativeModule`].
+//! * this module — the callback ABI ([`AugCtx`], the five-entry vtable),
+//!   the callbacks, and [`NativeModule`].
+//!
+//! The ABI is deliberately small. `step(pc)` runs tape instruction `pc`
+//! through `Engine::exec_instr` — the same code the interpreter loop
+//! dispatches to — against the engine's register banks, so semantics,
+//! work charges, and the allocation-free scratch discipline are the
+//! tape's by construction. `trap(pc)` does the same after an inline
+//! bounds check failed, so the panic carries the interpreter's message.
+//! `par_enter`/`par_iter`/`par_exit` replicate the interpreter's kernel
+//! launch bookkeeping for fresh `Par` loops (per-thread RNG streams).
 //!
 //! Native procedures always run on the main engine's thread: the repo
-//! guarantees parallel and sequential execution are bit-identical, so
-//! a sequential native sweep matches an 8-thread tape sweep exactly.
-//! Parallel loops still rotate per-thread RNG streams via the
-//! `par_enter`/`par_iter`/`par_exit` callbacks, which replicate the
-//! interpreter's launch bookkeeping.
+//! guarantees parallel and sequential execution are bit-identical, so a
+//! sequential native sweep matches an 8-thread tape sweep exactly.
 //!
-//! Panic behavior: bounds violations trap back into Rust and raise the
-//! interpreter's exact panic messages; the artifact is compiled with
-//! `-fexceptions` so the unwind crosses the C frames back to the
+//! Panic behavior: the artifact is compiled with `-fexceptions`, so a
+//! panic raised in a callback unwinds through the C frames back to the
 //! driver's `catch_unwind`. Work units accumulated C-side in the
-//! aborted procedure are lost, and RNG draws that the interpreter would
-//! have made before a store-bounds panic may not have happened — both
-//! only observable on sweeps that are already being poisoned.
+//! aborted procedure are lost; that is only observable on sweeps that
+//! are already being poisoned.
 
 pub(crate) mod emit;
 pub(crate) mod jit;
 
-use std::ffi::c_void;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-
-use augur_dist::{SimpleTy, ValueMut, ALL_KINDS};
-use augur_low::il::AssignOp;
-use augur_math::PoolVec;
 
 use crate::compile::ProcTable;
-use crate::eval::{dist_op_cost, sample_cost, slice_of, value_ref_of, Dest, Engine, View};
+use crate::eval::{Engine, View};
 use crate::state::State;
+use crate::tape::Tape;
 
 pub use emit::CODEGEN_VERSION;
 
-/// The ABI value type: a tagged view. Mirrors the C `augv` typedef.
-///
-/// Tags: 0 scalar (`x`), 1 buffer slice (`buf`, `a`=start, `b`=len),
-/// 2 buffer matrix (`a`=start, `b`=dim), 3 whole `Rows` buffer,
-/// 4 owned vector (`a`=handle into the engine's slot stack, `b`=len),
-/// 5 owned matrix (`a`=handle, `b`=dim).
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-pub struct AugV {
-    tag: i32,
-    buf: i32,
-    a: i64,
-    b: i64,
-    x: f64,
-}
-
-impl AugV {
-    fn num(x: f64) -> AugV {
-        AugV { tag: 0, buf: 0, a: 0, b: 0, x }
-    }
-}
-
-/// The per-call context handed to a native procedure. Mirrors the C
-/// `augctx` struct.
+/// The per-call context handed to a native procedure. The C side sees
+/// the leading fields as `struct augctx`; the rest is Rust-only.
 #[repr(C)]
 pub struct AugCtx {
-    bufs: *mut *mut f64,
+    bufs: *const *mut f64,
+    f: *mut f64,
     vt: *const VTable,
-    eng: *mut c_void,
     w: u64,
+    eng: *mut Engine,
+    tape: *const Tape,
+    regions: *const u32,
+    v: *mut View,
 }
 
 /// A native procedure entry point.
@@ -86,46 +63,43 @@ type ProcFn = unsafe extern "C-unwind" fn(*mut AugCtx);
 /// `augvt` typedef in the emitted preamble exactly.
 #[repr(C)]
 struct VTable {
-    dist_ll: unsafe extern "C-unwind" fn(*mut AugCtx, i32, i32, *const AugV, AugV) -> f64,
-    dist_grad: unsafe extern "C-unwind" fn(*mut AugCtx, i32, i32, i32, *const AugV, AugV) -> AugV,
-    op: unsafe extern "C-unwind" fn(*mut AugCtx, i32, i32, AugV, AugV) -> AugV,
-    dot: unsafe extern "C-unwind" fn(*mut AugCtx, AugV, AugV) -> f64,
-    own_get: unsafe extern "C-unwind" fn(*mut AugCtx, AugV, i64) -> f64,
-    own_row: unsafe extern "C-unwind" fn(*mut AugCtx, AugV, i64) -> AugV,
-    write: unsafe extern "C-unwind" fn(*mut AugCtx, i32, i64, i64, i32, AugV),
-    sample: unsafe extern "C-unwind" fn(*mut AugCtx, i32, i32, *const AugV, i32, i32, i64, i64),
-    sample_logits: unsafe extern "C-unwind" fn(*mut AugCtx, AugV, i32, i64),
+    step: unsafe extern "C-unwind" fn(*mut AugCtx, u32),
+    trap: unsafe extern "C-unwind" fn(*mut AugCtx, u32),
     par_enter: unsafe extern "C-unwind" fn(*mut AugCtx) -> u64,
     par_iter: unsafe extern "C-unwind" fn(*mut AugCtx, u64, i64),
     par_exit: unsafe extern "C-unwind" fn(*mut AugCtx),
-    trap: unsafe extern "C-unwind" fn(*mut AugCtx, i32, f64, f64),
 }
 
 static VTABLE: VTable = VTable {
-    dist_ll: rt_dist_ll,
-    dist_grad: rt_dist_grad,
-    op: rt_op,
-    dot: rt_dot,
-    own_get: rt_own_get,
-    own_row: rt_own_row,
-    write: rt_write,
-    sample: rt_sample,
-    sample_logits: rt_sample_logits,
+    step: rt_step,
+    trap: rt_trap,
     par_enter: rt_par_enter,
     par_iter: rt_par_iter,
     par_exit: rt_par_exit,
-    trap: rt_trap,
 };
 
-/// A compiled-and-loaded native artifact for one plan.
+/// The buffer-pointer table handed to native code, recycled across calls
+/// as engine scratch.
+#[derive(Debug, Default)]
+pub(crate) struct BufTable(Vec<*mut f64>);
+
+// SAFETY: the table's one field holds buffer pointers that only native
+// code dereferences, during `run_native_proc`, on the thread that holds
+// the engine mutably; between calls they are stale scratch, rebuilt
+// before the next use, so moving the table to another thread is sound.
+unsafe impl Send for BufTable {}
+
+/// A compiled-and-loaded native artifact for one plan: an entry point
+/// for every procedure.
 pub struct NativeModule {
     // Field order matters: `procs` holds pointers into the library's
     // mapping, so the library must drop last (fields drop in declaration
     // order — keep `_lib` below `procs`).
-    procs: Vec<Option<ProcFn>>,
+    procs: Vec<ProcFn>,
     _lib: jit::Library,
+    /// Per procedure, [`emit::region_defs`] of its tape.
+    regions: Vec<Vec<u32>>,
     source: String,
-    skipped: Vec<(String, String)>,
     compile_secs: f64,
     artifact_path: PathBuf,
     disk_hit: bool,
@@ -134,7 +108,6 @@ pub struct NativeModule {
 impl std::fmt::Debug for NativeModule {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NativeModule")
-            .field("covered", &self.procs.iter().filter(|p| p.is_some()).count())
             .field("procs", &self.procs.len())
             .field("artifact_path", &self.artifact_path)
             .field("disk_hit", &self.disk_hit)
@@ -143,24 +116,15 @@ impl std::fmt::Debug for NativeModule {
 }
 
 impl NativeModule {
-    /// Whether the module has a native entry point for procedure `idx`.
-    pub fn covers(&self, idx: usize) -> bool {
-        self.procs.get(idx).map(|p| p.is_some()).unwrap_or(false)
-    }
-
-    /// Number of procedures with native entry points.
+    /// Number of procedures with native entry points — every procedure
+    /// of the plan.
     pub fn covered(&self) -> usize {
-        self.procs.iter().filter(|p| p.is_some()).count()
+        self.procs.len()
     }
 
     /// The emitted C source of the module.
     pub fn source(&self) -> &str {
         &self.source
-    }
-
-    /// `(procedure name, reason)` for each procedure left on the tape.
-    pub fn skipped(&self) -> &[(String, String)] {
-        &self.skipped
     }
 
     /// Wall-clock seconds spent in the C compiler (0 on a disk cache hit).
@@ -183,290 +147,128 @@ impl NativeModule {
 ///
 /// Fails (with a human-readable reason recorded by the session as its
 /// fallback cause) when the crate was built without the `native`
-/// feature, no C toolchain is available, compilation fails, or the
-/// emitter covers no procedure of the table.
-pub(crate) fn build_native(
-    table: &ProcTable,
-    state: &State,
-    fingerprint: u64,
-) -> Result<NativeModule, String> {
+/// feature, no C toolchain is available, or compilation fails.
+pub(crate) fn build_native(table: &ProcTable, state: &State) -> Result<NativeModule, String> {
     if !cfg!(feature = "native") {
         return Err("built without the `native` feature".into());
     }
     let emitted = emit::emit_module(table, state);
-    if emitted.covered() == 0 {
-        return Err("no procedures supported by the native emitter".into());
-    }
-    let artifact = jit::compile(fingerprint, &emitted.source)?;
+    let artifact = jit::compile(&emitted.source)?;
     let lib = jit::Library::open(&artifact.path)?;
     let sym = lib.symbol("aug_procs")?;
-    let n = table.procs.len();
-    // Safety: the emitter exports `aug_procs` as an array of `n`
-    // function pointers (0 for uncovered slots); `Option<ProcFn>` is
-    // null-pointer-optimized, so the reinterpretation is exact.
-    let procs: Vec<Option<ProcFn>> =
-        unsafe { std::slice::from_raw_parts(sym as *const Option<ProcFn>, n) }.to_vec();
+    // SAFETY: the emitter exports `aug_procs` as an array of one
+    // non-null function pointer per procedure of this table.
+    let procs =
+        unsafe { std::slice::from_raw_parts(sym as *const ProcFn, table.tapes.len()) }.to_vec();
     Ok(NativeModule {
         procs,
         _lib: lib,
+        regions: table.tapes.iter().map(|p| emit::region_defs(&p.tape)).collect(),
         source: emitted.source,
-        skipped: emitted.skipped,
         compile_secs: artifact.compile_secs,
         artifact_path: artifact.path,
         disk_hit: artifact.disk_hit,
     })
 }
 
-/// Runs one covered procedure through its native entry point.
-///
-/// The caller has verified `module.covers(idx)`.
-pub(crate) fn run_native_proc(eng: &mut Engine, module: &Arc<NativeModule>, idx: usize) {
+/// Runs procedure `idx` (whose tape is `tape`) through its native entry
+/// point. Allocation-free once the engine's scratch has grown: the
+/// pointer table and register banks are recycled engine fields.
+pub(crate) fn run_native_proc(eng: &mut Engine, module: &NativeModule, idx: usize, tape: &Tape) {
     // Unshare every buffer up front: after this, callback `flat_mut`
     // calls find uniquely-owned storage and never reallocate, so the
     // pointer table stays valid for the whole call.
-    let n = eng.state.num_buffers();
-    let mut bufs: Vec<*mut f64> = Vec::with_capacity(n);
-    for id in 0..n {
-        bufs.push(eng.state.flat_mut(id).as_mut_ptr());
+    let mut bufs = std::mem::take(&mut eng.native_bufs);
+    bufs.0.clear();
+    for id in 0..eng.state.num_buffers() {
+        bufs.0.push(eng.state.flat_mut(id).as_mut_ptr());
     }
-    eng.native_own.clear();
-    let f = module.procs[idx].expect("caller checked covers()");
+    // The register banks leave the engine for the call, so callbacks can
+    // hold them next to `&mut Engine`.
+    let mut f = std::mem::take(&mut eng.tape_fregs);
+    let mut v = std::mem::take(&mut eng.tape_vregs);
+    if f.len() < tape.n_fregs {
+        f.resize(tape.n_fregs, 0.0);
+    }
+    if v.len() < tape.n_vregs {
+        v.resize(tape.n_vregs, View::Num(0.0));
+    }
     let mut ctx = AugCtx {
-        bufs: bufs.as_mut_ptr(),
+        bufs: bufs.0.as_ptr(),
+        f: f.as_mut_ptr(),
         vt: &VTABLE,
-        eng: eng as *mut Engine as *mut c_void,
         w: 0,
+        eng: eng as *mut Engine,
+        tape,
+        regions: module.regions[idx].as_ptr(),
+        v: v.as_mut_ptr(),
     };
-    // Safety: the context outlives the call; the engine pointer is valid
-    // for its duration and only dereferenced from callbacks on this
-    // thread. A panic raised in a callback unwinds through the
-    // `-fexceptions` C frames ("C-unwind" on both sides).
-    unsafe { f(&mut ctx) };
+    // SAFETY: the context and everything it points to outlive the call:
+    // the pointer table, the register banks (taken out of the engine, so
+    // no other reference reaches them), the tape, and the region table.
+    // The engine pointer is only dereferenced from callbacks on this
+    // thread while this frame does not touch `eng`. A panic raised in a
+    // callback unwinds through the `-fexceptions` C frames ("C-unwind" on
+    // both sides).
+    unsafe { (module.procs[idx])(&mut ctx) };
     eng.work += ctx.w;
-    eng.native_own.clear();
+    eng.tape_fregs = f;
+    eng.tape_vregs = v;
+    eng.native_bufs = bufs;
 }
 
 // ---------------------------------------------------------------------
-// Runtime callbacks. Each reconstructs engine-level values from ABI
-// views and then runs the *same* code path as the tree-walker.
+// Runtime callbacks. Native code calls them only with the live context of
+// a `run_native_proc` call on this thread, which holds the unique
+// `&mut Engine` and never touches it during the call — the `# Safety`
+// contract of every function below.
 // ---------------------------------------------------------------------
 
 /// Reborrows the engine from a context pointer.
 ///
 /// # Safety
-/// Only called from callbacks invoked by `run_native_proc`, which holds
-/// the unique `&mut Engine` for the duration of the call and never
-/// touches it concurrently.
+/// `c` is the live context of a `run_native_proc` call on this thread.
 unsafe fn eng_of<'a>(c: *mut AugCtx) -> &'a mut Engine {
-    &mut *((*c).eng as *mut Engine)
+    &mut *(*c).eng
 }
 
-fn view_of(eng: &Engine, v: AugV) -> View {
-    match v.tag {
-        0 => View::Num(v.x),
-        1 => View::Slice { buf: v.buf as usize, start: v.a as usize, len: v.b as usize },
-        2 => View::MatV { buf: v.buf as usize, start: v.a as usize, dim: v.b as usize },
-        3 => View::Rows { buf: v.buf as usize },
-        4 | 5 => eng.native_own[v.a as usize].clone(),
-        other => panic!("invalid native view tag {other}"),
-    }
-}
-
-fn push_own(eng: &mut Engine, view: View) -> AugV {
-    let (tag, b) = match &view {
-        View::Num(x) => return AugV::num(*x),
-        View::Own(o) => (4, o.len() as i64),
-        View::OwnMat(_, d) => (5, *d as i64),
-        other => unreachable!("callbacks only produce owned views, got {other:?}"),
-    };
-    let handle = eng.native_own.len() as i64;
-    eng.native_own.push(view);
-    AugV { tag, buf: 0, a: handle, b, x: 0.0 }
-}
-
-unsafe extern "C-unwind" fn rt_dist_ll(
-    c: *mut AugCtx,
-    dist: i32,
-    argc: i32,
-    args: *const AugV,
-    point: AugV,
-) -> f64 {
+/// Runs tape instruction `pc` of the executing procedure through the
+/// interpreter's own code, against the engine's register banks.
+///
+/// # Safety
+/// `c` is the live context of a `run_native_proc` call on this thread,
+/// and `pc` indexes its tape.
+unsafe extern "C-unwind" fn rt_step(c: *mut AugCtx, pc: u32) {
     let eng = eng_of(c);
-    let dist = ALL_KINDS[dist as usize];
-    let n = argc as usize;
-    let raw = std::slice::from_raw_parts(args, 2);
-    let avs = [view_of(eng, raw[0]), view_of(eng, raw[1])];
-    let pv = view_of(eng, point);
-    eng.work += dist_op_cost(dist, eng.view_len(&pv));
-    let refs = [value_ref_of(&eng.state, &avs[0]), value_ref_of(&eng.state, &avs[1])];
-    let pref = value_ref_of(&eng.state, &pv);
-    dist.log_pdf(&refs[..n], pref).expect("ll evaluation failed")
-}
-
-unsafe extern "C-unwind" fn rt_dist_grad(
-    c: *mut AugCtx,
-    dist: i32,
-    which: i32,
-    argc: i32,
-    args: *const AugV,
-    point: AugV,
-) -> AugV {
-    let eng = eng_of(c);
-    let dist = ALL_KINDS[dist as usize];
-    let n = argc as usize;
-    let raw = std::slice::from_raw_parts(args, 2);
-    let avs = [view_of(eng, raw[0]), view_of(eng, raw[1])];
-    let pv = view_of(eng, point);
-    eng.work += dist_op_cost(dist, eng.view_len(&pv));
-    let i = if which < 0 { None } else { Some(which as usize) };
-    let out_len = match i {
-        Some(pos) => match dist.param_tys()[pos] {
-            SimpleTy::Vec => eng.view_len(&avs[pos]),
-            _ => 0,
-        },
-        None => match dist.point_ty() {
-            SimpleTy::Vec => eng.view_len(&pv),
-            _ => 0,
-        },
-    };
-    let out_view = {
-        let refs_buf = [value_ref_of(&eng.state, &avs[0]), value_ref_of(&eng.state, &avs[1])];
-        let refs = &refs_buf[..n];
-        let pref = value_ref_of(&eng.state, &pv);
-        if out_len == 0 {
-            let mut out = 0.0;
-            match i {
-                Some(pos) => dist
-                    .grad_param(pos, refs, pref, ValueMut::Scalar(&mut out))
-                    .expect("grad_param failed"),
-                None => dist
-                    .grad_point(refs, pref, ValueMut::Scalar(&mut out))
-                    .expect("grad_point failed"),
-            }
-            View::Num(out)
-        } else {
-            eng.work += out_len as u64;
-            let mut out = PoolVec::zeroed(out_len);
-            match i {
-                Some(pos) => dist
-                    .grad_param(pos, refs, pref, ValueMut::Vector(&mut out))
-                    .expect("grad_param failed"),
-                None => dist
-                    .grad_point(refs, pref, ValueMut::Vector(&mut out))
-                    .expect("grad_point failed"),
-            }
-            View::Own(out)
+    let tape: &Tape = &*(*c).tape;
+    let f = std::slice::from_raw_parts_mut((*c).f, tape.n_fregs);
+    let v = std::slice::from_raw_parts_mut((*c).v, tape.n_vregs);
+    let regions = std::slice::from_raw_parts((*c).regions, tape.n_vregs);
+    let instr = &tape.instrs[pc as usize];
+    // Regions live in C: rebuild the ones this instruction reads by
+    // re-running their definitions (C spilled their index registers and
+    // already charged their work).
+    emit::reads(instr, &mut |o| {
+        let def = if o.is_view() { regions[o.index()] } else { emit::NOT_REGION };
+        if def != emit::NOT_REGION {
+            let work = eng.work;
+            eng.exec_instr(&tape.instrs[def as usize], f, v, &mut 0);
+            eng.work = work;
         }
-    };
-    push_own(eng, out_view)
+    });
+    let mut w = 0;
+    eng.exec_instr(instr, f, v, &mut w);
+    eng.work += w;
 }
 
-unsafe extern "C-unwind" fn rt_op(c: *mut AugCtx, op: i32, argc: i32, a: AugV, b: AugV) -> AugV {
-    let eng = eng_of(c);
-    let av = view_of(eng, a);
-    let bv = if argc > 1 { view_of(eng, b) } else { View::Num(0.0) };
-    let out = eng.op_views(emit::op_from_code(op), av, bv);
-    push_own(eng, out)
-}
-
-unsafe extern "C-unwind" fn rt_dot(c: *mut AugCtx, a: AugV, b: AugV) -> f64 {
-    let eng = eng_of(c);
-    let av = view_of(eng, a);
-    let bv = view_of(eng, b);
-    let sa = slice_of(&eng.state, &av);
-    let sb = slice_of(&eng.state, &bv);
-    eng.work += sa.len() as u64;
-    augur_math::vecops::dot(sa, sb)
-}
-
-unsafe extern "C-unwind" fn rt_own_get(c: *mut AugCtx, v: AugV, i: i64) -> f64 {
-    let eng = eng_of(c);
-    match &eng.native_own[v.a as usize] {
-        View::Own(o) => o[i as usize],
-        other => panic!("own_get on non-vector view {other:?}"),
-    }
-}
-
-unsafe extern "C-unwind" fn rt_own_row(c: *mut AugCtx, v: AugV, i: i64) -> AugV {
-    let eng = eng_of(c);
-    let row = match &eng.native_own[v.a as usize] {
-        View::OwnMat(m, dim) => {
-            let i = i as usize;
-            PoolVec::from_slice(&m[i * dim..(i + 1) * dim])
-        }
-        other => panic!("own_row on non-matrix view {other:?}"),
-    };
-    push_own(eng, View::Own(row))
-}
-
-unsafe extern "C-unwind" fn rt_write(
-    c: *mut AugCtx,
-    buf: i32,
-    start: i64,
-    len: i64,
-    op: i32,
-    val: AugV,
-) {
-    let eng = eng_of(c);
-    let v = view_of(eng, val);
-    let owned = eng.own_val(v);
-    let op = if op == 0 { AssignOp::Set } else { AssignOp::Inc };
-    let dest = Dest::Range { buf: buf as usize, start: start as usize, len: len as usize };
-    eng.write_dest(dest, op, owned, false);
-}
-
-#[allow(clippy::too_many_arguments)]
-unsafe extern "C-unwind" fn rt_sample(
-    c: *mut AugCtx,
-    dist: i32,
-    argc: i32,
-    args: *const AugV,
-    buf: i32,
-    is_cell: i32,
-    a: i64,
-    b: i64,
-) {
-    let eng = eng_of(c);
-    let dist = ALL_KINDS[dist as usize];
-    let n = argc as usize;
-    let raw = std::slice::from_raw_parts(args, 2);
-    let owned = [
-        eng.own_arg(view_of(eng, raw[0])),
-        eng.own_arg(view_of(eng, raw[1])),
-    ];
-    eng.work += sample_cost(dist, &owned[..n]);
-    let refs_buf = [owned[0].as_ref(), owned[1].as_ref()];
-    let refs = &refs_buf[..n];
-    let buf = buf as usize;
-    if is_cell == 1 {
-        let mut out = 0.0;
-        dist.sample(refs, &mut eng.rng, ValueMut::Scalar(&mut out)).expect("sampling failed");
-        eng.state.flat_mut(buf)[a as usize] = out;
-    } else {
-        let (start, len) = (a as usize, b as usize);
-        let Engine { state, rng, .. } = eng;
-        let slice = &mut state.flat_mut(buf)[start..start + len];
-        let out = match dist.point_ty() {
-            SimpleTy::Mat => {
-                let dim = (len as f64).sqrt() as usize;
-                ValueMut::Matrix { data: slice, dim }
-            }
-            _ => ValueMut::Vector(slice),
-        };
-        dist.sample(refs, rng, out).expect("sampling failed");
-    }
-}
-
-unsafe extern "C-unwind" fn rt_sample_logits(c: *mut AugCtx, w: AugV, buf: i32, cell: i64) {
-    let eng = eng_of(c);
-    let wview = view_of(eng, w);
-    let idx = {
-        let Engine { state, rng, work, .. } = eng;
-        let ws = slice_of(state, &wview);
-        *work += ws.len() as u64;
-        rng.categorical_log(ws)
-    };
-    eng.state.flat_mut(buf as usize)[cell as usize] = idx as f64;
+/// An inline bounds check failed at `pc`: run the instruction in Rust,
+/// which raises the interpreter's panic for the same operands.
+///
+/// # Safety
+/// As for [`rt_step`].
+unsafe extern "C-unwind" fn rt_trap(c: *mut AugCtx, pc: u32) {
+    rt_step(c, pc);
+    panic!("native bounds check at tape pc {pc} failed but the interpreter accepted it");
 }
 
 unsafe extern "C-unwind" fn rt_par_enter(c: *mut AugCtx) -> u64 {
@@ -486,33 +288,4 @@ unsafe extern "C-unwind" fn rt_par_exit(c: *mut AugCtx) {
     let eng = eng_of(c);
     eng.rng = eng.native_master_rng.take().expect("par_exit without par_enter");
     eng.in_parallel = false;
-}
-
-unsafe extern "C-unwind" fn rt_trap(c: *mut AugCtx, code: i32, a: f64, b: f64) {
-    let _ = c;
-    match code {
-        emit::trap::NEG_INDEX => panic!("negative index {a}"),
-        emit::trap::OOB_SLICE => {
-            panic!("index {} out of bounds for slice of {}", a as u64, b as u64)
-        }
-        emit::trap::OOB_MAT_ROW => {
-            panic!("row {} out of bounds for {}x{} matrix", a as u64, b as u64, b as u64)
-        }
-        emit::trap::OOB_OWN => panic!("index {} out of bounds", a as u64),
-        emit::trap::OOB_OWN_ROW => panic!("row {} out of bounds", a as u64),
-        emit::trap::ROW_RANGE => panic!("row {} out of range", a as u64),
-        emit::trap::NEG_STORE => panic!("negative store index"),
-        emit::trap::STORE_OOB => {
-            panic!("store index {} out of bounds for {}", a as u64, b as u64)
-        }
-        emit::trap::DOT_LEN => {
-            assert_eq!(a as u64, b as u64, "dot length mismatch");
-            unreachable!("trap raised without a length mismatch")
-        }
-        emit::trap::STORE_LEN => {
-            assert_eq!(a as u64, b as u64, "store length mismatch");
-            unreachable!("trap raised without a length mismatch")
-        }
-        other => panic!("native trap with unknown code {other}"),
-    }
 }

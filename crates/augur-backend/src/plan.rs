@@ -784,8 +784,8 @@ impl Plan {
     /// The native module for this plan, built (emit → host `cc` →
     /// `dlopen`) on first request and memoized in the plan cache next to
     /// the tapes — every later session over this shape reuses the loaded
-    /// artifact, and a failure (no toolchain, emitter coverage gap) is
-    /// probed once and replayed as the recorded fallback reason.
+    /// artifact, and a failure (no toolchain, a compile error) is probed
+    /// once and replayed as the recorded fallback reason.
     ///
     /// # Errors
     ///
@@ -796,8 +796,7 @@ impl Plan {
         let mut built = false;
         let res = self.artifact.native.get_or_init(|| {
             built = true;
-            crate::native::build_native(&self.artifact.table, &self.state, self.fingerprint)
-                .map(Arc::new)
+            crate::native::build_native(&self.artifact.table, &self.state).map(Arc::new)
         });
         if built {
             self.artifact.native_builds.fetch_add(1, Ordering::Relaxed);
@@ -811,13 +810,17 @@ impl Plan {
     /// `Tree` and `Tape` are always runnable; `Native` reports the
     /// disk-cached artifact or the toolchain probe (or the feature
     /// gate) without compiling anything — a cached `.so` makes `Native`
-    /// selectable even on a host with no C compiler.
+    /// selectable even on a host with no C compiler. The artifact is
+    /// found by emitting the plan's C (no compiler needed) and hashing
+    /// it, exactly as [`Plan::native_module`] names it.
     pub fn backends(&self) -> Vec<BackendAvailability> {
         let (native_ok, native_detail) = if let Some(reason) = self.breaker.open_reason() {
             (false, format!("circuit breaker open: {reason}"))
         } else if !cfg!(feature = "native") {
             (false, "built without the `native` feature".to_string())
-        } else if let Some(so) = crate::native::jit::cached_artifact(self.fingerprint) {
+        } else if let Some(so) = crate::native::jit::cached_artifact(
+            &crate::native::emit::emit_module(&self.artifact.table, &self.state).source,
+        ) {
             (true, format!("cached artifact: {}", so.display()))
         } else {
             match crate::native::jit::find_cc() {

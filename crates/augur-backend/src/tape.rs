@@ -33,6 +33,13 @@
 //! traces. The tree-walker is kept as the reference oracle; differential
 //! tests assert equality.
 //!
+//! The tape is also the last IL before native code: [`crate::native`]
+//! prints each [`TapeProc`] as C, running the scalar instructions inline
+//! and every other instruction through `Engine::exec_instr` — the
+//! function this module's dispatch loop hands every non-control
+//! instruction to — so the two fast engines share one lowering and one
+//! implementation of each instruction.
+//!
 //! [`ProcTable::insert`]: crate::compile::ProcTable::insert
 //! [`State`]: crate::state::State
 
@@ -92,11 +99,6 @@ impl ExecBackend {
     }
 }
 
-/// Pre-redesign name of [`ExecBackend`], kept one release for migration.
-/// Deprecated: use [`ExecBackend`] (variants and patterns keep working
-/// through this alias).
-pub type ExecStrategy = ExecBackend;
-
 /// Bank selector bit of a packed operand.
 const VBIT: u32 = 1 << 31;
 
@@ -106,13 +108,15 @@ const VBIT: u32 = 1 << 31;
 pub struct Opd(u32);
 
 impl Opd {
+    /// Scalar register `r`.
     #[inline]
-    fn f(r: u32) -> Opd {
+    pub(crate) fn f(r: u32) -> Opd {
         Opd(r)
     }
 
+    /// View register `r`.
     #[inline]
-    fn v(r: u32) -> Opd {
+    pub(crate) fn v(r: u32) -> Opd {
         Opd(r | VBIT)
     }
 
@@ -1555,6 +1559,17 @@ fn num(v: &View) -> f64 {
     }
 }
 
+/// Where the dispatch loop continues after [`Engine::exec_instr`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Flow {
+    /// The next instruction.
+    Next,
+    /// An absolute instruction index (a taken jump).
+    Jump(u32),
+    /// A `LoopStart`/`LoopEnd`, whose frame bookkeeping the loop owns.
+    Loop,
+}
+
 #[inline]
 fn check_index(x: f64) -> usize {
     assert!(x >= 0.0, "negative index {x}");
@@ -1630,314 +1645,17 @@ impl Engine {
             if prof {
                 ops[op_class_of(&tape.instrs[pc as usize])] += 1;
             }
-            match &tape.instrs[pc as usize] {
-                TInstr::ConstF { dst, val } => {
-                    w += 1;
-                    f[*dst as usize] = *val;
-                }
-                TInstr::LoopIdx { dst, depth } => {
-                    w += 1;
-                    f[*dst as usize] = self.env[*depth as usize] as f64;
-                }
-                TInstr::LoadScalar { dst, buf } => {
-                    w += 1;
-                    f[*dst as usize] = self.state.flat(*buf)[0];
-                }
-                TInstr::RefBufV { dst, buf } => {
-                    w += 1;
-                    v[*dst as usize] = self.buf_view(*buf);
-                }
-                TInstr::LoadCell1 { dst, buf, i } => {
-                    // Ref + Index nodes (2) + index_view's own charge (1).
-                    w += 2;
-                    let i = check_index(f[*i as usize]);
-                    let base = self.buf_view(*buf);
-                    f[*dst as usize] = num(&self.index_view(base, i));
-                }
-                TInstr::LoadRow1 { dst, buf, i } => {
-                    w += 2;
-                    let i = check_index(f[*i as usize]);
-                    let base = self.buf_view(*buf);
-                    v[*dst as usize] = self.index_view(base, i);
-                }
-                TInstr::LoadCell2 { dst, buf, row, col } => {
-                    // Ref + two Index nodes (3) + two index_view charges.
-                    w += 3;
-                    let r = check_index(f[*row as usize]);
-                    let c = check_index(f[*col as usize]);
-                    let base = self.buf_view(*buf);
-                    let row_view = self.index_view(base, r);
-                    f[*dst as usize] = num(&self.index_view(row_view, c));
-                }
-                TInstr::NumOf { dst, a } => {
-                    f[*dst as usize] = num(&v[*a as usize]);
-                }
-                TInstr::IndexF { dst, base, idx } => {
-                    w += 1;
-                    let i = check_index(f[*idx as usize]);
-                    let b = take_opd(&f, &mut v, *base);
-                    f[*dst as usize] = num(&self.index_view(b, i));
-                }
-                TInstr::IndexV { dst, base, idx } => {
-                    w += 1;
-                    let i = check_index(f[*idx as usize]);
-                    let b = take_opd(&f, &mut v, *base);
-                    v[*dst as usize] = self.index_view(b, i);
-                }
-                TInstr::BinopF { dst, op, a, b } => {
-                    w += 1;
-                    let x = f[*a as usize];
-                    let y = f[*b as usize];
-                    f[*dst as usize] = match op {
-                        BinOp::Add => x + y,
-                        BinOp::Sub => x - y,
-                        BinOp::Mul => x * y,
-                        BinOp::Div => x / y,
-                    };
-                }
-                TInstr::NegF { dst, a } => {
-                    w += 1;
-                    f[*dst as usize] = -f[*a as usize];
-                }
-                TInstr::Call1F { dst, f: func, a } => {
-                    w += 1;
-                    let x = f[*a as usize];
-                    f[*dst as usize] = match func {
-                        Builtin::Sigmoid => augur_math::special::sigmoid(x),
-                        Builtin::Exp => x.exp(),
-                        Builtin::Log => x.ln(),
-                        Builtin::Sqrt => x.sqrt(),
-                        Builtin::Dot => unreachable!("Dot compiles to a DotF instruction"),
-                    };
-                }
-                TInstr::DotF { dst, a, b } => {
-                    w += 1;
-                    let r = {
-                        let sa = opd_slice(&self.state, &f, &v, *a);
-                        let sb = opd_slice(&self.state, &f, &v, *b);
-                        w += sa.len() as u64;
-                        augur_math::vecops::dot(sa, sb)
-                    };
-                    f[*dst as usize] = r;
-                }
-                TInstr::Op1 { dst, op, a } => {
-                    w += 1;
-                    let va = take_opd(&f, &mut v, *a);
-                    v[*dst as usize] = self.op_views(*op, va, View::Num(0.0));
-                }
-                TInstr::Op2 { dst, op, a, b } => {
-                    w += 1;
-                    let va = take_opd(&f, &mut v, *a);
-                    let vb = take_opd(&f, &mut v, *b);
-                    v[*dst as usize] = self.op_views(*op, va, vb);
-                }
-                TInstr::DistLl { dst, dist, args, n_args, point } => {
-                    w += 1;
-                    let n = *n_args as usize;
-                    w += dist_op_cost(*dist, opd_len(self, &v, *point));
-                    let ll = {
-                        let refs = [
-                            opd_ref(&self.state, &f, &v, args[0], n > 0),
-                            opd_ref(&self.state, &f, &v, args[1], n > 1),
-                        ];
-                        let pref = opd_ref(&self.state, &f, &v, *point, true);
-                        dist.log_pdf(&refs[..n], pref).expect("ll evaluation failed")
-                    };
-                    f[*dst as usize] = ll;
-                }
-                TInstr::DistGrad { dst, dist, wrt, args, n_args, point } => {
-                    w += 1;
-                    let n = *n_args as usize;
-                    w += dist_op_cost(*dist, opd_len(self, &v, *point));
-                    let out_len = match wrt {
-                        GradWrt::Param(pos) => match dist.param_tys()[*pos as usize] {
-                            augur_dist::SimpleTy::Vec => opd_len(self, &v, args[*pos as usize]),
-                            _ => 0,
-                        },
-                        GradWrt::Point => match dist.point_ty() {
-                            augur_dist::SimpleTy::Vec => opd_len(self, &v, *point),
-                            _ => 0,
-                        },
-                    };
-                    if out_len == 0 {
-                        let mut out = 0.0;
-                        {
-                            let refs = [
-                                opd_ref(&self.state, &f, &v, args[0], n > 0),
-                                opd_ref(&self.state, &f, &v, args[1], n > 1),
-                            ];
-                            let pref = opd_ref(&self.state, &f, &v, *point, true);
-                            match wrt {
-                                GradWrt::Param(pos) => dist
-                                    .grad_param(
-                                        *pos as usize,
-                                        &refs[..n],
-                                        pref,
-                                        ValueMut::Scalar(&mut out),
-                                    )
-                                    .expect("grad_param failed"),
-                                GradWrt::Point => dist
-                                    .grad_point(&refs[..n], pref, ValueMut::Scalar(&mut out))
-                                    .expect("grad_point failed"),
-                            }
-                        }
-                        v[*dst as usize] = View::Num(out);
-                    } else {
-                        w += out_len as u64;
-                        let mut out = augur_math::PoolVec::zeroed(out_len);
-                        {
-                            let refs = [
-                                opd_ref(&self.state, &f, &v, args[0], n > 0),
-                                opd_ref(&self.state, &f, &v, args[1], n > 1),
-                            ];
-                            let pref = opd_ref(&self.state, &f, &v, *point, true);
-                            match wrt {
-                                GradWrt::Param(pos) => dist
-                                    .grad_param(
-                                        *pos as usize,
-                                        &refs[..n],
-                                        pref,
-                                        ValueMut::Vector(&mut out),
-                                    )
-                                    .expect("grad_param failed"),
-                                GradWrt::Point => dist
-                                    .grad_point(&refs[..n], pref, ValueMut::Vector(&mut out))
-                                    .expect("grad_point failed"),
-                            }
-                        }
-                        v[*dst as usize] = View::Own(out);
-                    }
-                }
-                TInstr::LenV { dst, a } => {
-                    w += 1;
-                    f[*dst as usize] = self.view_len(&v[*a as usize]) as f64;
-                }
-                TInstr::Write { lhs, op, src } => {
-                    let record = self.record_atomics && *op == AssignOp::Inc;
-                    // Fast path: a scalar store to a directly-addressed
-                    // cell — the bulk of Gibbs inner loops. Inlines
-                    // `write_dest`'s Cell/Num arm (including its one work
-                    // unit and atomic recording) without an OwnVal trip.
-                    if !src.is_view() {
-                        let cell = match lhs {
-                            TDest::Cell0 { buf } => Some((*buf, 0)),
-                            TDest::Cell1 { buf, i, len } => {
-                                let x = f[*i as usize];
-                                assert!(x >= 0.0, "negative store index");
-                                let i = x as usize;
-                                assert!(
-                                    i < *len as usize,
-                                    "store index {i} out of bounds for {len}"
-                                );
-                                Some((*buf, i))
-                            }
-                            TDest::Cell2 { buf, row, col } => {
-                                let r = f[*row as usize];
-                                assert!(r >= 0.0, "negative store index");
-                                let (s, e) = self.state.row_range(*buf, r as usize);
-                                let c = f[*col as usize];
-                                assert!(c >= 0.0, "negative store index");
-                                let c = c as usize;
-                                let len = e - s;
-                                assert!(c < len, "store index {c} out of bounds for {len}");
-                                Some((*buf, s + c))
-                            }
-                            _ => None,
-                        };
-                        if let Some((buf, idx)) = cell {
-                            w += 1;
-                            let x = f[src.index()];
-                            let cell = &mut self.state.flat_mut(buf)[idx];
-                            match op {
-                                AssignOp::Set => *cell = x,
-                                AssignOp::Inc => {
-                                    *cell += x;
-                                    if record {
-                                        self.atomics.push(((buf as u64) << 40) | idx as u64);
-                                    }
-                                }
-                            }
-                            self.log_cell(buf, idx, *op, x);
-                            pc += 1;
-                            continue;
-                        }
-                    }
-                    let val = if src.is_view() {
-                        let view =
-                            std::mem::replace(&mut v[src.index()], View::Num(0.0));
-                        self.own_val(view)
-                    } else {
-                        OwnVal::Num(f[src.index()])
-                    };
-                    let dest = self.tape_dest(lhs, &f);
-                    self.write_dest(dest, *op, val, record);
-                }
-                TInstr::Sample { lhs, dist, args, n_args } => {
-                    let n = *n_args as usize;
-                    let mut owned = [OwnArg::Num(0.0), OwnArg::Num(0.0)];
-                    for k in 0..n {
-                        owned[k] = if args[k].is_view() {
-                            let view =
-                                std::mem::replace(&mut v[args[k].index()], View::Num(0.0));
-                            self.own_arg(view)
-                        } else {
-                            OwnArg::Num(f[args[k].index()])
-                        };
-                    }
-                    w += sample_cost(*dist, &owned[..n]);
-                    let dest = self.tape_dest(lhs, &f);
-                    let refs = [owned[0].as_ref(), owned[1].as_ref()];
-                    match dest {
-                        crate::eval::Dest::Cell { buf, idx } => {
-                            let mut out = 0.0;
-                            dist.sample(&refs[..n], &mut self.rng, ValueMut::Scalar(&mut out))
-                                .expect("sampling failed");
-                            self.state.flat_mut(buf)[idx] = out;
-                            self.log_cell(buf, idx, AssignOp::Set, out);
-                        }
-                        crate::eval::Dest::Range { buf, start, len } => {
-                            let slice = &mut self.state.flat_mut(buf)[start..start + len];
-                            let out = match dist.point_ty() {
-                                augur_dist::SimpleTy::Mat => {
-                                    let dim = (len as f64).sqrt() as usize;
-                                    ValueMut::Matrix { data: slice, dim }
-                                }
-                                _ => ValueMut::Vector(slice),
-                            };
-                            dist.sample(&refs[..n], &mut self.rng, out)
-                                .expect("sampling failed");
-                            self.log_written_range(buf, start, len);
-                        }
-                    }
-                }
-                TInstr::SampleLogits { lhs, w: wreg } => {
-                    w += 4;
-                    let idx = {
-                        let wv = opd_slice(&self.state, &f, &v, *wreg);
-                        w += wv.len() as u64;
-                        self.rng.categorical_log(wv)
-                    };
-                    match self.tape_dest(lhs, &f) {
-                        crate::eval::Dest::Cell { buf, idx: cell } => {
-                            self.state.flat_mut(buf)[cell] = idx as f64;
-                            self.log_cell(buf, cell, AssignOp::Set, idx as f64);
-                        }
-                        crate::eval::Dest::Range { .. } => {
-                            panic!("SampleLogits writes a scalar")
-                        }
-                    }
-                }
-                TInstr::JumpIfNe { a, b, target } => {
-                    if f[*a as usize] != f[*b as usize] {
-                        pc = *target;
-                        continue;
-                    }
-                }
-                TInstr::Jump { target } => {
-                    pc = *target;
+            let instr = &tape.instrs[pc as usize];
+            // One dispatch: `exec_instr` is inlined, and the flow it
+            // returns is a constant per arm, so the compiler threads each
+            // arm straight to its continuation.
+            match (self.exec_instr(instr, &mut f, &mut v, &mut w), instr) {
+                (Flow::Next, _) => {}
+                (Flow::Jump(target), _) => {
+                    pc = target;
                     continue;
                 }
-                TInstr::LoopStart { kind, lo, hi, exit, rng_free } => {
+                (Flow::Loop, TInstr::LoopStart { kind, lo, hi, exit, rng_free }) => {
                     let lo = f[*lo as usize] as i64;
                     let hi = f[*hi as usize] as i64;
                     let fresh = *kind == LoopKind::Par && !self.in_parallel;
@@ -1995,7 +1713,7 @@ impl Engine {
                         master,
                     });
                 }
-                TInstr::LoopEnd { w: extra } => {
+                (Flow::Loop, TInstr::LoopEnd { w: extra }) => {
                     // Charges for instructions elided from the loop body by
                     // value numbering — once per iteration, including this
                     // final one, exactly as the tree would have paid them.
@@ -2021,115 +1739,7 @@ impl Engine {
                     pc = frame.exit;
                     continue;
                 }
-                TInstr::ChargeW { n } => {
-                    // Deferred charges for elided instructions in a
-                    // straight-line region.
-                    w += *n as u64;
-                }
-                TInstr::WriteImm { lhs, op, val } => {
-                    // The elided ConstF node's unit plus the store.
-                    w += 1;
-                    let record = self.record_atomics && *op == AssignOp::Inc;
-                    let cell = match lhs {
-                        TDest::Cell0 { buf } => Some((*buf, 0)),
-                        TDest::Cell1 { buf, i, len } => {
-                            let x = f[*i as usize];
-                            assert!(x >= 0.0, "negative store index");
-                            let i = x as usize;
-                            assert!(
-                                i < *len as usize,
-                                "store index {i} out of bounds for {len}"
-                            );
-                            Some((*buf, i))
-                        }
-                        TDest::Cell2 { buf, row, col } => {
-                            let r = f[*row as usize];
-                            assert!(r >= 0.0, "negative store index");
-                            let (s, e) = self.state.row_range(*buf, r as usize);
-                            let c = f[*col as usize];
-                            assert!(c >= 0.0, "negative store index");
-                            let c = c as usize;
-                            let len = e - s;
-                            assert!(c < len, "store index {c} out of bounds for {len}");
-                            Some((*buf, s + c))
-                        }
-                        _ => None,
-                    };
-                    if let Some((buf, idx)) = cell {
-                        w += 1;
-                        let cell = &mut self.state.flat_mut(buf)[idx];
-                        match op {
-                            AssignOp::Set => *cell = *val,
-                            AssignOp::Inc => {
-                                *cell += *val;
-                                if record {
-                                    self.atomics.push(((buf as u64) << 40) | idx as u64);
-                                }
-                            }
-                        }
-                        self.log_cell(buf, idx, *op, *val);
-                    } else {
-                        let dest = self.tape_dest(lhs, &f);
-                        self.write_dest(dest, *op, OwnVal::Num(*val), record);
-                    }
-                }
-                TInstr::LlStore { lhs, op, dist, args, n_args, point } => {
-                    // The DistLl node's unit and cost, then the store.
-                    w += 1;
-                    let n = *n_args as usize;
-                    w += dist_op_cost(*dist, opd_len(self, &v, *point));
-                    let ll = {
-                        let refs = [
-                            opd_ref(&self.state, &f, &v, args[0], n > 0),
-                            opd_ref(&self.state, &f, &v, args[1], n > 1),
-                        ];
-                        let pref = opd_ref(&self.state, &f, &v, *point, true);
-                        dist.log_pdf(&refs[..n], pref).expect("ll evaluation failed")
-                    };
-                    let record = self.record_atomics && *op == AssignOp::Inc;
-                    let cell = match lhs {
-                        TDest::Cell0 { buf } => Some((*buf, 0)),
-                        TDest::Cell1 { buf, i, len } => {
-                            let x = f[*i as usize];
-                            assert!(x >= 0.0, "negative store index");
-                            let i = x as usize;
-                            assert!(
-                                i < *len as usize,
-                                "store index {i} out of bounds for {len}"
-                            );
-                            Some((*buf, i))
-                        }
-                        TDest::Cell2 { buf, row, col } => {
-                            let r = f[*row as usize];
-                            assert!(r >= 0.0, "negative store index");
-                            let (s, e) = self.state.row_range(*buf, r as usize);
-                            let c = f[*col as usize];
-                            assert!(c >= 0.0, "negative store index");
-                            let c = c as usize;
-                            let len = e - s;
-                            assert!(c < len, "store index {c} out of bounds for {len}");
-                            Some((*buf, s + c))
-                        }
-                        _ => None,
-                    };
-                    if let Some((buf, idx)) = cell {
-                        w += 1;
-                        let cell = &mut self.state.flat_mut(buf)[idx];
-                        match op {
-                            AssignOp::Set => *cell = ll,
-                            AssignOp::Inc => {
-                                *cell += ll;
-                                if record {
-                                    self.atomics.push(((buf as u64) << 40) | idx as u64);
-                                }
-                            }
-                        }
-                        self.log_cell(buf, idx, *op, ll);
-                    } else {
-                        let dest = self.tape_dest(lhs, &f);
-                        self.write_dest(dest, *op, OwnVal::Num(ll), record);
-                    }
-                }
+                (Flow::Loop, other) => unreachable!("{other:?} is not a loop instruction"),
             }
             pc += 1;
         }
@@ -2154,6 +1764,354 @@ impl Engine {
         frames.clear();
         self.tape_frames = frames;
         (result, retired)
+    }
+
+    /// Executes one instruction against the register banks, charging its
+    /// work to `w`, and says where control goes next; loop bookkeeping is
+    /// left to the dispatch loop ([`Flow::Loop`]). The interpreter loop
+    /// above and the native backend's `step` callback both run
+    /// instructions through here, so the two engines share semantics,
+    /// work charges, bounds checks (and their panic messages), and the
+    /// pooled-scratch discipline that keeps steady-state sweeps
+    /// allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Wherever the tree-walker would panic.
+    #[inline(always)]
+    pub(crate) fn exec_instr(
+        &mut self,
+        instr: &TInstr,
+        f: &mut [f64],
+        v: &mut [View],
+        w: &mut u64,
+    ) -> Flow {
+        match instr {
+            TInstr::ConstF { dst, val } => {
+                *w += 1;
+                f[*dst as usize] = *val;
+            }
+            TInstr::LoopIdx { dst, depth } => {
+                *w += 1;
+                f[*dst as usize] = self.env[*depth as usize] as f64;
+            }
+            TInstr::LoadScalar { dst, buf } => {
+                *w += 1;
+                f[*dst as usize] = self.state.flat(*buf)[0];
+            }
+            TInstr::RefBufV { dst, buf } => {
+                *w += 1;
+                v[*dst as usize] = self.buf_view(*buf);
+            }
+            TInstr::LoadCell1 { dst, buf, i } => {
+                // Ref + Index nodes (2) + index_view's own charge (1).
+                *w += 2;
+                let i = check_index(f[*i as usize]);
+                let base = self.buf_view(*buf);
+                f[*dst as usize] = num(&self.index_view(base, i));
+            }
+            TInstr::LoadRow1 { dst, buf, i } => {
+                *w += 2;
+                let i = check_index(f[*i as usize]);
+                let base = self.buf_view(*buf);
+                v[*dst as usize] = self.index_view(base, i);
+            }
+            TInstr::LoadCell2 { dst, buf, row, col } => {
+                // Ref + two Index nodes (3) + two index_view charges.
+                *w += 3;
+                let r = check_index(f[*row as usize]);
+                let c = check_index(f[*col as usize]);
+                let base = self.buf_view(*buf);
+                let row_view = self.index_view(base, r);
+                f[*dst as usize] = num(&self.index_view(row_view, c));
+            }
+            TInstr::NumOf { dst, a } => {
+                f[*dst as usize] = num(&v[*a as usize]);
+            }
+            TInstr::IndexF { dst, base, idx } => {
+                *w += 1;
+                let i = check_index(f[*idx as usize]);
+                let b = take_opd(f, v, *base);
+                f[*dst as usize] = num(&self.index_view(b, i));
+            }
+            TInstr::IndexV { dst, base, idx } => {
+                *w += 1;
+                let i = check_index(f[*idx as usize]);
+                let b = take_opd(f, v, *base);
+                v[*dst as usize] = self.index_view(b, i);
+            }
+            TInstr::BinopF { dst, op, a, b } => {
+                *w += 1;
+                let x = f[*a as usize];
+                let y = f[*b as usize];
+                f[*dst as usize] = match op {
+                    BinOp::Add => x + y,
+                    BinOp::Sub => x - y,
+                    BinOp::Mul => x * y,
+                    BinOp::Div => x / y,
+                };
+            }
+            TInstr::NegF { dst, a } => {
+                *w += 1;
+                f[*dst as usize] = -f[*a as usize];
+            }
+            TInstr::Call1F { dst, f: func, a } => {
+                *w += 1;
+                let x = f[*a as usize];
+                f[*dst as usize] = match func {
+                    Builtin::Sigmoid => augur_math::special::sigmoid(x),
+                    Builtin::Exp => x.exp(),
+                    Builtin::Log => x.ln(),
+                    Builtin::Sqrt => x.sqrt(),
+                    Builtin::Dot => unreachable!("Dot compiles to a DotF instruction"),
+                };
+            }
+            TInstr::DotF { dst, a, b } => {
+                *w += 1;
+                let r = {
+                    let sa = opd_slice(&self.state, v, *a);
+                    let sb = opd_slice(&self.state, v, *b);
+                    *w += sa.len() as u64;
+                    augur_math::vecops::dot(sa, sb)
+                };
+                f[*dst as usize] = r;
+            }
+            TInstr::Op1 { dst, op, a } => {
+                *w += 1;
+                let va = take_opd(f, v, *a);
+                v[*dst as usize] = self.op_views(*op, va, View::Num(0.0));
+            }
+            TInstr::Op2 { dst, op, a, b } => {
+                *w += 1;
+                let va = take_opd(f, v, *a);
+                let vb = take_opd(f, v, *b);
+                v[*dst as usize] = self.op_views(*op, va, vb);
+            }
+            TInstr::DistLl { dst, dist, args, n_args, point } => {
+                f[*dst as usize] = self.tape_ll(*dist, args, *n_args, *point, f, v, w);
+            }
+            TInstr::DistGrad { dst, dist, wrt, args, n_args, point } => {
+                *w += 1;
+                let n = *n_args as usize;
+                *w += dist_op_cost(*dist, opd_len(self, v, *point));
+                let out_len = match wrt {
+                    GradWrt::Param(pos) => match dist.param_tys()[*pos as usize] {
+                        augur_dist::SimpleTy::Vec => opd_len(self, v, args[*pos as usize]),
+                        _ => 0,
+                    },
+                    GradWrt::Point => match dist.point_ty() {
+                        augur_dist::SimpleTy::Vec => opd_len(self, v, *point),
+                        _ => 0,
+                    },
+                };
+                let refs = [
+                    opd_ref(&self.state, f, v, args[0], n > 0),
+                    opd_ref(&self.state, f, v, args[1], n > 1),
+                ];
+                let pref = opd_ref(&self.state, f, v, *point, true);
+                let grad = |out: ValueMut| match wrt {
+                    GradWrt::Param(pos) => dist
+                        .grad_param(*pos as usize, &refs[..n], pref, out)
+                        .expect("grad_param failed"),
+                    GradWrt::Point => {
+                        dist.grad_point(&refs[..n], pref, out).expect("grad_point failed")
+                    }
+                };
+                let out = if out_len == 0 {
+                    let mut out = 0.0;
+                    grad(ValueMut::Scalar(&mut out));
+                    View::Num(out)
+                } else {
+                    *w += out_len as u64;
+                    let mut out = augur_math::PoolVec::zeroed(out_len);
+                    grad(ValueMut::Vector(&mut out));
+                    View::Own(out)
+                };
+                v[*dst as usize] = out;
+            }
+            TInstr::LenV { dst, a } => {
+                *w += 1;
+                f[*dst as usize] = self.view_len(&v[*a as usize]) as f64;
+            }
+            TInstr::Write { lhs, op, src } => {
+                // Fast path: a scalar store to a directly-addressed cell —
+                // the bulk of Gibbs inner loops — without an OwnVal trip.
+                if !src.is_view() {
+                    if let Some((buf, idx)) = self.tape_cell(lhs, f) {
+                        *w += 1;
+                        self.store_cell(buf, idx, *op, f[src.index()]);
+                        return Flow::Next;
+                    }
+                }
+                let val = if src.is_view() {
+                    let view = std::mem::replace(&mut v[src.index()], View::Num(0.0));
+                    self.own_val(view)
+                } else {
+                    OwnVal::Num(f[src.index()])
+                };
+                let record = self.record_atomics && *op == AssignOp::Inc;
+                let dest = self.tape_dest(lhs, f);
+                self.write_dest(dest, *op, val, record);
+            }
+            TInstr::Sample { lhs, dist, args, n_args } => {
+                let n = *n_args as usize;
+                let mut owned = [OwnArg::Num(0.0), OwnArg::Num(0.0)];
+                for k in 0..n {
+                    owned[k] = if args[k].is_view() {
+                        let view = std::mem::replace(&mut v[args[k].index()], View::Num(0.0));
+                        self.own_arg(view)
+                    } else {
+                        OwnArg::Num(f[args[k].index()])
+                    };
+                }
+                *w += sample_cost(*dist, &owned[..n]);
+                let dest = self.tape_dest(lhs, f);
+                let refs = [owned[0].as_ref(), owned[1].as_ref()];
+                match dest {
+                    crate::eval::Dest::Cell { buf, idx } => {
+                        let mut out = 0.0;
+                        dist.sample(&refs[..n], &mut self.rng, ValueMut::Scalar(&mut out))
+                            .expect("sampling failed");
+                        self.state.flat_mut(buf)[idx] = out;
+                        self.log_cell(buf, idx, AssignOp::Set, out);
+                    }
+                    crate::eval::Dest::Range { buf, start, len } => {
+                        let slice = &mut self.state.flat_mut(buf)[start..start + len];
+                        let out = match dist.point_ty() {
+                            augur_dist::SimpleTy::Mat => {
+                                let dim = (len as f64).sqrt() as usize;
+                                ValueMut::Matrix { data: slice, dim }
+                            }
+                            _ => ValueMut::Vector(slice),
+                        };
+                        dist.sample(&refs[..n], &mut self.rng, out).expect("sampling failed");
+                        self.log_written_range(buf, start, len);
+                    }
+                }
+            }
+            TInstr::SampleLogits { lhs, w: wreg } => {
+                *w += 4;
+                let idx = {
+                    let wv = opd_slice(&self.state, v, *wreg);
+                    *w += wv.len() as u64;
+                    self.rng.categorical_log(wv)
+                };
+                match self.tape_dest(lhs, f) {
+                    crate::eval::Dest::Cell { buf, idx: cell } => {
+                        self.state.flat_mut(buf)[cell] = idx as f64;
+                        self.log_cell(buf, cell, AssignOp::Set, idx as f64);
+                    }
+                    crate::eval::Dest::Range { .. } => panic!("SampleLogits writes a scalar"),
+                }
+            }
+            TInstr::ChargeW { n } => {
+                // Deferred charges for elided instructions in a
+                // straight-line region.
+                *w += *n as u64;
+            }
+            TInstr::WriteImm { lhs, op, val } => {
+                // The elided ConstF node's unit plus the store.
+                *w += 1;
+                self.store_num(lhs, *op, *val, f, w);
+            }
+            TInstr::LlStore { lhs, op, dist, args, n_args, point } => {
+                // The DistLl node's unit and cost, then the store.
+                let ll = self.tape_ll(*dist, args, *n_args, *point, f, v, w);
+                self.store_num(lhs, *op, ll, f, w);
+            }
+            TInstr::JumpIfNe { a, b, target } => {
+                if f[*a as usize] != f[*b as usize] {
+                    return Flow::Jump(*target);
+                }
+            }
+            TInstr::Jump { target } => return Flow::Jump(*target),
+            TInstr::LoopStart { .. } | TInstr::LoopEnd { .. } => return Flow::Loop,
+        }
+        Flow::Next
+    }
+
+    /// `log p(point | args)` for a `DistLl`/`LlStore`, charging the
+    /// node's unit plus the distribution's cost.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn tape_ll(
+        &self,
+        dist: DistKind,
+        args: &[Opd; 2],
+        n_args: u8,
+        point: Opd,
+        f: &[f64],
+        v: &[View],
+        w: &mut u64,
+    ) -> f64 {
+        let n = n_args as usize;
+        *w += 1 + dist_op_cost(dist, opd_len(self, v, point));
+        let refs = [
+            opd_ref(&self.state, f, v, args[0], n > 0),
+            opd_ref(&self.state, f, v, args[1], n > 1),
+        ];
+        let pref = opd_ref(&self.state, f, v, point, true);
+        dist.log_pdf(&refs[..n], pref).expect("ll evaluation failed")
+    }
+
+    /// Stores a scalar (`WriteImm`/`LlStore`): directly-addressed cells
+    /// take the fast path, everything else the generic destination walk.
+    #[inline(always)]
+    fn store_num(&mut self, lhs: &TDest, op: AssignOp, x: f64, f: &[f64], w: &mut u64) {
+        if let Some((buf, idx)) = self.tape_cell(lhs, f) {
+            *w += 1;
+            self.store_cell(buf, idx, op, x);
+        } else {
+            let record = self.record_atomics && op == AssignOp::Inc;
+            let dest = self.tape_dest(lhs, f);
+            self.write_dest(dest, op, OwnVal::Num(x), record);
+        }
+    }
+
+    /// The cell a `Cell0`/`Cell1`/`Cell2` destination names (`None` for
+    /// the row and generic forms). Bounds checks and panics match
+    /// [`dest_index`] exactly.
+    #[inline(always)]
+    fn tape_cell(&self, lhs: &TDest, f: &[f64]) -> Option<(BufId, usize)> {
+        match lhs {
+            TDest::Cell0 { buf } => Some((*buf, 0)),
+            TDest::Cell1 { buf, i, len } => {
+                let x = f[*i as usize];
+                assert!(x >= 0.0, "negative store index");
+                let i = x as usize;
+                assert!(i < *len as usize, "store index {i} out of bounds for {len}");
+                Some((*buf, i))
+            }
+            TDest::Cell2 { buf, row, col } => {
+                let r = f[*row as usize];
+                assert!(r >= 0.0, "negative store index");
+                let (s, e) = self.state.row_range(*buf, r as usize);
+                let c = f[*col as usize];
+                assert!(c >= 0.0, "negative store index");
+                let c = c as usize;
+                let len = e - s;
+                assert!(c < len, "store index {c} out of bounds for {len}");
+                Some((*buf, s + c))
+            }
+            TDest::Row1 { .. } | TDest::Slow { .. } => None,
+        }
+    }
+
+    /// Sets or increments one cell, recording the atomic (simulated-GPU
+    /// `AtmPar` kernels) and the worker write log like `write_dest`.
+    #[inline(always)]
+    fn store_cell(&mut self, buf: BufId, idx: usize, op: AssignOp, x: f64) {
+        let cell = &mut self.state.flat_mut(buf)[idx];
+        match op {
+            AssignOp::Set => *cell = x,
+            AssignOp::Inc => {
+                *cell += x;
+                if self.record_atomics {
+                    self.atomics.push(((buf as u64) << 40) | idx as u64);
+                }
+            }
+        }
+        self.log_cell(buf, idx, op, x);
     }
 
     /// Splits `[lo, hi)` into at most `k` contiguous non-empty chunks.
@@ -2382,31 +2340,15 @@ impl Engine {
     /// variants skip the shape dispatch of the generic walk; bounds
     /// checks and panics match [`dest_index`] exactly.
     fn tape_dest(&self, lhs: &TDest, f: &[f64]) -> crate::eval::Dest {
+        if let Some((buf, idx)) = self.tape_cell(lhs, f) {
+            return crate::eval::Dest::Cell { buf, idx };
+        }
         match lhs {
-            TDest::Cell0 { buf } => crate::eval::Dest::Cell { buf: *buf, idx: 0 },
-            TDest::Cell1 { buf, i, len } => {
-                let x = f[*i as usize];
-                assert!(x >= 0.0, "negative store index");
-                let i = x as usize;
-                assert!(i < *len as usize, "store index {i} out of bounds for {len}");
-                crate::eval::Dest::Cell { buf: *buf, idx: i }
-            }
             TDest::Row1 { buf, i } => {
                 let x = f[*i as usize];
                 assert!(x >= 0.0, "negative store index");
                 let (s, e) = self.state.row_range(*buf, x as usize);
                 crate::eval::Dest::Range { buf: *buf, start: s, len: e - s }
-            }
-            TDest::Cell2 { buf, row, col } => {
-                let r = f[*row as usize];
-                assert!(r >= 0.0, "negative store index");
-                let (s, e) = self.state.row_range(*buf, r as usize);
-                let c = f[*col as usize];
-                assert!(c >= 0.0, "negative store index");
-                let c = c as usize;
-                let len = e - s;
-                assert!(c < len, "store index {c} out of bounds for {len}");
-                crate::eval::Dest::Cell { buf: *buf, idx: s + c }
             }
             TDest::Slow { buf, idx, n_idx } => {
                 let mut d = self.buf_view_dest(*buf);
@@ -2416,6 +2358,9 @@ impl Engine {
                     d = dest_index(&self.state, d, i as usize);
                 }
                 d
+            }
+            TDest::Cell0 { .. } | TDest::Cell1 { .. } | TDest::Cell2 { .. } => {
+                unreachable!("cell destinations resolve through tape_cell")
             }
         }
     }
@@ -2588,7 +2533,7 @@ fn opd_ref<'a>(
 
 /// Borrows an operand as a flat slice (vector contexts only).
 #[inline]
-fn opd_slice<'a>(state: &'a State, _f: &'a [f64], v: &'a [View], opd: Opd) -> &'a [f64] {
+fn opd_slice<'a>(state: &'a State, v: &'a [View], opd: Opd) -> &'a [f64] {
     if opd.is_view() {
         slice_of(state, &v[opd.index()])
     } else {

@@ -12,7 +12,7 @@
 //! bytecode stand-in, the tree-walker a naive interpreter, and the
 //! threaded sweep stands in for the paper's multicore CPU backend
 //! (§7.2). `native_compile_ms` records the C compiler's wall time (0
-//! when the fingerprint-keyed artifact came from the disk cache).
+//! when the content-addressed artifact came from the disk cache).
 //!
 //! Every configuration of a workload binds a [`augur::Session`] off one
 //! shared [`augur::Plan`], so the frontend and middle-end run exactly
@@ -286,7 +286,7 @@ fn plan_timing(
 /// Probes the native backend on the shared plan: compiles (or loads the
 /// disk-cached artifact for) the plan's emitted C and returns whether
 /// it is runnable plus the C compiler's wall time in ms (0 when the
-/// fingerprint-keyed artifact was already on disk).
+/// content-addressed artifact was already on disk).
 fn native_probe(plan: &augur::Plan) -> (bool, f64) {
     match plan.native_module() {
         Ok(m) => (true, m.compile_secs() * 1e3),
@@ -480,7 +480,7 @@ fn main() {
          timers disabled). `native` is the plan's emitted C compiled by\n\
          the host toolchain and `dlopen`ed (sequential by construction;\n\
          0 when no toolchain exists); `native compile` is the C\n\
-         compiler's wall time, 0 when the fingerprint-keyed artifact was\n\
+         compiler's wall time, 0 when the content-addressed artifact was\n\
          already in the disk cache. The parallel speedup is bounded by\n\
          the host's core count. `metrics overhead` is timers-only ÷ uninstrumented\n\
          tape throughput — the cost of the per-kernel wall clocks alone;\n\

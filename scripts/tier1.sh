@@ -17,12 +17,26 @@ cargo clippy --workspace --all-targets -- -D warnings
 # executor lanes (the plan lifecycle's runtime claim).
 cargo test -q --test alloc_free
 
-# The deprecated `Infer`/`Sampler`/`SamplerConfig`/`ChainRunner` shims
-# were removed after their one-release grace window; the names must not
-# reappear in the public crates.
-! grep -rnE "pub (struct|type) (Infer|Sampler|SamplerConfig|ChainRunner)\b" \
+# Deprecated shims are gone: the `Infer`/`Sampler`/`SamplerConfig`/
+# `ChainRunner` shims, the `ExecStrategy` alias, the pre-plan
+# `Session::{build, from_lowered, from_lowered_explained}` constructors,
+# and the root `augurv2::diag` shim were removed after their grace
+# windows; the names must not reappear, and nothing may be deprecated
+# instead of deleted. The native emitter prints C from the tape, so no
+# file of the native backend may name the slot-resolved tree (a second
+# lowering must not come back). `gone` fails on a match (a bare
+# `! grep` does not trip `set -e`).
+gone() { if grep -rn "$@"; then echo "removed name reappeared: $*" >&2; exit 1; fi; }
+gone -E "pub (struct|type) (Infer|Sampler|SamplerConfig|ChainRunner)\b" \
     crates/augur/src crates/augur-backend/src
-! grep -rn "#\[deprecated" crates/augur/src crates/augur-backend/src
+gone -w "ExecStrategy" crates src tests examples
+gone -E "Session::(build|from_lowered|from_lowered_explained)\b|fn from_lowered" \
+    crates src tests examples
+gone "pub fn build(" crates/augur-backend/src/driver.rs
+gone "pub mod diag" src
+test ! -e src/diag.rs
+gone "#\[deprecated" crates/augur/src crates/augur-backend/src src
+gone -wE "RProc|RExpr|RStmt|RLValue" crates/augur-backend/src/native/
 
 # Native-backend smoke: the emit-C-and-dlopen lane must stay bit-exact
 # against tree and tape (draws, report digest, profile digest), the

@@ -13,6 +13,5 @@ pub use augur_math;
 pub use augur_serve;
 pub use augur_stan;
 
-pub mod diag;
 pub mod models;
 pub mod workloads;

@@ -3,8 +3,9 @@
 //!
 //! All buffers are bound up front by size inference (§5.2 of the paper
 //! allocates everything before the first sweep); after one warm-up sweep
-//! touches every code path, a sweep must not allocate on either executor
-//! lane. This file contains a single `#[test]` so the process-wide
+//! touches every code path, a sweep must not allocate on any executor
+//! lane — tree, tape, or native (skipped with a note when the host has no
+//! C toolchain). This file contains a single `#[test]` so the process-wide
 //! counter sees only the session under measurement (the cargo test
 //! harness would otherwise interleave allocations from sibling tests).
 //!
@@ -136,7 +137,15 @@ fn steady_state_sweeps_do_not_allocate() {
 
     let mcmc = McmcConfig { step_size: 0.01, leapfrog_steps: 5, ..Default::default() };
     for (name, plan, param) in &cases {
-        for exec in [ExecBackend::Tree, ExecBackend::Tape] {
+        for exec in [ExecBackend::Tree, ExecBackend::Tape, ExecBackend::Native] {
+            let native_ok = plan
+                .backends()
+                .iter()
+                .any(|b| b.backend == ExecBackend::Native && b.available);
+            if exec == ExecBackend::Native && !native_ok {
+                eprintln!("{name}: no C toolchain, skipping the native lane");
+                continue;
+            }
             let mut s = plan
                 .session(SessionConfig {
                     backend: exec,
@@ -145,6 +154,7 @@ fn steady_state_sweeps_do_not_allocate() {
                     ..Default::default()
                 })
                 .unwrap();
+            assert_eq!(s.backend(), exec, "{name}/{exec:?}: {:?}", s.backend_fallback());
             let n = allocs_during_sweeps(&mut s, 3, 10);
             assert_eq!(
                 n, 0,

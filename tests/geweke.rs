@@ -11,7 +11,7 @@
 //! have the same distribution; any bug in the conditional analysis, the
 //! Gibbs codegen, or the acceptance logic shows up as a moment mismatch.
 
-use augur::{HostValue, Session, SessionConfig};
+use augur::{CompiledModel, HostValue, OptFlags, Session, SessionConfig};
 use augur_dist::Prng;
 use augur_math::vecops::{mean, variance};
 
@@ -29,14 +29,12 @@ fn successive_conditional(
     stat: impl Fn(&Session) -> f64,
     regen: impl Fn(&mut Session, &mut Prng),
 ) -> Vec<f64> {
-    let mut s = Session::build(
-        src,
-        sched,
-        args,
-        vec![(data_var, initial_data)],
-        SessionConfig { seed: 42, ..Default::default() },
-    )
-    .unwrap();
+    let mut s = CompiledModel::compile(src, sched)
+        .unwrap()
+        .plan_opt(args, vec![(data_var, initial_data)], OptFlags::default())
+        .unwrap()
+        .session(SessionConfig { seed: 42, ..Default::default() })
+        .unwrap();
     let mut rng = Prng::seed_from_u64(43);
     s.init().unwrap();
     let mut out = Vec::with_capacity(iters);

@@ -1,51 +1,32 @@
-/* Generated by augur-backend native codegen v1. Do not edit. */
+/* Generated by augur-backend native codegen v2 from the tape. Do not edit. */
 #include <stdint.h>
-#include <stddef.h>
 #include <math.h>
 
-typedef struct { int32_t tag; int32_t buf; int64_t a; int64_t b; double x; } augv;
 typedef struct augctx augctx;
 typedef struct {
-  double   (*dist_ll)(augctx*, int32_t, int32_t, const augv*, augv);
-  augv     (*dist_grad)(augctx*, int32_t, int32_t, int32_t, const augv*, augv);
-  augv     (*op)(augctx*, int32_t, int32_t, augv, augv);
-  double   (*dot)(augctx*, augv, augv);
-  double   (*own_get)(augctx*, augv, int64_t);
-  augv     (*own_row)(augctx*, augv, int64_t);
-  void     (*write)(augctx*, int32_t, int64_t, int64_t, int32_t, augv);
-  void     (*sample)(augctx*, int32_t, int32_t, const augv*, int32_t, int32_t, int64_t, int64_t);
-  void     (*sample_logits)(augctx*, augv, int32_t, int64_t);
+  void     (*step)(augctx*, uint32_t);
+  void     (*trap)(augctx*, uint32_t);
   uint64_t (*par_enter)(augctx*);
   void     (*par_iter)(augctx*, uint64_t, int64_t);
   void     (*par_exit)(augctx*);
-  void     (*trap)(augctx*, int32_t, double, double);
 } augvt;
-struct augctx { double** B; const augvt* vt; void* eng; uint64_t W; };
+struct augctx { double** B; double* F; const augvt* vt; uint64_t W; };
 
-static inline augv av_num(double x) { augv v = {0, 0, 0, 0, x}; return v; }
-static inline augv av_slice(int32_t b, int64_t s, int64_t l) { augv v = {1, b, s, l, 0.0}; return v; }
-static inline augv av_mat(int32_t b, int64_t s, int64_t d) { augv v = {2, b, s, d, 0.0}; return v; }
-static inline augv av_rows(int32_t b) { augv v = {3, b, 0, 0, 0.0}; return v; }
-
-/* Rust `f64 as i64` / `as u64`: truncating, saturating, NaN -> 0. */
+/* Rust `f64 as i64`: truncating, saturating, NaN -> 0. */
 static inline int64_t aug_i64(double x) {
   if (x != x) return 0;
   if (x <= -9223372036854775808.0) return INT64_MIN;
   if (x >= 9223372036854775807.0) return INT64_MAX;
   return (int64_t)x;
 }
-static inline int64_t aug_idx(double x) { /* `f64 as usize`, stored as int64 (saturated -> -1 compares OOB as uint64) */
-  if (!(x >= 1.0)) return 0;
-  if (x >= 18446744073709551615.0) return (int64_t)UINT64_MAX;
-  return (int64_t)(uint64_t)x;
-}
-static inline double aug_u8(double x) { /* Rust `f64 as u8` then back to f64 */
+/* Rust `f64 as u8`, back to f64. */
+static inline double aug_u8(double x) {
   if (!(x >= 0.0)) return 0.0;
   if (x > 255.0) return 255.0;
   return (double)(uint64_t)x;
 }
 
-/* augur_math::special — exact formula copies. */
+/* augur_math::special and augur_dist — exact formula copies. */
 static inline double aug_sigmoid(double x) {
   if (x >= 0.0) { double e = exp(-x); return 1.0 / (1.0 + e); }
   else { double e = exp(x); return e / (1.0 + e); }
@@ -53,8 +34,6 @@ static inline double aug_sigmoid(double x) {
 static inline double aug_log1p_exp(double x) {
   return x > 0.0 ? x + log1p(exp(-x)) : log1p(exp(x));
 }
-
-/* augur_dist::scalar / kind.rs wrappers — exact formula copies. */
 static inline double aug_normal_ll(double x, double mu, double var) {
   if (var <= 0.0) return -INFINITY;
   double d = x - mu;
@@ -73,11 +52,13 @@ static inline double aug_exp_ll(double x, double rate) {
   if (x < 0.0 || rate <= 0.0) return -INFINITY;
   return log(rate) - rate * x;
 }
+/* `k as usize` is 0 for NaN and saturates above. */
 static inline double aug_cat_ll(double k, const double* p, int64_t len) {
   if (k < 0.0) return -INFINITY;
-  uint64_t ku = (uint64_t)aug_idx(k);
-  if (ku < (uint64_t)len && p[ku] > 0.0) return log(p[ku]);
-  return -INFINITY;
+  if (!(k >= 1.0)) k = 0.0;
+  if (!(k < (double)len)) return -INFINITY;
+  double pk = p[(int64_t)k];
+  return pk > 0.0 ? log(pk) : -INFINITY;
 }
 
 static const int64_t off5[11] = {0, 25, 47, 66, 91, 115, 138, 155, 172, 196, 213};
@@ -89,478 +70,315 @@ static const int64_t off10[4] = {0, 60, 120, 180};
 
 /* proc 0: u0_gibbs */
 static void aug_p0(augctx* c) {
-  double** B = c->B;
   const augvt* vt = c->vt;
+  double* F = c->F;
   uint64_t W = 0;
-  double* restrict b1 = B[1];
-  double* b2 = B[2];
-  double* restrict b4 = B[4];
-  double* b6 = B[6];
-  double* restrict b8 = B[8];
-  double* b9 = B[9];
-  double t0 = 0e0;
-  W += (uint64_t)(30);
-  for (int64_t q1 = 0; q1 < (30); q1++) b9[(0) + q1] = t0;
-  W += 1;
-  int64_t k2 = aug_i64(0e0);
-  int64_t k3 = aug_i64(b1[0]);
+  double* b1 = c->B[1];
+  double* b4 = c->B[4];
+  double* b8 = c->B[8];
+  double* b9 = c->B[9];
+  double f0, f1, f2, f3, f4, f5, f6;
+  vt->step(c, 0);
+  f0 = 0e0;
+  f1 = b1[0];
   W += 2;
-  for (int64_t i0 = k2; i0 < k3; i0++) {
-    int64_t k4 = aug_i64(0e0);
-    double t5 = (double)i0;
-    if (!(t5 >= 0.0)) vt->trap(c, 0, t5, 0.0);
-    int64_t k6 = aug_idx(t5);
-    if (!((uint64_t)k6 < (uint64_t)(10))) vt->trap(c, 1, (double)(uint64_t)k6, (double)(10));
-    int64_t k7 = aug_i64(b4[(0) + k6]);
-    W += 5;
-    for (int64_t i1 = k4; i1 < k7; i1++) {
-      double t8 = (double)i0;
-      if (!(t8 >= 0.0)) vt->trap(c, 6, t8, 0.0);
-      int64_t k9 = aug_idx(t8);
-      if (!((uint64_t)(k9 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k9, 0.0);
-      double t10 = (double)i1;
-      if (!(t10 >= 0.0)) vt->trap(c, 0, t10, 0.0);
-      int64_t k11 = aug_idx(t10);
-      double t12 = (double)i0;
-      if (!(t12 >= 0.0)) vt->trap(c, 0, t12, 0.0);
-      int64_t k13 = aug_idx(t12);
-      if (!((uint64_t)(k13 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k13, 0.0);
-      if (!((uint64_t)k11 < (uint64_t)((off8[k13 + 1] - off8[k13])))) vt->trap(c, 1, (double)(uint64_t)k11, (double)((off8[k13 + 1] - off8[k13])));
-      double t14 = b8[(off8[k13]) + k11];
-      if (!(t14 >= 0.0)) vt->trap(c, 6, t14, 0.0);
-      int64_t k15 = aug_idx(t14);
-      if (!((uint64_t)k15 < (uint64_t)((off9[k9 + 1] - off9[k9])))) vt->trap(c, 7, (double)(uint64_t)k15, (double)((off9[k9 + 1] - off9[k9])));
-      double t16 = 1e0;
-      b9[((off9[k9]) + k15)] += t16;
-      W += 10;
+  { int64_t n0 = aug_i64(f1);
+    for (int64_t i0 = aug_i64(f0); i0 < n0; i0++) {
+      f2 = (double)i0;
+      if (!(f2 >= 0.0 && f2 < 10)) { F[2] = f2; vt->trap(c, 5); }
+      f3 = b4[(int64_t)f2];
+      W += 5;
+      { int64_t n1 = aug_i64(f3);
+        for (int64_t i1 = aug_i64(f0); i1 < n1; i1++) {
+          f4 = (double)i1;
+          if (!(f2 >= 0.0 && f4 >= 0.0 && f2 < 10 && f4 < (double)(off8[(int64_t)f2 + 1] - off8[(int64_t)f2]))) { F[2] = f2; F[4] = f4; vt->trap(c, 9); }
+          f5 = b8[off8[(int64_t)f2] + (int64_t)f4];
+          if (!(f2 >= 0.0 && f2 < 10 && f5 >= 0.0 && f5 < (double)(off9[(int64_t)f2 + 1] - off9[(int64_t)f2]))) { F[2] = f2; F[5] = f5; vt->trap(c, 10); }
+          b9[off9[(int64_t)f2] + (int64_t)f5] += 1e0;
+          W += 10;
+        }
+      }
     }
   }
-  int64_t k17 = aug_i64(0e0);
-  int64_t k18 = aug_i64(b1[0]);
   W += 2;
-  {
-    uint64_t L19 = vt->par_enter(c);
-    for (int64_t i0 = k17; i0 < k18; i0++) {
-      vt->par_iter(c, L19, i0);
-      double t20 = (double)i0;
-      if (!(t20 >= 0.0)) vt->trap(c, 0, t20, 0.0);
-      int64_t k21 = aug_idx(t20);
-      if (!((uint64_t)(k21 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k21, 0.0);
-      augv v22 = vt->op(c, 0, 2, av_slice(2, 0, 3), av_slice(9, off9[k21], (off9[k21 + 1] - off9[k21])));
-      double t23 = (double)i0;
-      if (!(t23 >= 0.0)) vt->trap(c, 6, t23, 0.0);
-      int64_t k24 = aug_idx(t23);
-      if (!((uint64_t)(k24 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k24, 0.0);
-      augv a25[2];
-      a25[0] = v22;
-      a25[1] = av_num(0.0);
-      W += 7;
-      vt->sample(c, 3, 1, a25, 6, 0, off6[k24], (off6[k24 + 1] - off6[k24]));
+  { int64_t n0 = aug_i64(f1);
+    uint64_t L0 = vt->par_enter(c);
+    for (int64_t i0 = aug_i64(f0); i0 < n0; i0++) {
+      vt->par_iter(c, L0, i0);
+      f6 = (double)i0;
+      if (!(f6 >= 0.0 && f6 < 10)) { F[6] = f6; vt->trap(c, 17); }
+      F[6] = f6; vt->step(c, 18);
+      F[6] = f6; vt->step(c, 19);
+      W += 6;
     }
     vt->par_exit(c);
   }
   c->W += W;
-  (void)B; (void)vt;
+  (void)vt; (void)F;
 }
 
 /* proc 1: u1_gibbs */
 static void aug_p1(augctx* c) {
-  double** B = c->B;
   const augvt* vt = c->vt;
+  double* F = c->F;
   uint64_t W = 0;
-  double* restrict b0 = B[0];
-  double* restrict b1 = B[1];
-  double* b3 = B[3];
-  double* restrict b4 = B[4];
-  double* restrict b5 = B[5];
-  double* b7 = B[7];
-  double* restrict b8 = B[8];
-  double* b10 = B[10];
-  double t0 = 0e0;
-  W += (uint64_t)(180);
-  for (int64_t q1 = 0; q1 < (180); q1++) b10[(0) + q1] = t0;
-  W += 1;
-  int64_t k2 = aug_i64(0e0);
-  int64_t k3 = aug_i64(b1[0]);
+  double* b0 = c->B[0];
+  double* b1 = c->B[1];
+  double* b4 = c->B[4];
+  double* b5 = c->B[5];
+  double* b8 = c->B[8];
+  double* b10 = c->B[10];
+  double f0, f1, f2, f3, f4, f5, f6, f7, f8;
+  vt->step(c, 0);
+  f0 = 0e0;
+  f1 = b1[0];
   W += 2;
-  for (int64_t i0 = k2; i0 < k3; i0++) {
-    int64_t k4 = aug_i64(0e0);
-    double t5 = (double)i0;
-    if (!(t5 >= 0.0)) vt->trap(c, 0, t5, 0.0);
-    int64_t k6 = aug_idx(t5);
-    if (!((uint64_t)k6 < (uint64_t)(10))) vt->trap(c, 1, (double)(uint64_t)k6, (double)(10));
-    int64_t k7 = aug_i64(b4[(0) + k6]);
-    W += 5;
-    for (int64_t i1 = k4; i1 < k7; i1++) {
-      double t8 = (double)i1;
-      if (!(t8 >= 0.0)) vt->trap(c, 0, t8, 0.0);
-      int64_t k9 = aug_idx(t8);
-      double t10 = (double)i0;
-      if (!(t10 >= 0.0)) vt->trap(c, 0, t10, 0.0);
-      int64_t k11 = aug_idx(t10);
-      if (!((uint64_t)(k11 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k11, 0.0);
-      if (!((uint64_t)k9 < (uint64_t)((off8[k11 + 1] - off8[k11])))) vt->trap(c, 1, (double)(uint64_t)k9, (double)((off8[k11 + 1] - off8[k11])));
-      double t12 = b8[(off8[k11]) + k9];
-      if (!(t12 >= 0.0)) vt->trap(c, 6, t12, 0.0);
-      int64_t k13 = aug_idx(t12);
-      if (!((uint64_t)(k13 + 1) < (uint64_t)4)) vt->trap(c, 5, (double)(uint64_t)k13, 0.0);
-      double t14 = (double)i1;
-      if (!(t14 >= 0.0)) vt->trap(c, 0, t14, 0.0);
-      int64_t k15 = aug_idx(t14);
-      double t16 = (double)i0;
-      if (!(t16 >= 0.0)) vt->trap(c, 0, t16, 0.0);
-      int64_t k17 = aug_idx(t16);
-      if (!((uint64_t)(k17 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k17, 0.0);
-      if (!((uint64_t)k15 < (uint64_t)((off5[k17 + 1] - off5[k17])))) vt->trap(c, 1, (double)(uint64_t)k15, (double)((off5[k17 + 1] - off5[k17])));
-      double t18 = b5[(off5[k17]) + k15];
-      if (!(t18 >= 0.0)) vt->trap(c, 6, t18, 0.0);
-      int64_t k19 = aug_idx(t18);
-      if (!((uint64_t)k19 < (uint64_t)((off10[k13 + 1] - off10[k13])))) vt->trap(c, 7, (double)(uint64_t)k19, (double)((off10[k13 + 1] - off10[k13])));
-      double t20 = 1e0;
-      b10[((off10[k13]) + k19)] += t20;
-      W += 16;
+  { int64_t n0 = aug_i64(f1);
+    for (int64_t i0 = aug_i64(f0); i0 < n0; i0++) {
+      f2 = (double)i0;
+      if (!(f2 >= 0.0 && f2 < 10)) { F[2] = f2; vt->trap(c, 5); }
+      f3 = b4[(int64_t)f2];
+      W += 5;
+      { int64_t n1 = aug_i64(f3);
+        for (int64_t i1 = aug_i64(f0); i1 < n1; i1++) {
+          f4 = (double)i1;
+          if (!(f2 >= 0.0 && f4 >= 0.0 && f2 < 10 && f4 < (double)(off8[(int64_t)f2 + 1] - off8[(int64_t)f2]))) { F[2] = f2; F[4] = f4; vt->trap(c, 9); }
+          f5 = b8[off8[(int64_t)f2] + (int64_t)f4];
+          if (!(f2 >= 0.0 && f4 >= 0.0 && f2 < 10 && f4 < (double)(off5[(int64_t)f2 + 1] - off5[(int64_t)f2]))) { F[2] = f2; F[4] = f4; vt->trap(c, 10); }
+          f6 = b5[off5[(int64_t)f2] + (int64_t)f4];
+          if (!(f5 >= 0.0 && f5 < 3 && f6 >= 0.0 && f6 < (double)(off10[(int64_t)f5 + 1] - off10[(int64_t)f5]))) { F[5] = f5; F[6] = f6; vt->trap(c, 11); }
+          b10[off10[(int64_t)f5] + (int64_t)f6] += 1e0;
+          W += 16;
+        }
+      }
     }
   }
-  int64_t k21 = aug_i64(0e0);
-  int64_t k22 = aug_i64(b0[0]);
+  f7 = b0[0];
   W += 2;
-  {
-    uint64_t L23 = vt->par_enter(c);
-    for (int64_t i0 = k21; i0 < k22; i0++) {
-      vt->par_iter(c, L23, i0);
-      double t24 = (double)i0;
-      if (!(t24 >= 0.0)) vt->trap(c, 0, t24, 0.0);
-      int64_t k25 = aug_idx(t24);
-      if (!((uint64_t)(k25 + 1) < (uint64_t)4)) vt->trap(c, 5, (double)(uint64_t)k25, 0.0);
-      augv v26 = vt->op(c, 0, 2, av_slice(3, 0, 60), av_slice(10, off10[k25], (off10[k25 + 1] - off10[k25])));
-      double t27 = (double)i0;
-      if (!(t27 >= 0.0)) vt->trap(c, 6, t27, 0.0);
-      int64_t k28 = aug_idx(t27);
-      if (!((uint64_t)(k28 + 1) < (uint64_t)4)) vt->trap(c, 5, (double)(uint64_t)k28, 0.0);
-      augv a29[2];
-      a29[0] = v26;
-      a29[1] = av_num(0.0);
-      W += 7;
-      vt->sample(c, 3, 1, a29, 7, 0, off7[k28], (off7[k28 + 1] - off7[k28]));
+  { int64_t n0 = aug_i64(f7);
+    uint64_t L0 = vt->par_enter(c);
+    for (int64_t i0 = aug_i64(f0); i0 < n0; i0++) {
+      vt->par_iter(c, L0, i0);
+      f8 = (double)i0;
+      if (!(f8 >= 0.0 && f8 < 3)) { F[8] = f8; vt->trap(c, 19); }
+      F[8] = f8; vt->step(c, 20);
+      F[8] = f8; vt->step(c, 21);
+      W += 6;
     }
     vt->par_exit(c);
   }
   c->W += W;
-  (void)B; (void)vt;
+  (void)vt; (void)F;
 }
 
 /* proc 2: u2_gibbs */
 static void aug_p2(augctx* c) {
-  double** B = c->B;
   const augvt* vt = c->vt;
+  double* F = c->F;
   uint64_t W = 0;
-  double* restrict b1 = B[1];
-  double* restrict b4 = B[4];
-  double* restrict b5 = B[5];
-  double* restrict b6 = B[6];
-  double* restrict b7 = B[7];
-  double* b8 = B[8];
-  double* b11 = B[11];
-  int64_t k0 = aug_i64(0e0);
-  int64_t k1 = aug_i64(b1[0]);
+  double* b1 = c->B[1];
+  double* b4 = c->B[4];
+  double* b5 = c->B[5];
+  double* b6 = c->B[6];
+  double* b7 = c->B[7];
+  double* b11 = c->B[11];
+  double f0, f1, f2, f3, f4, f5, f6, f7, f8;
+  int64_t vs0, vl0, vs1, vl1;
+  f0 = 0e0;
+  f1 = b1[0];
   W += 2;
-  {
-    uint64_t L2 = vt->par_enter(c);
-    for (int64_t i0 = k0; i0 < k1; i0++) {
-      vt->par_iter(c, L2, i0);
-      int64_t k3 = aug_i64(0e0);
-      double t4 = (double)i0;
-      if (!(t4 >= 0.0)) vt->trap(c, 0, t4, 0.0);
-      int64_t k5 = aug_idx(t4);
-      if (!((uint64_t)k5 < (uint64_t)(10))) vt->trap(c, 1, (double)(uint64_t)k5, (double)(10));
-      int64_t k6 = aug_i64(b4[(0) + k5]);
+  { int64_t n0 = aug_i64(f1);
+    uint64_t L0 = vt->par_enter(c);
+    for (int64_t i0 = aug_i64(f0); i0 < n0; i0++) {
+      vt->par_iter(c, L0, i0);
+      f2 = (double)i0;
+      if (!(f2 >= 0.0 && f2 < 10)) { F[2] = f2; vt->trap(c, 4); }
+      f3 = b4[(int64_t)f2];
       W += 5;
-      for (int64_t i1 = k3; i1 < k6; i1++) {
-        int64_t k7 = aug_i64(0e0);
-        double t8 = (double)i0;
-        if (!(t8 >= 0.0)) vt->trap(c, 0, t8, 0.0);
-        int64_t k9 = aug_idx(t8);
-        if (!((uint64_t)(k9 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k9, 0.0);
-        int64_t k10 = aug_i64((double)((off6[k9 + 1] - off6[k9])));
-        W += 6;
-        for (int64_t i2 = k7; i2 < k10; i2++) {
-          double t11 = (double)i2;
-          if (!(t11 >= 0.0)) vt->trap(c, 6, t11, 0.0);
-          int64_t k12 = aug_idx(t11);
-          if (!((uint64_t)k12 < (uint64_t)(3))) vt->trap(c, 7, (double)(uint64_t)k12, (double)(3));
-          double t13 = 0e0;
-          b11[((0) + k12)] = t13;
+      { int64_t n1 = aug_i64(f3);
+        for (int64_t i1 = aug_i64(f0); i1 < n1; i1++) {
+          if (!(f2 >= 0.0 && f2 < 10)) { F[2] = f2; vt->trap(c, 7); }
+          vs0 = off6[(int64_t)f2];
+          vl0 = off6[(int64_t)f2 + 1] - vs0;
+          f4 = (double)(vl0);
+          W += 6;
+          { int64_t n2 = aug_i64(f4);
+            for (int64_t i2 = aug_i64(f0); i2 < n2; i2++) {
+              f5 = (double)i2;
+              if (!(f5 >= 0.0 && f5 < 3)) { F[5] = f5; vt->trap(c, 12); }
+              b11[(int64_t)f5] = 0e0;
+              if (!(f5 >= 0.0 && f5 < 3)) { F[2] = f2; F[5] = f5; vt->trap(c, 13); }
+              b11[(int64_t)f5] += aug_cat_ll(f5, b6 + vs0, vl0);
+              if (!(f5 >= 0.0 && f5 < 3)) { F[5] = f5; vt->trap(c, 14); }
+              vs1 = off7[(int64_t)f5];
+              vl1 = off7[(int64_t)f5 + 1] - vs1;
+              f6 = (double)i1;
+              if (!(f2 >= 0.0 && f6 >= 0.0 && f2 < 10 && f6 < (double)(off5[(int64_t)f2 + 1] - off5[(int64_t)f2]))) { F[2] = f2; F[6] = f6; vt->trap(c, 16); }
+              f7 = b5[off5[(int64_t)f2] + (int64_t)f6];
+              if (!(f5 >= 0.0 && f5 < 3)) { F[5] = f5; F[7] = f7; vt->trap(c, 17); }
+              b11[(int64_t)f5] += aug_cat_ll(f7, b7 + vs1, vl1);
+              W += 33;
+            }
+          }
+          f8 = (double)i1;
+          F[2] = f2; F[8] = f8; vt->step(c, 21);
           W += 3;
-          double t14 = (double)i0;
-          if (!(t14 >= 0.0)) vt->trap(c, 0, t14, 0.0);
-          int64_t k15 = aug_idx(t14);
-          if (!((uint64_t)(k15 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k15, 0.0);
-          double t16 = aug_cat_ll((double)i2, (b6 + (off6[k15])), (off6[k15 + 1] - off6[k15]));
-          double t17 = (double)i2;
-          if (!(t17 >= 0.0)) vt->trap(c, 6, t17, 0.0);
-          int64_t k18 = aug_idx(t17);
-          if (!((uint64_t)k18 < (uint64_t)(3))) vt->trap(c, 7, (double)(uint64_t)k18, (double)(3));
-          double t19 = t16;
-          b11[((0) + k18)] += t19;
-          W += 12;
-          double t20 = (double)i2;
-          if (!(t20 >= 0.0)) vt->trap(c, 0, t20, 0.0);
-          int64_t k21 = aug_idx(t20);
-          if (!((uint64_t)(k21 + 1) < (uint64_t)4)) vt->trap(c, 5, (double)(uint64_t)k21, 0.0);
-          double t22 = (double)i1;
-          if (!(t22 >= 0.0)) vt->trap(c, 0, t22, 0.0);
-          int64_t k23 = aug_idx(t22);
-          double t24 = (double)i0;
-          if (!(t24 >= 0.0)) vt->trap(c, 0, t24, 0.0);
-          int64_t k25 = aug_idx(t24);
-          if (!((uint64_t)(k25 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k25, 0.0);
-          if (!((uint64_t)k23 < (uint64_t)((off5[k25 + 1] - off5[k25])))) vt->trap(c, 1, (double)(uint64_t)k23, (double)((off5[k25 + 1] - off5[k25])));
-          double t26 = aug_cat_ll(b5[(off5[k25]) + k23], (b7 + (off7[k21])), (off7[k21 + 1] - off7[k21]));
-          double t27 = (double)i2;
-          if (!(t27 >= 0.0)) vt->trap(c, 6, t27, 0.0);
-          int64_t k28 = aug_idx(t27);
-          if (!((uint64_t)k28 < (uint64_t)(3))) vt->trap(c, 7, (double)(uint64_t)k28, (double)(3));
-          double t29 = t26;
-          b11[((0) + k28)] += t29;
-          W += 18;
         }
-        double t30 = (double)i0;
-        if (!(t30 >= 0.0)) vt->trap(c, 6, t30, 0.0);
-        int64_t k31 = aug_idx(t30);
-        if (!((uint64_t)(k31 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k31, 0.0);
-        double t32 = (double)i1;
-        if (!(t32 >= 0.0)) vt->trap(c, 6, t32, 0.0);
-        int64_t k33 = aug_idx(t32);
-        if (!((uint64_t)k33 < (uint64_t)((off8[k31 + 1] - off8[k31])))) vt->trap(c, 7, (double)(uint64_t)k33, (double)((off8[k31 + 1] - off8[k31])));
-        W += 7;
-        vt->sample_logits(c, av_slice(11, 0, 3), 8, ((off8[k31]) + k33));
       }
     }
     vt->par_exit(c);
   }
   c->W += W;
-  (void)B; (void)vt;
+  (void)vt; (void)F;
 }
 
 /* proc 3: init_params */
 static void aug_p3(augctx* c) {
-  double** B = c->B;
   const augvt* vt = c->vt;
+  double* F = c->F;
   uint64_t W = 0;
-  double* restrict b0 = B[0];
-  double* restrict b1 = B[1];
-  double* b2 = B[2];
-  double* b3 = B[3];
-  double* restrict b4 = B[4];
-  double* b6 = B[6];
-  double* b7 = B[7];
-  double* b8 = B[8];
-  int64_t k0 = aug_i64(0e0);
-  int64_t k1 = aug_i64(b1[0]);
+  double* b0 = c->B[0];
+  double* b1 = c->B[1];
+  double* b4 = c->B[4];
+  double f0, f1, f2, f3, f4, f5, f6, f7;
+  f0 = 0e0;
+  f1 = b1[0];
   W += 2;
-  {
-    uint64_t L2 = vt->par_enter(c);
-    for (int64_t i0 = k0; i0 < k1; i0++) {
-      vt->par_iter(c, L2, i0);
-      double t3 = (double)i0;
-      if (!(t3 >= 0.0)) vt->trap(c, 6, t3, 0.0);
-      int64_t k4 = aug_idx(t3);
-      if (!((uint64_t)(k4 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k4, 0.0);
-      augv a5[2];
-      a5[0] = av_slice(2, 0, 3);
-      a5[1] = av_num(0.0);
+  { int64_t n0 = aug_i64(f1);
+    uint64_t L0 = vt->par_enter(c);
+    for (int64_t i0 = aug_i64(f0); i0 < n0; i0++) {
+      vt->par_iter(c, L0, i0);
+      f2 = (double)i0;
+      F[2] = f2; vt->step(c, 5);
       W += 2;
-      vt->sample(c, 3, 1, a5, 6, 0, off6[k4], (off6[k4 + 1] - off6[k4]));
     }
     vt->par_exit(c);
   }
-  int64_t k6 = aug_i64(0e0);
-  int64_t k7 = aug_i64(b0[0]);
+  f3 = b0[0];
   W += 2;
-  {
-    uint64_t L8 = vt->par_enter(c);
-    for (int64_t i0 = k6; i0 < k7; i0++) {
-      vt->par_iter(c, L8, i0);
-      double t9 = (double)i0;
-      if (!(t9 >= 0.0)) vt->trap(c, 6, t9, 0.0);
-      int64_t k10 = aug_idx(t9);
-      if (!((uint64_t)(k10 + 1) < (uint64_t)4)) vt->trap(c, 5, (double)(uint64_t)k10, 0.0);
-      augv a11[2];
-      a11[0] = av_slice(3, 0, 60);
-      a11[1] = av_num(0.0);
+  { int64_t n0 = aug_i64(f3);
+    uint64_t L0 = vt->par_enter(c);
+    for (int64_t i0 = aug_i64(f0); i0 < n0; i0++) {
+      vt->par_iter(c, L0, i0);
+      f4 = (double)i0;
+      F[4] = f4; vt->step(c, 12);
       W += 2;
-      vt->sample(c, 3, 1, a11, 7, 0, off7[k10], (off7[k10 + 1] - off7[k10]));
     }
     vt->par_exit(c);
   }
-  int64_t k12 = aug_i64(0e0);
-  int64_t k13 = aug_i64(b1[0]);
   W += 2;
-  {
-    uint64_t L14 = vt->par_enter(c);
-    for (int64_t i0 = k12; i0 < k13; i0++) {
-      vt->par_iter(c, L14, i0);
-      int64_t k15 = aug_i64(0e0);
-      double t16 = (double)i0;
-      if (!(t16 >= 0.0)) vt->trap(c, 0, t16, 0.0);
-      int64_t k17 = aug_idx(t16);
-      if (!((uint64_t)k17 < (uint64_t)(10))) vt->trap(c, 1, (double)(uint64_t)k17, (double)(10));
-      int64_t k18 = aug_i64(b4[(0) + k17]);
+  { int64_t n0 = aug_i64(f1);
+    uint64_t L0 = vt->par_enter(c);
+    for (int64_t i0 = aug_i64(f0); i0 < n0; i0++) {
+      vt->par_iter(c, L0, i0);
+      f5 = (double)i0;
+      if (!(f5 >= 0.0 && f5 < 10)) { F[5] = f5; vt->trap(c, 17); }
+      f6 = b4[(int64_t)f5];
       W += 5;
-      for (int64_t i1 = k15; i1 < k18; i1++) {
-        double t19 = (double)i0;
-        if (!(t19 >= 0.0)) vt->trap(c, 0, t19, 0.0);
-        int64_t k20 = aug_idx(t19);
-        if (!((uint64_t)(k20 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k20, 0.0);
-        double t21 = (double)i0;
-        if (!(t21 >= 0.0)) vt->trap(c, 6, t21, 0.0);
-        int64_t k22 = aug_idx(t21);
-        if (!((uint64_t)(k22 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k22, 0.0);
-        double t23 = (double)i1;
-        if (!(t23 >= 0.0)) vt->trap(c, 6, t23, 0.0);
-        int64_t k24 = aug_idx(t23);
-        if (!((uint64_t)k24 < (uint64_t)((off8[k22 + 1] - off8[k22])))) vt->trap(c, 7, (double)(uint64_t)k24, (double)((off8[k22 + 1] - off8[k22])));
-        augv a25[2];
-        a25[0] = av_slice(6, off6[k20], (off6[k20 + 1] - off6[k20]));
-        a25[1] = av_num(0.0);
-        W += 6;
-        vt->sample(c, 2, 1, a25, 8, 1, ((off8[k22]) + k24), 0);
+      { int64_t n1 = aug_i64(f6);
+        for (int64_t i1 = aug_i64(f0); i1 < n1; i1++) {
+          if (!(f5 >= 0.0 && f5 < 10)) { F[5] = f5; vt->trap(c, 20); }
+          f7 = (double)i1;
+          F[5] = f5; F[7] = f7; vt->step(c, 22);
+          W += 6;
+        }
       }
     }
     vt->par_exit(c);
   }
   c->W += W;
-  (void)B; (void)vt;
+  (void)vt; (void)F;
 }
 
 /* proc 4: model_ll */
 static void aug_p4(augctx* c) {
-  double** B = c->B;
   const augvt* vt = c->vt;
+  double* F = c->F;
   uint64_t W = 0;
-  double* restrict b0 = B[0];
-  double* restrict b1 = B[1];
-  double* b2 = B[2];
-  double* b3 = B[3];
-  double* restrict b4 = B[4];
-  double* restrict b5 = B[5];
-  double* b6 = B[6];
-  double* b7 = B[7];
-  double* restrict b8 = B[8];
-  double* restrict b12 = B[12];
-  double t0 = 0e0;
-  b12[0] = t0;
-  W += 2;
-  int64_t k1 = aug_i64(0e0);
-  int64_t k2 = aug_i64(b1[0]);
-  W += 2;
-  for (int64_t i0 = k1; i0 < k2; i0++) {
-    double t3 = (double)i0;
-    if (!(t3 >= 0.0)) vt->trap(c, 0, t3, 0.0);
-    int64_t k4 = aug_idx(t3);
-    if (!((uint64_t)(k4 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k4, 0.0);
-    augv a5[2];
-    a5[0] = av_slice(2, 0, 3);
-    a5[1] = av_num(0.0);
-    double t6 = vt->dist_ll(c, 3, 1, a5, av_slice(6, off6[k4], (off6[k4 + 1] - off6[k4])));
-    double t7 = t6;
-    b12[0] += t7;
-    W += 7;
-  }
-  int64_t k8 = aug_i64(0e0);
-  int64_t k9 = aug_i64(b0[0]);
-  W += 2;
-  for (int64_t i0 = k8; i0 < k9; i0++) {
-    double t10 = (double)i0;
-    if (!(t10 >= 0.0)) vt->trap(c, 0, t10, 0.0);
-    int64_t k11 = aug_idx(t10);
-    if (!((uint64_t)(k11 + 1) < (uint64_t)4)) vt->trap(c, 5, (double)(uint64_t)k11, 0.0);
-    augv a12[2];
-    a12[0] = av_slice(3, 0, 60);
-    a12[1] = av_num(0.0);
-    double t13 = vt->dist_ll(c, 3, 1, a12, av_slice(7, off7[k11], (off7[k11 + 1] - off7[k11])));
-    double t14 = t13;
-    b12[0] += t14;
-    W += 7;
-  }
-  int64_t k15 = aug_i64(0e0);
-  int64_t k16 = aug_i64(b1[0]);
-  W += 2;
-  for (int64_t i0 = k15; i0 < k16; i0++) {
-    int64_t k17 = aug_i64(0e0);
-    double t18 = (double)i0;
-    if (!(t18 >= 0.0)) vt->trap(c, 0, t18, 0.0);
-    int64_t k19 = aug_idx(t18);
-    if (!((uint64_t)k19 < (uint64_t)(10))) vt->trap(c, 1, (double)(uint64_t)k19, (double)(10));
-    int64_t k20 = aug_i64(b4[(0) + k19]);
-    W += 5;
-    for (int64_t i1 = k17; i1 < k20; i1++) {
-      double t21 = (double)i0;
-      if (!(t21 >= 0.0)) vt->trap(c, 0, t21, 0.0);
-      int64_t k22 = aug_idx(t21);
-      if (!((uint64_t)(k22 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k22, 0.0);
-      double t23 = (double)i1;
-      if (!(t23 >= 0.0)) vt->trap(c, 0, t23, 0.0);
-      int64_t k24 = aug_idx(t23);
-      double t25 = (double)i0;
-      if (!(t25 >= 0.0)) vt->trap(c, 0, t25, 0.0);
-      int64_t k26 = aug_idx(t25);
-      if (!((uint64_t)(k26 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k26, 0.0);
-      if (!((uint64_t)k24 < (uint64_t)((off8[k26 + 1] - off8[k26])))) vt->trap(c, 1, (double)(uint64_t)k24, (double)((off8[k26 + 1] - off8[k26])));
-      double t27 = aug_cat_ll(b8[(off8[k26]) + k24], (b6 + (off6[k22])), (off6[k22 + 1] - off6[k22]));
-      double t28 = t27;
-      b12[0] += t28;
-      W += 17;
+  double* b0 = c->B[0];
+  double* b1 = c->B[1];
+  double* b4 = c->B[4];
+  double* b5 = c->B[5];
+  double* b6 = c->B[6];
+  double* b7 = c->B[7];
+  double* b8 = c->B[8];
+  double* b12 = c->B[12];
+  double f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12, f13;
+  int64_t vs4, vl4, vs5, vl5;
+  b12[0] = 0e0;
+  f0 = 0e0;
+  f1 = b1[0];
+  W += 4;
+  { int64_t n0 = aug_i64(f1);
+    for (int64_t i0 = aug_i64(f0); i0 < n0; i0++) {
+      f2 = (double)i0;
+      if (!(f2 >= 0.0 && f2 < 10)) { F[2] = f2; vt->trap(c, 6); }
+      F[2] = f2; vt->step(c, 7);
+      W += 5;
     }
   }
-  int64_t k29 = aug_i64(0e0);
-  int64_t k30 = aug_i64(b1[0]);
+  f3 = b0[0];
   W += 2;
-  for (int64_t i0 = k29; i0 < k30; i0++) {
-    int64_t k31 = aug_i64(0e0);
-    double t32 = (double)i0;
-    if (!(t32 >= 0.0)) vt->trap(c, 0, t32, 0.0);
-    int64_t k33 = aug_idx(t32);
-    if (!((uint64_t)k33 < (uint64_t)(10))) vt->trap(c, 1, (double)(uint64_t)k33, (double)(10));
-    int64_t k34 = aug_i64(b4[(0) + k33]);
-    W += 5;
-    for (int64_t i1 = k31; i1 < k34; i1++) {
-      double t35 = (double)i1;
-      if (!(t35 >= 0.0)) vt->trap(c, 0, t35, 0.0);
-      int64_t k36 = aug_idx(t35);
-      double t37 = (double)i0;
-      if (!(t37 >= 0.0)) vt->trap(c, 0, t37, 0.0);
-      int64_t k38 = aug_idx(t37);
-      if (!((uint64_t)(k38 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k38, 0.0);
-      if (!((uint64_t)k36 < (uint64_t)((off8[k38 + 1] - off8[k38])))) vt->trap(c, 1, (double)(uint64_t)k36, (double)((off8[k38 + 1] - off8[k38])));
-      double t39 = b8[(off8[k38]) + k36];
-      if (!(t39 >= 0.0)) vt->trap(c, 0, t39, 0.0);
-      int64_t k40 = aug_idx(t39);
-      if (!((uint64_t)(k40 + 1) < (uint64_t)4)) vt->trap(c, 5, (double)(uint64_t)k40, 0.0);
-      double t41 = (double)i1;
-      if (!(t41 >= 0.0)) vt->trap(c, 0, t41, 0.0);
-      int64_t k42 = aug_idx(t41);
-      double t43 = (double)i0;
-      if (!(t43 >= 0.0)) vt->trap(c, 0, t43, 0.0);
-      int64_t k44 = aug_idx(t43);
-      if (!((uint64_t)(k44 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k44, 0.0);
-      if (!((uint64_t)k42 < (uint64_t)((off5[k44 + 1] - off5[k44])))) vt->trap(c, 1, (double)(uint64_t)k42, (double)((off5[k44 + 1] - off5[k44])));
-      double t45 = aug_cat_ll(b5[(off5[k44]) + k42], (b7 + (off7[k40])), (off7[k40 + 1] - off7[k40]));
-      double t46 = t45;
-      b12[0] += t46;
-      W += 23;
+  { int64_t n0 = aug_i64(f3);
+    for (int64_t i0 = aug_i64(f0); i0 < n0; i0++) {
+      f4 = (double)i0;
+      if (!(f4 >= 0.0 && f4 < 3)) { F[4] = f4; vt->trap(c, 14); }
+      F[4] = f4; vt->step(c, 15);
+      W += 5;
+    }
+  }
+  W += 2;
+  { int64_t n0 = aug_i64(f1);
+    for (int64_t i0 = aug_i64(f0); i0 < n0; i0++) {
+      f5 = (double)i0;
+      if (!(f5 >= 0.0 && f5 < 10)) { F[5] = f5; vt->trap(c, 20); }
+      f6 = b4[(int64_t)f5];
+      W += 5;
+      { int64_t n1 = aug_i64(f6);
+        for (int64_t i1 = aug_i64(f0); i1 < n1; i1++) {
+          if (!(f5 >= 0.0 && f5 < 10)) { F[5] = f5; vt->trap(c, 23); }
+          vs4 = off6[(int64_t)f5];
+          vl4 = off6[(int64_t)f5 + 1] - vs4;
+          f7 = (double)i1;
+          if (!(f5 >= 0.0 && f7 >= 0.0 && f5 < 10 && f7 < (double)(off8[(int64_t)f5 + 1] - off8[(int64_t)f5]))) { F[5] = f5; F[7] = f7; vt->trap(c, 25); }
+          f8 = b8[off8[(int64_t)f5] + (int64_t)f7];
+          b12[0] += aug_cat_ll(f8, b6 + vs4, vl4);
+          W += 17;
+        }
+      }
+    }
+  }
+  W += 2;
+  { int64_t n0 = aug_i64(f1);
+    for (int64_t i0 = aug_i64(f0); i0 < n0; i0++) {
+      f9 = (double)i0;
+      if (!(f9 >= 0.0 && f9 < 10)) { F[9] = f9; vt->trap(c, 32); }
+      f10 = b4[(int64_t)f9];
+      W += 5;
+      { int64_t n1 = aug_i64(f10);
+        for (int64_t i1 = aug_i64(f0); i1 < n1; i1++) {
+          f11 = (double)i1;
+          if (!(f9 >= 0.0 && f11 >= 0.0 && f9 < 10 && f11 < (double)(off8[(int64_t)f9 + 1] - off8[(int64_t)f9]))) { F[9] = f9; F[11] = f11; vt->trap(c, 36); }
+          f12 = b8[off8[(int64_t)f9] + (int64_t)f11];
+          if (!(f12 >= 0.0 && f12 < 3)) { F[12] = f12; vt->trap(c, 37); }
+          vs5 = off7[(int64_t)f12];
+          vl5 = off7[(int64_t)f12 + 1] - vs5;
+          if (!(f9 >= 0.0 && f11 >= 0.0 && f9 < 10 && f11 < (double)(off5[(int64_t)f9 + 1] - off5[(int64_t)f9]))) { F[9] = f9; F[11] = f11; vt->trap(c, 38); }
+          f13 = b5[off5[(int64_t)f9] + (int64_t)f11];
+          b12[0] += aug_cat_ll(f13, b7 + vs5, vl5);
+          W += 23;
+        }
+      }
     }
   }
   c->W += W;
-  (void)B; (void)vt;
+  (void)vt; (void)F;
 }
 
-typedef void (*augproc)(augctx*);
-augproc aug_procs[5] = {
-  aug_p0, /* u0_gibbs */
-  aug_p1, /* u1_gibbs */
-  aug_p2, /* u2_gibbs */
-  aug_p3, /* init_params */
-  aug_p4, /* model_ll */
+void (*const aug_procs[5])(augctx*) = {
+  aug_p0,
+  aug_p1,
+  aug_p2,
+  aug_p3,
+  aug_p4,
 };
-const uint32_t aug_abi_version = 1;

@@ -2,7 +2,7 @@
 //! sampler built from the memory-explicit Low-- form produces the exact
 //! chain of the functional form.
 
-use augur::{HostValue, Model, Session, SessionConfig};
+use augur::{CompiledModel, HostValue, Model, OptFlags, SessionConfig};
 use augurv2::workloads;
 
 #[test]
@@ -30,14 +30,15 @@ fn memory_explicit_lowering_is_bit_identical() {
     assert!(hoisted > 0);
 
     let build = |lm: &augur_low::LoweredModel| {
-        let mut s = Session::from_lowered(
-            dm,
-            lm,
-            args(),
-            vec![("y", HostValue::Ragged(data.points.clone()))],
-            SessionConfig::default(),
-        )
-        .unwrap();
+        let mut s = CompiledModel::from_parts(dm.clone(), lm.clone(), Vec::new())
+            .plan_opt(
+                args(),
+                vec![("y", HostValue::Ragged(data.points.clone()))],
+                OptFlags::default(),
+            )
+            .unwrap()
+            .session(SessionConfig::default())
+            .unwrap();
         s.init().unwrap();
         for _ in 0..30 {
             s.sweep();

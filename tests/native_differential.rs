@@ -2,11 +2,12 @@
 //!
 //! `ExecBackend::Native` must reproduce the reference tree-walking
 //! interpreter — and therefore the tape — *bit-for-bit* on the paper's
-//! three benchmark models: the same trajectories, the same run-report
-//! digest, and the same profile work digest. The compiled C charges the
-//! identical work counters and draws from the identical per-thread RNG
-//! streams, so any divergence (a fused multiply-add, a reordered draw, a
-//! skipped work charge) surfaces as a trace mismatch on sweep one.
+//! three benchmark models under every kernel flavor: the same
+//! trajectories, the same run-report digest, and the same profile work
+//! digest. The C is printed from the tape and charges the identical work
+//! counters and draws from the identical per-thread RNG streams, so any
+//! divergence (a fused multiply-add, a reordered draw, a skipped work
+//! charge) surfaces as a trace mismatch on sweep one.
 //!
 //! When the host has no C toolchain (or `AUGUR_CC` points at a
 //! nonexistent binary), every test here still passes: sessions record a
@@ -67,17 +68,20 @@ fn run(
         None => Model::compile(model),
     }
     .expect("model parses");
-    let mut s = compiled
-        .plan(args, data)
-        .expect("model plans")
-        .session(config(backend, threads))
-        .expect("session binds");
+    let plan = compiled.plan(args, data).expect("model plans");
+    let mut s = plan.session(config(backend, threads)).expect("session binds");
     if backend == ExecBackend::Native {
         assert_eq!(
             s.backend(),
             ExecBackend::Native,
             "{label}: native session fell back: {:?}",
             s.backend_fallback()
+        );
+        let module = plan.native_module().expect("native session has a module");
+        assert_eq!(
+            module.covered(),
+            s.proc_names().len(),
+            "{label}: every procedure runs natively"
         );
     }
     s.init().unwrap();
@@ -183,15 +187,26 @@ fn lda_args(topics: usize, corpus: &augurv2::workloads::Corpus) -> Vec<HostValue
 fn hgmm_native_matches_tree_and_tape() {
     let (k, d, n) = (2, 2, 40);
     let data = workloads::hgmm_data(k, d, n, 91);
-    assert_native_matches(
-        "hgmm/gibbs",
-        models::HGMM,
-        None,
-        hgmm_args(k, d, n),
-        vec![("y", HostValue::Ragged(data.points.clone()))],
-        &["pi", "mu", "Sigma", "z"],
-        25,
-    );
+    let flavors: [(&str, Option<&str>); 7] = [
+        ("gibbs", None),
+        ("eslice", Some("Gibbs pi (*) ESlice mu (*) Gibbs Sigma (*) Gibbs z")),
+        ("hmc", Some("Gibbs pi (*) HMC mu (*) Gibbs Sigma (*) Gibbs z")),
+        ("nuts", Some("Gibbs pi (*) NUTS mu (*) Gibbs Sigma (*) Gibbs z")),
+        ("mh", Some("Gibbs pi (*) MH mu (*) Gibbs Sigma (*) Gibbs z")),
+        ("mala", Some("Gibbs pi (*) MALA mu (*) Gibbs Sigma (*) Gibbs z")),
+        ("slice", Some("Gibbs pi (*) Slice mu (*) Gibbs Sigma (*) Gibbs z")),
+    ];
+    for (label, sched) in flavors {
+        assert_native_matches(
+            &format!("hgmm/{label}"),
+            models::HGMM,
+            sched,
+            hgmm_args(k, d, n),
+            vec![("y", HostValue::Ragged(data.points.clone()))],
+            &["pi", "mu", "Sigma", "z"],
+            25,
+        );
+    }
 }
 
 #[test]
@@ -213,20 +228,96 @@ fn lda_native_matches_tree_and_tape() {
 fn hlr_native_matches_tree_and_tape() {
     let d = 4;
     let data = workloads::logistic_data(60, d, 17);
-    assert_native_matches(
-        "hlr/hmc",
-        models::HLR,
-        None, // heuristic: blocked HMC over the continuous parameters
-        vec![
-            HostValue::Real(1.0),
-            HostValue::Int(60),
-            HostValue::Int(d as i64),
-            HostValue::Ragged(data.x.clone()),
-        ],
-        vec![("y", HostValue::VecF(data.y.clone()))],
-        &["sigma2", "b", "theta"],
-        25,
-    );
+    let flavors: [(&str, Option<&str>); 5] = [
+        ("hmc", None), // heuristic: blocked HMC over the continuous parameters
+        ("nuts", Some("NUTS sigma2 b theta")),
+        ("mala", Some("MALA sigma2 b theta")),
+        ("mh", Some("MH sigma2 b theta")),
+        ("slice", Some("Slice sigma2 b theta")),
+    ];
+    for (label, sched) in flavors {
+        assert_native_matches(
+            &format!("hlr/{label}"),
+            models::HLR,
+            sched,
+            vec![
+                HostValue::Real(1.0),
+                HostValue::Int(60),
+                HostValue::Int(d as i64),
+                HostValue::Ragged(data.x.clone()),
+            ],
+            vec![("y", HostValue::VecF(data.y.clone()))],
+            &["sigma2", "b", "theta"],
+            25,
+        );
+    }
+}
+
+/// Native artifacts are content-addressed: two plans that differ only in
+/// GPU-only optimization flags have different fingerprints but emit the
+/// same C, so the second plan loads the first one's shared object from
+/// disk instead of running the compiler again.
+#[test]
+fn plans_emitting_identical_c_share_one_artifact() {
+    if !native_available() {
+        eprintln!("no C toolchain, skipping artifact sharing");
+        return;
+    }
+    let topics = 2;
+    let corpus = workloads::lda_corpus(topics, 7, 40, 11, 23);
+    let model = Model::compile(models::LDA).unwrap();
+    let plan = |flags: OptFlags| {
+        model
+            .plan_opt(
+                lda_args(topics, &corpus),
+                vec![("w", HostValue::RaggedI(corpus.docs.clone()))],
+                flags,
+            )
+            .unwrap()
+    };
+    let first = plan(OptFlags::default());
+    let second = plan(OptFlags { sum_blk: false, commute: false, ..Default::default() });
+    assert_ne!(first.fingerprint(), second.fingerprint(), "GPU flags are part of the plan key");
+    let a = first.native_module().unwrap();
+    let b = second.native_module().unwrap();
+    assert_eq!(a.source(), b.source(), "GPU-only flags leave the CPU tape and its C alone");
+    assert_eq!(a.artifact_path(), b.artifact_path());
+    assert!(b.disk_hit(), "the second plan recompiled identical C");
+    assert_eq!(b.compile_secs(), 0.0);
+}
+
+/// A word id outside the vocabulary makes LDA's count update index past
+/// a row. The interpreters raise a bounds panic that the session turns
+/// into a typed error; native code must fail the same way — its inline
+/// bounds check traps into the interpreter's instruction — with the same
+/// message, rather than writing out of bounds.
+#[test]
+fn out_of_range_data_is_the_same_typed_error_on_every_backend() {
+    let topics = 3;
+    let mut corpus = workloads::lda_corpus(topics, 10, 60, 20, 5);
+    corpus.docs[2][1] = corpus.vocab as i64;
+    let plan = Model::compile(models::LDA)
+        .unwrap()
+        .plan(lda_args(topics, &corpus), vec![("w", HostValue::RaggedI(corpus.docs.clone()))])
+        .unwrap();
+    let mut backends = vec![ExecBackend::Tree, ExecBackend::Tape];
+    if native_available() {
+        backends.push(ExecBackend::Native);
+    }
+    let errors: Vec<String> = backends
+        .iter()
+        .map(|&backend| {
+            let mut s = plan.session(config(backend, 1)).unwrap();
+            assert_eq!(s.backend(), backend);
+            s.init().unwrap();
+            let err = s.try_sweep().expect_err("out-of-range word id must fail the sweep");
+            err.to_string()
+        })
+        .collect();
+    assert!(errors[0].starts_with("out-of-bounds access in"), "{}", errors[0]);
+    for (backend, e) in backends.iter().zip(&errors) {
+        assert_eq!(e, &errors[0], "{backend:?} fails differently");
+    }
 }
 
 /// When this plan's `backends()` row says `Native` is available (a
@@ -255,7 +346,7 @@ fn native_runs_or_records_a_fallback_reason() {
         assert_eq!(s.backend(), ExecBackend::Native);
         assert_eq!(s.backend_fallback(), None);
         let module = plan.native_module().expect("toolchain or cached artifact present");
-        assert!(module.covered() > 0, "no procedure compiled natively");
+        assert_eq!(module.covered(), s.proc_names().len(), "every procedure runs natively");
     } else {
         assert_eq!(s.backend(), ExecBackend::Tape, "fallback runs on the tape");
         let reason = s.backend_fallback().expect("fallback reason recorded");
@@ -275,9 +366,10 @@ fn native_runs_or_records_a_fallback_reason() {
 }
 
 /// The emitted C for the LDA plan is part of the crate's observable
-/// behavior: one translation unit, restrict-qualified flat buffers,
-/// inlined hot-path distribution code, and the exported `aug_procs`
-/// entry table. Pin it (pure emission — no toolchain needed).
+/// behavior: one translation unit printed from the tape, inlined
+/// hot-path loads and densities, `step` callbacks for the rest, and the
+/// exported `aug_procs` entry table. Pin it (pure emission — no
+/// toolchain needed).
 #[test]
 fn golden_native_c_for_lda() {
     let topics = 3;
@@ -292,7 +384,11 @@ fn golden_native_c_for_lda() {
         "C target emits native procs only: {:?}",
         unit.symbols
     );
-    assert!(!unit.symbols.is_empty(), "LDA should have native-covered procedures");
+    assert_eq!(
+        unit.symbols.len(),
+        plan.session(SessionConfig::default()).unwrap().proc_names().len(),
+        "one C function per procedure"
+    );
     let got = &unit.source;
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/lda_native.c");
     if std::env::var("UPDATE_GOLDEN").is_ok() {
@@ -303,7 +399,6 @@ fn golden_native_c_for_lda() {
     assert_eq!(
         got.trim(),
         expected.trim(),
-        "emitted C changed; if intentional, rerun with UPDATE_GOLDEN=1, review the diff, \
-         and bump CODEGEN_VERSION if the ABI or semantics moved"
+        "emitted C changed; if intentional, rerun with UPDATE_GOLDEN=1 and review the diff"
     );
 }
