@@ -144,6 +144,9 @@ pub struct Engine {
     /// Recycled loop-frame stack for tape execution (allocation-free
     /// steady state).
     pub(crate) tape_frames: Vec<crate::tape::TapeFrame>,
+    /// Covariance factors of the tape's `MvNormal` densities, reused while
+    /// the covariance cells are unchanged (the tree-walker refactors).
+    pub(crate) factors: crate::factor_memo::FactorMemo,
     /// Worker-thread count for parallel tape execution (1 = sequential).
     pub(crate) threads: usize,
     /// The persistent worker pool, created lazily on first dispatch.
@@ -191,6 +194,7 @@ impl Engine {
             tape_fregs: Vec::new(),
             tape_vregs: Vec::new(),
             tape_frames: Vec::new(),
+            factors: Default::default(),
             threads: 1,
             pool: None,
             write_log: None,
@@ -247,6 +251,7 @@ impl Engine {
             tape_fregs: Vec::new(),
             tape_vregs: Vec::new(),
             tape_frames: Vec::new(),
+            factors: Default::default(),
             threads: 1,
             pool: None,
             write_log: Some(Vec::new()),
@@ -1099,7 +1104,9 @@ pub(crate) fn slice_of<'a>(state: &'a State, v: &'a View) -> &'a [f64] {
 /// Algorithmic cost of a log-density / gradient evaluation, in work
 /// units. `point_len` is the flat size of the point (0 for scalars).
 /// Categorical's pmf is an O(1) lookup however long its probability
-/// vector is; the multivariate normal pays a Cholesky factorization.
+/// vector is; the multivariate normal pays a Cholesky factorization —
+/// also when the tape's factor memo reuses one, so work counters, digests
+/// and simulated-GPU virtual time are the same on every engine.
 pub(crate) fn dist_op_cost(dist: DistKind, point_len: usize) -> u64 {
     match dist {
         DistKind::MvNormal => {

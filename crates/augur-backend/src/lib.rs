@@ -59,6 +59,7 @@ pub mod codegen;
 pub mod compile;
 pub mod driver;
 pub mod eval;
+mod factor_memo;
 pub mod fault;
 pub mod mcmc;
 pub mod metrics;

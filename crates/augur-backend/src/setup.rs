@@ -47,6 +47,19 @@ pub enum SetupError {
     /// A variable has no generating factor in the density model (the
     /// lowered model and the density model disagree).
     MissingFactor(String),
+    /// An `MvNormal` factor's mean, covariance and point disagree in
+    /// dimension.
+    MvNormalDims {
+        /// The variable the factor generates.
+        var: String,
+        /// Length of the mean.
+        mean: usize,
+        /// Dimension of the (square) covariance.
+        cov: usize,
+        /// Length of the point: the first row that disagrees with the
+        /// mean, or the mean's length when every row agrees.
+        point: usize,
+    },
 }
 
 impl fmt::Display for SetupError {
@@ -68,6 +81,11 @@ impl fmt::Display for SetupError {
             SetupError::MissingFactor(n) => {
                 write!(f, "`{n}` has no generating factor in the model")
             }
+            SetupError::MvNormalDims { var, mean, cov, point } => write!(
+                f,
+                "`{var}` ~ MvNormal: the mean has length {mean}, the covariance is \
+                 {cov}x{cov} and the point has length {point}; all three must agree"
+            ),
         }
     }
 }
@@ -80,8 +98,8 @@ impl std::error::Error for SetupError {}
 ///
 /// # Errors
 ///
-/// Returns a [`SetupError`] for arity mismatches, missing/unknown data, or
-/// unresolvable sizes.
+/// Returns a [`SetupError`] for arity mismatches, missing/unknown data,
+/// unresolvable sizes, or `MvNormal` dimensions that disagree.
 pub fn build_state(
     model: &DensityModel,
     lowered: &LoweredModel,
@@ -133,6 +151,7 @@ pub fn build_state(
         let shape = param_shape(&state, &p.name, prior)?;
         state.insert(&p.name, shape);
     }
+    check_mv_normal_dims(model, &state)?;
 
     // 4. planned temporaries (size inference output)
     for alloc in &lowered.allocs {
@@ -144,6 +163,44 @@ pub fn build_state(
     }
 
     Ok(state)
+}
+
+/// Every `MvNormal` factor's mean length, covariance dimension and point
+/// length must agree — for a data variable, on every row — or the first
+/// sweep would trip a shape assertion inside a kernel. Means and
+/// covariances resolve at comprehension index 0 (parameter rows share one
+/// shape); a factor whose arguments do not resolve at setup is left to the
+/// kernels.
+fn check_mv_normal_dims(model: &DensityModel, state: &State) -> Result<(), SetupError> {
+    for (var, factor) in model.vars.iter().zip(&model.factors) {
+        if factor.dist != DistKind::MvNormal {
+            continue;
+        }
+        let env: HashMap<String, i64> = factor.comps.iter().map(|c| (c.var.clone(), 0)).collect();
+        let (Ok(mean), Ok(cov)) = (
+            vec_len_of(state, &env, &factor.args[0]),
+            mat_dim_of(state, &env, &factor.args[1]),
+        ) else {
+            continue;
+        };
+        let Some(id) = state.id(&var.name) else { continue };
+        let bad_point = match state.shape(id) {
+            Shape::Vector(n) => Some(*n).filter(|&p| p != mean),
+            Shape::Rows { offsets, elem: RowElem::Vec } => {
+                offsets.windows(2).map(|w| w[1] - w[0]).find(|&p| p != mean)
+            }
+            _ => continue,
+        };
+        if mean != cov || bad_point.is_some() {
+            return Err(SetupError::MvNormalDims {
+                var: var.name.clone(),
+                mean,
+                cov,
+                point: bad_point.unwrap_or(mean),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Shape of a parameter from its prior factor: comprehension extents wrap
@@ -294,7 +351,11 @@ fn resolve_view(
             let i = eval_scalar(state, env, idx).unwrap_or(0.0) as usize;
             match resolve_view(state, env, base)? {
                 SetupView::Rows { buf } => {
-                    let i = i.min(state.shape(buf).num_rows().saturating_sub(1));
+                    let rows = state.shape(buf).num_rows();
+                    if rows == 0 {
+                        return Err(SetupError::Unresolvable(format!("{e} (no rows)")));
+                    }
+                    let i = i.min(rows - 1);
                     let (s, t) = state.row_range(buf, i);
                     match state.shape(buf) {
                         Shape::Rows { elem: RowElem::Mat(d), .. } => Ok(SetupView::Mat(*d)),
@@ -482,6 +543,50 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SetupError::WrongExtent { .. }));
+    }
+
+    #[test]
+    fn mismatched_mv_normal_dimensions_are_reported() {
+        let (dm, lm) = lower_model(HGMM);
+        let y = || vec![("y".to_owned(), HostValue::Ragged(augur_math::FlatRagged::rect(5, 2)))];
+        let with = |i: usize, v: HostValue| {
+            let mut args = hgmm_args(3, 5, 2);
+            args[i] = v;
+            args
+        };
+        let cases = [
+            // mu_0 of length 3 against 2-D data and a 2x2 Sigma_0
+            (with(3, HostValue::VecF(vec![0.0; 3])), "mu", (3, 2, 3)),
+            // a 3x3 Sigma_0 for 2-D means
+            (with(4, HostValue::Mat(Matrix::identity(3))), "mu", (2, 3, 2)),
+            // a 3x3 Psi: every Sigma[k] is 3x3 against 2-D means and data
+            (with(6, HostValue::Mat(Matrix::identity(3))), "y", (2, 3, 2)),
+        ];
+        for (args, var, (mean, cov, point)) in cases {
+            let err = build_state(&dm, &lm, args, y()).unwrap_err();
+            assert_eq!(
+                err,
+                SetupError::MvNormalDims { var: var.into(), mean, cov, point },
+                "{err}"
+            );
+        }
+        // one short data row among well-formed ones
+        let rows = vec![vec![0.0, 1.0], vec![2.0], vec![3.0, 4.0]];
+        let err = build_state(
+            &dm,
+            &lm,
+            hgmm_args(3, 3, 2),
+            vec![("y".into(), HostValue::Ragged(augur_math::FlatRagged::from_rows(rows)))],
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            SetupError::MvNormalDims { var: "y".into(), mean: 2, cov: 2, point: 1 }
+        );
+        // no components: `mu[z[n]]` names a row of an empty buffer, which
+        // the check must skip rather than index
+        let st = build_state(&dm, &lm, hgmm_args(0, 5, 2), y()).unwrap();
+        assert_eq!(st.shape(st.expect_id("mu")).num_rows(), 0);
     }
 
     #[test]

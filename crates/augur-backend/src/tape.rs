@@ -2035,7 +2035,7 @@ impl Engine {
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn tape_ll(
-        &self,
+        &mut self,
         dist: DistKind,
         args: &[Opd; 2],
         n_args: u8,
@@ -2046,12 +2046,41 @@ impl Engine {
     ) -> f64 {
         let n = n_args as usize;
         *w += 1 + dist_op_cost(dist, opd_len(self, v, point));
+        if dist == DistKind::MvNormal {
+            return self.mv_normal_ll(args, n, point, f, v);
+        }
         let refs = [
             opd_ref(&self.state, f, v, args[0], n > 0),
             opd_ref(&self.state, f, v, args[1], n > 1),
         ];
         let pref = opd_ref(&self.state, f, v, point, true);
         dist.log_pdf(&refs[..n], pref).expect("ll evaluation failed")
+    }
+
+    /// `MvNormal` log-density through the engine's factor memo: a
+    /// state-backed covariance is factored once while its cells stay
+    /// unchanged, an owned one into scratch. Kept out of line so the
+    /// dispatch loop does not grow. A malformed operand (wrong arity, a
+    /// non-matrix covariance) takes the generic path and its panics.
+    #[inline(never)]
+    fn mv_normal_ll(&mut self, args: &[Opd; 2], n: usize, point: Opd, f: &[f64], v: &[View]) -> f64 {
+        let refs = [
+            opd_ref(&self.state, f, v, args[0], n > 0),
+            opd_ref(&self.state, f, v, args[1], n > 1),
+        ];
+        let pref = opd_ref(&self.state, f, v, point, true);
+        match (n, refs[1]) {
+            (2, ValueRef::Matrix { data, dim }) => {
+                let (x, mu) = (pref.vector(), refs[0].vector());
+                match v[args[1].index()] {
+                    View::MatV { buf, start, .. } => {
+                        self.factors.log_pdf_at(buf, start, data, dim, x, mu)
+                    }
+                    _ => self.factors.log_pdf_owned(data, dim, x, mu),
+                }
+            }
+            _ => DistKind::MvNormal.log_pdf(&refs[..n], pref).expect("ll evaluation failed"),
+        }
     }
 
     /// Stores a scalar (`WriteImm`/`LlStore`): directly-addressed cells

@@ -45,7 +45,12 @@ pub fn dirichlet_grad_x(x: &[f64], alpha: &[f64], out: &mut [f64]) {
 
 /// A multivariate normal with precomputed Cholesky factor — the cached form
 /// used by the runtime when the covariance is a hyper-parameter.
-#[derive(Debug, Clone)]
+///
+/// Every MvNormal density factors into one of these: the one-shot
+/// [`mv_normal_log_pdf`] into a fresh cache, the execution engine's factor
+/// memo into caches it keeps and refactors in place
+/// ([`MvNormalCache::refactor`]). The [`Default`] cache is empty.
+#[derive(Debug, Clone, Default)]
 pub struct MvNormalCache {
     dim: usize,
     chol: Cholesky,
@@ -62,8 +67,27 @@ impl MvNormalCache {
     pub fn new(cov: &Matrix) -> Result<Self, augur_math::MathError> {
         let chol = Cholesky::new(cov)?;
         let dim = cov.rows();
-        let log_norm = -0.5 * (dim as f64 * LN_2PI + chol.log_det());
+        let log_norm = Self::log_norm(dim, &chol);
         Ok(MvNormalCache { dim, chol, log_norm })
+    }
+
+    /// Refactors the row-major `dim × dim` covariance `cov` into the
+    /// storage this cache already owns (see [`Cholesky::refactor`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying [`augur_math::MathError`] when `cov` is not
+    /// `dim × dim` or not symmetric positive definite; the cache must then
+    /// be refactored before its next use.
+    pub fn refactor(&mut self, cov: &[f64], dim: usize) -> Result<(), augur_math::MathError> {
+        self.chol.refactor(cov, dim)?;
+        self.dim = dim;
+        self.log_norm = Self::log_norm(dim, &self.chol);
+        Ok(())
+    }
+
+    fn log_norm(dim: usize, chol: &Cholesky) -> f64 {
+        -0.5 * (dim as f64 * LN_2PI + chol.log_det())
     }
 
     /// The dimension of the distribution.
@@ -82,9 +106,23 @@ impl MvNormalCache {
     ///
     /// Panics on dimension mismatch.
     pub fn log_pdf(&self, x: &[f64], mu: &[f64]) -> f64 {
+        self.log_pdf_with(x, mu, &mut PoolVec::zeroed(self.dim))
+    }
+
+    /// [`MvNormalCache::log_pdf`] with caller scratch for `x − mu` (at
+    /// least [`MvNormalCache::dim`] long): the allocation-free form.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch or short scratch.
+    #[inline]
+    pub fn log_pdf_with(&self, x: &[f64], mu: &[f64], scratch: &mut [f64]) -> f64 {
         assert!(x.len() == self.dim && mu.len() == self.dim, "mvnormal dims");
-        let diff = augur_math::vecops::sub(x, mu);
-        self.log_norm - 0.5 * self.chol.mahalanobis_sq(&diff)
+        let diff = &mut scratch[..self.dim];
+        for ((d, a), b) in diff.iter_mut().zip(x).zip(mu) {
+            *d = a - b;
+        }
+        self.log_norm - 0.5 * self.chol.mahalanobis_sq_in_place(diff)
     }
 
     /// `∂/∂x ln N(x | mu, Σ) = −Σ⁻¹ (x − mu)`, accumulated into `out`.
@@ -117,14 +155,11 @@ impl MvNormalCache {
 
 /// One-shot `ln N(x | mu, Σ)` without caching (factorizes Σ on every call).
 ///
-/// Returns `-inf` when `Σ` is not positive definite.
+/// Returns `-inf` when `Σ` is not `dim × dim` or not positive definite.
 pub fn mv_normal_log_pdf(x: &[f64], mu: &[f64], cov_data: &[f64], dim: usize) -> f64 {
-    let cov = match Matrix::from_slice(dim, dim, cov_data) {
-        Ok(m) => m,
-        Err(_) => return f64::NEG_INFINITY,
-    };
-    match MvNormalCache::new(&cov) {
-        Ok(cache) => cache.log_pdf(x, mu),
+    let mut cache = MvNormalCache::default();
+    match cache.refactor(cov_data, dim) {
+        Ok(()) => cache.log_pdf(x, mu),
         Err(_) => f64::NEG_INFINITY,
     }
 }

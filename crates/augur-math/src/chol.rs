@@ -19,7 +19,10 @@ use crate::{MathError, Matrix, PoolVec};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The [`Default`] factor is empty (dimension 0); [`Cholesky::refactor`]
+/// fills it.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Cholesky {
     /// Lower-triangular factor, stored densely.
     l: Matrix,
@@ -39,25 +42,51 @@ impl Cholesky {
                 detail: format!("{}x{} matrix", a.rows(), a.cols()),
             });
         }
-        let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
+        let mut c = Cholesky::default();
+        c.refactor(a.as_slice(), a.rows())?;
+        Ok(c)
+    }
+
+    /// Factorizes the row-major `n × n` matrix `a` into the storage this
+    /// factor already owns, allocating only when `n` differs from the
+    /// current dimension. This is the one factorization loop:
+    /// [`Cholesky::new`] and every cached or scratch factor run it.
+    ///
+    /// Each entry of `L` is computed only from entries written earlier in
+    /// the same pass, so a refactor is bit-identical to a fresh
+    /// factorization whatever the storage held before.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MathError::BadLength`] when `a.len() != n * n` and
+    /// [`MathError::NotPositiveDefinite`] when a pivot is non-positive or
+    /// not finite. After an error the factor's contents are unspecified
+    /// until the next successful refactor.
+    pub fn refactor(&mut self, a: &[f64], n: usize) -> Result<(), MathError> {
+        if a.len() != n * n {
+            return Err(MathError::BadLength { expected: n * n, actual: a.len() });
+        }
+        if self.dim() != n {
+            self.l = Matrix::zeros(n, n);
+        }
+        let l = self.l.as_mut_slice();
         for i in 0..n {
             for j in 0..=i {
-                let mut sum = a[(i, j)];
+                let mut sum = a[i * n + j];
                 for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
+                    sum -= l[i * n + k] * l[j * n + k];
                 }
                 if i == j {
                     if sum <= 0.0 || !sum.is_finite() {
                         return Err(MathError::NotPositiveDefinite { pivot: i });
                     }
-                    l[(i, j)] = sum.sqrt();
+                    l[i * n + j] = sum.sqrt();
                 } else {
-                    l[(i, j)] = sum / l[(j, j)];
+                    l[i * n + j] = sum / l[j * n + j];
                 }
             }
         }
-        Ok(Cholesky { l })
+        Ok(())
     }
 
     /// The dimension of the factored matrix.
@@ -81,17 +110,29 @@ impl Cholesky {
     ///
     /// Panics if `b.len() != self.dim()`.
     pub fn solve_lower(&self, b: &[f64]) -> PoolVec {
+        let mut y = PoolVec::from_slice(b);
+        self.solve_lower_in_place(&mut y);
+        y
+    }
+
+    /// Forward substitution in caller storage: overwrites `b` with the
+    /// solution `y` of `L y = b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len() != self.dim()`.
+    #[inline]
+    pub fn solve_lower_in_place(&self, b: &mut [f64]) {
         let n = self.dim();
         assert_eq!(b.len(), n, "solve_lower length mismatch");
-        let mut y = PoolVec::zeroed(n);
+        let l = self.l.as_slice();
         for i in 0..n {
             let mut sum = b[i];
             for k in 0..i {
-                sum -= self.l[(i, k)] * y[k];
+                sum -= l[i * n + k] * b[k];
             }
-            y[i] = sum / self.l[(i, i)];
+            b[i] = sum / l[i * n + i];
         }
-        y
     }
 
     /// Solves `Lᵀ x = y` by back substitution.
@@ -128,8 +169,19 @@ impl Cholesky {
     ///
     /// Panics if `x.len() != self.dim()`.
     pub fn mahalanobis_sq(&self, x: &[f64]) -> f64 {
-        let y = self.solve_lower(x);
-        y.iter().map(|v| v * v).sum()
+        self.mahalanobis_sq_in_place(&mut PoolVec::from_slice(x))
+    }
+
+    /// [`Cholesky::mahalanobis_sq`] in caller storage: `x` is overwritten
+    /// with `L⁻¹ x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.dim()`.
+    #[inline]
+    pub fn mahalanobis_sq_in_place(&self, x: &mut [f64]) -> f64 {
+        self.solve_lower_in_place(x);
+        x.iter().map(|v| v * v).sum()
     }
 
     /// The inverse `A⁻¹`, computed column by column.

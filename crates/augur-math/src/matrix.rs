@@ -25,7 +25,9 @@ use crate::MathError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The [`Default`] matrix is empty (`0 × 0`).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

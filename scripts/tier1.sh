@@ -51,6 +51,13 @@ TMPDIR="$native_tmp" AUGUR_CC=/nonexistent/cc \
   cargo test -q --test native_differential
 rm -rf "$native_tmp"
 
+# Benchmark smoke: augur-bench (its own workspace under perfbench/) must
+# still build against the engine, and at tiny sizes every workload's
+# checks must hold: native = tape = tree and bit-identity across thread
+# counts. The open_loop test stays out: it asserts wall-clock generator
+# lag and fails on busy shared hosts whatever the code does.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml --test smoke
+
 # Serving smoke: the service path must stay byte-identical to direct
 # ChainPlan runs (including forced mid-run worker migration), and a
 # bounded sustained-load run must sustain nonzero throughput with the

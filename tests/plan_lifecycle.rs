@@ -7,7 +7,7 @@
 //! check trajectories, run-report digests, and profile work-digests are
 //! bit-identical against a from-scratch compile of the same shape.
 
-use augur::{HostValue, Model, PlanEvent, SessionConfig};
+use augur::{Error, ErrorKind, HostValue, Model, PlanEvent, SessionConfig};
 use augur_math::Matrix;
 use augurv2::{models, workloads};
 
@@ -70,9 +70,10 @@ fn signature(s: &mut augur::Session, sweeps: usize, param: &str) -> RunSignature
 /// HGMM at a random shape: (args, data, sweeps, recorded param).
 fn hgmm_case(rng: &mut ShapeRng) -> (Vec<HostValue>, Vec<(&'static str, HostValue)>, &'static str) {
     let k = rng.range(2, 4);
+    let d = rng.range(1, 4);
     let n = rng.range(40, 160);
-    let data = workloads::hgmm_data(k, 2, n, 1000 + n as u64);
-    (hgmm_args(k, 2, n), vec![("y", HostValue::Ragged(data.points))], "mu")
+    let data = workloads::hgmm_data(k, d, n, 1000 + n as u64);
+    (hgmm_args(k, d, n), vec![("y", HostValue::Ragged(data.points))], "mu")
 }
 
 /// LDA at a random shape.
@@ -245,4 +246,37 @@ fn racing_workers_specialize_a_shape_exactly_once() {
     });
     assert_eq!(model.cache_stats().entries, 3);
     assert_eq!(model.cache_stats().misses, 3);
+}
+
+/// A binding whose `MvNormal` dimensions disagree is refused at plan time
+/// with a typed binding error, not accepted and then failed inside the
+/// first sweep's `Gibbs Single(mu)` as a caught shape-assertion panic.
+#[test]
+fn mismatched_mv_normal_dimensions_are_binding_errors() {
+    let (k, d, n) = (3, 2, 30);
+    let data = workloads::hgmm_data(k, d, n, 7);
+    let model = Model::compile(models::HGMM).unwrap();
+    for (i, bad) in [
+        (3, HostValue::VecF(vec![0.0; 3])),           // mu_0 of length 3
+        (4, HostValue::Mat(Matrix::identity(3))),     // a 3x3 Sigma_0
+        (6, HostValue::Mat(Matrix::identity(3))),     // a 3x3 Psi
+    ] {
+        let mut args = hgmm_args(k, d, n);
+        args[i] = bad;
+        let err = model
+            .plan(args, vec![("y", HostValue::Ragged(data.points.clone()))])
+            .map(|_| ())
+            .map_err(Error::from)
+            .expect_err("mismatched dimensions must not plan");
+        assert_eq!(err.kind(), ErrorKind::Binding, "argument {i}: {err}");
+        assert!(err.to_string().contains("MvNormal"), "argument {i}: {err}");
+    }
+    // the well-formed binding still plans and sweeps
+    let mut s = model
+        .plan(hgmm_args(k, d, n), vec![("y", HostValue::Ragged(data.points))])
+        .unwrap()
+        .session(SessionConfig::default())
+        .unwrap();
+    s.init().unwrap();
+    s.try_sweep().unwrap();
 }

@@ -125,8 +125,6 @@ fn hgmm_args(k: usize, d: usize, n: usize) -> Vec<HostValue> {
 
 #[test]
 fn hgmm_tape_matches_tree_for_every_kernel_flavor() {
-    let (k, d, n) = (2, 2, 40);
-    let data = workloads::hgmm_data(k, d, n, 91);
     let flavors: [(&str, Option<&str>); 7] = [
         ("gibbs", None), // heuristic: conjugate Gibbs everywhere
         ("eslice", Some("Gibbs pi (*) ESlice mu (*) Gibbs Sigma (*) Gibbs z")),
@@ -136,16 +134,21 @@ fn hgmm_tape_matches_tree_for_every_kernel_flavor() {
         ("mala", Some("Gibbs pi (*) MALA mu (*) Gibbs Sigma (*) Gibbs z")),
         ("slice", Some("Gibbs pi (*) Slice mu (*) Gibbs Sigma (*) Gibbs z")),
     ];
-    for (label, sched) in flavors {
-        assert_tape_matches_tree(
-            &format!("hgmm/{label}"),
-            models::HGMM,
-            sched,
-            hgmm_args(k, d, n),
-            vec![("y", HostValue::Ragged(data.points.clone()))],
-            &["pi", "mu", "Sigma", "z"],
-            25,
-        );
+    // D = 2 is the benchmark's shape; D = 1 and D = 3 keep the MvNormal
+    // factor arithmetic honest away from it.
+    for (k, d, n) in [(2, 2, 40), (3, 1, 60), (3, 3, 60)] {
+        let data = workloads::hgmm_data(k, d, n, 91);
+        for (label, sched) in flavors {
+            assert_tape_matches_tree(
+                &format!("hgmm/d{d}/{label}"),
+                models::HGMM,
+                sched,
+                hgmm_args(k, d, n),
+                vec![("y", HostValue::Ragged(data.points.clone()))],
+                &["pi", "mu", "Sigma", "z"],
+                25,
+            );
+        }
     }
 }
 
