@@ -358,9 +358,9 @@ impl<'a> Compiler<'a> {
 }
 
 /// Named procedure registry built once per compiled model. Each
-/// procedure is stored in both interpretable (tree) and tape-compiled
-/// form, for both targets; the engine picks a representation from its
-/// [`ExecBackend`](crate::tape::ExecBackend).
+/// procedure is stored in three forms: the CPU tree and its tape (the
+/// engine picks one from its [`ExecBackend`](crate::tape::ExecBackend)),
+/// and the Blk-IL tree the simulated GPU runs.
 #[derive(Debug, Default)]
 pub struct ProcTable {
     names: HashMap<String, usize>,
@@ -370,8 +370,6 @@ pub struct ProcTable {
     pub blk_procs: Vec<RBlkProc>,
     /// Tape-compiled CPU form, same indices.
     pub tapes: Vec<crate::tape::TapeProc>,
-    /// Tape-compiled GPU form, same indices.
-    pub blk_tapes: Vec<crate::tape::TBlkProc>,
     /// Buffers statically referenced by each procedure (sorted,
     /// deduplicated), same indices — the reachable-memory side of the
     /// profiler's watermark.
@@ -379,14 +377,13 @@ pub struct ProcTable {
 }
 
 impl ProcTable {
-    /// Registers a compiled procedure pair, tape-compiling both forms.
+    /// Registers a compiled procedure pair, tape-compiling the CPU form.
     /// The state supplies buffer shapes so the tape compiler can bank
     /// registers and fuse loads statically.
     pub fn insert(&mut self, cpu: RProc, gpu: RBlkProc, state: &State) {
         let idx = self.procs.len();
         self.names.insert(cpu.name.clone(), idx);
         self.tapes.push(crate::tape::TapeProc::compile(&cpu, state));
-        self.blk_tapes.push(crate::tape::TBlkProc::compile(&gpu, state));
         self.buf_refs.push(proc_buf_refs(&cpu));
         self.procs.push(cpu);
         self.blk_procs.push(gpu);

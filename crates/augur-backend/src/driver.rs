@@ -51,12 +51,14 @@ pub struct SessionConfig {
     pub mcmc: McmcConfig,
     /// Blk-IL optimization toggles (GPU target only).
     pub opt_flags: OptFlags,
-    /// How compiled procedures execute: a flat instruction tape (the
-    /// default), the reference tree-walking interpreter, or emitted C
-    /// compiled with the host toolchain ([`ExecBackend::Native`]).
-    /// Traces are bit-identical across backends; `Tree` is kept as the
-    /// differential testing oracle and for debugging via `Tape::disasm`.
-    /// The default honors the `AUGUR_BACKEND` environment variable
+    /// How compiled procedures execute on the CPU target: a flat
+    /// instruction tape (the default), the reference tree-walking
+    /// interpreter, or emitted C compiled with the host toolchain
+    /// ([`ExecBackend::Native`]). Traces are bit-identical across
+    /// backends; `Tree` is kept as the differential testing oracle and
+    /// for debugging via `Tape::disasm`. The GPU target always runs Blk
+    /// IL on the tree-walker (see [`Session::backend`]). The default
+    /// honors the `AUGUR_BACKEND` environment variable
     /// (`tree` / `tape` / `native`) when set.
     pub backend: ExecBackend,
     /// Worker threads for tape execution. `1` (the default) runs
@@ -328,8 +330,8 @@ pub struct Session {
     /// Static memory watermark (size-inference bound vs. statically
     /// touched bytes).
     mem: MemWatermark,
-    /// Why a requested [`ExecBackend::Native`] session is actually
-    /// running on the tape (`None` when no fallback happened).
+    /// Why the session runs on another backend than the configured one
+    /// (`None` when no fallback happened).
     backend_fallback: Option<String>,
 }
 
@@ -346,11 +348,21 @@ impl Session {
         let mut engine =
             Engine::new(plan.state.clone(), Prng::seed_from_u64(config.seed), device, mode);
         engine.backend = config.backend;
-        // Native requested: build (or reuse) the plan's dlopen'ed C
-        // artifact. Failure is not fatal — the session degrades to the
-        // tape and records why.
         let mut backend_fallback = None;
-        if config.backend == ExecBackend::Native && mode == ExecMode::Cpu {
+        if mode == ExecMode::Gpu {
+            // The simulated device runs Blk IL on the reference
+            // interpreter; the backend choice is a CPU-target concern.
+            engine.backend = ExecBackend::Tree;
+            if config.backend != ExecBackend::Tree {
+                backend_fallback = Some(format!(
+                    "the simulated GPU runs Blk IL on the tree-walker; {:?} selects a CPU engine",
+                    config.backend
+                ));
+            }
+        } else if config.backend == ExecBackend::Native {
+            // Native requested: build (or reuse) the plan's dlopen'ed C
+            // artifact. Failure is not fatal — the session degrades to
+            // the tape and records why.
             let breaker = plan.native_breaker();
             if let Some(reason) = breaker.open_reason() {
                 // Demoted: the model's breaker tripped earlier, so skip
@@ -440,15 +452,19 @@ impl Session {
     }
 
     /// The backend this session actually executes on. Differs from the
-    /// configured [`SessionConfig::backend`] only when a requested
-    /// `Native` session fell back to the tape (no C toolchain, emission
-    /// gap, …); [`Session::backend_fallback`] records why.
+    /// configured [`SessionConfig::backend`] when a requested `Native`
+    /// session fell back to the tape (no C toolchain, open breaker, …),
+    /// and on the GPU target, which always runs Blk IL on the
+    /// tree-walker and so reports [`ExecBackend::Tree`];
+    /// [`Session::backend_fallback`] records why.
     pub fn backend(&self) -> ExecBackend {
         self.engine.backend
     }
 
-    /// The recorded reason a requested [`ExecBackend::Native`] session is
-    /// running on the tape instead, or `None` when no fallback happened.
+    /// The recorded reason this session runs on another backend than
+    /// [`SessionConfig::backend`] requested (a `Native` session on the
+    /// tape, or a `Tape`/`Native` request on the GPU target), or `None`
+    /// when no fallback happened.
     pub fn backend_fallback(&self) -> Option<&str> {
         self.backend_fallback.as_deref()
     }

@@ -236,7 +236,7 @@ impl Engine {
             device: Device::new(gpu_sim::DeviceConfig::host_cpu_like()),
             mode: self.mode,
             backend: self.backend,
-            // Workers run tape/tree bodies handed to them by the
+            // Workers run tape loop chunks handed to them by the
             // dispatcher; the native module stays on the main engine.
             native: None,
             native_bufs: Default::default(),
@@ -244,7 +244,7 @@ impl Engine {
             env: self.env.clone(),
             work: 0,
             atomics: Vec::new(),
-            record_atomics: self.record_atomics,
+            record_atomics: false,
             master_seed: self.master_seed,
             launch_counter: self.launch_counter,
             in_parallel: true,
@@ -307,8 +307,8 @@ impl Engine {
     }
 
     /// Replays a worker's write log against this engine's state. Raw
-    /// writes only: the worker already charged the work and recorded any
-    /// atomics for these mutations.
+    /// writes only: the worker already charged the work for these
+    /// mutations.
     pub(crate) fn replay_writes(&mut self, log: Vec<WriteOp>) {
         for entry in log {
             match entry {
@@ -345,9 +345,6 @@ impl Engine {
     pub(crate) fn merge_worker(&mut self, worker: &mut Engine) {
         self.work += worker.work;
         self.metrics.absorb(worker.metrics);
-        if self.record_atomics {
-            self.atomics.append(&mut worker.atomics);
-        }
         let log = worker.write_log.take().unwrap_or_default();
         self.replay_writes(log);
     }
@@ -411,34 +408,19 @@ impl Engine {
                 if let Some(module) = self.native.clone() {
                     crate::native::run_native_proc(self, &module, idx, &proc_.tape);
                 } else {
-                    let retired = self.run_tape(&proc_.tape);
-                    self.metrics.instrs_retired += retired;
-                    self.device.tape_dispatch(retired);
+                    self.metrics.instrs_retired += self.run_tape(&proc_.tape);
                 }
                 let delta = (self.work - before) as f64;
                 self.device.sequential(delta);
                 proc_.ret.as_ref().map(|e| self.eval_num(e))
             }
-            (ExecMode::Gpu, ExecBackend::Tree) => {
+            // The simulated device runs Blk IL on the reference
+            // interpreter whatever backend was requested; the session
+            // reports `Tree` for it.
+            (ExecMode::Gpu, _) => {
                 let proc_ = &table.blk_procs[idx];
-                let name = proc_.name.clone();
-                let blocks = proc_.blocks.clone();
-                for b in &blocks {
-                    self.run_blk(&name, b);
-                }
-                let ret = table.blk_procs[idx].ret.clone().map(|e| self.eval_num(&e));
-                if ret.is_some() {
-                    // scalar result synced back to the host
-                    self.device.readback();
-                }
-                ret
-            }
-            // The simulated device has no native lane; Native degrades to
-            // the tape's virtual-time accounting there.
-            (ExecMode::Gpu, ExecBackend::Tape | ExecBackend::Native) => {
-                let proc_ = &table.blk_tapes[idx];
                 for b in &proc_.blocks {
-                    self.run_blk_tape(&proc_.name, b);
+                    self.run_blk(&proc_.name, b);
                 }
                 let ret = proc_.ret.as_ref().map(|e| self.eval_num(e));
                 if ret.is_some() {

@@ -229,7 +229,7 @@ impl PlanCache {
 /// multi-chain fan-out reuse the tapes without copying them.
 #[derive(Debug)]
 pub(crate) struct PlanArtifact {
-    /// Compiled procedures (CPU trees + tapes, GPU blocks + tapes).
+    /// Compiled procedures (CPU trees + tapes, GPU blocks).
     pub(crate) table: Arc<ProcTable>,
     /// The sweep's schedule steps, resolved to procedure indices.
     pub(crate) steps: Arc<Vec<CompiledStep>>,

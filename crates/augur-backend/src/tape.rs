@@ -47,7 +47,7 @@ use augur_dist::{DistKind, ValueMut, ValueRef};
 use augur_lang::ast::{BinOp, Builtin};
 use augur_low::il::{AssignOp, LoopKind, OpN};
 
-use crate::compile::{RBlk, RBlkProc, RExpr, RLValue, RProc, RRef, RStmt};
+use crate::compile::{RExpr, RLValue, RProc, RRef, RStmt};
 use crate::eval::{
     dest_index, dist_op_cost, sample_cost, slice_of, value_ref_of, Engine, OwnArg, OwnVal, View,
 };
@@ -58,15 +58,18 @@ use crate::state::{BufId, RowElem, Shape, State};
 /// path; bit-identity makes the threshold a pure throughput knob.
 const MIN_PAR_SPAN: i64 = 4;
 
-/// Which execution backend the engine uses for compiled procedures.
+/// Which execution backend the engine uses for compiled CPU procedures.
 ///
 /// Every backend implements the same abstract machine and produces
 /// bit-identical traces for a fixed seed; they differ only in dispatch
-/// overhead (and in the simulated device's instruction-decode charge).
-/// Selected via [`SessionConfig::backend`] or the `AUGUR_BACKEND`
-/// environment variable (`tree` / `tape` / `native`).
+/// overhead. Selected via [`SessionConfig::backend`] or the
+/// `AUGUR_BACKEND` environment variable (`tree` / `tape` / `native`).
+/// The choice applies to the CPU target: a simulated-GPU session always
+/// runs Blk IL on the tree-walker and reports [`ExecBackend::Tree`] (see
+/// [`Session::backend`]).
 ///
 /// [`SessionConfig::backend`]: crate::driver::SessionConfig::backend
+/// [`Session::backend`]: crate::driver::Session::backend
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum ExecBackend {
@@ -541,9 +544,6 @@ pub struct Tape {
     pub n_fregs: usize,
     /// Size of the view register bank.
     pub n_vregs: usize,
-    /// Operand holding the tape's value, for expression tapes
-    /// (`sumBlk` element bodies).
-    pub result: Option<Opd>,
     /// Work units elided after the last control instruction, charged once
     /// per run.
     pub tail_w: u32,
@@ -560,123 +560,13 @@ pub struct TapeProc {
     pub ret: Option<RExpr>,
 }
 
-/// A Blk-IL block with tape-compiled device code. Host-side control
-/// (bounds, widths, returns) stays as interpreted expressions, mirroring
-/// how the paper's pipeline keeps launch logic in host C++ while kernels
-/// are compiled.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TBlk {
-    /// Host-sequential code.
-    Seq(Tape),
-    /// A kernel of `hi − lo` threads running a per-thread tape.
-    Par {
-        /// Annotation.
-        kind: LoopKind,
-        /// Lower bound (host-evaluated).
-        lo: RExpr,
-        /// Upper bound (host-evaluated).
-        hi: RExpr,
-        /// Per-thread body tape.
-        body: Tape,
-        /// Extra per-thread parallel width exposed by inlining.
-        inner_par: Option<RExpr>,
-        /// True when the body draws no randomness and opens no fresh
-        /// `Par` launch; gates worker-thread chunking of `AtmPar`
-        /// kernels (`Par` kernels already have order-free per-thread
-        /// streams and chunk unconditionally).
-        rng_free: bool,
-    },
-    /// Sequentially launched inner blocks.
-    Loop {
-        /// Lower bound (host-evaluated).
-        lo: RExpr,
-        /// Upper bound (host-evaluated).
-        hi: RExpr,
-        /// Inner blocks.
-        body: Vec<TBlk>,
-    },
-    /// Map-reduce; the element body is an expression tape.
-    Sum {
-        /// Accumulation target.
-        acc: RLValue,
-        /// Lower bound (host-evaluated).
-        lo: RExpr,
-        /// Upper bound (host-evaluated).
-        hi: RExpr,
-        /// Element tape (its `result` operand holds the element value).
-        rhs: Tape,
-    },
-}
-
-/// A Blk-IL procedure compiled for GPU tape execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TBlkProc {
-    /// Name.
-    pub name: String,
-    /// Blocks.
-    pub blocks: Vec<TBlk>,
-    /// Optional scalar result, evaluated host-side.
-    pub ret: Option<RExpr>,
-}
-
 impl TapeProc {
     /// Compiles a slot-resolved procedure to a tape. The state supplies
     /// buffer shapes for static kind inference and load fusion.
     pub fn compile(p: &RProc, state: &State) -> TapeProc {
         let mut em = Emitter::new(state);
         em.stmt(&p.body);
-        TapeProc { name: p.name.clone(), tape: em.finish(None), ret: p.ret.clone() }
-    }
-}
-
-impl TBlkProc {
-    /// Compiles a slot-resolved Blk-IL procedure, taping every device
-    /// body while keeping host-side control interpreted.
-    pub fn compile(p: &RBlkProc, state: &State) -> TBlkProc {
-        TBlkProc {
-            name: p.name.clone(),
-            blocks: p.blocks.iter().map(|b| compile_blk(b, state)).collect(),
-            ret: p.ret.clone(),
-        }
-    }
-}
-
-fn compile_blk(b: &RBlk, state: &State) -> TBlk {
-    match b {
-        RBlk::Seq(s) => {
-            let mut em = Emitter::new(state);
-            em.stmt(s);
-            TBlk::Seq(em.finish(None))
-        }
-        RBlk::Par { kind, lo, hi, body, inner_par } => {
-            let mut em = Emitter::new(state);
-            em.stmt(body);
-            let body = em.finish(None);
-            let rng_free = instrs_rng_free(&body.instrs);
-            TBlk::Par {
-                kind: *kind,
-                lo: lo.clone(),
-                hi: hi.clone(),
-                body,
-                inner_par: inner_par.clone(),
-                rng_free,
-            }
-        }
-        RBlk::Loop { lo, hi, body } => TBlk::Loop {
-            lo: lo.clone(),
-            hi: hi.clone(),
-            body: body.iter().map(|inner| compile_blk(inner, state)).collect(),
-        },
-        RBlk::Sum { acc, lo, hi, rhs } => {
-            let mut em = Emitter::new(state);
-            let (r, _) = em.expr(rhs);
-            TBlk::Sum {
-                acc: acc.clone(),
-                lo: lo.clone(),
-                hi: hi.clone(),
-                rhs: em.finish(Some(r)),
-            }
-        }
+        TapeProc { name: p.name.clone(), tape: em.finish(), ret: p.ret.clone() }
     }
 }
 
@@ -845,12 +735,11 @@ impl<'s> Emitter<'s> {
         }
     }
 
-    fn finish(self, result: Option<Opd>) -> Tape {
+    fn finish(self) -> Tape {
         Tape {
             instrs: self.instrs,
             n_fregs: self.next_f as usize,
             n_vregs: self.next_v as usize,
-            result,
             tail_w: self.pending_w,
         }
     }
@@ -1582,19 +1471,7 @@ impl Engine {
     /// the same accounting as the tree-walker, so both strategies observe
     /// identical virtual work for identical programs.
     pub(crate) fn run_tape(&mut self, tape: &Tape) -> u64 {
-        let (_, retired) = self.run_tape_inner(tape, false);
-        retired
-    }
-
-    /// Executes an expression tape and returns its result view (taken
-    /// from the tape's result operand) plus retired-instruction count.
-    pub(crate) fn run_tape_value(&mut self, tape: &Tape) -> (View, u64) {
-        let (v, retired) = self.run_tape_inner(tape, true);
-        (v.expect("expression tape has no result operand"), retired)
-    }
-
-    fn run_tape_inner(&mut self, tape: &Tape, want_result: bool) -> (Option<View>, u64) {
-        self.run_tape_span(tape, want_result, 0, tape.instrs.len() as u32, Vec::new(), true)
+        self.run_tape_span(tape, 0, tape.instrs.len() as u32, Vec::new(), true)
     }
 
     /// Executes the instruction range `[start_pc, end_pc)` of a tape.
@@ -1609,12 +1486,11 @@ impl Engine {
     pub(crate) fn run_tape_span(
         &mut self,
         tape: &Tape,
-        want_result: bool,
         start_pc: u32,
         end_pc: u32,
         initial_frames: Vec<TapeFrame>,
         charge_tail: bool,
-    ) -> (Option<View>, u64) {
+    ) -> u64 {
         let mut f = std::mem::take(&mut self.tape_fregs);
         let mut v = std::mem::take(&mut self.tape_vregs);
         if f.len() < tape.n_fregs {
@@ -1749,21 +1625,11 @@ impl Engine {
             }
         }
         self.work += w + if charge_tail { tape.tail_w as u64 } else { 0 };
-        let result = if want_result {
-            let r = tape.result.expect("expression tape has no result operand");
-            Some(if r.is_view() {
-                std::mem::replace(&mut v[r.index()], View::Num(0.0))
-            } else {
-                View::Num(f[r.index()])
-            })
-        } else {
-            None
-        };
         self.tape_fregs = f;
         self.tape_vregs = v;
         frames.clear();
         self.tape_frames = frames;
-        (result, retired)
+        retired
     }
 
     /// Executes one instruction against the register banks, charging its
@@ -1949,9 +1815,8 @@ impl Engine {
                 } else {
                     OwnVal::Num(f[src.index()])
                 };
-                let record = self.record_atomics && *op == AssignOp::Inc;
                 let dest = self.tape_dest(lhs, f);
-                self.write_dest(dest, *op, val, record);
+                self.write_dest(dest, *op, val, false);
             }
             TInstr::Sample { lhs, dist, args, n_args } => {
                 let n = *n_args as usize;
@@ -2091,9 +1956,8 @@ impl Engine {
             *w += 1;
             self.store_cell(buf, idx, op, x);
         } else {
-            let record = self.record_atomics && op == AssignOp::Inc;
             let dest = self.tape_dest(lhs, f);
-            self.write_dest(dest, op, OwnVal::Num(x), record);
+            self.write_dest(dest, op, OwnVal::Num(x), false);
         }
     }
 
@@ -2126,19 +1990,14 @@ impl Engine {
         }
     }
 
-    /// Sets or increments one cell, recording the atomic (simulated-GPU
-    /// `AtmPar` kernels) and the worker write log like `write_dest`.
+    /// Sets or increments one cell, recording the worker write log like
+    /// `write_dest`.
     #[inline(always)]
     fn store_cell(&mut self, buf: BufId, idx: usize, op: AssignOp, x: f64) {
         let cell = &mut self.state.flat_mut(buf)[idx];
         match op {
             AssignOp::Set => *cell = x,
-            AssignOp::Inc => {
-                *cell += x;
-                if self.record_atomics {
-                    self.atomics.push(((buf as u64) << 40) | idx as u64);
-                }
-            }
+            AssignOp::Inc => *cell += x,
         }
         self.log_cell(buf, idx, op, x);
     }
@@ -2259,110 +2118,7 @@ impl Engine {
             // Placeholder master: the worker's RNG is discarded with it.
             master: if fresh { Some(augur_dist::Prng::seed_from_u64(0)) } else { None },
         };
-        let (_, retired) = self.run_tape_span(tape, false, body_pc, exit, vec![frame], false);
-        retired
-    }
-
-    /// Fans a `TBlk::Par` kernel's thread range across the worker pool
-    /// (each worker runs whole body tapes for its chunk of threads) and
-    /// merges work, atomics, and write logs in chunk order.
-    fn dispatch_blk_chunks(&mut self, body: &Tape, lo: i64, hi: i64, par: bool, launch: u64) -> u64 {
-        self.metrics.par_dispatches += 1;
-        let pool = self
-            .pool
-            .take()
-            .unwrap_or_else(|| crate::par::Pool::new(self.threads));
-        let chunks = Self::par_chunks(lo, hi, pool.threads());
-        let mut workers: Vec<Engine> = chunks.iter().map(|_| self.fork_worker()).collect();
-        let bombs = self.chunk_bombs(chunks.len());
-        let retireds: Vec<u64> = {
-            let jobs: Vec<Box<dyn FnOnce() -> u64 + Send + '_>> = workers
-                .iter_mut()
-                .zip(&chunks)
-                .enumerate()
-                .map(|(w, (wk, &(a, b)))| {
-                    let bomb = bombs.as_ref().is_some_and(|bs| bs[w]);
-                    Box::new(move || {
-                        if bomb {
-                            panic!("{} (worker {w})", crate::fault::INJECTED_PANIC);
-                        }
-                        wk.metrics.par_chunks += 1;
-                        let mut r = 0;
-                        for t in a..b {
-                            if par {
-                                wk.rng = wk.thread_rng(launch, t);
-                            }
-                            wk.env.push(t);
-                            r += wk.run_tape(body);
-                            wk.env.pop();
-                        }
-                        r
-                    }) as Box<dyn FnOnce() -> u64 + Send + '_>
-                })
-                .collect();
-            pool.scatter(jobs)
-        };
-        self.pool = Some(pool);
-        for wk in &mut workers {
-            self.merge_worker(wk);
-        }
-        if let Some(last) = workers.last() {
-            self.adopt_thread_locals(last);
-        }
-        retireds.iter().sum()
-    }
-
-    /// Fans a `sumBlk` element range across the worker pool. Workers
-    /// return per-element values (element tapes are pure expression
-    /// tapes — no sampling, no stores), and the caller folds them in
-    /// index order so the floating-point reduction is the exact
-    /// sequential left fold.
-    fn dispatch_sum_chunks(&mut self, rhs: &Tape, lo: i64, hi: i64) -> (Vec<OwnVal>, u64) {
-        self.metrics.par_dispatches += 1;
-        let pool = self
-            .pool
-            .take()
-            .unwrap_or_else(|| crate::par::Pool::new(self.threads));
-        let chunks = Self::par_chunks(lo, hi, pool.threads());
-        let mut workers: Vec<Engine> = chunks.iter().map(|_| self.fork_worker()).collect();
-        type SumJob<'a> = Box<dyn FnOnce() -> (Vec<OwnVal>, u64) + Send + 'a>;
-        let bombs = self.chunk_bombs(chunks.len());
-        let results: Vec<(Vec<OwnVal>, u64)> = {
-            let jobs: Vec<SumJob<'_>> = workers
-                .iter_mut()
-                .zip(&chunks)
-                .enumerate()
-                .map(|(w, (wk, &(a, b)))| {
-                    let bomb = bombs.as_ref().is_some_and(|bs| bs[w]);
-                    Box::new(move || {
-                        if bomb {
-                            panic!("{} (worker {w})", crate::fault::INJECTED_PANIC);
-                        }
-                        wk.metrics.par_chunks += 1;
-                        let mut vs = Vec::with_capacity((b - a) as usize);
-                        let mut r = 0;
-                        for i in a..b {
-                            wk.env.push(i);
-                            let (view, ri) = wk.run_tape_value(rhs);
-                            r += ri;
-                            wk.env.pop();
-                            vs.push(wk.own_val(view));
-                        }
-                        (vs, r)
-                    }) as SumJob<'_>
-                })
-                .collect();
-            pool.scatter(jobs)
-        };
-        self.pool = Some(pool);
-        let mut retired = 0;
-        let mut vals = Vec::with_capacity((hi - lo) as usize);
-        for (wk, (vs, r)) in workers.iter_mut().zip(results) {
-            self.merge_worker(wk);
-            retired += r;
-            vals.extend(vs);
-        }
-        (vals, retired)
+        self.run_tape_span(tape, body_pc, exit, vec![frame], false)
     }
 
     /// Resolves a compiled destination to concrete cells. The fast
@@ -2390,133 +2146,6 @@ impl Engine {
             }
             TDest::Cell0 { .. } | TDest::Cell1 { .. } | TDest::Cell2 { .. } => {
                 unreachable!("cell destinations resolve through tape_cell")
-            }
-        }
-    }
-
-    /// Runs one tape-compiled Blk-IL block, charging the device exactly
-    /// as the tree-walking [`Engine::run_proc`] GPU path does, plus the
-    /// tape decode charge.
-    pub(crate) fn run_blk_tape(&mut self, proc_name: &str, b: &TBlk) {
-        match b {
-            TBlk::Seq(tape) => {
-                let before = self.work;
-                let retired = self.run_tape(tape);
-                let delta = (self.work - before) as f64;
-                self.device.sequential(delta);
-                self.device.tape_dispatch(retired);
-            }
-            TBlk::Par { kind, lo, hi, body, inner_par, rng_free } => {
-                let lo = self.eval_int(lo);
-                let hi = self.eval_int(hi);
-                let threads = (hi - lo).max(0) as usize;
-                let par = *kind == LoopKind::Par;
-                let record = *kind == LoopKind::AtmPar;
-                let before_work = self.work;
-                let mut retired = 0;
-                self.record_atomics = record;
-                self.atomics.clear();
-                // `Par` kernels always qualify for multi-threaded dispatch
-                // (per-thread streams are chunking-invariant); `AtmPar`
-                // kernels only when the body draws no randomness.
-                if self.threads > 1 && hi - lo >= MIN_PAR_SPAN && (par || *rng_free) {
-                    let mut launch = 0;
-                    if par {
-                        self.launch_counter += 1;
-                        launch = self.launch_counter;
-                    }
-                    retired += self.dispatch_blk_chunks(body, lo, hi, par, launch);
-                } else if par {
-                    self.launch_counter += 1;
-                    let launch = self.launch_counter;
-                    let master = self.rng.clone();
-                    self.in_parallel = true;
-                    for t in lo..hi {
-                        self.rng = self.thread_rng(launch, t);
-                        self.env.push(t);
-                        retired += self.run_tape(body);
-                        self.env.pop();
-                    }
-                    self.in_parallel = false;
-                    self.rng = master;
-                } else {
-                    for t in lo..hi {
-                        self.env.push(t);
-                        retired += self.run_tape(body);
-                        self.env.pop();
-                    }
-                }
-                self.record_atomics = false;
-                let total_work = self.work - before_work;
-                let width =
-                    inner_par.as_ref().map(|e| self.eval_int(e).max(1)).unwrap_or(1);
-                let drained: Vec<u64> = std::mem::take(&mut self.atomics);
-                let mut scope = self.device.begin_kernel(proc_name);
-                scope.thread_work(total_work);
-                for loc in drained {
-                    scope.atomic(loc);
-                }
-                scope.finish(threads * width as usize);
-                self.device.tape_dispatch(retired);
-            }
-            TBlk::Loop { lo, hi, body } => {
-                let lo = self.eval_int(lo);
-                let hi = self.eval_int(hi);
-                for i in lo..hi {
-                    self.env.push(i);
-                    for inner in body {
-                        self.run_blk_tape(proc_name, inner);
-                    }
-                    self.env.pop();
-                }
-            }
-            TBlk::Sum { acc, lo, hi, rhs } => {
-                let lo = self.eval_int(lo);
-                let hi = self.eval_int(hi);
-                let n = (hi - lo).max(0) as usize;
-                let before_work = self.work;
-                // Element tapes come from pure expressions (no stores, no
-                // sampling), so chunks can be evaluated on workers freely;
-                // the fold below runs on the main thread in index order
-                // either way, preserving the sequential FP left fold.
-                let (vals, retired) = if self.threads > 1 && hi - lo >= MIN_PAR_SPAN {
-                    self.dispatch_sum_chunks(rhs, lo, hi)
-                } else {
-                    let mut vs = Vec::with_capacity(n);
-                    let mut r = 0;
-                    for i in lo..hi {
-                        self.env.push(i);
-                        let (view, ri) = self.run_tape_value(rhs);
-                        r += ri;
-                        self.env.pop();
-                        vs.push(self.own_val(view));
-                    }
-                    (vs, r)
-                };
-                let mut scalar_acc = 0.0;
-                let mut vec_acc: Option<augur_math::PoolVec> = None;
-                for val in vals {
-                    match val {
-                        OwnVal::Num(x) => scalar_acc += x,
-                        OwnVal::VecD(xs) => match &mut vec_acc {
-                            Some(acc_v) => {
-                                for (a, x) in acc_v.iter_mut().zip(&xs) {
-                                    *a += x;
-                                }
-                            }
-                            None => vec_acc = Some(xs),
-                        },
-                    }
-                }
-                let total_work = (self.work - before_work) as f64;
-                let per_elem = if n > 0 { total_work / n as f64 } else { 0.0 };
-                self.device.reduce(proc_name, n, per_elem);
-                self.device.tape_dispatch(retired);
-                let add = match vec_acc {
-                    Some(acc_v) => OwnVal::VecD(acc_v),
-                    None => OwnVal::Num(scalar_acc),
-                };
-                self.write(acc, AssignOp::Inc, add, false);
             }
         }
     }

@@ -5,6 +5,11 @@
 /// the paper used; see `DESIGN.md` §2 for the substitution rationale. What
 /// matters for reproducing the evaluation is the *ratios*: launch latency
 /// vs. per-element work, and device throughput vs. host throughput.
+///
+/// Every charge is a function of reported activity (work units, threads,
+/// atomics, reductions, transfers). There is no per-instruction dispatch
+/// term: the device models compiled kernels, not the interpreter that
+/// runs them, so virtual time is the same whichever engine executes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceConfig {
     /// Number of streaming multiprocessors.
@@ -44,14 +49,6 @@ pub struct DeviceConfig {
     /// model's GPU sampler lose to the CPU by about an order of magnitude
     /// (§7.2).
     pub serial_ns_per_work_unit: f64,
-    /// Per-instruction decode/dispatch charge for tape-compiled execution
-    /// (the `ExecBackend::Tape` engine). The tape stands in for the
-    /// paper's emitted CUDA/C, so the default is zero — compiled code has
-    /// no interpretive overhead and both strategies observe identical
-    /// virtual time. Raising it is an ablation knob: it models running
-    /// the sweep under a bytecode VM whose fetch/decode cost scales with
-    /// instructions dispatched (see `Counters::tape_instrs`).
-    pub tape_dispatch_ns: f64,
 }
 
 impl DeviceConfig {
@@ -69,7 +66,6 @@ impl DeviceConfig {
             readback_ns: 12_000.0,
             latency_hiding_work: 4.0e6,
             serial_ns_per_work_unit: 8.0,
-            tape_dispatch_ns: 0.0,
         }
     }
 
@@ -88,7 +84,6 @@ impl DeviceConfig {
             readback_ns: 0.0,
             latency_hiding_work: 0.0,
             serial_ns_per_work_unit: 0.8,
-            tape_dispatch_ns: 0.0,
         }
     }
 

@@ -3,6 +3,11 @@ use std::collections::HashSet;
 use crate::cost::{atomic_time, compute_time, reduce_time, CostBreakdown, DeviceConfig};
 
 /// Aggregate activity counters for a simulated device.
+///
+/// Every counter records activity the Blk-IL executor reports: work
+/// units (counted identically by every engine in `augur-backend`),
+/// threads, atomics, reductions and transfers. None depends on how the
+/// executor dispatches its instructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Counters {
     /// Kernels launched.
@@ -17,16 +22,14 @@ pub struct Counters {
     pub reductions: u64,
     /// Bytes transferred between host and device.
     pub transfer_bytes: u64,
-    /// Tape instructions dispatched by the bytecode VM (zero under the
-    /// tree-walking strategy).
-    pub tape_instrs: u64,
 }
 
 /// The simulated SIMT device.
 ///
-/// The Blk IL executor in `augur-backend` runs kernel bodies itself (with
-/// correct parallel semantics) and reports the activity here; the device
-/// turns activity into virtual time using [`DeviceConfig`]'s cost model.
+/// The Blk IL executor in `augur-backend` (the reference tree-walking
+/// interpreter) runs kernel bodies itself, with correct parallel
+/// semantics, and reports the activity here; the device turns activity
+/// into virtual time using [`DeviceConfig`]'s cost model.
 ///
 /// # Example
 ///
@@ -134,15 +137,6 @@ impl Device {
     pub fn sequential(&mut self, work_units: f64) {
         self.counters.work_units += work_units as u64;
         self.clock_ns += work_units * self.config.work_unit_ns;
-    }
-
-    /// Records `n` tape instructions dispatched by the bytecode VM and
-    /// charges their decode/dispatch overhead. The work the instructions
-    /// retire is charged separately (via [`Device::sequential`] or a
-    /// kernel scope), exactly as for the tree-walking strategy.
-    pub fn tape_dispatch(&mut self, n: u64) {
-        self.counters.tape_instrs += n;
-        self.clock_ns += n as f64 * self.config.tape_dispatch_ns;
     }
 }
 
@@ -258,23 +252,6 @@ mod tests {
         dev.sequential(1000.0);
         assert!((dev.elapsed_ns() - 1000.0 * dev.config().work_unit_ns).abs() < 1e-9);
         assert_eq!(dev.counters().launches, 0);
-    }
-
-    #[test]
-    fn tape_dispatch_counts_and_charges_per_knob() {
-        // Default configs model compiled code: instructions are counted
-        // but decode is free, so tape and tree runs see the same clock.
-        let mut dev = Device::new(DeviceConfig::titan_black_like());
-        dev.tape_dispatch(5_000);
-        assert_eq!(dev.counters().tape_instrs, 5_000);
-        assert_eq!(dev.elapsed_ns(), 0.0);
-
-        // The ablation knob turns decode cost on.
-        let cfg = DeviceConfig { tape_dispatch_ns: 2.5, ..DeviceConfig::host_cpu_like() };
-        let mut vm = Device::new(cfg);
-        vm.tape_dispatch(1_000);
-        assert_eq!(vm.counters().tape_instrs, 1_000);
-        assert!((vm.elapsed_ns() - 2_500.0).abs() < 1e-9);
     }
 
     #[test]

@@ -24,8 +24,11 @@ cargo test -q --test alloc_free
 # windows; the names must not reappear, and nothing may be deprecated
 # instead of deleted. The native emitter prints C from the tape, so no
 # file of the native backend may name the slot-resolved tree (a second
-# lowering must not come back). `gone` fails on a match (a bare
-# `! grep` does not trip `set -e`).
+# lowering must not come back). The simulated GPU runs Blk IL on the
+# reference interpreter, so the GPU tape lane and its device charge stay
+# deleted, and gpu-sim's property tests run on the in-tree Prng rather
+# than proptest. `gone` fails on a match (a bare `! grep` does not trip
+# `set -e`).
 gone() { if grep -rn "$@"; then echo "removed name reappeared: $*" >&2; exit 1; fi; }
 gone -E "pub (struct|type) (Infer|Sampler|SamplerConfig|ChainRunner)\b" \
     crates/augur/src crates/augur-backend/src
@@ -37,6 +40,9 @@ gone "pub mod diag" src
 test ! -e src/diag.rs
 gone "#\[deprecated" crates/augur/src crates/augur-backend/src src
 gone -wE "RProc|RExpr|RStmt|RLValue" crates/augur-backend/src/native/
+gone -wE "TBlk|TBlkProc|blk_tapes|run_blk_tape|dispatch_blk_chunks|dispatch_sum_chunks|tape_dispatch|tape_dispatch_ns|tape_instrs" \
+    crates src tests examples
+gone proptest crates/gpu-sim
 
 # Native-backend smoke: the emit-C-and-dlopen lane must stay bit-exact
 # against tree and tape (draws, report digest, profile digest), the
