@@ -627,45 +627,7 @@ impl Session {
             self.current_step = i;
             let t0 = if self.timers { Some(Instant::now()) } else { None };
             let w0 = if self.timers { Some(self.engine.work) } else { None };
-            let outcome = match step {
-                CompiledStep::Gibbs { proc_, target } => self.gibbs_update(*proc_, *target),
-                CompiledStep::Hmc { targets, ll, grad, nuts } => {
-                    let cfg = self.effective_cfg(i);
-                    if *nuts {
-                        mcmc::nuts_update(
-                            &mut self.engine, &self.table, *ll, *grad, targets, &cfg,
-                        )
-                    } else {
-                        mcmc::hmc_update(
-                            &mut self.engine, &self.table, *ll, *grad, targets, &cfg,
-                        )
-                    }
-                }
-                CompiledStep::SliceRefl { targets, ll, grad } => {
-                    mcmc::reflective_slice_update(
-                        &mut self.engine, &self.table, *ll, *grad, targets, &self.mcmc_cfg,
-                    )
-                }
-                CompiledStep::Mala { targets, ll, grad } => mcmc::mala_update(
-                    &mut self.engine, &self.table, *ll, *grad, targets, &self.mcmc_cfg,
-                ),
-                CompiledStep::ESlice { target, lik, psamp, pmean, aux, mean } => {
-                    mcmc::eslice_update(
-                        &mut self.engine, &self.table, *lik, *psamp, *pmean, *target, *aux, *mean,
-                    )
-                }
-                CompiledStep::RwMh { targets, ll } => {
-                    if let Some(proposal) = self.proposals.get_mut(&i) {
-                        mcmc::custom_mh_update(
-                            &mut self.engine, &self.table, *ll, targets, proposal.as_mut(),
-                        )
-                    } else {
-                        mcmc::rw_mh_update(
-                            &mut self.engine, &self.table, *ll, targets, &self.mcmc_cfg,
-                        )
-                    }
-                }
-            };
+            let outcome = self.update(i, step);
             if matches!(step, CompiledStep::Hmc { .. }) {
                 self.update_tuning(i, &outcome);
             }
@@ -686,6 +648,49 @@ impl Session {
                 self.step_work.iter().zip(&then).map(|(now, then)| now - then).collect()
             });
             sink.write_sweep(self.sweeps, &self.labels, &deltas, wall, work_deltas.as_deref());
+        }
+    }
+
+    /// Runs base update `i` (`step`, the schedule's `i`-th step) once.
+    fn update(&mut self, i: usize, step: &CompiledStep) -> UpdateOutcome {
+        match step {
+            CompiledStep::Gibbs { proc_, target } => self.gibbs_update(*proc_, *target),
+            CompiledStep::Hmc { targets, ll, grad, nuts } => {
+                let cfg = self.effective_cfg(i);
+                if *nuts {
+                    mcmc::nuts_update(
+                        &mut self.engine, &self.table, *ll, *grad, targets, &cfg,
+                    )
+                } else {
+                    mcmc::hmc_update(
+                        &mut self.engine, &self.table, *ll, *grad, targets, &cfg,
+                    )
+                }
+            }
+            CompiledStep::SliceRefl { targets, ll, grad } => {
+                mcmc::reflective_slice_update(
+                    &mut self.engine, &self.table, *ll, *grad, targets, &self.mcmc_cfg,
+                )
+            }
+            CompiledStep::Mala { targets, ll, grad } => mcmc::mala_update(
+                &mut self.engine, &self.table, *ll, *grad, targets, &self.mcmc_cfg,
+            ),
+            CompiledStep::ESlice { target, lik, psamp, pmean, aux, mean } => {
+                mcmc::eslice_update(
+                    &mut self.engine, &self.table, *lik, *psamp, *pmean, *target, *aux, *mean,
+                )
+            }
+            CompiledStep::RwMh { targets, ll } => {
+                if let Some(proposal) = self.proposals.get_mut(&i) {
+                    mcmc::custom_mh_update(
+                        &mut self.engine, &self.table, *ll, targets, proposal.as_mut(),
+                    )
+                } else {
+                    mcmc::rw_mh_update(
+                        &mut self.engine, &self.table, *ll, targets, &self.mcmc_cfg,
+                    )
+                }
+            }
         }
     }
 
@@ -1751,3 +1756,6 @@ mod mala_tests {
         assert!(draws.iter().all(|&r| r > 0.0));
     }
 }
+
+#[cfg(test)]
+mod reference_integrators;

@@ -77,7 +77,7 @@ impl Default for McmcConfig {
 /// a numerical blow-up (or an injected NaN) is contained instead of
 /// poisoning every later sweep. No-op — and no extra RNG draws — on finite
 /// states, so finite traces are unchanged.
-fn contain_nonfinite(
+pub(crate) fn contain_nonfinite(
     engine: &mut Engine,
     targets: &[GradTarget],
     saved: &[f64],
@@ -181,13 +181,26 @@ pub fn gradient(
     targets: &[GradTarget],
     q: &[f64],
 ) -> PoolVec {
+    let mut g = PoolVec::zeroed(q.len());
+    gradient_into(engine, table, grad_proc, targets, q, &mut g);
+    g
+}
+
+/// [`gradient`] written into `g` (one cell per position coordinate).
+fn gradient_into(
+    engine: &mut Engine,
+    table: &ProcTable,
+    grad_proc: usize,
+    targets: &[GradTarget],
+    q: &[f64],
+    g: &mut [f64],
+) {
     engine.run_proc(table, grad_proc);
-    let mut g = PoolVec::with_capacity(q.len());
     let mut off = 0;
     for t in targets {
         let adj = engine.state.flat(t.adj.expect("gradient-based update has adjoint buffers"));
         for (i, &a) in adj.iter().enumerate() {
-            g.push(match t.transform {
+            g[off + i] = match t.transform {
                 Transform::Identity => a,
                 // d/dq [ll(e^q) + q] = ll'(x)·x + 1
                 Transform::Log => a * q[off + i].exp() + 1.0,
@@ -197,13 +210,17 @@ pub fn gradient(
                     let x = augur_math::special::sigmoid(q[off + i]);
                     a * x * (1.0 - x) + (1.0 - 2.0 * x)
                 }
-            });
+            };
         }
         off += adj.len();
     }
-    g
 }
 
+/// One leapfrog step from `(q, p)`: half-step momentum, full-step
+/// position, half-step momentum. `g` holds the gradient at `q` on entry
+/// and the gradient at the new `q` on return, so consecutive steps share
+/// it and each step runs the log-density and gradient procedures once,
+/// at the new position. Returns the new log-density.
 #[allow(clippy::too_many_arguments)]
 fn leapfrog(
     engine: &mut Engine,
@@ -213,21 +230,18 @@ fn leapfrog(
     targets: &[GradTarget],
     q: &mut [f64],
     p: &mut [f64],
+    g: &mut [f64],
     eps: f64,
 ) -> f64 {
-    // half-step momentum, full-step position, half-step momentum;
-    // returns the new log-density.
-    write_position(engine, targets, q);
-    let g = gradient(engine, table, grad_proc, targets, q);
-    for (pi, gi) in p.iter_mut().zip(&g) {
+    for (pi, gi) in p.iter_mut().zip(g.iter()) {
         *pi += 0.5 * eps * gi;
     }
     for (qi, pi) in q.iter_mut().zip(p.iter()) {
         *qi += eps * pi;
     }
     let ll = log_density_flat(engine, table, ll_proc, targets, q);
-    let g = gradient(engine, table, grad_proc, targets, q);
-    for (pi, gi) in p.iter_mut().zip(&g) {
+    gradient_into(engine, table, grad_proc, targets, q, g);
+    for (pi, gi) in p.iter_mut().zip(g.iter()) {
         *pi += 0.5 * eps * gi;
     }
     ll
@@ -278,11 +292,12 @@ pub fn hmc_update(
 ) -> UpdateOutcome {
     let mut out = UpdateOutcome::default();
     let saved = snapshot_targets(engine, targets);
-    let q0 = read_position(engine, targets);
-    let mut q = q0.clone();
-    let mut p = PoolVec::from_fn(q0.len(), |_| engine.rng.std_normal());
+    let mut q = read_position(engine, targets);
+    let mut p = PoolVec::from_fn(q.len(), |_| engine.rng.std_normal());
     let h0 = log_density_flat(engine, table, ll_proc, targets, &q)
         - 0.5 * p.iter().map(|x| x * x).sum::<f64>();
+    // the state holds q0 now; its gradient starts the trajectory
+    let mut g = gradient(engine, table, grad_proc, targets, &q);
     if !h0.is_finite() {
         // current state already has a non-finite density (e.g. an injected
         // NaN): `ln(u) < h1 - h0` is then false/NaN → guaranteed rejection,
@@ -291,7 +306,9 @@ pub fn hmc_update(
     }
     let mut ll = f64::NAN;
     for _ in 0..cfg.leapfrog_steps {
-        ll = leapfrog(engine, table, ll_proc, grad_proc, targets, &mut q, &mut p, cfg.step_size);
+        ll = leapfrog(
+            engine, table, ll_proc, grad_proc, targets, &mut q, &mut p, &mut g, cfg.step_size,
+        );
         out.leapfrogs += 1;
         if !ll.is_finite() {
             out.divergences += 1;
@@ -338,39 +355,31 @@ pub fn nuts_update(
     // slice variable
     let log_u = h0 + engine.rng.uniform().max(1e-300).ln();
 
-    let mut q_minus = q0.clone();
-    let mut p_minus = p0.clone();
-    let mut q_plus = q0.clone();
-    let mut p_plus = p0.clone();
-    let mut q_new = q0.clone();
+    // the state holds q0 now; both edges start from its gradient
+    let g0 = gradient(engine, table, grad_proc, targets, &q0);
+    let mut minus = Edge { q: q0.clone(), p: p0, g: g0 };
+    let mut plus = minus.clone();
+    let mut q_new = q0;
     let mut n_total: f64 = 1.0;
     let mut moved = false;
 
     for depth in 0..cfg.max_tree_depth {
         let dir: f64 = if engine.rng.uniform() < 0.5 { -1.0 } else { 1.0 };
-        let (q_prop, n_prop, ok) = if dir < 0.0 {
-            let (qm, pm, _, _, qp, np, ok) = build_tree(
-                engine, table, ll_proc, grad_proc, targets,
-                &q_minus, &p_minus, log_u, dir, depth, cfg, &mut out,
-            );
-            q_minus = qm;
-            p_minus = pm;
-            (qp, np, ok)
+        let edge = if dir < 0.0 { &minus } else { &plus };
+        let t = build_tree(
+            engine, table, ll_proc, grad_proc, targets, edge, log_u, dir, depth, cfg, &mut out,
+        );
+        if dir < 0.0 {
+            minus = t.minus;
         } else {
-            let (_, _, qp2, pp2, qp, np, ok) = build_tree(
-                engine, table, ll_proc, grad_proc, targets,
-                &q_plus, &p_plus, log_u, dir, depth, cfg, &mut out,
-            );
-            q_plus = qp2;
-            p_plus = pp2;
-            (qp, np, ok)
-        };
-        if ok && engine.rng.uniform() < n_prop / n_total.max(1.0) {
-            q_new = q_prop;
+            plus = t.plus;
+        }
+        if t.ok && engine.rng.uniform() < t.n / n_total.max(1.0) {
+            q_new = t.proposal;
             moved = true;
         }
-        n_total += n_prop;
-        if !ok || u_turn(&q_minus, &q_plus, &p_minus, &p_plus) {
+        n_total += t.n;
+        if !t.ok || u_turn(&minus, &plus) {
             break;
         }
     }
@@ -384,8 +393,30 @@ pub fn nuts_update(
     out
 }
 
-type Tree = (PoolVec, PoolVec, PoolVec, PoolVec, PoolVec, f64, bool);
+/// One end of a NUTS trajectory: position, momentum, and the gradient at
+/// the position, carried so that extending the edge runs one gradient.
+#[derive(Clone)]
+struct Edge {
+    q: PoolVec,
+    p: PoolVec,
+    g: PoolVec,
+}
 
+/// A subtree built by [`build_tree`]: its two edges, the point proposed
+/// from it, how many of its points lie inside the slice, and whether it
+/// may be extended further (no divergence, no U-turn).
+struct Tree {
+    minus: Edge,
+    plus: Edge,
+    proposal: PoolVec,
+    n: f64,
+    ok: bool,
+}
+
+/// Builds a subtree of `2^depth` leapfrog steps from `edge` in direction
+/// `dir`. Each step starts from the gradient its edge carries and leaves
+/// the gradient at its end point on the new edge, so a subtree runs one
+/// log-density and one gradient per step.
 #[allow(clippy::too_many_arguments)]
 fn build_tree(
     engine: &mut Engine,
@@ -393,8 +424,7 @@ fn build_tree(
     ll_proc: usize,
     grad_proc: usize,
     targets: &[GradTarget],
-    q: &[f64],
-    p: &[f64],
+    edge: &Edge,
     log_u: f64,
     dir: f64,
     depth: usize,
@@ -402,18 +432,17 @@ fn build_tree(
     out: &mut UpdateOutcome,
 ) -> Tree {
     if depth == 0 {
-        let mut q1 = PoolVec::from_slice(q);
-        let mut p1 = PoolVec::from_slice(p);
+        let mut e = edge.clone();
         let ll = leapfrog(
             engine, table, ll_proc, grad_proc, targets,
-            &mut q1, &mut p1, dir * cfg.step_size,
+            &mut e.q, &mut e.p, &mut e.g, dir * cfg.step_size,
         );
         out.leapfrogs += 1;
         if !ll.is_finite() {
             out.numerical_events += 1;
         }
         let h = if ll.is_finite() {
-            ll - 0.5 * p1.iter().map(|x| x * x).sum::<f64>()
+            ll - 0.5 * e.p.iter().map(|x| x * x).sum::<f64>()
         } else {
             f64::NEG_INFINITY
         };
@@ -422,47 +451,38 @@ fn build_tree(
         if !ok {
             out.divergences += 1;
         }
-        (q1.clone(), p1.clone(), q1.clone(), p1.clone(), q1, n, ok)
-    } else {
-        let (mut qm, mut pm, mut qp, mut pp, mut qn, mut n, ok) = build_tree(
-            engine, table, ll_proc, grad_proc, targets, q, p, log_u, dir, depth - 1, cfg, out,
-        );
-        if ok {
-            let (qn2, n2, ok2) = if dir < 0.0 {
-                let (qm2, pm2, _, _, qn2, n2, ok2) = build_tree(
-                    engine, table, ll_proc, grad_proc, targets,
-                    &qm, &pm, log_u, dir, depth - 1, cfg, out,
-                );
-                qm = qm2;
-                pm = pm2;
-                (qn2, n2, ok2)
-            } else {
-                let (_, _, qp2, pp2, qn2, n2, ok2) = build_tree(
-                    engine, table, ll_proc, grad_proc, targets,
-                    &qp, &pp, log_u, dir, depth - 1, cfg, out,
-                );
-                qp = qp2;
-                pp = pp2;
-                (qn2, n2, ok2)
-            };
-            if ok2 && n + n2 > 0.0 && engine.rng.uniform() < n2 / (n + n2) {
-                qn = qn2;
-            }
-            n += n2;
-            let still_ok = ok2 && !u_turn(&qm, &qp, &pm, &pp);
-            return (qm, pm, qp, pp, qn, n, still_ok);
-        }
-        (qm, pm, qp, pp, qn, n, false)
+        return Tree { minus: e.clone(), proposal: e.q.clone(), plus: e, n, ok };
     }
+    let mut t = build_tree(
+        engine, table, ll_proc, grad_proc, targets, edge, log_u, dir, depth - 1, cfg, out,
+    );
+    if !t.ok {
+        return t;
+    }
+    let outer = if dir < 0.0 { &t.minus } else { &t.plus };
+    let t2 = build_tree(
+        engine, table, ll_proc, grad_proc, targets, outer, log_u, dir, depth - 1, cfg, out,
+    );
+    if t2.ok && t.n + t2.n > 0.0 && engine.rng.uniform() < t2.n / (t.n + t2.n) {
+        t.proposal = t2.proposal;
+    }
+    t.n += t2.n;
+    if dir < 0.0 {
+        t.minus = t2.minus;
+    } else {
+        t.plus = t2.plus;
+    }
+    t.ok = t2.ok && !u_turn(&t.minus, &t.plus);
+    t
 }
 
-fn u_turn(q_minus: &[f64], q_plus: &[f64], p_minus: &[f64], p_plus: &[f64]) -> bool {
+fn u_turn(minus: &Edge, plus: &Edge) -> bool {
     let mut dot_minus = 0.0;
     let mut dot_plus = 0.0;
-    for i in 0..q_minus.len() {
-        let dq = q_plus[i] - q_minus[i];
-        dot_minus += dq * p_minus[i];
-        dot_plus += dq * p_plus[i];
+    for i in 0..minus.q.len() {
+        let dq = plus.q[i] - minus.q[i];
+        dot_minus += dq * minus.p[i];
+        dot_plus += dq * plus.p[i];
     }
     dot_minus < 0.0 || dot_plus < 0.0
 }
@@ -500,12 +520,15 @@ pub fn eslice_update(
         _ => 1,
     };
 
+    // The likelihood at the current state. Each slice leaves the state at
+    // a point whose likelihood it already evaluated (the accepted point,
+    // or the restored start), so it carries from slice to slice.
+    let mut ll0 = engine.run_proc(table, lik_proc).expect("lik proc returns");
     for slice_i in 0..num_slices {
         let (lo_i, hi_i) = match engine.state.shape(target) {
             crate::state::Shape::Rows { .. } => engine.state.row_range(target, slice_i),
             _ => (0, x.len()),
         };
-        let ll0 = engine.run_proc(table, lik_proc).expect("lik proc returns");
         if !ll0.is_finite() {
             // A non-finite base likelihood would make the slice threshold
             // NaN and every bracket test false; leave this slice at its
@@ -527,6 +550,7 @@ pub fn eslice_update(
             }
             let ll = engine.run_proc(table, lik_proc).expect("lik proc returns");
             if ll > log_y {
+                ll0 = ll;
                 break; // this slice accepted; move to the next
             }
             // shrink the bracket toward θ = 0
@@ -573,12 +597,14 @@ pub fn reflective_slice_update(
     let mut p = PoolVec::from_fn(q0.len(), |_| engine.rng.std_normal());
     let eps = cfg.step_size * cfg.slice_width;
     let steps = cfg.leapfrog_steps;
+    // the log-density at q: after the loop, the last in-loop evaluation
+    let mut ll_final = ll0;
     for _ in 0..steps {
         for (qi, pi) in q.iter_mut().zip(&p) {
             *qi += eps * pi;
         }
-        let ll = log_density_flat(engine, table, ll_proc, targets, &q);
-        if ll < log_y {
+        ll_final = log_density_flat(engine, table, ll_proc, targets, &q);
+        if ll_final < log_y {
             // reflect: p ← p − 2 (p·g) g / |g|²
             let g = gradient(engine, table, grad_proc, targets, &q);
             let gg: f64 = g.iter().map(|x| x * x).sum();
@@ -591,7 +617,6 @@ pub fn reflective_slice_update(
             }
         }
     }
-    let ll_final = log_density_flat(engine, table, ll_proc, targets, &q);
     out.accepted = ll_final >= log_y;
     if out.accepted {
         write_position(engine, targets, &q);

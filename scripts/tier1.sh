@@ -7,9 +7,11 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline 2>/dev/null || cargo build --release
 # Run the suite sequentially and with the parallel tape executor: traces
 # must be bit-identical at any worker count, so both runs see the same
-# expected values.
-AUGUR_THREADS=1 cargo test -q
-AUGUR_THREADS=8 cargo test -q
+# expected values. `--workspace` includes every crate's own tests (the
+# backend's analytic-posterior checks and reference-integrator lockstep
+# among them), not just the root package's.
+AUGUR_THREADS=1 cargo test -q --workspace
+AUGUR_THREADS=8 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Allocation-free steady state: the counting-allocator harness must see

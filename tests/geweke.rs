@@ -59,6 +59,14 @@ fn assert_same_mean(a: &[f64], b: &[f64], label: &str) {
     );
 }
 
+/// [`assert_same_mean`] on the streams and on their squares.
+fn assert_same_moments(a: &[f64], b: &[f64], label: &str) {
+    assert_same_mean(a, b, &format!("{label} (mean)"));
+    let a2: Vec<f64> = a.iter().map(|x| x * x).collect();
+    let b2: Vec<f64> = b.iter().map(|x| x * x).collect();
+    assert_same_mean(&a2, &b2, &format!("{label} (second moment)"));
+}
+
 #[test]
 fn geweke_beta_bernoulli_gibbs() {
     let n = 6;
@@ -88,15 +96,13 @@ fn geweke_beta_bernoulli_gibbs() {
         },
     );
 
-    assert_same_mean(&sc, &mc, "beta-bernoulli p (mean)");
-    // second moment too
-    let mc2: Vec<f64> = mc.iter().map(|x| x * x).collect();
-    let sc2: Vec<f64> = sc.iter().map(|x| x * x).collect();
-    assert_same_mean(&sc2, &mc2, "beta-bernoulli p (second moment)");
+    assert_same_moments(&sc, &mc, "beta-bernoulli p");
 }
 
-#[test]
-fn geweke_normal_normal_gibbs() {
+/// The successive-conditional stream of `sched` on the Normal–Normal
+/// joint (4 points, prior N(0.5, 2), noise variance 1), and an i.i.d.
+/// prior stream drawn from `mc_seed`.
+fn normal_normal_streams(sched: Option<&str>, mc_seed: u64) -> (Vec<f64>, Vec<f64>) {
     let n = 4;
     let (tau2, s2) = (2.0, 1.0);
     let src = "(N, tau2, s2) => {
@@ -104,12 +110,12 @@ fn geweke_normal_normal_gibbs() {
         data y[n] ~ Normal(m, s2) for n <- 0 until N ;
     }";
 
-    let mut rng = Prng::seed_from_u64(2);
+    let mut rng = Prng::seed_from_u64(mc_seed);
     let mc: Vec<f64> = (0..20_000).map(|_| rng.normal(0.5, tau2)).collect();
 
     let sc = successive_conditional(
         src,
-        None,
+        sched,
         vec![HostValue::Int(n as i64), HostValue::Real(tau2), HostValue::Real(s2)],
         "y",
         HostValue::VecF(vec![0.0; n]),
@@ -123,64 +129,59 @@ fn geweke_normal_normal_gibbs() {
             engine.state.flat_mut(id).copy_from_slice(&fresh);
         },
     );
+    (sc, mc)
+}
 
-    assert_same_mean(&sc, &mc, "normal-normal m (mean)");
-    let mc2: Vec<f64> = mc.iter().map(|x| x * x).collect();
-    let sc2: Vec<f64> = sc.iter().map(|x| x * x).collect();
-    assert_same_mean(&sc2, &mc2, "normal-normal m (second moment)");
+#[test]
+fn geweke_normal_normal_gibbs() {
+    let (sc, mc) = normal_normal_streams(None, 2);
+    assert_same_moments(&sc, &mc, "normal-normal m");
 }
 
 #[test]
 fn geweke_normal_normal_hmc() {
     // the same joint, but with the gradient-based kernel: catches errors
     // in AD, the leapfrog integrator, or the acceptance ratio
-    let n = 4;
-    let (tau2, s2) = (2.0, 1.0);
-    let src = "(N, tau2, s2) => {
-        param m ~ Normal(0.5, tau2) ;
-        data y[n] ~ Normal(m, s2) for n <- 0 until N ;
-    }";
-
-    let mut rng = Prng::seed_from_u64(3);
-    let mc: Vec<f64> = (0..20_000).map(|_| rng.normal(0.5, tau2)).collect();
-
-    let sc = successive_conditional(
-        src,
-        Some("HMC m"),
-        vec![HostValue::Int(n as i64), HostValue::Real(tau2), HostValue::Real(s2)],
-        "y",
-        HostValue::VecF(vec![0.0; n]),
-        20_000,
-        |s| s.param("m").unwrap()[0],
-        |s, rng| {
-            let m = s.param("m").unwrap()[0];
-            let fresh: Vec<f64> = (0..n).map(|_| rng.normal(m, s2)).collect();
-            let engine = s.engine_mut();
-            let id = engine.state.expect_id("y");
-            engine.state.flat_mut(id).copy_from_slice(&fresh);
-        },
-    );
-
-    assert_same_mean(&sc, &mc, "normal-normal m via HMC (mean)");
-    let mc2: Vec<f64> = mc.iter().map(|x| x * x).collect();
-    let sc2: Vec<f64> = sc.iter().map(|x| x * x).collect();
-    assert_same_mean(&sc2, &mc2, "normal-normal m via HMC (second moment)");
+    let (sc, mc) = normal_normal_streams(Some("HMC m"), 3);
+    assert_same_moments(&sc, &mc, "normal-normal m via HMC");
 }
 
 #[test]
-fn geweke_gamma_poisson_finite_data() {
+fn geweke_normal_normal_nuts() {
+    // the doubling tree, its U-turn and divergence checks, and the
+    // gradients its edges carry
+    let (sc, mc) = normal_normal_streams(Some("NUTS m"), 5);
+    assert_same_moments(&sc, &mc, "normal-normal m via NUTS");
+}
+
+#[test]
+fn geweke_normal_normal_reflective_slice() {
+    let (sc, mc) = normal_normal_streams(Some("Slice m"), 6);
+    assert_same_moments(&sc, &mc, "normal-normal m via reflective slice");
+}
+
+#[test]
+fn geweke_normal_normal_eslice() {
+    let (sc, mc) = normal_normal_streams(Some("ESlice m"), 7);
+    assert_same_moments(&sc, &mc, "normal-normal m via elliptical slice");
+}
+
+/// The successive-conditional stream of `sched` on the Gamma–Poisson
+/// joint (5 counts, prior Gamma(3, 2)), and an i.i.d. prior stream drawn
+/// from `mc_seed`.
+fn gamma_poisson_streams(sched: Option<&str>, mc_seed: u64) -> (Vec<f64>, Vec<f64>) {
     let n = 5;
     let src = "(N, a, b) => {
         param r ~ Gamma(3.0, 2.0) ;
         data c[n] ~ Poisson(r) for n <- 0 until N ;
     }";
 
-    let mut rng = Prng::seed_from_u64(4);
+    let mut rng = Prng::seed_from_u64(mc_seed);
     let mc: Vec<f64> = (0..20_000).map(|_| rng.gamma(3.0, 2.0)).collect();
 
     let sc = successive_conditional(
         src,
-        None,
+        sched,
         vec![HostValue::Int(n as i64), HostValue::Real(3.0), HostValue::Real(2.0)],
         "c",
         HostValue::VecF(vec![1.0; n]),
@@ -194,6 +195,19 @@ fn geweke_gamma_poisson_finite_data() {
             engine.state.flat_mut(id).copy_from_slice(&fresh);
         },
     );
+    (sc, mc)
+}
 
+#[test]
+fn geweke_gamma_poisson_finite_data() {
+    let (sc, mc) = gamma_poisson_streams(None, 4);
     assert_same_mean(&sc, &mc, "gamma-poisson r (mean)");
+}
+
+#[test]
+fn geweke_gamma_poisson_hmc() {
+    // r > 0: HMC moves in log space, so the log transform's Jacobian and
+    // its chain-rule gradient are under test
+    let (sc, mc) = gamma_poisson_streams(Some("HMC r"), 8);
+    assert_same_moments(&sc, &mc, "gamma-poisson r via HMC");
 }
