@@ -420,7 +420,7 @@ impl Engine {
             (ExecMode::Gpu, _) => {
                 let proc_ = &table.blk_procs[idx];
                 for b in &proc_.blocks {
-                    self.run_blk(&proc_.name, b);
+                    self.run_blk(b);
                 }
                 let ret = proc_.ret.as_ref().map(|e| self.eval_num(e));
                 if ret.is_some() {
@@ -432,7 +432,7 @@ impl Engine {
         }
     }
 
-    fn run_blk(&mut self, proc_name: &str, b: &RBlk) {
+    fn run_blk(&mut self, b: &RBlk) {
         match b {
             RBlk::Seq(s) => {
                 let before = self.work;
@@ -472,7 +472,7 @@ impl Engine {
                 let total_work = self.work - before_work;
                 let width = inner_par.as_ref().map(|e| self.eval_int(e).max(1)).unwrap_or(1);
                 let drained: Vec<u64> = std::mem::take(&mut self.atomics);
-                let mut scope = self.device.begin_kernel(proc_name);
+                let mut scope = self.device.begin_kernel();
                 scope.thread_work(total_work);
                 for loc in drained {
                     scope.atomic(loc);
@@ -485,7 +485,7 @@ impl Engine {
                 for i in lo..hi {
                     self.env.push(i);
                     for inner in body {
-                        self.run_blk(proc_name, inner);
+                        self.run_blk(inner);
                     }
                     self.env.pop();
                 }
@@ -515,7 +515,7 @@ impl Engine {
                 }
                 let total_work = (self.work - before_work) as f64;
                 let per_elem = if n > 0 { total_work / n as f64 } else { 0.0 };
-                self.device.reduce(proc_name, n, per_elem);
+                self.device.reduce(n, per_elem);
                 // acc += reduction result
                 let add = match vec_acc {
                     Some(v) => OwnVal::VecD(v),
@@ -1397,7 +1397,7 @@ mod tests {
             Device::new(DeviceConfig::titan_black_like()),
             ExecMode::Gpu,
         );
-        eng.run_blk("sum", &rb);
+        eng.run_blk(&rb);
         assert_eq!(eng.state.flat(acc)[0], 50.0);
         assert_eq!(eng.device.counters().reductions, 1);
     }

@@ -55,7 +55,7 @@
 #![deny(missing_docs)]
 
 pub mod checkpoint;
-pub mod codegen;
+mod codegen;
 pub mod compile;
 pub mod driver;
 pub mod eval;
@@ -73,7 +73,7 @@ pub mod state;
 pub mod tape;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
-pub use codegen::{CodegenTarget, CodegenUnit, SymbolInfo, SymbolKind};
+pub use codegen::CodegenTarget;
 pub use driver::{BuildError, RunError, Session, SessionConfig, Target};
 pub use plan::{
     BackendAvailability, CompiledModel, NativeBreaker, Plan, PlanCacheStats, PlanEvent,

@@ -50,16 +50,6 @@ use crate::tape::{GradWrt, Opd, TDest, TInstr, Tape};
 /// cache directory.
 pub const CODEGEN_VERSION: u32 = 2;
 
-/// The result of emitting a plan's translation unit.
-#[derive(Debug, Clone)]
-pub struct EmittedModule {
-    /// The complete C source.
-    pub source: String,
-    /// The C function of each procedure, in table order (the order of
-    /// the exported `aug_procs` entry table).
-    pub symbols: Vec<String>,
-}
-
 /// Formats an `f64` so that C's `strtod` round-trips it bit-exactly
 /// (Rust's `{:e}` prints shortest-round-trip digits; correctly-rounded
 /// parsing recovers the same bits).
@@ -76,15 +66,13 @@ fn fmt_f64(v: f64) -> String {
 }
 
 /// Emits the whole translation unit for a proc table.
-pub(crate) fn emit_module(table: &ProcTable, state: &State) -> EmittedModule {
+pub(crate) fn emit_module(table: &ProcTable, state: &State) -> String {
     let mut used_offs = BTreeSet::new();
     let mut fns = String::new();
-    let mut symbols = Vec::new();
     for (idx, p) in table.tapes.iter().enumerate() {
         let symbol = format!("aug_p{idx}");
         let _ = writeln!(fns, "/* proc {idx}: {} */", p.name);
         fns.push_str(&ProcEmitter::new(state, &p.tape, &mut used_offs).emit(&symbol));
-        symbols.push(symbol);
     }
     let mut src = PREAMBLE.replace("{CODEGEN_VERSION}", &CODEGEN_VERSION.to_string());
     for buf in used_offs {
@@ -101,12 +89,12 @@ pub(crate) fn emit_module(table: &ProcTable, state: &State) -> EmittedModule {
     }
     src.push('\n');
     src.push_str(&fns);
-    let _ = writeln!(src, "void (*const aug_procs[{}])(augctx*) = {{", symbols.len());
-    for s in &symbols {
-        let _ = writeln!(src, "  {s},");
+    let _ = writeln!(src, "void (*const aug_procs[{}])(augctx*) = {{", table.tapes.len());
+    for idx in 0..table.tapes.len() {
+        let _ = writeln!(src, "  aug_p{idx},");
     }
     src.push_str("};\n");
-    EmittedModule { source: src, symbols }
+    src
 }
 
 const PREAMBLE: &str = r#"/* Generated by augur-backend native codegen v{CODEGEN_VERSION} from the tape. Do not edit. */

@@ -152,8 +152,8 @@ pub(crate) fn build_native(table: &ProcTable, state: &State) -> Result<NativeMod
     if !cfg!(feature = "native") {
         return Err("built without the `native` feature".into());
     }
-    let emitted = emit::emit_module(table, state);
-    let artifact = jit::compile(&emitted.source)?;
+    let source = emit::emit_module(table, state);
+    let artifact = jit::compile(&source)?;
     let lib = jit::Library::open(&artifact.path)?;
     let sym = lib.symbol("aug_procs")?;
     // SAFETY: the emitter exports `aug_procs` as an array of one
@@ -164,7 +164,7 @@ pub(crate) fn build_native(table: &ProcTable, state: &State) -> Result<NativeMod
         procs,
         _lib: lib,
         regions: table.tapes.iter().map(|p| emit::region_defs(&p.tape)).collect(),
-        source: emitted.source,
+        source,
         compile_secs: artifact.compile_secs,
         artifact_path: artifact.path,
         disk_hit: artifact.disk_hit,

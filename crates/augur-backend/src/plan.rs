@@ -819,7 +819,7 @@ impl Plan {
         } else if !cfg!(feature = "native") {
             (false, "built without the `native` feature".to_string())
         } else if let Some(so) = crate::native::jit::cached_artifact(
-            &crate::native::emit::emit_module(&self.artifact.table, &self.state).source,
+            &crate::native::emit::emit_module(&self.artifact.table, &self.state),
         ) {
             (true, format!("cached artifact: {}", so.display()))
         } else {

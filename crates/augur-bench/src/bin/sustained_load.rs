@@ -11,10 +11,11 @@
 //! (checkpoint-based preemption), so the run also exercises the
 //! rebalancing path under load.
 //!
-//! Records requests/s, p50/p99 request latency, the plan-cache hit
-//! rate, and migration/queue counters into `BENCH_serve.json` (beside
-//! `BENCH_sweep.json`) and a readable table in
-//! `results/sustained_load.md`.
+//! Prints requests/s, p50/p99 request latency, the plan-cache hit
+//! rate, and migration/queue counters as one JSON record on stdout and
+//! as a readable table on stderr; it writes no file. Redirect stdout to
+//! keep the record (`scripts/check_overhead.sh --serve-only <file>`
+//! reads it).
 //!
 //! Exits non-zero if the service fails any request, the throughput is
 //! zero, or the cache hit rate falls below the structural expectation
@@ -28,7 +29,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use augur::{FaultPlan, HostValue, McmcConfig, SessionConfig};
-use augur_bench::{emit, hgmm_args, lda_args, scale_arg};
+use augur_bench::{hgmm_args, lda_args, scale_arg};
 use augur_serve::{
     hermetic_config, ExplainRequest, ModelRegistry, ModelSpec, Request, SampleRequest,
     ScoreRequest, Service, ServiceConfig,
@@ -442,8 +443,6 @@ fn main() {
         hit_rate * 100.0
     );
 
-    if std::fs::write("BENCH_serve.json", &json).is_err() {
-        let _ = std::fs::write("../../BENCH_serve.json", &json);
-    }
-    emit("sustained_load", &table);
+    eprintln!("{table}");
+    print!("{json}");
 }

@@ -1,5 +1,5 @@
 //! Shared harness code for the evaluation binaries (one per table/figure
-//! of the paper's §7) and the criterion benches.
+//! of the paper's §7).
 //!
 //! See `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md` for
 //! recorded results.

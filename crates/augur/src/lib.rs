@@ -60,7 +60,6 @@
 #![deny(missing_docs)]
 
 pub mod chains;
-pub mod codegen;
 pub mod diag;
 pub mod error;
 
@@ -74,7 +73,7 @@ pub use augur_backend::{
     NATIVE_BREAKER_THRESHOLD,
 };
 pub use augur_backend::state::HostValue;
-pub use augur_backend::ExecBackend;
+pub use augur_backend::{CodegenTarget, ExecBackend};
 pub use augur_backend::{Checkpoint, CheckpointError, FaultPlan};
 pub use augur_backend::{ExecReport, KernelReport, KernelStats, RunReport};
 pub use augur_backend::{ExplainPlan, MemWatermark, Profile, Span, StepProfile};
@@ -233,35 +232,6 @@ impl Model {
             code.push('\n');
         }
         CompileInfo { kernel, density, code }
-    }
-
-    /// Renders the compiled inference program as the Cuda/C a native
-    /// build would compile (the paper's backend output; see [`codegen`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns lowering errors from memory explication.
-    pub fn emit_native(&self, target: codegen::CodegenTarget) -> Result<String, BuildError> {
-        Ok(self.emit_unit(target)?.source)
-    }
-
-    /// Like [`emit_native`](Model::emit_native), but returns the full
-    /// [`codegen::CodegenUnit`] — source text plus the symbol manifest —
-    /// so consumers read kernel/launcher structure from data instead of
-    /// re-parsing the text.
-    ///
-    /// # Errors
-    ///
-    /// Returns lowering errors from memory explication.
-    pub fn emit_unit(
-        &self,
-        target: codegen::CodegenTarget,
-    ) -> Result<codegen::CodegenUnit, BuildError> {
-        let mut lowered = self.inner.lowered().clone();
-        // Low-- proper: functional primitives become side-effecting
-        // stores into planned temporaries (§5.2) before native emission.
-        augur_low::memory::make_memory_explicit(&mut lowered)?;
-        Ok(codegen::emit(&lowered, target))
     }
 }
 

@@ -91,30 +91,6 @@ impl DeviceConfig {
     pub fn total_lanes(&self) -> usize {
         self.sms * self.lanes_per_sm
     }
-
-    /// Fixed per-sweep overhead implied by a launch manifest: every
-    /// kernel pays one launch latency, and every host procedure that
-    /// reads a value back pays at most one readback. This is the
-    /// structural floor of a sweep — the term that sinks small models
-    /// (§7.2) — computed from the emitted unit's symbol manifest rather
-    /// than by counting `__global__` markers in the source text.
-    pub fn sweep_overhead_ns(&self, m: &KernelManifest) -> f64 {
-        m.kernels as f64 * self.launch_overhead_ns + m.host_procs as f64 * self.readback_ns
-    }
-}
-
-/// Launch structure of one emitted translation unit, distilled from its
-/// symbol manifest (`CodegenUnit::manifest()` in the backend crate).
-/// The cost model consumes this instead of re-parsing emitted source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct KernelManifest {
-    /// Number of `__global__` kernels (one launch charge each per sweep).
-    pub kernels: usize,
-    /// Kernels whose bodies serialize through atomic read-modify-writes
-    /// (the §5.4 contention candidates).
-    pub atomic_kernels: usize,
-    /// Host-side procedures (launchers / C functions).
-    pub host_procs: usize,
 }
 
 impl Default for DeviceConfig {
@@ -123,8 +99,8 @@ impl Default for DeviceConfig {
     }
 }
 
-/// A per-kernel cost report, exposed so benches and the ablation harness
-/// can attribute virtual time to launch / compute / atomic terms.
+/// A per-kernel cost report: the virtual time one launch charged,
+/// split into launch / compute / atomic / reduction terms.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostBreakdown {
     /// Launch latency charged, ns.
@@ -246,17 +222,6 @@ mod tests {
             reduction < atomics,
             "sumBlk ({reduction}) must beat contended AtmPar ({atomics})"
         );
-    }
-
-    #[test]
-    fn manifest_overhead_is_the_structural_floor() {
-        let cfg = DeviceConfig::titan_black_like();
-        let m = KernelManifest { kernels: 6, atomic_kernels: 2, host_procs: 4 };
-        let ns = cfg.sweep_overhead_ns(&m);
-        let want = 6.0 * cfg.launch_overhead_ns + 4.0 * cfg.readback_ns;
-        assert!((ns - want).abs() < 1e-9);
-        // A CPU-like device has no launch or readback term at all.
-        assert_eq!(DeviceConfig::host_cpu_like().sweep_overhead_ns(&m), 0.0);
     }
 
     #[test]

@@ -46,13 +46,12 @@ pub struct Device {
     config: DeviceConfig,
     clock_ns: f64,
     counters: Counters,
-    kernel_log: Vec<(String, CostBreakdown)>,
 }
 
 impl Device {
     /// Creates a device with the given configuration.
     pub fn new(config: DeviceConfig) -> Self {
-        Device { config, clock_ns: 0.0, counters: Counters::default(), kernel_log: Vec::new() }
+        Device { config, clock_ns: 0.0, counters: Counters::default() }
     }
 
     /// The device configuration.
@@ -75,18 +74,6 @@ impl Device {
         self.counters
     }
 
-    /// Per-kernel cost log `(label, breakdown)` in launch order.
-    pub fn kernel_log(&self) -> &[(String, CostBreakdown)] {
-        &self.kernel_log
-    }
-
-    /// Resets the clock, counters, and kernel log.
-    pub fn reset(&mut self) {
-        self.clock_ns = 0.0;
-        self.counters = Counters::default();
-        self.kernel_log.clear();
-    }
-
     /// Charges a host↔device transfer of `bytes`.
     pub fn transfer(&mut self, bytes: u64) {
         self.counters.transfer_bytes += bytes;
@@ -104,10 +91,9 @@ impl Device {
     /// Begins accounting for one kernel launch. The returned scope collects
     /// per-thread work and atomic traffic; [`KernelScope::finish`] charges
     /// the total cost to the device clock.
-    pub fn begin_kernel(&mut self, label: &str) -> KernelScope<'_> {
+    pub fn begin_kernel(&mut self) -> KernelScope<'_> {
         KernelScope {
             device: self,
-            label: label.to_owned(),
             total_work: 0.0,
             atomic_ops: 0,
             atomic_locations: HashSet::new(),
@@ -116,7 +102,7 @@ impl Device {
 
     /// Charges a map-reduce (`sumBlk`) over `n` elements with
     /// `work_per_elem` work units each. Returns the breakdown.
-    pub fn reduce(&mut self, label: &str, n: usize, work_per_elem: f64) -> CostBreakdown {
+    pub fn reduce(&mut self, n: usize, work_per_elem: f64) -> CostBreakdown {
         let breakdown = CostBreakdown {
             launch_ns: self.config.launch_overhead_ns,
             compute_ns: 0.0,
@@ -128,7 +114,6 @@ impl Device {
         self.counters.threads += n as u64;
         self.counters.work_units += (n as f64 * work_per_elem) as u64;
         self.clock_ns += breakdown.total_ns();
-        self.kernel_log.push((label.to_owned(), breakdown));
         breakdown
     }
 
@@ -145,7 +130,6 @@ impl Device {
 #[derive(Debug)]
 pub struct KernelScope<'a> {
     device: &'a mut Device,
-    label: String,
     total_work: f64,
     atomic_ops: u64,
     atomic_locations: HashSet<u64>,
@@ -161,15 +145,6 @@ impl KernelScope<'_> {
     pub fn atomic(&mut self, loc: u64) {
         self.atomic_ops += 1;
         self.atomic_locations.insert(loc);
-    }
-
-    /// The contention ratio so far: atomic ops per distinct location. This
-    /// is the §5.4 heuristic input.
-    pub fn contention_ratio(&self) -> f64 {
-        if self.atomic_ops == 0 {
-            return 0.0;
-        }
-        self.atomic_ops as f64 / self.atomic_locations.len().max(1) as f64
     }
 
     /// Ends the kernel: charges launch overhead, throughput-limited compute
@@ -188,7 +163,6 @@ impl KernelScope<'_> {
         self.device.counters.work_units += self.total_work as u64;
         self.device.counters.atomic_ops += self.atomic_ops;
         self.device.clock_ns += breakdown.total_ns();
-        self.device.kernel_log.push((self.label, breakdown));
         breakdown
     }
 }
@@ -200,7 +174,7 @@ mod tests {
     #[test]
     fn launch_overhead_dominates_tiny_kernels() {
         let mut dev = Device::new(DeviceConfig::titan_black_like());
-        let mut k = dev.begin_kernel("tiny");
+        let mut k = dev.begin_kernel();
         k.thread_work(10);
         let b = k.finish(1);
         assert!(b.launch_ns > b.compute_ns * 10.0);
@@ -209,7 +183,7 @@ mod tests {
     #[test]
     fn wide_kernels_amortize_launch() {
         let mut dev = Device::new(DeviceConfig::titan_black_like());
-        let mut k = dev.begin_kernel("wide");
+        let mut k = dev.begin_kernel();
         for _ in 0..500_000 {
             k.thread_work(20);
         }
@@ -218,13 +192,12 @@ mod tests {
     }
 
     #[test]
-    fn contention_ratio_reflects_locations() {
+    fn atomics_count_every_op() {
         let mut dev = Device::new(DeviceConfig::default());
-        let mut k = dev.begin_kernel("atomics");
+        let mut k = dev.begin_kernel();
         for i in 0..1000u64 {
             k.atomic(i % 2); // two hot locations
         }
-        assert!((k.contention_ratio() - 500.0).abs() < 1e-12);
         k.finish(1000);
         assert_eq!(dev.counters().atomic_ops, 1000);
     }
@@ -233,7 +206,7 @@ mod tests {
     fn reduce_cheaper_than_hot_atomics() {
         let cfg = DeviceConfig::titan_black_like();
         let mut with_atomics = Device::new(cfg.clone());
-        let mut k = with_atomics.begin_kernel("atm");
+        let mut k = with_atomics.begin_kernel();
         for _ in 0..100_000u64 {
             k.thread_work(1);
             k.atomic(0);
@@ -241,7 +214,7 @@ mod tests {
         k.finish(100_000);
 
         let mut with_reduce = Device::new(cfg);
-        with_reduce.reduce("sum", 100_000, 1.0);
+        with_reduce.reduce(100_000, 1.0);
 
         assert!(with_reduce.elapsed_ns() < with_atomics.elapsed_ns());
     }
@@ -252,25 +225,5 @@ mod tests {
         dev.sequential(1000.0);
         assert!((dev.elapsed_ns() - 1000.0 * dev.config().work_unit_ns).abs() < 1e-9);
         assert_eq!(dev.counters().launches, 0);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut dev = Device::new(DeviceConfig::default());
-        dev.transfer(1024);
-        dev.begin_kernel("k").finish(4);
-        dev.reset();
-        assert_eq!(dev.elapsed_ns(), 0.0);
-        assert_eq!(dev.counters(), Counters::default());
-        assert!(dev.kernel_log().is_empty());
-    }
-
-    #[test]
-    fn kernel_log_keeps_labels_in_order() {
-        let mut dev = Device::new(DeviceConfig::default());
-        dev.begin_kernel("a").finish(1);
-        dev.reduce("b", 16, 1.0);
-        let labels: Vec<&str> = dev.kernel_log().iter().map(|(l, _)| l.as_str()).collect();
-        assert_eq!(labels, ["a", "b"]);
     }
 }

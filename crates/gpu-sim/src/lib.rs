@@ -26,7 +26,7 @@
 //! use gpu_sim::{Device, DeviceConfig};
 //!
 //! let mut dev = Device::new(DeviceConfig::titan_black_like());
-//! let mut k = dev.begin_kernel("saxpy");
+//! let mut k = dev.begin_kernel();
 //! for _ in 0..1000 {
 //!     k.thread_work(4); // four work units per thread
 //! }
@@ -42,5 +42,5 @@ mod cost;
 mod device;
 
 pub use atomic::AtomicF64;
-pub use cost::{CostBreakdown, DeviceConfig, KernelManifest};
+pub use cost::{CostBreakdown, DeviceConfig};
 pub use device::{Counters, Device, KernelScope};

@@ -26,7 +26,7 @@ fn int_in(rng: &mut Prng, lo: u64, hi: u64) -> u64 {
 
 fn run_kernel(cfg: &DeviceConfig, threads: usize, work_per_thread: u64) -> f64 {
     let mut dev = Device::new(cfg.clone());
-    let mut k = dev.begin_kernel("k");
+    let mut k = dev.begin_kernel();
     for _ in 0..threads {
         k.thread_work(work_per_thread);
     }
@@ -68,14 +68,14 @@ fn reduction_beats_hot_atomics_at_scale() {
     check(0xC057_0003, 64, |rng| {
         let n = int_in(rng, 10_000, 500_000) as usize;
         let mut atomic_dev = Device::new(cfg.clone());
-        let mut k = atomic_dev.begin_kernel("atm");
+        let mut k = atomic_dev.begin_kernel();
         for _ in 0..n {
             k.thread_work(1);
             k.atomic(0);
         }
         k.finish(n);
         let mut reduce_dev = Device::new(cfg.clone());
-        reduce_dev.reduce("sum", n, 1.0);
+        reduce_dev.reduce(n, 1.0);
         assert!(
             reduce_dev.elapsed_ns() < atomic_dev.elapsed_ns(),
             "reduction should beat {n} fully-contended atomics"

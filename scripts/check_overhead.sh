@@ -15,20 +15,20 @@
 # the baseline was captured; export AUGUR_OVERHEAD_GATE=off to keep the
 # recording but skip the 5% comparison (e.g. on a throttled runner).
 #
-# With --serve-only, gates the serving telemetry plane instead: a fresh
-# BENCH_serve.json (from an unfaulted sustained_load run) must record
+# With --serve-only, gates the serving telemetry plane instead: the JSON
+# record an unfaulted sustained_load run prints on stdout must carry
 # `telemetry_overhead` — the ratio of scraped to unscraped requests/s —
 # and that ratio must stay >= 0.95 (the "<5% scrape overhead" contract,
 # DESIGN.md § 5.15). AUGUR_OVERHEAD_GATE=off skips the ratio check here
 # too.
 #
 # Usage: check_overhead.sh [fresh.json] [baseline.json]
-#        check_overhead.sh --serve-only [serve.json]
+#        check_overhead.sh --serve-only serve.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ "${1:-}" = "--serve-only" ]; then
-  serve="${2:-BENCH_serve.json}"
+  serve="${2:?usage: check_overhead.sh --serve-only SERVE_JSON (sustained_load stdout)}"
   ratio="$(grep '"telemetry_overhead"' "$serve" | sed -E 's/.*: ([0-9.eE+-]+).*/\1/')"
   [ -n "$ratio" ] || { echo "FAIL: telemetry_overhead missing from $serve (faulted run?)"; exit 1; }
   echo "serve: telemetry_overhead (scraped/unscraped rps) = $ratio"

@@ -4,6 +4,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Tier 1 rewrites no tracked file and leaves no new one behind: the
+# working tree's status is compared at the end.
+status_before="$(git status --porcelain)"
+
 cargo build --release --offline 2>/dev/null || cargo build --release
 # Run the suite sequentially and with the parallel tape executor: traces
 # must be bit-identical at any worker count, so both runs see the same
@@ -29,7 +33,11 @@ cargo test -q --test alloc_free
 # lowering must not come back). The simulated GPU runs Blk IL on the
 # reference interpreter, so the GPU tape lane and its device charge stay
 # deleted, and gpu-sim's property tests run on the in-tree Prng rather
-# than proptest. `gone` fails on a match (a bare `! grep` does not trip
+# than proptest. `Plan::emit` is the only code printer: the second
+# (OpenMP) C printer, the symbol manifests, the facade's `emit_native`/
+# `emit_unit` and the `augur::codegen` shim stay deleted, as do gpu-sim's
+# kernel log, the criterion benches and the root `proptest-tests`
+# feature. `gone` fails on a match (a bare `! grep` does not trip
 # `set -e`).
 gone() { if grep -rn "$@"; then echo "removed name reappeared: $*" >&2; exit 1; fi; }
 gone -E "pub (struct|type) (Infer|Sampler|SamplerConfig|ChainRunner)\b" \
@@ -45,6 +53,11 @@ gone -wE "RProc|RExpr|RStmt|RLValue" crates/augur-backend/src/native/
 gone -wE "TBlk|TBlkProc|blk_tapes|run_blk_tape|dispatch_blk_chunks|dispatch_sum_chunks|tape_dispatch|tape_dispatch_ns|tape_instrs" \
     crates src tests examples
 gone proptest crates/gpu-sim
+gone -wE "CodegenUnit|SymbolInfo|SymbolKind|KernelManifest|sweep_overhead_ns|emit_native|emit_unit|symbols_of|EmittedModule|kernel_log" \
+    crates src tests examples
+test ! -e crates/augur/src/codegen.rs
+test ! -d crates/augur-bench/benches
+gone -w proptest-tests Cargo.toml
 
 # Native-backend smoke: the emit-C-and-dlopen lane must stay bit-exact
 # against tree and tape (draws, report digest, profile digest), the
@@ -69,35 +82,38 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml --test smoke
 # Serving smoke: the service path must stay byte-identical to direct
 # ChainPlan runs (including forced mid-run worker migration), and a
 # bounded sustained-load run must sustain nonzero throughput with the
-# structural plan-cache hit rate.
+# structural plan-cache hit rate. sustained_load prints its JSON record
+# on stdout; each run's record goes to a temp file.
 cargo test -q --test serve
-cargo run --release -p augur-bench --bin sustained_load -- --scale 0.5 >/dev/null
+serve_json="$(mktemp /tmp/augur_serve_XXXXXX.json)"
+cargo run --release -p augur-bench --bin sustained_load -- --scale 0.5 >"$serve_json"
 
 # Telemetry gate: streaming ESS/split-R-hat must match the batch
 # estimators, the exporter must serve well-formed exposition, draws must
 # be byte-identical with scraping on or off, and a v4 trace must
 # reconstruct a faulted request (tests/telemetry.rs). The smoke example
-# scrapes a live service end to end, and the sustained_load run above —
-# which must happen first, before the chaos loop rewrites
-# BENCH_serve.json without the probe — must show <5% scrape overhead.
+# scrapes a live service end to end, and the unfaulted sustained_load
+# record above (faulted runs skip the probe) must show <5% scrape
+# overhead.
 cargo test -q --test telemetry
 cargo run --release --example telemetry | grep -q "telemetry smoke ok"
-scripts/check_overhead.sh --serve-only
+scripts/check_overhead.sh --serve-only "$serve_json"
 
 # Chaos gate: the serving layer must survive injected shard kills, shard
 # slowdowns, and native-compile failures — every ticket resolves with a
 # typed result (no hangs), completed draws stay byte-identical to clean
 # runs (tests/chaos.rs), and a sustained-load run under each fault still
-# completes requests. BENCH_serve.json must carry the robustness
-# counters the faulted runs populate.
+# completes requests. Each faulted run's record must carry the
+# robustness counters.
 cargo test -q --test chaos
 for f in "panic@shard:0" "slow@shard:0:ms=20" "compile@native"; do
   AUGUR_FAULT="$f" cargo test -q --test serve --test chaos
-  AUGUR_FAULT="$f" cargo run --release -p augur-bench --bin sustained_load -- --scale 0.5 >/dev/null
+  AUGUR_FAULT="$f" cargo run --release -p augur-bench --bin sustained_load -- --scale 0.5 >"$serve_json"
+  grep -q '"respawns"' "$serve_json"
+  grep -q '"shed_rate"' "$serve_json"
+  grep -q '"timeout_rate"' "$serve_json"
 done
-grep -q '"respawns"' BENCH_serve.json
-grep -q '"shed_rate"' BENCH_serve.json
-grep -q '"timeout_rate"' BENCH_serve.json
+rm -f "$serve_json"
 
 # Explain/profile smoke: the walkthrough example exercises the whole
 # explain-plan + phase-profiler surface (the byte-for-byte golden for
@@ -114,3 +130,10 @@ AUGUR_CKPT="$ckpt" AUGUR_CKPT_EVERY=5 \
 test -s "$ckpt"
 head -1 "$ckpt" | grep -q "augur-checkpoint v1"
 rm -f "$ckpt"
+
+status_after="$(git status --porcelain)"
+if [ "$status_after" != "$status_before" ]; then
+  echo "tier 1 changed the working tree (git status --porcelain):" >&2
+  diff <(echo "$status_before") <(echo "$status_after") >&2 || true
+  exit 1
+fi

@@ -55,13 +55,3 @@ fn memory_explicit_lowering_is_bit_identical() {
     }
     assert_eq!(z_a, z_b, "assignments diverged");
 }
-
-#[test]
-fn emitted_c_uses_explicit_temporaries() {
-    let model = Model::compile(augurv2::models::HGMM).unwrap();
-    let c = model.emit_native(augur::codegen::CodegenTarget::C).unwrap();
-    // the functional form `MvNormal(mat_vec(mat_inv(...)), ...)` is gone:
-    // temporaries are assigned first, then consumed
-    assert!(c.contains("_tmp"), "{c}");
-    assert!(c.contains("static augur_buf_t u1_gibbs_tmp0;"), "{c}");
-}

@@ -14,8 +14,8 @@
 //! fallback reason and run on the tape, and the differential assertions
 //! are skipped with a note.
 
-use augur::codegen::{CodegenTarget, SymbolKind};
 use augur::prelude::*;
+use augur::CodegenTarget;
 use augur_math::Matrix;
 use augurv2::{models, workloads};
 
@@ -381,18 +381,7 @@ fn golden_native_c_for_lda() {
     let plan = model
         .plan(lda_args(topics, &corpus), vec![("w", HostValue::RaggedI(corpus.docs.clone()))])
         .unwrap();
-    let unit = plan.emit(CodegenTarget::C).unwrap();
-    assert!(
-        unit.symbols.iter().all(|s| s.kind == SymbolKind::NativeProc),
-        "C target emits native procs only: {:?}",
-        unit.symbols
-    );
-    assert_eq!(
-        unit.symbols.len(),
-        plan.session(SessionConfig::default()).unwrap().proc_names().len(),
-        "one C function per procedure"
-    );
-    let got = &unit.source;
+    let got = &plan.emit(CodegenTarget::C).unwrap();
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/lda_native.c");
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::write(path, got).expect("write golden file");
