@@ -141,6 +141,9 @@ pub struct Engine {
     pub(crate) tape_fregs: Vec<f64>,
     /// Reusable view register bank for the tape VM.
     pub(crate) tape_vregs: Vec<View>,
+    /// Reusable scratch cells for the tape's invariant log-density
+    /// vectors (`TInstr::LlFill`).
+    pub(crate) tape_scratch: Vec<f64>,
     /// Recycled loop-frame stack for tape execution (allocation-free
     /// steady state).
     pub(crate) tape_frames: Vec<crate::tape::TapeFrame>,
@@ -193,6 +196,7 @@ impl Engine {
             in_parallel: false,
             tape_fregs: Vec::new(),
             tape_vregs: Vec::new(),
+            tape_scratch: Vec::new(),
             tape_frames: Vec::new(),
             factors: Default::default(),
             threads: 1,
@@ -250,6 +254,7 @@ impl Engine {
             in_parallel: true,
             tape_fregs: Vec::new(),
             tape_vregs: Vec::new(),
+            tape_scratch: Vec::new(),
             tape_frames: Vec::new(),
             factors: Default::default(),
             threads: 1,
@@ -953,10 +958,10 @@ impl Engine {
 
     fn resolve_dest(&mut self, l: &RLValue) -> Dest {
         let mut view = self.buf_view_dest(l.buf);
-        for idx in &l.indices {
+        for (k, idx) in l.indices.iter().enumerate() {
             let i = self.eval_num(idx);
             assert!(i >= 0.0, "negative store index");
-            view = dest_index(&self.state, view, i as usize);
+            view = dest_index(&self.state, view, i as usize, k == 0);
         }
         view
     }
@@ -1054,10 +1059,12 @@ fn scalar_of(v: &View) -> f64 {
     }
 }
 
-pub(crate) fn dest_index(state: &State, d: Dest, i: usize) -> Dest {
+/// Applies one destination index. The first index into a `Rows`
+/// buffer (`first`) selects a row; every other index selects a cell.
+pub(crate) fn dest_index(state: &State, d: Dest, i: usize, first: bool) -> Dest {
     match d {
         Dest::Range { buf, start, len } => match state.shape(buf) {
-            Shape::Rows { .. } if start == 0 && len == state.flat(buf).len() => {
+            Shape::Rows { .. } if first => {
                 let (s, e) = state.row_range(buf, i);
                 Dest::Range { buf, start: s, len: e - s }
             }

@@ -71,6 +71,7 @@ pub mod profile;
 pub mod setup;
 pub mod state;
 pub mod tape;
+mod tape_opt;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use codegen::CodegenTarget;

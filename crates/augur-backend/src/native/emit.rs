@@ -15,11 +15,18 @@
 //!   with the same operations in the same order and the same work
 //!   charges as the interpreter (formulas copied from `augur-dist`;
 //!   `-ffp-contract=off` keeps them bit-identical);
-//! * every other instruction — sampling, vector/matrix primitives, the
-//!   remaining densities — is a `step(pc)` callback that runs the
-//!   interpreter's own code for that instruction (`Engine::exec_instr`)
-//!   against the engine's register banks. C spills the scalar registers
-//!   the instruction reads into the bank and reloads the one it writes.
+//! * categorical draws from log weights (`SampleLogits`) run inline too:
+//!   `aug_cat_draw` is `Prng::categorical_log` ported exactly, stepping
+//!   the engine's splitmix64 counter through the context's `R` pointer;
+//! * the optimizer's loop preheaders print as `if (lo < hi) { … }`
+//!   before the `for`, and its invariant log-density vectors as stack
+//!   arrays (`scN`) filled there;
+//! * every other instruction — other sampling, vector/matrix
+//!   primitives, the remaining densities — is a `step(pc)` callback that
+//!   runs the interpreter's own code for that instruction
+//!   (`Engine::exec_instr`) against the engine's register banks. C spills
+//!   the scalar registers the instruction reads into the bank and
+//!   reloads the one it writes.
 //!
 //! Buffer regions (`RefBufV`/`LoadRow1` views) live in C as `(start,
 //! len)` coordinates; a callback that reads one rebuilds it in the view
@@ -43,12 +50,14 @@ use augur_lang::ast::{BinOp, Builtin};
 use augur_low::il::{AssignOp, LoopKind};
 
 use crate::compile::ProcTable;
+use crate::eval::dist_op_cost;
 use crate::state::{BufId, RowElem, Shape, State};
-use crate::tape::{GradWrt, Opd, TDest, TInstr, Tape};
+use crate::tape::{reads, region_len, writes, GradWrt, Opd, TDest, TInstr, Tape};
+use crate::tape_opt::inline_sample_len;
 
 /// Version of the emitted C and the callback ABI, named in the artifact
 /// cache directory.
-pub const CODEGEN_VERSION: u32 = 2;
+pub const CODEGEN_VERSION: u32 = 3;
 
 /// Formats an `f64` so that C's `strtod` round-trips it bit-exactly
 /// (Rust's `{:e}` prints shortest-round-trip digits; correctly-rounded
@@ -109,7 +118,7 @@ typedef struct {
   void     (*par_iter)(augctx*, uint64_t, int64_t);
   void     (*par_exit)(augctx*);
 } augvt;
-struct augctx { double** B; double* F; const augvt* vt; uint64_t W; };
+struct augctx { double** B; double* F; const augvt* vt; uint64_t W; uint64_t* R; };
 
 /* Rust `f64 as i64`: truncating, saturating, NaN -> 0. */
 static inline int64_t aug_i64(double x) {
@@ -159,6 +168,24 @@ static inline double aug_cat_ll(double k, const double* p, int64_t len) {
   double pk = p[(int64_t)k];
   return pk > 0.0 ? log(pk) : -INFINITY;
 }
+/* augur_math::Prng::categorical_log over `len` log-weights, the exps
+   cached in `e` for the scan; steps the splitmix64 counter `*r` once.
+   -1, before drawing, where the interpreter panics. */
+static inline int64_t aug_cat_draw(const double* l, int64_t len, double* e, uint64_t* r) {
+  double m = -INFINITY;
+  for (int64_t q = 0; q < len; q++) if (l[q] > m) m = l[q];
+  if (!(m > -INFINITY)) return -1;
+  double total = -0.0;
+  for (int64_t q = 0; q < len; q++) { e[q] = exp(l[q] - m); total += e[q]; }
+  if (!(total > 0.0 && isfinite(total))) return -1;
+  uint64_t z = (*r += 0x9E3779B97F4A7C15ull);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  z ^= z >> 31;
+  double t = (double)(z >> 11) * (1.0 / 9007199254740992.0) * total;
+  for (int64_t q = 0; q < len; q++) { t -= e[q]; if (t < 0.0) return q; }
+  return len - 1;
+}
 
 "#;
 
@@ -184,76 +211,6 @@ struct Region {
     vector: bool,
 }
 
-/// Visits every operand an instruction reads, in either bank.
-pub(crate) fn reads(i: &TInstr, out: &mut impl FnMut(Opd)) {
-    let f = Opd::f;
-    match i {
-        TInstr::ConstF { .. }
-        | TInstr::LoopIdx { .. }
-        | TInstr::LoadScalar { .. }
-        | TInstr::RefBufV { .. }
-        | TInstr::Jump { .. }
-        | TInstr::LoopEnd { .. }
-        | TInstr::ChargeW { .. } => {}
-        TInstr::LoadCell1 { i, .. } | TInstr::LoadRow1 { i, .. } => out(f(*i)),
-        TInstr::NegF { a, .. } | TInstr::Call1F { a, .. } => out(f(*a)),
-        TInstr::NumOf { a, .. } | TInstr::LenV { a, .. } => out(Opd::v(*a)),
-        TInstr::Op1 { a, .. } => out(*a),
-        TInstr::LoadCell2 { row: a, col: b, .. }
-        | TInstr::BinopF { a, b, .. }
-        | TInstr::JumpIfNe { a, b, .. }
-        | TInstr::LoopStart { lo: a, hi: b, .. } => {
-            out(f(*a));
-            out(f(*b));
-        }
-        TInstr::IndexF { base, idx, .. } | TInstr::IndexV { base, idx, .. } => {
-            out(f(*idx));
-            out(*base);
-        }
-        TInstr::DotF { a, b, .. } | TInstr::Op2 { a, b, .. } => {
-            out(*a);
-            out(*b);
-        }
-        TInstr::DistLl { args, n_args, point, .. }
-        | TInstr::DistGrad { args, n_args, point, .. } => {
-            args[..*n_args as usize].iter().for_each(|a| out(*a));
-            out(*point);
-        }
-        TInstr::Write { lhs, src, .. } => {
-            out(*src);
-            dest_reads(lhs, out);
-        }
-        TInstr::Sample { lhs, args, n_args, .. } => {
-            args[..*n_args as usize].iter().for_each(|a| out(*a));
-            dest_reads(lhs, out);
-        }
-        TInstr::SampleLogits { lhs, w } => {
-            out(*w);
-            dest_reads(lhs, out);
-        }
-        TInstr::WriteImm { lhs, .. } => dest_reads(lhs, out),
-        TInstr::LlStore { lhs, args, n_args, point, .. } => {
-            args[..*n_args as usize].iter().for_each(|a| out(*a));
-            out(*point);
-            dest_reads(lhs, out);
-        }
-    }
-}
-
-fn dest_reads(d: &TDest, out: &mut impl FnMut(Opd)) {
-    match d {
-        TDest::Cell0 { .. } => {}
-        TDest::Cell1 { i, .. } | TDest::Row1 { i, .. } => out(Opd::f(*i)),
-        TDest::Cell2 { row, col, .. } => {
-            out(Opd::f(*row));
-            out(Opd::f(*col));
-        }
-        TDest::Slow { idx, n_idx, .. } => {
-            idx[..*n_idx as usize].iter().for_each(|r| out(Opd::f(*r)))
-        }
-    }
-}
-
 /// Marks a view register that is not a region in [`region_defs`].
 pub(crate) const NOT_REGION: u32 = u32::MAX;
 
@@ -271,40 +228,10 @@ pub(crate) fn region_defs(tape: &Tape) -> Vec<u32> {
     defs
 }
 
-/// The register an instruction writes, in either bank.
-fn writes(i: &TInstr) -> Option<Opd> {
-    match i {
-        TInstr::ConstF { dst, .. }
-        | TInstr::LoopIdx { dst, .. }
-        | TInstr::LoadScalar { dst, .. }
-        | TInstr::LoadCell1 { dst, .. }
-        | TInstr::LoadCell2 { dst, .. }
-        | TInstr::NumOf { dst, .. }
-        | TInstr::IndexF { dst, .. }
-        | TInstr::BinopF { dst, .. }
-        | TInstr::NegF { dst, .. }
-        | TInstr::Call1F { dst, .. }
-        | TInstr::DotF { dst, .. }
-        | TInstr::DistLl { dst, .. }
-        | TInstr::LenV { dst, .. } => Some(Opd::f(*dst)),
-        TInstr::RefBufV { dst, .. }
-        | TInstr::LoadRow1 { dst, .. }
-        | TInstr::IndexV { dst, .. }
-        | TInstr::Op1 { dst, .. }
-        | TInstr::Op2 { dst, .. }
-        | TInstr::DistGrad { dst, .. } => Some(Opd::v(*dst)),
-        _ => None,
-    }
-}
-
-/// The C expression of an inlined scalar log-density, when `dist` has
-/// one and its operands are scalar registers (the Categorical's weights
-/// a vector region instead).
-fn scalar_ll(dist: DistKind, args: &[Opd; 2], n_args: u8, point: Opd) -> Option<String> {
-    if point.is_view() {
-        return None;
-    }
-    let x = format!("f{}", point.index());
+/// The C expression of an inlined scalar log-density at point `x` (a C
+/// expression), when `dist` has one and its operands are scalar
+/// registers (the Categorical's weights a vector region instead).
+fn scalar_ll(dist: DistKind, args: &[Opd; 2], n_args: u8, x: &str) -> Option<String> {
     let a = |k: usize| (!args[k].is_view()).then(|| format!("f{}", args[k].index()));
     match (dist, n_args) {
         (DistKind::Normal, 2) => Some(format!("aug_normal_ll({x}, {}, {})", a(0)?, a(1)?)),
@@ -371,6 +298,12 @@ struct ProcEmitter<'a> {
     pending_w: u64,
     /// Freshness (`Par` outside any `Par`) of each open loop.
     loops: Vec<bool>,
+    /// The first instruction after the preheader being printed; the
+    /// main loop skips to it.
+    resume: usize,
+    /// Whether the function draws categoricals inline (and so reads the
+    /// context's RNG counter).
+    draws: bool,
 }
 
 impl<'a> ProcEmitter<'a> {
@@ -389,6 +322,8 @@ impl<'a> ProcEmitter<'a> {
             indent: 1,
             pending_w: 0,
             loops: Vec::new(),
+            resume: 0,
+            draws: false,
         };
         em.place();
         em
@@ -462,8 +397,10 @@ impl<'a> ProcEmitter<'a> {
             | TInstr::JumpIfNe { .. }
             | TInstr::Jump { .. }
             | TInstr::LoopStart { .. }
-            | TInstr::LoopEnd { .. } => true,
+            | TInstr::LoopEnd { .. }
+            | TInstr::LlFill { .. } => true,
             TInstr::RefBufV { .. } | TInstr::LoadRow1 { .. } => true,
+            TInstr::ChargeDot { a } => region(a),
             TInstr::LoadCell1 { buf, .. } => matches!(self.state.shape(*buf), Shape::Vector(_)),
             TInstr::LoadCell2 { buf, .. } => matches!(
                 self.state.shape(*buf),
@@ -474,28 +411,47 @@ impl<'a> ProcEmitter<'a> {
             TInstr::LenV { a, .. } => self.home[*a as usize] != Home::Bank,
             TInstr::DistGrad { dst, .. } => self.home[*dst as usize] == Home::Scalar,
             TInstr::DistLl { dist, args, n_args, point, .. } => {
-                self.ll_expr(*dist, args, *n_args, *point).is_some()
+                self.ll_at(*dist, args, *n_args, *point).is_some()
             }
             TInstr::LlStore { lhs, dist, args, n_args, point, .. } => {
-                self.cell(lhs).is_some() && self.ll_expr(*dist, args, *n_args, *point).is_some()
+                self.cell(lhs).is_some() && self.ll_at(*dist, args, *n_args, *point).is_some()
             }
             TInstr::Write { lhs, src, .. } => {
                 self.cell(lhs).is_some()
                     && (!src.is_view() || self.home[src.index()] == Home::Scalar)
             }
-            TInstr::WriteImm { lhs, .. } => self.cell(lhs).is_some(),
+            TInstr::WriteImm { lhs, .. } | TInstr::LlScratch { lhs, .. } => {
+                self.cell(lhs).is_some()
+            }
+            TInstr::SampleLogits { lhs, w } => self.sample_len(lhs, *w).is_some(),
             TInstr::IndexF { .. }
             | TInstr::IndexV { .. }
             | TInstr::Op1 { .. }
             | TInstr::Op2 { .. }
-            | TInstr::Sample { .. }
-            | TInstr::SampleLogits { .. } => false,
+            | TInstr::Sample { .. } => false,
         }
     }
 
-    /// An inlined log-density's C expression, if it has one.
-    fn ll_expr(&self, dist: DistKind, args: &[Opd; 2], n_args: u8, point: Opd) -> Option<String> {
-        if dist == DistKind::Categorical && n_args == 1 && !point.is_view() {
+    /// The exp-array length of a `SampleLogits` C draws inline.
+    fn sample_len(&self, lhs: &TDest, w: Opd) -> Option<usize> {
+        let def = (w.is_view() && self.home[w.index()] == Home::Region)
+            .then(|| &self.tape.instrs[self.def[w.index()]]);
+        inline_sample_len(self.state, lhs, def)
+    }
+
+    /// An inlined log-density's C expression at a scalar-register point,
+    /// if it has one.
+    fn ll_at(&self, dist: DistKind, args: &[Opd; 2], n_args: u8, point: Opd) -> Option<String> {
+        if point.is_view() {
+            return None;
+        }
+        self.ll_expr(dist, args, n_args, &format!("f{}", point.index()))
+    }
+
+    /// An inlined log-density's C expression at point `x` (a C
+    /// expression), if it has one.
+    fn ll_expr(&self, dist: DistKind, args: &[Opd; 2], n_args: u8, x: &str) -> Option<String> {
+        if dist == DistKind::Categorical && n_args == 1 {
             let w = args[0];
             if !w.is_view() || self.home[w.index()] != Home::Region {
                 return None;
@@ -504,36 +460,28 @@ impl<'a> ProcEmitter<'a> {
             if !r.vector {
                 return None;
             }
-            return Some(format!(
-                "aug_cat_ll(f{}, b{} + {}, {})",
-                point.index(),
-                r.buf,
-                r.start,
-                r.len
-            ));
+            return Some(format!("aug_cat_ll({x}, b{} + {}, {})", r.buf, r.start, r.len));
         }
-        scalar_ll(dist, args, n_args, point)
+        scalar_ll(dist, args, n_args, x)
     }
 
-    /// The region of a `Region`-homed view register.
+    /// The region of a `Region`-homed view register. Its length and
+    /// vector-ness come from [`region_len`]; only a ragged row's length
+    /// is read at run time (`vlN`), the table giving its bound.
     fn region(&self, r: usize) -> Region {
-        let (buf, loaded) = match &self.tape.instrs[self.def[r]] {
-            TInstr::RefBufV { buf, .. } => (*buf, false),
-            TInstr::LoadRow1 { buf, .. } => (*buf, true),
-            other => unreachable!("view register {r} defined by {other:?}"),
+        let def = &self.tape.instrs[self.def[r]];
+        let (len, vector) = region_len(self.state, def)
+            .unwrap_or_else(|| unreachable!("view register {r} defined by {def:?}"));
+        let (buf, start, len) = match def {
+            TInstr::RefBufV { buf, .. } => (*buf, "0".into(), len.to_string()),
+            TInstr::LoadRow1 { buf, .. } => {
+                let ragged =
+                    matches!(self.state.shape(*buf), Shape::Rows { elem: RowElem::Vec, .. });
+                (*buf, format!("vs{r}"), if ragged { format!("vl{r}") } else { len.to_string() })
+            }
+            _ => unreachable!("region_len answers only for regions"),
         };
-        let whole =
-            |len: usize, vector| Region { buf, start: "0".into(), len: len.to_string(), vector };
-        let row = |len: String, vector| Region { buf, start: format!("vs{r}"), len, vector };
-        match (self.state.shape(buf), loaded) {
-            (Shape::Vector(n), false) => whole(*n, true),
-            (Shape::Matrix(d), false) => whole(d * d, false),
-            (shape @ Shape::Rows { .. }, false) => whole(shape.num_cells(), true),
-            (Shape::Matrix(d), true) => row(d.to_string(), true),
-            (Shape::Rows { elem: RowElem::Vec, .. }, true) => row(format!("vl{r}"), true),
-            (Shape::Rows { elem: RowElem::Mat(d), .. }, true) => row((d * d).to_string(), false),
-            (shape, _) => unreachable!("no view region over a {shape:?} buffer"),
-        }
+        Region { buf, start, len, vector }
     }
 
     /// The guard and cell index of a directly-addressed destination
@@ -764,10 +712,7 @@ impl<'a> ProcEmitter<'a> {
                 if ra.len != rb.len {
                     self.guard(pc, &format!("{} == {}", ra.len, rb.len));
                 }
-                match ra.len.parse::<u64>() {
-                    Ok(n) => self.pending_w += n,
-                    Err(_) => self.line(&format!("W += (uint64_t){};", ra.len)),
-                }
+                self.charge_len(&ra.len);
                 self.line(&format!(
                     "{{ double s = -0.0; for (int64_t q = 0; q < {}; q++) s += {ba}[{} + q] * {bb}[{} + q]; f{dst} = s; }}",
                     ra.len, ra.start, rb.start
@@ -783,7 +728,7 @@ impl<'a> ProcEmitter<'a> {
             }
             TInstr::DistLl { dst, dist, args, n_args, point } => {
                 self.pending_w += 5;
-                let e = self.ll_expr(*dist, args, *n_args, *point).expect("inlinable");
+                let e = self.ll_at(*dist, args, *n_args, *point).expect("inlinable");
                 self.ll_bufs(*dist, args);
                 self.line(&format!("f{dst} = {e};"));
             }
@@ -807,11 +752,46 @@ impl<'a> ProcEmitter<'a> {
             }
             TInstr::LlStore { lhs, op, dist, args, n_args, point } => {
                 self.pending_w += 6;
-                let e = self.ll_expr(*dist, args, *n_args, *point).expect("inlinable");
+                let e = self.ll_at(*dist, args, *n_args, *point).expect("inlinable");
                 self.ll_bufs(*dist, args);
                 self.store(pc, lhs, *op, &e);
             }
+            TInstr::LlFill { s, dist, args, n_args, lo, hi, .. } => {
+                let e = self
+                    .ll_expr(*dist, args, *n_args, "(double)q")
+                    .expect("the optimizer fills only densities C prints inline");
+                self.ll_bufs(*dist, args);
+                self.line(&format!(
+                    "for (int64_t q = aug_i64(f{lo}); q < aug_i64(f{hi}); q++) sc{s}[q] = {e};"
+                ));
+            }
+            TInstr::LlScratch { lhs, op, dist, s, k } => {
+                // The replaced LlStore's unit, density cost, and store.
+                self.pending_w += 2 + dist_op_cost(*dist, 0);
+                self.store(pc, lhs, *op, &format!("sc{s}[(int64_t)f{k}]"));
+            }
+            TInstr::SampleLogits { lhs, w } => {
+                let n = self.sample_len(lhs, *w).expect("inlinable");
+                let r = self.region(w.index());
+                self.pending_w += 4;
+                self.charge_len(&r.len);
+                let b = self.buf(r.buf);
+                self.draws = true;
+                self.line(&format!("{{ double e[{n}];"));
+                self.indent += 1;
+                let (start, len) = (&r.start, &r.len);
+                self.line(&format!("int64_t k = aug_cat_draw({b} + {start}, {len}, e, R);"));
+                self.guard(pc, "k >= 0");
+                self.store(pc, lhs, AssignOp::Set, "(double)k");
+                self.indent -= 1;
+                self.line("}");
+            }
             TInstr::ChargeW { n } => self.pending_w += *n as u64,
+            TInstr::ChargeDot { a } => {
+                self.pending_w += 1;
+                let len = self.region(a.index()).len;
+                self.charge_len(&len);
+            }
             TInstr::JumpIfNe { a, b, target } => {
                 self.flush_w();
                 self.line(&format!("if (f{a} != f{b}) goto L{target};"));
@@ -820,7 +800,7 @@ impl<'a> ProcEmitter<'a> {
                 self.flush_w();
                 self.line(&format!("goto L{target};"));
             }
-            TInstr::LoopStart { kind, lo, hi, .. } => {
+            TInstr::LoopStart { kind, lo, hi, body, .. } => {
                 self.flush_w();
                 let d = self.loops.len();
                 // A `Par` loop outside any fresh `Par` loop is one kernel
@@ -830,6 +810,26 @@ impl<'a> ProcEmitter<'a> {
                 self.indent += 1;
                 if fresh {
                     self.line(&format!("uint64_t L{d} = vt->par_enter(c);"));
+                }
+                let body = *body as usize;
+                if body > pc + 1 {
+                    // The preheader: once per entry of a loop that runs,
+                    // charging nothing (`LoopEnd` pays hoisted work).
+                    // Hoisted region selections may print no code.
+                    let outer = std::mem::take(&mut self.body);
+                    self.indent += 1;
+                    for p in pc + 1..body {
+                        self.instr(p);
+                    }
+                    self.indent -= 1;
+                    self.pending_w = 0;
+                    self.resume = body;
+                    let pre = std::mem::replace(&mut self.body, outer);
+                    if !pre.is_empty() {
+                        self.line(&format!("if (aug_i64(f{lo}) < n{d}) {{"));
+                        self.body.push_str(&pre);
+                        self.line("}");
+                    }
                 }
                 self.line(&format!("for (int64_t i{d} = aug_i64(f{lo}); i{d} < n{d}; i{d}++) {{"));
                 self.indent += 1;
@@ -855,8 +855,15 @@ impl<'a> ProcEmitter<'a> {
             | TInstr::IndexV { .. }
             | TInstr::Op1 { .. }
             | TInstr::Op2 { .. }
-            | TInstr::Sample { .. }
-            | TInstr::SampleLogits { .. } => unreachable!("{i:?} always runs in Rust"),
+            | TInstr::Sample { .. } => unreachable!("{i:?} always runs in Rust"),
+        }
+    }
+
+    /// Charges a region length: statically when it is a constant.
+    fn charge_len(&mut self, len: &str) {
+        match len.parse::<u64>() {
+            Ok(n) => self.pending_w += n,
+            Err(_) => self.line(&format!("W += (uint64_t){len};")),
         }
     }
 
@@ -877,6 +884,9 @@ impl<'a> ProcEmitter<'a> {
             }
         }
         for pc in 0..self.tape.instrs.len() {
+            if pc < self.resume {
+                continue;
+            }
             if labels.contains(&pc) {
                 self.flush_w();
                 self.line(&format!("L{pc}:;"));
@@ -892,6 +902,9 @@ impl<'a> ProcEmitter<'a> {
 
         let mut f = format!("static void {symbol}(augctx* c) {{\n");
         f.push_str("  const augvt* vt = c->vt;\n  double* F = c->F;\n  uint64_t W = 0;\n");
+        if self.draws {
+            f.push_str("  uint64_t* R = c->R;\n");
+        }
         for b in &self.used_bufs {
             let _ = writeln!(f, "  double* b{b} = c->B[{b}];");
         }
@@ -918,6 +931,11 @@ impl<'a> ProcEmitter<'a> {
         }
         if !grads.is_empty() {
             let _ = writeln!(f, "  double {};", grads.join(", "));
+        }
+        for i in &self.tape.instrs {
+            if let TInstr::LlFill { s, len, .. } = i {
+                let _ = writeln!(f, "  double sc{s}[{len}];");
+            }
         }
         f.push_str(&self.body);
         f.push_str("  c->W += W;\n  (void)vt; (void)F;\n}\n\n");

@@ -4,8 +4,9 @@
 //! Layout:
 //!
 //! * [`emit`] — prints each procedure's [`Tape`] as a C function: scalar
-//!   registers as locals, loads/arithmetic/loops/hot densities inline,
-//!   every other instruction a callback into the interpreter's own code;
+//!   registers as locals, loads/arithmetic/loops/hot densities and
+//!   categorical draws inline, every other instruction a callback into
+//!   the interpreter's own code;
 //! * [`jit`] — toolchain discovery, compilation, the content-addressed
 //!   on-disk artifact cache, and `dlopen`;
 //! * this module — the callback ABI ([`AugCtx`], the five-entry vtable),
@@ -19,6 +20,11 @@
 //! bounds check failed, so the panic carries the interpreter's message.
 //! `par_enter`/`par_iter`/`par_exit` replicate the interpreter's kernel
 //! launch bookkeeping for fresh `Par` loops (per-thread RNG streams).
+//! Inline categorical draws step the engine's RNG through the context's
+//! `R` field, a pointer to its splitmix64 counter
+//! ([`augur_dist::Prng::counter_mut`]); every callback that changes the
+//! stream assigns the engine's `Prng` in place, so the pointer stays
+//! valid for the whole call.
 //!
 //! Native procedures always run on the main engine's thread: the repo
 //! guarantees parallel and sequential execution are bit-identical, so a
@@ -50,6 +56,7 @@ pub struct AugCtx {
     f: *mut f64,
     vt: *const VTable,
     w: u64,
+    rng: *mut u64,
     eng: *mut Engine,
     tape: *const Tape,
     regions: *const u32,
@@ -193,24 +200,29 @@ pub(crate) fn run_native_proc(eng: &mut Engine, module: &NativeModule, idx: usiz
     if v.len() < tape.n_vregs {
         v.resize(tape.n_vregs, View::Num(0.0));
     }
+    let eng: *mut Engine = eng;
     let mut ctx = AugCtx {
         bufs: bufs.0.as_ptr(),
         f: f.as_mut_ptr(),
         vt: &VTABLE,
         w: 0,
-        eng: eng as *mut Engine,
+        // SAFETY: `eng` comes from the live `&mut Engine` of this call.
+        rng: unsafe { (*eng).rng.counter_mut() },
+        eng,
         tape,
         regions: module.regions[idx].as_ptr(),
         v: v.as_mut_ptr(),
     };
     // SAFETY: the context and everything it points to outlive the call:
     // the pointer table, the register banks (taken out of the engine, so
-    // no other reference reaches them), the tape, and the region table.
-    // The engine pointer is only dereferenced from callbacks on this
-    // thread while this frame does not touch `eng`. A panic raised in a
-    // callback unwinds through the `-fexceptions` C frames ("C-unwind" on
-    // both sides).
+    // no other reference reaches them), the tape, the region table, and
+    // the engine's RNG counter. The engine pointer is only dereferenced
+    // from callbacks on this thread while this frame does not touch
+    // `eng`. A panic raised in a callback unwinds through the
+    // `-fexceptions` C frames ("C-unwind" on both sides).
     unsafe { (module.procs[idx])(&mut ctx) };
+    // SAFETY: the call returned; `eng` is this function's `&mut Engine`.
+    let eng = unsafe { &mut *eng };
     eng.work += ctx.w;
     eng.tape_fregs = f;
     eng.tape_vregs = v;
@@ -248,7 +260,7 @@ unsafe extern "C-unwind" fn rt_step(c: *mut AugCtx, pc: u32) {
     // Regions live in C: rebuild the ones this instruction reads by
     // re-running their definitions (C spilled their index registers and
     // already charged their work).
-    emit::reads(instr, &mut |o| {
+    crate::tape::reads(instr, &mut |o| {
         let def = if o.is_view() { regions[o.index()] } else { emit::NOT_REGION };
         if def != emit::NOT_REGION {
             let work = eng.work;

@@ -237,6 +237,8 @@ pub(crate) struct PlanArtifact {
     pub(crate) opt_report: OptReport,
     /// The optimizer's per-procedure explain span.
     pub(crate) blk_span: Span,
+    /// The tape optimizer's per-procedure decisions, for explain.
+    pub(crate) tape_span: Span,
     /// Wall seconds the specialization phases took (explain only).
     pub(crate) codegen_secs: f64,
     /// Index of the ancestral-sampling initializer.
@@ -597,6 +599,17 @@ fn build_artifact(lowered: &LoweredModel, state: &State, opt_flags: &OptFlags) -
         table.insert(cpu, gpu, state);
     }
     blk_span.attr("total", opt_report.describe());
+    let mut tape_span = Span::new("tape");
+    let mut total = (0, 0, 0);
+    for p in &table.tapes {
+        let (h, e, s) = crate::tape_opt::summary(&p.tape, state);
+        if (h, e, s) != (0, 0, 0) {
+            tape_span.attr(&p.name, format!("hoisted={h} expanded={e} inlined_samples={s}"));
+        }
+        total = (total.0 + h, total.1 + e, total.2 + s);
+    }
+    let (h, e, s) = total;
+    tape_span.attr("total", format!("hoisted={h} expanded={e} inlined_samples={s}"));
     let steps: Vec<CompiledStep> =
         lowered.steps.iter().map(|s| compile_step(state, &table, s)).collect();
     let init_idx = table_index(&table, &lowered.init_proc);
@@ -606,6 +619,7 @@ fn build_artifact(lowered: &LoweredModel, state: &State, opt_flags: &OptFlags) -
         steps: Arc::new(steps),
         opt_report,
         blk_span,
+        tape_span,
         codegen_secs: t0.elapsed().as_secs_f64(),
         init_idx,
         model_ll_idx,
@@ -667,6 +681,7 @@ fn assemble_explain(
     let mut codegen = Span::timed("codegen", setup_secs + artifact.codegen_secs);
     codegen.attr("procs", artifact.table.procs.len().to_string());
     codegen.child(artifact.blk_span.clone());
+    codegen.child(artifact.tape_span.clone());
     explain.root.child(codegen);
     // The cache's verdict for THIS plan request. The fingerprint itself
     // is deliberately absent from the render (golden explain files stay

@@ -450,6 +450,12 @@ pub enum TInstr {
         lo: u32,
         /// Scalar register holding the upper bound.
         hi: u32,
+        /// Absolute index of the body's first instruction. The
+        /// instructions in between are the loop's *preheader*: invariant
+        /// work the optimizer hoisted out of the body ([`crate::tape_opt`]).
+        /// It runs once per entry of a loop that runs at least once, before
+        /// the first iteration; [`TInstr::LoopEnd`] resumes at `body`.
+        body: u32,
         /// Absolute index of the first instruction after the loop.
         exit: u32,
         /// True when the loop region (body and nested loops) draws no
@@ -460,11 +466,12 @@ pub enum TInstr {
     },
     /// Close the innermost loop: advance the index and jump back, or fall
     /// through when exhausted. `w` charges the work of instructions the
-    /// value-numbering pass elided from the loop body (one unit per
-    /// elided occurrence, per iteration) so work accounting stays
-    /// identical to the tree-walker's.
+    /// value-numbering pass elided from the loop body and of those the
+    /// optimizer hoisted into the preheader (their full per-iteration
+    /// charge, per iteration) so work accounting stays identical to the
+    /// tree-walker's.
     LoopEnd {
-        /// Work units elided from the body by common-subexpression reuse.
+        /// Work units elided from or hoisted out of the body.
         w: u32,
     },
     /// Charge `n` work units for elided (value-numbered) instructions in
@@ -472,6 +479,49 @@ pub enum TInstr {
     ChargeW {
         /// Work units to charge.
         n: u32,
+    },
+    /// Charge `1 + len(a)`: the work of a repeated `dot(a, ·)` whose value
+    /// is already in a register (value numbering reuses it; the charge
+    /// depends on the operand length, so it is paid here at run time).
+    ChargeDot {
+        /// The dot's left operand.
+        a: Opd,
+    },
+    /// Fill scratch cells `s + k`, for `k` in `f[lo]..f[hi]`, with
+    /// `log p(k | args)` — an invariant log-density vector the optimizer
+    /// evaluates once per loop entry ([`crate::tape_opt`]). A preheader
+    /// instruction: it charges nothing, its [`TInstr::LlScratch`] readers
+    /// keep the per-use charge.
+    LlFill {
+        /// First scratch cell.
+        s: u32,
+        /// Scratch cells reserved (the static bound of `f[hi]`).
+        len: u32,
+        /// The distribution.
+        dist: DistKind,
+        /// Parameter operands.
+        args: [Opd; 2],
+        /// How many of `args` are meaningful.
+        n_args: u8,
+        /// Scalar register holding the first point.
+        lo: u32,
+        /// Scalar register holding the end of the point range.
+        hi: u32,
+    },
+    /// `lhs op= scratch[s + f[k]]`: an [`TInstr::LlStore`] whose point is
+    /// the index `f[k]` of the loop an [`TInstr::LlFill`] covers. Charges
+    /// exactly what the `LlStore` it replaces charged.
+    LlScratch {
+        /// The destination.
+        lhs: TDest,
+        /// Set or increment.
+        op: AssignOp,
+        /// The distribution (for the work charge and listings).
+        dist: DistKind,
+        /// First scratch cell of the filled vector.
+        s: u32,
+        /// Scalar register holding the point (the loop index).
+        k: u32,
     },
     /// Store an immediate: a fused `ConstF` + `Write` (charges both the
     /// constant node and the store).
@@ -524,14 +574,19 @@ pub fn op_class_of(i: &TInstr) -> usize {
         | TInstr::DotF { .. }
         | TInstr::Op1 { .. }
         | TInstr::Op2 { .. } => 1,
-        TInstr::DistLl { .. } | TInstr::DistGrad { .. } | TInstr::LlStore { .. } => 2,
+        TInstr::DistLl { .. }
+        | TInstr::DistGrad { .. }
+        | TInstr::LlStore { .. }
+        | TInstr::LlFill { .. }
+        | TInstr::LlScratch { .. } => 2,
         TInstr::Sample { .. } | TInstr::SampleLogits { .. } => 3,
         TInstr::Write { .. } | TInstr::WriteImm { .. } => 4,
         TInstr::JumpIfNe { .. }
         | TInstr::Jump { .. }
         | TInstr::LoopStart { .. }
         | TInstr::LoopEnd { .. }
-        | TInstr::ChargeW { .. } => 5,
+        | TInstr::ChargeW { .. }
+        | TInstr::ChargeDot { .. } => 5,
     }
 }
 
@@ -547,6 +602,8 @@ pub struct Tape {
     /// Work units elided after the last control instruction, charged once
     /// per run.
     pub tail_w: u32,
+    /// Scratch cells the tape's [`TInstr::LlFill`] vectors occupy.
+    pub n_scratch: usize,
 }
 
 /// A procedure compiled for CPU tape execution.
@@ -561,12 +618,14 @@ pub struct TapeProc {
 }
 
 impl TapeProc {
-    /// Compiles a slot-resolved procedure to a tape. The state supplies
-    /// buffer shapes for static kind inference and load fusion.
+    /// Compiles a slot-resolved procedure to a tape and runs the tape
+    /// optimizer over it. The state supplies buffer shapes for static
+    /// kind inference, load fusion, and the optimizer's scratch sizes.
     pub fn compile(p: &RProc, state: &State) -> TapeProc {
         let mut em = Emitter::new(state);
         em.stmt(&p.body);
-        TapeProc { name: p.name.clone(), tape: em.finish(), ret: p.ret.clone() }
+        let tape = crate::tape_opt::optimize(em.finish(), state);
+        TapeProc { name: p.name.clone(), tape, ret: p.ret.clone() }
     }
 }
 
@@ -582,6 +641,153 @@ fn instrs_rng_free(instrs: &[TInstr]) -> bool {
                 | TInstr::SampleLogits { .. }
                 | TInstr::LoopStart { kind: LoopKind::Par, .. }
         )
+    })
+}
+
+/// Visits every operand an instruction reads, in either bank.
+pub(crate) fn reads(i: &TInstr, out: &mut impl FnMut(Opd)) {
+    let f = Opd::f;
+    match i {
+        TInstr::ConstF { .. }
+        | TInstr::LoopIdx { .. }
+        | TInstr::LoadScalar { .. }
+        | TInstr::RefBufV { .. }
+        | TInstr::Jump { .. }
+        | TInstr::LoopEnd { .. }
+        | TInstr::ChargeW { .. } => {}
+        TInstr::LoadCell1 { i, .. } | TInstr::LoadRow1 { i, .. } => out(f(*i)),
+        TInstr::NegF { a, .. } | TInstr::Call1F { a, .. } => out(f(*a)),
+        TInstr::NumOf { a, .. } | TInstr::LenV { a, .. } => out(Opd::v(*a)),
+        TInstr::Op1 { a, .. } | TInstr::ChargeDot { a } => out(*a),
+        TInstr::LoadCell2 { row: a, col: b, .. }
+        | TInstr::BinopF { a, b, .. }
+        | TInstr::JumpIfNe { a, b, .. }
+        | TInstr::LoopStart { lo: a, hi: b, .. } => {
+            out(f(*a));
+            out(f(*b));
+        }
+        TInstr::IndexF { base, idx, .. } | TInstr::IndexV { base, idx, .. } => {
+            out(f(*idx));
+            out(*base);
+        }
+        TInstr::DotF { a, b, .. } | TInstr::Op2 { a, b, .. } => {
+            out(*a);
+            out(*b);
+        }
+        TInstr::DistLl { args, n_args, point, .. }
+        | TInstr::DistGrad { args, n_args, point, .. } => {
+            args[..*n_args as usize].iter().for_each(|a| out(*a));
+            out(*point);
+        }
+        TInstr::LlFill { args, n_args, lo, hi, .. } => {
+            args[..*n_args as usize].iter().for_each(|a| out(*a));
+            out(f(*lo));
+            out(f(*hi));
+        }
+        TInstr::Write { lhs, src, .. } => {
+            out(*src);
+            dest_reads(lhs, out);
+        }
+        TInstr::Sample { lhs, args, n_args, .. } => {
+            args[..*n_args as usize].iter().for_each(|a| out(*a));
+            dest_reads(lhs, out);
+        }
+        TInstr::SampleLogits { lhs, w } => {
+            out(*w);
+            dest_reads(lhs, out);
+        }
+        TInstr::WriteImm { lhs, .. } => dest_reads(lhs, out),
+        TInstr::LlStore { lhs, args, n_args, point, .. } => {
+            args[..*n_args as usize].iter().for_each(|a| out(*a));
+            out(*point);
+            dest_reads(lhs, out);
+        }
+        TInstr::LlScratch { lhs, k, .. } => {
+            out(f(*k));
+            dest_reads(lhs, out);
+        }
+    }
+}
+
+fn dest_reads(d: &TDest, out: &mut impl FnMut(Opd)) {
+    match d {
+        TDest::Cell0 { .. } => {}
+        TDest::Cell1 { i, .. } | TDest::Row1 { i, .. } => out(Opd::f(*i)),
+        TDest::Cell2 { row, col, .. } => {
+            out(Opd::f(*row));
+            out(Opd::f(*col));
+        }
+        TDest::Slow { idx, n_idx, .. } => {
+            idx[..*n_idx as usize].iter().for_each(|r| out(Opd::f(*r)))
+        }
+    }
+}
+
+/// The register an instruction writes, in either bank.
+pub(crate) fn writes(i: &TInstr) -> Option<Opd> {
+    match i {
+        TInstr::ConstF { dst, .. }
+        | TInstr::LoopIdx { dst, .. }
+        | TInstr::LoadScalar { dst, .. }
+        | TInstr::LoadCell1 { dst, .. }
+        | TInstr::LoadCell2 { dst, .. }
+        | TInstr::NumOf { dst, .. }
+        | TInstr::IndexF { dst, .. }
+        | TInstr::BinopF { dst, .. }
+        | TInstr::NegF { dst, .. }
+        | TInstr::Call1F { dst, .. }
+        | TInstr::DotF { dst, .. }
+        | TInstr::DistLl { dst, .. }
+        | TInstr::LenV { dst, .. } => Some(Opd::f(*dst)),
+        TInstr::RefBufV { dst, .. }
+        | TInstr::LoadRow1 { dst, .. }
+        | TInstr::IndexV { dst, .. }
+        | TInstr::Op1 { dst, .. }
+        | TInstr::Op2 { dst, .. }
+        | TInstr::DistGrad { dst, .. } => Some(Opd::v(*dst)),
+        _ => None,
+    }
+}
+
+/// The buffer an instruction stores to, if any.
+pub(crate) fn stored_buf(i: &TInstr) -> Option<BufId> {
+    let dest = match i {
+        TInstr::Write { lhs, .. }
+        | TInstr::WriteImm { lhs, .. }
+        | TInstr::LlStore { lhs, .. }
+        | TInstr::LlScratch { lhs, .. }
+        | TInstr::Sample { lhs, .. }
+        | TInstr::SampleLogits { lhs, .. } => lhs,
+        _ => return None,
+    };
+    Some(match dest {
+        TDest::Cell0 { buf }
+        | TDest::Cell1 { buf, .. }
+        | TDest::Row1 { buf, .. }
+        | TDest::Cell2 { buf, .. }
+        | TDest::Slow { buf, .. } => *buf,
+    })
+}
+
+/// The static length bound of the view a `RefBufV`/`LoadRow1` defines
+/// (the longest row for a ragged row), and whether densities read it as
+/// a vector rather than a matrix. `None` for any other instruction.
+pub(crate) fn region_len(state: &State, def: &TInstr) -> Option<(usize, bool)> {
+    let (buf, row) = match def {
+        TInstr::RefBufV { buf, .. } => (*buf, false),
+        TInstr::LoadRow1 { buf, .. } => (*buf, true),
+        _ => return None,
+    };
+    Some(match (state.shape(buf), row) {
+        (Shape::Vector(n), false) => (*n, true),
+        (Shape::Matrix(d), false) => (d * d, false),
+        (shape @ Shape::Rows { .. }, false) => (shape.num_cells(), true),
+        (Shape::Matrix(d), true) => (*d, true),
+        (Shape::Rows { elem: RowElem::Vec, offsets }, true) => {
+            (offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0), true)
+        }
+        (Shape::Rows { elem: RowElem::Mat(d), .. }, true) => (d * d, false),
+        (Shape::Vector(_) | Shape::Num, true) | (Shape::Num, false) => return None,
     })
 }
 
@@ -639,10 +845,9 @@ enum MemoKey {
     NumOf(u32),
     /// `dot(v[a], v[b])`. The *value* depends on buffer data behind the
     /// view operands, so this key is invalidated on stores to either
-    /// provenance buffer — and a hit *rematerializes* the dot into its
-    /// original register (the work is data-dependent, so the instruction
-    /// re-executes) rather than eliding it; the stable destination is
-    /// what lets downstream scalar keys keep matching.
+    /// provenance buffer. A hit reuses the register and emits a
+    /// [`TInstr::ChargeDot`], because the elided work depends on the
+    /// operand length.
     Dot(u32, u32),
     /// `log p(f[point] | scalar args)` — all operands in scalar
     /// registers, so never invalidated.
@@ -741,6 +946,7 @@ impl<'s> Emitter<'s> {
             n_fregs: self.next_f as usize,
             n_vregs: self.next_v as usize,
             tail_w: self.pending_w,
+            n_scratch: 0,
         }
     }
 
@@ -932,13 +1138,12 @@ impl<'s> Emitter<'s> {
                 Builtin::Dot => {
                     let (ra, _) = self.expr(&args[0]);
                     let (rb, _) = self.expr(&args[1]);
-                    // The dot's work is data-dependent (the operand
-                    // length), so a repeat is *rematerialized* into its
-                    // original register — re-executed, self-charging —
-                    // instead of elided; the stable destination keeps
-                    // downstream scalar keys matching. Only sound when
-                    // both operands are views with known buffer
-                    // provenance (the key invalidates on stores to them).
+                    // A repeat reuses the register but still pays the
+                    // dot's data-dependent work (`1 + len(a)`) through a
+                    // `ChargeDot`. Only sound when both operands are
+                    // views with known buffer provenance (the key
+                    // invalidates on stores to them), which also means
+                    // the repeat cannot fail where the first did not.
                     let memoable = ra.is_view()
                         && rb.is_view()
                         && self.vreg_buf.contains_key(&(ra.index() as u32))
@@ -946,7 +1151,7 @@ impl<'s> Emitter<'s> {
                     if memoable {
                         let key = MemoKey::Dot(ra.index() as u32, rb.index() as u32);
                         if let Some(&r) = self.memo.get(&key) {
-                            self.push(TInstr::DotF { dst: r, a: ra, b: rb });
+                            self.push(TInstr::ChargeDot { a: ra });
                             return (Opd::f(r), EK::Num);
                         }
                         let dst = self.freg();
@@ -1230,6 +1435,7 @@ impl<'s> Emitter<'s> {
                     kind: *kind,
                     lo: rlo,
                     hi: rhi,
+                    body: self.here() + 1,
                     exit: 0,
                     rng_free: false,
                 });
@@ -1375,8 +1581,12 @@ impl Tape {
                     writeln!(out, "jne     f{a}, f{b} -> {target}")
                 }
                 TInstr::Jump { target } => writeln!(out, "jmp     -> {target}"),
-                TInstr::LoopStart { kind, lo, hi, exit, .. } => {
-                    writeln!(out, "loop    {kind:?} f{lo}..f{hi} exit -> {exit}")
+                TInstr::LoopStart { kind, lo, hi, body, exit, .. } => {
+                    if *body as usize == pc + 1 {
+                        writeln!(out, "loop    {kind:?} f{lo}..f{hi} exit -> {exit}")
+                    } else {
+                        writeln!(out, "loop    {kind:?} f{lo}..f{hi} body -> {body} exit -> {exit}")
+                    }
                 }
                 TInstr::LoopEnd { w } => {
                     if *w == 0 {
@@ -1386,6 +1596,15 @@ impl Tape {
                     }
                 }
                 TInstr::ChargeW { n } => writeln!(out, "charge  +w{n}"),
+                TInstr::ChargeDot { a } => writeln!(out, "charge  +w1+len({})", fmt_opd(*a)),
+                TInstr::LlFill { s, len, dist, args, n_args, lo, hi } => writeln!(
+                    out,
+                    "llfill  s{s}[{len}] <- {dist:?}({}; point=f{lo}..f{hi})",
+                    fmt_args(args, *n_args)
+                ),
+                TInstr::LlScratch { lhs, op, s, k, .. } => {
+                    writeln!(out, "llstore {} {} s{s}[f{k}]", fmt_lhs(lhs), fmt_assign(*op))
+                }
                 TInstr::WriteImm { lhs, op, val } => {
                     writeln!(out, "writei  {} {} {val}", fmt_lhs(lhs), fmt_assign(*op))
                 }
@@ -1499,6 +1718,9 @@ impl Engine {
         if v.len() < tape.n_vregs {
             v.resize(tape.n_vregs, View::Num(0.0));
         }
+        if self.tape_scratch.len() < tape.n_scratch {
+            self.tape_scratch.resize(tape.n_scratch, 0.0);
+        }
         // Work accumulates locally and flushes once on exit: the engine
         // only reads `self.work` between procedure runs. Helpers that
         // charge `self.work` directly (op_views, write_dest, index_view)
@@ -1531,7 +1753,7 @@ impl Engine {
                     pc = target;
                     continue;
                 }
-                (Flow::Loop, TInstr::LoopStart { kind, lo, hi, exit, rng_free }) => {
+                (Flow::Loop, TInstr::LoopStart { kind, lo, hi, body, exit, rng_free }) => {
                     let lo = f[*lo as usize] as i64;
                     let hi = f[*hi as usize] as i64;
                     let fresh = *kind == LoopKind::Par && !self.in_parallel;
@@ -1552,8 +1774,9 @@ impl Engine {
                             self.launch_counter += 1;
                             launch = self.launch_counter;
                         }
+                        let span = (pc + 1, *body, *exit);
                         retired +=
-                            self.dispatch_loop_chunks(tape, pc + 1, *exit, lo, hi, fresh, launch, &f, &v);
+                            self.dispatch_loop_chunks(tape, span, lo, hi, fresh, launch, &f, &v);
                         pc = *exit;
                         continue;
                     }
@@ -1582,12 +1805,18 @@ impl Engine {
                     frames.push(TapeFrame {
                         idx: lo,
                         hi,
-                        body_pc: pc + 1,
+                        body_pc: *body,
                         exit: *exit,
                         fresh,
                         launch,
                         master,
                     });
+                    if *body > pc + 1 {
+                        self.run_preheader(tape, pc + 1, *body, &mut f, &mut v);
+                        retired += self.retire_preheader(tape, pc + 1, *body);
+                    }
+                    pc = *body;
+                    continue;
                 }
                 (Flow::Loop, TInstr::LoopEnd { w: extra }) => {
                     // Charges for instructions elided from the loop body by
@@ -1810,7 +2039,7 @@ impl Engine {
                     }
                 }
                 let val = if src.is_view() {
-                    let view = std::mem::replace(&mut v[src.index()], View::Num(0.0));
+                    let view = take_opd(f, v, *src);
                     self.own_val(view)
                 } else {
                     OwnVal::Num(f[src.index()])
@@ -1823,7 +2052,7 @@ impl Engine {
                 let mut owned = [OwnArg::Num(0.0), OwnArg::Num(0.0)];
                 for k in 0..n {
                     owned[k] = if args[k].is_view() {
-                        let view = std::mem::replace(&mut v[args[k].index()], View::Num(0.0));
+                        let view = take_opd(f, v, args[k]);
                         self.own_arg(view)
                     } else {
                         OwnArg::Num(f[args[k].index()])
@@ -1873,6 +2102,18 @@ impl Engine {
                 // Deferred charges for elided instructions in a
                 // straight-line region.
                 *w += *n as u64;
+            }
+            TInstr::ChargeDot { a } => *w += 1 + opd_len(self, v, *a) as u64,
+            TInstr::LlFill { s, dist, args, n_args, lo, hi, .. } => {
+                let (lo, hi) = (f[*lo as usize] as i64, f[*hi as usize] as i64);
+                self.fill_ll(*s as usize, *dist, args, *n_args, lo, hi, f, v);
+            }
+            TInstr::LlScratch { lhs, op, dist, s, k } => {
+                // The replaced LlStore's DistLl unit and cost, then the
+                // store.
+                *w += 1 + dist_op_cost(*dist, 0);
+                let ll = self.tape_scratch[*s as usize + f[*k as usize] as usize];
+                self.store_num(lhs, *op, ll, f, w);
             }
             TInstr::WriteImm { lhs, op, val } => {
                 // The elided ConstF node's unit plus the store.
@@ -1946,6 +2187,59 @@ impl Engine {
             }
             _ => DistKind::MvNormal.log_pdf(&refs[..n], pref).expect("ll evaluation failed"),
         }
+    }
+
+    /// An [`TInstr::LlFill`]: `scratch[s + k] = log p(k | args)` for `k`
+    /// in `lo..hi`, evaluated exactly as a [`TInstr::DistLl`] at point `k`
+    /// would be. Kept out of line so the dispatch loop does not grow.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
+    fn fill_ll(
+        &mut self,
+        s: usize,
+        dist: DistKind,
+        args: &[Opd; 2],
+        n_args: u8,
+        lo: i64,
+        hi: i64,
+        f: &[f64],
+        v: &[View],
+    ) {
+        let n = n_args as usize;
+        let refs = [
+            opd_ref(&self.state, f, v, args[0], n > 0),
+            opd_ref(&self.state, f, v, args[1], n > 1),
+        ];
+        for k in lo..hi {
+            let ll = dist.log_pdf(&refs[..n], ValueRef::Scalar(k as f64));
+            self.tape_scratch[s + k as usize] = ll.expect("ll evaluation failed");
+        }
+    }
+
+    /// Runs a loop's preheader `[from, to)` before its first iteration.
+    /// Hoisted instructions charge nothing here — the loop's `LoopEnd`
+    /// pays their full per-iteration charge — so the work they (and the
+    /// helpers they call) add is rolled back.
+    #[inline(never)]
+    fn run_preheader(&mut self, tape: &Tape, from: u32, to: u32, f: &mut [f64], v: &mut [View]) {
+        let work = self.work;
+        for pc in from..to {
+            self.exec_instr(&tape.instrs[pc as usize], f, v, &mut 0);
+        }
+        self.work = work;
+    }
+
+    /// Retires a preheader `[from, to)` once per loop entry — a parallel
+    /// dispatch runs it in every chunk but retires it once — so
+    /// `instrs_retired` and the op-class counts do not depend on the
+    /// thread count. Returns the number of instructions retired.
+    fn retire_preheader(&mut self, tape: &Tape, from: u32, to: u32) -> u64 {
+        if self.profile_ops {
+            for instr in &tape.instrs[from as usize..to as usize] {
+                self.metrics.op_class[op_class_of(instr)] += 1;
+            }
+        }
+        (to - from) as u64
     }
 
     /// Stores a scalar (`WriteImm`/`LlStore`): directly-addressed cells
@@ -2022,20 +2316,20 @@ impl Engine {
         Some((0..n).map(|w| plan.panic_hits(w, self.fault_sweep)).collect())
     }
 
-    /// Fans the iterations of an embedded tape loop (body at
-    /// `[body_pc, exit)`) across the worker pool. Each worker gets a
-    /// copy-on-write state clone plus clones of the register banks, runs
-    /// its chunk through [`Engine::run_tape_span`], and logs every state
-    /// write; the main thread replays logs in chunk order — sequential
-    /// iteration order — so results are bit-identical to the sequential
-    /// path at any worker count. Returns the body's retired-instruction
-    /// count.
+    /// Fans the iterations of an embedded tape loop across the worker
+    /// pool. `span` is the loop's `(preheader, body, exit)` pcs. Each
+    /// worker gets a copy-on-write state clone plus clones of the register
+    /// banks and scratch, runs its chunk through
+    /// [`Engine::run_par_chunk`], and logs every state write; the main
+    /// thread replays logs in chunk order — sequential iteration order —
+    /// so results are bit-identical to the sequential path at any worker
+    /// count. Returns the retired-instruction count: the chunks' bodies
+    /// plus the preheader once.
     #[allow(clippy::too_many_arguments)]
     fn dispatch_loop_chunks(
         &mut self,
         tape: &Tape,
-        body_pc: u32,
-        exit: u32,
+        span: (u32, u32, u32),
         lo: i64,
         hi: i64,
         fresh: bool,
@@ -2055,6 +2349,7 @@ impl Engine {
                 let mut wk = self.fork_worker();
                 wk.tape_fregs = f.to_vec();
                 wk.tape_vregs = v.to_vec();
+                wk.tape_scratch = self.tape_scratch.clone();
                 wk
             })
             .collect();
@@ -2070,7 +2365,7 @@ impl Engine {
                         if bomb {
                             panic!("{} (worker {w})", crate::fault::INJECTED_PANIC);
                         }
-                        wk.run_par_chunk(tape, body_pc, exit, a, b, fresh, launch)
+                        wk.run_par_chunk(tape, span, a, b, fresh, launch)
                     }) as Box<dyn FnOnce() -> u64 + Send + '_>
                 })
                 .collect();
@@ -2083,21 +2378,20 @@ impl Engine {
         if let Some(last) = workers.last() {
             self.adopt_thread_locals(last);
         }
-        retireds.iter().sum()
+        retireds.iter().sum::<u64>() + self.retire_preheader(tape, span.0, span.1)
     }
 
     /// Runs one chunk `[chunk_lo, chunk_hi)` of a parallel tape loop on a
     /// worker engine: seed the chunk's first per-thread stream, pre-build
-    /// the loop frame, and re-enter the interpreter over the body span.
-    /// The frame's `LoopEnd` handling advances the index, reseeds fresh
-    /// streams, and exits at `exit` — identical bookkeeping to the
-    /// sequential path, which is what makes the chunking invisible.
-    #[allow(clippy::too_many_arguments)]
+    /// the loop frame, run the loop's preheader, and re-enter the
+    /// interpreter over the body span. The frame's `LoopEnd` handling
+    /// advances the index, reseeds fresh streams, and exits at `exit` —
+    /// identical bookkeeping to the sequential path, which is what makes
+    /// the chunking invisible.
     fn run_par_chunk(
         &mut self,
         tape: &Tape,
-        body_pc: u32,
-        exit: u32,
+        (pre_pc, body_pc, exit): (u32, u32, u32),
         chunk_lo: i64,
         chunk_hi: i64,
         fresh: bool,
@@ -2118,6 +2412,11 @@ impl Engine {
             // Placeholder master: the worker's RNG is discarded with it.
             master: if fresh { Some(augur_dist::Prng::seed_from_u64(0)) } else { None },
         };
+        let mut f = std::mem::take(&mut self.tape_fregs);
+        let mut v = std::mem::take(&mut self.tape_vregs);
+        self.run_preheader(tape, pre_pc, body_pc, &mut f, &mut v);
+        self.tape_fregs = f;
+        self.tape_vregs = v;
         self.run_tape_span(tape, body_pc, exit, vec![frame], false)
     }
 
@@ -2140,7 +2439,7 @@ impl Engine {
                 for k in 0..*n_idx as usize {
                     let i = f[idx[k] as usize];
                     assert!(i >= 0.0, "negative store index");
-                    d = dest_index(&self.state, d, i as usize);
+                    d = dest_index(&self.state, d, i as usize, k == 0);
                 }
                 d
             }

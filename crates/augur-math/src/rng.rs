@@ -55,6 +55,14 @@ impl Prng {
         Prng { state, spare_normal: spare_bits.map(f64::from_bits) }
     }
 
+    /// The splitmix64 counter itself, for code that steps the stream
+    /// outside Rust: the native backend's inline categorical draw adds
+    /// the golden-gamma increment and mixes, exactly as
+    /// [`Prng::next_u64`] does.
+    pub fn counter_mut(&mut self) -> &mut u64 {
+        &mut self.state
+    }
+
     /// The next raw 64-bit word of the stream (splitmix64).
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);

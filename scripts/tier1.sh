@@ -36,9 +36,10 @@ cargo test -q --test alloc_free
 # than proptest. `Plan::emit` is the only code printer: the second
 # (OpenMP) C printer, the symbol manifests, the facade's `emit_native`/
 # `emit_unit` and the `augur::codegen` shim stay deleted, as do gpu-sim's
-# kernel log, the criterion benches and the root `proptest-tests`
-# feature. `gone` fails on a match (a bare `! grep` does not trip
-# `set -e`).
+# kernel log, the criterion benches and the `proptest-tests` features of
+# the root package and of augur-backend (whose interpreter properties run
+# on the in-tree Prng). `gone` fails on a match (a bare `! grep` does
+# not trip `set -e`).
 gone() { if grep -rn "$@"; then echo "removed name reappeared: $*" >&2; exit 1; fi; }
 gone -E "pub (struct|type) (Infer|Sampler|SamplerConfig|ChainRunner)\b" \
     crates/augur/src crates/augur-backend/src
@@ -58,6 +59,7 @@ gone -wE "CodegenUnit|SymbolInfo|SymbolKind|KernelManifest|sweep_overhead_ns|emi
 test ! -e crates/augur/src/codegen.rs
 test ! -d crates/augur-bench/benches
 gone -w proptest-tests Cargo.toml
+gone -w proptest-tests crates/augur-backend/Cargo.toml
 
 # Native-backend smoke: the emit-C-and-dlopen lane must stay bit-exact
 # against tree and tape (draws, report digest, profile digest), the

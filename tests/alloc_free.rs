@@ -118,6 +118,26 @@ fn steady_state_sweeps_do_not_allocate() {
             )
             .unwrap();
 
+        // The benchmark's topic count over uneven documents, one a single
+        // token: the optimizer's scratch is sized from K.
+        let topics20 = 20;
+        let mut corpus = workloads::lda_corpus(topics20, 12, 200, 24, 23);
+        corpus.docs[3].truncate(1);
+        corpus.lens[3] = 1;
+        let lda20 = Model::compile(models::LDA)
+            .unwrap()
+            .plan(
+                vec![
+                    HostValue::Int(topics20 as i64),
+                    HostValue::Int(corpus.docs.len() as i64),
+                    HostValue::VecF(vec![0.5; topics20]),
+                    HostValue::VecF(vec![0.1; corpus.vocab]),
+                    HostValue::VecI(corpus.lens.clone()),
+                ],
+                vec![("w", HostValue::RaggedI(corpus.docs))],
+            )
+            .unwrap();
+
         let (hn, hd) = (40, 4);
         let log = workloads::logistic_data(hn, hd, 13);
         let hlr = Model::compile(models::HLR)
@@ -132,7 +152,12 @@ fn steady_state_sweeps_do_not_allocate() {
                 vec![("y", HostValue::VecF(log.y))],
             )
             .unwrap();
-        vec![("hgmm", hgmm, "mu"), ("lda", lda, "theta"), ("hlr", hlr, "theta")]
+        vec![
+            ("hgmm", hgmm, "mu"),
+            ("lda", lda, "theta"),
+            ("lda-k20", lda20, "theta"),
+            ("hlr", hlr, "theta"),
+        ]
     };
 
     let mcmc = McmcConfig { step_size: 0.01, leapfrog_steps: 5, ..Default::default() };

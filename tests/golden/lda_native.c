@@ -1,4 +1,4 @@
-/* Generated by augur-backend native codegen v2 from the tape. Do not edit. */
+/* Generated by augur-backend native codegen v3 from the tape. Do not edit. */
 #include <stdint.h>
 #include <math.h>
 
@@ -10,7 +10,7 @@ typedef struct {
   void     (*par_iter)(augctx*, uint64_t, int64_t);
   void     (*par_exit)(augctx*);
 } augvt;
-struct augctx { double** B; double* F; const augvt* vt; uint64_t W; };
+struct augctx { double** B; double* F; const augvt* vt; uint64_t W; uint64_t* R; };
 
 /* Rust `f64 as i64`: truncating, saturating, NaN -> 0. */
 static inline int64_t aug_i64(double x) {
@@ -59,6 +59,24 @@ static inline double aug_cat_ll(double k, const double* p, int64_t len) {
   if (!(k < (double)len)) return -INFINITY;
   double pk = p[(int64_t)k];
   return pk > 0.0 ? log(pk) : -INFINITY;
+}
+/* augur_math::Prng::categorical_log over `len` log-weights, the exps
+   cached in `e` for the scan; steps the splitmix64 counter `*r` once.
+   -1, before drawing, where the interpreter panics. */
+static inline int64_t aug_cat_draw(const double* l, int64_t len, double* e, uint64_t* r) {
+  double m = -INFINITY;
+  for (int64_t q = 0; q < len; q++) if (l[q] > m) m = l[q];
+  if (!(m > -INFINITY)) return -1;
+  double total = -0.0;
+  for (int64_t q = 0; q < len; q++) { e[q] = exp(l[q] - m); total += e[q]; }
+  if (!(total > 0.0 && isfinite(total))) return -1;
+  uint64_t z = (*r += 0x9E3779B97F4A7C15ull);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  z ^= z >> 31;
+  double t = (double)(z >> 11) * (1.0 / 9007199254740992.0) * total;
+  for (int64_t q = 0; q < len; q++) { t -= e[q]; if (t < 0.0) return q; }
+  return len - 1;
 }
 
 static const int64_t off5[11] = {0, 25, 47, 66, 91, 115, 138, 155, 172, 196, 213};
@@ -176,14 +194,17 @@ static void aug_p2(augctx* c) {
   const augvt* vt = c->vt;
   double* F = c->F;
   uint64_t W = 0;
+  uint64_t* R = c->R;
   double* b1 = c->B[1];
   double* b4 = c->B[4];
   double* b5 = c->B[5];
   double* b6 = c->B[6];
   double* b7 = c->B[7];
+  double* b8 = c->B[8];
   double* b11 = c->B[11];
   double f0, f1, f2, f3, f4, f5, f6, f7, f8;
   int64_t vs0, vl0, vs1, vl1;
+  double sc0[3];
   f0 = 0e0;
   f1 = b1[0];
   W += 2;
@@ -196,33 +217,43 @@ static void aug_p2(augctx* c) {
       f3 = b4[(int64_t)f2];
       W += 5;
       { int64_t n1 = aug_i64(f3);
-        for (int64_t i1 = aug_i64(f0); i1 < n1; i1++) {
+        if (aug_i64(f0) < n1) {
           if (!(f2 >= 0.0 && f2 < 10)) { F[2] = f2; vt->trap(c, 7); }
           vs0 = off6[(int64_t)f2];
           vl0 = off6[(int64_t)f2 + 1] - vs0;
           f4 = (double)(vl0);
-          W += 6;
+          for (int64_t q = aug_i64(f0); q < aug_i64(f4); q++) sc0[q] = aug_cat_ll((double)q, b6 + vs0, vl0);
+        }
+        for (int64_t i1 = aug_i64(f0); i1 < n1; i1++) {
+          W += 2;
           { int64_t n2 = aug_i64(f4);
+            if (aug_i64(f0) < n2) {
+              f6 = (double)i1;
+              if (!(f2 >= 0.0 && f6 >= 0.0 && f2 < 10 && f6 < (double)(off5[(int64_t)f2 + 1] - off5[(int64_t)f2]))) { F[2] = f2; F[6] = f6; vt->trap(c, 13); }
+              f7 = b5[off5[(int64_t)f2] + (int64_t)f6];
+            }
             for (int64_t i2 = aug_i64(f0); i2 < n2; i2++) {
               f5 = (double)i2;
-              if (!(f5 >= 0.0 && f5 < 3)) { F[5] = f5; vt->trap(c, 12); }
+              if (!(f5 >= 0.0 && f5 < 3)) { F[5] = f5; vt->trap(c, 15); }
               b11[(int64_t)f5] = 0e0;
-              if (!(f5 >= 0.0 && f5 < 3)) { F[2] = f2; F[5] = f5; vt->trap(c, 13); }
-              b11[(int64_t)f5] += aug_cat_ll(f5, b6 + vs0, vl0);
-              if (!(f5 >= 0.0 && f5 < 3)) { F[5] = f5; vt->trap(c, 14); }
+              if (!(f5 >= 0.0 && f5 < 3)) { F[5] = f5; vt->trap(c, 16); }
+              b11[(int64_t)f5] += sc0[(int64_t)f5];
+              if (!(f5 >= 0.0 && f5 < 3)) { F[5] = f5; vt->trap(c, 17); }
               vs1 = off7[(int64_t)f5];
               vl1 = off7[(int64_t)f5 + 1] - vs1;
-              f6 = (double)i1;
-              if (!(f2 >= 0.0 && f6 >= 0.0 && f2 < 10 && f6 < (double)(off5[(int64_t)f2 + 1] - off5[(int64_t)f2]))) { F[2] = f2; F[6] = f6; vt->trap(c, 16); }
-              f7 = b5[off5[(int64_t)f2] + (int64_t)f6];
-              if (!(f5 >= 0.0 && f5 < 3)) { F[5] = f5; F[7] = f7; vt->trap(c, 17); }
+              if (!(f5 >= 0.0 && f5 < 3)) { F[5] = f5; F[7] = f7; vt->trap(c, 18); }
               b11[(int64_t)f5] += aug_cat_ll(f7, b7 + vs1, vl1);
               W += 33;
             }
           }
           f8 = (double)i1;
-          F[2] = f2; F[8] = f8; vt->step(c, 21);
-          W += 3;
+          { double e[3];
+            int64_t k = aug_cat_draw(b11 + 0, 3, e, R);
+            if (!(k >= 0)) { F[2] = f2; F[8] = f8; vt->trap(c, 22); }
+            if (!(f2 >= 0.0 && f2 < 10 && f8 >= 0.0 && f8 < (double)(off8[(int64_t)f2 + 1] - off8[(int64_t)f2]))) { F[2] = f2; F[8] = f8; vt->trap(c, 22); }
+            b8[off8[(int64_t)f2] + (int64_t)f8] = (double)k;
+          }
+          W += 14;
         }
       }
     }
@@ -276,8 +307,10 @@ static void aug_p3(augctx* c) {
       f6 = b4[(int64_t)f5];
       W += 5;
       { int64_t n1 = aug_i64(f6);
-        for (int64_t i1 = aug_i64(f0); i1 < n1; i1++) {
+        if (aug_i64(f0) < n1) {
           if (!(f5 >= 0.0 && f5 < 10)) { F[5] = f5; vt->trap(c, 20); }
+        }
+        for (int64_t i1 = aug_i64(f0); i1 < n1; i1++) {
           f7 = (double)i1;
           F[5] = f5; F[7] = f7; vt->step(c, 22);
           W += 6;
@@ -335,10 +368,12 @@ static void aug_p4(augctx* c) {
       f6 = b4[(int64_t)f5];
       W += 5;
       { int64_t n1 = aug_i64(f6);
-        for (int64_t i1 = aug_i64(f0); i1 < n1; i1++) {
+        if (aug_i64(f0) < n1) {
           if (!(f5 >= 0.0 && f5 < 10)) { F[5] = f5; vt->trap(c, 23); }
           vs4 = off6[(int64_t)f5];
           vl4 = off6[(int64_t)f5 + 1] - vs4;
+        }
+        for (int64_t i1 = aug_i64(f0); i1 < n1; i1++) {
           f7 = (double)i1;
           if (!(f5 >= 0.0 && f7 >= 0.0 && f5 < 10 && f7 < (double)(off8[(int64_t)f5 + 1] - off8[(int64_t)f5]))) { F[5] = f5; F[7] = f7; vt->trap(c, 25); }
           f8 = b8[off8[(int64_t)f5] + (int64_t)f7];

@@ -15,7 +15,7 @@
 //! are skipped with a note.
 
 use augur::prelude::*;
-use augur::CodegenTarget;
+use augur::{CodegenTarget, ErrorKind};
 use augur_math::Matrix;
 use augurv2::{models, workloads};
 
@@ -212,19 +212,38 @@ fn hgmm_native_matches_tree_and_tape() {
     }
 }
 
+/// LDA at K=3, and at the benchmark's topic count (K=20, V=200) over 12
+/// documents of uneven length, one of them a single token: the
+/// optimizer's scratch vector and the inline draw's exp array are sized
+/// from K. Draws and both digests match at 1 and 8 threads, and the `z`
+/// update (`aug_p2`) draws every token in C, with no callback.
 #[test]
 fn lda_native_matches_tree_and_tape() {
-    let topics = 3;
-    let corpus = workloads::lda_corpus(topics, 10, 60, 20, 5);
-    assert_native_matches(
-        "lda/gibbs",
-        models::LDA,
-        None,
-        lda_args(topics, &corpus),
-        vec![("w", HostValue::RaggedI(corpus.docs.clone()))],
-        &["theta", "phi", "z"],
-        15,
-    );
+    let mut uneven = workloads::lda_corpus(20, 12, 200, 24, 23);
+    for (d, len) in [(3, 1), (8, 5)] {
+        uneven.docs[d].truncate(len);
+        uneven.lens[d] = len as i64;
+    }
+    let shapes = [
+        ("lda/gibbs", 3, workloads::lda_corpus(3, 10, 60, 20, 5), 15),
+        ("lda/k20", 20, uneven, 10),
+    ];
+    for (label, topics, corpus, sweeps) in shapes {
+        let args = lda_args(topics, &corpus);
+        let data = vec![("w", HostValue::RaggedI(corpus.docs.clone()))];
+        let c = Model::compile(models::LDA)
+            .unwrap()
+            .plan(args.clone(), data.clone())
+            .unwrap()
+            .emit(CodegenTarget::C)
+            .unwrap();
+        let z_update = &c[c.find("static void aug_p2(").unwrap()..c.find("/* proc 3").unwrap()];
+        assert!(!z_update.contains("vt->step("), "{label}: aug_p2 calls back:\n{z_update}");
+        for array in [format!("double sc0[{topics}];"), format!("double e[{topics}];")] {
+            assert!(z_update.contains(&array), "{label}: no `{array}`:\n{z_update}");
+        }
+        assert_native_matches(label, models::LDA, None, args, data, &["theta", "phi", "z"], sweeps);
+    }
 }
 
 #[test]
@@ -289,6 +308,38 @@ fn plans_emitting_identical_c_share_one_artifact() {
     assert_eq!(b.compile_secs(), 0.0);
 }
 
+/// Each backend's outcome of one sweep after `init`: the typed error's
+/// kind and message, or `None` when the sweep succeeds. Native runs
+/// only where a toolchain answers.
+fn first_sweep_errors(plan: &augur::Plan) -> Vec<(ExecBackend, Option<(ErrorKind, String)>)> {
+    let mut backends = vec![ExecBackend::Tree, ExecBackend::Tape];
+    if native_available() {
+        backends.push(ExecBackend::Native);
+    }
+    backends
+        .into_iter()
+        .map(|backend| {
+            let mut s = plan.session(config(backend, 1)).unwrap();
+            assert_eq!(s.backend(), backend);
+            s.init().unwrap();
+            let err = s.try_sweep().err().map(augur::Error::from);
+            (backend, err.map(|e| (e.kind(), e.to_string())))
+        })
+        .collect()
+}
+
+/// Asserts every backend fails its sweep with the tree's typed error,
+/// whose message starts with `prefix`.
+fn assert_same_error(label: &str, plan: &augur::Plan, prefix: &str) {
+    let errors = first_sweep_errors(plan);
+    let (_, tree) = &errors[0];
+    let (_, msg) = tree.as_ref().unwrap_or_else(|| panic!("{label}: the sweep must fail"));
+    assert!(msg.starts_with(prefix), "{label}: {msg}");
+    for (backend, e) in &errors {
+        assert_eq!(e, tree, "{label}: {backend:?} fails differently");
+    }
+}
+
 /// A word id outside the vocabulary makes LDA's count update index past
 /// a row. The interpreters raise a bounds panic that the session turns
 /// into a typed error; native code must fail the same way — its inline
@@ -303,24 +354,92 @@ fn out_of_range_data_is_the_same_typed_error_on_every_backend() {
         .unwrap()
         .plan(lda_args(topics, &corpus), vec![("w", HostValue::RaggedI(corpus.docs.clone()))])
         .unwrap();
-    let mut backends = vec![ExecBackend::Tree, ExecBackend::Tape];
-    if native_available() {
-        backends.push(ExecBackend::Native);
+    assert_same_error("word id", &plan, "out-of-bounds access in");
+}
+
+/// A categorical draw from log weights that are all `-inf`, or that
+/// hold `+inf` or NaN, fails with the interpreter's typed error on
+/// every backend — natively drawn (`aug_cat_draw`) or not.
+#[test]
+fn bad_logit_draws_are_the_same_typed_error_on_every_backend() {
+    // z's conditional weights: log pis[k] + log phi[k][y[n]].
+    let mixture = "(K, N, pis, phi) => {
+        param z[n] ~ Categorical(pis) for n <- 0 until N ;
+        data y[n] ~ Categorical(phi[z[n]]) for n <- 0 until N ;
+    }";
+    let plan = |phi: Vec<Vec<f64>>| {
+        Model::compile(mixture)
+            .unwrap()
+            .plan(
+                vec![
+                    HostValue::Int(2),
+                    HostValue::Int(3),
+                    HostValue::VecF(vec![0.5, 0.5]),
+                    HostValue::Ragged(augur_math::FlatRagged::from_rows(phi)),
+                ],
+                vec![("y", HostValue::VecF(vec![0.0, 1.0, 2.0]))],
+            )
+            .unwrap()
+    };
+    // Word 1 has probability 0 under both topics: every weight is -inf.
+    let zero = plan(vec![vec![0.5, 0.0, 0.5], vec![0.5, 0.0, 0.5]]);
+    let c = zero.emit(CodegenTarget::C).unwrap();
+    assert!(c.contains("= aug_cat_draw(b"), "the z draw runs in C:\n{c}");
+    let all_zero = "`Gibbs Single(z)` panicked: categorical_log: all weights are zero";
+    assert_same_error("all -inf", &zero, all_zero);
+    let inf = plan(vec![vec![0.5, f64::INFINITY, 0.5], vec![0.5, 0.25, 0.25]]);
+    let not_finite = "`Gibbs Single(z)` panicked: categorical weights must be non-empty with \
+                      positive finite sum";
+    assert_same_error("+inf", &inf, not_finite);
+    // A NaN component mean makes that component's Normal weight NaN.
+    let normal = "(K, N, pis, mu) => {
+        param z[n] ~ Categorical(pis) for n <- 0 until N ;
+        data y[n] ~ Normal(mu[z[n]], 1.0) for n <- 0 until N ;
+    }";
+    let nan = Model::compile(normal)
+        .unwrap()
+        .plan(
+            vec![
+                HostValue::Int(2),
+                HostValue::Int(3),
+                HostValue::VecF(vec![0.5, 0.5]),
+                HostValue::VecF(vec![0.0, f64::NAN]),
+            ],
+            vec![("y", HostValue::VecF(vec![0.1, -0.2, 0.3]))],
+        )
+        .unwrap();
+    assert_same_error("NaN", &nan, not_finite);
+}
+
+/// The optimizer hoists the invariant load `c[idx]` out of the
+/// likelihood loop into its preheader, which runs only when the loop
+/// does: with `idx` out of range, an empty loop raises nothing on any
+/// backend, and a non-empty one raises the tree's typed error on all.
+#[test]
+fn hoisted_loads_fail_only_in_loops_that_run() {
+    let model = "(N, idx, c) => {
+        param m ~ Normal(0.0, 1.0) ;
+        data y[n] ~ Normal(m + c[idx], 1.0) for n <- 0 until N ;
+    }";
+    let plan = |n: usize| {
+        Model::compile(model)
+            .unwrap()
+            .plan(
+                vec![HostValue::Int(n as i64), HostValue::Int(3), HostValue::VecF(vec![0.5; 3])],
+                vec![("y", HostValue::VecF(vec![0.25; n]))],
+            )
+            .unwrap()
+    };
+    let hoisted = plan(2)
+        .session(config(ExecBackend::Tape, 1))
+        .unwrap()
+        .explain()
+        .render();
+    assert!(hoisted.contains("u0_ll = hoisted=3 "), "c[idx] not hoisted:\n{hoisted}");
+    for (backend, e) in first_sweep_errors(&plan(0)) {
+        assert_eq!(e, None, "{backend:?}: a zero-trip loop raised an error");
     }
-    let errors: Vec<String> = backends
-        .iter()
-        .map(|&backend| {
-            let mut s = plan.session(config(backend, 1)).unwrap();
-            assert_eq!(s.backend(), backend);
-            s.init().unwrap();
-            let err = s.try_sweep().expect_err("out-of-range word id must fail the sweep");
-            err.to_string()
-        })
-        .collect();
-    assert!(errors[0].starts_with("out-of-bounds access in"), "{}", errors[0]);
-    for (backend, e) in backends.iter().zip(&errors) {
-        assert_eq!(e, &errors[0], "{backend:?} fails differently");
-    }
+    assert_same_error("idx", &plan(2), "out-of-bounds access in");
 }
 
 /// When this plan's `backends()` row says `Native` is available (a
