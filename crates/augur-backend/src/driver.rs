@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use augur_blk::{OptFlags, OptReport};
+use augur_blk::OptReport;
 use augur_density::DensityError;
 use augur_dist::Prng;
 use augur_kernel::{KernelError, KernelPlan, KernelUnit, UpdateKind};
@@ -49,8 +49,6 @@ pub struct SessionConfig {
     pub seed: u64,
     /// MCMC tuning.
     pub mcmc: McmcConfig,
-    /// Blk-IL optimization toggles (GPU target only).
-    pub opt_flags: OptFlags,
     /// How compiled procedures execute on the CPU target: a flat
     /// instruction tape (the default), the reference tree-walking
     /// interpreter, or emitted C compiled with the host toolchain
@@ -97,7 +95,6 @@ impl Default for SessionConfig {
             target: Target::Cpu,
             seed: 0xA464,
             mcmc: McmcConfig::default(),
-            opt_flags: OptFlags::default(),
             backend: default_backend(),
             threads: default_threads(),
             trace_path: std::env::var_os("AUGUR_TRACE").map(PathBuf::from),
@@ -1182,7 +1179,7 @@ pub(crate) fn compile_step(state: &State, table: &ProcTable, s: &Step) -> Compil
 }
 
 /// Source → plan → session in one call: the unit tests' shorthand for
-/// `CompiledModel::compile` → `plan_opt` → `session`.
+/// `CompiledModel::compile` → `plan` → `session`.
 #[cfg(test)]
 fn build_session(
     src: &str,
@@ -1192,7 +1189,7 @@ fn build_session(
     config: SessionConfig,
 ) -> Result<Session, BuildError> {
     let model = CompiledModel::compile(src, schedule)?;
-    model.plan_opt(args, data, config.opt_flags.clone())?.session(config)
+    model.plan(args, data)?.session(config)
 }
 
 #[cfg(test)]

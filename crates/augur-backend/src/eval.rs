@@ -162,7 +162,8 @@ pub struct Engine {
     pub(crate) metrics: crate::metrics::EngineMetrics,
     /// When set, the tape VM additionally buckets retired instructions
     /// by op class (`EngineMetrics::op_class`) for the phase profiler.
-    pub profile_ops: bool,
+    /// Set from `SessionConfig::timers`.
+    pub(crate) profile_ops: bool,
     /// Deterministic fault-injection plan (drills only; `None` in
     /// production runs).
     pub(crate) fault: Option<crate::fault::FaultPlan>,

@@ -728,9 +728,6 @@ impl Plan {
     /// `config.seed`, trace sink, checkpointing. Many sessions can share
     /// one plan — each gets its own copy-on-write state clone.
     ///
-    /// `config.opt_flags` is ignored here: optimization flags are a
-    /// *plan* concern (pass them to [`CompiledModel::plan_opt`]).
-    ///
     /// # Errors
     ///
     /// Returns a [`BuildError`] if the trace sink cannot be created.

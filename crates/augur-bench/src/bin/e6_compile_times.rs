@@ -13,7 +13,7 @@
 
 use augur::{DeviceConfig, HostValue, Model, SessionConfig, Target};
 use augur_bench::emit;
-use augur_math::Matrix;
+use augurv2::models::hgmm_args;
 use augurv2::{models, workloads};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -43,17 +43,7 @@ fn main() {
     {
         let (k, d, n) = (3, 2, 1000);
         let data = workloads::hgmm_data(k, d, n, 1501);
-        let args = || {
-            vec![
-                HostValue::Int(k as i64),
-                HostValue::Int(n as i64),
-                HostValue::VecF(vec![1.0; k]),
-                HostValue::VecF(vec![0.0; d]),
-                HostValue::Mat(Matrix::identity(d).scale(50.0)),
-                HostValue::Real((d + 2) as f64),
-                HostValue::Mat(Matrix::identity(d)),
-            ]
-        };
+        let args = || hgmm_args(k, d, n);
         let cpu = time_build(models::HGMM, args(), vec![("y", HostValue::Ragged(data.points.clone()))], Target::Cpu);
         let gpu = time_build(
             models::HGMM,

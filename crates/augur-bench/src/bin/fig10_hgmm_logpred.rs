@@ -9,8 +9,9 @@
 //! protocol. The output is the (time, log-predictive) series per sampler.
 
 use augur::{McmcConfig, Target};
-use augur_bench::{emit, hgmm_args, hgmm_params, hgmm_sampler};
+use augur_bench::{emit, hgmm_params, hgmm_sampler};
 use augur_math::Matrix;
+use augurv2::models::hgmm_args;
 use augurv2::workloads;
 use std::fmt::Write as _;
 use std::time::Instant;

@@ -8,7 +8,8 @@
 //! the paper's full sizes).
 
 use augur::{McmcConfig, Target};
-use augur_bench::{emit, hgmm_args, hgmm_sampler, scale_arg};
+use augur_bench::{emit, hgmm_sampler, scale_arg};
+use augurv2::models::hgmm_args;
 use augurv2::workloads;
 use std::fmt::Write as _;
 use std::time::Instant;

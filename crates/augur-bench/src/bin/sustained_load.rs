@@ -14,8 +14,7 @@
 //! Prints requests/s, p50/p99 request latency, the plan-cache hit
 //! rate, and migration/queue counters as one JSON record on stdout and
 //! as a readable table on stderr; it writes no file. Redirect stdout to
-//! keep the record (`scripts/check_overhead.sh --serve-only <file>`
-//! reads it).
+//! keep the record (`scripts/tier1.sh` reads its `telemetry_overhead`).
 //!
 //! Exits non-zero if the service fails any request, the throughput is
 //! zero, or the cache hit rate falls below the structural expectation
@@ -29,12 +28,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use augur::{FaultPlan, HostValue, McmcConfig, SessionConfig};
-use augur_bench::{hgmm_args, lda_args, scale_arg};
+use augur_bench::scale_arg;
 use augur_serve::{
     hermetic_config, ExplainRequest, ModelRegistry, ModelSpec, Request, SampleRequest,
     ScoreRequest, Service, ServiceConfig,
 };
-use augurv2::{models, workloads};
+use augurv2::models::{self, hgmm_args, lda_args};
+use augurv2::workloads;
 
 /// Worker shards serving the load.
 const WORKERS: usize = 4;

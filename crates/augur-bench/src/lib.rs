@@ -8,7 +8,8 @@
 
 use augur::{HostValue, McmcConfig, Model, Session, SessionConfig, Target};
 use augur_math::Matrix;
-use augurv2::{models, workloads};
+use augurv2::models::{self, hgmm_args, lda_args};
+use augurv2::workloads;
 
 /// Builds an HGMM sampler over the given mixture data.
 ///
@@ -40,19 +41,6 @@ pub fn hgmm_sampler(
         .expect("HGMM builds")
 }
 
-/// The HGMM argument list shared with the Jags baseline.
-pub fn hgmm_args(k: usize, d: usize, n: usize) -> Vec<HostValue> {
-    vec![
-        HostValue::Int(k as i64),
-        HostValue::Int(n as i64),
-        HostValue::VecF(vec![1.0; k]),
-        HostValue::VecF(vec![0.0; d]),
-        HostValue::Mat(Matrix::identity(d).scale(50.0)),
-        HostValue::Real((d + 2) as f64),
-        HostValue::Mat(Matrix::identity(d)),
-    ]
-}
-
 /// Builds an LDA sampler over a synthetic corpus.
 ///
 /// # Panics
@@ -73,17 +61,6 @@ pub fn lda_sampler(
         .expect("LDA plans")
         .session(SessionConfig { target, seed, ..Default::default() })
         .expect("LDA builds")
-}
-
-/// The LDA argument list shared by the samplers and the plan-cache bench.
-pub fn lda_args(topics: usize, corpus: &workloads::Corpus) -> Vec<HostValue> {
-    vec![
-        HostValue::Int(topics as i64),
-        HostValue::Int(corpus.docs.len() as i64),
-        HostValue::VecF(vec![0.5; topics]),
-        HostValue::VecF(vec![0.1; corpus.vocab]),
-        HostValue::VecI(corpus.lens.clone()),
-    ]
 }
 
 /// Builds an HLR sampler over logistic data.

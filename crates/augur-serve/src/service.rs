@@ -63,8 +63,7 @@ use std::time::{Duration, Instant};
 
 use augur::chains::chain_seed;
 use augur::{
-    Checkpoint, ExecBackend, FaultPlan, HostValue, McmcConfig, OptFlags, Plan, SessionConfig,
-    Target,
+    Checkpoint, ExecBackend, FaultPlan, HostValue, McmcConfig, Plan, SessionConfig, Target,
 };
 use augur_backend::fault::INJECTED_SHARD_PANIC;
 use augur_backend::metrics::{RequestSpan, TraceSink};
@@ -84,7 +83,6 @@ pub fn hermetic_config(seed: u64) -> SessionConfig {
         target: Target::Cpu,
         seed,
         mcmc: McmcConfig::default(),
-        opt_flags: OptFlags::default(),
         backend: ExecBackend::default(),
         threads: 1,
         trace_path: None,
@@ -514,6 +512,24 @@ struct Shard {
     wakeup: Condvar,
     depth: AtomicUsize,
     inflight: Mutex<Option<Task>>,
+}
+
+impl Shard {
+    /// Appends a task and returns the new depth. The depth moves inside
+    /// the queue's critical section, as [`Shard::pop`]'s does, so a pop
+    /// can never be counted before its push.
+    fn push(&self, task: Task) -> usize {
+        let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
+        q.push_back(task);
+        self.depth.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Takes the front task from the locked queue `q`.
+    fn pop(&self, q: &mut VecDeque<Task>) -> Option<Task> {
+        let task = q.pop_front()?;
+        self.depth.fetch_sub(1, Ordering::Relaxed);
+        Some(task)
+    }
 }
 
 /// Everything workers and the front-end share.
@@ -1058,11 +1074,7 @@ impl Shared {
     /// Pushes a task and wakes the shard; returns the shard's new depth.
     fn enqueue(&self, shard: usize, task: Task) -> usize {
         let s = &self.shards[shard];
-        {
-            let mut q = s.queue.lock().unwrap_or_else(|e| e.into_inner());
-            q.push_back(task);
-        }
-        let depth = s.depth.fetch_add(1, Ordering::Relaxed) + 1;
+        let depth = s.push(task);
         self.high_water.fetch_max(depth, Ordering::Relaxed);
         // Both high-water surfaces: the since-start snapshot counter
         // above, and the per-scrape-window registry gauge (resets on
@@ -1158,8 +1170,7 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize) {
             let shard = &shared.shards[idx];
             let mut q = shard.queue.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                if let Some(t) = q.pop_front() {
-                    shard.depth.fetch_sub(1, Ordering::Relaxed);
+                if let Some(t) = shard.pop(&mut q) {
                     break Some(t);
                 }
                 if !shared.open.load(Ordering::SeqCst) {
@@ -1822,5 +1833,58 @@ mod tests {
         assert!(deltas.len() > 1, "jitter collapsed: {deltas:?}");
         // A zero base disables the sleep entirely.
         assert_eq!(retry_backoff(0, 42, 0, 3), Duration::ZERO);
+    }
+
+    /// A queued task that is never run.
+    fn idle_task() -> Task {
+        Task::Request(Box::new(RequestTask {
+            id: 0,
+            trace: String::new(),
+            t0: Instant::now(),
+            deadline: None,
+            attempts: 0,
+            req: Request::Explain(ExplainRequest {
+                model: String::new(),
+                version: None,
+                args: Vec::new(),
+                data: Vec::new(),
+                deadline: None,
+            }),
+            reply: mpsc::channel().0,
+        }))
+    }
+
+    /// One thread pushes while another pops as fast as it can: after
+    /// every pop the depth is at most the pushes so far minus the pops,
+    /// so it never wraps below zero, and it ends at 0. A push that
+    /// counted itself after unlocking would let a pop in between wrap the
+    /// counter, and overflow its own `+ 1` in debug builds.
+    #[test]
+    fn shard_depth_never_counts_a_pop_before_its_push() {
+        const TASKS: usize = 50_000;
+        let shard = Shard::default();
+        let pushed = AtomicUsize::new(0);
+        let popped = std::thread::scope(|scope| {
+            let pusher = scope.spawn(|| {
+                for _ in 0..TASKS {
+                    pushed.fetch_add(1, Ordering::Relaxed);
+                    shard.push(idle_task());
+                }
+            });
+            let mut popped = 0;
+            loop {
+                let mut q = shard.queue.lock().unwrap();
+                if shard.pop(&mut q).is_some() {
+                    popped += 1;
+                    let depth = shard.depth.load(Ordering::Relaxed);
+                    let bound = pushed.load(Ordering::Relaxed) - popped;
+                    assert!(depth <= bound, "depth {depth} after {popped} pops, bound {bound}");
+                } else if pusher.is_finished() {
+                    break popped;
+                }
+            }
+        });
+        assert_eq!(popped, TASKS);
+        assert_eq!(shard.depth.load(Ordering::Relaxed), 0);
     }
 }

@@ -36,10 +36,16 @@ cargo test -q --test alloc_free
 # than proptest. `Plan::emit` is the only code printer: the second
 # (OpenMP) C printer, the symbol manifests, the facade's `emit_native`/
 # `emit_unit` and the `augur::codegen` shim stay deleted, as do gpu-sim's
-# kernel log, the criterion benches and the `proptest-tests` features of
-# the root package and of augur-backend (whose interpreter properties run
-# on the in-tree Prng). `gone` fails on a match (a bare `! grep` does
-# not trip `set -e`).
+# kernel log and the criterion benches. No crate has a `proptest-tests`
+# feature: every property suite runs on the in-tree Prng. The single-pass
+# throughput lane (`sweep_throughput`, its committed BENCH_sweep.json,
+# the 5% baseline file and `check_overhead.sh`, the only reader of the
+# AUGUR_OVERHEAD_GATE knob) stays deleted: perfbench times throughput,
+# and each of its gates is a test above. Blk optimization flags are a
+# plan argument (`plan_opt`), so the ignored `SessionConfig::opt_flags`
+# stays deleted, and only the session sets the engine's op-class
+# profiling switch. `gone` fails on a match (a bare `! grep` does not
+# trip `set -e`).
 gone() { if grep -rn "$@"; then echo "removed name reappeared: $*" >&2; exit 1; fi; }
 gone -E "pub (struct|type) (Infer|Sampler|SamplerConfig|ChainRunner)\b" \
     crates/augur/src crates/augur-backend/src
@@ -58,8 +64,13 @@ gone -wE "CodegenUnit|SymbolInfo|SymbolKind|KernelManifest|sweep_overhead_ns|emi
     crates src tests examples
 test ! -e crates/augur/src/codegen.rs
 test ! -d crates/augur-bench/benches
-gone -w proptest-tests Cargo.toml
-gone -w proptest-tests crates/augur-backend/Cargo.toml
+gone -w proptest-tests Cargo.toml crates/*/Cargo.toml perfbench/Cargo.toml
+test ! -e crates/augur-bench/src/bin/sweep_throughput.rs
+test ! -e BENCH_sweep.json
+test ! -e scripts/bench_baseline.json
+test ! -e scripts/check_overhead.sh
+gone "pub opt_flags" crates/augur-backend/src/driver.rs
+gone "pub profile_ops" crates/augur-backend/src
 
 # Native-backend smoke: the emit-C-and-dlopen lane must stay bit-exact
 # against tree and tape (draws, report digest, profile digest), the
@@ -96,10 +107,13 @@ cargo run --release -p augur-bench --bin sustained_load -- --scale 0.5 >"$serve_
 # reconstruct a faulted request (tests/telemetry.rs). The smoke example
 # scrapes a live service end to end, and the unfaulted sustained_load
 # record above (faulted runs skip the probe) must show <5% scrape
-# overhead.
+# overhead: `telemetry_overhead`, scraped ÷ unscraped requests/s, >= 0.95.
 cargo test -q --test telemetry
 cargo run --release --example telemetry | grep -q "telemetry smoke ok"
-scripts/check_overhead.sh --serve-only "$serve_json"
+ratio="$(sed -nE 's/.*"telemetry_overhead": ([0-9.eE+-]+).*/\1/p' "$serve_json")"
+[ -n "$ratio" ] || { echo "telemetry_overhead missing from $serve_json" >&2; exit 1; }
+echo "serve: telemetry_overhead = $ratio"
+awk -v r="$ratio" 'BEGIN { if (r < 0.95) { print "scraping costs more than 5% of throughput" > "/dev/stderr"; exit 1 } }'
 
 # Chaos gate: the serving layer must survive injected shard kills, shard
 # slowdowns, and native-compile failures — every ticket resolves with a

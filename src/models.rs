@@ -1,5 +1,11 @@
 //! The model sources used throughout the evaluation — the paper's three
-//! benchmark models (§7.2) plus the Fig. 1 GMM.
+//! benchmark models (§7.2) plus the Fig. 1 GMM — and the argument lists
+//! that fill the HGMM and LDA signatures.
+
+use augur::HostValue;
+use augur_math::Matrix;
+
+use crate::workloads::Corpus;
 
 /// The Fig. 1 Gaussian Mixture Model, verbatim in our surface syntax.
 pub const GMM: &str = r#"(K, N, mu_0, Sigma_0, pis, Sigma) => {
@@ -29,6 +35,21 @@ pub const HGMM: &str = r#"(K, N, alpha, mu_0, Sigma_0, nu, Psi) => {
     for n <- 0 until N ;
 }"#;
 
+/// The [`HGMM`] arguments for `k` components in `d` dimensions over `n`
+/// points: a flat Dirichlet prior on π, a broad mean prior (Σ₀ = 50·I)
+/// and an inverse-Wishart prior with ν = d + 2, Ψ = I.
+pub fn hgmm_args(k: usize, d: usize, n: usize) -> Vec<HostValue> {
+    vec![
+        HostValue::Int(k as i64),
+        HostValue::Int(n as i64),
+        HostValue::VecF(vec![1.0; k]),
+        HostValue::VecF(vec![0.0; d]),
+        HostValue::Mat(Matrix::identity(d).scale(50.0)),
+        HostValue::Real((d + 2) as f64),
+        HostValue::Mat(Matrix::identity(d)),
+    ]
+}
+
 /// Latent Dirichlet Allocation of §7.2:
 ///
 /// ```text
@@ -45,6 +66,18 @@ pub const LDA: &str = r#"(K, D, alpha, beta, len) => {
   data w[d][j] ~ Categorical(phi[z[d][j]])
     for d <- 0 until D, j <- 0 until len[d] ;
 }"#;
+
+/// The [`LDA`] arguments for `topics` topics over `corpus`: symmetric
+/// Dirichlet priors α = 0.5 (topic mixtures) and β = 0.1 (topic words).
+pub fn lda_args(topics: usize, corpus: &Corpus) -> Vec<HostValue> {
+    vec![
+        HostValue::Int(topics as i64),
+        HostValue::Int(corpus.docs.len() as i64),
+        HostValue::VecF(vec![0.5; topics]),
+        HostValue::VecF(vec![0.1; corpus.vocab]),
+        HostValue::VecI(corpus.lens.clone()),
+    ]
+}
 
 /// Hierarchical Logistic Regression of §7.2:
 ///

@@ -19,7 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use augur::{ExecBackend, HostValue, McmcConfig, Model, SessionConfig};
-use augur_math::Matrix;
+use augurv2::models::{hgmm_args, lda_args};
 use augurv2::{models, workloads};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -88,34 +88,14 @@ fn steady_state_sweeps_do_not_allocate() {
         let mix = workloads::hgmm_data(k, d, n, 5);
         let hgmm = Model::compile(models::HGMM)
             .unwrap()
-            .plan(
-                vec![
-                    HostValue::Int(k as i64),
-                    HostValue::Int(n as i64),
-                    HostValue::VecF(vec![1.0; k]),
-                    HostValue::VecF(vec![0.0; d]),
-                    HostValue::Mat(Matrix::identity(d).scale(50.0)),
-                    HostValue::Real((d + 2) as f64),
-                    HostValue::Mat(Matrix::identity(d)),
-                ],
-                vec![("y", HostValue::Ragged(mix.points))],
-            )
+            .plan(hgmm_args(k, d, n), vec![("y", HostValue::Ragged(mix.points))])
             .unwrap();
 
         let topics = 4;
         let corpus = workloads::lda_corpus(3, 12, 100, 18, 9);
         let lda = Model::compile(models::LDA)
             .unwrap()
-            .plan(
-                vec![
-                    HostValue::Int(topics as i64),
-                    HostValue::Int(corpus.docs.len() as i64),
-                    HostValue::VecF(vec![0.5; topics]),
-                    HostValue::VecF(vec![0.1; corpus.vocab]),
-                    HostValue::VecI(corpus.lens.clone()),
-                ],
-                vec![("w", HostValue::RaggedI(corpus.docs))],
-            )
+            .plan(lda_args(topics, &corpus), vec![("w", HostValue::RaggedI(corpus.docs))])
             .unwrap();
 
         // The benchmark's topic count over uneven documents, one a single
@@ -126,16 +106,7 @@ fn steady_state_sweeps_do_not_allocate() {
         corpus.lens[3] = 1;
         let lda20 = Model::compile(models::LDA)
             .unwrap()
-            .plan(
-                vec![
-                    HostValue::Int(topics20 as i64),
-                    HostValue::Int(corpus.docs.len() as i64),
-                    HostValue::VecF(vec![0.5; topics20]),
-                    HostValue::VecF(vec![0.1; corpus.vocab]),
-                    HostValue::VecI(corpus.lens.clone()),
-                ],
-                vec![("w", HostValue::RaggedI(corpus.docs))],
-            )
+            .plan(lda_args(topics20, &corpus), vec![("w", HostValue::RaggedI(corpus.docs))])
             .unwrap();
 
         let (hn, hd) = (40, 4);

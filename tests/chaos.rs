@@ -24,11 +24,11 @@ use augur::{
     ExecBackend, FaultPlan, HostValue, McmcConfig, Model, Plan, SessionConfig,
     NATIVE_BREAKER_THRESHOLD,
 };
-use augur_math::Matrix;
 use augur_serve::{
     hermetic_config, ExplainRequest, MetricsSnapshot, ModelRegistry, ModelSpec, Response,
     SampleRequest, ScoreRequest, ServeError, Service, ServiceConfig, Ticket,
 };
+use augurv2::models::{hgmm_args, lda_args};
 use augurv2::{models, workloads};
 
 const BETA_BERN: &str = "(N) => {
@@ -137,15 +137,7 @@ fn hgmm_workload() -> Workload {
     Workload {
         name: "hgmm",
         source: models::HGMM,
-        args: vec![
-            HostValue::Int(k as i64),
-            HostValue::Int(n as i64),
-            HostValue::VecF(vec![1.0; k]),
-            HostValue::VecF(vec![0.0; d]),
-            HostValue::Mat(Matrix::identity(d).scale(50.0)),
-            HostValue::Real((d + 2) as f64),
-            HostValue::Mat(Matrix::identity(d)),
-        ],
+        args: hgmm_args(k, d, n),
         data: vec![("y".into(), HostValue::Ragged(data.points))],
         record: vec!["mu".into(), "pi".into()],
         base: hermetic_config(0xBEEF),
@@ -158,13 +150,7 @@ fn lda_workload() -> Workload {
     Workload {
         name: "lda",
         source: models::LDA,
-        args: vec![
-            HostValue::Int(topics as i64),
-            HostValue::Int(corpus.docs.len() as i64),
-            HostValue::VecF(vec![0.5; topics]),
-            HostValue::VecF(vec![0.1; corpus.vocab]),
-            HostValue::VecI(corpus.lens),
-        ],
+        args: lda_args(topics, &corpus),
         data: vec![("w".into(), HostValue::RaggedI(corpus.docs))],
         record: vec!["theta".into()],
         base: hermetic_config(0xBEEF),

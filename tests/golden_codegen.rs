@@ -6,6 +6,7 @@
 
 use augur::{CodegenTarget, HostValue, Model};
 use augur_math::Matrix;
+use augurv2::models::hgmm_args;
 use augurv2::{models, workloads};
 
 fn code(src: &str, sched: Option<&str>) -> String {
@@ -104,15 +105,7 @@ fn gmm_cuda(sched: Option<&str>) -> String {
 fn hgmm_cuda() -> String {
     let (k, d, n) = (2, 2, 40);
     let data = workloads::hgmm_data(k, d, n, 91);
-    let args = vec![
-        HostValue::Int(k as i64),
-        HostValue::Int(n as i64),
-        HostValue::VecF(vec![1.0; k]),
-        HostValue::VecF(vec![0.0; d]),
-        HostValue::Mat(Matrix::identity(d).scale(50.0)),
-        HostValue::Real((d + 2) as f64),
-        HostValue::Mat(Matrix::identity(d)),
-    ];
+    let args = hgmm_args(k, d, n);
     cuda(&Model::compile(models::HGMM).unwrap(), args, vec![("y", HostValue::Ragged(data.points))])
 }
 

@@ -11,7 +11,7 @@
 
 use augur::prelude::*;
 use augur::DeviceConfig;
-use augur_math::Matrix;
+use augurv2::models::{hgmm_args, lda_args};
 use augurv2::{models, workloads};
 
 const SWEEPS: usize = 3;
@@ -25,18 +25,7 @@ fn hgmm_plan() -> Plan {
     let data = workloads::hgmm_data(k, d, n, 61);
     Model::compile(models::HGMM)
         .unwrap()
-        .plan(
-            vec![
-                HostValue::Int(k as i64),
-                HostValue::Int(n as i64),
-                HostValue::VecF(vec![1.0; k]),
-                HostValue::VecF(vec![0.0; d]),
-                HostValue::Mat(Matrix::identity(d).scale(50.0)),
-                HostValue::Real((d + 2) as f64),
-                HostValue::Mat(Matrix::identity(d)),
-            ],
-            vec![("y", HostValue::Ragged(data.points))],
-        )
+        .plan(hgmm_args(k, d, n), vec![("y", HostValue::Ragged(data.points))])
         .unwrap()
 }
 
@@ -45,16 +34,7 @@ fn lda_plan() -> Plan {
     let corpus = workloads::lda_corpus(topics, 16, 60, 12, 62);
     Model::compile(models::LDA)
         .unwrap()
-        .plan(
-            vec![
-                HostValue::Int(topics as i64),
-                HostValue::Int(corpus.docs.len() as i64),
-                HostValue::VecF(vec![0.5; topics]),
-                HostValue::VecF(vec![0.1; corpus.vocab]),
-                HostValue::VecI(corpus.lens.clone()),
-            ],
-            vec![("w", HostValue::RaggedI(corpus.docs))],
-        )
+        .plan(lda_args(topics, &corpus), vec![("w", HostValue::RaggedI(corpus.docs))])
         .unwrap()
 }
 

@@ -3,23 +3,14 @@
 //! chain of the functional form.
 
 use augur::{CompiledModel, HostValue, Model, OptFlags, SessionConfig};
+use augurv2::models::hgmm_args;
 use augurv2::workloads;
 
 #[test]
 fn memory_explicit_lowering_is_bit_identical() {
     let (k, d, n) = (2, 2, 80);
     let data = workloads::hgmm_data(k, d, n, 6001);
-    let args = || {
-        vec![
-            HostValue::Int(k as i64),
-            HostValue::Int(n as i64),
-            HostValue::VecF(vec![1.0; k]),
-            HostValue::VecF(vec![0.0; d]),
-            HostValue::Mat(augur_math::Matrix::identity(d).scale(50.0)),
-            HostValue::Real((d + 2) as f64),
-            HostValue::Mat(augur_math::Matrix::identity(d)),
-        ]
-    };
+    let args = || hgmm_args(k, d, n);
     let model = Model::compile(augurv2::models::HGMM).unwrap();
     let dm = model.density_model();
     let sched = augur_kernel::heuristic_schedule(dm).unwrap();

@@ -16,7 +16,7 @@
 
 use augur::prelude::*;
 use augur::{CodegenTarget, ErrorKind};
-use augur_math::Matrix;
+use augurv2::models::{hgmm_args, lda_args};
 use augurv2::{models, workloads};
 
 /// Whether the native backend is selectable on this host: the feature
@@ -159,28 +159,6 @@ fn assert_native_matches(
         assert_eq!(report, tape_report, "{label}: report digest ({threads} threads)");
         assert_eq!(profile, tape_profile, "{label}: profile digest ({threads} threads)");
     }
-}
-
-fn hgmm_args(k: usize, d: usize, n: usize) -> Vec<HostValue> {
-    vec![
-        HostValue::Int(k as i64),
-        HostValue::Int(n as i64),
-        HostValue::VecF(vec![1.0; k]),
-        HostValue::VecF(vec![0.0; d]),
-        HostValue::Mat(Matrix::identity(d).scale(50.0)),
-        HostValue::Real((d + 2) as f64),
-        HostValue::Mat(Matrix::identity(d)),
-    ]
-}
-
-fn lda_args(topics: usize, corpus: &augurv2::workloads::Corpus) -> Vec<HostValue> {
-    vec![
-        HostValue::Int(topics as i64),
-        HostValue::Int(corpus.docs.len() as i64),
-        HostValue::VecF(vec![0.5; topics]),
-        HostValue::VecF(vec![0.1; corpus.vocab]),
-        HostValue::VecI(corpus.lens.clone()),
-    ]
 }
 
 #[test]

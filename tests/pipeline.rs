@@ -5,19 +5,8 @@
 use augur::{DeviceConfig, HostValue, McmcConfig, Model, SessionConfig, Target};
 use augur_math::vecops::mean;
 use augur_math::Matrix;
+use augurv2::models::{hgmm_args, lda_args};
 use augurv2::{models, workloads};
-
-fn hgmm_args(k: usize, d: usize, n: usize) -> Vec<HostValue> {
-    vec![
-        HostValue::Int(k as i64),
-        HostValue::Int(n as i64),
-        HostValue::VecF(vec![1.0; k]),
-        HostValue::VecF(vec![0.0; d]),
-        HostValue::Mat(Matrix::identity(d).scale(50.0)),
-        HostValue::Real((d + 2) as f64),
-        HostValue::Mat(Matrix::identity(d)),
-    ]
-}
 
 #[test]
 fn hgmm_heuristic_recovers_clusters_and_weights() {
@@ -115,13 +104,7 @@ fn lda_gibbs_beats_random_assignments_on_log_joint() {
     let topics = 3;
     let corpus = workloads::lda_corpus(topics, 30, 60, 25, 41);
     let model = Model::compile(models::LDA).unwrap();
-    let args = vec![
-        HostValue::Int(topics as i64),
-        HostValue::Int(corpus.docs.len() as i64),
-        HostValue::VecF(vec![0.5; topics]),
-        HostValue::VecF(vec![0.1; corpus.vocab]),
-        HostValue::VecI(corpus.lens.clone()),
-    ];
+    let args = lda_args(topics, &corpus);
     let mut s = model
         .plan(args, vec![("w", HostValue::RaggedI(corpus.docs.clone()))])
         .unwrap()
@@ -150,13 +133,7 @@ fn lda_gibbs_beats_random_assignments_on_log_joint() {
 fn gpu_target_matches_cpu_bitwise_on_lda() {
     let topics = 3;
     let corpus = workloads::lda_corpus(topics, 12, 40, 15, 43);
-    let args = vec![
-        HostValue::Int(topics as i64),
-        HostValue::Int(corpus.docs.len() as i64),
-        HostValue::VecF(vec![0.5; topics]),
-        HostValue::VecF(vec![0.1; corpus.vocab]),
-        HostValue::VecI(corpus.lens.clone()),
-    ];
+    let args = lda_args(topics, &corpus);
     // one shared plan: the target is a session concern, and the second
     // session must not trigger a recompile.
     let model = Model::compile(models::LDA).unwrap();

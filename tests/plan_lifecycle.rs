@@ -5,10 +5,14 @@
 //! change what the sampler computes. These tests drive the
 //! `Model → Plan → Session` lifecycle through randomized data shapes and
 //! check trajectories, run-report digests, and profile work-digests are
-//! bit-identical against a from-scratch compile of the same shape.
+//! bit-identical against a from-scratch compile of the same shape. A
+//! cache hit must also be cheap: a fraction of a cold compile.
+
+use std::time::Instant;
 
 use augur::{Error, ErrorKind, HostValue, Model, PlanEvent, SessionConfig};
 use augur_math::Matrix;
+use augurv2::models::{hgmm_args, lda_args};
 use augurv2::{models, workloads};
 
 /// Tiny deterministic shape generator (xorshift64*); the test owns its
@@ -29,18 +33,6 @@ impl ShapeRng {
     fn range(&mut self, lo: usize, hi: usize) -> usize {
         lo + (self.next() as usize) % (hi - lo)
     }
-}
-
-fn hgmm_args(k: usize, d: usize, n: usize) -> Vec<HostValue> {
-    vec![
-        HostValue::Int(k as i64),
-        HostValue::Int(n as i64),
-        HostValue::VecF(vec![1.0; k]),
-        HostValue::VecF(vec![0.0; d]),
-        HostValue::Mat(Matrix::identity(d).scale(50.0)),
-        HostValue::Real((d + 2) as f64),
-        HostValue::Mat(Matrix::identity(d)),
-    ]
 }
 
 /// Everything a run exposes that the cache could possibly perturb.
@@ -81,13 +73,7 @@ fn lda_case(rng: &mut ShapeRng) -> (Vec<HostValue>, Vec<(&'static str, HostValue
     let topics = rng.range(3, 7);
     let docs = rng.range(8, 24);
     let corpus = workloads::lda_corpus(4, docs, 120, 20, 2000 + docs as u64);
-    let args = vec![
-        HostValue::Int(topics as i64),
-        HostValue::Int(corpus.docs.len() as i64),
-        HostValue::VecF(vec![0.5; topics]),
-        HostValue::VecF(vec![0.1; corpus.vocab]),
-        HostValue::VecI(corpus.lens.clone()),
-    ];
+    let args = lda_args(topics, &corpus);
     (args, vec![("w", HostValue::RaggedI(corpus.docs))], "theta")
 }
 
@@ -279,4 +265,41 @@ fn mismatched_mv_normal_dimensions_are_binding_errors() {
         .unwrap();
     s.init().unwrap();
     s.try_sweep().unwrap();
+}
+
+/// The plan cache's economics: answering a same-shape `plan()` from the
+/// cache costs at most a fifth of compiling source → plan cold (LDA, 30
+/// topics over 12 documents, V = 300; best of 5 each). Both paths bind
+/// the data, so the ratio measures the compilation the cache saves.
+#[test]
+fn cache_hit_is_five_times_cheaper_than_a_cold_compile() {
+    const REPS: usize = 5;
+    let topics = 30;
+    let corpus = workloads::lda_corpus(20, 12, 300, 40, 1200);
+    let data = || vec![("w", HostValue::RaggedI(corpus.docs.clone()))];
+    let cached = Model::compile(models::LDA).unwrap();
+    cached.plan(lda_args(topics, &corpus), data()).unwrap();
+    let best_of = |run: &dyn Fn()| {
+        (0..REPS)
+            .map(|_| {
+                let t0 = Instant::now();
+                run();
+                t0.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let cold = best_of(&|| {
+        Model::compile(models::LDA).unwrap().plan(lda_args(topics, &corpus), data()).unwrap();
+    });
+    let hit = best_of(&|| {
+        cached.plan(lda_args(topics, &corpus), data()).unwrap();
+    });
+    let stats = cached.cache_stats();
+    assert_eq!((stats.misses, stats.hits), (1, REPS as u64), "one cold build, then hits");
+    assert!(
+        cold >= 5.0 * hit,
+        "a cache hit should be >= 5x cheaper than a cold compile: {:.3} ms vs {:.3} ms",
+        hit * 1e3,
+        cold * 1e3
+    );
 }

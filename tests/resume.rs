@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 
 use augur::{ExecBackend, HostValue, McmcConfig, Model, Session, SessionConfig};
-use augur_math::Matrix;
+use augurv2::models::{hgmm_args, lda_args};
 use augurv2::{models, workloads};
 
 fn tmp(tag: &str) -> PathBuf {
@@ -36,18 +36,7 @@ fn hgmm_sampler(config: SessionConfig) -> Session {
     let data = workloads::hgmm_data(k, d, n, 7);
     Model::compile(models::HGMM)
         .unwrap()
-        .plan(
-            vec![
-                HostValue::Int(k as i64),
-                HostValue::Int(n as i64),
-                HostValue::VecF(vec![1.0; k]),
-                HostValue::VecF(vec![0.0; d]),
-                HostValue::Mat(Matrix::identity(d).scale(50.0)),
-                HostValue::Real((d + 2) as f64),
-                HostValue::Mat(Matrix::identity(d)),
-            ],
-            vec![("y", HostValue::Ragged(data.points.clone()))],
-        )
+        .plan(hgmm_args(k, d, n), vec![("y", HostValue::Ragged(data.points.clone()))])
         .unwrap()
         .session(config)
         .unwrap()
@@ -58,16 +47,7 @@ fn lda_sampler(config: SessionConfig) -> Session {
     let corpus = workloads::lda_corpus(topics, 8, 12, 8, 11);
     Model::compile(models::LDA)
         .unwrap()
-        .plan(
-            vec![
-                HostValue::Int(topics as i64),
-                HostValue::Int(corpus.docs.len() as i64),
-                HostValue::VecF(vec![0.5; topics]),
-                HostValue::VecF(vec![0.1; corpus.vocab]),
-                HostValue::VecI(corpus.lens.clone()),
-            ],
-            vec![("w", HostValue::RaggedI(corpus.docs.clone()))],
-        )
+        .plan(lda_args(topics, &corpus), vec![("w", HostValue::RaggedI(corpus.docs.clone()))])
         .unwrap()
         .session(config)
         .unwrap()

@@ -7,6 +7,7 @@
 //! non-target variables are never touched by any update.
 
 use augur::{HostValue, McmcConfig, Model, SessionConfig};
+use augurv2::models::hgmm_args;
 use augurv2::workloads;
 
 /// With a huge step size, HMC rejects essentially every proposal; each
@@ -70,18 +71,7 @@ fn updates_touch_only_their_targets() {
     )
     .unwrap();
     let mut s = model
-        .plan(
-            vec![
-                HostValue::Int(k as i64),
-                HostValue::Int(n as i64),
-                HostValue::VecF(vec![1.0; k]),
-                HostValue::VecF(vec![0.0; d]),
-                HostValue::Mat(augur_math::Matrix::identity(d).scale(50.0)),
-                HostValue::Real((d + 2) as f64),
-                HostValue::Mat(augur_math::Matrix::identity(d)),
-            ],
-            vec![("y", HostValue::Ragged(data.points.clone()))],
-        )
+        .plan(hgmm_args(k, d, n), vec![("y", HostValue::Ragged(data.points.clone()))])
         .unwrap()
         .session(SessionConfig::default())
         .unwrap();

@@ -10,38 +10,42 @@
 //! paper's three benchmark models.
 
 use augur::prelude::*;
-use augur_math::Matrix;
+use augurv2::models::{hgmm_args, lda_args};
 use augurv2::{models, workloads};
 
-/// Runs one sampler and returns the recorded traces as raw bits:
-/// `out[sweep][cell]`, concatenating the recorded parameters in order.
-#[allow(clippy::too_many_arguments)]
-fn bit_trace(
+/// Binds one sampler with the suite's fixed seed and step tuning.
+fn bind(
     model: &str,
     sched: Option<&str>,
     args: Vec<HostValue>,
     data: Vec<(&str, HostValue)>,
-    record: &[&str],
-    sweeps: usize,
     exec: ExecBackend,
     threads: usize,
-) -> Vec<Vec<u64>> {
+    timers: bool,
+) -> Session {
     let compiled = match sched {
         Some(s) => Model::with_schedule(model, s),
         None => Model::compile(model),
     }
     .expect("model parses");
-    let mut s = compiled
+    compiled
         .plan(args, data)
         .expect("model plans")
         .session(SessionConfig {
             backend: exec,
             threads,
+            timers,
             mcmc: McmcConfig { step_size: 0.05, leapfrog_steps: 8, ..Default::default() },
             seed: 0xD1FF,
             ..Default::default()
         })
-        .expect("session binds");
+        .expect("session binds")
+}
+
+/// Initializes `s`, runs `sweeps` sweeps and returns the recorded traces
+/// as raw bits: `out[sweep][cell]`, concatenating the recorded
+/// parameters in order.
+fn bits(s: &mut Session, sweeps: usize, record: &[&str]) -> Vec<Vec<u64>> {
     s.init().unwrap();
     s.sample(sweeps, record)
         .unwrap()
@@ -67,41 +71,18 @@ fn assert_tape_matches_tree(
     record: &[&str],
     sweeps: usize,
 ) {
-    let tree = bit_trace(
-        model,
-        sched,
-        args.clone(),
-        data.clone(),
-        record,
-        sweeps,
-        ExecBackend::Tree,
-        1,
-    );
-    let tape = bit_trace(
-        model,
-        sched,
-        args.clone(),
-        data.clone(),
-        record,
-        sweeps,
-        ExecBackend::Tape,
-        1,
-    );
+    let trace = |exec, threads| {
+        let mut s = bind(model, sched, args.clone(), data.clone(), exec, threads, true);
+        bits(&mut s, sweeps, record)
+    };
+    let tree = trace(ExecBackend::Tree, 1);
+    let tape = trace(ExecBackend::Tape, 1);
     for (s, (a, b)) in tree.iter().zip(&tape).enumerate() {
         assert_eq!(a, b, "{label}: tape diverged from tree at sweep {s}");
     }
     assert_eq!(tree.len(), tape.len(), "{label}: sweep counts differ");
     for threads in [2, 8] {
-        let par = bit_trace(
-            model,
-            sched,
-            args.clone(),
-            data.clone(),
-            record,
-            sweeps,
-            ExecBackend::Tape,
-            threads,
-        );
+        let par = trace(ExecBackend::Tape, threads);
         for (s, (a, b)) in tape.iter().zip(&par).enumerate() {
             assert_eq!(
                 a, b,
@@ -109,18 +90,6 @@ fn assert_tape_matches_tree(
             );
         }
     }
-}
-
-fn hgmm_args(k: usize, d: usize, n: usize) -> Vec<HostValue> {
-    vec![
-        HostValue::Int(k as i64),
-        HostValue::Int(n as i64),
-        HostValue::VecF(vec![1.0; k]),
-        HostValue::VecF(vec![0.0; d]),
-        HostValue::Mat(Matrix::identity(d).scale(50.0)),
-        HostValue::Real((d + 2) as f64),
-        HostValue::Mat(Matrix::identity(d)),
-    ]
 }
 
 #[test]
@@ -160,13 +129,7 @@ fn lda_tape_matches_tree() {
         "lda/gibbs",
         models::LDA,
         None, // heuristic: Dirichlet–Categorical Gibbs + enumeration
-        vec![
-            HostValue::Int(topics as i64),
-            HostValue::Int(corpus.docs.len() as i64),
-            HostValue::VecF(vec![0.5; topics]),
-            HostValue::VecF(vec![0.1; corpus.vocab]),
-            HostValue::VecI(corpus.lens.clone()),
-        ],
+        lda_args(topics, &corpus),
         vec![("w", HostValue::RaggedI(corpus.docs.clone()))],
         &["theta", "phi", "z"],
         15,
@@ -202,79 +165,41 @@ fn hlr_tape_matches_tree_for_gradient_kernels() {
     }
 }
 
-/// Builds a sampler exactly like [`bit_trace`], runs it, and returns the
-/// deterministic digest of its run report.
-fn report_digest(
-    model: &str,
-    sched: Option<&str>,
-    args: Vec<HostValue>,
-    data: Vec<(&str, HostValue)>,
-    sweeps: usize,
-    exec: ExecBackend,
-    threads: usize,
-) -> String {
-    let compiled = match sched {
-        Some(s) => Model::with_schedule(model, s),
-        None => Model::compile(model),
-    }
-    .expect("model parses");
-    let mut s = compiled
-        .plan(args, data)
-        .expect("model plans")
-        .session(SessionConfig {
-            backend: exec,
-            threads,
-            mcmc: McmcConfig { step_size: 0.05, leapfrog_steps: 8, ..Default::default() },
-            seed: 0xD1FF,
-            ..Default::default()
-        })
-        .expect("session binds");
-    s.init().unwrap();
-    for _ in 0..sweeps {
-        s.sweep();
-    }
-    s.report().digest()
-}
+/// (label, source, schedule, args, data, recorded params).
+type Case = (
+    &'static str,
+    &'static str,
+    Option<&'static str>,
+    Vec<HostValue>,
+    Vec<(&'static str, HostValue)>,
+    &'static [&'static str],
+);
 
-/// The deterministic half of a [`RunReport`] — schedule, sweep count,
-/// per-kernel counters, work — must be byte-identical across execution
-/// strategies and at 1/2/8 worker threads, for all three benchmark
-/// models: the same contract the traces obey, extended to observability.
-#[test]
-fn run_reports_are_identical_across_strategies_and_threads() {
-    type Case = (
-        &'static str,
-        &'static str,
-        Option<&'static str>,
-        Vec<HostValue>,
-        Vec<(&'static str, HostValue)>,
-    );
+/// One small configuration per benchmark model, with a gradient kernel
+/// on HGMM and HLR so step-size tuning feeds the digests.
+fn digest_cases() -> Vec<Case> {
     let (k, d, n) = (2, 2, 40);
     let hgmm_data = workloads::hgmm_data(k, d, n, 91);
     let topics = 3;
     let corpus = workloads::lda_corpus(topics, 10, 60, 20, 5);
     let hlr_d = 4;
     let hlr_data = workloads::logistic_data(60, hlr_d, 17);
-    let cases: Vec<Case> = vec![
+    vec![
         (
             "hgmm",
             models::HGMM,
             Some("Gibbs pi (*) HMC mu (*) Gibbs Sigma (*) Gibbs z"),
             hgmm_args(k, d, n),
-            vec![("y", HostValue::Ragged(hgmm_data.points.clone()))],
+            vec![("y", HostValue::Ragged(hgmm_data.points))],
+            &["pi", "mu", "Sigma", "z"],
         ),
         (
             "lda",
             models::LDA,
             None,
-            vec![
-                HostValue::Int(topics as i64),
-                HostValue::Int(corpus.docs.len() as i64),
-                HostValue::VecF(vec![0.5; topics]),
-                HostValue::VecF(vec![0.1; corpus.vocab]),
-                HostValue::VecI(corpus.lens.clone()),
-            ],
-            vec![("w", HostValue::RaggedI(corpus.docs.clone()))],
+            lda_args(topics, &corpus),
+            vec![("w", HostValue::RaggedI(corpus.docs))],
+            &["theta", "phi", "z"],
         ),
         (
             "hlr",
@@ -284,75 +209,44 @@ fn run_reports_are_identical_across_strategies_and_threads() {
                 HostValue::Real(1.0),
                 HostValue::Int(60),
                 HostValue::Int(hlr_d as i64),
-                HostValue::Ragged(hlr_data.x.clone()),
+                HostValue::Ragged(hlr_data.x),
             ],
-            vec![("y", HostValue::VecF(hlr_data.y.clone()))],
+            vec![("y", HostValue::VecF(hlr_data.y))],
+            &["sigma2", "b", "theta"],
         ),
-    ];
-    for (label, model, sched, args, data) in cases {
-        let sweeps = 10;
-        let reference = report_digest(
-            model,
-            sched,
-            args.clone(),
-            data.clone(),
-            sweeps,
-            ExecBackend::Tree,
-            1,
-        );
+    ]
+}
+
+/// Binds `case` on one lane (timers on), runs 10 sweeps, and returns
+/// the session.
+fn run_case(case: &Case, exec: ExecBackend, threads: usize) -> Session {
+    let (_, model, sched, args, data, _) = case;
+    let mut s = bind(model, *sched, args.clone(), data.clone(), exec, threads, true);
+    s.init().unwrap();
+    for _ in 0..10 {
+        s.sweep();
+    }
+    s
+}
+
+/// The deterministic half of a [`RunReport`] — schedule, sweep count,
+/// per-kernel counters, work — must be byte-identical across execution
+/// strategies and at 1/2/8 worker threads, for all three benchmark
+/// models: the same contract the traces obey, extended to observability.
+#[test]
+fn run_reports_are_identical_across_strategies_and_threads() {
+    for case in digest_cases() {
+        let label = case.0;
+        let reference = run_case(&case, ExecBackend::Tree, 1).report().digest();
         assert!(reference.contains("sweeps=10"), "{label}: digest missing sweeps");
         for threads in [1, 2, 8] {
-            let got = report_digest(
-                model,
-                sched,
-                args.clone(),
-                data.clone(),
-                sweeps,
-                ExecBackend::Tape,
-                threads,
-            );
+            let got = run_case(&case, ExecBackend::Tape, threads).report().digest();
             assert_eq!(
                 reference, got,
                 "{label}: report digest diverged (tape, {threads} threads)"
             );
         }
     }
-}
-
-/// Builds a sampler exactly like [`bit_trace`], runs it, and returns the
-/// deterministic digest of its phase profile (schedule + sweeps + total
-/// and per-step work counters; wall times and op-class counts excluded).
-fn profile_digest(
-    model: &str,
-    sched: Option<&str>,
-    args: Vec<HostValue>,
-    data: Vec<(&str, HostValue)>,
-    sweeps: usize,
-    exec: ExecBackend,
-    threads: usize,
-) -> String {
-    let compiled = match sched {
-        Some(s) => Model::with_schedule(model, s),
-        None => Model::compile(model),
-    }
-    .expect("model parses");
-    let mut s = compiled
-        .plan(args, data)
-        .expect("model plans")
-        .session(SessionConfig {
-            backend: exec,
-            threads,
-            mcmc: McmcConfig { step_size: 0.05, leapfrog_steps: 8, ..Default::default() },
-            seed: 0xD1FF,
-            timers: true,
-            ..Default::default()
-        })
-        .expect("session binds");
-    s.init().unwrap();
-    for _ in 0..sweeps {
-        s.sweep();
-    }
-    s.profile().digest()
 }
 
 /// The work-counter portion of a phase [`augur::Profile`] — schedule,
@@ -363,81 +257,40 @@ fn profile_digest(
 /// instructions), so this pins exactly the deterministic half.
 #[test]
 fn profile_digests_are_identical_across_strategies_and_threads() {
-    type Case = (
-        &'static str,
-        &'static str,
-        Option<&'static str>,
-        Vec<HostValue>,
-        Vec<(&'static str, HostValue)>,
-    );
-    let (k, d, n) = (2, 2, 40);
-    let hgmm_data = workloads::hgmm_data(k, d, n, 91);
-    let topics = 3;
-    let corpus = workloads::lda_corpus(topics, 10, 60, 20, 5);
-    let hlr_d = 4;
-    let hlr_data = workloads::logistic_data(60, hlr_d, 17);
-    let cases: Vec<Case> = vec![
-        (
-            "hgmm",
-            models::HGMM,
-            Some("Gibbs pi (*) HMC mu (*) Gibbs Sigma (*) Gibbs z"),
-            hgmm_args(k, d, n),
-            vec![("y", HostValue::Ragged(hgmm_data.points.clone()))],
-        ),
-        (
-            "lda",
-            models::LDA,
-            None,
-            vec![
-                HostValue::Int(topics as i64),
-                HostValue::Int(corpus.docs.len() as i64),
-                HostValue::VecF(vec![0.5; topics]),
-                HostValue::VecF(vec![0.1; corpus.vocab]),
-                HostValue::VecI(corpus.lens.clone()),
-            ],
-            vec![("w", HostValue::RaggedI(corpus.docs.clone()))],
-        ),
-        (
-            "hlr",
-            models::HLR,
-            Some("NUTS sigma2 b theta"),
-            vec![
-                HostValue::Real(1.0),
-                HostValue::Int(60),
-                HostValue::Int(hlr_d as i64),
-                HostValue::Ragged(hlr_data.x.clone()),
-            ],
-            vec![("y", HostValue::VecF(hlr_data.y.clone()))],
-        ),
-    ];
-    for (label, model, sched, args, data) in cases {
-        let sweeps = 10;
-        let reference = profile_digest(
-            model,
-            sched,
-            args.clone(),
-            data.clone(),
-            sweeps,
-            ExecBackend::Tree,
-            1,
-        );
+    for case in digest_cases() {
+        let label = case.0;
+        let reference = run_case(&case, ExecBackend::Tree, 1).profile().digest();
         assert!(reference.contains("sweeps=10"), "{label}: digest missing sweeps");
         assert!(reference.contains(":work="), "{label}: digest missing per-step work");
         for threads in [1, 2, 8] {
-            let got = profile_digest(
-                model,
-                sched,
-                args.clone(),
-                data.clone(),
-                sweeps,
-                ExecBackend::Tape,
-                threads,
-            );
+            let got = run_case(&case, ExecBackend::Tape, threads).profile().digest();
             assert_eq!(
                 reference, got,
                 "{label}: profile digest diverged (tape, {threads} threads)"
             );
         }
+    }
+}
+
+/// Timers are an observability switch, not a behavioural one: with
+/// `timers: false` (no kernel wall clocks, per-step work or op-class
+/// profiling) the tape must reproduce the tree's draws and run report
+/// bit-for-bit on all three benchmark models.
+#[test]
+fn timers_off_tape_matches_the_tree() {
+    for (label, model, sched, args, data, record) in digest_cases() {
+        let run = |exec, timers| {
+            let mut s = bind(model, sched, args.clone(), data.clone(), exec, 1, timers);
+            let trace = bits(&mut s, 10, record);
+            (trace, s.report().digest())
+        };
+        let (tree, tree_report) = run(ExecBackend::Tree, true);
+        let (tape, tape_report) = run(ExecBackend::Tape, false);
+        for (s, (a, b)) in tree.iter().zip(&tape).enumerate() {
+            assert_eq!(a, b, "{label}: timers-off tape diverged from tree at sweep {s}");
+        }
+        assert_eq!(tree.len(), tape.len(), "{label}: sweep counts differ");
+        assert_eq!(tree_report, tape_report, "{label}: timers-off report digest");
     }
 }
 
@@ -463,13 +316,7 @@ fn explain_names_a_rewrite_for_every_kernel_unit() {
         (
             "lda",
             models::LDA,
-            vec![
-                HostValue::Int(topics as i64),
-                HostValue::Int(corpus.docs.len() as i64),
-                HostValue::VecF(vec![0.5; topics]),
-                HostValue::VecF(vec![0.1; corpus.vocab]),
-                HostValue::VecI(corpus.lens.clone()),
-            ],
+            lda_args(topics, &corpus),
             vec![("w", HostValue::RaggedI(corpus.docs.clone()))],
         ),
         (
@@ -526,16 +373,7 @@ fn golden_explain_plan_for_lda() {
     let corpus = workloads::lda_corpus(topics, 10, 60, 20, 5);
     let model = Model::compile(models::LDA).unwrap();
     let s = model
-        .plan(
-            vec![
-                HostValue::Int(topics as i64),
-                HostValue::Int(corpus.docs.len() as i64),
-                HostValue::VecF(vec![0.5; topics]),
-                HostValue::VecF(vec![0.1; corpus.vocab]),
-                HostValue::VecI(corpus.lens.clone()),
-            ],
-            vec![("w", HostValue::RaggedI(corpus.docs.clone()))],
-        )
+        .plan(lda_args(topics, &corpus), vec![("w", HostValue::RaggedI(corpus.docs.clone()))])
         .unwrap()
         .session(SessionConfig::default())
         .unwrap();
