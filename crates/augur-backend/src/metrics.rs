@@ -304,24 +304,12 @@ impl fmt::Display for RunReport {
     }
 }
 
-/// The trace/span identifiers one request-lifecycle record carries
-/// (schema v4). The serving layer mints these deterministically (see
-/// `augur-obs`); the sink just serializes them.
-#[derive(Debug, Clone, Copy)]
-pub struct RequestSpan<'a> {
-    /// The request's trace id (constant across all of its records).
-    pub trace: &'a str,
-    /// This record's span id.
-    pub span: &'a str,
-    /// The span this record hangs off, if any (the root `submitted`
-    /// record has none).
-    pub parent: Option<&'a str>,
-}
-
 /// The opt-in JSONL event sink: one line per sweep (schema v2), with
 /// per-kernel *delta* counters, streamed to the path given by
 /// `SessionConfig::trace_path` (or the `AUGUR_TRACE` environment
-/// variable). Writes are buffered and flushed every
+/// variable). Other layers format their own records and stream them
+/// through [`TraceSink::write_line`] (the serving layer's v4 request
+/// records). Writes are buffered and flushed every
 /// [`TraceSink::FLUSH_EVERY`] records and on drop — dashboards tailing
 /// the file see records at that granularity, and the sampler never pays
 /// a syscall per sweep. See `DESIGN.md` § JSONL trace schema.
@@ -338,7 +326,7 @@ pub struct TraceSink {
 }
 
 impl TraceSink {
-    /// Buffered records are flushed to disk after this many sweeps.
+    /// Buffered records are flushed to disk after this many records.
     pub const FLUSH_EVERY: u64 = 64;
 
     /// Creates (truncating) the sink file.
@@ -382,9 +370,8 @@ impl TraceSink {
     /// are this sweep's per-kernel counter increments, aligned with
     /// `labels`; when the phase profiler is on, `work_deltas` carries
     /// each step's deterministic work increment and is merged into the
-    /// per-kernel objects. A failed buffered write drops the record and
-    /// bumps [`TraceSink::records_dropped`]; a failed flush counts every
-    /// record still buffered (a short flush truncates all of them).
+    /// per-kernel objects. Drops are counted as in
+    /// [`TraceSink::write_line`].
     pub fn write_sweep(
         &mut self,
         sweep: u64,
@@ -413,17 +400,7 @@ impl TraceSink {
             line.push('}');
         }
         line.push_str("]}\n");
-        // Trace I/O is best-effort observability: a full disk must not
-        // poison the chain itself — but silent loss is not acceptable
-        // either, so failed records are counted.
-        if self.fail_writes || self.out.write_all(line.as_bytes()).is_err() {
-            self.dropped += 1;
-            return;
-        }
-        self.unflushed += 1;
-        if self.unflushed >= Self::FLUSH_EVERY {
-            self.flush();
-        }
+        self.write_line(&line);
     }
 
     /// Streams the session's plan-provenance record (schema v2): what
@@ -441,55 +418,16 @@ impl TraceSink {
             stats.respecializes,
             stats.entries,
         );
-        if self.fail_writes || self.out.write_all(line.as_bytes()).is_err() {
-            self.dropped += 1;
-            return;
-        }
-        self.unflushed += 1;
+        self.write_line(&line);
     }
 
-    /// Streams one request-lifecycle record (schema v4, marked
-    /// `"v":4`) — what the serving layer emits at each stage of a
-    /// request: `submitted`, `planned`, `slice`, `migrated`, `retried`,
-    /// `respawned`, `demoted`, `completed`, `failed`, `shed`. v4 is a
-    /// strict superset of the v3 record: every record additionally
-    /// carries the request's deterministic `trace` id plus this stage's
-    /// `span` id (and its `parent` span, when the stage has one), so
-    /// one `grep <trace-id>` over the file reconstructs the request's
-    /// full lifecycle across shards, migrations, retries, and worker
-    /// respawns. `code` carries the stable error-kind string on
-    /// failures; `fields` are free-form numeric attributes
-    /// (`queue_depth`, `latency_secs`, `chain`, …). Same best-effort
-    /// drop accounting as the sweep records.
-    pub fn write_request(
-        &mut self,
-        id: u64,
-        model: &str,
-        event: &str,
-        code: Option<&str>,
-        span: RequestSpan<'_>,
-        fields: &[(&str, f64)],
-    ) {
-        let mut line = format!(
-            "{{\"v\":4,\"req\":{{\"id\":{id},\"trace\":{},\"span\":{}",
-            json_str(span.trace),
-            json_str(span.span)
-        );
-        if let Some(parent) = span.parent {
-            line.push_str(&format!(",\"parent\":{}", json_str(parent)));
-        }
-        line.push_str(&format!(
-            ",\"model\":{},\"event\":{}",
-            json_str(model),
-            json_str(event)
-        ));
-        if let Some(code) = code {
-            line.push_str(&format!(",\"code\":{}", json_str(code)));
-        }
-        for (key, value) in fields {
-            line.push_str(&format!(",{}:{value}", json_str(key)));
-        }
-        line.push_str("}}\n");
+    /// Streams one complete record (`line` ends in a newline). Trace I/O
+    /// is best-effort observability: a full disk must not poison the
+    /// chain itself, but silent loss is not acceptable either, so a
+    /// failed buffered write drops the record and bumps
+    /// [`TraceSink::records_dropped`]. Every
+    /// [`TraceSink::FLUSH_EVERY`] records the buffer is flushed.
+    pub fn write_line(&mut self, line: &str) {
         if self.fail_writes || self.out.write_all(line.as_bytes()).is_err() {
             self.dropped += 1;
             return;
@@ -516,9 +454,9 @@ impl Drop for TraceSink {
     }
 }
 
-/// Minimal JSON string escaping (labels contain only identifier
-/// characters, parentheses, commas, and spaces, but stay safe anyway).
-pub(crate) fn json_str(s: &str) -> String {
+/// A JSON string literal for `s`: quotes, backslashes and control
+/// characters escaped.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -14,6 +14,7 @@ use augur_density::{DExpr, DensityModel, Factor};
 use augur_dist::DistKind;
 use augur_low::shape::{AllocDecl, AllocKind, ShapeSpec, SizeExpr};
 use augur_low::LoweredModel;
+use augur_math::Matrix;
 
 use crate::state::{HostValue, RowElem, Shape, State};
 
@@ -60,6 +61,16 @@ pub enum SetupError {
         /// mean, or the mean's length when every row agrees.
         point: usize,
     },
+    /// A matrix binding is not square, or a vector of matrices holds one
+    /// whose shape differs from the first one's square shape.
+    MatrixShape {
+        /// The argument or data variable.
+        var: String,
+        /// Rows of the offending matrix.
+        rows: usize,
+        /// Columns of the offending matrix.
+        cols: usize,
+    },
 }
 
 impl fmt::Display for SetupError {
@@ -86,6 +97,11 @@ impl fmt::Display for SetupError {
                 "`{var}` ~ MvNormal: the mean has length {mean}, the covariance is \
                  {cov}x{cov} and the point has length {point}; all three must agree"
             ),
+            SetupError::MatrixShape { var, rows, cols } => write!(
+                f,
+                "`{var}` binds a {rows}x{cols} matrix; matrices must be square, and the \
+                 matrices of a vector must share the first one's dimension"
+            ),
         }
     }
 }
@@ -99,7 +115,8 @@ impl std::error::Error for SetupError {}
 /// # Errors
 ///
 /// Returns a [`SetupError`] for arity mismatches, missing/unknown data,
-/// unresolvable sizes, or `MvNormal` dimensions that disagree.
+/// malformed matrices, unresolvable sizes, or `MvNormal` dimensions that
+/// disagree.
 pub fn build_state(
     model: &DensityModel,
     lowered: &LoweredModel,
@@ -113,6 +130,7 @@ pub fn build_state(
         return Err(SetupError::ArgCount { expected: model.args.len(), actual: args.len() });
     }
     for (info, value) in model.args.iter().zip(&args) {
+        check_matrices(&info.name, value)?;
         state.insert_host(&info.name, value);
     }
 
@@ -122,6 +140,7 @@ pub fn build_state(
         let value = provided
             .remove(&d.name)
             .ok_or_else(|| SetupError::MissingData(d.name.clone()))?;
+        check_matrices(&d.name, &value)?;
         let id = state.insert_host(&d.name, &value);
         // light extent check against the outer comprehension
         let (_, prior) = model
@@ -163,6 +182,25 @@ pub fn build_state(
     }
 
     Ok(state)
+}
+
+/// A bound matrix must be square, and the matrices of a vector must all
+/// share the first one's dimension: [`State::insert_host`] asserts both,
+/// and bindings come from the caller.
+fn check_matrices(var: &str, value: &HostValue) -> Result<(), SetupError> {
+    let bad = |m: &Matrix| SetupError::MatrixShape {
+        var: var.to_owned(),
+        rows: m.rows(),
+        cols: m.cols(),
+    };
+    match value {
+        HostValue::Mat(m) if !m.is_square() => Err(bad(m)),
+        HostValue::VecMat(ms) => {
+            let dim = ms.first().map_or(0, Matrix::rows);
+            ms.iter().find(|m| m.rows() != dim || m.cols() != dim).map_or(Ok(()), |m| Err(bad(m)))
+        }
+        _ => Ok(()),
+    }
 }
 
 /// Every `MvNormal` factor's mean length, covariance dimension and point
@@ -457,7 +495,6 @@ mod tests {
     use super::*;
     use augur_kernel::{heuristic_schedule, plan};
     use augur_lang::{parse, typecheck};
-    use augur_math::Matrix;
 
     fn lower_model(src: &str) -> (DensityModel, LoweredModel) {
         let dm =

@@ -166,12 +166,7 @@ impl ModelRegistry {
         let mut models = self.models.write().unwrap_or_else(|e| e.into_inner());
         let versions = models.entry(name.to_owned()).or_default();
         let version = versions.len() as u32 + 1;
-        versions.push(Arc::new(RegisteredModel {
-            name: name.to_owned(),
-            version,
-            spec,
-            model,
-        }));
+        versions.push(Arc::new(RegisteredModel { name: name.to_owned(), version, spec, model }));
         Ok(version)
     }
 
@@ -226,10 +221,7 @@ mod tests {
     fn register_resolve_and_version() {
         let reg = ModelRegistry::new();
         assert_eq!(reg.register("bb", ModelSpec::new(BETA_BERN)).unwrap(), 1);
-        assert_eq!(
-            reg.register("bb", ModelSpec::new(BETA_BERN).schedule("MH p")).unwrap(),
-            2
-        );
+        assert_eq!(reg.register("bb", ModelSpec::new(BETA_BERN).schedule("MH p")).unwrap(), 2);
         assert_eq!(reg.resolve("bb", None).unwrap().version(), 2);
         assert_eq!(reg.resolve("bb", Some(1)).unwrap().version(), 1);
         assert!(reg.resolve("bb", Some(3)).is_none());
@@ -252,8 +244,7 @@ mod tests {
         reg.register("bb", ModelSpec::new(BETA_BERN)).unwrap();
         reg.register("bb", ModelSpec::new(BETA_BERN)).unwrap();
         let v1 = reg.resolve("bb", Some(1)).unwrap();
-        v1.plan(vec![HostValue::Int(2)], vec![("y", HostValue::VecF(vec![1.0, 0.0]))])
-            .unwrap();
+        v1.plan(vec![HostValue::Int(2)], vec![("y", HostValue::VecF(vec![1.0, 0.0]))]).unwrap();
         let stats = reg.cache_stats();
         assert_eq!(stats.len(), 2);
         assert_eq!(stats[0].stats.misses, 1);

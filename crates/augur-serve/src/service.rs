@@ -13,7 +13,7 @@
 //! independent **chain-slice tasks**; each slice runs up to
 //! `migrate_every` sweeps, then checkpoints its session and re-enqueues
 //! itself on the *next* shard. Because the checkpoint protocol restores
-//! byte-identically (PR 4's kill-and-resume guarantee), a chain that
+//! byte-identically (the checkpoint layer's kill-and-resume guarantee), a chain that
 //! hops workers mid-run produces exactly the draws and report digest of
 //! an unmigrated one — preemption and rebalancing are free of
 //! correctness risk, so the scheduler can be dumb.
@@ -23,6 +23,16 @@
 //! are collected by index, so a service-path run is byte-identical to a
 //! direct `ChainPlan` run with the same base config, at any worker
 //! count and any migration cadence.
+//!
+//! This file holds the public types, the [`Service`] front end and the
+//! state its workers share; the rest is split by job:
+//!
+//! * `queue` — the shard queues, admission control, the task that sits
+//!   in a queue, and the one requeue path every retry takes;
+//! * `supervisor` — the worker loop, the `panic@shard`/`slow@shard`
+//!   drills, and the respawn guard;
+//! * `slice` — request execution, `sample` fan-out, the chain-slice
+//!   lifecycle (bind, sweep, checkpoint, migrate) and chain completion.
 //!
 //! # Survivability
 //!
@@ -34,8 +44,9 @@
 //!   `panic@shard` drill kills the worker at dequeue) trips a drop
 //!   guard that recovers the in-flight task, re-enqueues it on the
 //!   next shard, and respawns the worker. Because chain slices travel
-//!   as byte-identical [`Checkpoint`]s, a killed worker costs at most
-//!   one slice of progress and never changes the draws.
+//!   as byte-identical [`Checkpoint`](augur::Checkpoint)s, a killed
+//!   worker costs at most one slice of progress and never changes the
+//!   draws.
 //! * **Deadlines** — [`Request::deadline`] (or
 //!   [`ServiceConfig::default_deadline`]) is checked at dequeue and
 //!   between migration slices; late requests resolve with a typed
@@ -44,35 +55,36 @@
 //!   every shard queue; a submit that finds all queues full resolves
 //!   immediately with `overloaded` and is counted as shed.
 //! * **Retries** — transient failures (`!is_caller_fault()`) requeue
-//!   the slice up to [`ServiceConfig::max_retries`] times with a
-//!   deterministic, counter-seeded backoff (no wall-clock jitter), so
-//!   fault-injected differential runs stay reproducible.
+//!   the task up to [`ServiceConfig::max_retries`] times, a failed
+//!   slice after a deterministic, counter-seeded backoff (no wall-clock
+//!   jitter), so fault-injected differential runs stay reproducible.
 //! * **Backend degradation** — each model's [`augur::NativeBreaker`]
 //!   trips Native→Tape after consecutive native failures; the service
 //!   records the first demotion per model in its metrics and trace.
 
-use std::collections::{HashSet, VecDeque};
+mod queue;
+mod slice;
+mod supervisor;
+
+use std::collections::HashSet;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use augur::chains::chain_seed;
-use augur::{
-    Checkpoint, ExecBackend, FaultPlan, HostValue, McmcConfig, Plan, SessionConfig, Target,
-};
-use augur_backend::fault::INJECTED_SHARD_PANIC;
-use augur_backend::metrics::{RequestSpan, TraceSink};
-use augur_math::Prng;
+use augur::{ExecBackend, FaultPlan, HostValue, McmcConfig, SessionConfig, Target};
+use augur_backend::metrics::{json_str, TraceSink};
 use augur_obs::trace::{span_id, trace_id};
 use augur_obs::{Endpoints, Health, TelemetryServer};
 
-use crate::registry::{ModelCacheStats, ModelRegistry, RegisteredModel};
+use crate::registry::{ModelCacheStats, ModelRegistry};
 use crate::telemetry::{ConvergenceStat, Telemetry};
+use queue::{Shard, Task};
+use slice::RequestTask;
 
 /// A [`SessionConfig`] that ignores every `AUGUR_*` environment
 /// variable — the service must behave identically no matter what
@@ -290,7 +302,20 @@ impl Request {
             Request::Explain(r) => r.deadline,
         }
     }
+
+    /// The model, version and bindings every kind of request carries.
+    fn parts(&mut self) -> RequestParts<'_> {
+        match self {
+            Request::Sample(r) => (&r.model, r.version, &mut r.args, &r.data),
+            Request::Score(r) => (&r.model, r.version, &mut r.args, &r.data),
+            Request::Explain(r) => (&r.model, r.version, &mut r.args, &r.data),
+        }
+    }
 }
+
+/// What [`Request::parts`] lends: model, version, arguments, data.
+type RequestParts<'a> =
+    (&'a String, Option<u32>, &'a mut Vec<HostValue>, &'a [(String, HostValue)]);
 
 /// The result of a `sample` request.
 #[derive(Debug, Clone)]
@@ -503,35 +528,6 @@ pub struct MetricsSnapshot {
     pub models: Vec<ModelCacheStats>,
 }
 
-/// One worker shard: a queue, its wakeup, depth tracking, and the
-/// parking slot for the task a dying worker had in hand (the respawn
-/// guard recovers it; see [`RespawnGuard`]).
-#[derive(Default)]
-struct Shard {
-    queue: Mutex<VecDeque<Task>>,
-    wakeup: Condvar,
-    depth: AtomicUsize,
-    inflight: Mutex<Option<Task>>,
-}
-
-impl Shard {
-    /// Appends a task and returns the new depth. The depth moves inside
-    /// the queue's critical section, as [`Shard::pop`]'s does, so a pop
-    /// can never be counted before its push.
-    fn push(&self, task: Task) -> usize {
-        let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-        q.push_back(task);
-        self.depth.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Takes the front task from the locked queue `q`.
-    fn pop(&self, q: &mut VecDeque<Task>) -> Option<Task> {
-        let task = q.pop_front()?;
-        self.depth.fetch_sub(1, Ordering::Relaxed);
-        Some(task)
-    }
-}
-
 /// Everything workers and the front-end share.
 struct Shared {
     registry: ModelRegistry,
@@ -541,9 +537,6 @@ struct Shared {
     next_id: AtomicU64,
     next_shard: AtomicUsize,
     high_water: AtomicUsize,
-    /// Worker threads currently inside their run loop (`/healthz`
-    /// liveness: a panicking worker leaves, its respawn re-enters).
-    workers_alive: AtomicUsize,
     /// The registry-backed instruments every counter lands in (the
     /// snapshot API reads these back).
     tel: Telemetry,
@@ -554,79 +547,50 @@ struct Shared {
     trace: Option<Mutex<TraceSink>>,
 }
 
-/// What sits in a shard queue.
-enum Task {
-    Request(Box<RequestTask>),
-    Slice(Box<SliceTask>),
-}
-
-/// A freshly submitted request, before fan-out.
-struct RequestTask {
+/// One admitted request: what every v4 record of it names, and where
+/// its answer goes. The request task, the `sample` aggregate and every
+/// chain slice share it.
+struct Caller {
     id: u64,
-    /// The request's deterministic trace id (v4 records).
-    trace: String,
-    t0: Instant,
-    deadline: Option<Duration>,
-    /// Times this task has been recovered from a dead worker.
-    attempts: u32,
-    req: Request,
-    reply: mpsc::Sender<Result<Response, ServeError>>,
-}
-
-/// The shared completion state of one in-flight `sample` request.
-struct SampleAgg {
-    id: u64,
-    /// The request's deterministic trace id (v4 records).
-    trace: String,
-    /// The `planned` record's span id — the parent of each chain's
-    /// first slice span.
-    plan_span: String,
-    t0: Instant,
-    deadline: Option<Duration>,
     model: String,
-    fingerprint: u64,
+    /// The request's deterministic trace id (v4 records).
+    trace: String,
+    t0: Instant,
+    deadline: Option<Duration>,
     reply: mpsc::Sender<Result<Response, ServeError>>,
-    state: Mutex<AggState>,
 }
 
-#[derive(Default)]
-struct AggState {
-    remaining: usize,
-    migrations: u64,
-    chains: Vec<Option<Result<ChainResult, ServeError>>>,
-}
+impl Caller {
+    /// The timeout error once the request has outlived its deadline.
+    fn late(&self) -> Option<ServeError> {
+        let deadline = self.deadline?;
+        let elapsed = self.t0.elapsed();
+        (elapsed > deadline).then_some(ServeError::Timeout { elapsed, deadline })
+    }
 
-/// One finished chain's contribution.
-struct ChainResult {
-    draws: Vec<std::collections::HashMap<String, Vec<f64>>>,
-    report_digest: String,
-}
-
-/// One chain's next execution slice. The session itself is not `Send`,
-/// so what travels between shards is the plain-data [`Checkpoint`]; the
-/// receiving worker binds a fresh session off the shared plan and
-/// restores it byte-identically.
-struct SliceTask {
-    agg: Arc<SampleAgg>,
-    plan: Arc<Plan>,
-    cfg: SessionConfig,
-    chain: usize,
-    total: usize,
-    done: usize,
-    record: Vec<String>,
-    draws: Vec<std::collections::HashMap<String, Vec<f64>>>,
-    ckpt: Option<Checkpoint>,
-    migrate_every: u64,
-    /// Consecutive failed/recovered executions of the *current* slice;
-    /// reset to zero every time a slice completes, so a long chain that
-    /// keeps crossing a faulty shard never exhausts its retry budget.
-    attempts: u32,
-    /// Slices this chain has completed (numbers the `slice` spans).
-    slice_no: u64,
-    /// The span id of the chain's most recent lifecycle record — the
-    /// parent of its next `slice` span, so a chain's records form a
-    /// linked chain from `planned` through every slice to `completed`.
-    parent_span: String,
+    /// Answers the request: counts it completed or failed, observes its
+    /// latency, writes the closing `completed`/`failed` record (its span
+    /// hangs directly off the root `submit` span) and sends the result.
+    fn answer(&self, shared: &Shared, result: Result<Response, ServeError>) {
+        let latency = self.t0.elapsed().as_secs_f64();
+        let (event, code) = match &result {
+            Ok(_) => {
+                shared.tel.completed.inc();
+                ("completed", None)
+            }
+            Err(e) => {
+                shared.tel.failed.inc();
+                if matches!(e, ServeError::Timeout { .. }) {
+                    shared.tel.timeouts.inc();
+                }
+                ("failed", Some(e.code()))
+            }
+        };
+        shared.tel.latency.observe(latency);
+        let fields = [("latency_secs", latency)];
+        shared.event(Some(self), event, code, "finish", Some("submit"), &fields);
+        let _ = self.reply.send(result);
+    }
 }
 
 /// The inference service: spawn with [`Service::start`], register
@@ -653,11 +617,8 @@ impl Service {
             0 => std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
             n => n,
         };
-        let trace = config
-            .trace_path
-            .as_ref()
-            .and_then(|p| TraceSink::create(p).ok())
-            .map(Mutex::new);
+        let trace =
+            config.trace_path.as_ref().and_then(|p| TraceSink::create(p).ok()).map(Mutex::new);
         let shared = Arc::new(Shared {
             registry,
             config,
@@ -666,7 +627,6 @@ impl Service {
             next_id: AtomicU64::new(1),
             next_shard: AtomicUsize::new(0),
             high_water: AtomicUsize::new(0),
-            workers_alive: AtomicUsize::new(0),
             tel: Telemetry::new(),
             demoted: Mutex::new(HashSet::new()),
             handles: Mutex::new(Vec::with_capacity(workers)),
@@ -688,7 +648,7 @@ impl Service {
                 .unwrap_or_else(|e| panic!("telemetry_addr {addr}: {e}"))
         });
         let handles: Vec<JoinHandle<()>> =
-            (0..workers).map(|idx| spawn_worker(&shared, idx)).collect();
+            (0..workers).map(|idx| supervisor::spawn_worker(&shared, idx)).collect();
         shared.handles.lock().unwrap_or_else(|e| e.into_inner()).extend(handles);
         Service { shared, telemetry }
     }
@@ -711,58 +671,33 @@ impl Service {
     /// a submit that finds every shard queue at the bound sheds the
     /// request: the ticket resolves promptly with
     /// [`ServeError::Overloaded`] and the shed is counted and traced.
-    pub fn submit(&self, req: Request) -> Ticket {
+    pub fn submit(&self, mut req: Request) -> Ticket {
         let shared = &self.shared;
         let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
-        let model = request_model(&req).to_owned();
-        let deadline = req.deadline().or(shared.config.default_deadline);
-        // The trace id is minted here, deterministically, and rides the
-        // task through every lifecycle stage.
-        let trace = trace_id(shared.config.base_seed, id);
-        let root = span_id(&trace, "submit");
+        let (reply, rx) = mpsc::channel();
+        let caller = Arc::new(Caller {
+            id,
+            model: req.parts().0.clone(),
+            // The trace id is minted here, deterministically, and rides
+            // the task through every lifecycle stage.
+            trace: trace_id(shared.config.base_seed, id),
+            t0: Instant::now(),
+            deadline: req.deadline().or(shared.config.default_deadline),
+            reply,
+        });
         shared.tel.submitted.inc();
-        let n = shared.shards.len();
-        let start = shared.next_shard.fetch_add(1, Ordering::Relaxed) % n;
-        let bound = shared.config.queue_bound;
-        // Admission control: take the round-robin shard, or any shard
-        // with room; if every queue is at the bound, shed.
-        let shard = (0..n)
-            .map(|i| (start + i) % n)
-            .find(|&s| bound == 0 || shared.shards[s].depth.load(Ordering::Relaxed) < bound);
-        let Some(shard) = shard else {
+        let Some(shard) = shared.admit() else {
+            let bound = shared.config.queue_bound;
             shared.tel.shed.inc();
-            shared.trace(
-                id,
-                &model,
-                "shed",
-                Some("overloaded"),
-                RequestSpan { trace: &trace, span: &root, parent: None },
-                &[("queue_bound", bound as f64)],
-            );
-            let _ = tx.send(Err(ServeError::Overloaded { bound }));
+            let fields = [("queue_bound", bound as f64)];
+            shared.event(Some(&caller), "shed", Some("overloaded"), "submit", None, &fields);
+            let _ = caller.reply.send(Err(ServeError::Overloaded { bound }));
             return Ticket { id, rx };
         };
-        let depth = shared.enqueue(
-            shard,
-            Task::Request(Box::new(RequestTask {
-                id,
-                trace: trace.clone(),
-                t0: Instant::now(),
-                deadline,
-                attempts: 0,
-                req,
-                reply: tx,
-            })),
-        );
-        shared.trace(
-            id,
-            &model,
-            "submitted",
-            None,
-            RequestSpan { trace: &trace, span: &root, parent: None },
-            &[("queue_depth", depth as f64)],
-        );
+        let task = RequestTask { caller: Arc::clone(&caller), attempts: 0, req };
+        let depth = shared.enqueue(shard, Task::Request(Box::new(task)));
+        let fields = [("queue_depth", depth as f64)];
+        shared.event(Some(&caller), "submitted", None, "submit", None, &fields);
         Ticket { id, rx }
     }
 
@@ -806,15 +741,13 @@ impl Service {
             server.shutdown();
         }
         for shard in &self.shared.shards {
-            let _guard = shard.queue.lock().unwrap_or_else(|e| e.into_inner());
-            shard.wakeup.notify_all();
+            shard.wake_all();
         }
         // Join until no handle remains: a panicking worker's respawn
         // guard may push a replacement handle while we join the old one.
         loop {
-            let handles: Vec<JoinHandle<()>> = std::mem::take(
-                &mut *self.shared.handles.lock().unwrap_or_else(|e| e.into_inner()),
-            );
+            let handles: Vec<JoinHandle<()>> =
+                std::mem::take(&mut *self.shared.handles.lock().unwrap_or_else(|e| e.into_inner()));
             if handles.is_empty() {
                 break;
             }
@@ -825,19 +758,8 @@ impl Service {
         // No ticket hangs at shutdown: anything a dead worker left
         // behind (queued or parked in-flight) resolves as canceled.
         for shard in &self.shared.shards {
-            let leftovers: Vec<Task> = {
-                let mut q = shard.queue.lock().unwrap_or_else(|e| e.into_inner());
-                let mut tasks: Vec<Task> = q.drain(..).collect();
-                shard.depth.store(0, Ordering::Relaxed);
-                if let Some(t) =
-                    shard.inflight.lock().unwrap_or_else(|e| e.into_inner()).take()
-                {
-                    tasks.push(t);
-                }
-                tasks
-            };
-            for task in leftovers {
-                cancel_task(&self.shared, task);
+            for task in shard.drain() {
+                task.fail(&self.shared, ServeError::Canceled);
             }
         }
         if let Some(trace) = &self.shared.trace {
@@ -852,46 +774,11 @@ impl Drop for Service {
     }
 }
 
-/// Resolves an abandoned task with [`ServeError::Canceled`].
-fn cancel_task(shared: &Arc<Shared>, task: Task) {
-    match task {
-        Task::Request(t) => {
-            let model = request_model(&t.req).to_owned();
-            let result: Result<Response, ServeError> = Err(ServeError::Canceled);
-            shared.finish(t.id, &model, &t.trace, t.t0, &result);
-            let _ = t.reply.send(result);
-        }
-        Task::Slice(t) => {
-            let agg = Arc::clone(&t.agg);
-            let chain = t.chain;
-            complete_chain(shared, &agg, chain, Err(ServeError::Canceled));
-        }
-    }
-}
-
-/// Spawns the shard-`idx` worker thread (initial start and respawns).
-fn spawn_worker(shared: &Arc<Shared>, idx: usize) -> JoinHandle<()> {
-    let shared = Arc::clone(shared);
-    std::thread::Builder::new()
-        .name(format!("augur-serve-{idx}"))
-        .spawn(move || worker_loop(&shared, idx))
-        .expect("spawn service worker")
-}
-
-/// The model name a request targets (for trace records).
-fn request_model(req: &Request) -> &str {
-    match req {
-        Request::Sample(r) => &r.model,
-        Request::Score(r) => &r.model,
-        Request::Explain(r) => &r.model,
-    }
-}
-
-/// Registers the pull-model collect hooks: queue depths, worker
-/// liveness, plan-cache counters, and breaker state are owned by their
-/// subsystems and mirrored into the registry at scrape time (the
-/// Prometheus collector pattern). The hook holds a `Weak` so the
-/// registry never keeps a dead service alive.
+/// Registers the pull-model collect hooks: queue depths, plan-cache
+/// counters, and breaker state are owned by their subsystems and
+/// mirrored into the registry at scrape time (the Prometheus collector
+/// pattern). The hook holds a `Weak` so the registry never keeps a dead
+/// service alive.
 fn register_collectors(shared: &Arc<Shared>) {
     let weak = Arc::downgrade(shared);
     let obs = Arc::clone(&shared.tel.obs);
@@ -916,13 +803,6 @@ fn register_collectors(shared: &Arc<Shared>) {
             augur_obs::GaugeMode::Standard,
         )
         .set(total as f64);
-        obs.gauge(
-            "augur_workers_alive",
-            "Worker threads currently inside their run loop.",
-            &[],
-            augur_obs::GaugeMode::Standard,
-        )
-        .set(shared.workers_alive.load(Ordering::Relaxed) as f64);
         for m in shared.registry.cache_stats() {
             let version = m.version.to_string();
             let labels: &[(&str, &str)] = &[("model", m.name.as_str()), ("version", &version)];
@@ -941,11 +821,7 @@ fn register_collectors(shared: &Arc<Shared>) {
                 "Native artifacts compiled.",
                 m.stats.native_builds,
             );
-            mirror(
-                "augur_native_hits_total",
-                "Native artifact cache hits.",
-                m.stats.native_hits,
-            );
+            mirror("augur_native_hits_total", "Native artifact cache hits.", m.stats.native_hits);
             obs.gauge(
                 "augur_plan_cache_entries",
                 "Plans currently cached.",
@@ -967,16 +843,16 @@ fn register_collectors(shared: &Arc<Shared>) {
 /// The `/healthz` answer: healthy while the service is open and every
 /// shard has a live worker; the body carries the shard counts and any
 /// open breakers.
-fn healthz(shared: &Arc<Shared>) -> Health {
+fn healthz(shared: &Shared) -> Health {
     let workers = shared.shards.len();
-    let alive = shared.workers_alive.load(Ordering::Relaxed);
+    let alive = shared.tel.workers_alive.get() as usize;
     let open = shared.open.load(Ordering::SeqCst);
     let breakers: Vec<String> = shared
         .registry
         .cache_stats()
         .into_iter()
         .filter(|m| m.demoted.is_some())
-        .map(|m| format!("\"{}\"", m.name))
+        .map(|m| json_str(&m.name))
         .collect();
     let healthy = open && alive >= workers;
     Health {
@@ -991,7 +867,7 @@ fn healthz(shared: &Arc<Shared>) -> Health {
 }
 
 /// The `/statusz` page: the metrics snapshot rendered for humans.
-fn statusz(shared: &Arc<Shared>) -> String {
+fn statusz(shared: &Shared) -> String {
     let m = shared.snapshot();
     let mut out = String::new();
     out.push_str("augur-serve status\n==================\n\n");
@@ -1071,820 +947,49 @@ impl Shared {
             models: self.registry.cache_stats(),
         }
     }
-    /// Pushes a task and wakes the shard; returns the shard's new depth.
-    fn enqueue(&self, shard: usize, task: Task) -> usize {
-        let s = &self.shards[shard];
-        let depth = s.push(task);
-        self.high_water.fetch_max(depth, Ordering::Relaxed);
-        // Both high-water surfaces: the since-start snapshot counter
-        // above, and the per-scrape-window registry gauge (resets on
-        // every collect).
-        self.tel.queue_high_water.set_max(depth as f64);
-        s.wakeup.notify_one();
-        depth
-    }
 
-    /// Best-effort v4 trace record for one request-lifecycle event.
-    fn trace(
+    /// Writes one v4 request-lifecycle record (`"v":4`, see `DESIGN.md`
+    /// § 5.12) when the service traces: span `tag` of the caller's trace,
+    /// hanging off span `parent` (another tag of the same trace). Span
+    /// ids derive from the tags, so one `grep` for the trace id
+    /// reconstructs a request across shards, migrations, retries and
+    /// respawns. Without a caller the record joins the service-level
+    /// trace (request id 0, no model). `code` carries the stable error
+    /// code on failures; `fields` are numeric attributes.
+    fn event(
         &self,
-        id: u64,
-        model: &str,
+        caller: Option<&Caller>,
         event: &str,
         code: Option<&str>,
-        span: RequestSpan<'_>,
+        tag: &str,
+        parent: Option<&str>,
         fields: &[(&str, f64)],
     ) {
-        if let Some(trace) = &self.trace {
-            trace
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .write_request(id, model, event, code, span, fields);
-        }
-    }
-
-    /// Records a finished request into the metrics and its trace event.
-    /// The `completed`/`failed` record closes the trace: its span hangs
-    /// directly off the root `submit` span.
-    fn finish(
-        &self,
-        id: u64,
-        model: &str,
-        trace: &str,
-        t0: Instant,
-        result: &Result<Response, ServeError>,
-    ) {
-        let latency = t0.elapsed().as_secs_f64();
-        match result {
-            Ok(_) => self.tel.completed.inc(),
-            Err(e) => {
-                self.tel.failed.inc();
-                if matches!(e, ServeError::Timeout { .. }) {
-                    self.tel.timeouts.inc();
-                }
-            }
-        }
-        self.tel.latency.observe(latency);
-        let span = span_id(trace, "finish");
-        let root = span_id(trace, "submit");
-        let rs = RequestSpan { trace, span: &span, parent: Some(&root) };
-        match result {
-            Ok(_) => self.trace(id, model, "completed", None, rs, &[("latency_secs", latency)]),
-            Err(e) => {
-                self.trace(id, model, "failed", Some(e.code()), rs, &[("latency_secs", latency)])
-            }
-        }
-    }
-
-    /// Records a model's first observed Native→Tape breaker demotion
-    /// (later sightings are no-ops: `demotions` counts models).
-    fn note_demotion(&self, id: u64, model: &str, trace: &str, plan: &Plan) {
-        if plan.native_demotion().is_some() {
-            let mut set = self.demoted.lock().unwrap_or_else(|e| e.into_inner());
-            if set.insert(model.to_owned()) {
-                self.tel.demotions.inc();
-                let trips = plan.native_breaker().trips() as f64;
-                let span = span_id(trace, "demoted");
-                let root = span_id(trace, "submit");
-                self.trace(
-                    id,
-                    model,
-                    "demoted",
-                    Some("native_breaker"),
-                    RequestSpan { trace, span: &span, parent: Some(&root) },
-                    &[("trips", trips)],
-                );
-            }
-        }
-    }
-}
-
-/// One shard's run loop: pop until the queue is empty *and* the service
-/// is closed (so shutdown drains in-flight work). A [`RespawnGuard`]
-/// armed for the whole loop turns a panic that escapes task execution
-/// into a recover-and-respawn instead of a dead shard.
-fn worker_loop(shared: &Arc<Shared>, idx: usize) {
-    let guard = RespawnGuard { shared: Arc::clone(shared), idx };
-    shared.workers_alive.fetch_add(1, Ordering::Relaxed);
-    loop {
-        let task = {
-            let shard = &shared.shards[idx];
-            let mut q = shard.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(t) = shard.pop(&mut q) {
-                    break Some(t);
-                }
-                if !shared.open.load(Ordering::SeqCst) {
-                    break None;
-                }
-                q = shard.wakeup.wait(q).unwrap_or_else(|e| e.into_inner());
+        let Some(sink) = &self.trace else { return };
+        let service_trace;
+        let (id, model, trace) = match caller {
+            Some(c) => (c.id, c.model.as_str(), c.trace.as_str()),
+            None => {
+                service_trace = trace_id(self.config.base_seed, 0);
+                (0, "", service_trace.as_str())
             }
         };
-        match task {
-            None => break,
-            Some(t) => process(shared, idx, t),
+        let mut line = format!(
+            "{{\"v\":4,\"req\":{{\"id\":{id},\"trace\":{},\"span\":{}",
+            json_str(trace),
+            json_str(&span_id(trace, tag))
+        );
+        if let Some(parent) = parent {
+            let _ = write!(line, ",\"parent\":{}", json_str(&span_id(trace, parent)));
         }
-    }
-    // Clean exit: the guard is for panics only.
-    shared.workers_alive.fetch_sub(1, Ordering::Relaxed);
-    std::mem::forget(guard);
-}
-
-/// The request id a task belongs to (fault `req=` filters and trace).
-fn task_request_id(task: &Task) -> u64 {
-    match task {
-        Task::Request(t) => t.id,
-        Task::Slice(t) => t.agg.id,
-    }
-}
-
-/// Times this task has already been recovered/retried.
-fn task_attempts(task: &Task) -> u32 {
-    match task {
-        Task::Request(t) => t.attempts,
-        Task::Slice(t) => t.attempts,
-    }
-}
-
-/// Executes one dequeued task, applying the service-level fault drills
-/// first: `slow@shard` stalls the worker, `panic@shard` parks the task
-/// in the shard's in-flight slot and kills the worker (the respawn
-/// guard recovers both). The panic only fires on a task's *first*
-/// delivery — recovered tasks run, so the drill costs one slice and
-/// terminates even on a single-shard service.
-fn process(shared: &Arc<Shared>, idx: usize, task: Task) {
-    if let Some(fault) = &shared.config.fault {
-        if let Some(ms) = fault.shard_slow_ms(idx) {
-            std::thread::sleep(Duration::from_millis(ms));
+        let _ = write!(line, ",\"model\":{},\"event\":{}", json_str(model), json_str(event));
+        if let Some(code) = code {
+            let _ = write!(line, ",\"code\":{}", json_str(code));
         }
-        if task_attempts(&task) == 0 && fault.shard_panic_hits(idx, task_request_id(&task)) {
-            *shared.shards[idx].inflight.lock().unwrap_or_else(|e| e.into_inner()) = Some(task);
-            panic!("{INJECTED_SHARD_PANIC}");
+        for (key, value) in fields {
+            let _ = write!(line, ",{}:{value}", json_str(key));
         }
-    }
-    match task {
-        Task::Request(t) => run_request(shared, idx, *t),
-        Task::Slice(t) => run_slice(shared, idx, *t),
-    }
-}
-
-/// Renders a caught panic payload.
-fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked".to_string()
-    }
-}
-
-/// The armed-for-panic drop guard every worker runs under. If the
-/// worker thread unwinds, the guard (running during that unwind):
-///
-/// 1. recovers the task parked in the shard's in-flight slot, if any,
-///    and either re-enqueues it on the next shard (retry budget left)
-///    or resolves it with the panic as a typed error — so a killed
-///    worker never strands a ticket;
-/// 2. respawns the shard's worker thread (unless the service is
-///    shutting down), pushing the new handle where `stop` joins it.
-struct RespawnGuard {
-    shared: Arc<Shared>,
-    idx: usize,
-}
-
-impl Drop for RespawnGuard {
-    fn drop(&mut self) {
-        if !std::thread::panicking() {
-            return;
-        }
-        let shared = &self.shared;
-        let idx = self.idx;
-        // This thread is leaving its run loop; the respawn (if any)
-        // re-enters and counts itself back in.
-        shared.workers_alive.fetch_sub(1, Ordering::Relaxed);
-        let inflight =
-            shared.shards[idx].inflight.lock().unwrap_or_else(|e| e.into_inner()).take();
-        // The recovered task's trace context, kept for the `respawned`
-        // record after the task itself moves on.
-        let mut affected: Option<(u64, String, String)> = None;
-        if let Some(mut task) = inflight {
-            let next = (idx + 1) % shared.shards.len();
-            let (id, attempts) = (task_request_id(&task), task_attempts(&task) + 1);
-            match &mut task {
-                Task::Request(t) => t.attempts = attempts,
-                Task::Slice(t) => t.attempts = attempts,
-            }
-            let (trace, parent, tag) = match &task {
-                Task::Request(t) => (
-                    t.trace.clone(),
-                    span_id(&t.trace, "submit"),
-                    format!("submit/attempt{attempts}"),
-                ),
-                Task::Slice(t) => (
-                    t.agg.trace.clone(),
-                    t.parent_span.clone(),
-                    format!("chain{}/slice{}/attempt{attempts}", t.chain, t.slice_no),
-                ),
-            };
-            affected = Some((id, trace.clone(), parent.clone()));
-            if attempts <= shared.config.max_retries {
-                shared.tel.retries.inc();
-                let span = span_id(&trace, &tag);
-                shared.trace(
-                    id,
-                    "",
-                    "retried",
-                    Some("fault"),
-                    RequestSpan { trace: &trace, span: &span, parent: Some(&parent) },
-                    &[("shard", idx as f64), ("attempt", attempts as f64)],
-                );
-                shared.enqueue(next, task);
-            } else {
-                let err = || {
-                    ServeError::Model(augur::Error::WorkerPanic {
-                        kernel: format!("service shard {idx}"),
-                        detail: INJECTED_SHARD_PANIC.to_string(),
-                    })
-                };
-                match task {
-                    Task::Request(t) => {
-                        let model = request_model(&t.req).to_owned();
-                        let result = Err(err());
-                        shared.finish(t.id, &model, &t.trace, t.t0, &result);
-                        let _ = t.reply.send(result);
-                    }
-                    Task::Slice(t) => {
-                        let agg = Arc::clone(&t.agg);
-                        complete_chain(shared, &agg, t.chain, Err(err()));
-                    }
-                }
-            }
-        }
-        if shared.open.load(Ordering::SeqCst) {
-            shared.tel.respawns.inc();
-            let nth = shared.tel.respawns.get();
-            // The respawn record joins the affected request's trace when
-            // a task was in flight; an idle-worker panic gets the
-            // service-level trace (request id 0).
-            let (id, trace, parent) = match affected {
-                Some((id, trace, parent)) => (id, trace, Some(parent)),
-                None => (0, trace_id(shared.config.base_seed, 0), None),
-            };
-            let span = span_id(&trace, &format!("respawn{nth}/shard{idx}"));
-            shared.trace(
-                id,
-                "",
-                "respawned",
-                None,
-                RequestSpan { trace: &trace, span: &span, parent: parent.as_deref() },
-                &[("shard", idx as f64)],
-            );
-            let handle = spawn_worker(shared, idx);
-            shared.handles.lock().unwrap_or_else(|e| e.into_inner()).push(handle);
-        }
-    }
-}
-
-/// Checks a deadline; `Some(err)` when it has passed.
-fn deadline_exceeded(t0: Instant, deadline: Option<Duration>) -> Option<ServeError> {
-    let deadline = deadline?;
-    let elapsed = t0.elapsed();
-    (elapsed > deadline).then_some(ServeError::Timeout { elapsed, deadline })
-}
-
-/// Executes a freshly dequeued request: `score`/`explain` inline
-/// (under `catch_unwind`, so an organic panic answers the ticket with
-/// a typed error instead of killing the shard), `sample` by fanning
-/// chain slices across the shards.
-fn run_request(shared: &Arc<Shared>, idx: usize, task: RequestTask) {
-    let RequestTask { id, trace, t0, deadline, attempts: _, req, reply } = task;
-    let model = request_model(&req).to_owned();
-    fn answer(
-        shared: &Arc<Shared>,
-        id: u64,
-        model: &str,
-        trace: &str,
-        t0: Instant,
-        reply: &mpsc::Sender<Result<Response, ServeError>>,
-        result: Result<Response, ServeError>,
-    ) {
-        shared.finish(id, model, trace, t0, &result);
-        let _ = reply.send(result);
-    }
-    if let Some(e) = deadline_exceeded(t0, deadline) {
-        return answer(shared, id, &model, &trace, t0, &reply, Err(e));
-    }
-    let resolved = match &req {
-        Request::Sample(r) => resolve(shared, &r.model, r.version),
-        Request::Score(r) => resolve(shared, &r.model, r.version),
-        Request::Explain(r) => resolve(shared, &r.model, r.version),
-    };
-    let registered = match resolved {
-        Ok(m) => m,
-        Err(e) => return answer(shared, id, &model, &trace, t0, &reply, Err(e)),
-    };
-    match req {
-        Request::Score(r) => {
-            let result =
-                catch_unwind(AssertUnwindSafe(|| score(shared, id, &trace, &registered, r)))
-                    .unwrap_or_else(|p| {
-                        Err(ServeError::Model(augur::Error::WorkerPanic {
-                            kernel: format!("service shard {idx}"),
-                            detail: panic_detail(p.as_ref()),
-                        }))
-                    });
-            answer(shared, id, &model, &trace, t0, &reply, result);
-        }
-        Request::Explain(r) => {
-            let result =
-                catch_unwind(AssertUnwindSafe(|| explain(shared, id, &trace, &registered, r)))
-                    .unwrap_or_else(|p| {
-                        Err(ServeError::Model(augur::Error::WorkerPanic {
-                            kernel: format!("service shard {idx}"),
-                            detail: panic_detail(p.as_ref()),
-                        }))
-                    });
-            answer(shared, id, &model, &trace, t0, &reply, result);
-        }
-        Request::Sample(r) => {
-            fan_sample(shared, idx, id, trace, t0, deadline, &registered, r, reply)
-        }
-    }
-}
-
-/// Resolves a registration or produces the typed miss.
-fn resolve(
-    shared: &Shared,
-    name: &str,
-    version: Option<u32>,
-) -> Result<Arc<RegisteredModel>, ServeError> {
-    shared
-        .registry
-        .resolve(name, version)
-        .ok_or_else(|| ServeError::UnknownModel { name: name.to_owned(), version })
-}
-
-/// The config a request without one of its own runs under: hermetic
-/// defaults, with the backend resolved registration-over-service
-/// (`ModelSpec::backend` wins over `ServiceConfig::backend`).
-fn default_config(shared: &Shared, registered: &RegisteredModel) -> SessionConfig {
-    let mut cfg = hermetic_config(shared.config.base_seed);
-    cfg.backend = registered.spec().backend.unwrap_or(shared.config.backend);
-    cfg
-}
-
-/// Resolves the session config a request runs under, threading the
-/// service's fault plan into configs that carry none of their own (the
-/// service-level clauses are inert inside sweeps, so draws are
-/// unchanged; `compile@native` steers backend selection only).
-fn effective_config(
-    shared: &Shared,
-    registered: &RegisteredModel,
-    config: Option<SessionConfig>,
-) -> SessionConfig {
-    let mut cfg = config.unwrap_or_else(|| default_config(shared, registered));
-    if cfg.fault.is_none() {
-        cfg.fault = shared.config.fault.clone();
-    }
-    cfg
-}
-
-/// `score`: plan, bind, init, log-joint.
-fn score(
-    shared: &Shared,
-    id: u64,
-    trace: &str,
-    registered: &RegisteredModel,
-    r: ScoreRequest,
-) -> Result<Response, ServeError> {
-    let data: Vec<(&str, HostValue)> =
-        r.data.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
-    let plan = registered.plan(r.args, data)?;
-    let cfg = effective_config(shared, registered, r.config);
-    let mut session = plan.session(cfg).map_err(augur::Error::from)?;
-    shared.note_demotion(id, &r.model, trace, &plan);
-    session.init().map_err(augur::Error::from)?;
-    Ok(Response::Score(ScoreOutput { log_joint: session.log_joint() }))
-}
-
-/// `explain`: plan, bind, render the stable explain tree.
-fn explain(
-    shared: &Shared,
-    id: u64,
-    trace: &str,
-    registered: &RegisteredModel,
-    r: ExplainRequest,
-) -> Result<Response, ServeError> {
-    let data: Vec<(&str, HostValue)> =
-        r.data.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
-    let plan = registered.plan(r.args, data)?;
-    let cfg = effective_config(shared, registered, None);
-    let session = plan.session(cfg).map_err(augur::Error::from)?;
-    shared.note_demotion(id, &r.model, trace, &plan);
-    Ok(Response::Explain(ExplainOutput {
-        kernel: registered.model().kernel(),
-        explain: session.explain().render(),
-    }))
-}
-
-/// Plans a `sample` request and fans its chains out as slice tasks;
-/// a planning failure answers the ticket directly.
-#[allow(clippy::too_many_arguments)]
-fn fan_sample(
-    shared: &Arc<Shared>,
-    idx: usize,
-    id: u64,
-    trace: String,
-    t0: Instant,
-    deadline: Option<Duration>,
-    registered: &RegisteredModel,
-    r: SampleRequest,
-    reply: mpsc::Sender<Result<Response, ServeError>>,
-) {
-    let data: Vec<(&str, HostValue)> =
-        r.data.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
-    let plan = match registered.plan(r.args, data) {
-        Ok(p) => Arc::new(p),
-        Err(e) => {
-            let result: Result<Response, ServeError> = Err(ServeError::Model(e));
-            shared.finish(id, &r.model, &trace, t0, &result);
-            let _ = reply.send(result);
-            return;
-        }
-    };
-    shared.note_demotion(id, &r.model, &trace, &plan);
-    let root = span_id(&trace, "submit");
-    let plan_span = span_id(&trace, "plan");
-    shared.trace(
-        id,
-        &r.model,
-        "planned",
-        None,
-        RequestSpan { trace: &trace, span: &plan_span, parent: Some(&root) },
-        &[("chains", r.chains as f64), ("sweeps", r.sweeps as f64)],
-    );
-    let base = effective_config(shared, registered, r.config);
-    let migrate_every = r.migrate_every.unwrap_or(shared.config.migrate_every);
-    let fingerprint = plan.fingerprint();
-    if r.chains == 0 {
-        let result = Ok(Response::Sample(SampleOutput {
-            draws: Vec::new(),
-            report_digests: Vec::new(),
-            fingerprint,
-            migrations: 0,
-        }));
-        shared.finish(id, &r.model, &trace, t0, &result);
-        let _ = reply.send(result);
-        return;
-    }
-    shared.tel.begin_sample(&r.model, id, r.chains);
-    shared.tel.inflight_chains.add(r.chains as f64);
-    let agg = Arc::new(SampleAgg {
-        id,
-        trace,
-        plan_span,
-        t0,
-        deadline,
-        model: r.model.clone(),
-        fingerprint,
-        reply,
-        state: Mutex::new(AggState {
-            remaining: r.chains,
-            migrations: 0,
-            chains: (0..r.chains).map(|_| None).collect(),
-        }),
-    });
-    for c in 0..r.chains {
-        let mut cfg = base.clone();
-        cfg.seed = chain_seed(base.seed, c);
-        let task = Box::new(SliceTask {
-            agg: Arc::clone(&agg),
-            plan: Arc::clone(&plan),
-            cfg,
-            chain: c,
-            total: r.sweeps,
-            done: 0,
-            record: r.record.clone(),
-            draws: Vec::new(),
-            ckpt: None,
-            migrate_every,
-            attempts: 0,
-            slice_no: 0,
-            parent_span: agg.plan_span.clone(),
-        });
-        shared.enqueue((idx + 1 + c) % shared.shards.len(), Task::Slice(task));
-    }
-}
-
-/// What one slice execution did.
-enum SliceOutcome {
-    /// The chain has more sweeps to run; the task carries the
-    /// checkpoint for its next hop.
-    Continue,
-    /// The chain finished and reported to its aggregate.
-    Done,
-}
-
-/// One slice execution: bind a session, restore-or-init, run up to
-/// `migrate_every` sweeps, then checkpoint (more to do) or report the
-/// finished chain. Mutates `task` only after the sweeps succeed, so a
-/// failed execution leaves the task exactly at its last good
-/// checkpoint and a retry reruns the identical sweeps — byte-identical
-/// draws, no matter how many times the slice is retried or recovered.
-fn slice_step(shared: &Arc<Shared>, task: &mut SliceTask) -> Result<SliceOutcome, augur::Error> {
-    let mut session = task.plan.session(task.cfg.clone())?;
-    shared.note_demotion(task.agg.id, &task.agg.model, &task.agg.trace, &task.plan);
-    match &task.ckpt {
-        Some(ck) => session.restore(ck)?,
-        None => session.init()?,
-    }
-    let remaining = task.total - task.done;
-    let migrating =
-        shared.open.load(Ordering::SeqCst) && task.migrate_every > 0 && shared.shards.len() > 1;
-    let slice = if migrating { remaining.min(task.migrate_every as usize) } else { remaining };
-    let record: Vec<&str> = task.record.iter().map(String::as_str).collect();
-    let draws = session.sample(slice, &record)?;
-    // Slice boundary: fold the fresh draws into the streaming
-    // convergence estimators and close this slice's span (the next
-    // slice — or the migration hop — parents onto it).
-    shared.tel.record_slice(&task.agg.model, task.agg.id, task.chain, &draws);
-    let span = span_id(&task.agg.trace, &format!("chain{}/slice{}", task.chain, task.slice_no));
-    shared.trace(
-        task.agg.id,
-        &task.agg.model,
-        "slice",
-        None,
-        RequestSpan { trace: &task.agg.trace, span: &span, parent: Some(&task.parent_span) },
-        &[
-            ("chain", task.chain as f64),
-            ("sweep_from", task.done as f64),
-            ("sweep_to", (task.done + slice) as f64),
-        ],
-    );
-    task.parent_span = span;
-    task.slice_no += 1;
-    task.draws.extend(draws);
-    task.done += slice;
-    task.attempts = 0;
-    if task.done < task.total {
-        task.ckpt = Some(session.checkpoint());
-        Ok(SliceOutcome::Continue)
-    } else {
-        let digest = session.report().digest();
-        let chain = task.chain;
-        let draws = std::mem::take(&mut task.draws);
-        let agg = Arc::clone(&task.agg);
-        complete_chain(shared, &agg, chain, Ok(ChainResult { draws, report_digest: digest }));
-        Ok(SliceOutcome::Done)
-    }
-}
-
-/// Executes one chain-slice task under supervision: deadline check
-/// first, then the slice under `catch_unwind`; a transient failure
-/// requeues the task (deterministic backoff) until the retry budget
-/// runs out.
-fn run_slice(shared: &Arc<Shared>, idx: usize, mut task: SliceTask) {
-    if let Some(e) = deadline_exceeded(task.agg.t0, task.agg.deadline) {
-        let agg = Arc::clone(&task.agg);
-        complete_chain(shared, &agg, task.chain, Err(e));
-        return;
-    }
-    let outcome = catch_unwind(AssertUnwindSafe(|| slice_step(shared, &mut task)))
-        .unwrap_or_else(|p| {
-            Err(augur::Error::WorkerPanic {
-                kernel: format!("service shard {idx}"),
-                detail: panic_detail(p.as_ref()),
-            })
-        });
-    match outcome {
-        Ok(SliceOutcome::Done) => {}
-        Ok(SliceOutcome::Continue) => {
-            let next = (idx + 1) % shared.shards.len();
-            shared.tel.migrations.inc();
-            {
-                let mut st = task.agg.state.lock().unwrap_or_else(|e| e.into_inner());
-                st.migrations += 1;
-            }
-            // The hop parents onto the slice that just closed, and the
-            // next slice parents onto the hop — one unbroken chain of
-            // spans per chain.
-            let span = span_id(
-                &task.agg.trace,
-                &format!("chain{}/slice{}/migrate", task.chain, task.slice_no - 1),
-            );
-            shared.trace(
-                task.agg.id,
-                &task.agg.model,
-                "migrated",
-                None,
-                RequestSpan {
-                    trace: &task.agg.trace,
-                    span: &span,
-                    parent: Some(&task.parent_span),
-                },
-                &[
-                    ("chain", task.chain as f64),
-                    ("sweep", task.done as f64),
-                    ("from_worker", idx as f64),
-                    ("to_worker", next as f64),
-                ],
-            );
-            task.parent_span = span;
-            shared.enqueue(next, Task::Slice(Box::new(task)));
-        }
-        Err(e) => retry_or_fail(shared, idx, task, e),
-    }
-}
-
-/// Routes a failed slice: caller faults and exhausted budgets answer
-/// the chain with the error; transient failures requeue the task on
-/// the next shard after a deterministic backoff.
-fn retry_or_fail(shared: &Arc<Shared>, idx: usize, mut task: SliceTask, e: augur::Error) {
-    let transient = !e.kind().is_caller_fault();
-    if !transient || task.attempts >= shared.config.max_retries {
-        let agg = Arc::clone(&task.agg);
-        complete_chain(shared, &agg, task.chain, Err(ServeError::Model(e)));
-        return;
-    }
-    task.attempts += 1;
-    shared.tel.retries.inc();
-    let span = span_id(
-        &task.agg.trace,
-        &format!("chain{}/slice{}/attempt{}", task.chain, task.slice_no, task.attempts),
-    );
-    shared.trace(
-        task.agg.id,
-        &task.agg.model,
-        "retried",
-        Some(ServeError::Model(e).code()),
-        RequestSpan { trace: &task.agg.trace, span: &span, parent: Some(&task.parent_span) },
-        &[("chain", task.chain as f64), ("attempt", task.attempts as f64)],
-    );
-    std::thread::sleep(retry_backoff(
-        shared.config.retry_backoff_ms,
-        task.agg.id,
-        task.chain as u64,
-        task.attempts,
-    ));
-    shared.enqueue((idx + 1) % shared.shards.len(), Task::Slice(Box::new(task)));
-}
-
-/// The deterministic retry delay for `(request, chain, attempt)`:
-/// exponential in the attempt, jittered from the counter-based
-/// splitmix64 stream — no wall clock anywhere, so fault-injected
-/// differential runs reproduce exactly.
-fn retry_backoff(base_ms: u64, request: u64, chain: u64, attempt: u32) -> Duration {
-    if base_ms == 0 {
-        return Duration::ZERO;
-    }
-    let mut rng = Prng::seed_from_u64(
-        request.wrapping_mul(0x0000_0100_0000_01b3) ^ (chain << 32) ^ attempt as u64,
-    );
-    let jitter = rng.uniform(); // [0, 1)
-    let exp = attempt.saturating_sub(1).min(6);
-    let scaled_ms = (base_ms << exp) as f64 * (0.5 + 0.5 * jitter);
-    Duration::from_micros((scaled_ms * 1000.0) as u64)
-}
-
-/// Records one chain's result; the last chain to land assembles the
-/// response (first error by chain index wins, matching `ChainPlan`).
-fn complete_chain(
-    shared: &Arc<Shared>,
-    agg: &Arc<SampleAgg>,
-    chain: usize,
-    result: Result<ChainResult, ServeError>,
-) {
-    let finished = {
-        let mut st = agg.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.chains[chain] = Some(result);
-        st.remaining -= 1;
-        st.remaining == 0
-    };
-    shared.tel.inflight_chains.add(-1.0);
-    if !finished {
-        return;
-    }
-    let (chains, migrations) = {
-        let mut st = agg.state.lock().unwrap_or_else(|e| e.into_inner());
-        (std::mem::take(&mut st.chains), st.migrations)
-    };
-    let mut draws = Vec::with_capacity(chains.len());
-    let mut digests = Vec::with_capacity(chains.len());
-    let mut first_err = None;
-    for slot in chains {
-        match slot.expect("every chain reported") {
-            Ok(c) => {
-                draws.push(c.draws);
-                digests.push(c.report_digest);
-            }
-            Err(e) => {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        }
-    }
-    let result = match first_err {
-        Some(e) => Err(e),
-        None => Ok(Response::Sample(SampleOutput {
-            draws,
-            report_digests: digests,
-            fingerprint: agg.fingerprint,
-            migrations,
-        })),
-    };
-    shared.finish(agg.id, &agg.model, &agg.trace, agg.t0, &result);
-    let _ = agg.reply.send(result);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The backoff is a pure function of its counters: same
-    /// (request, chain, attempt) → same delay, across processes and
-    /// platforms — no wall clock feeds it.
-    #[test]
-    fn backoff_is_deterministic() {
-        for (req, chain, attempt) in [(1, 0, 1), (7, 2, 3), (u64::MAX, 9, 10)] {
-            let a = retry_backoff(2, req, chain, attempt);
-            let b = retry_backoff(2, req, chain, attempt);
-            assert_eq!(a, b, "req={req} chain={chain} attempt={attempt}");
-        }
-    }
-
-    /// Delays grow exponentially with the attempt (jitter keeps them
-    /// within [0.5, 1.0)× the 2^(attempt-1) rung, capped at 2^6) and
-    /// differ across chains so retries de-synchronize.
-    #[test]
-    fn backoff_schedule_is_exponential_and_bounded() {
-        let base = 2u64;
-        for attempt in 1..=10u32 {
-            let d = retry_backoff(base, 42, 1, attempt);
-            let exp = attempt.saturating_sub(1).min(6);
-            let rung = (base << exp) as f64 / 1000.0;
-            let secs = d.as_secs_f64();
-            assert!(secs >= rung * 0.5 - 1e-9, "attempt {attempt}: {secs} < {}", rung * 0.5);
-            assert!(secs < rung + 1e-9, "attempt {attempt}: {secs} >= {rung}");
-        }
-        // Distinct chains jitter apart on the same attempt.
-        let deltas: HashSet<u128> =
-            (0..8u64).map(|c| retry_backoff(base, 42, c, 2).as_micros()).collect();
-        assert!(deltas.len() > 1, "jitter collapsed: {deltas:?}");
-        // A zero base disables the sleep entirely.
-        assert_eq!(retry_backoff(0, 42, 0, 3), Duration::ZERO);
-    }
-
-    /// A queued task that is never run.
-    fn idle_task() -> Task {
-        Task::Request(Box::new(RequestTask {
-            id: 0,
-            trace: String::new(),
-            t0: Instant::now(),
-            deadline: None,
-            attempts: 0,
-            req: Request::Explain(ExplainRequest {
-                model: String::new(),
-                version: None,
-                args: Vec::new(),
-                data: Vec::new(),
-                deadline: None,
-            }),
-            reply: mpsc::channel().0,
-        }))
-    }
-
-    /// One thread pushes while another pops as fast as it can: after
-    /// every pop the depth is at most the pushes so far minus the pops,
-    /// so it never wraps below zero, and it ends at 0. A push that
-    /// counted itself after unlocking would let a pop in between wrap the
-    /// counter, and overflow its own `+ 1` in debug builds.
-    #[test]
-    fn shard_depth_never_counts_a_pop_before_its_push() {
-        const TASKS: usize = 50_000;
-        let shard = Shard::default();
-        let pushed = AtomicUsize::new(0);
-        let popped = std::thread::scope(|scope| {
-            let pusher = scope.spawn(|| {
-                for _ in 0..TASKS {
-                    pushed.fetch_add(1, Ordering::Relaxed);
-                    shard.push(idle_task());
-                }
-            });
-            let mut popped = 0;
-            loop {
-                let mut q = shard.queue.lock().unwrap();
-                if shard.pop(&mut q).is_some() {
-                    popped += 1;
-                    let depth = shard.depth.load(Ordering::Relaxed);
-                    let bound = pushed.load(Ordering::Relaxed) - popped;
-                    assert!(depth <= bound, "depth {depth} after {popped} pops, bound {bound}");
-                } else if pusher.is_finished() {
-                    break popped;
-                }
-            }
-        });
-        assert_eq!(popped, TASKS);
-        assert_eq!(shard.depth.load(Ordering::Relaxed), 0);
+        line.push_str("}}\n");
+        sink.lock().unwrap_or_else(|e| e.into_inner()).write_line(&line);
     }
 }

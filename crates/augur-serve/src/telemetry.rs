@@ -60,6 +60,9 @@ pub(crate) struct Telemetry {
     /// since-start variant stays on `MetricsSnapshot`.
     pub queue_high_water: Arc<Gauge>,
     pub inflight_chains: Arc<Gauge>,
+    /// Worker threads inside their run loop (`/healthz` liveness: a
+    /// panicking worker leaves, its respawn re-enters).
+    pub workers_alive: Arc<Gauge>,
     pub latency: Arc<Histogram>,
     conv: Mutex<BTreeMap<String, ModelConvergence>>,
 }
@@ -73,10 +76,7 @@ impl Telemetry {
                 "augur_requests_submitted_total",
                 "Requests accepted by submit (includes shed requests).",
             ),
-            completed: counter(
-                "augur_requests_completed_total",
-                "Requests answered successfully.",
-            ),
+            completed: counter("augur_requests_completed_total", "Requests answered successfully."),
             failed: counter(
                 "augur_requests_failed_total",
                 "Requests answered with an error (sheds not included).",
@@ -93,10 +93,7 @@ impl Telemetry {
                 "augur_request_timeouts_total",
                 "Requests failed with a deadline timeout (subset of failed).",
             ),
-            retries: counter(
-                "augur_retries_total",
-                "Transient-failure task requeues performed.",
-            ),
+            retries: counter("augur_retries_total", "Transient-failure task requeues performed."),
             respawns: counter(
                 "augur_respawns_total",
                 "Shard workers respawned after a panic escaped execution.",
@@ -114,6 +111,12 @@ impl Telemetry {
             inflight_chains: obs.gauge(
                 "augur_inflight_chains",
                 "Sample-request chains currently in flight.",
+                &[],
+                GaugeMode::Standard,
+            ),
+            workers_alive: obs.gauge(
+                "augur_workers_alive",
+                "Worker threads currently inside their run loop.",
                 &[],
                 GaugeMode::Standard,
             ),

@@ -629,6 +629,108 @@ fn telemetry_scrape_snapshot_and_trace_reconcile_under_chaos() {
     assert_eq!(events(&text, "demoted", None), m.demotions);
 }
 
+/// The transient-retry path of a failing slice: an injected panic in
+/// worker chunk 0 of HGMM's parallel `z` loop (40 iterations over two
+/// pool threads) fails every slice with a transient `fault`, so each
+/// chain is requeued `max_retries` times and then answered with the
+/// error, and no shard worker dies. Without a retry budget nothing is
+/// requeued, and a caller fault (an unknown `record` name, a `binding`
+/// error) is never retried.
+#[test]
+fn failing_slices_retry_transient_errors_up_to_the_budget() {
+    let w = hgmm_workload();
+    let run = |max_retries: u32, record: &str, fault: Option<&str>| {
+        let trace = std::env::temp_dir().join(format!(
+            "augur_chaos_retry_{}_{:?}_{max_retries}_{record}.jsonl",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let registry = ModelRegistry::new();
+        registry.register("hgmm", ModelSpec::new(w.source)).unwrap();
+        let service = Service::start(
+            registry,
+            ServiceConfig {
+                workers: 2,
+                max_retries,
+                trace_path: Some(trace.clone()),
+                fault: None,
+                ..ServiceConfig::default()
+            },
+        );
+        let config = SessionConfig {
+            threads: 2,
+            fault: fault.map(|f| FaultPlan::parse(f).unwrap()),
+            ..w.base.clone()
+        };
+        let err = wait_bounded(
+            service.sample(SampleRequest {
+                args: w.args.clone(),
+                data: w.data.clone(),
+                chains: CHAINS,
+                sweeps: 4,
+                record: vec![record.to_owned()],
+                config: Some(config),
+                ..SampleRequest::new("hgmm")
+            }),
+            "failing sample",
+        )
+        .expect_err("every slice fails");
+        let m = service.metrics();
+        service.shutdown();
+        let text = std::fs::read_to_string(&trace).unwrap();
+        std::fs::remove_file(&trace).ok();
+        (err, m, text)
+    };
+
+    let panic = Some("panic@worker:0");
+    let (err, m, text) = run(3, "mu", panic);
+    assert_eq!(err.code(), "fault", "{err}");
+    assert_eq!(m.retries, CHAINS as u64 * 3);
+    assert_eq!(events(&text, "retried", Some("fault")), m.retries);
+    assert_eq!(events(&text, "respawned", None), 0);
+    assert_eq!((m.respawns, m.failed), (0, 1));
+
+    let (err, m, _) = run(0, "mu", panic);
+    assert_eq!(err.code(), "fault", "{err}");
+    assert_eq!(m.retries, 0);
+
+    let (err, m, text) = run(3, "nope", None);
+    assert_eq!(err.code(), "binding", "{err}");
+    assert_eq!(m.retries, 0);
+    assert_eq!(events(&text, "retried", None), 0);
+}
+
+/// `/healthz` names each model with an open breaker as a JSON string, so
+/// a registered name holding a quote and a backslash keeps the body
+/// valid JSON.
+#[test]
+fn healthz_escapes_demoted_model_names() {
+    let name = "q\"uo\\te";
+    let registry = ModelRegistry::new();
+    registry.register(name, ModelSpec::new(BETA_BERN).backend(ExecBackend::Native)).unwrap();
+    let service = Service::start(
+        registry,
+        ServiceConfig {
+            telemetry_addr: Some("127.0.0.1:0".into()),
+            ..chaos_config(1, "compile@native")
+        },
+    );
+    for i in 0..NATIVE_BREAKER_THRESHOLD {
+        let score = ScoreRequest {
+            model: name.into(),
+            version: None,
+            args: bb_args(),
+            data: bb_data(),
+            config: None,
+            deadline: None,
+        };
+        wait_bounded(service.score(score), &format!("score {i}")).unwrap();
+    }
+    let health = http_get(service.telemetry_addr().expect("exporter bound"), "/healthz");
+    assert!(health.contains(r#""breakers_open":["q\"uo\\te"]"#), "{health}");
+    service.shutdown();
+}
+
 /// The native circuit breaker: K consecutive injected native-compile
 /// failures demote the model Native→Tape without failing a single
 /// request, and the demotion is visible everywhere an operator would

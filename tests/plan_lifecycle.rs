@@ -267,6 +267,42 @@ fn mismatched_mv_normal_dimensions_are_binding_errors() {
     s.try_sweep().unwrap();
 }
 
+/// A 2x3 matrix binding, or a vector of matrices whose entries are not
+/// all the first one's square shape, is refused at plan time with a typed
+/// binding error instead of panicking in state setup (or, for a vector
+/// of 2x3 matrices, binding cells out of step with their row offsets).
+#[test]
+fn malformed_matrix_bindings_are_binding_errors() {
+    let (k, d, n) = (3, 2, 30);
+    let data = workloads::hgmm_data(k, d, n, 7);
+    let wide = || Matrix::from_vec(2, 3, vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0]).unwrap();
+    fn expect_binding<E: Into<Error>>(planned: Result<augur::Plan, E>, what: &str) {
+        let err = planned.map(|_| ()).map_err(Into::into).expect_err(what);
+        assert_eq!(err.kind(), ErrorKind::Binding, "{what}: {err}");
+    }
+    let hgmm = Model::compile(models::HGMM).unwrap();
+    let mut args = hgmm_args(k, d, n);
+    args[4] = HostValue::Mat(wide());
+    expect_binding(hgmm.plan(args, vec![("y", HostValue::Ragged(data.points))]), "2x3 Sigma_0");
+
+    // One covariance per component: a vector-of-matrices argument.
+    let per_k = Model::compile(
+        "(K, mu_0, S) => {
+            param x[k] ~ MvNormal(mu_0, S[k]) for k <- 0 until K ;
+        }",
+    )
+    .unwrap();
+    let args = |s: Vec<Matrix>| {
+        vec![HostValue::Int(2), HostValue::VecF(vec![0.0; 2]), HostValue::VecMat(s)]
+    };
+    expect_binding(per_k.plan(args(vec![wide(), wide()]), vec![]), "2x3 matrices");
+    expect_binding(
+        per_k.plan(args(vec![Matrix::identity(2), Matrix::identity(3)]), vec![]),
+        "2x2 then 3x3",
+    );
+    per_k.plan(args(vec![Matrix::identity(2), Matrix::identity(2)]), vec![]).unwrap();
+}
+
 /// The plan cache's economics: answering a same-shape `plan()` from the
 /// cache costs at most a fifth of compiling source → plan cold (LDA, 30
 /// topics over 12 documents, V = 300; best of 5 each). Both paths bind

@@ -8,6 +8,7 @@ use std::collections::HashMap;
 
 use augur::chains::{chain_seed, ChainPlan};
 use augur::{HostValue, McmcConfig, Model, Plan, SessionConfig};
+use augur_math::Matrix;
 use augur_serve::{
     hermetic_config, ExplainRequest, ModelRegistry, ModelSpec, SampleRequest, ScoreRequest,
     Service, ServiceConfig,
@@ -227,6 +228,47 @@ fn failures_map_to_stable_response_codes() {
         .wait()
         .unwrap_err();
     assert_eq!(bad.code(), "binding");
+    service.shutdown();
+}
+
+/// A malformed matrix binding is a caller fault: `sample` and `score`
+/// both answer `binding` and count as failed, and no shard worker dies
+/// on the way (the fault plan is cleared so an inherited `AUGUR_FAULT`
+/// cannot kill one either).
+#[test]
+fn malformed_matrix_bindings_answer_binding() {
+    let w = hgmm_workload();
+    let registry = ModelRegistry::new();
+    registry.register("hgmm", ModelSpec::new(w.source)).unwrap();
+    let service = Service::start(registry, ServiceConfig { fault: None, ..Default::default() });
+    let mut args = w.args.clone();
+    args[4] = HostValue::Mat(Matrix::from_vec(2, 3, vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0]).unwrap());
+    let sample = service
+        .sample(SampleRequest {
+            args: args.clone(),
+            data: w.data.clone(),
+            chains: 2,
+            sweeps: 2,
+            ..SampleRequest::new("hgmm")
+        })
+        .wait()
+        .unwrap_err();
+    let score = service
+        .score(ScoreRequest {
+            model: "hgmm".into(),
+            version: None,
+            args,
+            data: w.data.clone(),
+            config: None,
+            deadline: None,
+        })
+        .wait()
+        .unwrap_err();
+    assert_eq!(sample.code(), "binding", "sample: {sample}");
+    assert_eq!(score.code(), "binding", "score: {score}");
+    let m = service.metrics();
+    assert_eq!((m.failed, m.completed), (2, 0));
+    assert_eq!(m.respawns, 0, "a bad binding must not kill a worker");
     service.shutdown();
 }
 

@@ -477,6 +477,11 @@ fn v4_trace_reconstructs_a_migrated_and_respawned_request() {
             "no `{event}` record under trace {trace}:\n{text}"
         );
     }
+    // Every record names the request's model, the worker-recovery
+    // records (`retried`, `respawned`) included.
+    for l in &records {
+        assert!(l.contains("\"model\":\"hlr\""), "record without its model: {l}");
+    }
 
     // Span graph: the root is the parentless submitted span; every
     // other record's parent resolves to a span in the same trace, and
