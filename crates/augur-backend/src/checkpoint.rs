@@ -269,18 +269,15 @@ impl Checkpoint {
                 }
                 "buf" => {
                     let mut it = rest.split_whitespace();
-                    let name = it
-                        .next()
-                        .ok_or_else(|| perr("buf line needs a name".into()))?
-                        .to_owned();
+                    let name =
+                        it.next().ok_or_else(|| perr("buf line needs a name".into()))?.to_owned();
                     let len: usize = it
                         .next()
                         .ok_or_else(|| perr("buf line needs a length".into()))?
                         .parse()
                         .map_err(|_| perr("bad buffer length".into()))?;
-                    let cells: Vec<u64> = it
-                        .map(|h| parse_hex(h).map_err(perr))
-                        .collect::<Result<_, _>>()?;
+                    let cells: Vec<u64> =
+                        it.map(|h| parse_hex(h).map_err(perr)).collect::<Result<_, _>>()?;
                     if cells.len() != len {
                         return Err(perr(format!(
                             "buffer `{name}` declares {len} cells but has {}",
@@ -355,17 +352,13 @@ impl Checkpoint {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(FNV_OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+    bytes.iter().fold(FNV_OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 /// Folds one text line (plus its terminating newline) into a running
 /// FNV-1a state — the incremental form of [`fnv1a`] over the rendering.
 fn fnv1a_line(h: u64, line: &str) -> u64 {
-    let h = line
-        .bytes()
-        .fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3));
+    let h = line.bytes().fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3));
     (h ^ b'\n' as u64).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
@@ -452,10 +445,7 @@ mod tests {
         }
         let full = sample().render();
         let truncated = &full[..full.len() - 5]; // cut off "end\n"
-        assert!(matches!(
-            Checkpoint::parse(truncated),
-            Err(CheckpointError::Parse { .. })
-        ));
+        assert!(matches!(Checkpoint::parse(truncated), Err(CheckpointError::Parse { .. })));
     }
 
     #[test]

@@ -87,7 +87,10 @@ fn emit_sweep(out: &mut String, lowered: &LoweredModel) {
     for step in &lowered.steps {
         match step {
             Step::Gibbs { proc_, target } => {
-                let _ = writeln!(out, "  {proc_}(rng); /* Gibbs: resamples {target}, always accepted */");
+                let _ = writeln!(
+                    out,
+                    "  {proc_}(rng); /* Gibbs: resamples {target}, always accepted */"
+                );
             }
             Step::Hmc { targets, ll_proc, grad_proc, nuts, .. } => {
                 let names: Vec<&str> = targets.iter().map(|(t, _)| t.as_str()).collect();
@@ -122,7 +125,11 @@ fn emit_sweep(out: &mut String, lowered: &LoweredModel) {
             }
             Step::RwMh { targets, ll_proc } => {
                 let names: Vec<&str> = targets.iter().map(|(t, _)| t.as_str()).collect();
-                let _ = writeln!(out, "  augur_rw_mh_update(rng, {ll_proc}); /* {} */", names.join(", "));
+                let _ = writeln!(
+                    out,
+                    "  augur_rw_mh_update(rng, {ll_proc}); /* {} */",
+                    names.join(", ")
+                );
             }
         }
     }
@@ -171,7 +178,8 @@ fn emit_cuda_blk(
             let kname = format!("{proc_name}_k{idx}");
             let mut k = String::new();
             let _ = writeln!(k, "__global__ void {kname}(augur_rng_state *rngs) {{");
-            let _ = writeln!(k, "  int {var} = blockIdx.x * blockDim.x + threadIdx.x + {};", expr(lo));
+            let _ =
+                writeln!(k, "  int {var} = blockIdx.x * blockDim.x + threadIdx.x + {};", expr(lo));
             let _ = writeln!(k, "  if ({var} >= {}) return;", expr(hi));
             if *kind == LoopKind::AtmPar {
                 let _ = writeln!(k, "  /* AtmPar: increments compiled to atomicAdd */");
@@ -182,11 +190,8 @@ fn emit_cuda_blk(
             let grid = format!("augur_grid({} - {})", expr(hi), expr(lo));
             let _ = writeln!(host, "{pad}{kname}<<<{grid}, AUGUR_BLOCK>>>(rng_states);");
             if let Some(w) = inner_par {
-                let _ = writeln!(
-                    host,
-                    "{pad}/* inlined primitive exposes inner width {} */",
-                    expr(w)
-                );
+                let _ =
+                    writeln!(host, "{pad}/* inlined primitive exposes inner width {} */", expr(w));
             }
         }
         Blk::LoopBlk { var, lo, hi, body } => {
@@ -324,12 +329,7 @@ fn expr(e: &Expr) -> String {
             let mut rendered: Vec<String> = args.iter().map(expr).collect();
             rendered.push(expr(point));
             // the paper's 1-based convention counts the point as arg 1
-            format!(
-                "augur_{}_grad{}({})",
-                dist.name().to_lowercase(),
-                i + 2,
-                rendered.join(", ")
-            )
+            format!("augur_{}_grad{}({})", dist.name().to_lowercase(), i + 2, rendered.join(", "))
         }
         Expr::DistGradPoint { dist, args, point } => {
             let mut rendered: Vec<String> = args.iter().map(expr).collect();

@@ -273,11 +273,9 @@ impl<'a> Compiler<'a> {
     fn stmt(&mut self, s: &Stmt) -> RStmt {
         match s {
             Stmt::Seq(stmts) => RStmt::Seq(stmts.iter().map(|t| self.stmt(t)).collect()),
-            Stmt::Assign { lhs, op, rhs } => RStmt::Assign {
-                lhs: self.lvalue(lhs),
-                op: *op,
-                rhs: self.expr(rhs),
-            },
+            Stmt::Assign { lhs, op, rhs } => {
+                RStmt::Assign { lhs: self.lvalue(lhs), op: *op, rhs: self.expr(rhs) }
+            }
             Stmt::If { cond: Cond::Eq(a, b), then, els } => RStmt::IfEq {
                 a: self.expr(a),
                 b: self.expr(b),
@@ -297,10 +295,9 @@ impl<'a> Compiler<'a> {
                 dist: *dist,
                 args: args.iter().map(|a| self.expr(a)).collect(),
             },
-            Stmt::SampleLogits { lhs, weights } => RStmt::SampleLogits {
-                lhs: self.lvalue(lhs),
-                weights: self.expr(weights),
-            },
+            Stmt::SampleLogits { lhs, weights } => {
+                RStmt::SampleLogits { lhs: self.lvalue(lhs), weights: self.expr(weights) }
+            }
         }
     }
 
@@ -323,16 +320,12 @@ impl<'a> Compiler<'a> {
             }
             Expr::Int(v) => RExpr::Const(*v as f64),
             Expr::Real(v) => RExpr::Const(*v),
-            Expr::Index(a, b) => {
-                RExpr::Index(Box::new(self.expr(a)), Box::new(self.expr(b)))
-            }
+            Expr::Index(a, b) => RExpr::Index(Box::new(self.expr(a)), Box::new(self.expr(b))),
             Expr::Binop(op, a, b) => {
                 RExpr::Binop(*op, Box::new(self.expr(a)), Box::new(self.expr(b)))
             }
             Expr::Neg(a) => RExpr::Neg(Box::new(self.expr(a))),
-            Expr::Call(f, args) => {
-                RExpr::Call(*f, args.iter().map(|a| self.expr(a)).collect())
-            }
+            Expr::Call(f, args) => RExpr::Call(*f, args.iter().map(|a| self.expr(a)).collect()),
             Expr::DistLl { dist, args, point } => RExpr::DistLl {
                 dist: *dist,
                 args: args.iter().map(|a| self.expr(a)).collect(),
@@ -349,9 +342,7 @@ impl<'a> Compiler<'a> {
                 args: args.iter().map(|a| self.expr(a)).collect(),
                 point: Box::new(self.expr(point)),
             },
-            Expr::Op(op, args) => {
-                RExpr::Op(*op, args.iter().map(|a| self.expr(a)).collect())
-            }
+            Expr::Op(op, args) => RExpr::Op(*op, args.iter().map(|a| self.expr(a)).collect()),
             Expr::Len(a) => RExpr::Len(Box::new(self.expr(a))),
         }
     }
@@ -395,10 +386,7 @@ impl ProcTable {
     ///
     /// Panics if the procedure does not exist.
     pub fn index(&self, name: &str) -> usize {
-        *self
-            .names
-            .get(name)
-            .unwrap_or_else(|| panic!("no procedure named `{name}`"))
+        *self.names.get(name).unwrap_or_else(|| panic!("no procedure named `{name}`"))
     }
 
     /// All registered procedure names, in insertion order.

@@ -21,13 +21,13 @@ use crate::checkpoint::{Checkpoint, CheckpointError, StepTuning};
 use crate::compile::ProcTable;
 use crate::eval::{Engine, ExecMode};
 use crate::fault::FaultPlan;
-use crate::metrics::{ExecReport, KernelReport, KernelStats, RunReport, TraceSink, UpdateOutcome};
-use crate::tape::ExecBackend;
 use crate::mcmc::{self, GradTarget, McmcConfig, Proposal};
+use crate::metrics::{ExecReport, KernelReport, KernelStats, RunReport, TraceSink, UpdateOutcome};
 use crate::plan::Plan;
 use crate::profile::{ExplainPlan, MemWatermark, Profile, Span, StepProfile};
 use crate::setup::SetupError;
 use crate::state::{BufId, State};
+use crate::tape::ExecBackend;
 #[cfg(test)]
 use crate::{plan::CompiledModel, state::HostValue};
 
@@ -101,8 +101,7 @@ impl Default for SessionConfig {
             timers: true,
             checkpoint_path: std::env::var_os("AUGUR_CKPT").map(PathBuf::from),
             checkpoint_every: default_checkpoint_every(),
-            fault: FaultPlan::from_env()
-                .unwrap_or_else(|e| panic!("AUGUR_FAULT: {e}")),
+            fault: FaultPlan::from_env().unwrap_or_else(|e| panic!("AUGUR_FAULT: {e}")),
         }
     }
 }
@@ -370,11 +369,7 @@ impl Session {
                     "native circuit breaker open after {} consecutive native failures: {reason}",
                     crate::plan::NATIVE_BREAKER_THRESHOLD
                 ));
-            } else if config
-                .fault
-                .as_ref()
-                .is_some_and(|f| f.compile_native)
-            {
+            } else if config.fault.as_ref().is_some_and(|f| f.compile_native) {
                 // Injected native-compile failure: feed the breaker and
                 // degrade exactly as a real toolchain fault would.
                 breaker.record_failure(crate::fault::INJECTED_NATIVE_FAILURE);
@@ -508,11 +503,7 @@ impl Session {
     /// Panics on unknown names or length mismatches.
     pub fn set_param(&mut self, name: &str, values: &[f64]) {
         let id = self.engine.state.expect_id(name);
-        assert_eq!(
-            self.engine.state.flat(id).len(),
-            values.len(),
-            "length mismatch for `{name}`"
-        );
+        assert_eq!(self.engine.state.flat(id).len(), values.len(), "length mismatch for `{name}`");
         self.engine.state.flat_mut(id).copy_from_slice(values);
     }
 
@@ -589,15 +580,12 @@ impl Session {
             self.engine.in_parallel = false;
             self.engine.write_log = None;
             let detail = panic_message(payload);
-            let kernel =
-                self.labels.get(self.current_step).cloned().unwrap_or_default();
-            return Err(
-                if detail.contains("out of bounds") || detail.contains("out of range") {
-                    RunError::OutOfBounds { kernel, detail }
-                } else {
-                    RunError::WorkerPanic { kernel, detail }
-                },
-            );
+            let kernel = self.labels.get(self.current_step).cloned().unwrap_or_default();
+            return Err(if detail.contains("out of bounds") || detail.contains("out of range") {
+                RunError::OutOfBounds { kernel, detail }
+            } else {
+                RunError::WorkerPanic { kernel, detail }
+            });
         }
         if self.checkpoint_every > 0 && self.sweeps.is_multiple_of(self.checkpoint_every) {
             if let Some(path) = self.checkpoint_path.clone() {
@@ -609,16 +597,13 @@ impl Session {
 
     fn sweep_inner(&mut self) {
         let snap: Option<Vec<KernelStats>> = self.trace.as_ref().map(|_| self.stats.clone());
-        let work_snap: Option<Vec<u64>> = if self.trace.is_some() && self.timers {
-            Some(self.step_work.clone())
-        } else {
-            None
-        };
+        let work_snap: Option<Vec<u64>> =
+            if self.trace.is_some() && self.timers { Some(self.step_work.clone()) } else { None };
         let sweep_t0 = self.trace.as_ref().map(|_| Instant::now());
         self.engine.fault_sweep = self.sweeps + 1; // fault clauses are 1-based
-        // Share the step list by reference for the whole sweep — the hot
-        // loop performs no per-step clones (steady-state sweeps are
-        // allocation-free; see `tests/alloc_free.rs`).
+                                                   // Share the step list by reference for the whole sweep — the hot
+                                                   // loop performs no per-step clones (steady-state sweeps are
+                                                   // allocation-free; see `tests/alloc_free.rs`).
         let steps = Arc::clone(&self.steps);
         for (i, step) in steps.iter().enumerate() {
             self.current_step = i;
@@ -655,37 +640,48 @@ impl Session {
             CompiledStep::Hmc { targets, ll, grad, nuts } => {
                 let cfg = self.effective_cfg(i);
                 if *nuts {
-                    mcmc::nuts_update(
-                        &mut self.engine, &self.table, *ll, *grad, targets, &cfg,
-                    )
+                    mcmc::nuts_update(&mut self.engine, &self.table, *ll, *grad, targets, &cfg)
                 } else {
-                    mcmc::hmc_update(
-                        &mut self.engine, &self.table, *ll, *grad, targets, &cfg,
-                    )
+                    mcmc::hmc_update(&mut self.engine, &self.table, *ll, *grad, targets, &cfg)
                 }
             }
-            CompiledStep::SliceRefl { targets, ll, grad } => {
-                mcmc::reflective_slice_update(
-                    &mut self.engine, &self.table, *ll, *grad, targets, &self.mcmc_cfg,
-                )
-            }
-            CompiledStep::Mala { targets, ll, grad } => mcmc::mala_update(
-                &mut self.engine, &self.table, *ll, *grad, targets, &self.mcmc_cfg,
+            CompiledStep::SliceRefl { targets, ll, grad } => mcmc::reflective_slice_update(
+                &mut self.engine,
+                &self.table,
+                *ll,
+                *grad,
+                targets,
+                &self.mcmc_cfg,
             ),
-            CompiledStep::ESlice { target, lik, psamp, pmean, aux, mean } => {
-                mcmc::eslice_update(
-                    &mut self.engine, &self.table, *lik, *psamp, *pmean, *target, *aux, *mean,
-                )
-            }
+            CompiledStep::Mala { targets, ll, grad } => mcmc::mala_update(
+                &mut self.engine,
+                &self.table,
+                *ll,
+                *grad,
+                targets,
+                &self.mcmc_cfg,
+            ),
+            CompiledStep::ESlice { target, lik, psamp, pmean, aux, mean } => mcmc::eslice_update(
+                &mut self.engine,
+                &self.table,
+                *lik,
+                *psamp,
+                *pmean,
+                *target,
+                *aux,
+                *mean,
+            ),
             CompiledStep::RwMh { targets, ll } => {
                 if let Some(proposal) = self.proposals.get_mut(&i) {
                     mcmc::custom_mh_update(
-                        &mut self.engine, &self.table, *ll, targets, proposal.as_mut(),
+                        &mut self.engine,
+                        &self.table,
+                        *ll,
+                        targets,
+                        proposal.as_mut(),
                     )
                 } else {
-                    mcmc::rw_mh_update(
-                        &mut self.engine, &self.table, *ll, targets, &self.mcmc_cfg,
-                    )
+                    mcmc::rw_mh_update(&mut self.engine, &self.table, *ll, targets, &self.mcmc_cfg)
                 }
             }
         }
@@ -699,9 +695,11 @@ impl Session {
     fn gibbs_update(&mut self, proc_: usize, target: BufId) -> UpdateOutcome {
         let saved = PoolVec::from_slice(self.engine.state.flat(target));
         self.engine.run_proc(&self.table, proc_);
-        let poison = self.engine.fault.as_ref().is_some_and(|p| {
-            p.nan_hits(self.table.proc_name(proc_), self.engine.fault_sweep)
-        });
+        let poison = self
+            .engine
+            .fault
+            .as_ref()
+            .is_some_and(|p| p.nan_hits(self.table.proc_name(proc_), self.engine.fault_sweep));
         if poison {
             // Gibbs procedures return no scalar, so a matching nan@proc
             // clause poisons the resampled buffer itself
@@ -807,10 +805,7 @@ impl Session {
             .state
             .names()
             .map(|(name, id)| {
-                (
-                    name.to_owned(),
-                    self.engine.state.flat(id).iter().map(|x| x.to_bits()).collect(),
-                )
+                (name.to_owned(), self.engine.state.flat(id).iter().map(|x| x.to_bits()).collect())
             })
             .collect();
         Checkpoint {
@@ -859,9 +854,7 @@ impl Session {
     /// Returns [`RunError::Checkpoint`] on a schedule or buffer mismatch.
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), RunError> {
         let schedule = self.labels.join(" (*) ");
-        let mismatch = |detail: String| {
-            RunError::Checkpoint(CheckpointError::Mismatch { detail })
-        };
+        let mismatch = |detail: String| RunError::Checkpoint(CheckpointError::Mismatch { detail });
         if ck.schedule != schedule {
             return Err(mismatch(format!(
                 "checkpoint schedule `{}` vs sampler `{schedule}`",
@@ -900,9 +893,7 @@ impl Session {
         }
         for (name, cells) in &ck.buffers {
             let id = self.engine.state.expect_id(name);
-            for (dst, &bits) in
-                self.engine.state.flat_mut(id).iter_mut().zip(cells)
-            {
+            for (dst, &bits) in self.engine.state.flat_mut(id).iter_mut().zip(cells) {
                 *dst = f64::from_bits(bits);
             }
         }
@@ -918,9 +909,7 @@ impl Session {
 
     /// The model's joint log-density at the current state.
     pub fn log_joint(&mut self) -> f64 {
-        self.engine
-            .run_proc(&self.table, self.model_ll_idx)
-            .expect("model ll returns a value")
+        self.engine.run_proc(&self.table, self.model_ll_idx).expect("model ll returns a value")
     }
 
     /// Virtual time elapsed on the target, in seconds.
@@ -956,10 +945,7 @@ impl Session {
             sweeps: self.sweeps,
             kernels,
             work: self.engine.work,
-            trace_records_dropped: self
-                .trace
-                .as_ref()
-                .map_or(0, TraceSink::records_dropped),
+            trace_records_dropped: self.trace.as_ref().map_or(0, TraceSink::records_dropped),
             exec: ExecReport {
                 threads: self.engine.threads(),
                 proc_calls: self.engine.metrics.proc_calls,
@@ -1083,17 +1069,14 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// keys match `kernel_plan()` output.
 pub(crate) fn step_label(s: &Step) -> String {
     let (kind, unit) = match s {
-        Step::Gibbs { target, .. } => {
-            (UpdateKind::Gibbs, KernelUnit::from_vars([target.as_str()]))
-        }
+        Step::Gibbs { target, .. } => (UpdateKind::Gibbs, KernelUnit::from_vars([target.as_str()])),
         Step::Hmc { targets, nuts, .. } => (
             if *nuts { UpdateKind::Nuts } else { UpdateKind::Hmc },
             KernelUnit::from_vars(targets.iter().map(|(v, _)| v.as_str())),
         ),
-        Step::Mala { targets, .. } => (
-            UpdateKind::Mala,
-            KernelUnit::from_vars(targets.iter().map(|(v, _)| v.as_str())),
-        ),
+        Step::Mala { targets, .. } => {
+            (UpdateKind::Mala, KernelUnit::from_vars(targets.iter().map(|(v, _)| v.as_str())))
+        }
         Step::SliceRefl { targets, .. } => (
             UpdateKind::ReflectiveSlice,
             KernelUnit::from_vars(targets.iter().map(|(v, _)| v.as_str())),
@@ -1158,16 +1141,21 @@ pub(crate) fn compile_step(state: &State, table: &ProcTable, s: &Step) -> Compil
             ll: table.index(ll_proc),
             grad: table.index(grad_proc),
         },
-        Step::ESlice { target, lik_proc, prior_sample_proc, aux_buf, prior_mean_proc, mean_buf } => {
-            CompiledStep::ESlice {
-                target: id(target),
-                lik: table.index(lik_proc),
-                psamp: table.index(prior_sample_proc),
-                pmean: table.index(prior_mean_proc),
-                aux: id(aux_buf),
-                mean: id(mean_buf),
-            }
-        }
+        Step::ESlice {
+            target,
+            lik_proc,
+            prior_sample_proc,
+            aux_buf,
+            prior_mean_proc,
+            mean_buf,
+        } => CompiledStep::ESlice {
+            target: id(target),
+            lik: table.index(lik_proc),
+            psamp: table.index(prior_sample_proc),
+            pmean: table.index(prior_mean_proc),
+            aux: id(aux_buf),
+            mean: id(mean_buf),
+        },
         Step::RwMh { targets, ll_proc } => CompiledStep::RwMh {
             targets: targets
                 .iter()
@@ -1209,9 +1197,7 @@ mod tests {
         let sum: f64 = data.iter().sum();
         let n = data.len() as f64;
         let (tau2, s2) = (4.0, 1.0);
-        let (post_mu, post_var) = augur_dist::conjugacy::normal_normal_mean(
-            0.0, tau2, s2, sum, n,
-        );
+        let (post_mu, post_var) = augur_dist::conjugacy::normal_normal_mean(0.0, tau2, s2, sum, n);
         let mut s = build_session(
             src,
             None,
@@ -1221,11 +1207,12 @@ mod tests {
         )
         .unwrap();
         s.init().unwrap();
-        let draws: Vec<f64> =
-            (0..6000).map(|_| {
+        let draws: Vec<f64> = (0..6000)
+            .map(|_| {
                 s.sweep();
                 s.param("m").unwrap()[0]
-            }).collect();
+            })
+            .collect();
         let m = mean(&draws);
         let v = augur_math::vecops::variance(&draws);
         assert!((m - post_mu).abs() < 0.05, "mean {m} vs {post_mu}");
@@ -1252,10 +1239,12 @@ mod tests {
         )
         .unwrap();
         s.init().unwrap();
-        let draws: Vec<f64> = (0..6000).map(|_| {
-            s.sweep();
-            s.param("p").unwrap()[0]
-        }).collect();
+        let draws: Vec<f64> = (0..6000)
+            .map(|_| {
+                s.sweep();
+                s.param("p").unwrap()[0]
+            })
+            .collect();
         assert!((mean(&draws) - expect).abs() < 0.02);
     }
 
@@ -1375,8 +1364,7 @@ mod tests {
 
     #[test]
     fn build_error_names_phase() {
-        let err = build_session("(((", None, vec![], vec![], SessionConfig::default())
-            .unwrap_err();
+        let err = build_session("(((", None, vec![], vec![], SessionConfig::default()).unwrap_err();
         assert!(format!("{err}").starts_with("frontend:"));
     }
 }
@@ -1460,11 +1448,7 @@ mod exactness_tests {
                 s.param("r").unwrap()[0]
             })
             .collect();
-        assert!(
-            (mean(&draws) - post_mean).abs() < 0.1,
-            "mean {} vs {post_mean}",
-            mean(&draws)
-        );
+        assert!((mean(&draws) - post_mean).abs() < 0.1, "mean {} vs {post_mean}", mean(&draws));
         assert!(
             (variance(&draws) - post_var).abs() < 0.15,
             "var {} vs {post_var}",
@@ -1517,7 +1501,11 @@ mod exactness_tests {
         let post_mean = a / (a + b);
         let post_var = a * b / ((a + b) * (a + b) * (a + b + 1.0));
         let cfg = SessionConfig {
-            mcmc: crate::mcmc::McmcConfig { step_size: 0.25, leapfrog_steps: 8, ..Default::default() },
+            mcmc: crate::mcmc::McmcConfig {
+                step_size: 0.25,
+                leapfrog_steps: 8,
+                ..Default::default()
+            },
             ..Default::default()
         };
         let mut s = build_session(
@@ -1556,8 +1544,7 @@ mod exactness_tests {
         }";
         let data = vec![1.2, 0.8, 1.0, 1.4, 0.6];
         let sum: f64 = data.iter().sum();
-        let (post_mu, _) =
-            augur_dist::conjugacy::normal_normal_mean(0.0, 4.0, 1.0, sum, 5.0);
+        let (post_mu, _) = augur_dist::conjugacy::normal_normal_mean(0.0, 4.0, 1.0, sum, 5.0);
         let cfg = SessionConfig {
             mcmc: crate::mcmc::McmcConfig { step_size: 0.2, ..Default::default() },
             ..Default::default()
@@ -1595,12 +1582,7 @@ mod proposal_tests {
     }
 
     impl crate::mcmc::Proposal for LogRandomWalk {
-        fn propose(
-            &mut self,
-            rng: &mut augur_dist::Prng,
-            current: &[f64],
-            out: &mut [f64],
-        ) -> f64 {
+        fn propose(&mut self, rng: &mut augur_dist::Prng, current: &[f64], out: &mut [f64]) -> f64 {
             let mut correction = 0.0;
             for (o, &x) in out.iter_mut().zip(current) {
                 let factor = (self.scale * rng.std_normal()).exp();

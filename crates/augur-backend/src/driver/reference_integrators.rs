@@ -128,16 +128,16 @@ fn nuts_update(
         let dir: f64 = if engine.rng.uniform() < 0.5 { -1.0 } else { 1.0 };
         let (q_prop, n_prop, ok) = if dir < 0.0 {
             let (qm, pm, _, _, qp, np, ok) = build_tree(
-                engine, table, ll_proc, grad_proc, targets,
-                &q_minus, &p_minus, log_u, dir, depth, cfg, &mut out,
+                engine, table, ll_proc, grad_proc, targets, &q_minus, &p_minus, log_u, dir, depth,
+                cfg, &mut out,
             );
             q_minus = qm;
             p_minus = pm;
             (qp, np, ok)
         } else {
             let (_, _, qp2, pp2, qp, np, ok) = build_tree(
-                engine, table, ll_proc, grad_proc, targets,
-                &q_plus, &p_plus, log_u, dir, depth, cfg, &mut out,
+                engine, table, ll_proc, grad_proc, targets, &q_plus, &p_plus, log_u, dir, depth,
+                cfg, &mut out,
             );
             q_plus = qp2;
             p_plus = pp2;
@@ -183,8 +183,14 @@ fn build_tree(
         let mut q1 = PoolVec::from_slice(q);
         let mut p1 = PoolVec::from_slice(p);
         let ll = leapfrog(
-            engine, table, ll_proc, grad_proc, targets,
-            &mut q1, &mut p1, dir * cfg.step_size,
+            engine,
+            table,
+            ll_proc,
+            grad_proc,
+            targets,
+            &mut q1,
+            &mut p1,
+            dir * cfg.step_size,
         );
         out.leapfrogs += 1;
         if !ll.is_finite() {
@@ -203,21 +209,52 @@ fn build_tree(
         (q1.clone(), p1.clone(), q1.clone(), p1.clone(), q1, n, ok)
     } else {
         let (mut qm, mut pm, mut qp, mut pp, mut qn, mut n, ok) = build_tree(
-            engine, table, ll_proc, grad_proc, targets, q, p, log_u, dir, depth - 1, cfg, out,
+            engine,
+            table,
+            ll_proc,
+            grad_proc,
+            targets,
+            q,
+            p,
+            log_u,
+            dir,
+            depth - 1,
+            cfg,
+            out,
         );
         if ok {
             let (qn2, n2, ok2) = if dir < 0.0 {
                 let (qm2, pm2, _, _, qn2, n2, ok2) = build_tree(
-                    engine, table, ll_proc, grad_proc, targets,
-                    &qm, &pm, log_u, dir, depth - 1, cfg, out,
+                    engine,
+                    table,
+                    ll_proc,
+                    grad_proc,
+                    targets,
+                    &qm,
+                    &pm,
+                    log_u,
+                    dir,
+                    depth - 1,
+                    cfg,
+                    out,
                 );
                 qm = qm2;
                 pm = pm2;
                 (qn2, n2, ok2)
             } else {
                 let (_, _, qp2, pp2, qn2, n2, ok2) = build_tree(
-                    engine, table, ll_proc, grad_proc, targets,
-                    &qp, &pp, log_u, dir, depth - 1, cfg, out,
+                    engine,
+                    table,
+                    ll_proc,
+                    grad_proc,
+                    targets,
+                    &qp,
+                    &pp,
+                    log_u,
+                    dir,
+                    depth - 1,
+                    cfg,
+                    out,
                 );
                 qp = qp2;
                 pp = pp2;

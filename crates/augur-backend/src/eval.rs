@@ -682,9 +682,7 @@ impl Engine {
             RExpr::DistGradParam { dist, i, args, point } => {
                 self.dist_grad(*dist, Some(*i), args, point)
             }
-            RExpr::DistGradPoint { dist, args, point } => {
-                self.dist_grad(*dist, None, args, point)
-            }
+            RExpr::DistGradPoint { dist, args, point } => self.dist_grad(*dist, None, args, point),
             RExpr::Op(op, args) => self.eval_op(*op, args),
             RExpr::Len(a) => {
                 let v = self.eval(a);
@@ -711,9 +709,7 @@ impl Engine {
                     Shape::Rows { elem: RowElem::Vec, .. } => {
                         View::Slice { buf, start, len: end - start }
                     }
-                    Shape::Rows { elem: RowElem::Mat(d), .. } => {
-                        View::MatV { buf, start, dim: *d }
-                    }
+                    Shape::Rows { elem: RowElem::Mat(d), .. } => View::MatV { buf, start, dim: *d },
                     _ => unreachable!("Rows view over non-Rows shape"),
                 }
             }
@@ -769,22 +765,22 @@ impl Engine {
         let (avs, n) = self.dist_args(args);
         let pv = self.eval(point);
         self.work += dist_op_cost(dist, self.view_len(&pv));
-        let refs = [
-            value_ref_of(&self.state, &avs[0]),
-            value_ref_of(&self.state, &avs[1]),
-        ];
+        let refs = [value_ref_of(&self.state, &avs[0]), value_ref_of(&self.state, &avs[1])];
         let pref = value_ref_of(&self.state, &pv);
         dist.log_pdf(&refs[..n], pref).expect("ll evaluation failed")
     }
 
     /// Gradient with respect to parameter `i` (Some) or the point (None).
-    fn dist_grad(&mut self, dist: DistKind, i: Option<usize>, args: &[RExpr], point: &RExpr) -> View {
+    fn dist_grad(
+        &mut self,
+        dist: DistKind,
+        i: Option<usize>,
+        args: &[RExpr],
+        point: &RExpr,
+    ) -> View {
         let (avs, n) = self.dist_args(args);
         let pv = self.eval(point);
-        let refs_buf = [
-            value_ref_of(&self.state, &avs[0]),
-            value_ref_of(&self.state, &avs[1]),
-        ];
+        let refs_buf = [value_ref_of(&self.state, &avs[0]), value_ref_of(&self.state, &avs[1])];
         let refs = &refs_buf[..n];
         let pref = value_ref_of(&self.state, &pv);
         self.work += dist_op_cost(dist, self.view_len(&pv));
@@ -836,10 +832,8 @@ impl Engine {
     pub(crate) fn op_views(&mut self, op: OpN, a: View, b: View) -> View {
         match op {
             OpN::VecAdd | OpN::VecSub => {
-                let (sa, sb) = (
-                    PoolVec::from_slice(slice_of(&self.state, &a)),
-                    slice_of(&self.state, &b),
-                );
+                let (sa, sb) =
+                    (PoolVec::from_slice(slice_of(&self.state, &a)), slice_of(&self.state, &b));
                 self.work += sa.len() as u64;
                 let mut out = sa;
                 for (o, x) in out.iter_mut().zip(sb) {
@@ -947,12 +941,10 @@ impl Engine {
             View::Slice { buf, start, len } => {
                 OwnArg::VecD(PoolVec::from_slice(&self.state.flat(buf)[start..start + len]))
             }
-            View::MatV { buf, start, dim } => {
-                OwnArg::MatD(
-                    PoolVec::from_slice(&self.state.flat(buf)[start..start + dim * dim]),
-                    dim,
-                )
-            }
+            View::MatV { buf, start, dim } => OwnArg::MatD(
+                PoolVec::from_slice(&self.state.flat(buf)[start..start + dim * dim]),
+                dim,
+            ),
             View::Rows { buf } => OwnArg::VecD(PoolVec::from_slice(self.state.flat(buf))),
         }
     }
@@ -972,9 +964,7 @@ impl Engine {
             Shape::Num => Dest::Cell { buf: id, idx: 0 },
             Shape::Vector(n) => Dest::Range { buf: id, start: 0, len: *n },
             Shape::Matrix(d) => Dest::Range { buf: id, start: 0, len: d * d },
-            Shape::Rows { .. } => {
-                Dest::Range { buf: id, start: 0, len: self.state.flat(id).len() }
-            }
+            Shape::Rows { .. } => Dest::Range { buf: id, start: 0, len: self.state.flat(id).len() },
         }
     }
 
@@ -985,7 +975,13 @@ impl Engine {
 
     /// Writes an owned value to an already-resolved destination (shared
     /// between the tree-walker and the tape VM).
-    pub(crate) fn write_dest(&mut self, dest: Dest, op: AssignOp, val: OwnVal, record_atomic: bool) {
+    pub(crate) fn write_dest(
+        &mut self,
+        dest: Dest,
+        op: AssignOp,
+        val: OwnVal,
+        record_atomic: bool,
+    ) {
         match (dest, val) {
             (Dest::Cell { buf, idx }, OwnVal::Num(x)) => {
                 self.work += 1;
@@ -1146,10 +1142,9 @@ pub(crate) fn value_ref_of<'a>(state: &'a State, v: &'a View) -> ValueRef<'a> {
         View::Slice { .. } | View::Own(_) | View::Rows { .. } => {
             ValueRef::Vector(slice_of(state, v))
         }
-        View::MatV { buf, start, dim } => ValueRef::Matrix {
-            data: &state.flat(*buf)[*start..start + dim * dim],
-            dim: *dim,
-        },
+        View::MatV { buf, start, dim } => {
+            ValueRef::Matrix { data: &state.flat(*buf)[*start..start + dim * dim], dim: *dim }
+        }
         View::OwnMat(m, d) => ValueRef::Matrix { data: m, dim: *d },
     }
 }
@@ -1211,11 +1206,7 @@ mod tests {
         let p = ProcDecl {
             name: "p".into(),
             body: Stmt::Seq(vec![
-                Stmt::Assign {
-                    lhs: LValue::name("v"),
-                    op: AssignOp::Set,
-                    rhs: Expr::Real(2.0),
-                },
+                Stmt::Assign { lhs: LValue::name("v"), op: AssignOp::Set, rhs: Expr::Real(2.0) },
                 Stmt::Assign {
                     lhs: LValue { var: "v".into(), indices: vec![Expr::Int(1)] },
                     op: AssignOp::Set,
@@ -1249,10 +1240,7 @@ mod tests {
     #[test]
     fn rows_indexing_and_row_store() {
         let mut st = State::new();
-        st.insert(
-            "m",
-            Shape::Rows { offsets: vec![0, 2, 4], elem: RowElem::Vec },
-        );
+        st.insert("m", Shape::Rows { offsets: vec![0, 2, 4], elem: RowElem::Vec });
         // m[1] = [3.0, 3.0] via broadcast on the row
         let p = ProcDecl {
             name: "p".into(),
@@ -1261,10 +1249,7 @@ mod tests {
                 op: AssignOp::Set,
                 rhs: Expr::Real(3.0),
             },
-            ret: Some(Expr::index(
-                Expr::index(Expr::var("m"), Expr::Int(1)),
-                Expr::Int(0),
-            )),
+            ret: Some(Expr::index(Expr::index(Expr::var("m"), Expr::Int(1)), Expr::Int(0))),
         };
         let (eng, ret) = compile_and_run(st, p);
         assert_eq!(ret, Some(3.0));
@@ -1283,7 +1268,10 @@ mod tests {
                 op: AssignOp::Set,
                 rhs: Expr::Op(
                     OpN::VecAdd,
-                    vec![Expr::var("a"), Expr::Op(OpN::VecScale, vec![Expr::Real(2.0), Expr::var("a")])],
+                    vec![
+                        Expr::var("a"),
+                        Expr::Op(OpN::VecScale, vec![Expr::Real(2.0), Expr::var("a")]),
+                    ],
                 ),
             },
             ret: None,
@@ -1338,10 +1326,7 @@ mod tests {
         st.insert("z", Shape::Num);
         let p = ProcDecl {
             name: "p".into(),
-            body: Stmt::SampleLogits {
-                lhs: LValue::name("z"),
-                weights: Expr::var("w"),
-            },
+            body: Stmt::SampleLogits { lhs: LValue::name("z"), weights: Expr::var("w") },
             ret: Some(Expr::var("z")),
         };
         let (_, ret) = compile_and_run(st, p);

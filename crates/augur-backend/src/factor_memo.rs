@@ -167,7 +167,15 @@ mod tests {
 
     /// The density for matrix `k` of `cells`, a `Rows`-of-matrices buffer
     /// with id `buf`.
-    fn at(memo: &mut FactorMemo, buf: BufId, cells: &[f64], k: usize, dim: usize, x: &[f64], mu: &[f64]) -> f64 {
+    fn at(
+        memo: &mut FactorMemo,
+        buf: BufId,
+        cells: &[f64],
+        k: usize,
+        dim: usize,
+        x: &[f64],
+        mu: &[f64],
+    ) -> f64 {
         let start = k * dim * dim;
         memo.log_pdf_at(buf, start, &cells[start..start + dim * dim], dim, x, mu)
     }

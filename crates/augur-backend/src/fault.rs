@@ -257,25 +257,19 @@ impl FaultPlan {
     /// Whether to poison procedure `name`'s result on sweep `sweep`
     /// (1-based).
     pub fn nan_hits(&self, name: &str, sweep: u64) -> bool {
-        self.nan
-            .iter()
-            .any(|f| f.proc_name == name && f.sweep.is_none_or(|s| s == sweep))
+        self.nan.iter().any(|f| f.proc_name == name && f.sweep.is_none_or(|s| s == sweep))
     }
 
     /// Whether to panic in worker chunk `worker` on sweep `sweep`
     /// (1-based).
     pub fn panic_hits(&self, worker: usize, sweep: u64) -> bool {
-        self.panics
-            .iter()
-            .any(|f| f.worker == worker && f.sweep.is_none_or(|s| s == sweep))
+        self.panics.iter().any(|f| f.worker == worker && f.sweep.is_none_or(|s| s == sweep))
     }
 
     /// Whether to kill service shard worker `shard` before executing a
     /// task of request `req`.
     pub fn shard_panic_hits(&self, shard: usize, req: u64) -> bool {
-        self.shard_panics
-            .iter()
-            .any(|f| f.shard == shard && f.req.is_none_or(|r| r == req))
+        self.shard_panics.iter().any(|f| f.shard == shard && f.req.is_none_or(|r| r == req))
     }
 
     /// The injected per-task delay for service shard worker `shard`, in
@@ -324,10 +318,7 @@ mod tests {
     #[test]
     fn parses_full_grammar() {
         let plan = FaultPlan::parse("nan@proc:u0_ll:sweep=7; panic@worker:2; io@trace").unwrap();
-        assert_eq!(
-            plan.nan,
-            vec![NanFault { proc_name: "u0_ll".into(), sweep: Some(7) }]
-        );
+        assert_eq!(plan.nan, vec![NanFault { proc_name: "u0_ll".into(), sweep: Some(7) }]);
         assert_eq!(plan.panics, vec![PanicFault { worker: 2, sweep: None }]);
         assert!(plan.trace_io);
         assert!(!plan.is_empty());
@@ -348,9 +339,10 @@ mod tests {
 
     #[test]
     fn parses_service_level_clauses() {
-        let plan =
-            FaultPlan::parse("panic@shard:1; panic@shard:0:req=7; slow@shard:2:ms=50; compile@native")
-                .unwrap();
+        let plan = FaultPlan::parse(
+            "panic@shard:1; panic@shard:0:req=7; slow@shard:2:ms=50; compile@native",
+        )
+        .unwrap();
         assert_eq!(
             plan.shard_panics,
             vec![

@@ -76,12 +76,12 @@ mod tape_opt;
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use codegen::CodegenTarget;
 pub use driver::{BuildError, RunError, Session, SessionConfig, Target};
+pub use fault::{FaultParseError, FaultPlan};
+pub use metrics::{ExecReport, KernelReport, KernelStats, RunReport, UpdateOutcome};
 pub use plan::{
     BackendAvailability, CompiledModel, NativeBreaker, Plan, PlanCacheStats, PlanEvent,
     NATIVE_BREAKER_THRESHOLD,
 };
-pub use fault::{FaultParseError, FaultPlan};
-pub use metrics::{ExecReport, KernelReport, KernelStats, RunReport, UpdateOutcome};
 pub use profile::{ExplainPlan, MemWatermark, Profile, Span, StepProfile};
 pub use state::HostValue;
 pub use tape::ExecBackend;

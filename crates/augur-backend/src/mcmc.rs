@@ -29,12 +29,7 @@ pub trait Proposal: std::fmt::Debug + Send {
     /// Writes a proposed value into `out` given the current value, and
     /// returns the log-ratio correction
     /// `log q(x' → x) − log q(x → x')` (zero for symmetric proposals).
-    fn propose(
-        &mut self,
-        rng: &mut augur_dist::Prng,
-        current: &[f64],
-        out: &mut [f64],
-    ) -> f64;
+    fn propose(&mut self, rng: &mut augur_dist::Prng, current: &[f64], out: &mut [f64]) -> f64;
 }
 
 /// Tuning for gradient-based and random-walk updates.
@@ -86,9 +81,7 @@ pub(crate) fn contain_nonfinite(
     if !out.accepted {
         return;
     }
-    let poisoned = targets
-        .iter()
-        .any(|t| engine.state.flat(t.var).iter().any(|x| !x.is_finite()));
+    let poisoned = targets.iter().any(|t| engine.state.flat(t.var).iter().any(|x| !x.is_finite()));
     if poisoned {
         restore_targets(engine, targets, saved);
         out.accepted = false;
@@ -268,8 +261,7 @@ pub fn log_density_flat(
             Transform::Logit => {
                 for &u in &q[off..off + len] {
                     // log σ(u) + log σ(−u)
-                    jac -= augur_math::special::log1p_exp(-u)
-                        + augur_math::special::log1p_exp(u);
+                    jac -= augur_math::special::log1p_exp(-u) + augur_math::special::log1p_exp(u);
                 }
             }
             Transform::Identity => {}
@@ -307,7 +299,15 @@ pub fn hmc_update(
     let mut ll = f64::NAN;
     for _ in 0..cfg.leapfrog_steps {
         ll = leapfrog(
-            engine, table, ll_proc, grad_proc, targets, &mut q, &mut p, &mut g, cfg.step_size,
+            engine,
+            table,
+            ll_proc,
+            grad_proc,
+            targets,
+            &mut q,
+            &mut p,
+            &mut g,
+            cfg.step_size,
         );
         out.leapfrogs += 1;
         if !ll.is_finite() {
@@ -434,8 +434,15 @@ fn build_tree(
     if depth == 0 {
         let mut e = edge.clone();
         let ll = leapfrog(
-            engine, table, ll_proc, grad_proc, targets,
-            &mut e.q, &mut e.p, &mut e.g, dir * cfg.step_size,
+            engine,
+            table,
+            ll_proc,
+            grad_proc,
+            targets,
+            &mut e.q,
+            &mut e.p,
+            &mut e.g,
+            dir * cfg.step_size,
         );
         out.leapfrogs += 1;
         if !ll.is_finite() {
@@ -454,14 +461,34 @@ fn build_tree(
         return Tree { minus: e.clone(), proposal: e.q.clone(), plus: e, n, ok };
     }
     let mut t = build_tree(
-        engine, table, ll_proc, grad_proc, targets, edge, log_u, dir, depth - 1, cfg, out,
+        engine,
+        table,
+        ll_proc,
+        grad_proc,
+        targets,
+        edge,
+        log_u,
+        dir,
+        depth - 1,
+        cfg,
+        out,
     );
     if !t.ok {
         return t;
     }
     let outer = if dir < 0.0 { &t.minus } else { &t.plus };
     let t2 = build_tree(
-        engine, table, ll_proc, grad_proc, targets, outer, log_u, dir, depth - 1, cfg, out,
+        engine,
+        table,
+        ll_proc,
+        grad_proc,
+        targets,
+        outer,
+        log_u,
+        dir,
+        depth - 1,
+        cfg,
+        out,
     );
     if t2.ok && t.n + t2.n > 0.0 && engine.rng.uniform() < t2.n / (t.n + t2.n) {
         t.proposal = t2.proposal;
@@ -715,9 +742,7 @@ pub fn custom_mh_update(
     }
     out.accepted = engine.rng.uniform().ln() < ll1 - ll0 + correction;
     if out.accepted
-        && targets
-            .iter()
-            .any(|t| engine.state.flat(t.var).iter().any(|x| !x.is_finite()))
+        && targets.iter().any(|t| engine.state.flat(t.var).iter().any(|x| !x.is_finite()))
     {
         // accepted a proposal carrying a non-finite value: contain it
         out.accepted = false;

@@ -250,7 +250,8 @@ impl RunReport {
     /// digests at any `AUGUR_THREADS` count and under either execution
     /// strategy; wall time and dispatch shape are excluded.
     pub fn digest(&self) -> String {
-        let mut out = format!("schedule={};sweeps={};work={}", self.schedule, self.sweeps, self.work);
+        let mut out =
+            format!("schedule={};sweeps={};work={}", self.schedule, self.sweeps, self.work);
         for k in &self.kernels {
             let [p, a, lf, dv, refl, shr, nev] = k.stats.counters();
             out.push_str(&format!(
@@ -273,7 +274,15 @@ impl fmt::Display for RunReport {
         writeln!(
             f,
             "{:<34} {:>9} {:>8} {:>6} {:>8} {:>5} {:>6} {:>7} {:>5} {:>9}",
-            "kernel", "proposals", "accepts", "rate", "leapfrog", "div", "refl", "shrink", "nev",
+            "kernel",
+            "proposals",
+            "accepts",
+            "rate",
+            "leapfrog",
+            "div",
+            "refl",
+            "shrink",
+            "nev",
             "wall(s)"
         )?;
         for k in &self.kernels {
@@ -408,7 +417,12 @@ impl TraceSink {
     /// `hit`, or `respecialize`), the canonical shape fingerprint, and
     /// the cache counters at bind time. Written once, before the first
     /// sweep record, when the session is created.
-    pub fn write_plan(&mut self, event: &str, fingerprint: u64, stats: &crate::plan::PlanCacheStats) {
+    pub fn write_plan(
+        &mut self,
+        event: &str,
+        fingerprint: u64,
+        stats: &crate::plan::PlanCacheStats,
+    ) {
         let line = format!(
             "{{\"v\":2,\"plan\":{{\"event\":{},\"fingerprint\":\"{fingerprint:016x}\",\
              \"hits\":{},\"misses\":{},\"respecializes\":{},\"entries\":{}}}}}\n",
@@ -480,7 +494,12 @@ mod tests {
         let mut s = KernelStats::default();
         assert!(s.acceptance_rate().is_nan());
         s.record(UpdateOutcome::accepted());
-        s.record(UpdateOutcome { accepted: false, leapfrogs: 8, divergences: 1, ..Default::default() });
+        s.record(UpdateOutcome {
+            accepted: false,
+            leapfrogs: 8,
+            divergences: 1,
+            ..Default::default()
+        });
         assert_eq!(s.proposals, 2);
         assert_eq!(s.accepts, 1);
         assert_eq!(s.leapfrogs, 8);
@@ -495,7 +514,12 @@ mod tests {
             sweeps: 3,
             kernels: vec![KernelReport {
                 kernel: "Gibbs Single(z)".into(),
-                stats: KernelStats { proposals: 3, accepts: 3, wall_secs: wall, ..Default::default() },
+                stats: KernelStats {
+                    proposals: 3,
+                    accepts: 3,
+                    wall_secs: wall,
+                    ..Default::default()
+                },
             }],
             work: 42,
             trace_records_dropped: chunks, // env-dependent, digest-excluded

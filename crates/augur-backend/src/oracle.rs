@@ -128,10 +128,7 @@ mod tests {
     fn vector_lengths() {
         let mut st = State::new();
         st.insert("alpha", Shape::Vector(7));
-        st.insert(
-            "theta",
-            Shape::Rows { offsets: vec![0, 7, 14], elem: RowElem::Vec },
-        );
+        st.insert("theta", Shape::Rows { offsets: vec![0, 7, 14], elem: RowElem::Vec });
         let o = StateOracle::new(&st);
         assert_eq!(o.vec_len(&Expr::var("alpha")), Some(7));
         // theta[d] for unknown d: uniform-row assumption

@@ -150,9 +150,7 @@ impl Pool {
                 // 'static queue. Sound because this function blocks until
                 // all n results have been received below — no job (or its
                 // borrows) survives past this stack frame.
-                unsafe {
-                    std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(erased)
-                }
+                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(erased) }
             })
             .collect();
         drop(tx);
@@ -176,10 +174,7 @@ impl Pool {
             let (i, out) = rx.recv().expect("pool job dropped its result");
             slots[i] = Some(out);
         }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("pool result slot unfilled"))
-            .collect()
+        slots.into_iter().map(|slot| slot.expect("pool result slot unfilled")).collect()
     }
 }
 
@@ -235,8 +230,7 @@ mod tests {
     #[test]
     fn single_thread_pool_runs_inline() {
         let pool = Pool::new(1);
-        let jobs: Vec<Box<dyn FnOnce() -> i32 + Send>> =
-            vec![Box::new(|| 7), Box::new(|| 8)];
+        let jobs: Vec<Box<dyn FnOnce() -> i32 + Send>> = vec![Box::new(|| 7), Box::new(|| 8)];
         assert_eq!(pool.scatter(jobs), vec![7, 8]);
     }
 

@@ -200,11 +200,8 @@ struct PlanCache {
 
 impl PlanCache {
     fn stats(&self) -> PlanCacheStats {
-        let (native_builds, native_hits) = self
-            .entries
-            .values()
-            .filter_map(|c| c.get())
-            .fold((0, 0), |(b, h), a| {
+        let (native_builds, native_hits) =
+            self.entries.values().filter_map(|c| c.get()).fold((0, 0), |(b, h), a| {
                 (
                     b + a.native_builds.load(Ordering::Relaxed),
                     h + a.native_hits.load(Ordering::Relaxed),
@@ -315,12 +312,7 @@ impl CompiledModel {
         let mut base = Fnv::new();
         base.bytes(src.as_bytes());
         base.bytes(schedule.unwrap_or("<heuristic>").as_bytes());
-        Ok(CompiledModel::assemble(
-            base,
-            dm,
-            lowered,
-            vec![frontend, density, kernel, lowering],
-        ))
+        Ok(CompiledModel::assemble(base, dm, lowered, vec![frontend, density, kernel, lowering]))
     }
 
     /// Wraps an already-lowered model (used by the `augur` facade's
@@ -415,9 +407,7 @@ impl CompiledModel {
         // cell so the artifact is built exactly once.
         let cell = {
             let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-            Arc::clone(
-                cache.entries.entry(fp).or_insert_with(|| Arc::new(OnceLock::new())),
-            )
+            Arc::clone(cache.entries.entry(fp).or_insert_with(|| Arc::new(OnceLock::new())))
         };
         let mut built = false;
         let artifact = Arc::clone(cell.get_or_init(|| {

@@ -212,10 +212,8 @@ impl Profile {
     /// op-class counts, and thread/strategy metadata are deliberately
     /// excluded.
     pub fn digest(&self) -> String {
-        let mut out = format!(
-            "schedule={};sweeps={};work={}",
-            self.schedule, self.sweeps, self.work
-        );
+        let mut out =
+            format!("schedule={};sweeps={};work={}", self.schedule, self.sweeps, self.work);
         for s in &self.steps {
             out.push_str(&format!(";{}:work={}", s.label, s.work));
         }

@@ -137,15 +137,13 @@ pub fn build_state(
     // 2. data by name
     let mut provided: HashMap<String, HostValue> = data.into_iter().collect();
     for d in model.data() {
-        let value = provided
-            .remove(&d.name)
-            .ok_or_else(|| SetupError::MissingData(d.name.clone()))?;
+        let value =
+            provided.remove(&d.name).ok_or_else(|| SetupError::MissingData(d.name.clone()))?;
         check_matrices(&d.name, &value)?;
         let id = state.insert_host(&d.name, &value);
         // light extent check against the outer comprehension
-        let (_, prior) = model
-            .prior_factor(&d.name)
-            .ok_or_else(|| SetupError::MissingFactor(d.name.clone()))?;
+        let (_, prior) =
+            model.prior_factor(&d.name).ok_or_else(|| SetupError::MissingFactor(d.name.clone()))?;
         if let Some(c) = prior.comps.first() {
             let expected = eval_scalar(&state, &HashMap::new(), &c.hi)? as usize;
             let actual = match state.shape(id) {
@@ -164,9 +162,8 @@ pub fn build_state(
 
     // 3. parameters, shaped by their declarations
     for p in model.params() {
-        let (_, prior) = model
-            .prior_factor(&p.name)
-            .ok_or_else(|| SetupError::MissingFactor(p.name.clone()))?;
+        let (_, prior) =
+            model.prior_factor(&p.name).ok_or_else(|| SetupError::MissingFactor(p.name.clone()))?;
         let shape = param_shape(&state, &p.name, prior)?;
         state.insert(&p.name, shape);
     }
@@ -215,10 +212,9 @@ fn check_mv_normal_dims(model: &DensityModel, state: &State) -> Result<(), Setup
             continue;
         }
         let env: HashMap<String, i64> = factor.comps.iter().map(|c| (c.var.clone(), 0)).collect();
-        let (Ok(mean), Ok(cov)) = (
-            vec_len_of(state, &env, &factor.args[0]),
-            mat_dim_of(state, &env, &factor.args[1]),
-        ) else {
+        let (Ok(mean), Ok(cov)) =
+            (vec_len_of(state, &env, &factor.args[0]), mat_dim_of(state, &env, &factor.args[1]))
+        else {
             continue;
         };
         let Some(id) = state.id(&var.name) else { continue };
@@ -288,8 +284,7 @@ fn param_shape(state: &State, name: &str, prior: &Factor) -> Result<Shape, Setup
 /// The shape of one draw from a distribution, resolved against its
 /// argument expressions.
 fn point_shape(state: &State, prior: &Factor) -> Result<Shape, SetupError> {
-    let env: HashMap<String, i64> =
-        prior.comps.iter().map(|c| (c.var.clone(), 0)).collect();
+    let env: HashMap<String, i64> = prior.comps.iter().map(|c| (c.var.clone(), 0)).collect();
     Ok(match prior.dist.point_ty() {
         augur_dist::SimpleTy::Int | augur_dist::SimpleTy::Real => Shape::Num,
         augur_dist::SimpleTy::Vec => {
@@ -321,23 +316,19 @@ fn shape_of_spec(state: &State, spec: &ShapeSpec) -> Result<Shape, SetupError> {
             let n = eval_size(state, rows)?;
             match shape_of_spec(state, inner)? {
                 Shape::Num => Shape::Vector(n),
-                Shape::Vector(len) => Shape::Rows {
-                    offsets: (0..=n).map(|i| i * len).collect(),
-                    elem: RowElem::Vec,
-                },
+                Shape::Vector(len) => {
+                    Shape::Rows { offsets: (0..=n).map(|i| i * len).collect(), elem: RowElem::Vec }
+                }
                 Shape::Matrix(d) => Shape::Rows {
                     offsets: (0..=n).map(|i| i * d * d).collect(),
                     elem: RowElem::Mat(d),
                 },
-                Shape::Rows { .. } => {
-                    return Err(SetupError::TooDeep("nested table".into()))
-                }
+                Shape::Rows { .. } => return Err(SetupError::TooDeep("nested table".into())),
             }
         }
         ShapeSpec::LikeVar(v) => {
-            let id = state
-                .id(v)
-                .ok_or_else(|| SetupError::Unresolvable(format!("like-var {v}")))?;
+            let id =
+                state.id(v).ok_or_else(|| SetupError::Unresolvable(format!("like-var {v}")))?;
             let _ = env;
             state.shape(id).clone()
         }
@@ -358,9 +349,11 @@ fn eval_size(state: &State, sz: &SizeExpr) -> Result<usize, SetupError> {
 enum SetupView {
     #[allow(dead_code)] // carried for diagnostics
     Num(f64),
-    Slice(usize),  // length
-    Mat(usize),    // dimension
-    Rows { buf: crate::state::BufId },
+    Slice(usize), // length
+    Mat(usize),   // dimension
+    Rows {
+        buf: crate::state::BufId,
+    },
 }
 
 fn resolve_view(
@@ -375,9 +368,7 @@ fn resolve_view(
             if let Some(v) = env.get(name) {
                 return Ok(SetupView::Num(*v as f64));
             }
-            let id = state
-                .id(name)
-                .ok_or_else(|| SetupError::Unresolvable(name.clone()))?;
+            let id = state.id(name).ok_or_else(|| SetupError::Unresolvable(name.clone()))?;
             Ok(match state.shape(id) {
                 Shape::Num => SetupView::Num(state.flat(id)[0]),
                 Shape::Vector(n) => SetupView::Slice(*n),
@@ -431,9 +422,7 @@ pub(crate) fn eval_scalar(
             if let Some(v) = env.get(name) {
                 return Ok(*v as f64);
             }
-            let id = state
-                .id(name)
-                .ok_or_else(|| SetupError::Unresolvable(name.clone()))?;
+            let id = state.id(name).ok_or_else(|| SetupError::Unresolvable(name.clone()))?;
             match state.shape(id) {
                 Shape::Num => Ok(state.flat(id)[0]),
                 _ => Err(SetupError::Unresolvable(format!("{name} is not scalar"))),
@@ -443,9 +432,8 @@ pub(crate) fn eval_scalar(
             let i = eval_scalar(state, env, idx)? as usize;
             match &**base {
                 DExpr::Var(name) => {
-                    let id = state
-                        .id(name)
-                        .ok_or_else(|| SetupError::Unresolvable(name.clone()))?;
+                    let id =
+                        state.id(name).ok_or_else(|| SetupError::Unresolvable(name.clone()))?;
                     match state.shape(id) {
                         Shape::Vector(n) if i < *n => Ok(state.flat(id)[i]),
                         _ => Err(SetupError::Unresolvable(format!("{e}"))),
@@ -468,22 +456,14 @@ pub(crate) fn eval_scalar(
     }
 }
 
-fn vec_len_of(
-    state: &State,
-    env: &HashMap<String, i64>,
-    e: &DExpr,
-) -> Result<usize, SetupError> {
+fn vec_len_of(state: &State, env: &HashMap<String, i64>, e: &DExpr) -> Result<usize, SetupError> {
     match resolve_view(state, env, e)? {
         SetupView::Slice(n) => Ok(n),
         _ => Err(SetupError::Unresolvable(format!("{e} is not a vector"))),
     }
 }
 
-fn mat_dim_of(
-    state: &State,
-    env: &HashMap<String, i64>,
-    e: &DExpr,
-) -> Result<usize, SetupError> {
+fn mat_dim_of(state: &State, env: &HashMap<String, i64>, e: &DExpr) -> Result<usize, SetupError> {
     match resolve_view(state, env, e)? {
         SetupView::Mat(d) => Ok(d),
         _ => Err(SetupError::Unresolvable(format!("{e} is not a matrix"))),
@@ -497,8 +477,7 @@ mod tests {
     use augur_lang::{parse, typecheck};
 
     fn lower_model(src: &str) -> (DensityModel, LoweredModel) {
-        let dm =
-            DensityModel::from_typed(&typecheck(&parse(src).unwrap()).unwrap()).unwrap();
+        let dm = DensityModel::from_typed(&typecheck(&parse(src).unwrap()).unwrap()).unwrap();
         let sched = heuristic_schedule(&dm).unwrap();
         let lm = augur_low::lower(&dm, &plan(&dm, &sched).unwrap()).unwrap();
         (dm, lm)
@@ -529,13 +508,9 @@ mod tests {
         let (dm, lm) = lower_model(HGMM);
         let n = 13;
         let data = augur_math::FlatRagged::rect(n, 2);
-        let st = build_state(
-            &dm,
-            &lm,
-            hgmm_args(3, n, 2),
-            vec![("y".into(), HostValue::Ragged(data))],
-        )
-        .unwrap();
+        let st =
+            build_state(&dm, &lm, hgmm_args(3, n, 2), vec![("y".into(), HostValue::Ragged(data))])
+                .unwrap();
         assert_eq!(st.shape(st.expect_id("pi")), &Shape::Vector(3));
         match st.shape(st.expect_id("mu")) {
             Shape::Rows { offsets, elem: RowElem::Vec } => {
@@ -572,13 +547,9 @@ mod tests {
     fn wrong_extent_is_reported() {
         let (dm, lm) = lower_model(HGMM);
         let data = augur_math::FlatRagged::rect(99, 2);
-        let err = build_state(
-            &dm,
-            &lm,
-            hgmm_args(3, 4, 2),
-            vec![("y".into(), HostValue::Ragged(data))],
-        )
-        .unwrap_err();
+        let err =
+            build_state(&dm, &lm, hgmm_args(3, 4, 2), vec![("y".into(), HostValue::Ragged(data))])
+                .unwrap_err();
         assert!(matches!(err, SetupError::WrongExtent { .. }));
     }
 
@@ -616,10 +587,7 @@ mod tests {
             vec![("y".into(), HostValue::Ragged(augur_math::FlatRagged::from_rows(rows)))],
         )
         .unwrap_err();
-        assert_eq!(
-            err,
-            SetupError::MvNormalDims { var: "y".into(), mean: 2, cov: 2, point: 1 }
-        );
+        assert_eq!(err, SetupError::MvNormalDims { var: "y".into(), mean: 2, cov: 2, point: 1 });
         // no components: `mu[z[n]]` names a row of an empty buffer, which
         // the check must skip rather than index
         let st = build_state(&dm, &lm, hgmm_args(0, 5, 2), y()).unwrap();
@@ -641,12 +609,12 @@ mod tests {
             &dm,
             &lm,
             vec![
-                HostValue::Int(2),                     // K topics
-                HostValue::Int(3),                     // D docs
-                HostValue::Int(5),                     // V vocab
-                HostValue::VecF(vec![0.5, 0.5]),       // alpha (K)
-                HostValue::VecF(vec![0.1; 5]),         // beta (V)
-                HostValue::VecI(lens.to_vec()),        // len
+                HostValue::Int(2),               // K topics
+                HostValue::Int(3),               // D docs
+                HostValue::Int(5),               // V vocab
+                HostValue::VecF(vec![0.5, 0.5]), // alpha (K)
+                HostValue::VecF(vec![0.1; 5]),   // beta (V)
+                HostValue::VecI(lens.to_vec()),  // len
             ],
             vec![("w".into(), HostValue::RaggedI(docs))],
         )

@@ -362,10 +362,7 @@ mod tests {
     #[test]
     fn ragged_rows_and_ranges() {
         let mut st = State::new();
-        let r = st.insert_host(
-            "docs",
-            &HostValue::RaggedI(vec![vec![1, 2, 3], vec![], vec![4]]),
-        );
+        let r = st.insert_host("docs", &HostValue::RaggedI(vec![vec![1, 2, 3], vec![], vec![4]]));
         assert_eq!(st.shape(r).num_rows(), 3);
         assert_eq!(st.row_range(r, 0), (0, 3));
         assert_eq!(st.row_range(r, 1), (3, 3));

@@ -798,9 +798,9 @@ pub(crate) fn region_len(state: &State, def: &TInstr) -> Option<(usize, bool)> {
 fn written_bufs(s: &RStmt, out: &mut Vec<BufId>) {
     match s {
         RStmt::Seq(ss) => ss.iter().for_each(|s| written_bufs(s, out)),
-        RStmt::Assign { lhs, .. }
-        | RStmt::Sample { lhs, .. }
-        | RStmt::SampleLogits { lhs, .. } => out.push(lhs.buf),
+        RStmt::Assign { lhs, .. } | RStmt::Sample { lhs, .. } | RStmt::SampleLogits { lhs, .. } => {
+            out.push(lhs.buf)
+        }
         RStmt::IfEq { then, els, .. } => {
             written_bufs(then, out);
             if let Some(e) = els {
@@ -866,9 +866,7 @@ impl MemoKey {
             MemoKey::LoadScalar(b) | MemoKey::LoadCell1(b, _) | MemoKey::LoadCell2(b, _, _) => {
                 *b == buf
             }
-            MemoKey::Dot(a, b) => {
-                vreg_buf.get(a) == Some(&buf) || vreg_buf.get(b) == Some(&buf)
-            }
+            MemoKey::Dot(a, b) => vreg_buf.get(a) == Some(&buf) || vreg_buf.get(b) == Some(&buf),
             _ => false,
         }
     }
@@ -1043,11 +1041,16 @@ impl<'s> Emitter<'s> {
     /// so a repeat with the same registers is the same number, elided at
     /// the cost the interpreter would have charged
     /// (`1 + dist_op_cost(dist, 0)`, the scalar-point cost).
-    fn grad_instr(&mut self, dist: DistKind, wrt: GradWrt, args: [Opd; 2], n_args: u8, point: Opd) -> u32 {
+    fn grad_instr(
+        &mut self,
+        dist: DistKind,
+        wrt: GradWrt,
+        args: [Opd; 2],
+        n_args: u8,
+        point: Opd,
+    ) -> u32 {
         let scalar_out = match wrt {
-            GradWrt::Param(pos) => {
-                dist.param_tys()[pos as usize] != augur_dist::SimpleTy::Vec
-            }
+            GradWrt::Param(pos) => dist.param_tys()[pos as usize] != augur_dist::SimpleTy::Vec,
             GradWrt::Point => dist.point_ty() != augur_dist::SimpleTy::Vec,
         };
         if scalar_out && !point.is_view() && all_scalar(&args, n_args) {
@@ -1339,13 +1342,9 @@ impl<'s> Emitter<'s> {
         match (self.state.shape(l.buf), l.indices.len()) {
             (Shape::Num, 0) => TDest::Cell0 { buf: l.buf },
             (Shape::Vector(n), 1) => TDest::Cell1 { buf: l.buf, i: idx[0], len: *n as u32 },
-            (Shape::Matrix(d), 1) => {
-                TDest::Cell1 { buf: l.buf, i: idx[0], len: (d * d) as u32 }
-            }
+            (Shape::Matrix(d), 1) => TDest::Cell1 { buf: l.buf, i: idx[0], len: (d * d) as u32 },
             (Shape::Rows { .. }, 1) => TDest::Row1 { buf: l.buf, i: idx[0] },
-            (Shape::Rows { .. }, 2) => {
-                TDest::Cell2 { buf: l.buf, row: idx[0], col: idx[1] }
-            }
+            (Shape::Rows { .. }, 2) => TDest::Cell2 { buf: l.buf, row: idx[0], col: idx[1] },
             _ => TDest::Slow { buf: l.buf, idx, n_idx: l.indices.len() as u8 },
         }
     }
@@ -1826,8 +1825,7 @@ impl Engine {
                     let frame = frames.last_mut().expect("LoopEnd without a frame");
                     frame.idx += 1;
                     if frame.idx < frame.hi {
-                        *self.env.last_mut().expect("loop frame owns an env slot") =
-                            frame.idx;
+                        *self.env.last_mut().expect("loop frame owns an env slot") = frame.idx;
                         if frame.fresh {
                             let (launch, idx) = (frame.launch, frame.idx);
                             self.rng = self.thread_rng(launch, idx);
@@ -2169,7 +2167,14 @@ impl Engine {
     /// dispatch loop does not grow. A malformed operand (wrong arity, a
     /// non-matrix covariance) takes the generic path and its panics.
     #[inline(never)]
-    fn mv_normal_ll(&mut self, args: &[Opd; 2], n: usize, point: Opd, f: &[f64], v: &[View]) -> f64 {
+    fn mv_normal_ll(
+        &mut self,
+        args: &[Opd; 2],
+        n: usize,
+        point: Opd,
+        f: &[f64],
+        v: &[View],
+    ) -> f64 {
         let refs = [
             opd_ref(&self.state, f, v, args[0], n > 0),
             opd_ref(&self.state, f, v, args[1], n > 1),
@@ -2300,9 +2305,7 @@ impl Engine {
     fn par_chunks(lo: i64, hi: i64, k: usize) -> Vec<(i64, i64)> {
         let n = (hi - lo) as usize;
         let k = k.min(n).max(1);
-        (0..k)
-            .map(|i| (lo + (n * i / k) as i64, lo + (n * (i + 1) / k) as i64))
-            .collect()
+        (0..k).map(|i| (lo + (n * i / k) as i64, lo + (n * (i + 1) / k) as i64)).collect()
     }
 
     /// Which worker chunks of an `n`-chunk dispatch the fault plan wants
@@ -2338,10 +2341,7 @@ impl Engine {
         v: &[View],
     ) -> u64 {
         self.metrics.par_dispatches += 1;
-        let pool = self
-            .pool
-            .take()
-            .unwrap_or_else(|| crate::par::Pool::new(self.threads));
+        let pool = self.pool.take().unwrap_or_else(|| crate::par::Pool::new(self.threads));
         let chunks = Self::par_chunks(lo, hi, pool.threads());
         let mut workers: Vec<Engine> = chunks
             .iter()
