@@ -31,8 +31,8 @@
 //! Buffer regions (`RefBufV`/`LoadRow1` views) live in C as `(start,
 //! len)` coordinates; a callback that reads one rebuilds it in the view
 //! bank by re-running its definition. Owned temporaries live only in the
-//! bank, and inlined scalar gradients only in C unless a callback reads
-//! them.
+//! bank. A fused accumulate store over regions and scalar registers, and
+//! a `Write` of a region, run inline over a whole buffer or a `Rows` row.
 //!
 //! Inline bounds checks mirror the interpreter's assertions. When one
 //! fails, C calls `trap(pc)`, which re-runs the instruction in Rust so
@@ -47,7 +47,7 @@ use std::fmt::Write as _;
 
 use augur_dist::DistKind;
 use augur_lang::ast::{BinOp, Builtin};
-use augur_low::il::{AssignOp, LoopKind};
+use augur_low::il::{AssignOp, LoopKind, OpN};
 
 use crate::compile::ProcTable;
 use crate::eval::dist_op_cost;
@@ -189,18 +189,6 @@ static inline int64_t aug_cat_draw(const double* l, int64_t len, double* e, uint
 
 "#;
 
-/// Where a view register lives while its procedure runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Home {
-    /// A buffer region whose coordinates C computes (`RefBufV`,
-    /// `LoadRow1`).
-    Region,
-    /// A scalar gradient in the C local `gN` (an inlined `DistGrad`).
-    Scalar,
-    /// Only the interpreter's view bank.
-    Bank,
-}
-
 /// A view register's region as C expressions over its buffer.
 struct Region {
     buf: BufId,
@@ -279,14 +267,23 @@ fn scalar_grad(
     Some(format!("0.0 + ({g})"))
 }
 
+/// The buffer of a destination C stores a range of inline — all of it,
+/// or a `Rows` row; `None` for cells and the generic walk.
+fn range_buf(lhs: &TDest) -> Option<BufId> {
+    match lhs {
+        TDest::Slow { buf, n_idx: 0, .. } | TDest::Row1 { buf, .. } => Some(*buf),
+        _ => None,
+    }
+}
+
 /// Emits one procedure's C function from its tape.
 struct ProcEmitter<'a> {
     state: &'a State,
     tape: &'a Tape,
     used_offs: &'a mut BTreeSet<BufId>,
-    home: Vec<Home>,
-    /// The defining instruction of each view register.
-    def: Vec<usize>,
+    /// [`region_defs`]: regions live in C, every other view register
+    /// only in the interpreter's bank.
+    regions: Vec<u32>,
     /// View registers inline C reads.
     in_c: Vec<bool>,
     /// Instructions C runs itself (the rest are `step` callbacks).
@@ -307,16 +304,16 @@ struct ProcEmitter<'a> {
 }
 
 impl<'a> ProcEmitter<'a> {
+    /// Decides which instructions run inline — those whose view operands
+    /// are regions — and so which regions need coordinates in C.
     fn new(state: &'a State, tape: &'a Tape, used_offs: &'a mut BTreeSet<BufId>) -> Self {
-        let n = tape.instrs.len();
         let mut em = ProcEmitter {
             state,
             tape,
             used_offs,
-            home: vec![Home::Bank; tape.n_vregs],
-            def: vec![0; tape.n_vregs],
+            regions: region_defs(tape),
             in_c: vec![false; tape.n_vregs],
-            inline: vec![true; n],
+            inline: vec![true; tape.instrs.len()],
             used_bufs: BTreeSet::new(),
             body: String::new(),
             indent: 1,
@@ -325,67 +322,34 @@ impl<'a> ProcEmitter<'a> {
             resume: 0,
             draws: false,
         };
-        em.place();
-        em
-    }
-
-    /// Decides which instructions run inline and where each view
-    /// register lives. Regions always live in C (a callback that reads
-    /// one rebuilds it in the bank). Inlining an instruction needs its
-    /// other view operands in C; a scalar gradient a callback reads must
-    /// live in the bank, which in turn moves its inline readers to
-    /// callbacks — iterated to a fixpoint.
-    fn place(&mut self) {
-        let tape = self.tape;
         for (pc, i) in tape.instrs.iter().enumerate() {
-            let Some(dst) = writes(i).filter(|d| d.is_view()) else {
-                continue;
-            };
-            let r = dst.index();
-            self.def[r] = pc;
-            self.home[r] = match i {
-                TInstr::RefBufV { .. } | TInstr::LoadRow1 { .. } => Home::Region,
-                TInstr::DistGrad { dist, wrt, args, n_args, point, .. }
-                    if scalar_grad(*dist, *wrt, args, *n_args, *point).is_some() =>
-                {
-                    Home::Scalar
-                }
-                _ => Home::Bank,
-            };
-        }
-        loop {
-            for (pc, i) in tape.instrs.iter().enumerate() {
-                self.inline[pc] = self.inlinable(i);
-            }
-            let mut changed = false;
-            for (pc, i) in tape.instrs.iter().enumerate() {
-                if !self.inline[pc] {
-                    reads(i, &mut |o| {
-                        if o.is_view() && self.home[o.index()] == Home::Scalar {
-                            self.home[o.index()] = Home::Bank;
-                            changed = true;
-                        }
-                    });
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        for (pc, i) in tape.instrs.iter().enumerate() {
-            if self.inline[pc] {
+            em.inline[pc] = em.inlinable(i);
+            if em.inline[pc] {
                 reads(i, &mut |o| {
                     if o.is_view() {
-                        self.in_c[o.index()] = true;
+                        em.in_c[o.index()] = true;
                     }
                 });
             }
         }
+        em
     }
 
-    /// Whether C can run `i` itself, given the current view homes.
+    /// Whether an operand is a region.
+    fn is_region(&self, o: &Opd) -> bool {
+        o.is_view() && self.regions[o.index()] != NOT_REGION
+    }
+
+    /// Whether C can run `i` itself.
     fn inlinable(&self, i: &TInstr) -> bool {
-        let region = |o: &Opd| o.is_view() && self.home[o.index()] == Home::Region;
+        let region = |o: &Opd| self.is_region(o);
+        // A range store reads scalar registers and regions of other
+        // buffers (from its own, the interpreter copies first).
+        let range_from = |lhs: &TDest, srcs: &[Opd]| {
+            range_buf(lhs).is_some_and(|d| {
+                srcs.iter().all(|o| !o.is_view() || region(o) && self.region(o.index()).buf != d)
+            })
+        };
         match i {
             TInstr::ConstF { .. }
             | TInstr::LoopIdx { .. }
@@ -398,33 +362,37 @@ impl<'a> ProcEmitter<'a> {
             | TInstr::Jump { .. }
             | TInstr::LoopStart { .. }
             | TInstr::LoopEnd { .. }
-            | TInstr::LlFill { .. } => true,
-            TInstr::RefBufV { .. } | TInstr::LoadRow1 { .. } => true,
+            | TInstr::LlFill { .. }
+            | TInstr::RefBufV { .. }
+            | TInstr::LoadRow1 { .. } => true,
             TInstr::ChargeDot { a } => region(a),
             TInstr::LoadCell1 { buf, .. } => matches!(self.state.shape(*buf), Shape::Vector(_)),
             TInstr::LoadCell2 { buf, .. } => matches!(
                 self.state.shape(*buf),
                 Shape::Matrix(_) | Shape::Rows { elem: RowElem::Vec, .. }
             ),
-            TInstr::NumOf { a, .. } => self.home[*a as usize] == Home::Scalar,
             TInstr::DotF { a, b, .. } => region(a) && region(b),
-            TInstr::LenV { a, .. } => self.home[*a as usize] != Home::Bank,
-            TInstr::DistGrad { dst, .. } => self.home[*dst as usize] == Home::Scalar,
+            TInstr::LenV { a, .. } => region(&Opd::v(*a)),
+            TInstr::DistGrad { dst, dist, wrt, args, n_args, point } => {
+                !dst.is_view() && scalar_grad(*dist, *wrt, args, *n_args, *point).is_some()
+            }
             TInstr::DistLl { dist, args, n_args, point, .. } => {
                 self.ll_at(*dist, args, *n_args, *point).is_some()
             }
             TInstr::LlStore { lhs, dist, args, n_args, point, .. } => {
                 self.cell(lhs).is_some() && self.ll_at(*dist, args, *n_args, *point).is_some()
             }
-            TInstr::Write { lhs, src, .. } => {
-                self.cell(lhs).is_some()
-                    && (!src.is_view() || self.home[src.index()] == Home::Scalar)
+            TInstr::Write { lhs, src, .. } if src.is_view() => range_from(lhs, &[*src]),
+            TInstr::Write { lhs, .. } => self.cell(lhs).is_some(),
+            TInstr::AccStore { lhs, vop, a, b } => {
+                b.is_view() && (a.is_view() || *vop == OpN::VecScale) && range_from(lhs, &[*a, *b])
             }
             TInstr::WriteImm { lhs, .. } | TInstr::LlScratch { lhs, .. } => {
                 self.cell(lhs).is_some()
             }
             TInstr::SampleLogits { lhs, w } => self.sample_len(lhs, *w).is_some(),
-            TInstr::IndexF { .. }
+            TInstr::NumOf { .. }
+            | TInstr::IndexF { .. }
             | TInstr::IndexV { .. }
             | TInstr::Op1 { .. }
             | TInstr::Op2 { .. }
@@ -434,18 +402,15 @@ impl<'a> ProcEmitter<'a> {
 
     /// The exp-array length of a `SampleLogits` C draws inline.
     fn sample_len(&self, lhs: &TDest, w: Opd) -> Option<usize> {
-        let def = (w.is_view() && self.home[w.index()] == Home::Region)
-            .then(|| &self.tape.instrs[self.def[w.index()]]);
+        let def = self.is_region(&w).then(|| &self.tape.instrs[self.regions[w.index()] as usize]);
         inline_sample_len(self.state, lhs, def)
     }
 
     /// An inlined log-density's C expression at a scalar-register point,
     /// if it has one.
     fn ll_at(&self, dist: DistKind, args: &[Opd; 2], n_args: u8, point: Opd) -> Option<String> {
-        if point.is_view() {
-            return None;
-        }
-        self.ll_expr(dist, args, n_args, &format!("f{}", point.index()))
+        let x = format!("f{}", point.index());
+        self.ll_expr(dist, args, n_args, &x).filter(|_| !point.is_view())
     }
 
     /// An inlined log-density's C expression at point `x` (a C
@@ -453,7 +418,7 @@ impl<'a> ProcEmitter<'a> {
     fn ll_expr(&self, dist: DistKind, args: &[Opd; 2], n_args: u8, x: &str) -> Option<String> {
         if dist == DistKind::Categorical && n_args == 1 {
             let w = args[0];
-            if !w.is_view() || self.home[w.index()] != Home::Region {
+            if !self.is_region(&w) {
                 return None;
             }
             let r = self.region(w.index());
@@ -465,11 +430,11 @@ impl<'a> ProcEmitter<'a> {
         scalar_ll(dist, args, n_args, x)
     }
 
-    /// The region of a `Region`-homed view register. Its length and
-    /// vector-ness come from [`region_len`]; only a ragged row's length
-    /// is read at run time (`vlN`), the table giving its bound.
+    /// The region of a region view register. Its length and vector-ness
+    /// come from [`region_len`]; only a ragged row's length is read at
+    /// run time (`vlN`), the table giving its bound.
     fn region(&self, r: usize) -> Region {
-        let def = &self.tape.instrs[self.def[r]];
+        let def = &self.tape.instrs[self.regions[r] as usize];
         let (len, vector) = region_len(self.state, def)
             .unwrap_or_else(|| unreachable!("view register {r} defined by {def:?}"));
         let (buf, start, len) = match def {
@@ -539,10 +504,10 @@ impl<'a> ProcEmitter<'a> {
             }
         };
         reads(&self.tape.instrs[pc], &mut |o| {
-            if !o.is_view() {
+            if self.is_region(&o) {
+                reads(&self.tape.instrs[self.regions[o.index()] as usize], &mut scalar);
+            } else {
                 scalar(o);
-            } else if self.home[o.index()] == Home::Region {
-                reads(&self.tape.instrs[self.def[o.index()]], &mut scalar);
             }
         });
         regs.iter().map(|r| format!("F[{r}] = f{r}; ")).collect()
@@ -558,22 +523,52 @@ impl<'a> ProcEmitter<'a> {
         self.line(&s);
     }
 
-    /// `if (!(cond)) trap(pc)`: re-runs `pc` in Rust — first defining any
-    /// scalar gradient it reads, which lives only in C — so the
-    /// interpreter raises its own panic.
+    /// `if (!(cond)) trap(pc)`: re-runs `pc` in Rust, so the interpreter
+    /// raises its own panic.
     fn guard(&mut self, pc: usize, cond: &str) {
-        let mut s = String::new();
-        let mut grads = Vec::new();
-        reads(&self.tape.instrs[pc], &mut |o| {
-            if o.is_view() && self.home[o.index()] == Home::Scalar {
-                grads.push(self.def[o.index()]);
-            }
-        });
-        for def in grads {
-            let _ = write!(s, "{}vt->step(c, {def}); ", self.spills(def));
-        }
-        let _ = write!(s, "{}vt->trap(c, {pc});", self.spills(pc));
+        let s = format!("{}vt->trap(c, {pc});", self.spills(pc));
         self.line(&format!("if (!({cond})) {{ {s} }}"));
+    }
+
+    /// A store over a whole buffer or a `Rows` row whose length must be
+    /// `len` (C traps on a bad row or length). `lp` prints the loop from
+    /// the destination's C buffer, start and length; the length is
+    /// charged `times` times.
+    fn range_store(
+        &mut self,
+        pc: usize,
+        lhs: &TDest,
+        len: &str,
+        times: usize,
+        lp: impl FnOnce(&str, &str, &str) -> String,
+    ) {
+        let buf = range_buf(lhs).expect("a range store");
+        let (start, n) = match (lhs, self.state.shape(buf).clone()) {
+            (TDest::Row1 { i, .. }, Shape::Rows { offsets, .. }) => {
+                self.guard(pc, &format!("f{i} >= 0.0 && f{i} < {}", offsets.len() - 1));
+                self.used_offs.insert(buf);
+                let k = format!("off{buf}[(int64_t)f{i}]");
+                (k.clone(), format!("(off{buf}[(int64_t)f{i} + 1] - {k})"))
+            }
+            (_, shape) => ("0".into(), shape.num_cells().to_string()),
+        };
+        if len != n {
+            self.guard(pc, &format!("{len} == {n}"));
+        }
+        let d = self.buf(buf);
+        self.line(&lp(&d, &start, &n));
+        for _ in 0..times {
+            self.charge_len(&n);
+        }
+    }
+
+    /// `d[q] op x[q]` over a range store from region `x` (`op` may scale).
+    fn vec_store(&mut self, pc: usize, lhs: &TDest, x: Opd, op: &str, times: usize) {
+        let r = self.region(x.index());
+        let x = self.buf(r.buf);
+        self.range_store(pc, lhs, &r.len, times, |d, ds, n| {
+            format!("for (int64_t q = 0; q < {n}; q++) {d}[{ds} + q] {op}{x}[{} + q];", r.start)
+        });
     }
 
     /// A `LoadRow1` region: the interpreter's bounds check, then the
@@ -679,7 +674,6 @@ impl<'a> ProcEmitter<'a> {
                     shape => unreachable!("cell load from a {shape:?} buffer"),
                 }
             }
-            TInstr::NumOf { dst, a } => self.line(&format!("f{dst} = g{a};")),
             TInstr::BinopF { dst, op, a, b } => {
                 self.pending_w += 1;
                 let sym = match op {
@@ -720,10 +714,7 @@ impl<'a> ProcEmitter<'a> {
             }
             TInstr::LenV { dst, a } => {
                 self.pending_w += 1;
-                let len = match self.home[*a as usize] {
-                    Home::Region => self.region(*a as usize).len,
-                    _ => "0".into(),
-                };
+                let len = self.region(*a as usize).len;
                 self.line(&format!("f{dst} = (double)({len});"));
             }
             TInstr::DistLl { dst, dist, args, n_args, point } => {
@@ -735,16 +726,37 @@ impl<'a> ProcEmitter<'a> {
             TInstr::DistGrad { dst, dist, wrt, args, n_args, point } => {
                 self.pending_w += 5;
                 let e = scalar_grad(*dist, *wrt, args, *n_args, *point).expect("inlinable");
-                self.line(&format!("g{dst} = {e};"));
+                self.line(&format!("f{} = {e};", dst.index()));
+            }
+            TInstr::Write { lhs, op, src } if src.is_view() => {
+                let sym = if *op == AssignOp::Set { "=" } else { "+=" };
+                self.vec_store(pc, lhs, *src, &format!("{sym} "), 1);
             }
             TInstr::Write { lhs, op, src } => {
                 self.pending_w += 1;
-                let x = if src.is_view() {
-                    format!("g{}", src.index())
-                } else {
-                    format!("f{}", src.index())
-                };
-                self.store(pc, lhs, *op, &x);
+                self.store(pc, lhs, *op, &format!("f{}", src.index()));
+            }
+            // The `Op2` unit, then the primitive's and the store's length.
+            TInstr::AccStore { lhs, vop: OpN::VecScale, a, b } => {
+                self.pending_w += 1;
+                self.vec_store(pc, lhs, *b, &format!("+= f{} * ", a.index()), 2);
+            }
+            TInstr::AccStore { lhs, a, b, .. } => {
+                self.pending_w += 1;
+                let (ra, rb) = (self.region(a.index()), self.region(b.index()));
+                let (xa, xb, m) = (self.buf(ra.buf), self.buf(rb.buf), &ra.len);
+                let diff = |k: &str| format!("{xa}[{} + {k}] - {xb}[{} + {k}]", ra.start, rb.start);
+                if rb.len != *m {
+                    self.guard(pc, &format!("{} >= {m}", rb.len));
+                }
+                self.range_store(pc, lhs, &format!("{m} * {m}"), 2, |d, ds, _| {
+                    format!(
+                        "for (int64_t q = 0; q < {m}; q++) {{ double dq = {}; for (int64_t r = 0; \
+                         r < {m}; r++) {d}[{ds} + q * {m} + r] += dq * ({}); }}",
+                        diff("q"),
+                        diff("r")
+                    )
+                });
             }
             TInstr::WriteImm { lhs, op, val } => {
                 self.pending_w += 2;
@@ -851,11 +863,7 @@ impl<'a> ProcEmitter<'a> {
                 self.indent -= 1;
                 self.line("}");
             }
-            TInstr::IndexF { .. }
-            | TInstr::IndexV { .. }
-            | TInstr::Op1 { .. }
-            | TInstr::Op2 { .. }
-            | TInstr::Sample { .. } => unreachable!("{i:?} always runs in Rust"),
+            _ => unreachable!("{i:?} always runs in Rust"),
         }
     }
 
@@ -912,25 +920,16 @@ impl<'a> ProcEmitter<'a> {
         if !regs.is_empty() {
             let _ = writeln!(f, "  double {};", regs.join(", "));
         }
+        // Row coordinates (`vsN`, and `vlN` for ragged rows) C reads.
         let mut coords = Vec::new();
-        let mut grads = Vec::new();
-        for r in 0..self.home.len() {
-            match self.home[r] {
-                Home::Region if self.in_c[r] && self.region(r).start != "0" => {
-                    coords.push(format!("vs{r}"));
-                    if self.region(r).len == format!("vl{r}") {
-                        coords.push(format!("vl{r}"));
-                    }
-                }
-                Home::Scalar => grads.push(format!("g{r}")),
-                _ => {}
+        for r in 0..self.regions.len() {
+            if self.in_c[r] && self.regions[r] != NOT_REGION {
+                let Region { start, len, .. } = self.region(r);
+                coords.extend([start, len].into_iter().filter(|c| c.starts_with('v')));
             }
         }
         if !coords.is_empty() {
             let _ = writeln!(f, "  int64_t {};", coords.join(", "));
-        }
-        if !grads.is_empty() {
-            let _ = writeln!(f, "  double {};", grads.join(", "));
         }
         for i in &self.tape.instrs {
             if let TInstr::LlFill { s, len, .. } = i {

@@ -54,7 +54,7 @@ use augur_low::{lower, LoweredModel};
 use crate::compile::{Compiler, ProcTable};
 use crate::driver::{
     compile_step, explain_plan_spans, step_label, table_index, BuildError, CompiledStep, Session,
-    SessionConfig,
+    SessionConfig, UnknownParam,
 };
 use crate::native::NativeModule;
 use crate::oracle::StateOracle;
@@ -760,6 +760,19 @@ impl Plan {
     /// Parameter names, in model order.
     pub fn param_names(&self) -> &[String] {
         &self.param_names
+    }
+
+    /// Checks names to record against this plan's buffers — the check
+    /// [`Session::sample`] makes, without binding a session.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnknownParam`] for the first name no buffer has.
+    pub fn check_record(&self, record: &[String]) -> Result<(), UnknownParam> {
+        match record.iter().find(|name| self.state.id(name).is_none()) {
+            Some(name) => Err(UnknownParam { name: name.clone() }),
+            None => Ok(()),
+        }
     }
 
     /// Aggregated Blk-IL optimizer outcome for this plan's procedures.

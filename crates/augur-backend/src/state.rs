@@ -202,6 +202,21 @@ impl State {
         Arc::make_mut(&mut self.data[id]).as_mut_slice()
     }
 
+    /// Runs `f` on the cells of buffer `dst`, mutably, next to the rest
+    /// of the state, in which `dst` reads as empty meanwhile: the tape's
+    /// in-place stores read other buffers while they write this one.
+    /// Moves no cells and allocates nothing once `dst` is unshared.
+    pub(crate) fn with_cells_mut<R>(
+        &mut self,
+        dst: BufId,
+        f: impl FnOnce(&mut [f64], &State) -> R,
+    ) -> R {
+        let mut cells = std::mem::take(Arc::make_mut(&mut self.data[dst]));
+        let out = f(&mut cells, self);
+        *Arc::make_mut(&mut self.data[dst]) = cells;
+        out
+    }
+
     /// Marks a buffer as thread-local scratch (per-iteration temporaries
     /// of `Par` kernels). Thread-local buffers are excluded from the
     /// parallel write log — see `DESIGN.md` § Deterministic parallelism.

@@ -49,7 +49,8 @@ use augur_low::il::{AssignOp, LoopKind, OpN};
 
 use crate::compile::{RExpr, RLValue, RProc, RRef, RStmt};
 use crate::eval::{
-    dest_index, dist_op_cost, sample_cost, slice_of, value_ref_of, Engine, OwnArg, OwnVal, View,
+    dest_index, dist_op_cost, sample_cost, slice_of, value_ref_of, Dest, Engine, OwnArg, OwnVal,
+    View,
 };
 use crate::state::{BufId, RowElem, Shape, State};
 
@@ -375,11 +376,12 @@ pub enum TInstr {
         /// Operand holding the point.
         point: Opd,
     },
-    /// `v[dst] ← ∇ log p(point | args)` with respect to `wrt` (result is
-    /// a scalar or vector depending on the differentiated slot).
+    /// `dst ← ∇ log p(point | args)` with respect to `wrt`. A scalar
+    /// differentiated slot writes a scalar register; a vector slot a
+    /// view register (a vector, or a scalar when the operand is).
     DistGrad {
-        /// Destination view register.
-        dst: u32,
+        /// Destination register.
+        dst: Opd,
         /// The distribution.
         dist: DistKind,
         /// Differentiation target.
@@ -398,7 +400,8 @@ pub enum TInstr {
         /// Operand view register.
         a: u32,
     },
-    /// Store `src` into the destination (set or increment).
+    /// Store `src` into the destination (set or increment). A source
+    /// that is a region of another buffer is read in place.
     Write {
         /// The destination.
         lhs: TDest,
@@ -406,6 +409,22 @@ pub enum TInstr {
         op: AssignOp,
         /// Operand holding the value.
         src: Opd,
+    },
+    /// Fused accumulate store: `lhs += vop(a, b)` for `VecScale` and
+    /// `OuterSub`, each element computed straight into the destination
+    /// cells. Charges, computes and panics exactly like the
+    /// [`TInstr::Op2`] + [`TInstr::Write`] pair it replaces, and takes
+    /// that pair's path when an operand shares the destination's buffer
+    /// or a worker must log the increments.
+    AccStore {
+        /// The destination.
+        lhs: TDest,
+        /// The primitive (`VecScale` or `OuterSub`).
+        vop: OpN,
+        /// First operand.
+        a: Opd,
+        /// Second operand.
+        b: Opd,
     },
     /// Draw from `dist(args)` into the destination — an inlined sampler
     /// opcode.
@@ -580,7 +599,7 @@ pub fn op_class_of(i: &TInstr) -> usize {
         | TInstr::LlFill { .. }
         | TInstr::LlScratch { .. } => 2,
         TInstr::Sample { .. } | TInstr::SampleLogits { .. } => 3,
-        TInstr::Write { .. } | TInstr::WriteImm { .. } => 4,
+        TInstr::Write { .. } | TInstr::WriteImm { .. } | TInstr::AccStore { .. } => 4,
         TInstr::JumpIfNe { .. }
         | TInstr::Jump { .. }
         | TInstr::LoopStart { .. }
@@ -688,6 +707,11 @@ pub(crate) fn reads(i: &TInstr, out: &mut impl FnMut(Opd)) {
             out(*src);
             dest_reads(lhs, out);
         }
+        TInstr::AccStore { lhs, a, b, .. } => {
+            out(*a);
+            out(*b);
+            dest_reads(lhs, out);
+        }
         TInstr::Sample { lhs, args, n_args, .. } => {
             args[..*n_args as usize].iter().for_each(|a| out(*a));
             dest_reads(lhs, out);
@@ -743,8 +767,8 @@ pub(crate) fn writes(i: &TInstr) -> Option<Opd> {
         | TInstr::LoadRow1 { dst, .. }
         | TInstr::IndexV { dst, .. }
         | TInstr::Op1 { dst, .. }
-        | TInstr::Op2 { dst, .. }
-        | TInstr::DistGrad { dst, .. } => Some(Opd::v(*dst)),
+        | TInstr::Op2 { dst, .. } => Some(Opd::v(*dst)),
+        TInstr::DistGrad { dst, .. } => Some(*dst),
         _ => None,
     }
 }
@@ -753,6 +777,7 @@ pub(crate) fn writes(i: &TInstr) -> Option<Opd> {
 pub(crate) fn stored_buf(i: &TInstr) -> Option<BufId> {
     let dest = match i {
         TInstr::Write { lhs, .. }
+        | TInstr::AccStore { lhs, .. }
         | TInstr::WriteImm { lhs, .. }
         | TInstr::LlStore { lhs, .. }
         | TInstr::LlScratch { lhs, .. }
@@ -975,8 +1000,7 @@ impl<'s> Emitter<'s> {
 
     /// [`Emitter::memo_f`] for view-register results. Only sound for
     /// instructions whose reuse survives multiple readers: descriptor
-    /// views and scalar (`View::Num`) results, which `take_opd` reads
-    /// non-destructively.
+    /// views, which `take_opd` reads non-destructively.
     fn memo_v(&mut self, key: MemoKey, w: u32, emit: impl FnOnce(&mut Self, u32)) -> u32 {
         if let Some(&r) = self.memo.get(&key) {
             self.pending_w += w;
@@ -1035,12 +1059,15 @@ impl<'s> Emitter<'s> {
         })
     }
 
-    /// Emits (or reuses) a [`TInstr::DistGrad`]. Scalar-in/scalar-out
-    /// gradients — every operand in a scalar register and a scalar
-    /// result slot — are value-numbered: register values are immutable,
-    /// so a repeat with the same registers is the same number, elided at
-    /// the cost the interpreter would have charged
-    /// (`1 + dist_op_cost(dist, 0)`, the scalar-point cost).
+    /// Emits (or reuses) a [`TInstr::DistGrad`]. A scalar differentiated
+    /// slot always yields a scalar, so its gradient gets a scalar
+    /// register; a vector slot keeps a view register (`EK::Dyn`: the
+    /// result is scalar when the operand is). Scalar-in/scalar-out
+    /// gradients — every operand in a scalar register too — are
+    /// value-numbered: register values are immutable, so a repeat with
+    /// the same registers is the same number, elided at the cost the
+    /// interpreter would have charged (`1 + dist_op_cost(dist, 0)`, the
+    /// scalar-point cost).
     fn grad_instr(
         &mut self,
         dist: DistKind,
@@ -1048,26 +1075,33 @@ impl<'s> Emitter<'s> {
         args: [Opd; 2],
         n_args: u8,
         point: Opd,
-    ) -> u32 {
+    ) -> (Opd, EK) {
         let scalar_out = match wrt {
             GradWrt::Param(pos) => dist.param_tys()[pos as usize] != augur_dist::SimpleTy::Vec,
             GradWrt::Point => dist.point_ty() != augur_dist::SimpleTy::Vec,
         };
-        if scalar_out && !point.is_view() && all_scalar(&args, n_args) {
+        if !scalar_out {
+            let dst = Opd::v(self.vreg());
+            self.push(TInstr::DistGrad { dst, dist, wrt, args, n_args, point });
+            return (dst, EK::Dyn);
+        }
+        let emit = |em: &mut Self, dst: u32| {
+            em.push(TInstr::DistGrad { dst: Opd::f(dst), dist, wrt, args, n_args, point });
+        };
+        let dst = if !point.is_view() && all_scalar(&args, n_args) {
             let wrt_code = match wrt {
                 GradWrt::Point => 0,
                 GradWrt::Param(pos) => pos + 1,
             };
             let (a0, a1) = key_args(&args, n_args);
             let key = MemoKey::DistGrad(dist, wrt_code, a0, a1, point.index() as u32);
-            let w = 1 + crate::eval::dist_op_cost(dist, 0) as u32;
-            return self.memo_v(key, w, |em, dst| {
-                em.push(TInstr::DistGrad { dst, dist, wrt, args, n_args, point });
-            });
-        }
-        let dst = self.vreg();
-        self.push(TInstr::DistGrad { dst, dist, wrt, args, n_args, point });
-        dst
+            self.memo_f(key, 1 + crate::eval::dist_op_cost(dist, 0) as u32, emit)
+        } else {
+            let dst = self.freg();
+            emit(self, dst);
+            dst
+        };
+        (Opd::f(dst), EK::Num)
     }
 
     /// Emits code computing `e` into a scalar register.
@@ -1193,16 +1227,12 @@ impl<'s> Emitter<'s> {
             RExpr::DistGradParam { dist, i, args, point } => {
                 let (ra, n_args) = self.dist_args(args);
                 let (rp, _) = self.expr(point);
-                let (dist, wrt) = (*dist, GradWrt::Param(*i as u8));
-                let dst = self.grad_instr(dist, wrt, ra, n_args, rp);
-                (Opd::v(dst), EK::Dyn)
+                self.grad_instr(*dist, GradWrt::Param(*i as u8), ra, n_args, rp)
             }
             RExpr::DistGradPoint { dist, args, point } => {
                 let (ra, n_args) = self.dist_args(args);
                 let (rp, _) = self.expr(point);
-                let (dist, wrt) = (*dist, GradWrt::Point);
-                let dst = self.grad_instr(dist, wrt, ra, n_args, rp);
-                (Opd::v(dst), EK::Dyn)
+                self.grad_instr(*dist, GradWrt::Point, ra, n_args, rp)
             }
             RExpr::Op(op, args) => {
                 let ek = match op {
@@ -1376,6 +1406,14 @@ impl<'s> Emitter<'s> {
                             n_args,
                             point: rp,
                         });
+                    }
+                    RExpr::Op(vop @ (OpN::VecScale | OpN::OuterSub), args)
+                        if *op == AssignOp::Inc && args.len() == 2 =>
+                    {
+                        let (a, _) = self.expr(&args[0]);
+                        let (b, _) = self.expr(&args[1]);
+                        let lv = self.lvalue(lhs);
+                        self.push(TInstr::AccStore { lhs: lv, vop: *vop, a, b });
                     }
                     _ => {
                         let (src, _) = self.expr(rhs);
@@ -1556,7 +1594,8 @@ impl Tape {
                 TInstr::DistGrad { dst, dist, wrt, args, n_args, point } => {
                     writeln!(
                         out,
-                        "grad    v{dst} <- d/d{wrt:?} {dist:?}({}; point={})",
+                        "grad    {} <- d/d{wrt:?} {dist:?}({}; point={})",
+                        fmt_opd(*dst),
                         fmt_args(args, *n_args),
                         fmt_opd(*point)
                     )
@@ -1565,6 +1604,13 @@ impl Tape {
                 TInstr::Write { lhs, op, src } => {
                     writeln!(out, "write   {} {} {}", fmt_lhs(lhs), fmt_assign(*op), fmt_opd(*src))
                 }
+                TInstr::AccStore { lhs, vop, a, b } => writeln!(
+                    out,
+                    "accum   {} += {vop:?}({}, {})",
+                    fmt_lhs(lhs),
+                    fmt_opd(*a),
+                    fmt_opd(*b)
+                ),
                 TInstr::Sample { lhs, dist, args, n_args } => {
                     writeln!(
                         out,
@@ -2010,40 +2056,42 @@ impl Engine {
                         dist.grad_point(&refs[..n], pref, out).expect("grad_point failed")
                     }
                 };
-                let out = if out_len == 0 {
+                if out_len == 0 {
                     let mut out = 0.0;
                     grad(ValueMut::Scalar(&mut out));
-                    View::Num(out)
+                    if dst.is_view() {
+                        v[dst.index()] = View::Num(out);
+                    } else {
+                        f[dst.index()] = out;
+                    }
                 } else {
+                    // Only a vector slot has a length, and its gradient
+                    // has a view register.
                     *w += out_len as u64;
                     let mut out = augur_math::PoolVec::zeroed(out_len);
                     grad(ValueMut::Vector(&mut out));
-                    View::Own(out)
-                };
-                v[*dst as usize] = out;
+                    v[dst.index()] = View::Own(out);
+                }
             }
             TInstr::LenV { dst, a } => {
                 *w += 1;
                 f[*dst as usize] = self.view_len(&v[*a as usize]) as f64;
             }
             TInstr::Write { lhs, op, src } => {
-                // Fast path: a scalar store to a directly-addressed cell —
-                // the bulk of Gibbs inner loops — without an OwnVal trip.
-                if !src.is_view() {
-                    if let Some((buf, idx)) = self.tape_cell(lhs, f) {
-                        *w += 1;
-                        self.store_cell(buf, idx, *op, f[src.index()]);
-                        return Flow::Next;
-                    }
-                }
-                let val = if src.is_view() {
+                if src.is_view() {
                     let view = take_opd(f, v, *src);
-                    self.own_val(view)
+                    self.store_view(lhs, *op, view, f, w);
                 } else {
-                    OwnVal::Num(f[src.index()])
-                };
-                let dest = self.tape_dest(lhs, f);
-                self.write_dest(dest, *op, val, false);
+                    self.store_num(lhs, *op, f[src.index()], f, w);
+                }
+            }
+            TInstr::AccStore { lhs, vop, a, b } => {
+                // The replaced `Op2`'s unit; the primitive and the store
+                // charge the rest.
+                *w += 1;
+                let va = take_opd(f, v, *a);
+                let vb = take_opd(f, v, *b);
+                self.acc_store(lhs, *vop, va, vb, f, w);
             }
             TInstr::Sample { lhs, dist, args, n_args } => {
                 let n = *n_args as usize;
@@ -2247,8 +2295,95 @@ impl Engine {
         (to - from) as u64
     }
 
-    /// Stores a scalar (`WriteImm`/`LlStore`): directly-addressed cells
-    /// take the fast path, everything else the generic destination walk.
+    /// Stores a view (a `Write` whose source is a view register). A
+    /// region of another buffer is added (or copied) straight from its
+    /// cells when the destination is a range of its length that
+    /// [`Engine::in_place`] allows; everything else is copied out
+    /// (`own_val`) and stored by `write_dest`, with its charges and
+    /// panics.
+    fn store_view(&mut self, lhs: &TDest, op: AssignOp, view: View, f: &[f64], w: &mut u64) {
+        let dest = self.tape_dest(lhs, f);
+        if let (Some((src, s0, n)), Dest::Range { buf, start, len }) =
+            (state_range(&self.state, &view), dest)
+        {
+            if n == len && self.in_place(buf, &[&view]) {
+                *w += len as u64;
+                self.state.with_cells_mut(buf, |cells, st| {
+                    let (cells, xs) = (&mut cells[start..start + len], &st.flat(src)[s0..s0 + len]);
+                    match op {
+                        AssignOp::Set => cells.copy_from_slice(xs),
+                        AssignOp::Inc => cells.iter_mut().zip(xs).for_each(|(c, x)| *c += x),
+                    }
+                });
+                return;
+            }
+        }
+        let val = self.own_val(view);
+        self.write_dest(dest, op, val, false);
+    }
+
+    /// An [`TInstr::AccStore`], `lhs += vop(a, b)`, after its unit. With
+    /// well-formed operands and a range destination of the result's
+    /// length that [`Engine::in_place`] allows, each element is computed
+    /// straight into its cell — `cell += s * x[i]`, `cell += (a[i] -
+    /// b[i]) * (a[j] - b[j])`, the operations of the `Op2` + `Write` pair
+    /// in its order — charging the pair's `len` plus `len`. Anything
+    /// else runs the pair itself (`op_views`, then `write_dest`), which
+    /// raises its panics in its order: operand kind, destination, length.
+    fn acc_store(&mut self, lhs: &TDest, vop: OpN, a: View, b: View, f: &[f64], w: &mut u64) {
+        let vector = |x: &View| !matches!(x, View::Num(_));
+        let n = match vop {
+            OpN::VecScale if !vector(&a) && vector(&b) => Some(self.view_len(&b)),
+            OpN::OuterSub if vector(&a) && vector(&b) && self.view_len(&b) >= self.view_len(&a) => {
+                Some(self.view_len(&a) * self.view_len(&a))
+            }
+            _ => None,
+        };
+        if let Some(n) = n {
+            let dest = self.tape_dest(lhs, f);
+            if let Dest::Range { buf, start, len } = dest {
+                if len == n && self.in_place(buf, &[&a, &b]) {
+                    *w += 2 * n as u64;
+                    self.state.with_cells_mut(buf, |cells, st| {
+                        let cells = &mut cells[start..start + n];
+                        let xb = slice_of(st, &b);
+                        if vop == OpN::VecScale {
+                            let s = num(&a);
+                            cells.iter_mut().zip(xb).for_each(|(c, x)| *c += s * x);
+                            return;
+                        }
+                        let xa = slice_of(st, &a);
+                        for (row, (p, q)) in
+                            cells.chunks_exact_mut(xa.len().max(1)).zip(xa.iter().zip(xb))
+                        {
+                            let di = p - q;
+                            for (c, (pj, qj)) in row.iter_mut().zip(xa.iter().zip(xb)) {
+                                *c += di * (pj - qj);
+                            }
+                        }
+                    });
+                    return;
+                }
+            }
+        }
+        let val = self.op_views(vop, a, b);
+        let val = self.own_val(val);
+        let dest = self.tape_dest(lhs, f);
+        self.write_dest(dest, AssignOp::Inc, val, false);
+    }
+
+    /// Whether a store into `buf` may compute straight into its cells:
+    /// no operand is a region of `buf` (the copy keeps such a store's
+    /// reads exact), and no worker log needs the stored values (workers
+    /// do not log thread-local buffers).
+    fn in_place(&self, buf: BufId, operands: &[&View]) -> bool {
+        (self.write_log.is_none() || self.state.is_thread_local(buf))
+            && operands.iter().all(|x| state_range(&self.state, x).is_none_or(|(b, ..)| b != buf))
+    }
+
+    /// Stores a scalar (`Write`/`WriteImm`/`LlStore`): directly-addressed
+    /// cells take the fast path, everything else the generic destination
+    /// walk.
     #[inline(always)]
     fn store_num(&mut self, lhs: &TDest, op: AssignOp, x: f64, f: &[f64], w: &mut u64) {
         if let Some((buf, idx)) = self.tape_cell(lhs, f) {
@@ -2465,6 +2600,17 @@ fn take_opd(f: &[f64], v: &mut [View], opd: Opd) -> View {
         }
     } else {
         View::Num(f[opd.index()])
+    }
+}
+
+/// The state cells a region view covers, as `(buffer, start, len)`;
+/// `None` for scalars and owned values.
+fn state_range(state: &State, v: &View) -> Option<(BufId, usize, usize)> {
+    match v {
+        View::Slice { buf, start, len } => Some((*buf, *start, *len)),
+        View::MatV { buf, start, dim } => Some((*buf, *start, dim * dim)),
+        View::Rows { buf } => Some((*buf, 0, state.flat(*buf).len())),
+        View::Num(_) | View::Own(_) | View::OwnMat(..) => None,
     }
 }
 

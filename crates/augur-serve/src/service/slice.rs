@@ -214,6 +214,11 @@ fn fan_sample(
 ) {
     let fields = [("chains", r.chains as f64), ("sweeps", r.sweeps as f64)];
     shared.event(Some(&caller), "planned", None, "plan", Some("submit"), &fields);
+    // An unknown name is the caller's fault: answer it once, before any
+    // chain binds a session.
+    if let Err(e) = plan.check_record(&r.record) {
+        return caller.answer(shared, Err(augur::Error::from(e).into()));
+    }
     let base = effective_config(shared, registered, r.config);
     let migrate_every = r.migrate_every.unwrap_or(shared.config.migrate_every);
     let fingerprint = plan.fingerprint();

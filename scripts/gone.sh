@@ -28,8 +28,11 @@
 # requeue, task-accessor, cancel and worker-liveness bookkeeping once,
 # so the per-kind copies (`retry_or_fail`, `task_request_id`,
 # `task_attempts`, `cancel_task`) and the private copy of the
-# `augur_workers_alive` gauge stay deleted. The checks grep neither
-# `.github/` nor `scripts/`, where these lines themselves live.
+# `augur_workers_alive` gauge stay deleted. Scalar gradients are scalar
+# registers of the tape, so the native printer's scalar view home
+# (`Home::Scalar`) and its `gN` gradient locals stay deleted. The checks
+# grep neither `.github/` nor `scripts/`, where these lines themselves
+# live.
 #
 # `gone` fails on a match (a bare `! grep` does not trip `set -e`).
 set -euo pipefail
@@ -63,3 +66,4 @@ gone "pub profile_ops" crates/augur-backend/src
 gone -wE "RequestSpan|write_request" crates/augur-backend
 gone -E "fn (retry_or_fail|task_request_id|task_attempts|cancel_task)\b|workers_alive: AtomicUsize" \
     crates/augur-serve
+gone -E 'Home::Scalar|\bg\{' crates/augur-backend/src/native

@@ -17,9 +17,11 @@ cargo build --release --offline 2>/dev/null || cargo build --release
 AUGUR_THREADS=1 cargo test -q --workspace
 AUGUR_THREADS=8 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
-# Formatter gate on augur-serve, the crate formatted under the root
-# rustfmt.toml; the rest of the workspace is not formatted yet.
+# Formatter gate on augur-serve and augur-backend, the crates formatted
+# under the root rustfmt.toml; the rest of the workspace is not
+# formatted yet.
 cargo fmt -p augur-serve --check
+cargo fmt -p augur-backend --check
 
 # Allocation-free steady state: the counting-allocator harness must see
 # zero heap allocations per sweep after warm-up on every model and both

@@ -635,7 +635,7 @@ fn telemetry_scrape_snapshot_and_trace_reconcile_under_chaos() {
 /// chain is requeued `max_retries` times and then answered with the
 /// error, and no shard worker dies. Without a retry budget nothing is
 /// requeued, and a caller fault (an unknown `record` name, a `binding`
-/// error) is never retried.
+/// error) is answered before any chain runs, so nothing is retried.
 #[test]
 fn failing_slices_retry_transient_errors_up_to_the_budget() {
     let w = hgmm_workload();
@@ -694,10 +694,16 @@ fn failing_slices_retry_transient_errors_up_to_the_budget() {
     assert_eq!(err.code(), "fault", "{err}");
     assert_eq!(m.retries, 0);
 
-    let (err, m, text) = run(3, "nope", None);
-    assert_eq!(err.code(), "binding", "{err}");
-    assert_eq!(m.retries, 0);
-    assert_eq!(events(&text, "retried", None), 0);
+    // An unknown `record` name answers `binding` before any chain binds
+    // a session, so the init-time worker panic never fires: no retry, no
+    // slice.
+    for fault in [None, panic] {
+        let (err, m, text) = run(3, "nope", fault);
+        assert_eq!(err.code(), "binding", "{fault:?}: {err}");
+        assert_eq!(m.retries, 0, "{fault:?}");
+        assert_eq!(events(&text, "retried", None), 0, "{fault:?}");
+        assert_eq!(events(&text, "slice", None), 0, "{fault:?}");
+    }
 }
 
 /// `/healthz` names each model with an open breaker as a JSON string, so

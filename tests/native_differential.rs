@@ -161,6 +161,32 @@ fn assert_native_matches(
     }
 }
 
+/// The text of the `nth` (from 0) outermost loop of procedure `name` in
+/// emitted C.
+fn c_loop<'a>(c: &'a str, name: &str, nth: usize) -> &'a str {
+    let proc = &c[c.find(&format!(": {name} */")).expect("procedure in the C")..];
+    let proc = &proc[..proc.find("\n}\n").expect("end of the function")];
+    let open = proc.match_indices("\n  { int64_t n0").nth(nth).expect("loop").0 + 3;
+    let mut depth = 0;
+    for (k, ch) in proc[open..].char_indices() {
+        match ch {
+            '{' => depth += 1,
+            '}' if depth == 1 => return &proc[open..=open + k],
+            '}' => depth -= 1,
+            _ => {}
+        }
+    }
+    unreachable!("unbalanced loop in {name}")
+}
+
+/// The emitted C of a plan.
+fn emit_c(model: &str, args: Vec<HostValue>, data: Vec<(&str, HostValue)>) -> String {
+    Model::compile(model).unwrap().plan(args, data).unwrap().emit(CodegenTarget::C).unwrap()
+}
+
+/// HGMM under every kernel flavor at D = 1, 2, 3. The sufficient
+/// statistics of the Gibbs `mu` and `Sigma` updates — `sum += y[n]` and
+/// `scatter += outer_sub(y[n], mu[z[n]])` — run in C with no callback.
 #[test]
 fn hgmm_native_matches_tree_and_tape() {
     let flavors: [(&str, Option<&str>); 7] = [
@@ -176,6 +202,12 @@ fn hgmm_native_matches_tree_and_tape() {
     // factor arithmetic honest away from it.
     for (k, d, n) in [(2, 2, 40), (3, 1, 60), (3, 3, 60)] {
         let data = workloads::hgmm_data(k, d, n, 91);
+        let y = vec![("y", HostValue::Ragged(data.points.clone()))];
+        let c = emit_c(models::HGMM, hgmm_args(k, d, n), y);
+        for update in ["u1_gibbs", "u2_gibbs"] {
+            let stats = c_loop(&c, update, 0);
+            assert!(!stats.contains("vt->step("), "hgmm/d{d}: {update} calls back:\n{stats}");
+        }
         for (label, sched) in flavors {
             assert_native_matches(
                 &format!("hgmm/d{d}/{label}"),
@@ -224,10 +256,26 @@ fn lda_native_matches_tree_and_tape() {
     }
 }
 
+/// HLR under every kernel flavor. The gradient's row loop — the scalar
+/// gradient, `adj += vec_scale(g, x[n])` and the bias term — runs in C
+/// with no callback.
 #[test]
 fn hlr_native_matches_tree_and_tape() {
     let d = 4;
     let data = workloads::logistic_data(60, d, 17);
+    let args = || {
+        vec![
+            HostValue::Real(1.0),
+            HostValue::Int(60),
+            HostValue::Int(d as i64),
+            HostValue::Ragged(data.x.clone()),
+        ]
+    };
+    let y = || vec![("y", HostValue::VecF(data.y.clone()))];
+    let c = emit_c(models::HLR, args(), y());
+    let rows = c_loop(&c, "u0_grad", 1);
+    assert!(rows.contains("* b"), "hlr: no inline vec_scale in the row loop:\n{rows}");
+    assert!(!rows.contains("vt->step("), "hlr: the gradient's row loop calls back:\n{rows}");
     let flavors: [(&str, Option<&str>); 5] = [
         ("hmc", None), // heuristic: blocked HMC over the continuous parameters
         ("nuts", Some("NUTS sigma2 b theta")),
@@ -240,13 +288,8 @@ fn hlr_native_matches_tree_and_tape() {
             &format!("hlr/{label}"),
             models::HLR,
             sched,
-            vec![
-                HostValue::Real(1.0),
-                HostValue::Int(60),
-                HostValue::Int(d as i64),
-                HostValue::Ragged(data.x.clone()),
-            ],
-            vec![("y", HostValue::VecF(data.y.clone()))],
+            args(),
+            y(),
             &["sigma2", "b", "theta"],
             25,
         );
