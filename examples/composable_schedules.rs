@@ -28,11 +28,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             vec![
                 HostValue::Int(k as i64),
                 HostValue::Int(n as i64),
-                HostValue::VecF(vec![1.0; k]),                      // alpha
-                HostValue::VecF(vec![0.0; dim]),                    // mu_0
+                HostValue::VecF(vec![1.0; k]),   // alpha
+                HostValue::VecF(vec![0.0; dim]), // mu_0
                 HostValue::Mat(Matrix::identity(dim).scale(100.0)), // Sigma_0
-                HostValue::Real((dim + 2) as f64),                  // nu
-                HostValue::Mat(Matrix::identity(dim)),              // Psi
+                HostValue::Real((dim + 2) as f64), // nu
+                HostValue::Mat(Matrix::identity(dim)), // Psi
             ],
             vec![("y", HostValue::Ragged(data.points.clone()))],
         )?;

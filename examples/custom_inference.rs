@@ -12,9 +12,9 @@
 //!
 //! Run with: `cargo run --release --example custom_inference`
 
+use augur::diag;
 use augur::prelude::*;
 use augur_backend::mcmc::Proposal;
-use augur::diag;
 
 const MODEL: &str = "(N, a, b) => {
     param r ~ Gamma(a, b) ;
@@ -55,17 +55,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let model = Model::with_schedule(MODEL, sched).expect("model parses");
         let plan = model
             .plan(
-                vec![
-                    HostValue::Int(counts.len() as i64),
-                    HostValue::Real(a),
-                    HostValue::Real(b),
-                ],
+                vec![HostValue::Int(counts.len() as i64), HostValue::Real(a), HostValue::Real(b)],
                 vec![("c", HostValue::VecF(counts.clone()))],
             )
             .expect("model plans");
-        let mut s = plan
-            .session(SessionConfig { mcmc, ..Default::default() })
-            .expect("session binds");
+        let mut s =
+            plan.session(SessionConfig { mcmc, ..Default::default() }).expect("session binds");
         if custom {
             s.set_proposal(0, Box::new(LogRandomWalk { scale: 0.4 }));
         }
@@ -87,11 +82,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     run("MH (random walk)", "MH r", false, McmcConfig { mh_step: 0.3, ..Default::default() });
     run("MH (custom proposal)", "MH r", true, McmcConfig::default());
-    run(
-        "MALA",
-        "MALA r",
-        false,
-        McmcConfig { step_size: 0.15, ..Default::default() },
-    );
+    run("MALA", "MALA r", false, McmcConfig { step_size: 0.15, ..Default::default() });
     Ok(())
 }

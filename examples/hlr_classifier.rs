@@ -37,10 +37,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let plan = model.plan(
         vec![
-            HostValue::Real(1.0),                  // lambda
-            HostValue::Int(n as i64),              // N
-            HostValue::Int(d as i64),              // D
-            HostValue::Ragged(train.x.clone()),    // x (covariates are an argument)
+            HostValue::Real(1.0),               // lambda
+            HostValue::Int(n as i64),           // N
+            HostValue::Int(d as i64),           // D
+            HostValue::Ragged(train.x.clone()), // x (covariates are an argument)
         ],
         vec![("y", HostValue::VecF(train.y.clone()))],
     )?;

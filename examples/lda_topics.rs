@@ -29,9 +29,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = vec![
         HostValue::Int(topics as i64),
         HostValue::Int(corpus.docs.len() as i64),
-        HostValue::VecF(vec![0.5; topics]),          // alpha
-        HostValue::VecF(vec![0.1; corpus.vocab]),    // beta
-        HostValue::VecI(corpus.lens.clone()),        // len
+        HostValue::VecF(vec![0.5; topics]),       // alpha
+        HostValue::VecF(vec![0.1; corpus.vocab]), // beta
+        HostValue::VecI(corpus.lens.clone()),     // len
     ];
 
     let plan = model.plan(args, vec![("w", HostValue::RaggedI(corpus.docs.clone()))])?;

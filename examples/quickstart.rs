@@ -31,12 +31,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let plan = model.plan(
         vec![
-            HostValue::Int(k as i64),                          // K
-            HostValue::Int(n as i64),                          // N
-            HostValue::VecF(vec![0.0, 0.0]),                   // mu_0
-            HostValue::Mat(Matrix::identity(2).scale(25.0)),   // Sigma_0
-            HostValue::VecF(vec![1.0 / k as f64; k]),          // pis
-            HostValue::Mat(Matrix::identity(2)),               // Sigma
+            HostValue::Int(k as i64),                        // K
+            HostValue::Int(n as i64),                        // N
+            HostValue::VecF(vec![0.0, 0.0]),                 // mu_0
+            HostValue::Mat(Matrix::identity(2).scale(25.0)), // Sigma_0
+            HostValue::VecF(vec![1.0 / k as f64; k]),        // pis
+            HostValue::Mat(Matrix::identity(2)),             // Sigma
         ],
         vec![("x", HostValue::Ragged(data.points.clone()))],
     )?;

@@ -40,8 +40,7 @@ pub fn hgmm_data(k: usize, d: usize, n: usize, seed: u64) -> MixtureData {
     for _ in 0..n {
         let c = rng.below(k);
         true_z.push(c);
-        let row: Vec<f64> =
-            true_means[c].iter().map(|&m| m + rng.std_normal()).collect();
+        let row: Vec<f64> = true_means[c].iter().map(|&m| m + rng.std_normal()).collect();
         rows.push(row);
     }
     MixtureData { points: FlatRagged::from_rows(rows), true_means, true_z }
@@ -181,12 +180,8 @@ mod tests {
         let pis = vec![0.5, 0.5];
         let sigmas = vec![Matrix::identity(2), Matrix::identity(2)];
         let good = gmm_log_predictive(&test.points, &pis, &data.true_means, &sigmas);
-        let bad = gmm_log_predictive(
-            &test.points,
-            &pis,
-            &[vec![0.0, 0.0], vec![0.1, 0.1]],
-            &sigmas,
-        );
+        let bad =
+            gmm_log_predictive(&test.points, &pis, &[vec![0.0, 0.0], vec![0.1, 0.1]], &sigmas);
         assert!(good > bad, "true params {good} must beat junk {bad}");
     }
 

@@ -134,10 +134,8 @@ fn steady_state_sweeps_do_not_allocate() {
     let mcmc = McmcConfig { step_size: 0.01, leapfrog_steps: 5, ..Default::default() };
     for (name, plan, param) in &cases {
         for exec in [ExecBackend::Tree, ExecBackend::Tape, ExecBackend::Native] {
-            let native_ok = plan
-                .backends()
-                .iter()
-                .any(|b| b.backend == ExecBackend::Native && b.available);
+            let native_ok =
+                plan.backends().iter().any(|b| b.backend == ExecBackend::Native && b.available);
             if exec == ExecBackend::Native && !native_ok {
                 eprintln!("{name}: no C toolchain, skipping the native lane");
                 continue;
@@ -152,10 +150,7 @@ fn steady_state_sweeps_do_not_allocate() {
                 .unwrap();
             assert_eq!(s.backend(), exec, "{name}/{exec:?}: {:?}", s.backend_fallback());
             let n = allocs_during_sweeps(&mut s, 3, 10);
-            assert_eq!(
-                n, 0,
-                "{name}/{exec:?}: {n} heap allocations across 10 steady-state sweeps"
-            );
+            assert_eq!(n, 0, "{name}/{exec:?}: {n} heap allocations across 10 steady-state sweeps");
             // the chain actually moved — this wasn't a no-op sweep
             assert!(s.param(param).unwrap().iter().all(|x| x.is_finite()));
             assert_eq!(s.sweeps(), 13, "{name}/{exec:?} ran the expected sweeps");

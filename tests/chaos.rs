@@ -509,9 +509,7 @@ fn telemetry_scrape_snapshot_and_trace_reconcile_under_chaos() {
     ));
     let registry = ModelRegistry::new();
     registry.register("bb", ModelSpec::new(BETA_BERN)).unwrap();
-    registry
-        .register("bbn", ModelSpec::new(BETA_BERN).backend(ExecBackend::Native))
-        .unwrap();
+    registry.register("bbn", ModelSpec::new(BETA_BERN).backend(ExecBackend::Native)).unwrap();
     let service = Service::start(
         registry,
         ServiceConfig {
@@ -745,9 +743,7 @@ fn healthz_escapes_demoted_model_names() {
 #[test]
 fn native_breaker_demotes_without_failing_requests() {
     let registry = ModelRegistry::new();
-    registry
-        .register("bb", ModelSpec::new(BETA_BERN).backend(ExecBackend::Native))
-        .unwrap();
+    registry.register("bb", ModelSpec::new(BETA_BERN).backend(ExecBackend::Native)).unwrap();
     let service = Service::start(registry, chaos_config(1, "compile@native"));
     for i in 0..(NATIVE_BREAKER_THRESHOLD + 1) {
         // No per-request config: the registration's Native backend and
@@ -780,11 +776,7 @@ fn native_breaker_demotes_without_failing_requests() {
     );
     let registered = service.registry().resolve("bb", None).unwrap();
     let plan = registered.plan(bb_args(), vec![("y", bb_y())]).unwrap();
-    let native = plan
-        .backends()
-        .into_iter()
-        .find(|b| b.backend == ExecBackend::Native)
-        .unwrap();
+    let native = plan.backends().into_iter().find(|b| b.backend == ExecBackend::Native).unwrap();
     assert!(!native.available, "the breaker makes Native unavailable");
     assert!(native.detail.contains("circuit breaker open"), "detail: {}", native.detail);
     service.shutdown();

@@ -64,11 +64,7 @@ fn build_engine(
         table.insert(cpu, gpu, &state);
     }
     // initialize params by running the generated initializer
-    let init = lowered
-        .procs
-        .iter()
-        .find(|p| p.name == lowered.init_proc)
-        .expect("init proc");
+    let init = lowered.procs.iter().find(|p| p.name == lowered.init_proc).expect("init proc");
     let cpu = Compiler::new(&state).proc(init);
     let blk = augur_blk::to_blocks(init);
     let gpu = Compiler::new(&state).blk_proc(&blk);
@@ -118,10 +114,7 @@ fn gmm_mu_conditional_preserves_density_differences() {
             HostValue::VecF(vec![1.0 / 3.0; 3]),
             HostValue::Mat(augur_math::Matrix::identity(2)),
         ],
-        vec![(
-            "x",
-            HostValue::Ragged(augur_math::FlatRagged::from_rows(rows)),
-        )],
+        vec![("x", HostValue::Ragged(augur_math::FlatRagged::from_rows(rows)))],
     );
     for cell in 0..6 {
         for delta in [0.3, -0.7, 1.3] {
@@ -147,10 +140,7 @@ fn gmm_z_conditional_preserves_density_differences() {
             HostValue::VecF(vec![0.2, 0.3, 0.5]),
             HostValue::Mat(augur_math::Matrix::identity(2)),
         ],
-        vec![(
-            "x",
-            HostValue::Ragged(augur_math::FlatRagged::from_rows(rows)),
-        )],
+        vec![("x", HostValue::Ragged(augur_math::FlatRagged::from_rows(rows)))],
     );
     // set every z to category 0, then flip selected ones to 1 and 2
     let zid = engine.state.expect_id("z");

@@ -3,9 +3,7 @@
 //! recorded numerical event or a typed error — never a process abort,
 //! never a silently poisoned chain.
 
-use augur::{
-    Error, ExecBackend, FaultPlan, HostValue, McmcConfig, Model, Session, SessionConfig,
-};
+use augur::{Error, ExecBackend, FaultPlan, HostValue, McmcConfig, Model, Session, SessionConfig};
 use augur_backend::fault::{NanFault, PanicFault};
 
 const GAMMA_POISSON: &str = "(N, a, b) => {
@@ -105,12 +103,14 @@ fn injected_hmc_nan_rejects_and_stays_finite() {
 #[test]
 fn fault_plan_is_inert_before_its_sweep() {
     let run = |fault: Option<FaultPlan>| {
-        let mut s = gibbs_sampler(SessionConfig {
-            fault,
-            checkpoint_every: 0,
-            ..Default::default()
-        });
-        (0..6).map(|_| { s.sweep(); s.param("r").unwrap()[0].to_bits() }).collect::<Vec<_>>()
+        let mut s =
+            gibbs_sampler(SessionConfig { fault, checkpoint_every: 0, ..Default::default() });
+        (0..6)
+            .map(|_| {
+                s.sweep();
+                s.param("r").unwrap()[0].to_bits()
+            })
+            .collect::<Vec<_>>()
     };
     let clean = run(None);
     let faulted = run(Some(FaultPlan {
@@ -125,10 +125,8 @@ fn fault_plan_is_inert_before_its_sweep() {
 /// usable for subsequent sweeps.
 #[test]
 fn injected_worker_panic_is_isolated_to_a_typed_error() {
-    let plan = FaultPlan {
-        panics: vec![PanicFault { worker: 0, sweep: Some(3) }],
-        ..Default::default()
-    };
+    let plan =
+        FaultPlan { panics: vec![PanicFault { worker: 0, sweep: Some(3) }], ..Default::default() };
     let mut s = gibbs_sampler(SessionConfig {
         backend: ExecBackend::Tape,
         threads: 2,
@@ -155,10 +153,8 @@ fn injected_worker_panic_is_isolated_to_a_typed_error() {
 /// typed `Error::WorkerPanic` instead of unwinding through the caller.
 #[test]
 fn sample_surfaces_worker_panic_as_typed_error() {
-    let plan = FaultPlan {
-        panics: vec![PanicFault { worker: 0, sweep: Some(2) }],
-        ..Default::default()
-    };
+    let plan =
+        FaultPlan { panics: vec![PanicFault { worker: 0, sweep: Some(2) }], ..Default::default() };
     let mut s = gibbs_sampler(SessionConfig {
         backend: ExecBackend::Tape,
         threads: 2,

@@ -29,7 +29,12 @@ fn hgmm_gibbs_structure_is_stable() {
     assert!(c.contains("mu[k] = MvNormal("), "{c}");
     // Σ: scatter accumulation and the InvWishart posterior
     assert!(c.contains("u2_t0_scatter[z[n]] += outer_sub(y[n], mu[z[n]]);"), "{c}");
-    assert!(c.contains("Sigma[k] = InvWishart((nu + u2_t0_cnt[k]), mat_add(Psi, u2_t0_scatter[k])).samp;"), "{c}");
+    assert!(
+        c.contains(
+            "Sigma[k] = InvWishart((nu + u2_t0_cnt[k]), mat_add(Psi, u2_t0_scatter[k])).samp;"
+        ),
+        "{c}"
+    );
     // z: parallel finite-sum enumeration over len(pi) candidates
     assert!(c.contains("loop Seq (u3_c <- 0 until len(pi))"), "{c}");
     assert!(c.contains("z[n] = CategoricalLogits(u3_w).samp;"), "{c}");

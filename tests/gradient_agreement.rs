@@ -32,11 +32,7 @@ fn source_to_source_ad_matches_tape_ad_on_hlr() {
     sampler.init().unwrap();
 
     // --- Stan side: the same posterior, hand-marginalized ---
-    let stan = HlrModel {
-        x: rows,
-        y: data.y.iter().map(|&v| v as u8).collect(),
-        lambda,
-    };
+    let stan = HlrModel { x: rows, y: data.y.iter().map(|&v| v as u8).collect(), lambda };
 
     // Probe several unconstrained positions q = [log σ², b, θ…].
     let probes: Vec<Vec<f64>> = vec![
@@ -78,10 +74,7 @@ fn source_to_source_ad_matches_tape_ad_on_hlr() {
             let g = tape.grad(lp, &vs);
             (tape.val(lp), g)
         };
-        assert!(
-            (ll_a - ll_s).abs() < 1e-8,
-            "log-density mismatch at {q:?}: {ll_a} vs {ll_s}"
-        );
+        assert!((ll_a - ll_s).abs() < 1e-8, "log-density mismatch at {q:?}: {ll_a} vs {ll_s}");
         for i in 0..q.len() {
             assert!(
                 (g_a[i] - g_s[i]).abs() < 1e-8,

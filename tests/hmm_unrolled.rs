@@ -12,7 +12,14 @@ use augur_dist::scalar::normal_log_pdf;
 use augur_math::FlatRagged;
 
 /// p(z, y) for a concrete path under the test model.
-fn joint_ll(z: &[usize; 3], y: &[f64; 3], pi0: &[f64], a: &[[f64; 2]; 2], mus: &[f64], s2: f64) -> f64 {
+fn joint_ll(
+    z: &[usize; 3],
+    y: &[f64; 3],
+    pi0: &[f64],
+    a: &[[f64; 2]; 2],
+    mus: &[f64],
+    s2: f64,
+) -> f64 {
     let mut ll = pi0[z[0]].ln();
     ll += a[z[0]][z[1]].ln();
     ll += a[z[1]][z[2]].ln();
@@ -64,10 +71,7 @@ fn unrolled_hmm_matches_exact_marginals() {
     // compiled Gibbs chain
     let a_ragged = FlatRagged::from_rows(vec![a[0].to_vec(), a[1].to_vec()]);
     let model = Model::compile(src).unwrap();
-    assert_eq!(
-        model.kernel(),
-        "Gibbs Single(z0) (*) Gibbs Single(z1) (*) Gibbs Single(z2)"
-    );
+    assert_eq!(model.kernel(), "Gibbs Single(z0) (*) Gibbs Single(z1) (*) Gibbs Single(z2)");
     let mut s = model
         .plan(
             vec![

@@ -34,7 +34,11 @@ fn memory_explicit_lowering_is_bit_identical() {
         for _ in 0..30 {
             s.sweep();
         }
-        (s.param("mu").unwrap().to_vec(), s.param("pi").unwrap().to_vec(), s.param("z").unwrap().to_vec())
+        (
+            s.param("mu").unwrap().to_vec(),
+            s.param("pi").unwrap().to_vec(),
+            s.param("z").unwrap().to_vec(),
+        )
     };
     let (mu_a, pi_a, z_a) = build(&lowered);
     let (mu_b, pi_b, z_b) = build(&explicit);

@@ -30,12 +30,9 @@ fn native_available() -> bool {
         }",
     )
     .unwrap();
-    let plan = model
-        .plan(vec![HostValue::Int(2)], vec![("y", HostValue::VecF(vec![1.0, 0.0]))])
-        .unwrap();
-    plan.backends()
-        .iter()
-        .any(|b| b.backend == ExecBackend::Native && b.available)
+    let plan =
+        model.plan(vec![HostValue::Int(2)], vec![("y", HostValue::VecF(vec![1.0, 0.0]))]).unwrap();
+    plan.backends().iter().any(|b| b.backend == ExecBackend::Native && b.available)
 }
 
 fn config(backend: ExecBackend, threads: usize) -> SessionConfig {
@@ -89,12 +86,7 @@ fn run(
         .sample(sweeps, record)
         .unwrap()
         .iter()
-        .map(|snap| {
-            record
-                .iter()
-                .flat_map(|p| snap[*p].iter().map(|x| x.to_bits()))
-                .collect()
-        })
+        .map(|snap| record.iter().flat_map(|p| snap[*p].iter().map(|x| x.to_bits())).collect())
         .collect();
     (traces, s.report().digest(), s.profile().digest())
 }
@@ -115,28 +107,10 @@ fn assert_native_matches(
         eprintln!("{label}: no C toolchain, skipping native differential");
         return;
     }
-    let (tree, _, _) = run(
-        label,
-        model,
-        sched,
-        args.clone(),
-        data.clone(),
-        record,
-        sweeps,
-        ExecBackend::Tree,
-        1,
-    );
-    let (_, tape_report, tape_profile) = run(
-        label,
-        model,
-        sched,
-        args.clone(),
-        data.clone(),
-        record,
-        sweeps,
-        ExecBackend::Tape,
-        1,
-    );
+    let (tree, _, _) =
+        run(label, model, sched, args.clone(), data.clone(), record, sweeps, ExecBackend::Tree, 1);
+    let (_, tape_report, tape_profile) =
+        run(label, model, sched, args.clone(), data.clone(), record, sweeps, ExecBackend::Tape, 1);
     for threads in [1, 8] {
         let (native, report, profile) = run(
             label,
@@ -151,10 +125,7 @@ fn assert_native_matches(
         );
         assert_eq!(tree.len(), native.len(), "{label}: sweep counts differ");
         for (s, (a, b)) in tree.iter().zip(&native).enumerate() {
-            assert_eq!(
-                a, b,
-                "{label}: native ({threads} threads) diverged from tree at sweep {s}"
-            );
+            assert_eq!(a, b, "{label}: native ({threads} threads) diverged from tree at sweep {s}");
         }
         assert_eq!(report, tape_report, "{label}: report digest ({threads} threads)");
         assert_eq!(profile, tape_profile, "{label}: profile digest ({threads} threads)");
@@ -451,11 +422,7 @@ fn hoisted_loads_fail_only_in_loops_that_run() {
             )
             .unwrap()
     };
-    let hoisted = plan(2)
-        .session(config(ExecBackend::Tape, 1))
-        .unwrap()
-        .explain()
-        .render();
+    let hoisted = plan(2).session(config(ExecBackend::Tape, 1)).unwrap().explain().render();
     assert!(hoisted.contains("u0_ll = hoisted=3 "), "c[idx] not hoisted:\n{hoisted}");
     for (backend, e) in first_sweep_errors(&plan(0)) {
         assert_eq!(e, None, "{backend:?}: a zero-trip loop raised an error");
@@ -478,10 +445,7 @@ fn native_runs_or_records_a_fallback_reason() {
     let plan = model
         .plan(lda_args(topics, &corpus), vec![("w", HostValue::RaggedI(corpus.docs.clone()))])
         .unwrap();
-    let promised = plan
-        .backends()
-        .iter()
-        .any(|b| b.backend == ExecBackend::Native && b.available);
+    let promised = plan.backends().iter().any(|b| b.backend == ExecBackend::Native && b.available);
     let mut s = plan.session(config(ExecBackend::Native, 1)).unwrap();
     s.init().unwrap();
     let draws = s.sample(5, &["theta"]).unwrap();

@@ -50,15 +50,15 @@ fn hgmm_heuristic_recovers_clusters_and_weights() {
         let tm = &data.true_means[c];
         label_map[c] = (0..k)
             .min_by(|&a, &b| {
-                let da: f64 = mu[a * d..(a + 1) * d].iter().zip(tm).map(|(x, y)| (x - y).powi(2)).sum();
-                let db: f64 = mu[b * d..(b + 1) * d].iter().zip(tm).map(|(x, y)| (x - y).powi(2)).sum();
+                let da: f64 =
+                    mu[a * d..(a + 1) * d].iter().zip(tm).map(|(x, y)| (x - y).powi(2)).sum();
+                let db: f64 =
+                    mu[b * d..(b + 1) * d].iter().zip(tm).map(|(x, y)| (x - y).powi(2)).sum();
                 da.total_cmp(&db)
             })
             .expect("k > 0");
     }
-    let agree = (0..n)
-        .filter(|&i| z[i] as usize == label_map[data.true_z[i]])
-        .count();
+    let agree = (0..n).filter(|&i| z[i] as usize == label_map[data.true_z[i]]).count();
     assert!(agree * 10 > n * 9, "only {agree}/{n} assignments agree");
 }
 
@@ -92,10 +92,7 @@ fn fig10_three_schedules_converge_to_similar_log_joint() {
     // probability")
     let best = finals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     for (i, &f) in finals.iter().enumerate() {
-        assert!(
-            f > best - 0.25 * best.abs(),
-            "schedule {i} at {f} vs best {best} ({finals:?})"
-        );
+        assert!(f > best - 0.25 * best.abs(), "schedule {i} at {f} vs best {best} ({finals:?})");
     }
 }
 
@@ -116,10 +113,7 @@ fn lda_gibbs_beats_random_assignments_on_log_joint() {
         s.sweep();
     }
     let trained = s.log_joint();
-    assert!(
-        trained > initial + 50.0,
-        "no improvement: {initial} -> {trained}"
-    );
+    assert!(trained > initial + 50.0, "no improvement: {initial} -> {trained}");
     // theta rows remain simplex vectors
     let theta = s.param("theta").unwrap();
     for dch in theta.chunks(topics) {
@@ -137,9 +131,7 @@ fn gpu_target_matches_cpu_bitwise_on_lda() {
     // one shared plan: the target is a session concern, and the second
     // session must not trigger a recompile.
     let model = Model::compile(models::LDA).unwrap();
-    let plan = model
-        .plan(args, vec![("w", HostValue::RaggedI(corpus.docs.clone()))])
-        .unwrap();
+    let plan = model.plan(args, vec![("w", HostValue::RaggedI(corpus.docs.clone()))]).unwrap();
     let build = |target: Target| {
         let mut s = plan.session(SessionConfig { target, ..Default::default() }).unwrap();
         s.init().unwrap();
@@ -214,13 +206,8 @@ fn stan_baseline_agrees_on_mixture_means() {
     let (k, d, n) = (2, 2, 150);
     let data = workloads::hgmm_data(k, d, n, 61);
     let rows: Vec<Vec<f64>> = (0..n).map(|i| data.points.row(i).to_vec()).collect();
-    let stan = augur_stan::MarginalGmm {
-        data: rows,
-        k,
-        prior_var: 50.0,
-        like_var: 1.0,
-        alpha: 1.0,
-    };
+    let stan =
+        augur_stan::MarginalGmm { data: rows, k, prior_var: 50.0, like_var: 1.0, alpha: 1.0 };
     let out = augur_stan::sample(
         &stan,
         augur_stan::SampleOpts { warmup: 150, samples: 150, seed: 62, ..Default::default() },
@@ -230,9 +217,7 @@ fn stan_baseline_agrees_on_mixture_means() {
     for tm in &data.true_means {
         let best = mus
             .iter()
-            .map(|m| {
-                m.iter().zip(tm).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt()
-            })
+            .map(|m| m.iter().zip(tm).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt())
             .fold(f64::INFINITY, f64::min);
         assert!(best < 1.2, "stan found no component near {tm:?} (best {best})");
     }

@@ -103,8 +103,7 @@ fn respecialized_and_cached_plans_match_fresh_compile_bitwise() {
             // Candidate: the shared model, which respecializes for every
             // shape after its first.
             let plan = shared.plan(args.clone(), data.clone()).unwrap();
-            let expected =
-                if i == 0 { PlanEvent::Cold } else { PlanEvent::Respecialize };
+            let expected = if i == 0 { PlanEvent::Cold } else { PlanEvent::Respecialize };
             assert_eq!(plan.cache_event(), expected, "shape {i}");
             let candidate =
                 signature(&mut plan.session(SessionConfig::default()).unwrap(), 12, param);
@@ -116,8 +115,7 @@ fn respecialized_and_cached_plans_match_fresh_compile_bitwise() {
         for (i, (args, data, param)) in cases.iter().enumerate() {
             let plan = shared.plan(args.clone(), data.clone()).unwrap();
             assert_eq!(plan.cache_event(), PlanEvent::Hit, "replayed shape {i}");
-            let replay =
-                signature(&mut plan.session(SessionConfig::default()).unwrap(), 12, param);
+            let replay = signature(&mut plan.session(SessionConfig::default()).unwrap(), 12, param);
             assert_eq!(replay, signatures[i], "cache-hit plan diverged at shape {i}");
         }
 
@@ -154,9 +152,8 @@ fn cache_hit_rebinds_new_data_values() {
 
     // The hit saw dataset B: it must match a fresh compile over B ...
     let fresh = Model::compile(models::HGMM).unwrap();
-    let plan = fresh
-        .plan(hgmm_args(k, d, n), vec![("y", HostValue::Ragged(data_b.points))])
-        .unwrap();
+    let plan =
+        fresh.plan(hgmm_args(k, d, n), vec![("y", HostValue::Ragged(data_b.points))]).unwrap();
     let sig_fresh = signature(&mut plan.session(SessionConfig::default()).unwrap(), 10, "mu");
     assert_eq!(sig_b, sig_fresh, "cache hit must rebind the new data");
     // ... and differ from dataset A's chain.
@@ -243,9 +240,9 @@ fn mismatched_mv_normal_dimensions_are_binding_errors() {
     let data = workloads::hgmm_data(k, d, n, 7);
     let model = Model::compile(models::HGMM).unwrap();
     for (i, bad) in [
-        (3, HostValue::VecF(vec![0.0; 3])),           // mu_0 of length 3
-        (4, HostValue::Mat(Matrix::identity(3))),     // a 3x3 Sigma_0
-        (6, HostValue::Mat(Matrix::identity(3))),     // a 3x3 Psi
+        (3, HostValue::VecF(vec![0.0; 3])),       // mu_0 of length 3
+        (4, HostValue::Mat(Matrix::identity(3))), // a 3x3 Sigma_0
+        (6, HostValue::Mat(Matrix::identity(3))), // a 3x3 Psi
     ] {
         let mut args = hgmm_args(k, d, n);
         args[i] = bad;

@@ -137,8 +137,5 @@ fn bayesian_linear_regression_with_unknown_noise() {
         );
     }
     assert!((post_b - true_b).abs() < 0.15, "b: {post_b} vs {true_b}");
-    assert!(
-        (post_s2 - true_s2).abs() < 0.12,
-        "sigma2: {post_s2} vs {true_s2}"
-    );
+    assert!((post_s2 - true_s2).abs() < 0.12, "sigma2: {post_s2} vs {true_s2}");
 }

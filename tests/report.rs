@@ -186,12 +186,7 @@ fn chains_report_covers_recorded_components() {
             vec![("y", HostValue::VecF(vec![1.2, 0.8, 1.0, 1.4, 0.6]))],
         )
         .unwrap();
-    let chains = ChainPlan::new(&plan)
-        .chains(4)
-        .sweeps(500)
-        .record(&["m"])
-        .run()
-        .unwrap();
+    let chains = ChainPlan::new(&plan).chains(4).sweeps(500).record(&["m"]).run().unwrap();
     let report = chains.report().unwrap();
     assert_eq!(report.params.len(), 1);
     let m = report.param("m", 0).unwrap();

@@ -23,10 +23,7 @@ fn record_sweeps(s: &mut Session, n: u64) -> Vec<Vec<u64>> {
     (0..n)
         .map(|_| {
             s.sweep();
-            names
-                .iter()
-                .flat_map(|p| s.param(p).unwrap().iter().map(|x| x.to_bits()))
-                .collect()
+            names.iter().flat_map(|p| s.param(p).unwrap().iter().map(|x| x.to_bits())).collect()
         })
         .collect()
 }
@@ -115,11 +112,7 @@ fn kill_resume_is_invisible(
     std::fs::remove_file(&path).ok();
 
     assert_eq!(prefix, reference, "{tag}: resumed trajectory diverged");
-    assert_eq!(
-        s.report().digest(),
-        reference_digest,
-        "{tag}: resumed report digest diverged"
-    );
+    assert_eq!(s.report().digest(), reference_digest, "{tag}: resumed report digest diverged");
 }
 
 #[test]
@@ -194,10 +187,8 @@ fn periodic_checkpoints_are_written_and_resumable() {
     assert_eq!(r.resume(&path).unwrap(), 20);
     std::fs::remove_file(&path).ok();
     let names: Vec<String> = r.param_names().to_vec();
-    let now: Vec<u64> = names
-        .iter()
-        .flat_map(|p| r.param(p).unwrap().iter().map(|x| x.to_bits()))
-        .collect();
+    let now: Vec<u64> =
+        names.iter().flat_map(|p| r.param(p).unwrap().iter().map(|x| x.to_bits())).collect();
     assert_eq!(&now, reference.last().unwrap(), "periodic checkpoint is stale");
 }
 
@@ -214,10 +205,7 @@ fn mismatched_checkpoint_is_a_typed_error() {
     let mut other = hlr_sampler(SessionConfig { checkpoint_every: 0, ..Default::default() });
     let err = other.resume(&path).unwrap_err();
     std::fs::remove_file(&path).ok();
-    assert!(
-        format!("{err}").contains("schedule"),
-        "expected a schedule mismatch, got: {err}"
-    );
+    assert!(format!("{err}").contains("schedule"), "expected a schedule mismatch, got: {err}");
 }
 
 /// A damaged checkpoint file — truncated mid-record or bit-flipped —

@@ -304,7 +304,9 @@ fn trace_v4_records_request_lifecycle() {
     std::fs::remove_file(&path).ok();
     for event in ["submitted", "planned", "slice", "migrated", "completed"] {
         assert!(
-            text.lines().any(|l| l.starts_with("{\"v\":4,") && l.contains(&format!("\"event\":\"{event}\""))),
+            text.lines().any(
+                |l| l.starts_with("{\"v\":4,") && l.contains(&format!("\"event\":\"{event}\""))
+            ),
             "missing v4 `{event}` record in:\n{text}"
         );
     }

@@ -34,10 +34,7 @@ fn lda_virtual(topics: usize, docs: usize, target: Target) -> f64 {
 fn lda_gpu_beats_cpu() {
     let cpu = lda_virtual(30, 120, Target::Cpu);
     let gpu = lda_virtual(30, 120, Target::Gpu(DeviceConfig::titan_black_like()));
-    assert!(
-        gpu < cpu / 2.0,
-        "LDA GPU ({gpu:.4}s) should beat CPU ({cpu:.4}s) clearly"
-    );
+    assert!(gpu < cpu / 2.0, "LDA GPU ({gpu:.4}s) should beat CPU ({cpu:.4}s) clearly");
 }
 
 /// Fig. 12's second-order claim: more topics ⇒ larger GPU advantage.
@@ -48,10 +45,7 @@ fn lda_gpu_advantage_grows_with_topics() {
             / lda_virtual(t, 60, Target::Gpu(DeviceConfig::titan_black_like()))
     };
     let (small, large) = (ratio(5), ratio(30));
-    assert!(
-        large > small,
-        "speedup should grow with topics: {small:.2} (5) vs {large:.2} (25)"
-    );
+    assert!(large > small, "speedup should grow with topics: {small:.2} (5) vs {large:.2} (25)");
 }
 
 fn hlr_virtual(n: usize, target: Target, flags: OptFlags) -> f64 {
@@ -88,49 +82,30 @@ fn hlr_virtual(n: usize, target: Target, flags: OptFlags) -> f64 {
 #[test]
 fn small_hlr_gpu_loses_to_cpu() {
     let cpu = hlr_virtual(1000, Target::Cpu, OptFlags::default());
-    let gpu = hlr_virtual(
-        1000,
-        Target::Gpu(DeviceConfig::titan_black_like()),
-        OptFlags::default(),
-    );
-    assert!(
-        gpu > 3.0 * cpu,
-        "small-model GPU ({gpu:.4}s) should lose clearly to CPU ({cpu:.4}s)"
-    );
+    let gpu = hlr_virtual(1000, Target::Gpu(DeviceConfig::titan_black_like()), OptFlags::default());
+    assert!(gpu > 3.0 * cpu, "small-model GPU ({gpu:.4}s) should lose clearly to CPU ({cpu:.4}s)");
 }
 
 /// …and wins by Adult scale.
 #[test]
 fn large_hlr_gpu_beats_cpu() {
     let cpu = hlr_virtual(60_000, Target::Cpu, OptFlags::default());
-    let gpu = hlr_virtual(
-        60_000,
-        Target::Gpu(DeviceConfig::titan_black_like()),
-        OptFlags::default(),
-    );
-    assert!(
-        gpu < cpu,
-        "Adult-scale GPU ({gpu:.4}s) should beat CPU ({cpu:.4}s)"
-    );
+    let gpu =
+        hlr_virtual(60_000, Target::Gpu(DeviceConfig::titan_black_like()), OptFlags::default());
+    assert!(gpu < cpu, "Adult-scale GPU ({gpu:.4}s) should beat CPU ({cpu:.4}s)");
 }
 
 /// §5.4's claim: summation-block conversion pays on the GPU.
 #[test]
 fn sumblk_conversion_pays() {
-    let on = hlr_virtual(
-        20_000,
-        Target::Gpu(DeviceConfig::titan_black_like()),
-        OptFlags::default(),
-    );
+    let on =
+        hlr_virtual(20_000, Target::Gpu(DeviceConfig::titan_black_like()), OptFlags::default());
     let off = hlr_virtual(
         20_000,
         Target::Gpu(DeviceConfig::titan_black_like()),
         OptFlags { sum_blk: false, ..Default::default() },
     );
-    assert!(
-        on < off / 1.5,
-        "sumBlk on ({on:.4}s) should clearly beat off ({off:.4}s)"
-    );
+    assert!(on < off / 1.5, "sumBlk on ({on:.4}s) should clearly beat off ({off:.4}s)");
 }
 
 /// Fig. 11's claim: the compiled Gibbs sampler beats the graph baseline
@@ -166,10 +141,7 @@ fn compiled_gibbs_beats_graph_gibbs_wall_clock() {
         j.sweep();
     }
     let t_graph = t0.elapsed();
-    assert!(
-        t_compiled < t_graph,
-        "compiled {t_compiled:?} should beat graph {t_graph:?}"
-    );
+    assert!(t_compiled < t_graph, "compiled {t_compiled:?} should beat graph {t_graph:?}");
 }
 
 /// The Fig. 10 story in diagnostic terms: the compiled Gibbs sampler
@@ -211,10 +183,7 @@ fn compiled_gibbs_beats_graph_gibbs_on_ess_per_sec() {
         trace_b.push(j.values("mu")[0]);
     }
     let rate_b = ess_per_sec(&trace_b, t0.elapsed().as_secs_f64());
-    assert!(
-        rate_a > rate_b,
-        "compiled {rate_a:.0} ess/s should beat graph {rate_b:.0} ess/s"
-    );
+    assert!(rate_a > rate_b, "compiled {rate_a:.0} ess/s should beat graph {rate_b:.0} ess/s");
 }
 
 /// LDA for the wall-clock claims: 20 topics over 40 documents of ~50

@@ -33,18 +33,14 @@ fn rejected_hmc_restores_state_bitwise() {
         })
         .unwrap();
     s.init().unwrap();
-    let before: Vec<Vec<f64>> = ["sigma2", "b", "theta"]
-        .iter()
-        .map(|p| s.param(p).unwrap().to_vec())
-        .collect();
+    let before: Vec<Vec<f64>> =
+        ["sigma2", "b", "theta"].iter().map(|p| s.param(p).unwrap().to_vec()).collect();
     for _ in 0..20 {
         s.sweep();
     }
     assert!(s.acceptance_rate(0) < 0.05, "step 50.0 should reject ~all");
-    let after: Vec<Vec<f64>> = ["sigma2", "b", "theta"]
-        .iter()
-        .map(|p| s.param(p).unwrap().to_vec())
-        .collect();
+    let after: Vec<Vec<f64>> =
+        ["sigma2", "b", "theta"].iter().map(|p| s.param(p).unwrap().to_vec()).collect();
     // Everything that was rejected restored exactly. (If even one sweep
     // was accepted the values moved; with acceptance < 5% over 20 sweeps
     // this is possible, so compare only when nothing was accepted.)

@@ -50,12 +50,7 @@ fn bits(s: &mut Session, sweeps: usize, record: &[&str]) -> Vec<Vec<u64>> {
     s.sample(sweeps, record)
         .unwrap()
         .iter()
-        .map(|snap| {
-            record
-                .iter()
-                .flat_map(|p| snap[*p].iter().map(|x| x.to_bits()))
-                .collect()
-        })
+        .map(|snap| record.iter().flat_map(|p| snap[*p].iter().map(|x| x.to_bits())).collect())
         .collect()
 }
 
@@ -241,10 +236,7 @@ fn run_reports_are_identical_across_strategies_and_threads() {
         assert!(reference.contains("sweeps=10"), "{label}: digest missing sweeps");
         for threads in [1, 2, 8] {
             let got = run_case(&case, ExecBackend::Tape, threads).report().digest();
-            assert_eq!(
-                reference, got,
-                "{label}: report digest diverged (tape, {threads} threads)"
-            );
+            assert_eq!(reference, got, "{label}: report digest diverged (tape, {threads} threads)");
         }
     }
 }

@@ -204,10 +204,7 @@ fn short_chains_report_nan_rhat_and_defined_ess() {
     assert!(stat.split_rhat.is_nan(), "split-R̂ needs 4 draws: {}", stat.split_rhat);
     let expo = http_get(service.telemetry_addr().unwrap(), "/metrics");
     let expo = body(&expo);
-    assert!(
-        expo.lines().any(|l| l.starts_with("augur_ess{")),
-        "ess gauge exported:\n{expo}"
-    );
+    assert!(expo.lines().any(|l| l.starts_with("augur_ess{")), "ess gauge exported:\n{expo}");
     assert!(
         !expo.lines().any(|l| l.starts_with("augur_split_rhat{")),
         "NaN split-R̂ gauge withheld:\n{expo}"
@@ -226,9 +223,7 @@ fn assert_sample_line(line: &str) {
     let name = series.split('{').next().unwrap();
     assert!(
         !name.is_empty()
-            && name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+            && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
             && !name.starts_with(|c: char| c.is_ascii_digit()),
         "bad metric name in: {line}"
     );
@@ -330,10 +325,7 @@ fn exporter_serves_well_formed_exposition_and_status_pages() {
     assert!(expo.contains("augur_request_latency_seconds_sum"));
     assert!(expo.contains("augur_request_latency_seconds_count"));
     // The convergence gauges carry (model, param) labels.
-    assert!(
-        expo.contains("augur_ess{model=\"hlr\",param=\"b\"}"),
-        "labeled ess gauge:\n{expo}"
-    );
+    assert!(expo.contains("augur_ess{model=\"hlr\",param=\"b\"}"), "labeled ess gauge:\n{expo}");
     assert!(
         expo.contains("augur_split_rhat{model=\"hlr\",param=\"b\"}"),
         "labeled split_rhat gauge:\n{expo}"
@@ -343,10 +335,7 @@ fn exporter_serves_well_formed_exposition_and_status_pages() {
     // set while the request was queued; with the service now idle, the
     // next scrape's window is empty.
     let line = |e: &str| {
-        e.lines()
-            .find(|l| l.starts_with("augur_queue_high_water "))
-            .map(|l| l.to_owned())
-            .unwrap()
+        e.lines().find(|l| l.starts_with("augur_queue_high_water ")).map(|l| l.to_owned()).unwrap()
     };
     assert_ne!(line(&expo), "augur_queue_high_water 0", "first scrape saw the queued burst");
     let again = http_get(addr, "/metrics");
@@ -462,10 +451,8 @@ fn v4_trace_reconstructs_a_migrated_and_respawned_request() {
     std::fs::remove_file(&path).ok();
 
     // "One grep": everything about request 1 shares its trace id.
-    let submitted = text
-        .lines()
-        .find(|l| l.contains("\"event\":\"submitted\""))
-        .expect("submitted record");
+    let submitted =
+        text.lines().find(|l| l.contains("\"event\":\"submitted\"")).expect("submitted record");
     let trace = field(submitted, "trace").expect("trace id").to_owned();
     assert_eq!(trace.len(), 16, "trace ids are 16 hex chars: {trace}");
     let records: Vec<&str> =
@@ -493,10 +480,7 @@ fn v4_trace_reconstructs_a_migrated_and_respawned_request() {
         let mut cur = *parent;
         let mut hops = 0;
         while let Some(p) = cur {
-            assert!(
-                spans.contains_key(p),
-                "span {span}: parent {p} not in trace {trace}:\n{text}"
-            );
+            assert!(spans.contains_key(p), "span {span}: parent {p} not in trace {trace}:\n{text}");
             cur = spans[p];
             hops += 1;
             assert!(hops <= spans.len(), "parent cycle at span {span}");
