@@ -69,7 +69,8 @@ pub struct Checkpoint {
     pub stats: Vec<KernelStats>,
     /// Per-step backoff tuning, in schedule order.
     pub tuning: Vec<StepTuning>,
-    /// Every state buffer by name, cells as raw f64 bit patterns.
+    /// Every state buffer by name, in the state's allocation order, cells
+    /// as raw f64 bit patterns.
     pub buffers: Vec<(String, Vec<u64>)>,
 }
 

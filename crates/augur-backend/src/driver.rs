@@ -333,9 +333,9 @@ pub struct Session {
 
 impl Session {
     /// Binds an executable session to a shape-specialized [`Plan`]: the
-    /// compiled tapes and schedule steps are shared by reference, the
-    /// plan's pristine data-bound state is cloned (copy-on-write), and
-    /// the engine/RNG/trace sink are created fresh from `config`.
+    /// compiled tapes, the schedule steps and the bound data are shared
+    /// by reference, the plan's pristine cell arena is copied, and the
+    /// engine/RNG/trace sink are created fresh from `config`.
     pub(crate) fn from_plan(plan: &Plan, config: SessionConfig) -> Result<Session, BuildError> {
         let (device, mode) = match &config.target {
             Target::Cpu => (Device::new(DeviceConfig::host_cpu_like()), ExecMode::Cpu),
@@ -793,11 +793,12 @@ impl Session {
         self.sweeps
     }
 
-    /// A complete snapshot of the chain: every state buffer bit-exact,
-    /// the RNG words, the launch/work counters, the cumulative kernel
-    /// statistics, and the backoff tuning. Resuming from it continues the
-    /// trace byte-identically to an uninterrupted run, at any
-    /// `AUGUR_THREADS` count and under either execution strategy.
+    /// A complete snapshot of the chain: every state buffer bit-exact, in
+    /// id (allocation) order, the RNG words, the launch/work counters,
+    /// the cumulative kernel statistics, and the backoff tuning.
+    /// Resuming from it continues the trace byte-identically to an
+    /// uninterrupted run, at any `AUGUR_THREADS` count and under either
+    /// execution strategy.
     pub fn checkpoint(&self) -> Checkpoint {
         let (rng_state, rng_spare) = self.engine.rng.state_words();
         let buffers = self
@@ -891,9 +892,18 @@ impl Session {
                 )));
             }
         }
+        // A data buffer is written only when the checkpoint edits it, so
+        // bound data it leaves as it is stays shared with the plan's other
+        // sessions.
         for (name, cells) in &ck.buffers {
             let id = self.engine.state.expect_id(name);
-            for (dst, &bits) in self.engine.state.flat_mut(id).iter_mut().zip(cells) {
+            let state = &mut self.engine.state;
+            if state.is_data(id)
+                && state.flat(id).iter().zip(cells).all(|(x, &bits)| x.to_bits() == bits)
+            {
+                continue;
+            }
+            for (dst, &bits) in state.flat_mut(id).iter_mut().zip(cells) {
                 *dst = f64::from_bits(bits);
             }
         }

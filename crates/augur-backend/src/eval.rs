@@ -231,9 +231,10 @@ impl Engine {
     }
 
     /// Clones this engine into a worker for one parallel launch: the
-    /// state is a cheap copy-on-write clone, the per-thread-stream seed
-    /// and launch bookkeeping carry over, and every write is logged for
-    /// ordered replay. Workers always run with `threads = 1`.
+    /// worker copies the cell arena and shares the bound data, the
+    /// per-thread-stream seed and launch bookkeeping carry over, and
+    /// every write is logged for ordered replay. Workers always run with
+    /// `threads = 1`.
     pub(crate) fn fork_worker(&self) -> Engine {
         Engine {
             state: self.state.clone(),
@@ -312,7 +313,7 @@ impl Engine {
         }
     }
 
-    /// Replays a worker's write log against this engine's state. Raw
+    /// Replays a worker's write log into this engine's cell arena. Raw
     /// writes only: the worker already charged the work for these
     /// mutations.
     pub(crate) fn replay_writes(&mut self, log: Vec<WriteOp>) {
@@ -345,9 +346,10 @@ impl Engine {
         }
     }
 
-    /// Adopts a worker's thread-local scratch buffers wholesale (the last
-    /// chunk's worker holds what sequential execution would have left in
-    /// them) and replays its ordinary writes.
+    /// Takes over a worker's work and metrics and replays its logged
+    /// writes. Thread-local scratch is not logged: the dispatcher copies
+    /// it from the last chunk's worker ([`Engine::adopt_thread_locals`]),
+    /// which holds what sequential execution would have left in it.
     pub(crate) fn merge_worker(&mut self, worker: &mut Engine) {
         self.work += worker.work;
         self.metrics.absorb(worker.metrics);
@@ -355,12 +357,11 @@ impl Engine {
         self.replay_writes(log);
     }
 
-    /// Copies thread-local buffer contents from `worker` (refcount bump,
-    /// no cell copies).
+    /// Copies the cells of every thread-local buffer from `worker`.
     pub(crate) fn adopt_thread_locals(&mut self, worker: &Engine) {
         for id in 0..self.state.num_buffers() {
             if self.state.is_thread_local(id) {
-                self.state.adopt_buffer(id, &worker.state);
+                self.state.flat_mut(id).copy_from_slice(worker.state.flat(id));
             }
         }
     }
@@ -1076,13 +1077,21 @@ pub(crate) fn dest_index(state: &State, d: Dest, i: usize, first: bool) -> Dest 
 
 /// Resolves a view to a slice borrowed from the state (or the view's own
 /// storage).
+#[inline]
 pub(crate) fn slice_of<'a>(state: &'a State, v: &'a View) -> &'a [f64] {
+    view_cells(v, |buf| state.flat(buf))
+}
+
+/// [`slice_of`] over any reader of buffer cells (`flat`), such as the
+/// rest of the state next to a buffer borrowed for an in-place store.
+#[inline]
+pub(crate) fn view_cells<'a>(v: &'a View, flat: impl Fn(BufId) -> &'a [f64]) -> &'a [f64] {
     match v {
-        View::Slice { buf, start, len } => &state.flat(*buf)[*start..start + len],
-        View::MatV { buf, start, dim } => &state.flat(*buf)[*start..start + dim * dim],
+        View::Slice { buf, start, len } => &flat(*buf)[*start..start + len],
+        View::MatV { buf, start, dim } => &flat(*buf)[*start..start + dim * dim],
         View::Own(o) => o,
         View::OwnMat(m, _) => m,
-        View::Rows { buf } => state.flat(*buf),
+        View::Rows { buf } => flat(*buf),
         View::Num(_) => panic!("expected vector view, got scalar"),
     }
 }

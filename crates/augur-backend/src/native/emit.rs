@@ -31,8 +31,10 @@
 //! Buffer regions (`RefBufV`/`LoadRow1` views) live in C as `(start,
 //! len)` coordinates; a callback that reads one rebuilds it in the view
 //! bank by re-running its definition. Owned temporaries live only in the
-//! bank. A fused accumulate store over regions and scalar registers, and
-//! a `Write` of a region, run inline over a whole buffer or a `Rows` row.
+//! bank. A fused accumulate store over regions and scalar registers, a
+//! `Write` of a region, and a constant broadcast (the `buf <- 0` reset
+//! that opens each statistic and gradient procedure) run inline over a
+//! whole buffer or a `Rows` row.
 //!
 //! Inline bounds checks mirror the interpreter's assertions. When one
 //! fails, C calls `trap(pc)`, which re-runs the instruction in Rust so
@@ -57,7 +59,7 @@ use crate::tape_opt::inline_sample_len;
 
 /// Version of the emitted C and the callback ABI, named in the artifact
 /// cache directory.
-pub const CODEGEN_VERSION: u32 = 3;
+pub const CODEGEN_VERSION: u32 = 4;
 
 /// Formats an `f64` so that C's `strtod` round-trips it bit-exactly
 /// (Rust's `{:e}` prints shortest-round-trip digits; correctly-rounded
@@ -387,9 +389,12 @@ impl<'a> ProcEmitter<'a> {
             TInstr::AccStore { lhs, vop, a, b } => {
                 b.is_view() && (a.is_view() || *vop == OpN::VecScale) && range_from(lhs, &[*a, *b])
             }
-            TInstr::WriteImm { lhs, .. } | TInstr::LlScratch { lhs, .. } => {
-                self.cell(lhs).is_some()
+            // A broadcast (`buf <- 0` over a whole buffer or a row) is a
+            // fill; a broadcast increment panics in the interpreter.
+            TInstr::WriteImm { lhs, op, .. } => {
+                self.cell(lhs).is_some() || *op == AssignOp::Set && range_buf(lhs).is_some()
             }
+            TInstr::LlScratch { lhs, .. } => self.cell(lhs).is_some(),
             TInstr::SampleLogits { lhs, w } => self.sample_len(lhs, *w).is_some(),
             TInstr::NumOf { .. }
             | TInstr::IndexF { .. }
@@ -531,14 +536,15 @@ impl<'a> ProcEmitter<'a> {
     }
 
     /// A store over a whole buffer or a `Rows` row whose length must be
-    /// `len` (C traps on a bad row or length). `lp` prints the loop from
-    /// the destination's C buffer, start and length; the length is
-    /// charged `times` times.
+    /// `len` (C traps on a bad row or length; `None` for a broadcast,
+    /// which fills whatever length the destination has). `lp` prints the
+    /// loop from the destination's C buffer, start and length; the length
+    /// is charged `times` times.
     fn range_store(
         &mut self,
         pc: usize,
         lhs: &TDest,
-        len: &str,
+        len: Option<&str>,
         times: usize,
         lp: impl FnOnce(&str, &str, &str) -> String,
     ) {
@@ -552,7 +558,7 @@ impl<'a> ProcEmitter<'a> {
             }
             (_, shape) => ("0".into(), shape.num_cells().to_string()),
         };
-        if len != n {
+        if let Some(len) = len.filter(|len| *len != n) {
             self.guard(pc, &format!("{len} == {n}"));
         }
         let d = self.buf(buf);
@@ -566,7 +572,7 @@ impl<'a> ProcEmitter<'a> {
     fn vec_store(&mut self, pc: usize, lhs: &TDest, x: Opd, op: &str, times: usize) {
         let r = self.region(x.index());
         let x = self.buf(r.buf);
-        self.range_store(pc, lhs, &r.len, times, |d, ds, n| {
+        self.range_store(pc, lhs, Some(&r.len), times, |d, ds, n| {
             format!("for (int64_t q = 0; q < {n}; q++) {d}[{ds} + q] {op}{x}[{} + q];", r.start)
         });
     }
@@ -749,7 +755,7 @@ impl<'a> ProcEmitter<'a> {
                 if rb.len != *m {
                     self.guard(pc, &format!("{} >= {m}", rb.len));
                 }
-                self.range_store(pc, lhs, &format!("{m} * {m}"), 2, |d, ds, _| {
+                self.range_store(pc, lhs, Some(&format!("{m} * {m}")), 2, |d, ds, _| {
                     format!(
                         "for (int64_t q = 0; q < {m}; q++) {{ double dq = {}; for (int64_t r = 0; \
                          r < {m}; r++) {d}[{ds} + q * {m} + r] += dq * ({}); }}",
@@ -758,9 +764,18 @@ impl<'a> ProcEmitter<'a> {
                     )
                 });
             }
-            TInstr::WriteImm { lhs, op, val } => {
+            // The elided `ConstF`'s unit, then the store's: one for a
+            // cell, the length for a broadcast.
+            TInstr::WriteImm { lhs, op, val } if self.cell(lhs).is_some() => {
                 self.pending_w += 2;
                 self.store(pc, lhs, *op, &fmt_f64(*val));
+            }
+            TInstr::WriteImm { lhs, val, .. } => {
+                self.pending_w += 1;
+                let x = fmt_f64(*val);
+                self.range_store(pc, lhs, None, 1, |d, ds, n| {
+                    format!("for (int64_t q = 0; q < {n}; q++) {d}[{ds} + q] = {x};")
+                });
             }
             TInstr::LlStore { lhs, op, dist, args, n_args, point } => {
                 self.pending_w += 6;

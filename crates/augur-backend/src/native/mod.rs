@@ -44,7 +44,7 @@ use std::path::{Path, PathBuf};
 use crate::compile::ProcTable;
 use crate::eval::{Engine, View};
 use crate::state::State;
-use crate::tape::Tape;
+use crate::tape::{stored_buf, Tape};
 
 pub use emit::CODEGEN_VERSION;
 
@@ -159,6 +159,11 @@ pub(crate) fn build_native(table: &ProcTable, state: &State) -> Result<NativeMod
     if !cfg!(feature = "native") {
         return Err("built without the `native` feature".into());
     }
+    // The pointer table's data entries point into the region every
+    // session of the plan shares, so C may only read them.
+    let instrs = table.tapes.iter().flat_map(|p| &p.tape.instrs);
+    let data_store = instrs.filter_map(stored_buf).find(|&b| state.is_data(b));
+    assert!(data_store.is_none(), "a procedure stores to bound data buffer {data_store:?}");
     let source = emit::emit_module(table, state);
     let artifact = jit::compile(&source)?;
     let lib = jit::Library::open(&artifact.path)?;
@@ -182,14 +187,12 @@ pub(crate) fn build_native(table: &ProcTable, state: &State) -> Result<NativeMod
 /// point. Allocation-free once the engine's scratch has grown: the
 /// pointer table and register banks are recycled engine fields.
 pub(crate) fn run_native_proc(eng: &mut Engine, module: &NativeModule, idx: usize, tape: &Tape) {
-    // Unshare every buffer up front: after this, callback `flat_mut`
-    // calls find uniquely-owned storage and never reallocate, so the
-    // pointer table stays valid for the whole call.
+    // The table points into the engine's cell arena and the shared data
+    // region. Callbacks store into the arena in place and never resize
+    // it, and no instruction stores to data (`build_native` checks), so
+    // the table stays valid for the whole call.
     let mut bufs = std::mem::take(&mut eng.native_bufs);
-    bufs.0.clear();
-    for id in 0..eng.state.num_buffers() {
-        bufs.0.push(eng.state.flat_mut(id).as_mut_ptr());
-    }
+    eng.state.base_ptrs(&mut bufs.0);
     // The register banks leave the engine for the call, so callbacks can
     // hold them next to `&mut Engine`.
     let mut f = std::mem::take(&mut eng.tape_fregs);

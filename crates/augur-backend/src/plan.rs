@@ -695,9 +695,9 @@ fn assemble_explain(
 
 /// A shape-specialized plan: compiled tapes + a pristine, data-bound
 /// state. Cheap to produce on a cache hit (only state binding re-runs)
-/// and cheap to fan out — [`Plan::session`] clones the copy-on-write
-/// state and shares the tapes by reference, so N chains cost one
-/// compile.
+/// and cheap to fan out — [`Plan::session`] copies the state's cell
+/// arena and shares the bound data and the tapes by reference, so N
+/// chains cost one compile and one copy of the data.
 #[derive(Debug)]
 pub struct Plan {
     pub(crate) artifact: Arc<PlanArtifact>,
@@ -716,7 +716,8 @@ pub struct Plan {
 impl Plan {
     /// Binds an executable [`Session`]: engine, RNG seeded from
     /// `config.seed`, trace sink, checkpointing. Many sessions can share
-    /// one plan — each gets its own copy-on-write state clone.
+    /// one plan — each gets its own cell arena and reads the plan's
+    /// bound data.
     ///
     /// # Errors
     ///

@@ -1,6 +1,23 @@
 //! The runtime state: every model argument, random variable, and planned
-//! temporary lives in one flat `f64` buffer (paper §6.2 — flattened
-//! vectors with a separate offset index for random access).
+//! temporary, as flattened vectors with an offset index (paper §6.2 —
+//! flattened vectors with a separate offset index for random access).
+//!
+//! The cells live in two regions:
+//!
+//! * the **cell arena**, one owned `Vec<f64>` holding every buffer a
+//!   program writes: parameters, planned temporaries and thread-local
+//!   scratch. Each engine owns its arena alone, so a store is a plain
+//!   slice index, and a parallel worker or a new session copies the
+//!   arena in one memcpy;
+//! * the **data region**, one `Arc<Vec<f64>>` holding the bound model
+//!   arguments and observed data. No compiled program writes it, so the
+//!   sessions of a plan and the workers of a parallel launch all read one
+//!   copy. Writing a data buffer through [`State::flat_mut`] (a caller
+//!   editing bound data, or restoring a checkpoint that edits it)
+//!   unshares that `State`'s data region once.
+//!
+//! A buffer is addressed by its region, offset and length. That layout
+//! is fixed once the state is built, and is shared the same way.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -113,6 +130,35 @@ impl From<FlatRagged> for HostValue {
     }
 }
 
+/// Which store holds a buffer's cells.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Region {
+    /// The owned cell arena: everything a program writes.
+    Cells,
+    /// The shared, read-only bound arguments and data.
+    Data,
+}
+
+/// One buffer's entry in the offset index.
+#[derive(Debug, Clone)]
+struct Buf {
+    name: String,
+    shape: Shape,
+    region: Region,
+    start: usize,
+    len: usize,
+    thread_local: bool,
+}
+
+/// The offset index: every buffer's name, shape and location.
+#[derive(Debug, Clone, Default)]
+struct Layout {
+    ids: HashMap<String, BufId>,
+    bufs: Vec<Buf>,
+    /// Cells of the arena in use; the arena's cells past it are spare.
+    arena_len: usize,
+}
+
 /// The flat runtime store.
 ///
 /// # Example
@@ -125,16 +171,59 @@ impl From<FlatRagged> for HostValue {
 /// st.flat_mut(id)[0] = 2.5;
 /// assert_eq!(st.scalar(id), 2.5);
 /// ```
-/// Buffers are reference-counted so cloning a `State` is cheap: worker
-/// threads clone the whole state and only the buffers they actually write
-/// are deep-copied (copy-on-write via [`Arc::make_mut`]).
-#[derive(Debug, Clone, Default)]
-#[allow(clippy::rc_buffer)]
+///
+/// Cloning a `State` copies the cell arena and shares the layout and the
+/// data region.
+#[derive(Debug, Default)]
 pub struct State {
-    names: HashMap<String, BufId>,
-    shapes: Vec<Shape>,
-    data: Vec<Arc<Vec<f64>>>,
-    thread_local: Vec<bool>,
+    layout: Arc<Layout>,
+    /// The cell arena: `layout.arena_len` cells in use, then spare zeroed
+    /// capacity that nothing writes.
+    cells: Vec<f64>,
+    data: Arc<Vec<f64>>,
+}
+
+impl Clone for State {
+    fn clone(&self) -> Self {
+        State {
+            layout: Arc::clone(&self.layout),
+            cells: self.cells[..self.layout.arena_len].to_vec(),
+            data: Arc::clone(&self.data),
+        }
+    }
+}
+
+/// The rest of a [`State`] while one buffer's cells are borrowed mutably
+/// ([`State::split_mut`]): every other buffer, readable.
+pub(crate) struct Rest<'a> {
+    bufs: &'a [Buf],
+    /// The region of the borrowed buffer, split around it.
+    region: Region,
+    below: &'a [f64],
+    above: &'a [f64],
+    /// Where `above` starts in `region`.
+    gap: usize,
+    /// The other region, whole.
+    other: &'a [f64],
+}
+
+impl<'a> Rest<'a> {
+    /// The flat cells of buffer `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is the borrowed buffer (and it is not empty).
+    #[inline]
+    pub(crate) fn flat(&self, id: BufId) -> &'a [f64] {
+        let b = &self.bufs[id];
+        if b.region != self.region {
+            &self.other[b.start..b.start + b.len]
+        } else if b.start >= self.gap {
+            &self.above[b.start - self.gap..][..b.len]
+        } else {
+            &self.below[b.start..b.start + b.len]
+        }
+    }
 }
 
 impl State {
@@ -143,38 +232,53 @@ impl State {
         State::default()
     }
 
-    /// Allocates a zeroed buffer.
+    /// Allocates a zeroed buffer in the cell arena.
     ///
     /// # Panics
     ///
     /// Panics if the name is already taken.
     pub fn insert(&mut self, name: impl Into<String>, shape: Shape) -> BufId {
-        let name = name.into();
-        assert!(!self.names.contains_key(&name), "buffer `{name}` allocated twice");
-        let id = self.shapes.len();
-        self.data.push(Arc::new(vec![0.0; shape.num_cells()]));
-        self.shapes.push(shape);
-        self.thread_local.push(false);
-        self.names.insert(name, id);
+        let start = self.layout.arena_len;
+        let end = start + shape.num_cells();
+        if end > self.cells.len() {
+            // Grow into a fresh zeroed allocation instead of writing zeros
+            // cell by cell: the new buffer's cells and the spare capacity
+            // stay untouched until written, so they cost neither time nor
+            // resident memory (a plan's pristine arena is never written).
+            let mut grown = vec![0.0; end.max(2 * self.cells.len())];
+            grown[..start].copy_from_slice(&self.cells[..start]);
+            self.cells = grown;
+        }
+        let id = self.push(name.into(), shape, Region::Cells, start);
+        Arc::make_mut(&mut self.layout).arena_len = end;
         id
     }
 
-    /// Allocates a buffer holding a host value.
+    /// Allocates a data buffer holding a host value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the name is already taken.
     pub fn insert_host(&mut self, name: impl Into<String>, value: &HostValue) -> BufId {
-        let (shape, data) = host_to_buffer(value);
-        let name = name.into();
-        assert!(!self.names.contains_key(&name), "buffer `{name}` allocated twice");
-        let id = self.shapes.len();
-        self.shapes.push(shape);
-        self.data.push(Arc::new(data));
-        self.thread_local.push(false);
-        self.names.insert(name, id);
+        let data = Arc::make_mut(&mut self.data);
+        let start = data.len();
+        let shape = host_to_buffer(value, data);
+        self.push(name.into(), shape, Region::Data, start)
+    }
+
+    fn push(&mut self, name: String, shape: Shape, region: Region, start: usize) -> BufId {
+        let layout = Arc::make_mut(&mut self.layout);
+        assert!(!layout.ids.contains_key(&name), "buffer `{name}` allocated twice");
+        let id = layout.bufs.len();
+        layout.ids.insert(name.clone(), id);
+        let len = shape.num_cells();
+        layout.bufs.push(Buf { name, shape, region, start, len, thread_local: false });
         id
     }
 
     /// Looks a buffer up by name.
     pub fn id(&self, name: &str) -> Option<BufId> {
-        self.names.get(name).copied()
+        self.layout.ids.get(name).copied()
     }
 
     /// Like [`State::id`] but panicking with the name on failure.
@@ -187,53 +291,76 @@ impl State {
     }
 
     /// The shape of a buffer.
+    #[inline]
     pub fn shape(&self, id: BufId) -> &Shape {
-        &self.shapes[id]
+        &self.layout.bufs[id].shape
     }
 
     /// The flat cells of a buffer.
+    #[inline]
     pub fn flat(&self, id: BufId) -> &[f64] {
-        &self.data[id]
+        let b = &self.layout.bufs[id];
+        let cells = match b.region {
+            Region::Cells => self.cells.as_slice(),
+            Region::Data => self.data.as_slice(),
+        };
+        &cells[b.start..b.start + b.len]
     }
 
-    /// The flat cells, mutably (copy-on-write: unshares the buffer if a
-    /// worker-thread clone still holds a reference to it).
+    /// The flat cells, mutably. A cell buffer is a slice of this state's
+    /// own arena; a data buffer unshares the data region first, if
+    /// another `State` still reads it.
+    #[inline]
     pub fn flat_mut(&mut self, id: BufId) -> &mut [f64] {
-        Arc::make_mut(&mut self.data[id]).as_mut_slice()
+        let b = &self.layout.bufs[id];
+        let cells = match b.region {
+            Region::Cells => self.cells.as_mut_slice(),
+            Region::Data => Arc::make_mut(&mut self.data).as_mut_slice(),
+        };
+        &mut cells[b.start..b.start + b.len]
     }
 
-    /// Runs `f` on the cells of buffer `dst`, mutably, next to the rest
-    /// of the state, in which `dst` reads as empty meanwhile: the tape's
-    /// in-place stores read other buffers while they write this one.
-    /// Moves no cells and allocates nothing once `dst` is unshared.
-    pub(crate) fn with_cells_mut<R>(
-        &mut self,
-        dst: BufId,
-        f: impl FnOnce(&mut [f64], &State) -> R,
-    ) -> R {
-        let mut cells = std::mem::take(Arc::make_mut(&mut self.data[dst]));
-        let out = f(&mut cells, self);
-        *Arc::make_mut(&mut self.data[dst]) = cells;
-        out
+    /// The cells of buffer `dst`, mutably, next to the rest of the state
+    /// (a split borrow of `dst`'s region): the tape's in-place stores read
+    /// other buffers while they write this one. A data buffer unshares
+    /// the data region first, as [`State::flat_mut`] does.
+    #[inline]
+    pub(crate) fn split_mut(&mut self, dst: BufId) -> (&mut [f64], Rest<'_>) {
+        let b = &self.layout.bufs[dst];
+        let (region, other) = match b.region {
+            Region::Cells => (self.cells.as_mut_slice(), self.data.as_slice()),
+            Region::Data => (Arc::make_mut(&mut self.data).as_mut_slice(), self.cells.as_slice()),
+        };
+        let (below, rest) = region.split_at_mut(b.start);
+        let (cells, above) = rest.split_at_mut(b.len);
+        let rest = Rest {
+            bufs: &self.layout.bufs,
+            region: b.region,
+            below,
+            above,
+            gap: b.start + b.len,
+            other,
+        };
+        (cells, rest)
     }
 
     /// Marks a buffer as thread-local scratch (per-iteration temporaries
     /// of `Par` kernels). Thread-local buffers are excluded from the
     /// parallel write log — see `DESIGN.md` § Deterministic parallelism.
     pub fn mark_thread_local(&mut self, id: BufId) {
-        self.thread_local[id] = true;
+        Arc::make_mut(&mut self.layout).bufs[id].thread_local = true;
     }
 
     /// Whether a buffer is thread-local scratch.
+    #[inline]
     pub fn is_thread_local(&self, id: BufId) -> bool {
-        self.thread_local[id]
+        self.layout.bufs[id].thread_local
     }
 
-    /// Replaces a buffer's storage wholesale with another state's copy
-    /// (used to adopt a worker's thread-local scratch after a parallel
-    /// launch). Cheap: bumps the refcount, no cells are copied.
-    pub(crate) fn adopt_buffer(&mut self, id: BufId, from: &State) {
-        self.data[id] = Arc::clone(&from.data[id]);
+    /// Whether a buffer lives in the shared data region (a bound
+    /// argument or observed data).
+    pub(crate) fn is_data(&self, id: BufId) -> bool {
+        self.layout.bufs[id].region == Region::Data
     }
 
     /// Reads a scalar buffer.
@@ -242,8 +369,8 @@ impl State {
     ///
     /// Panics if the buffer is not scalar-shaped.
     pub fn scalar(&self, id: BufId) -> f64 {
-        assert!(matches!(self.shapes[id], Shape::Num), "buffer is not a scalar");
-        self.data[id][0]
+        assert!(matches!(self.shape(id), Shape::Num), "buffer is not a scalar");
+        self.flat(id)[0]
     }
 
     /// Writes a scalar buffer.
@@ -252,8 +379,8 @@ impl State {
     ///
     /// Panics if the buffer is not scalar-shaped.
     pub fn set_scalar(&mut self, id: BufId, v: f64) {
-        assert!(matches!(self.shapes[id], Shape::Num), "buffer is not a scalar");
-        Arc::make_mut(&mut self.data[id])[0] = v;
+        assert!(matches!(self.shape(id), Shape::Num), "buffer is not a scalar");
+        self.flat_mut(id)[0] = v;
     }
 
     /// The flat range of row `i` of a `Rows` buffer.
@@ -261,8 +388,9 @@ impl State {
     /// # Panics
     ///
     /// Panics on non-row buffers or out-of-range rows.
+    #[inline]
     pub fn row_range(&self, id: BufId, i: usize) -> (usize, usize) {
-        match &self.shapes[id] {
+        match self.shape(id) {
             Shape::Rows { offsets, .. } => {
                 assert!(i + 1 < offsets.len(), "row {i} out of range");
                 (offsets[i], offsets[i + 1])
@@ -271,70 +399,83 @@ impl State {
         }
     }
 
-    /// Snapshots a buffer's cells (the proposal-state copy of §5.5).
-    pub fn snapshot(&self, id: BufId) -> Vec<f64> {
-        self.data[id].to_vec()
-    }
-
-    /// Restores a snapshot taken with [`State::snapshot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths disagree.
-    pub fn restore(&mut self, id: BufId, snap: &[f64]) {
-        assert_eq!(self.data[id].len(), snap.len(), "snapshot length mismatch");
-        Arc::make_mut(&mut self.data[id]).copy_from_slice(snap);
-    }
-
-    /// All buffer names with their ids (diagnostics).
+    /// All buffer names with their ids, in id (allocation) order.
     pub fn names(&self) -> impl Iterator<Item = (&str, BufId)> {
-        self.names.iter().map(|(n, id)| (n.as_str(), *id))
+        self.layout.bufs.iter().enumerate().map(|(id, b)| (b.name.as_str(), id))
     }
 
     /// Number of allocated buffers.
     pub fn num_buffers(&self) -> usize {
-        self.data.len()
+        self.layout.bufs.len()
     }
 
     /// Total memory footprint in cells — what size inference bounds.
     pub fn total_cells(&self) -> usize {
-        self.data.iter().map(|b| b.len()).sum()
+        self.layout.arena_len + self.data.len()
+    }
+
+    /// Every buffer's first cell, in id order, for native code: a cell
+    /// buffer's points into this state's arena, a data buffer's into the
+    /// shared data region, which native code only reads (the native build
+    /// checks that no instruction stores to a data buffer).
+    pub(crate) fn base_ptrs(&mut self, out: &mut Vec<*mut f64>) {
+        let cells = self.cells.as_mut_ptr();
+        let data = self.data.as_ptr().cast_mut();
+        out.clear();
+        out.extend(self.layout.bufs.iter().map(|b| match b.region {
+            Region::Cells => cells.wrapping_add(b.start),
+            Region::Data => data.wrapping_add(b.start),
+        }));
     }
 }
 
-fn host_to_buffer(value: &HostValue) -> (Shape, Vec<f64>) {
+/// Appends a host value's cells to `out` and returns its shape.
+fn host_to_buffer(value: &HostValue, out: &mut Vec<f64>) -> Shape {
+    let start = out.len();
     match value {
-        HostValue::Int(v) => (Shape::Num, vec![*v as f64]),
-        HostValue::Real(v) => (Shape::Num, vec![*v]),
-        HostValue::VecF(v) => (Shape::Vector(v.len()), v.clone()),
-        HostValue::VecI(v) => (Shape::Vector(v.len()), v.iter().map(|&x| x as f64).collect()),
+        HostValue::Int(v) => {
+            out.push(*v as f64);
+            Shape::Num
+        }
+        HostValue::Real(v) => {
+            out.push(*v);
+            Shape::Num
+        }
+        HostValue::VecF(v) => {
+            out.extend_from_slice(v);
+            Shape::Vector(v.len())
+        }
+        HostValue::VecI(v) => {
+            out.extend(v.iter().map(|&x| x as f64));
+            Shape::Vector(v.len())
+        }
         HostValue::Mat(m) => {
             assert!(m.is_square(), "matrix arguments must be square");
-            (Shape::Matrix(m.rows()), m.as_slice().to_vec())
+            out.extend_from_slice(m.as_slice());
+            Shape::Matrix(m.rows())
         }
         HostValue::Ragged(r) => {
+            out.extend_from_slice(r.flat());
             let offsets = (0..=r.num_rows()).map(|i| r.row_offset(i)).collect();
-            (Shape::Rows { offsets, elem: RowElem::Vec }, r.flat().to_vec())
+            Shape::Rows { offsets, elem: RowElem::Vec }
         }
         HostValue::RaggedI(rows) => {
             let mut offsets = Vec::with_capacity(rows.len() + 1);
-            let mut data = Vec::new();
             offsets.push(0);
             for row in rows {
-                data.extend(row.iter().map(|&x| x as f64));
-                offsets.push(data.len());
+                out.extend(row.iter().map(|&x| x as f64));
+                offsets.push(out.len() - start);
             }
-            (Shape::Rows { offsets, elem: RowElem::Vec }, data)
+            Shape::Rows { offsets, elem: RowElem::Vec }
         }
         HostValue::VecMat(ms) => {
             let dim = ms.first().map_or(0, Matrix::rows);
-            let mut data = Vec::with_capacity(ms.len() * dim * dim);
             for m in ms {
                 assert_eq!(m.rows(), dim, "all matrices must share a dimension");
-                data.extend_from_slice(m.as_slice());
+                out.extend_from_slice(m.as_slice());
             }
             let offsets = (0..=ms.len()).map(|i| i * dim * dim).collect();
-            (Shape::Rows { offsets, elem: RowElem::Mat(dim) }, data)
+            Shape::Rows { offsets, elem: RowElem::Mat(dim) }
         }
     }
 }
@@ -401,14 +542,42 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore() {
+    fn clones_copy_cells_and_share_data() {
         let mut st = State::new();
+        let y = st.insert_host("y", &HostValue::VecF(vec![1.0, 2.0]));
         let a = st.insert("a", Shape::Vector(2));
-        st.flat_mut(a).copy_from_slice(&[1.0, 2.0]);
-        let snap = st.snapshot(a);
-        st.flat_mut(a)[0] = 9.0;
-        st.restore(a, &snap);
-        assert_eq!(st.flat(a), &[1.0, 2.0]);
+        st.flat_mut(a)[1] = -0.0;
+        // growing the arena keeps what was written
+        let b = st.insert("b", Shape::Vector(1000));
+        assert_eq!(st.flat(a)[1].to_bits(), (-0.0f64).to_bits());
+        assert_eq!((st.flat(b).len(), st.total_cells()), (1000, 1004));
+        let mut other = st.clone();
+        assert_eq!(other.total_cells(), 1004);
+        other.flat_mut(a)[0] = 5.0;
+        assert_eq!(st.flat(a), &[0.0, 0.0]);
+        assert_eq!(st.flat(y).as_ptr(), other.flat(y).as_ptr());
+        // writing a data buffer unshares only the writer's data region
+        other.flat_mut(y)[1] = 7.0;
+        assert_eq!((st.flat(y), other.flat(y)), (&[1.0, 2.0][..], &[1.0, 7.0][..]));
+    }
+
+    #[test]
+    fn split_mut_reads_every_other_buffer() {
+        let mut st = State::new();
+        let d = st.insert_host("d", &HostValue::VecF(vec![1.0, 2.0]));
+        let lo = st.insert_host("lo", &HostValue::Real(3.0));
+        let below = st.insert("below", Shape::Vector(2));
+        let dst = st.insert("dst", Shape::Vector(3));
+        let empty = st.insert("empty", Shape::Vector(0));
+        let above = st.insert("above", Shape::Num);
+        st.flat_mut(below).copy_from_slice(&[4.0, 5.0]);
+        st.set_scalar(above, 6.0);
+        for (dst, src) in [(dst, below), (dst, above), (dst, d), (dst, empty), (d, lo), (d, dst)] {
+            let want = st.flat(src).to_vec();
+            let (cells, rest) = st.split_mut(dst);
+            assert_eq!(cells.len(), if dst == d { 2 } else { 3 });
+            assert_eq!(rest.flat(src), &want[..]);
+        }
     }
 
     #[test]

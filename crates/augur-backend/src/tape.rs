@@ -49,8 +49,8 @@ use augur_low::il::{AssignOp, LoopKind, OpN};
 
 use crate::compile::{RExpr, RLValue, RProc, RRef, RStmt};
 use crate::eval::{
-    dest_index, dist_op_cost, sample_cost, slice_of, value_ref_of, Dest, Engine, OwnArg, OwnVal,
-    View,
+    dest_index, dist_op_cost, sample_cost, slice_of, value_ref_of, view_cells, Dest, Engine,
+    OwnArg, OwnVal, View,
 };
 use crate::state::{BufId, RowElem, Shape, State};
 
@@ -2308,13 +2308,12 @@ impl Engine {
         {
             if n == len && self.in_place(buf, &[&view]) {
                 *w += len as u64;
-                self.state.with_cells_mut(buf, |cells, st| {
-                    let (cells, xs) = (&mut cells[start..start + len], &st.flat(src)[s0..s0 + len]);
-                    match op {
-                        AssignOp::Set => cells.copy_from_slice(xs),
-                        AssignOp::Inc => cells.iter_mut().zip(xs).for_each(|(c, x)| *c += x),
-                    }
-                });
+                let (cells, rest) = self.state.split_mut(buf);
+                let (cells, xs) = (&mut cells[start..start + len], &rest.flat(src)[s0..s0 + len]);
+                match op {
+                    AssignOp::Set => cells.copy_from_slice(xs),
+                    AssignOp::Inc => cells.iter_mut().zip(xs).for_each(|(c, x)| *c += x),
+                }
                 return;
             }
         }
@@ -2344,24 +2343,23 @@ impl Engine {
             if let Dest::Range { buf, start, len } = dest {
                 if len == n && self.in_place(buf, &[&a, &b]) {
                     *w += 2 * n as u64;
-                    self.state.with_cells_mut(buf, |cells, st| {
-                        let cells = &mut cells[start..start + n];
-                        let xb = slice_of(st, &b);
-                        if vop == OpN::VecScale {
-                            let s = num(&a);
-                            cells.iter_mut().zip(xb).for_each(|(c, x)| *c += s * x);
-                            return;
+                    let (cells, rest) = self.state.split_mut(buf);
+                    let cells = &mut cells[start..start + n];
+                    let xb = view_cells(&b, |id| rest.flat(id));
+                    if vop == OpN::VecScale {
+                        let s = num(&a);
+                        cells.iter_mut().zip(xb).for_each(|(c, x)| *c += s * x);
+                        return;
+                    }
+                    let xa = view_cells(&a, |id| rest.flat(id));
+                    for (row, (p, q)) in
+                        cells.chunks_exact_mut(xa.len().max(1)).zip(xa.iter().zip(xb))
+                    {
+                        let di = p - q;
+                        for (c, (pj, qj)) in row.iter_mut().zip(xa.iter().zip(xb)) {
+                            *c += di * (pj - qj);
                         }
-                        let xa = slice_of(st, &a);
-                        for (row, (p, q)) in
-                            cells.chunks_exact_mut(xa.len().max(1)).zip(xa.iter().zip(xb))
-                        {
-                            let di = p - q;
-                            for (c, (pj, qj)) in row.iter_mut().zip(xa.iter().zip(xb)) {
-                                *c += di * (pj - qj);
-                            }
-                        }
-                    });
+                    }
                     return;
                 }
             }
@@ -2456,8 +2454,8 @@ impl Engine {
 
     /// Fans the iterations of an embedded tape loop across the worker
     /// pool. `span` is the loop's `(preheader, body, exit)` pcs. Each
-    /// worker gets a copy-on-write state clone plus clones of the register
-    /// banks and scratch, runs its chunk through
+    /// worker gets a copy of the cell arena (the bound data is shared)
+    /// plus clones of the register banks and scratch, runs its chunk through
     /// [`Engine::run_par_chunk`], and logs every state write; the main
     /// thread replays logs in chunk order — sequential iteration order —
     /// so results are bit-identical to the sequential path at any worker

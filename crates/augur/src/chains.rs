@@ -10,8 +10,8 @@
 //!
 //! The entry point is [`ChainPlan`]: all chains fan out over **one**
 //! shared [`Plan`](crate::Plan) — one compile, N sessions — so adding
-//! chains costs sessions (cheap copy-on-write state clones), never
-//! recompiles:
+//! chains costs sessions (each copies the plan's cell arena and shares
+//! its bound data), never recompiles:
 //!
 //! ```no_run
 //! # use augur::{Model, HostValue, chains::ChainPlan};

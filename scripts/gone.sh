@@ -30,9 +30,12 @@
 # `task_attempts`, `cancel_task`) and the private copy of the
 # `augur_workers_alive` gauge stay deleted. Scalar gradients are scalar
 # registers of the tape, so the native printer's scalar view home
-# (`Home::Scalar`) and its `gN` gradient locals stay deleted. The checks
-# grep neither `.github/` nor `scripts/`, where these lines themselves
-# live.
+# (`Home::Scalar`) and its `gN` gradient locals stay deleted. The state
+# is one owned cell arena next to one shared data region, so the
+# per-buffer `Arc` store (`Vec<Arc<Vec<f64>>>`), the refcount swap that
+# adopted a worker's scratch (`adopt_buffer`) and the unused
+# `State::snapshot`/`restore` pair stay deleted. The checks grep neither
+# `.github/` nor `scripts/`, where these lines themselves live.
 #
 # `gone` fails on a match (a bare `! grep` does not trip `set -e`).
 set -euo pipefail
@@ -67,3 +70,4 @@ gone -wE "RequestSpan|write_request" crates/augur-backend
 gone -E "fn (retry_or_fail|task_request_id|task_attempts|cancel_task)\b|workers_alive: AtomicUsize" \
     crates/augur-serve
 gone -E 'Home::Scalar|\bg\{' crates/augur-backend/src/native
+gone -E 'Vec<Arc<Vec<f64>>>|adopt_buffer|fn snapshot\(' crates/augur-backend/src/state.rs

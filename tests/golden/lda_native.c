@@ -1,4 +1,4 @@
-/* Generated by augur-backend native codegen v3 from the tape. Do not edit. */
+/* Generated by augur-backend native codegen v4 from the tape. Do not edit. */
 #include <stdint.h>
 #include <math.h>
 
@@ -96,10 +96,10 @@ static void aug_p0(augctx* c) {
   double* b8 = c->B[8];
   double* b9 = c->B[9];
   double f0, f1, f2, f3, f4, f5, f6;
-  vt->step(c, 0);
+  for (int64_t q = 0; q < 30; q++) b9[0 + q] = 0e0;
   f0 = 0e0;
   f1 = b1[0];
-  W += 2;
+  W += 33;
   { int64_t n0 = aug_i64(f1);
     for (int64_t i0 = aug_i64(f0); i0 < n0; i0++) {
       f2 = (double)i0;
@@ -147,10 +147,10 @@ static void aug_p1(augctx* c) {
   double* b8 = c->B[8];
   double* b10 = c->B[10];
   double f0, f1, f2, f3, f4, f5, f6, f7, f8;
-  vt->step(c, 0);
+  for (int64_t q = 0; q < 180; q++) b10[0 + q] = 0e0;
   f0 = 0e0;
   f1 = b1[0];
-  W += 2;
+  W += 183;
   { int64_t n0 = aug_i64(f1);
     for (int64_t i0 = aug_i64(f0); i0 < n0; i0++) {
       f2 = (double)i0;

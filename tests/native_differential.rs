@@ -132,11 +132,16 @@ fn assert_native_matches(
     }
 }
 
+/// The text of procedure `name`'s C function.
+fn c_proc<'a>(c: &'a str, name: &str) -> &'a str {
+    let proc = &c[c.find(&format!(": {name} */")).expect("procedure in the C")..];
+    &proc[..proc.find("\n}\n").expect("end of the function")]
+}
+
 /// The text of the `nth` (from 0) outermost loop of procedure `name` in
 /// emitted C.
 fn c_loop<'a>(c: &'a str, name: &str, nth: usize) -> &'a str {
-    let proc = &c[c.find(&format!(": {name} */")).expect("procedure in the C")..];
-    let proc = &proc[..proc.find("\n}\n").expect("end of the function")];
+    let proc = c_proc(c, name);
     let open = proc.match_indices("\n  { int64_t n0").nth(nth).expect("loop").0 + 3;
     let mut depth = 0;
     for (k, ch) in proc[open..].char_indices() {
@@ -157,7 +162,10 @@ fn emit_c(model: &str, args: Vec<HostValue>, data: Vec<(&str, HostValue)>) -> St
 
 /// HGMM under every kernel flavor at D = 1, 2, 3. The sufficient
 /// statistics of the Gibbs `mu` and `Sigma` updates — `sum += y[n]` and
-/// `scatter += outer_sub(y[n], mu[z[n]])` — run in C with no callback.
+/// `scatter += outer_sub(y[n], mu[z[n]])` — run in C with no callback,
+/// and so do the two `<- 0` resets of the statistics that open each
+/// update: what calls back is the conjugate draw after the loop (17
+/// instructions in `u1_gibbs`, 2 in `u2_gibbs`).
 #[test]
 fn hgmm_native_matches_tree_and_tape() {
     let flavors: [(&str, Option<&str>); 7] = [
@@ -175,9 +183,12 @@ fn hgmm_native_matches_tree_and_tape() {
         let data = workloads::hgmm_data(k, d, n, 91);
         let y = vec![("y", HostValue::Ragged(data.points.clone()))];
         let c = emit_c(models::HGMM, hgmm_args(k, d, n), y);
-        for update in ["u1_gibbs", "u2_gibbs"] {
+        for (update, callbacks) in [("u1_gibbs", 17), ("u2_gibbs", 2)] {
             let stats = c_loop(&c, update, 0);
             assert!(!stats.contains("vt->step("), "hgmm/d{d}: {update} calls back:\n{stats}");
+            let proc = c_proc(&c, update);
+            let n = proc.matches("vt->step(").count();
+            assert_eq!(n, callbacks, "hgmm/d{d}: {update} makes {n} callbacks:\n{proc}");
         }
         for (label, sched) in flavors {
             assert_native_matches(
@@ -227,9 +238,9 @@ fn lda_native_matches_tree_and_tape() {
     }
 }
 
-/// HLR under every kernel flavor. The gradient's row loop — the scalar
-/// gradient, `adj += vec_scale(g, x[n])` and the bias term — runs in C
-/// with no callback.
+/// HLR under every kernel flavor. The gradient — the `<- 0` resets of
+/// its adjoints, then the row loop's scalar gradient, `adj +=
+/// vec_scale(g, x[n])` and the bias term — runs in C with no callback.
 #[test]
 fn hlr_native_matches_tree_and_tape() {
     let d = 4;
@@ -247,6 +258,8 @@ fn hlr_native_matches_tree_and_tape() {
     let rows = c_loop(&c, "u0_grad", 1);
     assert!(rows.contains("* b"), "hlr: no inline vec_scale in the row loop:\n{rows}");
     assert!(!rows.contains("vt->step("), "hlr: the gradient's row loop calls back:\n{rows}");
+    let grad = c_proc(&c, "u0_grad");
+    assert!(!grad.contains("vt->step("), "hlr: the gradient calls back:\n{grad}");
     let flavors: [(&str, Option<&str>); 5] = [
         ("hmc", None), // heuristic: blocked HMC over the continuous parameters
         ("nuts", Some("NUTS sigma2 b theta")),

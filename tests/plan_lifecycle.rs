@@ -10,7 +10,7 @@
 
 use std::time::Instant;
 
-use augur::{Error, ErrorKind, HostValue, Model, PlanEvent, SessionConfig};
+use augur::{Error, ErrorKind, ExecBackend, HostValue, Model, PlanEvent, SessionConfig};
 use augur_math::Matrix;
 use augurv2::models::{hgmm_args, lda_args};
 use augurv2::{models, workloads};
@@ -158,6 +158,59 @@ fn cache_hit_rebinds_new_data_values() {
     assert_eq!(sig_b, sig_fresh, "cache hit must rebind the new data");
     // ... and differ from dataset A's chain.
     assert_ne!(sig_b.trajectory, sig_a.trajectory, "cached values leaked across plans");
+}
+
+/// Every parameter's cells over `sweeps` recorded sweeps, as raw bits.
+fn draws(s: &mut augur::Session, sweeps: usize) -> Vec<u64> {
+    let names: Vec<String> = s.param_names().to_vec();
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    let snaps = s.sample(sweeps, &names).unwrap();
+    snaps
+        .iter()
+        .flat_map(|snap| names.iter().flat_map(|p| snap[*p].iter().map(|x| x.to_bits())))
+        .collect()
+}
+
+/// The sessions of a plan read one copy of its bound data. Restoring a
+/// checkpoint writes only the buffers whose cells differ, so the data
+/// stays shared unless the checkpoint edits it, and then only the
+/// restored session reads the edit.
+#[test]
+fn sessions_share_bound_data_until_a_checkpoint_edits_it() {
+    let (k, d, n) = (2, 2, 40);
+    let data = workloads::hgmm_data(k, d, n, 7);
+    let bind = || vec![("y", HostValue::Ragged(data.points.clone()))];
+    let plan = Model::compile(models::HGMM).unwrap().plan(hgmm_args(k, d, n), bind()).unwrap();
+    let tape = || SessionConfig { backend: ExecBackend::Tape, ..SessionConfig::default() };
+    let y_at = |s: &augur::Session| s.param("y").unwrap().as_ptr();
+    let (mut a, mut b) = (plan.session(tape()).unwrap(), plan.session(tape()).unwrap());
+    assert_eq!(y_at(&a), y_at(&b));
+
+    a.init().unwrap();
+    a.sweep();
+    let ck = a.checkpoint();
+    a.restore(&ck).unwrap();
+    assert_eq!(y_at(&a), y_at(&b), "restoring unchanged data unshared it");
+
+    let mut edited = ck.clone();
+    let (_, y) = edited.buffers.iter_mut().find(|(name, _)| name == "y").unwrap();
+    let moved = f64::from_bits(y[0]) + 10.0;
+    y[0] = moved.to_bits();
+    a.restore(&edited).unwrap();
+    assert_eq!(a.param("y").unwrap()[0], moved);
+
+    // The other session, and a new one of the plan, still read the bound
+    // values: they match an untouched session of a plan of their own.
+    let fresh = Model::compile(models::HGMM).unwrap().plan(hgmm_args(k, d, n), bind()).unwrap();
+    let mut reference = fresh.session(tape()).unwrap();
+    let later = plan.session(tape()).unwrap();
+    for s in [&b, &later] {
+        assert_ne!(y_at(s), y_at(&a));
+        assert_eq!(s.param("y").unwrap(), reference.param("y").unwrap());
+    }
+    b.init().unwrap();
+    reference.init().unwrap();
+    assert_eq!(draws(&mut b, 5), draws(&mut reference, 5), "the edit reached another session");
 }
 
 /// Fingerprints are stable within a shape and sensitive to anything

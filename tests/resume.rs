@@ -208,6 +208,23 @@ fn mismatched_checkpoint_is_a_typed_error() {
     assert!(format!("{err}").contains("schedule"), "expected a schedule mismatch, got: {err}");
 }
 
+/// A checkpoint lists buffers in allocation order — the model's
+/// arguments in signature order, then the data, the parameters and the
+/// planned temporaries — so one chain state renders, and digests, the
+/// same in every process.
+#[test]
+fn checkpoint_lists_buffers_in_allocation_order() {
+    let mut s = hgmm_sampler(SessionConfig { checkpoint_every: 0, ..Default::default() });
+    s.init().unwrap();
+    s.sweep();
+    let ck = s.checkpoint();
+    let names: Vec<&str> = ck.buffers.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names[..8], ["K", "N", "alpha", "mu_0", "Sigma_0", "nu", "Psi", "y"]);
+    let params: Vec<&str> = s.param_names().iter().map(String::as_str).collect();
+    assert_eq!(names[8..8 + params.len()], params[..]);
+    assert_eq!(s.checkpoint().render(), ck.render());
+}
+
 /// A damaged checkpoint file — truncated mid-record or bit-flipped —
 /// surfaces as a typed `checkpoint` error naming the offending file,
 /// never a panic or a silently-wrong resume (the integrity digest
