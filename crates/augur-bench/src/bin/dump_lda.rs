@@ -4,11 +4,8 @@ use augurv2::{models, workloads};
 
 fn main() {
     let time = std::env::args().any(|a| a == "--time");
-    let exec = if std::env::args().any(|a| a == "--tree") {
-        ExecBackend::Tree
-    } else {
-        ExecBackend::Tape
-    };
+    let exec =
+        if std::env::args().any(|a| a == "--tree") { ExecBackend::Tree } else { ExecBackend::Tape };
     let corpus = workloads::lda_corpus(20, 80, 2000, 200, 1200);
     let model = Model::compile(models::LDA).expect("LDA parses");
     let mut s = model
@@ -23,7 +20,12 @@ fn main() {
             vec![("w", HostValue::RaggedI(corpus.docs.clone()))],
         )
         .expect("LDA plans")
-        .session(SessionConfig { target: Target::Cpu, seed: 21, backend: exec, ..Default::default() })
+        .session(SessionConfig {
+            target: Target::Cpu,
+            seed: 21,
+            backend: exec,
+            ..Default::default()
+        })
         .expect("LDA builds");
     if !time {
         for name in s.proc_names() {

@@ -20,16 +20,14 @@ fn main() {
     let mcmc = McmcConfig { step_size: 0.03, leapfrog_steps: 16, ..Default::default() };
 
     let rmse = |theta: &[f64]| -> f64 {
-        theta
-            .iter()
-            .zip(&data.true_theta)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt()
+        theta.iter().zip(&data.true_theta).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt()
     };
 
     let mut out = String::new();
-    let _ = writeln!(out, "# E4 — HLR on German-Credit-shaped data (N={n}, D={d}, {samples} samples)\n");
+    let _ = writeln!(
+        out,
+        "# E4 — HLR on German-Credit-shaped data (N={n}, D={d}, {samples} samples)\n"
+    );
     let _ = writeln!(out, "| system | time (s) | coef RMSE | notes |");
     let _ = writeln!(out, "|---|---|---|---|");
 
@@ -50,11 +48,8 @@ fn main() {
 
     // Stan-like HMC (tape AD), same leapfrog settings
     let rows: Vec<Vec<f64>> = (0..n).map(|i| data.x.row(i).to_vec()).collect();
-    let stan = augur_stan::HlrModel {
-        x: rows,
-        y: data.y.iter().map(|&v| v as u8).collect(),
-        lambda: 1.0,
-    };
+    let stan =
+        augur_stan::HlrModel { x: rows, y: data.y.iter().map(|&v| v as u8).collect(), lambda: 1.0 };
     let t0 = Instant::now();
     let sout = augur_stan::sample(
         &stan,

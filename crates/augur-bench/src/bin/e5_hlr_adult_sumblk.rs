@@ -47,7 +47,8 @@ fn main() {
 
     let mut out = String::new();
     let _ = writeln!(out, "# E5 — summation-block conversion on Adult-shaped HLR (N={n}, D={d})\n");
-    let _ = writeln!(out, "| configuration | GPU virtual time (s) | atomic ops | sumBlks generated |");
+    let _ =
+        writeln!(out, "| configuration | GPU virtual time (s) | atomic ops | sumBlks generated |");
     let _ = writeln!(out, "|---|---|---|---|");
     let _ = writeln!(out, "| sumBlk ON (default) | {t_on:.3} | {atomics_on} | {converted} |");
     let _ = writeln!(out, "| sumBlk OFF | {t_off:.3} | {atomics_off} | 0 |");

@@ -24,27 +24,29 @@ fn main() {
     let _ = writeln!(out, "| model | CPU target (ms) | GPU target (ms) |");
     let _ = writeln!(out, "|---|---|---|");
 
-    let time_build = |src: &str,
-                      args: Vec<HostValue>,
-                      data: Vec<(&str, HostValue)>,
-                      target: Target|
-     -> f64 {
-        let t0 = Instant::now();
-        let model = Model::compile(src).expect("parses");
-        let _s = model
-            .plan(args, data)
-            .expect("plans")
-            .session(SessionConfig { target, ..Default::default() })
-            .expect("builds");
-        t0.elapsed().as_secs_f64() * 1e3
-    };
+    let time_build =
+        |src: &str, args: Vec<HostValue>, data: Vec<(&str, HostValue)>, target: Target| -> f64 {
+            let t0 = Instant::now();
+            let model = Model::compile(src).expect("parses");
+            let _s = model
+                .plan(args, data)
+                .expect("plans")
+                .session(SessionConfig { target, ..Default::default() })
+                .expect("builds");
+            t0.elapsed().as_secs_f64() * 1e3
+        };
 
     // HGMM
     {
         let (k, d, n) = (3, 2, 1000);
         let data = workloads::hgmm_data(k, d, n, 1501);
         let args = || hgmm_args(k, d, n);
-        let cpu = time_build(models::HGMM, args(), vec![("y", HostValue::Ragged(data.points.clone()))], Target::Cpu);
+        let cpu = time_build(
+            models::HGMM,
+            args(),
+            vec![("y", HostValue::Ragged(data.points.clone()))],
+            Target::Cpu,
+        );
         let gpu = time_build(
             models::HGMM,
             args(),
@@ -65,7 +67,12 @@ fn main() {
                 HostValue::VecI(corpus.lens.clone()),
             ]
         };
-        let cpu = time_build(models::LDA, args(), vec![("w", HostValue::RaggedI(corpus.docs.clone()))], Target::Cpu);
+        let cpu = time_build(
+            models::LDA,
+            args(),
+            vec![("w", HostValue::RaggedI(corpus.docs.clone()))],
+            Target::Cpu,
+        );
         let gpu = time_build(
             models::LDA,
             args(),
@@ -86,7 +93,12 @@ fn main() {
                 HostValue::Ragged(data.x.clone()),
             ]
         };
-        let cpu = time_build(models::HLR, args(), vec![("y", HostValue::VecF(data.y.clone()))], Target::Cpu);
+        let cpu = time_build(
+            models::HLR,
+            args(),
+            vec![("y", HostValue::VecF(data.y.clone()))],
+            Target::Cpu,
+        );
         let gpu = time_build(
             models::HLR,
             args(),

@@ -71,8 +71,7 @@ fn main() {
                 let pi = j.values("pi");
                 let mu = j.values("mu");
                 let sig = j.values("Sigma");
-                let mus: Vec<Vec<f64>> =
-                    (0..k).map(|c| mu[c * d..(c + 1) * d].to_vec()).collect();
+                let mus: Vec<Vec<f64>> = (0..k).map(|c| mu[c * d..(c + 1) * d].to_vec()).collect();
                 let sigs: Vec<Matrix> = (0..k)
                     .map(|c| {
                         Matrix::from_vec(d, d, sig[c * d * d..(c + 1) * d * d].to_vec())
@@ -80,11 +79,8 @@ fn main() {
                     })
                     .collect();
                 let lp = workloads::gmm_log_predictive(&test.points, &pi, &mus, &sigs);
-                let _ = writeln!(
-                    out,
-                    "| jags | {i} | {:.3} | {lp:.1} |",
-                    t0.elapsed().as_secs_f64()
-                );
+                let _ =
+                    writeln!(out, "| jags | {i} | {:.3} | {lp:.1} |", t0.elapsed().as_secs_f64());
             }
         }
     }
@@ -92,13 +88,8 @@ fn main() {
     // --- Stan-like baseline: marginalized mixture, NUTS, 50 warmup ---
     {
         let rows: Vec<Vec<f64>> = (0..n).map(|i| train.points.row(i).to_vec()).collect();
-        let model = augur_stan::MarginalGmm {
-            data: rows,
-            k,
-            prior_var: 50.0,
-            like_var: 1.0,
-            alpha: 1.0,
-        };
+        let model =
+            augur_stan::MarginalGmm { data: rows, k, prior_var: 50.0, like_var: 1.0, alpha: 1.0 };
         let t0 = Instant::now();
         let sout = augur_stan::sample(
             &model,
@@ -116,11 +107,7 @@ fn main() {
         for &i in &[1usize, 25, 50, 100] {
             let (pis, mus) = model.unpack(&sout.draws[i.min(sout.draws.len()) - 1]);
             let lp = workloads::gmm_log_predictive(&test.points, &pis, &mus, &sigs);
-            let _ = writeln!(
-                out,
-                "| stan | {i} | {:.3} | {lp:.1} |",
-                per_sample * (50 + i) as f64
-            );
+            let _ = writeln!(out, "| stan | {i} | {:.3} | {lp:.1} |", per_sample * (50 + i) as f64);
         }
     }
 

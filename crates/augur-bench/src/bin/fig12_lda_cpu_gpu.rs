@@ -19,10 +19,7 @@ use std::fmt::Write as _;
 fn main() {
     let scale = scale_arg(0.05);
     let sweeps = 5;
-    let datasets = [
-        ("Kos", 6906usize, 1330usize, 346usize),
-        ("Nips", 12419, 1500, 1288),
-    ];
+    let datasets = [("Kos", 6906usize, 1330usize, 346usize), ("Nips", 12419, 1500, 1288)];
     let topic_counts = [50usize, 100, 150];
 
     let mut out = String::new();

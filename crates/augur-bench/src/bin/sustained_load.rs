@@ -275,8 +275,7 @@ fn main() {
     // failures (timeouts, shed load) — the survivability contract is
     // "every ticket resolves, most requests complete"; clean runs keep
     // the strict zero-failure contract.
-    let fault =
-        FaultPlan::from_env().expect("AUGUR_FAULT parses").filter(|f| !f.is_empty());
+    let fault = FaultPlan::from_env().expect("AUGUR_FAULT parses").filter(|f| !f.is_empty());
     let mut ok = 0usize;
     let mut typed_failures = 0usize;
     for t in tickets {
@@ -319,18 +318,10 @@ fn main() {
 
     // Streaming convergence of the last request per model: worst ESS,
     // worst split-R̂ across every (model, param) gauge.
-    let ess_min = m
-        .convergence
-        .iter()
-        .map(|c| c.ess)
-        .filter(|e| !e.is_nan())
-        .fold(f64::INFINITY, f64::min);
-    let rhat_max = m
-        .convergence
-        .iter()
-        .map(|c| c.split_rhat)
-        .filter(|r| !r.is_nan())
-        .fold(f64::NAN, f64::max);
+    let ess_min =
+        m.convergence.iter().map(|c| c.ess).filter(|e| !e.is_nan()).fold(f64::INFINITY, f64::min);
+    let rhat_max =
+        m.convergence.iter().map(|c| c.split_rhat).filter(|r| !r.is_nan()).fold(f64::NAN, f64::max);
 
     // The scrape-overhead probe only runs on clean lanes: a faulted run
     // measures the drill, not the exporter. A first reading under the
@@ -379,7 +370,11 @@ fn main() {
     }
     let _ = writeln!(json, "  \"migrations\": {},", m.migrations);
     let _ = writeln!(json, "  \"queue_high_water\": {},", m.queue_high_water);
-    let _ = writeln!(json, "  \"fault\": \"{}\",", fault.as_ref().map(|f| f.render()).unwrap_or_default());
+    let _ = writeln!(
+        json,
+        "  \"fault\": \"{}\",",
+        fault.as_ref().map(|f| f.render()).unwrap_or_default()
+    );
     let _ = writeln!(json, "  \"shed\": {},", m.shed);
     let _ = writeln!(json, "  \"shed_rate\": {shed_rate:.4},");
     let _ = writeln!(json, "  \"timeouts\": {},", m.timeouts);

@@ -32,10 +32,7 @@ pub fn hgmm_sampler(
     }
     .expect("HGMM parses");
     model
-        .plan(
-            hgmm_args(k, d, n),
-            vec![("y", HostValue::Ragged(data.points.clone()))],
-        )
+        .plan(hgmm_args(k, d, n), vec![("y", HostValue::Ragged(data.points.clone()))])
         .expect("HGMM plans")
         .session(SessionConfig { target, mcmc, seed, ..Default::default() })
         .expect("HGMM builds")
@@ -54,10 +51,7 @@ pub fn lda_sampler(
 ) -> Session {
     Model::compile(models::LDA)
         .expect("LDA parses")
-        .plan(
-            lda_args(topics, corpus),
-            vec![("w", HostValue::RaggedI(corpus.docs.clone()))],
-        )
+        .plan(lda_args(topics, corpus), vec![("w", HostValue::RaggedI(corpus.docs.clone()))])
         .expect("LDA plans")
         .session(SessionConfig { target, seed, ..Default::default() })
         .expect("LDA builds")

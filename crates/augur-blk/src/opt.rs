@@ -156,7 +156,13 @@ fn optimize_parblk(
     //    Sampling bodies are excluded: per-thread RNG streams are keyed by
     //    the outer thread index, which commuting would reassign.
     if flags.commute && !contains_sampling(&body) {
-        if let Stmt::Loop { kind: ik @ (LoopKind::Par | LoopKind::AtmPar), var: iv, lo: ilo, hi: ihi, body: ibody } = &body
+        if let Stmt::Loop {
+            kind: ik @ (LoopKind::Par | LoopKind::AtmPar),
+            var: iv,
+            lo: ilo,
+            hi: ihi,
+            body: ibody,
+        } = &body
         {
             let bounds_independent = !mentions(ilo, &var) && !mentions(ihi, &var);
             if bounds_independent {
@@ -198,10 +204,8 @@ fn optimize_parblk(
     //    expose it when the outer extent alone underutilizes the device.
     if flags.inline && inner_par.is_none() {
         if let Stmt::Sample { dist: DistKind::Dirichlet | DistKind::MvNormal, args, .. } = &body {
-            let underutilized = oracle
-                .extent(&lo, &hi)
-                .map(|e| e < flags.device_lanes)
-                .unwrap_or(false);
+            let underutilized =
+                oracle.extent(&lo, &hi).map(|e| e < flags.device_lanes).unwrap_or(false);
             if underutilized && oracle.vec_len(&args[0]).is_some() {
                 report.inlined += 1;
                 let width = Expr::Len(Box::new(args[0].clone()));
@@ -281,9 +285,7 @@ mod tests {
 
     impl FixedOracle {
         fn new(pairs: &[(&str, i64)]) -> Self {
-            FixedOracle {
-                sizes: pairs.iter().map(|(k, v)| ((*k).to_owned(), *v)).collect(),
-            }
+            FixedOracle { sizes: pairs.iter().map(|(k, v)| ((*k).to_owned(), *v)).collect() }
         }
     }
 
@@ -399,10 +401,7 @@ mod tests {
             lo: Expr::Int(0),
             hi: Expr::var("N"),
             body: Box::new(Stmt::Assign {
-                lhs: LValue {
-                    var: "out".into(),
-                    indices: vec![Expr::var("k"), Expr::var("n")],
-                },
+                lhs: LValue { var: "out".into(), indices: vec![Expr::var("k"), Expr::var("n")] },
                 op: AssignOp::Set,
                 rhs: Expr::Real(0.0),
             }),
@@ -484,7 +483,8 @@ mod tests {
 
     #[test]
     fn flags_disable_each_optimization() {
-        let flags = OptFlags { commute: false, inline: false, sum_blk: false, ..OptFlags::default() };
+        let flags =
+            OptFlags { commute: false, inline: false, sum_blk: false, ..OptFlags::default() };
         let mut p = BlkProc {
             name: "g".into(),
             blocks: vec![parblk(LoopKind::AtmPar, "n", "N", fixed_inc("a"))],

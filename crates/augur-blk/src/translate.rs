@@ -31,24 +31,14 @@ pub fn to_blocks(proc_: &ProcDecl) -> BlkProc {
             Stmt::Loop { kind: LoopKind::Seq, var, lo, hi, body } => {
                 // A sequential top-level loop of parallel work becomes a
                 // loopBlk; of scalar work, a seqBlk.
-                let inner = to_blocks(&ProcDecl {
-                    name: String::new(),
-                    body: *body.clone(),
-                    ret: None,
-                });
-                let has_parallel =
-                    inner.blocks.iter().any(|b| !matches!(b, Blk::SeqBlk(_)));
+                let inner =
+                    to_blocks(&ProcDecl { name: String::new(), body: *body.clone(), ret: None });
+                let has_parallel = inner.blocks.iter().any(|b| !matches!(b, Blk::SeqBlk(_)));
                 flush(&mut pending_seq, &mut blocks);
                 if has_parallel {
                     blocks.push(Blk::LoopBlk { var, lo, hi, body: inner.blocks });
                 } else {
-                    blocks.push(Blk::SeqBlk(Stmt::Loop {
-                        kind: LoopKind::Seq,
-                        var,
-                        lo,
-                        hi,
-                        body,
-                    }));
+                    blocks.push(Blk::SeqBlk(Stmt::Loop { kind: LoopKind::Seq, var, lo, hi, body }));
                 }
             }
             other => pending_seq.push(other),
@@ -72,11 +62,7 @@ mod tests {
         let p = ProcDecl {
             name: "p".into(),
             body: Stmt::Seq(vec![
-                Stmt::Assign {
-                    lhs: LValue::name("acc"),
-                    op: AssignOp::Set,
-                    rhs: Expr::Real(0.0),
-                },
+                Stmt::Assign { lhs: LValue::name("acc"), op: AssignOp::Set, rhs: Expr::Real(0.0) },
                 Stmt::Loop {
                     kind: LoopKind::AtmPar,
                     var: "n".into(),

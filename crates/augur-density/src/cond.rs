@@ -78,9 +78,7 @@ impl Rewrite {
             Rewrite::Prior => "prior".to_owned(),
             Rewrite::TrivialScalar => "trivial-scalar".to_owned(),
             Rewrite::DirectAlignment => "direct-alignment (factoring rule)".to_owned(),
-            Rewrite::CategoricalIndexing => {
-                "categorical-indexing (mixture rule)".to_owned()
-            }
+            Rewrite::CategoricalIndexing => "categorical-indexing (mixture rule)".to_owned(),
             Rewrite::Fallback(reason) => format!("fallback: {reason}"),
             Rewrite::BlockJoint => "block-joint (no alignment attempted)".to_owned(),
         }
@@ -126,10 +124,7 @@ pub fn conditional(model: &DensityModel, targets: &[&str]) -> Conditional {
     let single = if targets.len() == 1 { Some(targets[0]) } else { None };
 
     let target_comps: Vec<Comp> = match single {
-        Some(t) => model
-            .prior_factor(t)
-            .map(|(_, f)| f.comps.clone())
-            .unwrap_or_default(),
+        Some(t) => model.prior_factor(t).map(|(_, f)| f.comps.clone()).unwrap_or_default(),
         None => Vec::new(),
     };
 
@@ -178,7 +173,11 @@ pub fn conditional(model: &DensityModel, targets: &[&str]) -> Conditional {
         }
     }
 
-    Conditional { targets: targets.iter().map(|s| (*s).to_owned()).collect(), target_comps, factors }
+    Conditional {
+        targets: targets.iter().map(|s| (*s).to_owned()).collect(),
+        target_comps,
+        factors,
+    }
 }
 
 /// Attempts to align a likelihood factor to the target's comprehensions,
@@ -197,9 +196,7 @@ fn align_factor(
     }
     let occs = occurrences(f, target);
     if occs.is_empty() {
-        return Err(format!(
-            "`{target}` has no indexable occurrence in the factor"
-        ));
+        return Err(format!("`{target}` has no indexable occurrence in the factor"));
     }
 
     // Case 1 — direct alignment (factoring rule): every occurrence is
@@ -236,9 +233,7 @@ fn fallback_reason(
     // indexing rule was shape-applicable, so the root test must have
     // failed (or the target is multi-dimensional).
     if let DExpr::Index(_, idx0) = &occs[0] {
-        let shared = occs
-            .iter()
-            .all(|o| matches!(o, DExpr::Index(_, i) if *i == *idx0));
+        let shared = occs.iter().all(|o| matches!(o, DExpr::Index(_, i) if *i == *idx0));
         if shared {
             if target_comps.len() > 1 {
                 return format!(
@@ -248,20 +243,14 @@ fn fallback_reason(
             }
             return match root_var(idx0) {
                 Some(root) => match model.prior_factor(root) {
-                    Some((_, prior))
-                        if prior.dist != augur_dist::DistKind::Categorical =>
-                    {
+                    Some((_, prior)) if prior.dist != augur_dist::DistKind::Categorical => {
                         format!(
                             "index root `{root}` is {:?}-distributed, not Categorical",
                             prior.dist
                         )
                     }
-                    Some(_) => format!(
-                        "occurrences `{target}[{idx0}]` match no alignment rule"
-                    ),
-                    None => format!(
-                        "index root `{root}` is not a parameter of the model"
-                    ),
+                    Some(_) => format!("occurrences `{target}[{idx0}]` match no alignment rule"),
+                    None => format!("index root `{root}` is not a parameter of the model"),
                 },
                 None => "index expression has no root variable".to_owned(),
             };
@@ -554,10 +543,7 @@ mod tests {
         let dm = build(GMM);
         let mu = conditional(&dm, &["mu"]);
         assert_eq!(mu.prior().unwrap().rewrite, Rewrite::Prior);
-        assert_eq!(
-            mu.likelihoods().next().unwrap().rewrite,
-            Rewrite::CategoricalIndexing
-        );
+        assert_eq!(mu.likelihoods().next().unwrap().rewrite, Rewrite::CategoricalIndexing);
         let z = conditional(&dm, &["z"]);
         assert_eq!(z.likelihoods().next().unwrap().rewrite, Rewrite::DirectAlignment);
     }
@@ -581,9 +567,7 @@ mod tests {
         }
         // Scalar targets and block conditionals carry their own markers.
         let scalar = conditional(&dm, &["sigma2"]);
-        assert!(scalar
-            .likelihoods()
-            .all(|f| f.rewrite == Rewrite::TrivialScalar));
+        assert!(scalar.likelihoods().all(|f| f.rewrite == Rewrite::TrivialScalar));
         let block = conditional(&dm, &["sigma2", "theta"]);
         assert!(block.factors.iter().all(|f| f.rewrite == Rewrite::BlockJoint));
     }

@@ -98,11 +98,7 @@ pub fn detect(_model: &DensityModel, cond: &Conditional) -> Option<ConjugacyMatc
         likelihoods.push(LikTerm { cond_factor_index: i, target_pos: pos, dist: f.dist });
     }
 
-    Some(ConjugacyMatch {
-        relation: relation?,
-        prior_args: prior.factor.args.clone(),
-        likelihoods,
-    })
+    Some(ConjugacyMatch { relation: relation?, prior_args: prior.factor.args.clone(), likelihoods })
 }
 
 /// The well-known table: `(prior, likelihood, target position) → relation`.
@@ -160,8 +156,7 @@ mod tests {
         ];
         for (var, expect) in cases {
             let cond = conditional(&dm, &[var]);
-            let m = detect(&dm, &cond)
-                .unwrap_or_else(|| panic!("{var} should be conjugate"));
+            let m = detect(&dm, &cond).unwrap_or_else(|| panic!("{var} should be conjugate"));
             assert_eq!(m.relation, expect, "{var}");
             assert_eq!(m.likelihoods.len(), 1);
         }

@@ -68,9 +68,10 @@ impl DExpr {
         match self {
             DExpr::Var(n) if n == name => replacement.clone(),
             DExpr::Var(_) | DExpr::Int(_) | DExpr::Real(_) => self.clone(),
-            DExpr::Index(a, b) => {
-                DExpr::Index(Box::new(a.subst(name, replacement)), Box::new(b.subst(name, replacement)))
-            }
+            DExpr::Index(a, b) => DExpr::Index(
+                Box::new(a.subst(name, replacement)),
+                Box::new(b.subst(name, replacement)),
+            ),
             DExpr::Call(f, args) => {
                 DExpr::Call(*f, args.iter().map(|a| a.subst(name, replacement)).collect())
             }
@@ -92,10 +93,9 @@ impl DExpr {
         }
         match self {
             DExpr::Var(_) | DExpr::Int(_) | DExpr::Real(_) => self.clone(),
-            DExpr::Index(a, b) => DExpr::Index(
-                Box::new(a.subst_expr(from, to)),
-                Box::new(b.subst_expr(from, to)),
-            ),
+            DExpr::Index(a, b) => {
+                DExpr::Index(Box::new(a.subst_expr(from, to)), Box::new(b.subst_expr(from, to)))
+            }
             DExpr::Call(f, args) => {
                 DExpr::Call(*f, args.iter().map(|a| a.subst_expr(from, to)).collect())
             }

@@ -331,11 +331,9 @@ fn inline(e: &DExpr, lets: &HashMap<String, LetDef>) -> Result<DExpr, DensityErr
             }
             Ok(DExpr::Call(*f, out))
         }
-        DExpr::Binop(op, a, b) => Ok(DExpr::Binop(
-            *op,
-            Box::new(inline(a, lets)?),
-            Box::new(inline(b, lets)?),
-        )),
+        DExpr::Binop(op, a, b) => {
+            Ok(DExpr::Binop(*op, Box::new(inline(a, lets)?), Box::new(inline(b, lets)?)))
+        }
         DExpr::Neg(a) => Ok(DExpr::Neg(Box::new(inline(a, lets)?))),
     }
 }
@@ -443,10 +441,7 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        assert!(matches!(
-            DensityModel::from_typed(&typed),
-            Err(DensityError::DetWholeUse(_))
-        ));
+        assert!(matches!(DensityModel::from_typed(&typed), Err(DensityError::DetWholeUse(_))));
     }
 
     #[test]

@@ -53,8 +53,7 @@ mod tests {
             param z[n] ~ Categorical(pis) for n <- 0 until N ;
             data x[n] ~ MvNormal(mu[z[n]], Sigma) for n <- 0 until N ;
         }"#;
-        let dm =
-            DensityModel::from_typed(&typecheck(&parse(src).unwrap()).unwrap()).unwrap();
+        let dm = DensityModel::from_typed(&typecheck(&parse(src).unwrap()).unwrap()).unwrap();
         let p = pretty_density(&dm);
         assert!(p.contains("Π_{k←0 until K} p_MvNormal(mu_0, Sigma_0)(mu[k])"), "{p}");
         assert!(p.contains("Π_{n←0 until N} p_MvNormal(mu[z[n]], Sigma)(x[n])"), "{p}");
@@ -68,14 +67,10 @@ mod tests {
             param z[n] ~ Categorical(pis) for n <- 0 until N ;
             data x[n] ~ Normal(mu[z[n]], s) for n <- 0 until N ;
         }"#;
-        let dm =
-            DensityModel::from_typed(&typecheck(&parse(src).unwrap()).unwrap()).unwrap();
+        let dm = DensityModel::from_typed(&typecheck(&parse(src).unwrap()).unwrap()).unwrap();
         let cond = crate::conditional(&dm, &["mu"]);
         let lik = cond.likelihoods().next().unwrap();
         let p = pretty_factor(&lik.factor);
-        assert!(
-            p.contains("[p_Normal(mu[z[n]], s)(x[n])]_{k=z[n]}"),
-            "rendered: {p}"
-        );
+        assert!(p.contains("[p_Normal(mu[z[n]], s)(x[n])]_{k=z[n]}"), "rendered: {p}");
     }
 }

@@ -91,13 +91,7 @@ pub fn beta_bernoulli(a: f64, b: f64, n1: f64, n0: f64) -> (f64, f64) {
 ///
 /// Returns `(mu_post, var_post)` with precision addition:
 /// `1/var_post = 1/var0 + n/like_var`.
-pub fn normal_normal_mean(
-    mu0: f64,
-    var0: f64,
-    like_var: f64,
-    sum_x: f64,
-    n: f64,
-) -> (f64, f64) {
+pub fn normal_normal_mean(mu0: f64, var0: f64, like_var: f64, sum_x: f64, n: f64) -> (f64, f64) {
     let prec = 1.0 / var0 + n / like_var;
     let var_post = 1.0 / prec;
     let mu_post = var_post * (mu0 / var0 + sum_x / like_var);
@@ -260,8 +254,7 @@ mod tests {
         let sum_x: f64 = data.iter().sum();
         let (mu_p, var_p) = normal_normal_mean(mu0, var0, like_var, sum_x, 4.0);
         let n = 50_000;
-        let mean: f64 =
-            (0..n).map(|_| rng.normal(mu_p, var_p)).sum::<f64>() / n as f64;
+        let mean: f64 = (0..n).map(|_| rng.normal(mu_p, var_p)).sum::<f64>() / n as f64;
         assert!((mean - mu_p).abs() < 0.01);
         assert!((mu_p - sum_x / 5.0).abs() < 1e-12); // shrinkage toward 0
     }

@@ -484,8 +484,8 @@ impl DistKind {
             DistKind::MvNormal => {
                 let (cov, dim) = params[1].matrix();
                 let m = Matrix::from_slice(dim, dim, cov).expect("cov shape");
-                let cache = vector::MvNormalCache::new(&m)
-                    .expect("covariance must be SPD for gradients");
+                let cache =
+                    vector::MvNormalCache::new(&m).expect("covariance must be SPD for gradients");
                 cache.grad_x(point.vector(), params[0].vector(), out.vector());
             }
             DistKind::Gamma => {
@@ -535,17 +535,14 @@ impl DistKind {
                     scalar::normal_grad_mu(point.scalar(), params[0].scalar(), params[1].scalar());
             }
             (DistKind::Normal, 1) => {
-                *out.scalar() += scalar::normal_grad_var(
-                    point.scalar(),
-                    params[0].scalar(),
-                    params[1].scalar(),
-                );
+                *out.scalar() +=
+                    scalar::normal_grad_var(point.scalar(), params[0].scalar(), params[1].scalar());
             }
             (DistKind::MvNormal, 0) => {
                 let (cov, dim) = params[1].matrix();
                 let m = Matrix::from_slice(dim, dim, cov).expect("cov shape");
-                let cache = vector::MvNormalCache::new(&m)
-                    .expect("covariance must be SPD for gradients");
+                let cache =
+                    vector::MvNormalCache::new(&m).expect("covariance must be SPD for gradients");
                 cache.grad_mu(point.vector(), params[0].vector(), out.vector());
             }
             (DistKind::BernoulliLogit, 0) => {
@@ -581,10 +578,7 @@ mod tests {
         for k in ALL_KINDS {
             assert_eq!(k.name().parse::<DistKind>().unwrap(), k);
         }
-        assert!(matches!(
-            "Gumbel".parse::<DistKind>(),
-            Err(DistError::UnknownName(_))
-        ));
+        assert!(matches!("Gumbel".parse::<DistKind>(), Err(DistError::UnknownName(_))));
     }
 
     #[test]
@@ -636,9 +630,7 @@ mod tests {
         let alpha = [1.0, 2.0, 3.0];
         let dparams = [ValueRef::Vector(&alpha)];
         let mut theta = vec![0.0; 3];
-        DistKind::Dirichlet
-            .sample(&dparams, &mut rng, ValueMut::Vector(&mut theta))
-            .unwrap();
+        DistKind::Dirichlet.sample(&dparams, &mut rng, ValueMut::Vector(&mut theta)).unwrap();
         let ll = DistKind::Dirichlet.log_pdf(&dparams, ValueRef::Vector(&theta)).unwrap();
         assert!(ll.is_finite());
     }

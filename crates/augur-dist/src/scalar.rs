@@ -181,9 +181,7 @@ mod tests {
     #[test]
     fn gamma_grad_matches_finite_differences() {
         let (x, a, b) = (1.4, 3.0, 2.0);
-        assert!(
-            (gamma_grad_x(x, a, b) - finite_diff(|t| gamma_log_pdf(t, a, b), x)).abs() < 1e-6
-        );
+        assert!((gamma_grad_x(x, a, b) - finite_diff(|t| gamma_log_pdf(t, a, b), x)).abs() < 1e-6);
     }
 
     #[test]

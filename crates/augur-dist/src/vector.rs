@@ -285,8 +285,7 @@ mod tests {
     fn one_shot_matches_cached() {
         let cov = [2.0, 0.5, 0.5, 1.0];
         let ll = mv_normal_log_pdf(&[0.3, -0.4], &[0.1, 0.2], &cov, 2);
-        let cache =
-            MvNormalCache::new(&Matrix::from_vec(2, 2, cov.to_vec()).unwrap()).unwrap();
+        let cache = MvNormalCache::new(&Matrix::from_vec(2, 2, cov.to_vec()).unwrap()).unwrap();
         assert!((ll - cache.log_pdf(&[0.3, -0.4], &[0.1, 0.2])).abs() < 1e-14);
     }
 

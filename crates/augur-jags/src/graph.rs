@@ -80,10 +80,7 @@ pub(crate) struct Node {
 pub(crate) enum Strategy {
     /// Node-level conjugate update; maps a *model factor index* to the
     /// argument position the target occupies in that likelihood.
-    Conjugate {
-        relation: augur_dist::conjugacy::Relation,
-        lik_pos: HashMap<usize, usize>,
-    },
+    Conjugate { relation: augur_dist::conjugacy::Relation, lik_pos: HashMap<usize, usize> },
     /// Enumerate a finite discrete support.
     Discrete(SupportSize),
     /// Univariate slice sampling (scalar nodes only).
@@ -128,8 +125,7 @@ impl JagsModel {
         seed: u64,
     ) -> Result<JagsModel, JagsError> {
         let ast = augur_lang::parse(src).map_err(|e| JagsError::Frontend(e.to_string()))?;
-        let typed =
-            augur_lang::typecheck(&ast).map_err(|e| JagsError::Frontend(e.to_string()))?;
+        let typed = augur_lang::typecheck(&ast).map_err(|e| JagsError::Frontend(e.to_string()))?;
         let dm = augur_density::DensityModel::from_typed(&typed)
             .map_err(|e| JagsError::Frontend(e.to_string()))?;
 
@@ -240,17 +236,17 @@ impl JagsModel {
                 }
             };
             var_index.insert(info.name.clone(), vars.len());
-            vars.push(VarGroup { name: info.name.clone(), factor: fi, node_ids, offsets, strategy });
+            vars.push(VarGroup {
+                name: info.name.clone(),
+                factor: fi,
+                node_ids,
+                offsets,
+                strategy,
+            });
         }
 
-        let mut model = JagsModel {
-            dm,
-            consts,
-            vars,
-            var_index,
-            nodes,
-            rng: Prng::seed_from_u64(seed),
-        };
+        let mut model =
+            JagsModel { dm, consts, vars, var_index, nodes, rng: Prng::seed_from_u64(seed) };
         model.wire_children()?;
         Ok(model)
     }
@@ -266,11 +262,8 @@ impl JagsModel {
                 if parent.name == group.name {
                     continue;
                 }
-                let occs: Vec<DExpr> = factor
-                    .args
-                    .iter()
-                    .flat_map(|a| chains_rooted_at(a, &parent.name))
-                    .collect();
+                let occs: Vec<DExpr> =
+                    factor.args.iter().flat_map(|a| chains_rooted_at(a, &parent.name)).collect();
                 if occs.is_empty() {
                     continue;
                 }
@@ -304,12 +297,7 @@ impl JagsModel {
     /// The comprehension environment of a node.
     pub(crate) fn node_env(&self, var: usize, node: usize) -> HashMap<String, i64> {
         let factor = &self.dm.factors[self.vars[var].factor];
-        factor
-            .comps
-            .iter()
-            .zip(&self.nodes[node].idx)
-            .map(|(c, &i)| (c.var.clone(), i))
-            .collect()
+        factor.comps.iter().zip(&self.nodes[node].idx).map(|(c, &i)| (c.var.clone(), i)).collect()
     }
 
     /// Resolves `parent[e1][e2…]` to a node when every index is a static
@@ -345,11 +333,7 @@ impl JagsModel {
     /// Flattened current values of a variable.
     pub fn values(&self, name: &str) -> Vec<f64> {
         let group = &self.vars[self.var_index[name]];
-        group
-            .node_ids
-            .iter()
-            .flat_map(|&id| self.nodes[id].value.flat())
-            .collect()
+        group.node_ids.iter().flat_map(|&id| self.nodes[id].value.flat()).collect()
     }
 
     /// Sets the values of a scalar-node variable (manual initialization).
@@ -380,9 +364,10 @@ fn initial_value(
         Some(HostValue::VecI(v)) => Ok(NodeVal::Num(v[idx[0] as usize] as f64)),
         Some(HostValue::Ragged(r)) => match idx.len() {
             1 => Ok(NodeVal::VecV(r.row(idx[0] as usize).to_vec())),
-            2 => Ok(NodeVal::Num(r.get(idx[0] as usize, idx[1] as usize).ok_or_else(
-                || JagsError::Binding("ragged index out of range".into()),
-            )?)),
+            2 => Ok(NodeVal::Num(
+                r.get(idx[0] as usize, idx[1] as usize)
+                    .ok_or_else(|| JagsError::Binding("ragged index out of range".into()))?,
+            )),
             _ => Err(JagsError::Unsupported("deep ragged data".into())),
         },
         Some(HostValue::RaggedI(rows)) => match idx.len() {
@@ -464,9 +449,8 @@ pub(crate) fn eval_scalar_env(
             if let Some(v) = env.get(n) {
                 return Ok(*v as f64);
             }
-            let id = consts
-                .id(n)
-                .ok_or_else(|| JagsError::Unsupported(format!("non-static `{n}`")))?;
+            let id =
+                consts.id(n).ok_or_else(|| JagsError::Unsupported(format!("non-static `{n}`")))?;
             match consts.shape(id) {
                 Shape::Num => Ok(consts.flat(id)[0]),
                 _ => Err(JagsError::Unsupported(format!("`{n}` is not scalar"))),
@@ -553,10 +537,7 @@ mod tests {
     #[test]
     fn strategies_match_the_analysis() {
         let m = gmm_model(4);
-        assert!(matches!(
-            m.vars[m.var_index["mu"]].strategy,
-            Strategy::Conjugate { .. }
-        ));
+        assert!(matches!(m.vars[m.var_index["mu"]].strategy, Strategy::Conjugate { .. }));
         assert!(matches!(m.vars[m.var_index["z"]].strategy, Strategy::Discrete(_)));
         assert!(matches!(m.vars[m.var_index["x"]].strategy, Strategy::Observed));
     }
@@ -589,11 +570,7 @@ mod tests {
         }"#;
         let m = JagsModel::build(
             src,
-            vec![
-                HostValue::Int(2),
-                HostValue::VecI(vec![3, 1]),
-                HostValue::VecF(vec![0.5, 0.5]),
-            ],
+            vec![HostValue::Int(2), HostValue::VecI(vec![3, 1]), HostValue::VecF(vec![0.5, 0.5])],
             vec![],
             1,
         )

@@ -27,8 +27,7 @@ impl JagsModel {
                 let id = self.vars[vi].node_ids[ni];
                 let env = self.node_env(vi, id);
                 let factor = self.dm.factors[self.vars[vi].factor].clone();
-                let args: Vec<NodeVal> =
-                    factor.args.iter().map(|a| self.eval(&env, a)).collect();
+                let args: Vec<NodeVal> = factor.args.iter().map(|a| self.eval(&env, a)).collect();
                 let value = self.sample_dist(factor.dist, &args);
                 self.nodes[id].value = value;
             }
@@ -108,12 +107,7 @@ impl JagsModel {
             collect_chain_indices(&cf.args[pos], &mut indices);
             let mut active = true;
             for (k, ie) in indices.iter().enumerate() {
-                let v = self
-                    .eval(&cenv, ie)
-                    .flat()
-                    .first()
-                    .copied()
-                    .unwrap_or(f64::NAN) as i64;
+                let v = self.eval(&cenv, ie).flat().first().copied().unwrap_or(f64::NAN) as i64;
                 if my_idx.get(k) != Some(&v) {
                     active = false;
                     break;
@@ -330,8 +324,7 @@ impl JagsModel {
         match dist.point_ty() {
             augur_dist::SimpleTy::Int | augur_dist::SimpleTy::Real => {
                 let mut out = 0.0;
-                dist.sample(&refs, &mut self.rng, ValueMut::Scalar(&mut out))
-                    .expect("sampling");
+                dist.sample(&refs, &mut self.rng, ValueMut::Scalar(&mut out)).expect("sampling");
                 NodeVal::Num(out)
             }
             augur_dist::SimpleTy::Vec => {
@@ -340,8 +333,7 @@ impl JagsModel {
                     other => panic!("vector point needs vector first arg, got {other:?}"),
                 };
                 let mut out = vec![0.0; len];
-                dist.sample(&refs, &mut self.rng, ValueMut::Vector(&mut out))
-                    .expect("sampling");
+                dist.sample(&refs, &mut self.rng, ValueMut::Vector(&mut out)).expect("sampling");
                 NodeVal::VecV(out)
             }
             augur_dist::SimpleTy::Mat => {
@@ -413,12 +405,8 @@ impl JagsModel {
                 augur_lang::ast::Builtin::Sigmoid => {
                     NodeVal::Num(augur_math::special::sigmoid(num(self.eval(env, &args[0]))))
                 }
-                augur_lang::ast::Builtin::Exp => {
-                    NodeVal::Num(num(self.eval(env, &args[0])).exp())
-                }
-                augur_lang::ast::Builtin::Log => {
-                    NodeVal::Num(num(self.eval(env, &args[0])).ln())
-                }
+                augur_lang::ast::Builtin::Exp => NodeVal::Num(num(self.eval(env, &args[0])).exp()),
+                augur_lang::ast::Builtin::Log => NodeVal::Num(num(self.eval(env, &args[0])).ln()),
                 augur_lang::ast::Builtin::Sqrt => {
                     NodeVal::Num(num(self.eval(env, &args[0])).sqrt())
                 }
@@ -445,8 +433,7 @@ impl JagsModel {
         let DExpr::Var(name) = root else {
             panic!("index chain with non-variable root: {e}");
         };
-        let vals: Vec<i64> =
-            indices.iter().map(|ie| num(self.eval(env, ie)) as i64).collect();
+        let vals: Vec<i64> = indices.iter().map(|ie| num(self.eval(env, ie)) as i64).collect();
 
         if let Some(id) = self.consts.id(name) {
             return match (self.consts.shape(id), vals.as_slice()) {
@@ -472,11 +459,14 @@ impl JagsModel {
 
         // random variable: resolve the node, then index into its value
         let group = &self.vars[self.var_index[name]];
-        let levels = if group.offsets.is_some() { 2 } else { usize::from(!self.nodes[group.node_ids[0]].idx.is_empty()) };
+        let levels = if group.offsets.is_some() {
+            2
+        } else {
+            usize::from(!self.nodes[group.node_ids[0]].idx.is_empty())
+        };
         let (node_idx, rest) = vals.split_at(levels.min(vals.len()));
-        let nid = self
-            .node_of(group, node_idx)
-            .unwrap_or_else(|| panic!("no node {name}{node_idx:?}"));
+        let nid =
+            self.node_of(group, node_idx).unwrap_or_else(|| panic!("no node {name}{node_idx:?}"));
         let mut value = self.nodes[nid].value.clone();
         for &j in rest {
             value = match value {

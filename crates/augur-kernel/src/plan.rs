@@ -120,7 +120,9 @@ fn plan_entry(model: &DensityModel, entry: &ScheduleEntry) -> Result<PlannedUpda
     match entry.kind {
         UpdateKind::Gibbs => {
             if vars.len() != 1 {
-                return Err(cannot("Gibbs blocks are not supported; schedule variables separately"));
+                return Err(cannot(
+                    "Gibbs blocks are not supported; schedule variables separately",
+                ));
             }
             if let Some(m) = detect(model, &cond) {
                 fc = Some(FcStrategy::Conjugate(m));
@@ -145,9 +147,7 @@ fn plan_entry(model: &DensityModel, entry: &ScheduleEntry) -> Result<PlannedUpda
             // Every factor of the conditional must support point gradients
             // with respect to the targets it mentions.
             for cf in &cond.factors {
-                let mentions_target = |e: &augur_density::DExpr| {
-                    vars.iter().any(|v| e.mentions(v))
-                };
+                let mentions_target = |e: &augur_density::DExpr| vars.iter().any(|v| e.mentions(v));
                 let needs_point_grad = mentions_target(&cf.factor.point);
                 if needs_point_grad && !cf.factor.dist.has_point_grad() {
                     return Err(cannot(&format!(
@@ -164,10 +164,8 @@ fn plan_entry(model: &DensityModel, entry: &ScheduleEntry) -> Result<PlannedUpda
                 ));
             }
             for v in &vars {
-                let prior = model
-                    .prior_factor(v)
-                    .ok_or_else(|| cannot("variable has no prior factor"))?
-                    .1;
+                let prior =
+                    model.prior_factor(v).ok_or_else(|| cannot("variable has no prior factor"))?.1;
                 if !matches!(prior.dist, DistKind::Normal | DistKind::MvNormal) {
                     return Err(cannot("elliptical slice sampling requires a Gaussian prior"));
                 }
@@ -186,10 +184,7 @@ fn plan_entry(model: &DensityModel, entry: &ScheduleEntry) -> Result<PlannedUpda
         }
     }
 
-    Ok(PlannedUpdate {
-        base: BaseUpdate { kind: entry.kind, unit: entry.unit.clone(), cond },
-        fc,
-    })
+    Ok(PlannedUpdate { base: BaseUpdate { kind: entry.kind, unit: entry.unit.clone(), cond }, fc })
 }
 
 fn prior_support(model: &DensityModel, var: &str) -> Option<Support> {
@@ -323,9 +318,8 @@ mod tests {
     #[test]
     fn duplicate_param_is_rejected() {
         let dm = build(HGMM);
-        let sched =
-            parse_schedule("Gibbs z (*) Gibbs z (*) Gibbs pi (*) Gibbs mu (*) Gibbs Sigma")
-                .unwrap();
+        let sched = parse_schedule("Gibbs z (*) Gibbs z (*) Gibbs pi (*) Gibbs mu (*) Gibbs Sigma")
+            .unwrap();
         assert!(matches!(plan(&dm, &sched), Err(KernelError::DuplicateParam(_))));
     }
 
@@ -415,10 +409,8 @@ mod block_tests {
             param b ~ Normal(0.0, 1.0) ;
             data y[n] ~ Normal(a + b, s2) for n <- 0 until N ;
         }"#;
-        let dm = augur_density::DensityModel::from_typed(
-            &typecheck(&parse(src).unwrap()).unwrap(),
-        )
-        .unwrap();
+        let dm = augur_density::DensityModel::from_typed(&typecheck(&parse(src).unwrap()).unwrap())
+            .unwrap();
         let sched = parse_schedule("ESlice a b").unwrap();
         match plan(&dm, &sched) {
             Err(KernelError::CannotGenerate { reason, .. }) => {

@@ -156,10 +156,7 @@ mod tests {
 
     #[test]
     fn empty_entry_between_operators_rejected() {
-        assert!(matches!(
-            parse_schedule("Gibbs z (*) (*) HMC mu"),
-            Err(KernelError::Malformed(_))
-        ));
+        assert!(matches!(parse_schedule("Gibbs z (*) (*) HMC mu"), Err(KernelError::Malformed(_))));
     }
 
     #[test]

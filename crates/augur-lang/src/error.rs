@@ -69,7 +69,11 @@ impl fmt::Display for LangError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.span {
             Some(span) => {
-                write!(f, "{} error at bytes {}..{}: {}", self.phase, span.start, span.end, self.message)
+                write!(
+                    f,
+                    "{} error at bytes {}..{}: {}",
+                    self.phase, span.start, span.end, self.message
+                )
             }
             None => write!(f, "{} error: {}", self.phase, self.message),
         }

@@ -46,10 +46,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LangError> {
                     tokens.push(Token { kind: TokenKind::LeftArrow, span: Span::new(i, i + 2) });
                     i += 2;
                 } else {
-                    return Err(LangError::lex(
-                        "expected `<-`".to_owned(),
-                        Span::new(i, i + 1),
-                    ));
+                    return Err(LangError::lex("expected `<-`".to_owned(), Span::new(i, i + 1)));
                 }
             }
             '-' => push_simple(&mut tokens, TokenKind::Minus, &mut i),
@@ -59,7 +56,10 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LangError> {
                 while j < bytes.len() && bytes[j].is_ascii_digit() {
                     j += 1;
                 }
-                if j < bytes.len() && bytes[j] == b'.' && bytes.get(j + 1).is_some_and(u8::is_ascii_digit) {
+                if j < bytes.len()
+                    && bytes[j] == b'.'
+                    && bytes.get(j + 1).is_some_and(u8::is_ascii_digit)
+                {
                     is_real = true;
                     j += 1;
                     while j < bytes.len() && bytes[j].is_ascii_digit() {
@@ -193,18 +193,12 @@ mod tests {
     #[test]
     fn minus_then_number_stays_separate() {
         // unary minus is handled by the parser
-        assert_eq!(
-            kinds("-3"),
-            vec![TokenKind::Minus, TokenKind::Int(3), TokenKind::Eof]
-        );
+        assert_eq!(kinds("-3"), vec![TokenKind::Minus, TokenKind::Int(3), TokenKind::Eof]);
     }
 
     #[test]
     fn keywords_are_not_identifiers() {
         assert_eq!(kinds("for"), vec![TokenKind::For, TokenKind::Eof]);
-        assert_eq!(
-            kinds("fore"),
-            vec![TokenKind::Ident("fore".into()), TokenKind::Eof]
-        );
+        assert_eq!(kinds("fore"), vec![TokenKind::Ident("fore".into()), TokenKind::Eof]);
     }
 }

@@ -141,10 +141,9 @@ impl Parser {
 
     fn dist_call(&mut self) -> Result<DistCall, LangError> {
         let name = self.ident()?;
-        let dist: DistKind = name
-            .name
-            .parse()
-            .map_err(|_| LangError::parse(format!("unknown distribution `{}`", name.name), name.span))?;
+        let dist: DistKind = name.name.parse().map_err(|_| {
+            LangError::parse(format!("unknown distribution `{}`", name.name), name.span)
+        })?;
         self.expect(&TokenKind::LParen)?;
         let mut args = Vec::new();
         if !self.check(&TokenKind::RParen) {

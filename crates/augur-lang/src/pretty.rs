@@ -43,7 +43,9 @@ fn pretty_decl(decl: &Decl) -> String {
         let gens: Vec<String> = decl
             .gens
             .iter()
-            .map(|g| format!("{} <- {} until {}", g.var.name, pretty_expr(&g.lo), pretty_expr(&g.hi)))
+            .map(|g| {
+                format!("{} <- {} until {}", g.var.name, pretty_expr(&g.lo), pretty_expr(&g.hi))
+            })
             .collect();
         let _ = write!(s, " for {}", gens.join(", "));
     }

@@ -211,9 +211,7 @@ mod tests {
         assert!(u.coerce_numeric(&Ty::REAL, &Ty::INT).is_ok());
         assert!(u.coerce_numeric(&Ty::INT, &Ty::REAL).is_err());
         // no coercion under Vec
-        assert!(u
-            .coerce_numeric(&Ty::REAL.vec_of(1), &Ty::INT.vec_of(1))
-            .is_err());
+        assert!(u.coerce_numeric(&Ty::REAL.vec_of(1), &Ty::INT.vec_of(1)).is_err());
     }
 
     #[test]
@@ -228,10 +226,7 @@ mod tests {
 
     #[test]
     fn vec_of_wraps() {
-        assert_eq!(
-            Ty::INT.vec_of(2),
-            Ty::Vec(Box::new(Ty::Vec(Box::new(Ty::INT))))
-        );
+        assert_eq!(Ty::INT.vec_of(2), Ty::Vec(Box::new(Ty::Vec(Box::new(Ty::INT)))));
         assert_eq!(format!("{}", Ty::REAL.vec_of(2)), "Vec Vec Real");
     }
 }

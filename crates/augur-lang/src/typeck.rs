@@ -40,9 +40,7 @@ impl TypedModel {
     ///
     /// Panics if the name is not an argument or declaration of the model.
     pub fn ty(&self, name: &str) -> &Ty {
-        self.var_tys
-            .get(name)
-            .unwrap_or_else(|| panic!("no such model variable `{name}`"))
+        self.var_tys.get(name).unwrap_or_else(|| panic!("no such model variable `{name}`"))
     }
 
     /// One-line structural summary for explain plans:
@@ -82,11 +80,7 @@ pub fn typecheck(model: &Model) -> Result<TypedModel, LangError> {
         ck.check_decl(model, i, decl)?;
     }
 
-    let var_tys = ck
-        .tys
-        .iter()
-        .map(|(name, ty)| (name.clone(), ck.u.finalize(ty)))
-        .collect();
+    let var_tys = ck.tys.iter().map(|(name, ty)| (name.clone(), ck.u.finalize(ty))).collect();
     Ok(TypedModel { model: model.clone(), var_tys })
 }
 
@@ -218,16 +212,22 @@ impl Checker {
         }
     }
 
-    fn expect(&mut self, expected: &Ty, actual: &Ty, span: crate::token::Span) -> Result<(), LangError> {
-        self.u
-            .unify(expected, actual)
-            .map_err(|m| LangError::ty(m, Some(span)))
+    fn expect(
+        &mut self,
+        expected: &Ty,
+        actual: &Ty,
+        span: crate::token::Span,
+    ) -> Result<(), LangError> {
+        self.u.unify(expected, actual).map_err(|m| LangError::ty(m, Some(span)))
     }
 
-    fn coerce(&mut self, expected: &Ty, actual: &Ty, span: crate::token::Span) -> Result<(), LangError> {
-        self.u
-            .coerce_numeric(expected, actual)
-            .map_err(|m| LangError::ty(m, Some(span)))
+    fn coerce(
+        &mut self,
+        expected: &Ty,
+        actual: &Ty,
+        span: crate::token::Span,
+    ) -> Result<(), LangError> {
+        self.u.coerce_numeric(expected, actual).map_err(|m| LangError::ty(m, Some(span)))
     }
 
     fn infer_expr(&mut self, expr: &Expr, loops: &LoopScope) -> Result<Ty, LangError> {
@@ -252,9 +252,9 @@ impl Checker {
                 let base_ty = self.infer_expr(base, loops)?;
                 let elem = self.u.fresh();
                 let vec_ty = Ty::Vec(Box::new(elem.clone()));
-                self.u
-                    .unify(&vec_ty, &base_ty)
-                    .map_err(|m| LangError::ty(format!("indexing a non-vector: {m}"), Some(*span)))?;
+                self.u.unify(&vec_ty, &base_ty).map_err(|m| {
+                    LangError::ty(format!("indexing a non-vector: {m}"), Some(*span))
+                })?;
                 Ok(elem)
             }
             Expr::Call(builtin, args, span) => match builtin {
@@ -442,7 +442,11 @@ mod tests {
     fn rejects_indexing_scalar() {
         let src = "(a, N) => { param x ~ Normal(a, 1.0) ; data y[n] ~ Normal(x[n], 1.0) for n <- 0 until N ; }";
         let err = typecheck(&parse(src).unwrap()).unwrap_err();
-        assert!(err.message.contains("non-vector") || err.message.contains("unify"), "{}", err.message);
+        assert!(
+            err.message.contains("non-vector") || err.message.contains("unify"),
+            "{}",
+            err.message
+        );
     }
 
     #[test]

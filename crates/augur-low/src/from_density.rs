@@ -80,10 +80,8 @@ pub fn wrap_comps(comps: &[Comp], kind: LoopKind, body: Stmt) -> Stmt {
 /// annotated `AtmPar` because the increments must be atomic when
 /// parallelized.
 pub fn factor_ll_stmt(f: &Factor, acc: &str) -> Stmt {
-    let body = wrap_inds(
-        f,
-        Stmt::Assign { lhs: LValue::name(acc), op: AssignOp::Inc, rhs: atom_ll(f) },
-    );
+    let body =
+        wrap_inds(f, Stmt::Assign { lhs: LValue::name(acc), op: AssignOp::Inc, rhs: atom_ll(f) });
     wrap_comps(&f.comps, LoopKind::AtmPar, body)
 }
 
@@ -139,8 +137,7 @@ mod tests {
             param theta[j] ~ Normal(0.0, lambda) for j <- 0 until D ;
             data y[n] ~ Bernoulli(sigmoid(dot(x[n], theta))) for n <- 0 until N ;
         }"#;
-        let dm =
-            DensityModel::from_typed(&typecheck(&parse(src).unwrap()).unwrap()).unwrap();
+        let dm = DensityModel::from_typed(&typecheck(&parse(src).unwrap()).unwrap()).unwrap();
         let (dist, args) = stabilized_atom(&dm.factors[1]);
         assert_eq!(dist, DistKind::BernoulliLogit);
         assert_eq!(format!("{}", args[0]), "dot(x[n], theta)");

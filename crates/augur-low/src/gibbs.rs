@@ -43,10 +43,7 @@ pub fn gen_conjugate(
     m: &ConjugacyMatch,
 ) -> Result<GibbsCode, LowerError> {
     let target = &cond.targets[0];
-    assert!(
-        cond.target_comps.len() <= 1,
-        "conjugate targets have at most one comprehension level"
-    );
+    assert!(cond.target_comps.len() <= 1, "conjugate targets have at most one comprehension level");
     let slice = cond.target_comps.first();
     let prefix = format!("u{uidx}");
     let mut allocs = Vec::new();
@@ -125,12 +122,12 @@ fn stat_layout(m: &ConjugacyMatch) -> Vec<Vec<StatSpec>> {
                 StatSpec { tag: "n1", shape: ShapeSpec::Scalar },
                 StatSpec { tag: "n0", shape: ShapeSpec::Scalar },
             ],
-            Relation::NormalNormalMean
-            | Relation::GammaPoisson
-            | Relation::GammaExponential => vec![
-                StatSpec { tag: "cnt", shape: ShapeSpec::Scalar },
-                StatSpec { tag: "sum", shape: ShapeSpec::Scalar },
-            ],
+            Relation::NormalNormalMean | Relation::GammaPoisson | Relation::GammaExponential => {
+                vec![
+                    StatSpec { tag: "cnt", shape: ShapeSpec::Scalar },
+                    StatSpec { tag: "sum", shape: ShapeSpec::Scalar },
+                ]
+            }
             Relation::MvNormalMvNormalMean => vec![
                 StatSpec { tag: "cnt", shape: ShapeSpec::Scalar },
                 StatSpec {
@@ -159,20 +156,14 @@ fn stat_name(prefix: &str, term: usize, tag: &str) -> String {
 
 fn wrap_table(slice: Option<&Comp>, inner: ShapeSpec) -> ShapeSpec {
     match slice {
-        Some(c) => {
-            ShapeSpec::Table { rows: SizeExpr::Expr(c.hi.clone()), inner: Box::new(inner) }
-        }
+        Some(c) => ShapeSpec::Table { rows: SizeExpr::Expr(c.hi.clone()), inner: Box::new(inner) },
         None => inner,
     }
 }
 
 fn reset_stat(name: &str, slice: Option<&Comp>, _inner: &ShapeSpec) -> Stmt {
     // Broadcast store of 0.0 over the whole buffer (or the slice row).
-    let zero = Stmt::Assign {
-        lhs: LValue::name(name),
-        op: AssignOp::Set,
-        rhs: Expr::Real(0.0),
-    };
+    let zero = Stmt::Assign { lhs: LValue::name(name), op: AssignOp::Set, rhs: Expr::Real(0.0) };
     // Whole-buffer broadcast works regardless of slicing.
     let _ = slice;
     zero
@@ -212,19 +203,17 @@ fn accumulate_stats(
         }
         Relation::BetaBernoulli => Stmt::seq(vec![
             inc(stat_lv("n1", None), pt.clone()),
-            inc(stat_lv("n0", None), Expr::Binop(
-                crate::il::BinOp::Sub,
-                Box::new(one),
-                Box::new(pt),
-            )),
+            inc(
+                stat_lv("n0", None),
+                Expr::Binop(crate::il::BinOp::Sub, Box::new(one), Box::new(pt)),
+            ),
         ]),
         Relation::NormalNormalMean
         | Relation::MvNormalMvNormalMean
         | Relation::GammaPoisson
-        | Relation::GammaExponential => Stmt::seq(vec![
-            inc(stat_lv("cnt", None), one),
-            inc(stat_lv("sum", None), pt),
-        ]),
+        | Relation::GammaExponential => {
+            Stmt::seq(vec![inc(stat_lv("cnt", None), one), inc(stat_lv("sum", None), pt)])
+        }
         Relation::InvGammaNormalVar => {
             let mean = other_arg(1 - target_pos);
             let dev = Expr::Binop(crate::il::BinOp::Sub, Box::new(pt), Box::new(mean));
@@ -347,14 +336,14 @@ fn posterior_sample(
             for t in 0..terms {
                 let cov_t = fixed_arg(t, 1 - m.likelihoods[t].target_pos)?;
                 let prec_t = Expr::Op(OpN::MatInv, vec![cov_t]);
-                lam = Expr::Op(OpN::MatAdd, vec![
-                    lam,
-                    Expr::Op(OpN::MatScale, vec![stat(t, "cnt"), prec_t.clone()]),
-                ]);
-                rhs = Expr::Op(OpN::VecAdd, vec![
-                    rhs,
-                    Expr::Op(OpN::MatVec, vec![prec_t, stat(t, "sum")]),
-                ]);
+                lam = Expr::Op(
+                    OpN::MatAdd,
+                    vec![lam, Expr::Op(OpN::MatScale, vec![stat(t, "cnt"), prec_t.clone()])],
+                );
+                rhs = Expr::Op(
+                    OpN::VecAdd,
+                    vec![rhs, Expr::Op(OpN::MatVec, vec![prec_t, stat(t, "sum")])],
+                );
             }
             let post_cov = Expr::Op(OpN::MatInv, vec![lam]);
             let post_mu = Expr::Op(OpN::MatVec, vec![post_cov.clone(), rhs]);
@@ -520,15 +509,8 @@ fn gen_finite_sum_aligned(
         },
         weights: Expr::var(wname),
     };
-    let body = wrap_comps(
-        &cond.target_comps,
-        LoopKind::Par,
-        Stmt::seq(vec![candidate_loop, draw]),
-    );
-    Ok(GibbsCode {
-        allocs,
-        proc_: ProcDecl { name: format!("{prefix}_gibbs"), body, ret: None },
-    })
+    let body = wrap_comps(&cond.target_comps, LoopKind::Par, Stmt::seq(vec![candidate_loop, draw]));
+    Ok(GibbsCode { allocs, proc_: ProcDecl { name: format!("{prefix}_gibbs"), body, ret: None } })
 }
 
 /// The sequential mutate-and-score lowering (whole-variable likelihood
@@ -586,15 +568,8 @@ fn gen_finite_sum_sequential(
     let draw = Stmt::SampleLogits { lhs: slice_lv, weights: Expr::var(wname) };
     // Slices are coupled through the whole-variable use: strictly
     // sequential single-site Gibbs.
-    let body = wrap_comps(
-        &cond.target_comps,
-        LoopKind::Seq,
-        Stmt::seq(vec![candidate_loop, draw]),
-    );
-    Ok(GibbsCode {
-        allocs,
-        proc_: ProcDecl { name: format!("{prefix}_gibbs"), body, ret: None },
-    })
+    let body = wrap_comps(&cond.target_comps, LoopKind::Seq, Stmt::seq(vec![candidate_loop, draw]));
+    Ok(GibbsCode { allocs, proc_: ProcDecl { name: format!("{prefix}_gibbs"), body, ret: None } })
 }
 
 #[cfg(test)]

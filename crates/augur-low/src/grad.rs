@@ -52,20 +52,13 @@ pub fn gen_grad_proc(
     for cf in &cond.factors {
         stmts.push(factor_adjoint(prefix, cf, targets)?);
     }
-    Ok((
-        allocs,
-        ProcDecl { name: proc_name.to_owned(), body: Stmt::seq(stmts), ret: None },
-    ))
+    Ok((allocs, ProcDecl { name: proc_name.to_owned(), body: Stmt::seq(stmts), ret: None }))
 }
 
 /// The adjoint of one factor: loops, guards, and per-atom chain-rule
 /// increments (Fig. 8b's `Π` rule composed with Fig. 8a's expression
 /// rules).
-fn factor_adjoint(
-    prefix: &str,
-    cf: &CondFactor,
-    targets: &[String],
-) -> Result<Stmt, LowerError> {
+fn factor_adjoint(prefix: &str, cf: &CondFactor, targets: &[String]) -> Result<Stmt, LowerError> {
     let f = &cf.factor;
     let (dist, args) = stabilized_atom(f);
     let largs: Vec<Expr> = args.iter().map(lower_expr).collect();
@@ -76,12 +69,8 @@ fn factor_adjoint(
         if !mentions_any(arg, targets) {
             continue;
         }
-        let seed = Expr::DistGradParam {
-            dist,
-            i,
-            args: largs.clone(),
-            point: Box::new(lpoint.clone()),
-        };
+        let seed =
+            Expr::DistGradParam { dist, i, args: largs.clone(), point: Box::new(lpoint.clone()) };
         adj_expr(prefix, arg, seed, targets, &mut body)?;
     }
     if mentions_any(&f.point, targets) {
@@ -163,10 +152,8 @@ fn adj_expr(
         DExpr::Call(Builtin::Sigmoid, args) => {
             // σ'(x) = σ(x)(1 − σ(x))
             let s = Expr::Call(Builtin::Sigmoid, vec![lower_expr(&args[0])]);
-            let deriv = mul(
-                s.clone(),
-                Expr::Binop(BinOp::Sub, Box::new(Expr::Real(1.0)), Box::new(s)),
-            );
+            let deriv =
+                mul(s.clone(), Expr::Binop(BinOp::Sub, Box::new(Expr::Real(1.0)), Box::new(s)));
             adj_expr(prefix, &args[0], mul(seed, deriv), targets, out)
         }
         DExpr::Call(Builtin::Exp, args) => {
@@ -177,10 +164,7 @@ fn adj_expr(
             adj_expr(prefix, &args[0], div(seed, lower_expr(&args[0])), targets, out)
         }
         DExpr::Call(Builtin::Sqrt, args) => {
-            let deriv = div(
-                Expr::Real(0.5),
-                Expr::Call(Builtin::Sqrt, vec![lower_expr(&args[0])]),
-            );
+            let deriv = div(Expr::Real(0.5), Expr::Call(Builtin::Sqrt, vec![lower_expr(&args[0])]));
             adj_expr(prefix, &args[0], mul(seed, deriv), targets, out)
         }
         DExpr::Call(Builtin::Dot, args) => {
@@ -189,9 +173,8 @@ fn adj_expr(
                 if !mentions_any(this, targets) {
                     continue;
                 }
-                let root = chain_root(this).ok_or_else(|| LowerError::UnsupportedAd {
-                    expr: format!("{this}"),
-                })?;
+                let root = chain_root(this)
+                    .ok_or_else(|| LowerError::UnsupportedAd { expr: format!("{this}") })?;
                 if !targets.iter().any(|t| t == root) {
                     continue;
                 }
@@ -243,21 +226,14 @@ mod tests {
         }"#,
         );
         let cond = conditional(&dm, &["mu"]);
-        let (allocs, p) =
-            gen_grad_proc("g0", "g0_grad", &cond, &["mu".to_owned()]).unwrap();
+        let (allocs, p) = gen_grad_proc("g0", "g0_grad", &cond, &["mu".to_owned()]).unwrap();
         let s = crate::il::pretty_proc(&p);
         // the paper's §4.4 excerpt: an AtmPar loop over n incrementing
         // adj_mu[z[n]] with the mean-gradient of the likelihood
         assert!(s.contains("loop AtmPar (n <- 0 until N)"), "{s}");
-        assert!(
-            s.contains("g0_adj_mu[z[n]] += MvNormal(mu[z[n]], Sigma).grad2(x[n]);"),
-            "{s}"
-        );
+        assert!(s.contains("g0_adj_mu[z[n]] += MvNormal(mu[z[n]], Sigma).grad2(x[n]);"), "{s}");
         // prior contributes through its point
-        assert!(
-            s.contains("g0_adj_mu[k] += MvNormal(mu_0, Sigma_0).grad1(mu[k]);"),
-            "{s}"
-        );
+        assert!(s.contains("g0_adj_mu[k] += MvNormal(mu_0, Sigma_0).grad1(mu[k]);"), "{s}");
         assert_eq!(allocs.len(), 1);
         assert!(matches!(allocs[0].shape, ShapeSpec::LikeVar(_)));
     }
@@ -318,9 +294,6 @@ mod tests {
         let cond = conditional(&dm, &["a"]);
         let (_, p) = gen_grad_proc("g3", "g3_grad", &cond, &["a".to_owned()]).unwrap();
         let s = crate::il::pretty_proc(&p);
-        assert!(
-            s.contains("g3_adj_a += (Normal(exp(a), s2).grad2(y[n]) * exp(a));"),
-            "{s}"
-        );
+        assert!(s.contains("g3_adj_a += (Normal(exp(a), s2).grad2(y[n]) * exp(a));"), "{s}");
     }
 }

@@ -300,7 +300,9 @@ fn join(args: &[Expr]) -> String {
 pub fn pretty_stmt(s: &Stmt, indent: usize) -> String {
     let pad = "  ".repeat(indent);
     match s {
-        Stmt::Seq(stmts) => stmts.iter().map(|t| pretty_stmt(t, indent)).collect::<Vec<_>>().join(""),
+        Stmt::Seq(stmts) => {
+            stmts.iter().map(|t| pretty_stmt(t, indent)).collect::<Vec<_>>().join("")
+        }
         Stmt::Assign { lhs, op, rhs } => {
             let sym = match op {
                 AssignOp::Set => "=",
@@ -370,10 +372,7 @@ mod tests {
             rhs: Expr::DistGradParam {
                 dist: DistKind::MvNormal,
                 i: 0,
-                args: vec![
-                    Expr::index(Expr::var("mu"), Expr::var("t0")),
-                    Expr::var("Sigma"),
-                ],
+                args: vec![Expr::index(Expr::var("mu"), Expr::var("t0")), Expr::var("Sigma")],
                 point: Box::new(Expr::index(Expr::var("y"), Expr::var("n"))),
             },
         };

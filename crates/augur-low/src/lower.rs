@@ -187,12 +187,9 @@ pub fn lower(model: &DensityModel, plan: &KernelPlan) -> Result<LoweredModel, Lo
                         grad_proc: grad_name,
                         adj_bufs,
                     },
-                    UpdateKind::Mala => Step::Mala {
-                        targets,
-                        ll_proc: ll_name,
-                        grad_proc: grad_name,
-                        adj_bufs,
-                    },
+                    UpdateKind::Mala => {
+                        Step::Mala { targets, ll_proc: ll_name, grad_proc: grad_name, adj_bufs }
+                    }
                     kind => Step::Hmc {
                         targets,
                         ll_proc: ll_name,
@@ -206,8 +203,7 @@ pub fn lower(model: &DensityModel, plan: &KernelPlan) -> Result<LoweredModel, Lo
             UpdateKind::EllipticalSlice => {
                 let target = cond.targets[0].clone();
                 let lik_name = format!("{prefix}_lik");
-                let lik_factors: Vec<&Factor> =
-                    cond.likelihoods().map(|cf| &cf.factor).collect();
+                let lik_factors: Vec<&Factor> = cond.likelihoods().map(|cf| &cf.factor).collect();
                 procs.push(ProcDecl {
                     name: lik_name.clone(),
                     body: factors_ll_body(&lik_factors, &format!("{prefix}_llacc")),
@@ -287,9 +283,7 @@ fn transforms_for(
             let tr = match support {
                 Support::RealPos => Transform::Log,
                 Support::UnitInterval => Transform::Logit,
-                Support::RealLine | Support::RealVector | Support::Interval => {
-                    Transform::Identity
-                }
+                Support::RealLine | Support::RealVector | Support::Interval => Transform::Identity,
                 other => {
                     return Err(LowerError::UnsupportedTransform {
                         update: prefix.to_owned(),
@@ -312,11 +306,7 @@ fn sample_into_proc(name: &str, prior: &Factor, buf: &str) -> ProcDecl {
     let body = crate::from_density::wrap_comps(
         &prior.comps,
         LoopKind::Par,
-        Stmt::Sample {
-            lhs,
-            dist: prior.dist,
-            args: prior.args.iter().map(lower_expr).collect(),
-        },
+        Stmt::Sample { lhs, dist: prior.dist, args: prior.args.iter().map(lower_expr).collect() },
     );
     ProcDecl { name: name.to_owned(), body, ret: None }
 }

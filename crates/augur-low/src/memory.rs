@@ -37,12 +37,8 @@ pub fn make_memory_explicit(lowered: &mut LoweredModel) -> Result<usize, LowerEr
     let mut hoisted_total = 0;
     let mut new_allocs = Vec::new();
     for p in &mut lowered.procs {
-        let mut ctx = Hoister {
-            proc_name: p.name.clone(),
-            counter: 0,
-            allocs: Vec::new(),
-            in_loop: 0,
-        };
+        let mut ctx =
+            Hoister { proc_name: p.name.clone(), counter: 0, allocs: Vec::new(), in_loop: 0 };
         let body = std::mem::replace(&mut p.body, Stmt::nop());
         p.body = ctx.stmt(body)?;
         // `ret` expressions are scalar; ops cannot appear there.
@@ -130,15 +126,12 @@ impl Hoister {
                 });
                 Expr::var(name)
             }
-            Expr::Index(a, b) => Expr::Index(
-                Box::new(self.expr(*a, pre)?),
-                Box::new(self.expr(*b, pre)?),
-            ),
-            Expr::Binop(op, a, b) => Expr::Binop(
-                op,
-                Box::new(self.expr(*a, pre)?),
-                Box::new(self.expr(*b, pre)?),
-            ),
+            Expr::Index(a, b) => {
+                Expr::Index(Box::new(self.expr(*a, pre)?), Box::new(self.expr(*b, pre)?))
+            }
+            Expr::Binop(op, a, b) => {
+                Expr::Binop(op, Box::new(self.expr(*a, pre)?), Box::new(self.expr(*b, pre)?))
+            }
             Expr::Neg(a) => Expr::Neg(Box::new(self.expr(*a, pre)?)),
             Expr::Call(f, args) => {
                 let mut out = Vec::with_capacity(args.len());
@@ -218,9 +211,7 @@ fn to_dexpr(e: &Expr) -> Result<DExpr, LowerError> {
         Expr::Int(v) => DExpr::Int(*v),
         Expr::Real(v) => DExpr::Real(*v),
         Expr::Index(a, b) => DExpr::index(to_dexpr(a)?, to_dexpr(b)?),
-        Expr::Binop(op, a, b) => {
-            DExpr::Binop(*op, Box::new(to_dexpr(a)?), Box::new(to_dexpr(b)?))
-        }
+        Expr::Binop(op, a, b) => DExpr::Binop(*op, Box::new(to_dexpr(a)?), Box::new(to_dexpr(b)?)),
         Expr::Neg(a) => DExpr::Neg(Box::new(to_dexpr(a)?)),
         Expr::Call(f, args) => {
             let mut out = Vec::with_capacity(args.len());
@@ -256,10 +247,9 @@ mod tests {
     }"#;
 
     fn lower_hgmm() -> LoweredModel {
-        let dm = augur_density::DensityModel::from_typed(
-            &typecheck(&parse(HGMM).unwrap()).unwrap(),
-        )
-        .unwrap();
+        let dm =
+            augur_density::DensityModel::from_typed(&typecheck(&parse(HGMM).unwrap()).unwrap())
+                .unwrap();
         let sched = heuristic_schedule(&dm).unwrap();
         crate::lower(&dm, &plan(&dm, &sched).unwrap()).unwrap()
     }

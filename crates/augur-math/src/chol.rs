@@ -264,10 +264,7 @@ mod tests {
     #[test]
     fn rejects_non_spd() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap();
-        assert!(matches!(
-            Cholesky::new(&a),
-            Err(MathError::NotPositiveDefinite { .. })
-        ));
+        assert!(matches!(Cholesky::new(&a), Err(MathError::NotPositiveDefinite { .. })));
     }
 
     #[test]

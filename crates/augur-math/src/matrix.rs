@@ -179,11 +179,7 @@ impl Matrix {
 
     /// Returns the matrix scaled by `s`.
     pub fn scale(&self, s: f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|x| x * s).collect(),
-        }
+        Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|x| x * s).collect() }
     }
 
     /// Matrix–vector product `self * v`.
@@ -215,10 +211,7 @@ impl Matrix {
         if self.cols != other.rows {
             return Err(MathError::DimensionMismatch {
                 op: "Matrix::matmul",
-                detail: format!(
-                    "{}x{} * {}x{}",
-                    self.rows, self.cols, other.rows, other.cols
-                ),
+                detail: format!("{}x{} * {}x{}", self.rows, self.cols, other.rows, other.cols),
             });
         }
         let mut out = Matrix::zeros(self.rows, other.cols);

@@ -231,15 +231,9 @@ mod tests {
         assert!(body.contains("augur_test_total 3"), "{body}");
         // The scrape itself is counted (incremented before the render,
         // so the first scrape already sees itself).
-        assert!(
-            body.contains("augur_telemetry_scrapes_total{endpoint=\"/metrics\"} 1"),
-            "{body}"
-        );
+        assert!(body.contains("augur_telemetry_scrapes_total{endpoint=\"/metrics\"} 1"), "{body}");
         let (_, body) = get(addr, "/metrics");
-        assert!(
-            body.contains("augur_telemetry_scrapes_total{endpoint=\"/metrics\"} 2"),
-            "{body}"
-        );
+        assert!(body.contains("augur_telemetry_scrapes_total{endpoint=\"/metrics\"} 2"), "{body}");
 
         let (status, body) = get(addr, "/healthz");
         assert!(status.contains("200"), "{status}");

@@ -117,8 +117,7 @@ impl Gauge {
         let mut cur = self.bits.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(cur) + d).to_bits();
-            match self.bits.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
+            match self.bits.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
                 Ok(_) => return,
                 Err(seen) => cur = seen,
             }
@@ -168,10 +167,7 @@ impl Histogram {
     /// The default latency bounds (seconds): 1ms → 60s, roughly
     /// logarithmic.
     pub fn latency_bounds() -> &'static [f64] {
-        &[
-            0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
-            60.0,
-        ]
+        &[0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0]
     }
 
     /// Records one observation.

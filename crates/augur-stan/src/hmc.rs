@@ -103,8 +103,7 @@ pub fn sample(model: &dyn StanModel, opts: SampleOpts) -> SampleOutput {
         };
         if adapting {
             let m = (iter + 1) as f64;
-            h_bar = (1.0 - 1.0 / (m + t0)) * h_bar
-                + (opts.target_accept - alpha) / (m + t0);
+            h_bar = (1.0 - 1.0 / (m + t0)) * h_bar + (opts.target_accept - alpha) / (m + t0);
             let log_eps = mu - m.sqrt() / gamma * h_bar;
             let w = m.powf(-kappa);
             log_eps_bar = w * log_eps + (1.0 - w) * log_eps_bar;
@@ -290,8 +289,7 @@ mod tests {
     fn nuts_recovers_conjugate_posterior() {
         let data = vec![1.2, 0.8, 1.0, 1.4, 0.6];
         let sum: f64 = data.iter().sum();
-        let (post_mu, _) =
-            augur_dist::conjugacy::normal_normal_mean(0.0, 4.0, 1.0, sum, 5.0);
+        let (post_mu, _) = augur_dist::conjugacy::normal_normal_mean(0.0, 4.0, 1.0, sum, 5.0);
         let model = NormalMean { prior_var: 4.0, like_var: 1.0, data };
         let out = sample(
             &model,

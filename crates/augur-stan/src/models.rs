@@ -144,9 +144,7 @@ impl MarginalGmm {
         let m = augur_math::special::log_sum_exp(logits);
         let pis: Vec<f64> = logits.iter().map(|l| (l - m).exp()).collect();
         let d = self.d();
-        let mus = (0..self.k)
-            .map(|c| q[self.k + c * d..self.k + (c + 1) * d].to_vec())
-            .collect();
+        let mus = (0..self.k).map(|c| q[self.k + c * d..self.k + (c + 1) * d].to_vec()).collect();
         (pis, mus)
     }
 }
@@ -288,13 +286,8 @@ mod tests {
 
     #[test]
     fn unpack_produces_simplex() {
-        let m = MarginalGmm {
-            data: vec![vec![0.0]],
-            k: 3,
-            prior_var: 1.0,
-            like_var: 1.0,
-            alpha: 1.0,
-        };
+        let m =
+            MarginalGmm { data: vec![vec![0.0]], k: 3, prior_var: 1.0, like_var: 1.0, alpha: 1.0 };
         let (pis, mus) = m.unpack(&[0.5, -0.5, 0.0, 1.0, 2.0, 3.0]);
         assert!((pis.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert_eq!(mus.len(), 3);

@@ -110,11 +110,7 @@ impl Chains {
     /// [`Error::ShortChain`] when chains are too short for split-R̂
     /// (fewer than 4 draws).
     pub fn report(&self) -> Result<ChainsReport, Error> {
-        let first = self
-            .draws
-            .first()
-            .and_then(|chain| chain.first())
-            .ok_or(Error::NoChains)?;
+        let first = self.draws.first().and_then(|chain| chain.first()).ok_or(Error::NoChains)?;
         let mut names: Vec<(String, usize)> =
             first.iter().map(|(name, vals)| (name.clone(), vals.len())).collect();
         names.sort();
@@ -192,7 +188,13 @@ impl fmt::Display for ChainsReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{:<24} {:>10} {:>10}", "parameter", "ess", "split-Rhat")?;
         for p in &self.params {
-            writeln!(f, "{:<24} {:>10.1} {:>10.4}", format!("{}[{}]", p.name, p.index), p.ess, p.split_rhat)?;
+            writeln!(
+                f,
+                "{:<24} {:>10.1} {:>10.4}",
+                format!("{}[{}]", p.name, p.index),
+                p.ess,
+                p.split_rhat
+            )?;
         }
         Ok(())
     }
@@ -448,12 +450,7 @@ mod tests {
                 vec![("y", HostValue::VecF(data.clone()))],
             )
             .unwrap();
-        let chains = ChainPlan::new(&plan)
-            .chains(4)
-            .sweeps(1500)
-            .record(&["m"])
-            .run()
-            .unwrap();
+        let chains = ChainPlan::new(&plan).chains(4).sweeps(1500).record(&["m"]).run().unwrap();
         assert_eq!(chains.num_chains(), 4);
         // all four chains bound sessions off the one specialization
         assert_eq!(model.cache_stats().misses, 1);
@@ -479,17 +476,10 @@ mod tests {
             .plan(vec![HostValue::Int(2)], vec![("y", HostValue::VecF(vec![1.0, 0.0]))])
             .unwrap();
         let run = |threads: usize| {
-            ChainPlan::new(&plan)
-                .chains(3)
-                .sweeps(5)
-                .record(&["p"])
-                .threads(threads)
-                .run()
-                .unwrap()
+            ChainPlan::new(&plan).chains(3).sweeps(5).record(&["p"]).threads(threads).run().unwrap()
         };
         let seq = run(1);
         assert_eq!(seq.draws, run(2).draws);
         assert_eq!(seq.draws, run(8).draws);
     }
-
 }

@@ -15,12 +15,7 @@ pub fn autocovariance(xs: &[f64], k: usize) -> f64 {
         return 0.0;
     }
     let m = augur_math::vecops::mean(xs);
-    xs[..n - k]
-        .iter()
-        .zip(&xs[k..])
-        .map(|(a, b)| (a - m) * (b - m))
-        .sum::<f64>()
-        / n as f64
+    xs[..n - k].iter().zip(&xs[k..]).map(|(a, b)| (a - m) * (b - m)).sum::<f64>() / n as f64
 }
 
 /// Effective sample size via Geyer's initial-positive-sequence estimator:
@@ -91,13 +86,8 @@ pub fn split_rhat(chains: &[Vec<f64>]) -> Result<f64, Error> {
     let n = halves.iter().map(|h| h.len()).min().expect("non-empty") as f64;
     let means: Vec<f64> = halves.iter().map(|h| augur_math::vecops::mean(h)).collect();
     let grand = augur_math::vecops::mean(&means);
-    let b = n / (m - 1.0)
-        * means.iter().map(|mu| (mu - grand) * (mu - grand)).sum::<f64>();
-    let w = halves
-        .iter()
-        .map(|h| augur_math::vecops::variance(h))
-        .sum::<f64>()
-        / m;
+    let b = n / (m - 1.0) * means.iter().map(|mu| (mu - grand) * (mu - grand)).sum::<f64>();
+    let w = halves.iter().map(|h| augur_math::vecops::variance(h)).sum::<f64>() / m;
     if w <= 0.0 {
         return Ok(1.0);
     }
@@ -330,9 +320,8 @@ mod tests {
     #[test]
     fn rhat_near_one_for_same_distribution() {
         let mut rng = Prng::seed_from_u64(3);
-        let chains: Vec<Vec<f64>> = (0..4)
-            .map(|_| (0..1000).map(|_| rng.std_normal()).collect())
-            .collect();
+        let chains: Vec<Vec<f64>> =
+            (0..4).map(|_| (0..1000).map(|_| rng.std_normal()).collect()).collect();
         let r = split_rhat(&chains).unwrap();
         assert!((r - 1.0).abs() < 0.03, "R̂ {r}");
     }
@@ -429,8 +418,7 @@ mod tests {
                 assert!(matches!(online.split_rhat(), Err(Error::ShortChain { min: 4, .. })));
                 continue;
             }
-            let prefix: Vec<Vec<f64>> =
-                chains.iter().map(|c| c[..=sweep].to_vec()).collect();
+            let prefix: Vec<Vec<f64>> = chains.iter().map(|c| c[..=sweep].to_vec()).collect();
             let batch_ess: f64 = prefix.iter().map(|c| ess(c)).sum();
             assert!(
                 (online.ess_sum() - batch_ess).abs() <= 1e-9,
@@ -464,8 +452,7 @@ mod tests {
             poisoned.push(0, if i == 3 { f64::NAN } else { i as f64 });
         }
         assert_eq!(poisoned.ess_sum(), 10.0);
-        let batch: Vec<f64> =
-            (0..10).map(|i| if i == 3 { f64::NAN } else { i as f64 }).collect();
+        let batch: Vec<f64> = (0..10).map(|i| if i == 3 { f64::NAN } else { i as f64 }).collect();
         assert!(poisoned.split_rhat().unwrap().is_nan());
         assert!(split_rhat(&[batch]).unwrap().is_nan());
         // Typed errors mirror the batch surface.

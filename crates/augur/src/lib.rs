@@ -68,13 +68,13 @@ use augur_density::DensityModel;
 
 pub use augur_backend::driver::{Session, SessionConfig, Target};
 pub use augur_backend::mcmc::McmcConfig;
+pub use augur_backend::state::HostValue;
 pub use augur_backend::{
     BackendAvailability, CompiledModel, NativeBreaker, Plan, PlanCacheStats, PlanEvent,
     NATIVE_BREAKER_THRESHOLD,
 };
-pub use augur_backend::state::HostValue;
-pub use augur_backend::{CodegenTarget, ExecBackend};
 pub use augur_backend::{Checkpoint, CheckpointError, FaultPlan};
+pub use augur_backend::{CodegenTarget, ExecBackend};
 pub use augur_backend::{ExecReport, KernelReport, KernelStats, RunReport};
 pub use augur_backend::{ExplainPlan, MemWatermark, Profile, Span, StepProfile};
 pub use augur_blk::OptFlags;
@@ -99,13 +99,11 @@ pub use gpu_sim::DeviceConfig;
 /// [`ChainPlan`] are the only entrypoints.
 pub mod prelude {
     pub use crate::chains::{ChainPlan, Chains, ChainsReport, ParamDiag};
-    pub use crate::diag::{
-        autocovariance, ess, ess_per_sec, split_rhat, OnlineParamDiag, Welford,
-    };
+    pub use crate::diag::{autocovariance, ess, ess_per_sec, split_rhat, OnlineParamDiag, Welford};
     pub use crate::{
-        BackendAvailability, CompiledModel, Error, ErrorKind, ExecBackend,
-        ExplainPlan, HostValue, KernelStats, McmcConfig, Model, OptFlags, Plan, PlanCacheStats,
-        PlanEvent, Profile, RunReport, Session, SessionConfig, Target,
+        BackendAvailability, CompiledModel, Error, ErrorKind, ExecBackend, ExplainPlan, HostValue,
+        KernelStats, McmcConfig, Model, OptFlags, Plan, PlanCacheStats, PlanEvent, Profile,
+        RunReport, Session, SessionConfig, Target,
     };
 }
 
@@ -276,10 +274,7 @@ mod tests {
         )
         .unwrap();
         let mut s = model
-            .plan(
-                vec![HostValue::Int(4)],
-                vec![("y", HostValue::VecF(vec![1.0, 1.0, 1.0, 0.0]))],
-            )
+            .plan(vec![HostValue::Int(4)], vec![("y", HostValue::VecF(vec![1.0, 1.0, 1.0, 0.0]))])
             .unwrap()
             .session(SessionConfig::default())
             .unwrap();

@@ -44,12 +44,7 @@ impl AtomicF64 {
         let mut current = self.0.load(Ordering::Relaxed);
         loop {
             let new = (f64::from_bits(current) + delta).to_bits();
-            match self.0.compare_exchange_weak(
-                current,
-                new,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
+            match self.0.compare_exchange_weak(current, new, Ordering::AcqRel, Ordering::Relaxed) {
                 Ok(prev) => return f64::from_bits(prev),
                 Err(seen) => current = seen,
             }

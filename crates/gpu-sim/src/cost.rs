@@ -218,10 +218,7 @@ mod tests {
         let n = 50_000;
         let atomics = atomic_time(&cfg, n as u64, 1);
         let reduction = reduce_time(&cfg, n, 1.0);
-        assert!(
-            reduction < atomics,
-            "sumBlk ({reduction}) must beat contended AtmPar ({atomics})"
-        );
+        assert!(reduction < atomics, "sumBlk ({reduction}) must beat contended AtmPar ({atomics})");
     }
 
     #[test]
