@@ -118,21 +118,30 @@ fn default_backend() -> ExecBackend {
     }
 }
 
-/// The default worker-thread count: `AUGUR_THREADS` when set and parseable
-/// (`0` = one per core), otherwise `1`.
+/// The default worker-thread count: `AUGUR_THREADS` when set (`0` = one
+/// per core), otherwise `1`. A malformed value panics, as for
+/// `AUGUR_BACKEND`: a thread-count lane that silently runs one thread
+/// tests nothing.
 fn default_threads() -> usize {
-    match std::env::var("AUGUR_THREADS") {
-        Ok(s) => s.trim().parse().unwrap_or(1),
-        Err(_) => 1,
-    }
+    parse_knob("AUGUR_THREADS", std::env::var("AUGUR_THREADS").ok().as_deref(), 1)
 }
 
-/// The default checkpoint cadence: `AUGUR_CKPT_EVERY` when set and
-/// parseable, otherwise every 100 sweeps.
+/// The default checkpoint cadence: `AUGUR_CKPT_EVERY` when set, otherwise
+/// every 100 sweeps. A malformed value panics.
 fn default_checkpoint_every() -> u64 {
-    match std::env::var("AUGUR_CKPT_EVERY") {
-        Ok(s) => s.trim().parse().unwrap_or(100),
-        Err(_) => 100,
+    parse_knob("AUGUR_CKPT_EVERY", std::env::var("AUGUR_CKPT_EVERY").ok().as_deref(), 100)
+}
+
+/// The value of numeric environment knob `name` (`None` when unset):
+/// `default` when unset, else the value parsed after trimming.
+///
+/// # Panics
+///
+/// When the value does not parse, naming the variable and the value.
+fn parse_knob<T: std::str::FromStr>(name: &str, value: Option<&str>, default: T) -> T {
+    match value {
+        Some(s) => s.trim().parse().unwrap_or_else(|_| panic!("{name}: cannot parse {s:?}")),
+        None => default,
     }
 }
 
@@ -1194,6 +1203,27 @@ fn build_session(
 mod tests {
     use super::*;
     use augur_math::vecops::mean;
+
+    #[test]
+    fn numeric_knobs_parse_or_fall_back_when_unset() {
+        assert_eq!(parse_knob::<usize>("AUGUR_THREADS", None, 1), 1);
+        assert_eq!(parse_knob::<usize>("AUGUR_THREADS", Some(" 8\n"), 1), 8);
+        assert_eq!(parse_knob::<usize>("AUGUR_THREADS", Some("0"), 1), 0);
+        assert_eq!(parse_knob::<u64>("AUGUR_CKPT_EVERY", None, 100), 100);
+        assert_eq!(parse_knob::<u64>("AUGUR_CKPT_EVERY", Some("5"), 100), 5);
+    }
+
+    #[test]
+    fn malformed_numeric_knobs_panic_naming_variable_and_value() {
+        for (name, value) in
+            [("AUGUR_THREADS", "8x"), ("AUGUR_THREADS", "-1"), ("AUGUR_CKPT_EVERY", "")]
+        {
+            let err = std::panic::catch_unwind(|| parse_knob::<u64>(name, Some(value), 1))
+                .expect_err("a malformed knob panics");
+            let msg = err.downcast_ref::<String>().expect("a formatted panic message");
+            assert_eq!(*msg, format!("{name}: cannot parse {value:?}"));
+        }
+    }
 
     /// Conjugate Normal–Normal model: the Gibbs chain must match the
     /// analytic posterior.

@@ -54,12 +54,12 @@ use augur_low::il::{AssignOp, LoopKind, OpN};
 use crate::compile::ProcTable;
 use crate::eval::dist_op_cost;
 use crate::state::{BufId, RowElem, Shape, State};
-use crate::tape::{reads, region_len, writes, GradWrt, Opd, TDest, TInstr, Tape};
+use crate::tape::{reads, region_len, writes, GradWrt, Opd, TDest, TInstr, Tape, Weight};
 use crate::tape_opt::inline_sample_len;
 
 /// Version of the emitted C and the callback ABI, named in the artifact
 /// cache directory.
-pub const CODEGEN_VERSION: u32 = 4;
+pub const CODEGEN_VERSION: u32 = 5;
 
 /// Formats an `f64` so that C's `strtod` round-trips it bit-exactly
 /// (Rust's `{:e}` prints shortest-round-trip digits; correctly-rounded
@@ -309,11 +309,18 @@ impl<'a> ProcEmitter<'a> {
     /// Decides which instructions run inline — those whose view operands
     /// are regions — and so which regions need coordinates in C.
     fn new(state: &'a State, tape: &'a Tape, used_offs: &'a mut BTreeSet<BufId>) -> Self {
+        // A fused weight's row loads are regions too, defined by the weight.
+        let mut regions = region_defs(tape);
+        for (pc, i) in tape.instrs.iter().enumerate() {
+            if let TInstr::LlWeight(wt) = i {
+                wt.loads.iter().filter(|l| l.row).for_each(|l| regions[l.dst as usize] = pc as u32);
+            }
+        }
         let mut em = ProcEmitter {
             state,
             tape,
             used_offs,
-            regions: region_defs(tape),
+            regions,
             in_c: vec![false; tape.n_vregs],
             inline: vec![true; tape.instrs.len()],
             used_bufs: BTreeSet::new(),
@@ -326,12 +333,29 @@ impl<'a> ProcEmitter<'a> {
         };
         for (pc, i) in tape.instrs.iter().enumerate() {
             em.inline[pc] = em.inlinable(i);
+        }
+        // A weight that calls back reads its prior term from the engine's
+        // scratch, so the fill of that vector calls back too; the fills
+        // inline weights read stay on C's stack.
+        let mut engine_scratch = BTreeSet::new();
+        for (pc, i) in tape.instrs.iter().enumerate() {
+            if let (TInstr::LlWeight(wt), false) = (i, em.inline[pc]) {
+                engine_scratch.extend(wt.prior.map(|p| p.s));
+            }
+        }
+        for (pc, i) in tape.instrs.iter().enumerate() {
+            if let TInstr::LlFill { s, .. } = i {
+                em.inline[pc] = !engine_scratch.contains(s);
+            }
             if em.inline[pc] {
                 reads(i, &mut |o| {
                     if o.is_view() {
                         em.in_c[o.index()] = true;
                     }
                 });
+                if let TInstr::LlWeight(wt) = i {
+                    wt.loads.iter().filter(|l| l.row).for_each(|l| em.in_c[l.dst as usize] = true);
+                }
             }
         }
         em
@@ -395,6 +419,7 @@ impl<'a> ProcEmitter<'a> {
                 self.cell(lhs).is_some() || *op == AssignOp::Set && range_buf(lhs).is_some()
             }
             TInstr::LlScratch { lhs, .. } => self.cell(lhs).is_some(),
+            TInstr::LlWeight(wt) => self.ll_at(wt.dist, &wt.args, wt.n_args, wt.point).is_some(),
             TInstr::SampleLogits { lhs, w } => self.sample_len(lhs, *w).is_some(),
             TInstr::NumOf { .. }
             | TInstr::IndexF { .. }
@@ -439,7 +464,13 @@ impl<'a> ProcEmitter<'a> {
     /// come from [`region_len`]; only a ragged row's length is read at
     /// run time (`vlN`), the table giving its bound.
     fn region(&self, r: usize) -> Region {
-        let def = &self.tape.instrs[self.regions[r] as usize];
+        let def = match &self.tape.instrs[self.regions[r] as usize] {
+            TInstr::LlWeight(wt) => {
+                let load = wt.loads.iter().find(|l| l.row && l.dst as usize == r);
+                &load.expect("a fused row load defines the region").instr(wt.k())
+            }
+            def => def,
+        };
         let (len, vector) = region_len(self.state, def)
             .unwrap_or_else(|| unreachable!("view register {r} defined by {def:?}"));
         let (buf, start, len) = match def {
@@ -604,16 +635,65 @@ impl<'a> ProcEmitter<'a> {
 
     /// A scalar store into a directly-addressed cell.
     fn store(&mut self, pc: usize, lhs: &TDest, op: AssignOp, x: &str) {
-        let (buf, cond, idx) = self.cell(lhs).expect("inline stores address a cell");
+        self.check_cell(pc, lhs);
+        self.write_cell(lhs, op, x);
+    }
+
+    /// The bounds check of a directly-addressed cell.
+    fn check_cell(&mut self, pc: usize, lhs: &TDest) {
+        let (buf, cond, _) = self.cell(lhs).expect("inline stores address a cell");
         if matches!(lhs, TDest::Cell2 { .. }) {
             self.used_offs.insert(buf);
         }
         if let Some(cond) = cond {
             self.guard(pc, &cond);
         }
+    }
+
+    /// A store into a directly-addressed cell already checked.
+    fn write_cell(&mut self, lhs: &TDest, op: AssignOp, x: &str) {
+        let (buf, _, idx) = self.cell(lhs).expect("inline stores address a cell");
         let b = self.buf(buf);
         let sym = if op == AssignOp::Set { "=" } else { "+=" };
         self.line(&format!("{b}[{idx}] {sym} {x};"));
+    }
+
+    /// A `LoadCell1` from a vector buffer: its bounds check (trapping to
+    /// `pc`), then the cell.
+    fn load_cell(&mut self, pc: usize, dst: u32, buf: BufId, i: u32) {
+        let Shape::Vector(n) = *self.state.shape(buf) else { unreachable!() };
+        self.guard(pc, &format!("f{i} >= 0.0 && f{i} < {n}"));
+        let b = self.buf(buf);
+        self.line(&format!("f{dst} = {b}[(int64_t)f{i}];"));
+    }
+
+    /// An inline [`TInstr::LlWeight`]: one guard per bounds check, in the
+    /// interpreter's order, then the replaced run's stores.
+    fn weight(&mut self, pc: usize, wt: &Weight) {
+        let k = wt.k();
+        self.pending_w += wt.work(0);
+        if wt.dest_first() {
+            self.check_cell(pc, &wt.lhs);
+        }
+        for l in &wt.loads {
+            if l.row {
+                self.load_row(pc, l.dst as usize, l.buf, k);
+            } else {
+                self.load_cell(pc, l.dst, l.buf, k);
+            }
+        }
+        if !wt.dest_first() {
+            self.check_cell(pc, &wt.lhs);
+        }
+        if let Some(c) = wt.reset {
+            self.write_cell(&wt.lhs, AssignOp::Set, &fmt_f64(c));
+        }
+        if let Some(p) = wt.prior {
+            self.write_cell(&wt.lhs, p.op, &format!("sc{}[(int64_t)f{k}]", p.s));
+        }
+        let e = self.ll_at(wt.dist, &wt.args, wt.n_args, wt.point).expect("inlinable");
+        self.ll_bufs(wt.dist, &wt.args);
+        self.write_cell(&wt.lhs, wt.op, &e);
     }
 
     fn instr(&mut self, pc: usize) {
@@ -644,10 +724,7 @@ impl<'a> ProcEmitter<'a> {
             }
             TInstr::LoadCell1 { dst, buf, i } => {
                 self.pending_w += 3;
-                let Shape::Vector(n) = *self.state.shape(*buf) else { unreachable!() };
-                self.guard(pc, &format!("f{i} >= 0.0 && f{i} < {n}"));
-                let b = self.buf(*buf);
-                self.line(&format!("f{dst} = {b}[(int64_t)f{i}];"));
+                self.load_cell(pc, *dst, *buf, *i);
             }
             TInstr::LoadCell2 { dst, buf, row, col } => {
                 self.pending_w += 5;
@@ -797,6 +874,7 @@ impl<'a> ProcEmitter<'a> {
                 self.pending_w += 2 + dist_op_cost(*dist, 0);
                 self.store(pc, lhs, *op, &format!("sc{s}[(int64_t)f{k}]"));
             }
+            TInstr::LlWeight(wt) => self.weight(pc, wt),
             TInstr::SampleLogits { lhs, w } => {
                 let n = self.sample_len(lhs, *w).expect("inlinable");
                 let r = self.region(w.index());
@@ -946,8 +1024,8 @@ impl<'a> ProcEmitter<'a> {
         if !coords.is_empty() {
             let _ = writeln!(f, "  int64_t {};", coords.join(", "));
         }
-        for i in &self.tape.instrs {
-            if let TInstr::LlFill { s, len, .. } = i {
+        for (i, inline) in self.tape.instrs.iter().zip(&self.inline) {
+            if let (TInstr::LlFill { s, len, .. }, true) = (i, inline) {
                 let _ = writeln!(f, "  double sc{s}[{len}];");
             }
         }

@@ -203,6 +203,10 @@ pub(crate) fn run_native_proc(eng: &mut Engine, module: &NativeModule, idx: usiz
     if v.len() < tape.n_vregs {
         v.resize(tape.n_vregs, View::Num(0.0));
     }
+    // A fill that calls back writes the engine's scratch.
+    if eng.tape_scratch.len() < tape.n_scratch {
+        eng.tape_scratch.resize(tape.n_scratch, 0.0);
+    }
     let eng: *mut Engine = eng;
     let mut ctx = AugCtx {
         bufs: bufs.0.as_ptr(),

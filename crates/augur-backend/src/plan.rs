@@ -590,16 +590,18 @@ fn build_artifact(lowered: &LoweredModel, state: &State, opt_flags: &OptFlags) -
     }
     blk_span.attr("total", opt_report.describe());
     let mut tape_span = Span::new("tape");
-    let mut total = (0, 0, 0);
+    let counts = |[h, e, s, f]: [usize; 4]| {
+        format!("hoisted={h} expanded={e} inlined_samples={s} fused_weights={f}")
+    };
+    let mut total = [0; 4];
     for p in &table.tapes {
-        let (h, e, s) = crate::tape_opt::summary(&p.tape, state);
-        if (h, e, s) != (0, 0, 0) {
-            tape_span.attr(&p.name, format!("hoisted={h} expanded={e} inlined_samples={s}"));
+        let summary = crate::tape_opt::summary(&p.tape, state);
+        if summary != [0; 4] {
+            tape_span.attr(&p.name, counts(summary));
         }
-        total = (total.0 + h, total.1 + e, total.2 + s);
+        total.iter_mut().zip(summary).for_each(|(t, x)| *t += x);
     }
-    let (h, e, s) = total;
-    tape_span.attr("total", format!("hoisted={h} expanded={e} inlined_samples={s}"));
+    tape_span.attr("total", counts(total));
     let steps: Vec<CompiledStep> =
         lowered.steps.iter().map(|s| compile_step(state, &table, s)).collect();
     let init_idx = table_index(&table, &lowered.init_proc);

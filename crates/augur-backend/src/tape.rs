@@ -569,6 +569,127 @@ pub enum TInstr {
         /// Operand holding the point.
         point: Opd,
     },
+    /// Fused log-weight store: one component of a finite-sum weight loop,
+    /// the run of instructions [`crate::tape_opt`] replaces by it (see
+    /// [`Weight`]). Boxed, so the instruction stays 48 bytes.
+    LlWeight(Box<Weight>),
+}
+
+// The dispatch loop walks `TInstr`s; a wider payload belongs in a box.
+const _: () = assert!(std::mem::size_of::<TInstr>() == 48);
+
+/// The payload of a [`TInstr::LlWeight`]: the weight `lhs = buf[f[k]]` of
+/// component `k`, built by the run
+///
+/// ```text
+/// writei  buf[fk] <- reset                      (optional)
+/// llstore buf[fk] op= s[fk]                     (optional prior term)
+/// row1    vD <- B[fk]   /  load1 fD <- B[fk]    (zero or more loads)
+/// llstore buf[fk] op= dist(args; point=point)
+/// ```
+///
+/// whose loads' registers no other instruction reads. Each execution
+/// leaves the cell, the work counter and a worker's write log as that
+/// run does, after all of its bounds checks.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Weight {
+    /// The destination, a [`TDest::Cell1`] indexed by `k`.
+    pub(crate) lhs: TDest,
+    /// The reset's value, stored with `<-`.
+    pub(crate) reset: Option<f64>,
+    /// The prior term, a [`TInstr::LlScratch`] at `k`.
+    pub(crate) prior: Option<Prior>,
+    /// The loads of row or cell `k`, in order.
+    pub(crate) loads: Vec<WeightLoad>,
+    /// Set or increment, for the density's store.
+    pub(crate) op: AssignOp,
+    /// The distribution.
+    pub(crate) dist: DistKind,
+    /// Parameter operands (registers the loads define, or defined before
+    /// the run).
+    pub(crate) args: [Opd; 2],
+    /// How many of `args` are meaningful.
+    pub(crate) n_args: u8,
+    /// Operand holding the point.
+    pub(crate) point: Opd,
+}
+
+/// The prior term of a [`Weight`]: `lhs op= scratch[s + f[k]]`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Prior {
+    /// Set or increment.
+    pub(crate) op: AssignOp,
+    /// First scratch cell of the filled vector.
+    pub(crate) s: u32,
+    /// The filled distribution (for the work charge).
+    pub(crate) dist: DistKind,
+}
+
+/// A load of a [`Weight`]: `v[dst] ← buf[f[k]]` (a row, as
+/// [`TInstr::LoadRow1`]) or `f[dst] ← buf[f[k]]` (a cell, as
+/// [`TInstr::LoadCell1`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WeightLoad {
+    /// Destination register, in the view bank for a row.
+    pub(crate) dst: u32,
+    /// The buffer.
+    pub(crate) buf: BufId,
+    /// A row rather than a cell.
+    pub(crate) row: bool,
+}
+
+impl Weight {
+    /// The scalar register holding the component index.
+    pub(crate) fn k(&self) -> u32 {
+        match self.lhs {
+            TDest::Cell1 { i, .. } => i,
+            other => unreachable!("a weight stores to a Cell1, not {other:?}"),
+        }
+    }
+
+    /// The density's operands, the point last.
+    pub(crate) fn operands(&self) -> impl Iterator<Item = Opd> + '_ {
+        self.args[..self.n_args as usize].iter().copied().chain([self.point])
+    }
+
+    /// Whether `o` is a load's register.
+    pub(crate) fn loads_into(&self, o: Opd) -> bool {
+        self.loads.iter().any(|l| l.opd() == o)
+    }
+
+    /// Whether the destination's bounds check comes before the loads'
+    /// (a reset or prior term stores before them).
+    pub(crate) fn dest_first(&self) -> bool {
+        self.reset.is_some() || self.prior.is_some()
+    }
+
+    /// Work charged per execution: the replaced instructions' charges.
+    pub(crate) fn work(&self, point_len: usize) -> u64 {
+        let reset = if self.reset.is_some() { 2 } else { 0 };
+        let prior = self.prior.map_or(0, |p| 2 + dist_op_cost(p.dist, 0));
+        reset + prior + 3 * self.loads.len() as u64 + 2 + dist_op_cost(self.dist, point_len)
+    }
+}
+
+impl WeightLoad {
+    /// The register the load defines.
+    pub(crate) fn opd(&self) -> Opd {
+        if self.row {
+            Opd::v(self.dst)
+        } else {
+            Opd::f(self.dst)
+        }
+    }
+
+    /// The instruction this load replaces, indexed by `f[k]`.
+    pub(crate) fn instr(&self, k: u32) -> TInstr {
+        let (dst, buf) = (self.dst, self.buf);
+        if self.row {
+            TInstr::LoadRow1 { dst, buf, i: k }
+        } else {
+            TInstr::LoadCell1 { dst, buf, i: k }
+        }
+    }
 }
 
 /// The profiler's op-class index of an instruction (see
@@ -597,7 +718,8 @@ pub fn op_class_of(i: &TInstr) -> usize {
         | TInstr::DistGrad { .. }
         | TInstr::LlStore { .. }
         | TInstr::LlFill { .. }
-        | TInstr::LlScratch { .. } => 2,
+        | TInstr::LlScratch { .. }
+        | TInstr::LlWeight(_) => 2,
         TInstr::Sample { .. } | TInstr::SampleLogits { .. } => 3,
         TInstr::Write { .. } | TInstr::WriteImm { .. } | TInstr::AccStore { .. } => 4,
         TInstr::JumpIfNe { .. }
@@ -730,6 +852,11 @@ pub(crate) fn reads(i: &TInstr, out: &mut impl FnMut(Opd)) {
             out(f(*k));
             dest_reads(lhs, out);
         }
+        // The loads' registers are the weight's own.
+        TInstr::LlWeight(wt) => {
+            dest_reads(&wt.lhs, out);
+            wt.operands().filter(|o| !wt.loads_into(*o)).for_each(out);
+        }
     }
 }
 
@@ -783,6 +910,7 @@ pub(crate) fn stored_buf(i: &TInstr) -> Option<BufId> {
         | TInstr::LlScratch { lhs, .. }
         | TInstr::Sample { lhs, .. }
         | TInstr::SampleLogits { lhs, .. } => lhs,
+        TInstr::LlWeight(wt) => &wt.lhs,
         _ => return None,
     };
     Some(match dest {
@@ -1663,6 +1791,7 @@ impl Tape {
                         fmt_opd(*point)
                     )
                 }
+                TInstr::LlWeight(wt) => writeln!(out, "{}", fmt_weight(wt)),
             };
         }
         out
@@ -1695,6 +1824,25 @@ fn fmt_lhs(l: &TDest) -> String {
             s
         }
     }
+}
+
+/// `llweight buf#B[fK] <- 0; += s0[fK]; v1 = buf#R[fK]:row; += Dist(…)`:
+/// the parts of a weight in their order.
+fn fmt_weight(wt: &Weight) -> String {
+    let k = wt.k();
+    let mut s = format!("llweight {}", fmt_lhs(&wt.lhs));
+    if let Some(c) = wt.reset {
+        s.push_str(&format!(" <- {c};"));
+    }
+    if let Some(p) = wt.prior {
+        s.push_str(&format!(" {} s{}[f{k}];", fmt_assign(p.op), p.s));
+    }
+    for l in &wt.loads {
+        let (bank, row) = if l.row { ('v', ":row") } else { ('f', "") };
+        s.push_str(&format!(" {bank}{} = buf#{}[f{k}]{row};", l.dst, l.buf));
+    }
+    let (args, point) = (fmt_args(&wt.args, wt.n_args), fmt_opd(wt.point));
+    s + &format!(" {} {:?}({args}; point={point})", fmt_assign(wt.op), wt.dist)
 }
 
 fn fmt_assign(op: AssignOp) -> &'static str {
@@ -2171,6 +2319,7 @@ impl Engine {
                 let ll = self.tape_ll(*dist, args, *n_args, *point, f, v, w);
                 self.store_num(lhs, *op, ll, f, w);
             }
+            TInstr::LlWeight(wt) => self.ll_weight(wt, f, v, w),
             TInstr::JumpIfNe { a, b, target } => {
                 if f[*a as usize] != f[*b as usize] {
                     return Flow::Jump(*target);
@@ -2207,6 +2356,105 @@ impl Engine {
         ];
         let pref = opd_ref(&self.state, f, v, point, true);
         dist.log_pdf(&refs[..n], pref).expect("ll evaluation failed")
+    }
+
+    /// A [`TInstr::LlWeight`]: every bounds check first — the
+    /// destination's, then the loads', or the loads' first when the
+    /// density's store is the first store — so a failed check stores
+    /// nothing and raises the replaced instruction's message. Then the
+    /// replaced run's charges, and its stores as one cell updated in its
+    /// order (the density reads no cell of the destination's buffer),
+    /// with a worker's write-log entry per store. Kept out of line so the
+    /// dispatch loop does not grow.
+    #[inline(never)]
+    fn ll_weight(&mut self, wt: &Weight, f: &mut [f64], v: &mut [View], w: &mut u64) {
+        let checked = if wt.dest_first() { self.tape_cell(&wt.lhs, f) } else { None };
+        for l in &wt.loads {
+            let x = self.weight_load(l.buf, check_index(f[wt.k() as usize]), w);
+            if l.row {
+                v[l.dst as usize] = x;
+            } else {
+                f[l.dst as usize] = num(&x);
+            }
+        }
+        let cell = checked.or_else(|| self.tape_cell(&wt.lhs, f));
+        let (buf, idx) = cell.expect("a weight stores to a cell");
+        // The `WriteImm`'s constant and store; the `LlScratch`'s density
+        // unit and cost, and store; the `LlStore`'s store.
+        *w += 1 + if wt.reset.is_some() { 2 } else { 0 };
+        let prior = wt.prior.map(|p| {
+            *w += 2 + dist_op_cost(p.dist, 0);
+            (p.op, self.tape_scratch[p.s as usize + idx])
+        });
+        let ll = self.weight_ll(wt, f, v, w);
+        let c = &mut self.state.flat_mut(buf)[idx];
+        if let Some(x) = wt.reset {
+            *c = x;
+        }
+        for (op, x) in prior.into_iter().chain([(wt.op, ll)]) {
+            match op {
+                AssignOp::Set => *c = x,
+                AssignOp::Inc => *c += x,
+            }
+        }
+        if self.write_log.is_some() {
+            if let Some(x) = wt.reset {
+                self.log_cell(buf, idx, AssignOp::Set, x);
+            }
+            for (op, x) in prior.into_iter().chain([(wt.op, ll)]) {
+                self.log_cell(buf, idx, op, x);
+            }
+        }
+    }
+
+    /// Row or cell `i` of a weight's load buffer, charging the load's
+    /// three units: a `Rows` row directly, anything else (and every
+    /// panic) as `LoadRow1`/`LoadCell1` resolve it.
+    #[inline(always)]
+    fn weight_load(&mut self, buf: BufId, i: usize, w: &mut u64) -> View {
+        if let Shape::Rows { offsets, elem } = self.state.shape(buf) {
+            if i + 1 < offsets.len() {
+                *w += 3;
+                let (start, end) = (offsets[i], offsets[i + 1]);
+                return match *elem {
+                    RowElem::Vec => View::Slice { buf, start, len: end - start },
+                    RowElem::Mat(dim) => View::MatV { buf, start, dim },
+                };
+            }
+        }
+        // `index_view` charges the third unit.
+        *w += 2;
+        let base = self.buf_view(buf);
+        self.index_view(base, i)
+    }
+
+    /// A weight's density, charging its unit and cost: an `MvNormal`
+    /// over a mean row, a covariance region and a point row straight
+    /// from their cells into the factor memo (as [`Engine::mv_normal_ll`]
+    /// keys it), anything else through [`Engine::tape_ll`].
+    #[inline(always)]
+    fn weight_ll(&mut self, wt: &Weight, f: &[f64], v: &[View], w: &mut u64) -> f64 {
+        let [a, b] = wt.args;
+        let views = wt.dist == DistKind::MvNormal
+            && wt.n_args == 2
+            && a.is_view()
+            && b.is_view()
+            && wt.point.is_view();
+        if views {
+            if let (
+                &View::Slice { buf: xb, start: xs, len },
+                &View::Slice { buf: mb, start: ms, len: ml },
+                &View::MatV { buf: cb, start: cs, dim },
+            ) = (&v[wt.point.index()], &v[a.index()], &v[b.index()])
+            {
+                *w += 1 + dist_op_cost(DistKind::MvNormal, len);
+                let st = &self.state;
+                let (x, mu) = (&st.flat(xb)[xs..xs + len], &st.flat(mb)[ms..ms + ml]);
+                let cov = &st.flat(cb)[cs..cs + dim * dim];
+                return self.factors.log_pdf_at(cb, cs, cov, dim, x, mu);
+            }
+        }
+        self.tape_ll(wt.dist, &wt.args, wt.n_args, wt.point, f, v, w)
     }
 
     /// `MvNormal` log-density through the engine's factor memo: a

@@ -3,7 +3,7 @@
 //! procedure. The interpreter, the native C printer and `disasm` all see
 //! its output; the tree-walker stays the unoptimized reference.
 //!
-//! It makes two rewrites, both legal by construction and both invisible
+//! It makes three rewrites, all legal by construction and all invisible
 //! to draws, RNG words and work accounting:
 //!
 //! * **Loop-invariant code motion.** A pure, statically charged
@@ -28,15 +28,29 @@
 //!   hoisted only into `K`'s preheader is not yet defined when `L`'s
 //!   runs. The store then reads the vector ([`TInstr::LlScratch`]) and
 //!   keeps the `LlStore`'s charge.
+//! * **Fused log-weight stores.** The body of a finite-sum weight loop —
+//!   HGMM's `w[k] <- 0; w[k] += log π[k]; w[k] += log N(y[n] | mu[k],
+//!   Sigma[k])`, LDA's over `log φ[k][w]` — becomes one
+//!   [`TInstr::LlWeight`] per component. A contiguous run fuses when
+//!   every store in it goes to the same cell `Cell1 { buf, i: k }`, in
+//!   order: an optional reset `WriteImm <- c`, an optional prior term
+//!   `LlScratch` at `k`, zero or more loads of row or cell `k` of other
+//!   buffers, and one `LlStore` whose operands are those loads or
+//!   registers defined before the run. No other instruction may read a
+//!   load's register, no operand may be a region of the destination's
+//!   buffer, and control enters the run only at its first instruction.
 //!
 //! The pass is linear in tape length (store lookups add a logarithm).
 //! Registers are single-definition, so "defined outside the loop" is a
 //! range test on the defining instruction's position.
 
 use augur_dist::DistKind;
+use augur_low::il::AssignOp;
 
-use crate::state::{BufId, State};
-use crate::tape::{reads, region_len, stored_buf, writes, Opd, TDest, TInstr, Tape};
+use crate::state::{BufId, Shape, State};
+use crate::tape::{
+    reads, region_len, stored_buf, writes, Opd, Prior, TDest, TInstr, Tape, Weight, WeightLoad,
+};
 
 /// The longest vector the pass and the C printer keep in scratch: the
 /// invariant log-density vectors and the inline categorical draw's
@@ -116,15 +130,16 @@ pub(crate) fn inline_sample_len(
 }
 
 /// Per-tape counts for the explain plan: instructions hoisted into
-/// preheaders, log-density vectors filled, and categorical draws the
-/// native printer inlines.
-pub(crate) fn summary(tape: &Tape, state: &State) -> (usize, usize, usize) {
+/// preheaders, log-density vectors filled, categorical draws the native
+/// printer inlines, and fused log-weight stores.
+pub(crate) fn summary(tape: &Tape, state: &State) -> [usize; 4] {
     let mut vdef = vec![NONE; tape.n_vregs];
-    let (mut pre, mut fills, mut samples) = (0, 0, 0);
+    let (mut pre, mut fills, mut samples, mut weights) = (0, 0, 0, 0);
     for (pc, i) in tape.instrs.iter().enumerate() {
         match i {
             TInstr::LoopStart { body, .. } => pre += *body as usize - pc - 1,
             TInstr::LlFill { .. } => fills += 1,
+            TInstr::LlWeight(_) => weights += 1,
             TInstr::SampleLogits { lhs, w } if w.is_view() => {
                 let def = tape.instrs.get(vdef[w.index()] as usize);
                 samples += usize::from(inline_sample_len(state, lhs, def).is_some());
@@ -135,7 +150,7 @@ pub(crate) fn summary(tape: &Tape, state: &State) -> (usize, usize, usize) {
             vdef[d.index()] = pc as u32;
         }
     }
-    (pre - fills, fills, samples)
+    [pre - fills, fills, samples, weights]
 }
 
 /// Runs the pass over a freshly emitted tape.
@@ -340,7 +355,154 @@ pub(crate) fn optimize(tape: Tape, state: &State) -> Tape {
             _ => {}
         }
     }
-    Tape { instrs: out, n_scratch, ..tape }
+    fuse_weights(Tape { instrs: out, n_scratch, ..tape }, state)
+}
+
+/// The most loads one fused weight takes: its density's operands.
+const MAX_WEIGHT_LOADS: usize = 3;
+
+/// Fused log-weight stores (the module docs' third rewrite), over the
+/// tape the first two produced, so hoisted instructions no longer
+/// separate a run's parts.
+fn fuse_weights(tape: Tape, state: &State) -> Tape {
+    let instrs = &tape.instrs;
+    let n = instrs.len();
+    let mut fdef = vec![NONE; tape.n_fregs];
+    let mut vdef = vec![NONE; tape.n_vregs];
+    let (mut f_uses, mut v_uses) = (vec![0u32; tape.n_fregs], vec![0u32; tape.n_vregs]);
+    // Where control arrives other than by falling through.
+    let mut entry = vec![false; n + 1];
+    for (pc, i) in instrs.iter().enumerate() {
+        match writes(i) {
+            Some(d) if d.is_view() => vdef[d.index()] = pc as u32,
+            Some(d) => fdef[d.index()] = pc as u32,
+            None => {}
+        }
+        reads(i, &mut |o| {
+            if o.is_view() {
+                v_uses[o.index()] += 1
+            } else {
+                f_uses[o.index()] += 1
+            }
+        });
+        match i {
+            TInstr::JumpIfNe { target, .. } | TInstr::Jump { target } => {
+                entry[*target as usize] = true
+            }
+            TInstr::LoopStart { body, exit, .. } => {
+                entry[*body as usize] = true;
+                entry[*exit as usize] = true;
+            }
+            _ => {}
+        }
+    }
+
+    // Each `LlStore` into a `Cell1`: the first position of the run that
+    // ends at it, and its weight.
+    let mut runs: Vec<Option<(usize, Weight)>> = vec![None; n];
+    for (pc, i) in instrs.iter().enumerate() {
+        let TInstr::LlStore { lhs, op, dist, args, n_args, point } = i else { continue };
+        let &TDest::Cell1 { buf, i: k, .. } = lhs else { continue };
+        let mut p = pc;
+        let mut loads = Vec::new();
+        while p > 0 && !entry[p] && loads.len() < MAX_WEIGHT_LOADS {
+            let load = match instrs[p - 1] {
+                TInstr::LoadRow1 { dst, buf: b, i } if i == k && b != buf => {
+                    matches!(state.shape(b), Shape::Matrix(_) | Shape::Rows { .. })
+                        .then_some(WeightLoad { dst, buf: b, row: true })
+                }
+                TInstr::LoadCell1 { dst, buf: b, i } if i == k && b != buf => {
+                    matches!(state.shape(b), Shape::Vector(_)).then_some(WeightLoad {
+                        dst,
+                        buf: b,
+                        row: false,
+                    })
+                }
+                _ => None,
+            };
+            let Some(load) = load else { break };
+            loads.insert(0, load);
+            p -= 1;
+        }
+        let mut prior = None;
+        if p > 0 && !entry[p] {
+            if let TInstr::LlScratch { lhs: l, op, dist, s, k: at } = &instrs[p - 1] {
+                if l == lhs && *at == k {
+                    prior = Some(Prior { op: *op, s: *s, dist: *dist });
+                    p -= 1;
+                }
+            }
+        }
+        let mut reset = None;
+        if p > 0 && !entry[p] {
+            if let TInstr::WriteImm { lhs: l, op: AssignOp::Set, val } = &instrs[p - 1] {
+                if l == lhs {
+                    reset = Some(*val);
+                    p -= 1;
+                }
+            }
+        }
+        if p == pc {
+            continue;
+        }
+        let (op, dist, args, n_args, point) = (*op, *dist, *args, *n_args, *point);
+        let wt = Weight { lhs: *lhs, reset, prior, loads, op, dist, args, n_args, point };
+        // The density reads the loads, and only it does; its other
+        // operands come from before the run, and none is a region of the
+        // destination's buffer.
+        let uses = |o: Opd| if o.is_view() { v_uses[o.index()] } else { f_uses[o.index()] };
+        let loads_private = wt
+            .loads
+            .iter()
+            .all(|l| uses(l.opd()) == wt.operands().filter(|x| *x == l.opd()).count() as u32);
+        let outside_ok = wt.operands().filter(|o| !wt.loads_into(*o)).all(|o| {
+            let d = if o.is_view() { vdef[o.index()] } else { fdef[o.index()] };
+            (d as usize) < p
+                && (!o.is_view()
+                    || match &instrs[d as usize] {
+                        TInstr::RefBufV { buf: b, .. } | TInstr::LoadRow1 { buf: b, .. } => {
+                            *b != buf
+                        }
+                        TInstr::Op1 { .. } | TInstr::Op2 { .. } | TInstr::DistGrad { .. } => true,
+                        _ => false,
+                    })
+        });
+        if loads_private && outside_ok {
+            runs[pc] = Some((p, wt));
+        }
+    }
+
+    // Rebuild: each run becomes its weight, at the run's first position
+    // (the only one control enters); jump targets renumbered.
+    let mut skip = vec![false; n];
+    for (pc, run) in runs.iter().enumerate() {
+        if let Some((p, _)) = run {
+            skip[*p..pc].fill(true);
+        }
+    }
+    let mut out = Vec::with_capacity(n);
+    let mut new_pc = vec![0u32; n + 1];
+    for (pc, i) in instrs.iter().enumerate() {
+        new_pc[pc] = out.len() as u32;
+        match runs[pc].take() {
+            Some((_, wt)) => out.push(TInstr::LlWeight(Box::new(wt))),
+            None if !skip[pc] => out.push(i.clone()),
+            None => {}
+        }
+    }
+    new_pc[n] = out.len() as u32;
+    for i in &mut out {
+        match i {
+            TInstr::JumpIfNe { target, .. }
+            | TInstr::Jump { target }
+            | TInstr::LoopStart { exit: target, .. } => *target = new_pc[*target as usize],
+            _ => {}
+        }
+        if let TInstr::LoopStart { body, .. } = i {
+            *body = new_pc[*body as usize];
+        }
+    }
+    Tape { instrs: out, ..tape }
 }
 
 #[cfg(test)]

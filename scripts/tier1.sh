@@ -17,12 +17,9 @@ cargo build --release --offline 2>/dev/null || cargo build --release
 AUGUR_THREADS=1 cargo test -q --workspace
 AUGUR_THREADS=8 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
-# Formatter gate on augur-serve, augur-backend and the root package
-# (augurv2: src/, tests/, examples/), the packages formatted under the
-# root rustfmt.toml; the rest of the workspace is not formatted yet.
-cargo fmt -p augur-serve --check
-cargo fmt -p augur-backend --check
-cargo fmt -p augurv2 --check
+# Formatter gate: every package of the workspace under the root
+# rustfmt.toml (perfbench/ is its own workspace).
+cargo fmt --all --check
 
 # Allocation-free steady state: the counting-allocator harness must see
 # zero heap allocations per sweep after warm-up on every model and both

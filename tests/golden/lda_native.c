@@ -1,4 +1,4 @@
-/* Generated by augur-backend native codegen v4 from the tape. Do not edit. */
+/* Generated by augur-backend native codegen v5 from the tape. Do not edit. */
 #include <stdint.h>
 #include <math.h>
 
@@ -234,14 +234,12 @@ static void aug_p2(augctx* c) {
             }
             for (int64_t i2 = aug_i64(f0); i2 < n2; i2++) {
               f5 = (double)i2;
-              if (!(f5 >= 0.0 && f5 < 3)) { F[5] = f5; vt->trap(c, 15); }
-              b11[(int64_t)f5] = 0e0;
-              if (!(f5 >= 0.0 && f5 < 3)) { F[5] = f5; vt->trap(c, 16); }
-              b11[(int64_t)f5] += sc0[(int64_t)f5];
-              if (!(f5 >= 0.0 && f5 < 3)) { F[5] = f5; vt->trap(c, 17); }
+              if (!(f5 >= 0.0 && f5 < 3)) { F[5] = f5; F[7] = f7; vt->trap(c, 15); }
+              if (!(f5 >= 0.0 && f5 < 3)) { F[5] = f5; F[7] = f7; vt->trap(c, 15); }
               vs1 = off7[(int64_t)f5];
               vl1 = off7[(int64_t)f5 + 1] - vs1;
-              if (!(f5 >= 0.0 && f5 < 3)) { F[5] = f5; F[7] = f7; vt->trap(c, 18); }
+              b11[(int64_t)f5] = 0e0;
+              b11[(int64_t)f5] += sc0[(int64_t)f5];
               b11[(int64_t)f5] += aug_cat_ll(f7, b7 + vs1, vl1);
               W += 33;
             }
@@ -249,8 +247,8 @@ static void aug_p2(augctx* c) {
           f8 = (double)i1;
           { double e[3];
             int64_t k = aug_cat_draw(b11 + 0, 3, e, R);
-            if (!(k >= 0)) { F[2] = f2; F[8] = f8; vt->trap(c, 22); }
-            if (!(f2 >= 0.0 && f2 < 10 && f8 >= 0.0 && f8 < (double)(off8[(int64_t)f2 + 1] - off8[(int64_t)f2]))) { F[2] = f2; F[8] = f8; vt->trap(c, 22); }
+            if (!(k >= 0)) { F[2] = f2; F[8] = f8; vt->trap(c, 19); }
+            if (!(f2 >= 0.0 && f2 < 10 && f8 >= 0.0 && f8 < (double)(off8[(int64_t)f2 + 1] - off8[(int64_t)f2]))) { F[2] = f2; F[8] = f8; vt->trap(c, 19); }
             b8[off8[(int64_t)f2] + (int64_t)f8] = (double)k;
           }
           W += 14;

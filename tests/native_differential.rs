@@ -138,11 +138,11 @@ fn c_proc<'a>(c: &'a str, name: &str) -> &'a str {
     &proc[..proc.find("\n}\n").expect("end of the function")]
 }
 
-/// The text of the `nth` (from 0) outermost loop of procedure `name` in
-/// emitted C.
-fn c_loop<'a>(c: &'a str, name: &str, nth: usize) -> &'a str {
+/// The text of the `nth` (from 0) loop at nesting `depth` (0 outermost)
+/// of procedure `name` in emitted C.
+fn c_loop<'a>(c: &'a str, name: &str, depth: usize, nth: usize) -> &'a str {
     let proc = c_proc(c, name);
-    let open = proc.match_indices("\n  { int64_t n0").nth(nth).expect("loop").0 + 3;
+    let open = proc.match_indices(&format!("{{ int64_t n{depth} ")).nth(nth).expect("loop").0;
     let mut depth = 0;
     for (k, ch) in proc[open..].char_indices() {
         match ch {
@@ -165,7 +165,9 @@ fn emit_c(model: &str, args: Vec<HostValue>, data: Vec<(&str, HostValue)>) -> St
 /// `scatter += outer_sub(y[n], mu[z[n]])` — run in C with no callback,
 /// and so do the two `<- 0` resets of the statistics that open each
 /// update: what calls back is the conjugate draw after the loop (17
-/// instructions in `u1_gibbs`, 2 in `u2_gibbs`).
+/// instructions in `u1_gibbs`, 2 in `u2_gibbs`). The `z` update's
+/// component loop makes one callback per component, its fused MvNormal
+/// weight.
 #[test]
 fn hgmm_native_matches_tree_and_tape() {
     let flavors: [(&str, Option<&str>); 7] = [
@@ -184,12 +186,18 @@ fn hgmm_native_matches_tree_and_tape() {
         let y = vec![("y", HostValue::Ragged(data.points.clone()))];
         let c = emit_c(models::HGMM, hgmm_args(k, d, n), y);
         for (update, callbacks) in [("u1_gibbs", 17), ("u2_gibbs", 2)] {
-            let stats = c_loop(&c, update, 0);
+            let stats = c_loop(&c, update, 0, 0);
             assert!(!stats.contains("vt->step("), "hgmm/d{d}: {update} calls back:\n{stats}");
             let proc = c_proc(&c, update);
             let n = proc.matches("vt->step(").count();
             assert_eq!(n, callbacks, "hgmm/d{d}: {update} makes {n} callbacks:\n{proc}");
         }
+        let components = c_loop(&c, "u3_gibbs", 1, 0);
+        let calls = components.matches("vt->step(").count();
+        assert_eq!(
+            calls, 1,
+            "hgmm/d{d}: the component loop makes {calls} callbacks:\n{components}"
+        );
         for (label, sched) in flavors {
             assert_native_matches(
                 &format!("hgmm/d{d}/{label}"),
@@ -255,7 +263,7 @@ fn hlr_native_matches_tree_and_tape() {
     };
     let y = || vec![("y", HostValue::VecF(data.y.clone()))];
     let c = emit_c(models::HLR, args(), y());
-    let rows = c_loop(&c, "u0_grad", 1);
+    let rows = c_loop(&c, "u0_grad", 0, 1);
     assert!(rows.contains("* b"), "hlr: no inline vec_scale in the row loop:\n{rows}");
     assert!(!rows.contains("vt->step("), "hlr: the gradient's row loop calls back:\n{rows}");
     let grad = c_proc(&c, "u0_grad");

@@ -355,6 +355,58 @@ fn explain_names_a_rewrite_for_every_kernel_unit() {
     }
 }
 
+/// The opcodes of the body of the one `Seq` loop of a disassembly: from
+/// its `body ->` target (or the next instruction) to its `exit ->`.
+fn seq_loop_body(disasm: &str) -> Vec<&str> {
+    let lines: Vec<&str> = disasm.lines().skip(1).collect();
+    let head = lines.iter().find(|l| l.contains("loop    Seq")).expect("a Seq loop");
+    let pc = |l: &str| l.split(':').next().unwrap().trim().parse::<usize>().unwrap();
+    let target = |key: &str| head.split(key).nth(1).map(|t| t.split(' ').next().unwrap());
+    let body = target("body -> ").map_or(pc(head) + 1, |t| t.parse().unwrap());
+    let exit: usize = target("exit -> ").unwrap().parse().unwrap();
+    lines[body..exit].iter().map(|l| l.split_whitespace().nth(1).unwrap()).collect()
+}
+
+/// The optimizer fuses each component of a finite-sum weight loop into
+/// one instruction: HGMM's and LDA's `z` updates run `loopidx`, the fused
+/// log-weight store and `endloop` per component.
+#[test]
+fn weight_loops_run_one_fused_store_per_component() {
+    let hgmm = workloads::hgmm_data(3, 2, 40, 91);
+    let corpus = workloads::lda_corpus(3, 10, 60, 20, 5);
+    let sessions = [
+        (
+            "u3_gibbs",
+            bind(
+                models::HGMM,
+                None,
+                hgmm_args(3, 2, 40),
+                vec![("y", HostValue::Ragged(hgmm.points.clone()))],
+                ExecBackend::Tape,
+                1,
+                false,
+            ),
+        ),
+        (
+            "u2_gibbs",
+            bind(
+                models::LDA,
+                None,
+                lda_args(3, &corpus),
+                vec![("w", HostValue::RaggedI(corpus.docs.clone()))],
+                ExecBackend::Tape,
+                1,
+                false,
+            ),
+        ),
+    ];
+    for (proc, s) in &sessions {
+        let disasm = s.disasm(proc);
+        let body = seq_loop_body(&disasm);
+        assert_eq!(body, ["loopidx", "llweight", "endloop"], "{proc}:\n{disasm}");
+    }
+}
+
 /// The untimed explain-plan render for LDA is part of the crate's
 /// observable behavior: it pins which §3.3 rewrite fired for every
 /// factor, the planned schedule and per-unit strategies, the
