@@ -560,10 +560,14 @@ impl<'a> ProcEmitter<'a> {
     }
 
     /// `if (!(cond)) trap(pc)`: re-runs `pc` in Rust, so the interpreter
-    /// raises its own panic.
+    /// raises its own panic. A guard the line before already prints (a
+    /// weight's destination and row checks at the same index) is not
+    /// printed again.
     fn guard(&mut self, pc: usize, cond: &str) {
-        let s = format!("{}vt->trap(c, {pc});", self.spills(pc));
-        self.line(&format!("if (!({cond})) {{ {s} }}"));
+        let g = format!("if (!({cond})) {{ {}vt->trap(c, {pc}); }}", self.spills(pc));
+        if self.body.lines().next_back().map(str::trim_start) != Some(g.as_str()) {
+            self.line(&g);
+        }
     }
 
     /// A store over a whole buffer or a `Rows` row whose length must be

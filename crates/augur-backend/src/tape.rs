@@ -2091,17 +2091,10 @@ impl Engine {
                 v[*dst as usize] = self.buf_view(*buf);
             }
             TInstr::LoadCell1 { dst, buf, i } => {
-                // Ref + Index nodes (2) + index_view's own charge (1).
-                *w += 2;
-                let i = check_index(f[*i as usize]);
-                let base = self.buf_view(*buf);
-                f[*dst as usize] = num(&self.index_view(base, i));
+                f[*dst as usize] = self.load_cell1(*buf, f[*i as usize], w);
             }
             TInstr::LoadRow1 { dst, buf, i } => {
-                *w += 2;
-                let i = check_index(f[*i as usize]);
-                let base = self.buf_view(*buf);
-                v[*dst as usize] = self.index_view(base, i);
+                v[*dst as usize] = self.load_row1(*buf, f[*i as usize], w);
             }
             TInstr::LoadCell2 { dst, buf, row, col } => {
                 // Ref + two Index nodes (3) + two index_view charges.
@@ -2358,23 +2351,55 @@ impl Engine {
         dist.log_pdf(&refs[..n], pref).expect("ll evaluation failed")
     }
 
+    /// Cell `i` of a vector buffer, for a `LoadCell1`: the `Ref` and
+    /// `Index` nodes' two units here, `index_view` charges the third.
+    #[inline(always)]
+    fn load_cell1(&mut self, buf: BufId, i: f64, w: &mut u64) -> f64 {
+        *w += 2;
+        let i = check_index(i);
+        let base = self.buf_view(buf);
+        num(&self.index_view(base, i))
+    }
+
+    /// Row `i` of a buffer, for a `LoadRow1`, charged as
+    /// [`Engine::load_cell1`]: a `Rows` row straight from its offset
+    /// table, anything else (and every panic) through `index_view`.
+    #[inline(always)]
+    fn load_row1(&mut self, buf: BufId, i: f64, w: &mut u64) -> View {
+        *w += 2;
+        let i = check_index(i);
+        if let Shape::Rows { offsets, elem } = self.state.shape(buf) {
+            if i + 1 < offsets.len() {
+                self.work += 1;
+                let (start, end) = (offsets[i], offsets[i + 1]);
+                return match *elem {
+                    RowElem::Vec => View::Slice { buf, start, len: end - start },
+                    RowElem::Mat(dim) => View::MatV { buf, start, dim },
+                };
+            }
+        }
+        let base = self.buf_view(buf);
+        self.index_view(base, i)
+    }
+
     /// A [`TInstr::LlWeight`]: every bounds check first — the
     /// destination's, then the loads', or the loads' first when the
     /// density's store is the first store — so a failed check stores
     /// nothing and raises the replaced instruction's message. Then the
     /// replaced run's charges, and its stores as one cell updated in its
     /// order (the density reads no cell of the destination's buffer),
-    /// with a worker's write-log entry per store. Kept out of line so the
-    /// dispatch loop does not grow.
+    /// with a worker's write-log entry per store. The loads and the
+    /// density are the `LoadRow1`/`LoadCell1` and `LlStore` paths. Kept
+    /// out of line so the dispatch loop does not grow.
     #[inline(never)]
     fn ll_weight(&mut self, wt: &Weight, f: &mut [f64], v: &mut [View], w: &mut u64) {
         let checked = if wt.dest_first() { self.tape_cell(&wt.lhs, f) } else { None };
         for l in &wt.loads {
-            let x = self.weight_load(l.buf, check_index(f[wt.k() as usize]), w);
+            let k = f[wt.k() as usize];
             if l.row {
-                v[l.dst as usize] = x;
+                v[l.dst as usize] = self.load_row1(l.buf, k, w);
             } else {
-                f[l.dst as usize] = num(&x);
+                f[l.dst as usize] = self.load_cell1(l.buf, k, w);
             }
         }
         let cell = checked.or_else(|| self.tape_cell(&wt.lhs, f));
@@ -2386,7 +2411,7 @@ impl Engine {
             *w += 2 + dist_op_cost(p.dist, 0);
             (p.op, self.tape_scratch[p.s as usize + idx])
         });
-        let ll = self.weight_ll(wt, f, v, w);
+        let ll = self.tape_ll(wt.dist, &wt.args, wt.n_args, wt.point, f, v, w);
         let c = &mut self.state.flat_mut(buf)[idx];
         if let Some(x) = wt.reset {
             *c = x;
@@ -2407,61 +2432,13 @@ impl Engine {
         }
     }
 
-    /// Row or cell `i` of a weight's load buffer, charging the load's
-    /// three units: a `Rows` row directly, anything else (and every
-    /// panic) as `LoadRow1`/`LoadCell1` resolve it.
-    #[inline(always)]
-    fn weight_load(&mut self, buf: BufId, i: usize, w: &mut u64) -> View {
-        if let Shape::Rows { offsets, elem } = self.state.shape(buf) {
-            if i + 1 < offsets.len() {
-                *w += 3;
-                let (start, end) = (offsets[i], offsets[i + 1]);
-                return match *elem {
-                    RowElem::Vec => View::Slice { buf, start, len: end - start },
-                    RowElem::Mat(dim) => View::MatV { buf, start, dim },
-                };
-            }
-        }
-        // `index_view` charges the third unit.
-        *w += 2;
-        let base = self.buf_view(buf);
-        self.index_view(base, i)
-    }
-
-    /// A weight's density, charging its unit and cost: an `MvNormal`
-    /// over a mean row, a covariance region and a point row straight
-    /// from their cells into the factor memo (as [`Engine::mv_normal_ll`]
-    /// keys it), anything else through [`Engine::tape_ll`].
-    #[inline(always)]
-    fn weight_ll(&mut self, wt: &Weight, f: &[f64], v: &[View], w: &mut u64) -> f64 {
-        let [a, b] = wt.args;
-        let views = wt.dist == DistKind::MvNormal
-            && wt.n_args == 2
-            && a.is_view()
-            && b.is_view()
-            && wt.point.is_view();
-        if views {
-            if let (
-                &View::Slice { buf: xb, start: xs, len },
-                &View::Slice { buf: mb, start: ms, len: ml },
-                &View::MatV { buf: cb, start: cs, dim },
-            ) = (&v[wt.point.index()], &v[a.index()], &v[b.index()])
-            {
-                *w += 1 + dist_op_cost(DistKind::MvNormal, len);
-                let st = &self.state;
-                let (x, mu) = (&st.flat(xb)[xs..xs + len], &st.flat(mb)[ms..ms + ml]);
-                let cov = &st.flat(cb)[cs..cs + dim * dim];
-                return self.factors.log_pdf_at(cb, cs, cov, dim, x, mu);
-            }
-        }
-        self.tape_ll(wt.dist, &wt.args, wt.n_args, wt.point, f, v, w)
-    }
-
     /// `MvNormal` log-density through the engine's factor memo: a
     /// state-backed covariance is factored once while its cells stay
-    /// unchanged, an owned one into scratch. Kept out of line so the
-    /// dispatch loop does not grow. A malformed operand (wrong arity, a
-    /// non-matrix covariance) takes the generic path and its panics.
+    /// unchanged, an owned one into scratch. A point row, a mean row and a
+    /// covariance region (a mixture component's density) go from their
+    /// cells straight into the memo. Kept out of line so the dispatch
+    /// loop does not grow. A malformed operand (wrong arity, a non-matrix
+    /// covariance) takes the generic path and its panics.
     #[inline(never)]
     fn mv_normal_ll(
         &mut self,
@@ -2471,6 +2448,20 @@ impl Engine {
         f: &[f64],
         v: &[View],
     ) -> f64 {
+        let views = n == 2 && args[0].is_view() && args[1].is_view() && point.is_view();
+        if views {
+            if let (
+                &View::Slice { buf: xb, start: xs, len },
+                &View::Slice { buf: mb, start: ms, len: ml },
+                &View::MatV { buf: cb, start: cs, dim },
+            ) = (&v[point.index()], &v[args[0].index()], &v[args[1].index()])
+            {
+                let st = &self.state;
+                let (x, mu) = (&st.flat(xb)[xs..xs + len], &st.flat(mb)[ms..ms + ml]);
+                let cov = &st.flat(cb)[cs..cs + dim * dim];
+                return self.factors.log_pdf_at(cb, cs, cov, dim, x, mu);
+            }
+        }
         let refs = [
             opd_ref(&self.state, f, v, args[0], n > 0),
             opd_ref(&self.state, f, v, args[1], n > 1),

@@ -235,7 +235,6 @@ static void aug_p2(augctx* c) {
             for (int64_t i2 = aug_i64(f0); i2 < n2; i2++) {
               f5 = (double)i2;
               if (!(f5 >= 0.0 && f5 < 3)) { F[5] = f5; F[7] = f7; vt->trap(c, 15); }
-              if (!(f5 >= 0.0 && f5 < 3)) { F[5] = f5; F[7] = f7; vt->trap(c, 15); }
               vs1 = off7[(int64_t)f5];
               vl1 = off7[(int64_t)f5 + 1] - vs1;
               b11[(int64_t)f5] = 0e0;
