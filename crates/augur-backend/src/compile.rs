@@ -407,7 +407,7 @@ impl ProcTable {
 /// counts.
 pub fn proc_buf_refs(p: &RProc) -> Vec<BufId> {
     let mut out = Vec::new();
-    refs_stmt(&p.body, &mut out);
+    refs_stmt(&p.body, true, &mut out);
     if let Some(ret) = &p.ret {
         refs_expr(ret, &mut out);
     }
@@ -416,39 +416,50 @@ pub fn proc_buf_refs(p: &RProc) -> Vec<BufId> {
     out
 }
 
-fn refs_stmt(s: &RStmt, out: &mut Vec<BufId>) {
+/// Every buffer a statement tree reads, with duplicates: each store's
+/// destination buffer is left out, its index expressions are not.
+pub(crate) fn read_bufs(s: &RStmt) -> Vec<BufId> {
+    let mut out = Vec::new();
+    refs_stmt(s, false, &mut out);
+    out
+}
+
+/// The buffers `s` references; destination buffers only when `stores`.
+fn refs_stmt(s: &RStmt, stores: bool, out: &mut Vec<BufId>) {
     match s {
-        RStmt::Seq(stmts) => stmts.iter().for_each(|t| refs_stmt(t, out)),
+        RStmt::Seq(stmts) => stmts.iter().for_each(|t| refs_stmt(t, stores, out)),
         RStmt::Assign { lhs, rhs, .. } => {
-            refs_lvalue(lhs, out);
+            refs_lvalue(lhs, stores, out);
             refs_expr(rhs, out);
         }
         RStmt::IfEq { a, b, then, els } => {
             refs_expr(a, out);
             refs_expr(b, out);
-            refs_stmt(then, out);
+            refs_stmt(then, stores, out);
             if let Some(e) = els {
-                refs_stmt(e, out);
+                refs_stmt(e, stores, out);
             }
         }
         RStmt::Loop { lo, hi, body, .. } => {
             refs_expr(lo, out);
             refs_expr(hi, out);
-            refs_stmt(body, out);
+            refs_stmt(body, stores, out);
         }
         RStmt::Sample { lhs, args, .. } => {
-            refs_lvalue(lhs, out);
+            refs_lvalue(lhs, stores, out);
             args.iter().for_each(|a| refs_expr(a, out));
         }
         RStmt::SampleLogits { lhs, weights } => {
-            refs_lvalue(lhs, out);
+            refs_lvalue(lhs, stores, out);
             refs_expr(weights, out);
         }
     }
 }
 
-fn refs_lvalue(l: &RLValue, out: &mut Vec<BufId>) {
-    out.push(l.buf);
+fn refs_lvalue(l: &RLValue, stores: bool, out: &mut Vec<BufId>) {
+    if stores {
+        out.push(l.buf);
+    }
     l.indices.iter().for_each(|e| refs_expr(e, out));
 }
 

@@ -587,7 +587,6 @@ impl Session {
             // sampler object (not the chain state) stays usable
             self.engine.env.truncate(env_depth);
             self.engine.in_parallel = false;
-            self.engine.write_log = None;
             let detail = panic_message(payload);
             let kernel = self.labels.get(self.current_step).cloned().unwrap_or_default();
             return Err(if detail.contains("out of bounds") || detail.contains("out of range") {
@@ -609,10 +608,11 @@ impl Session {
         let work_snap: Option<Vec<u64>> =
             if self.trace.is_some() && self.timers { Some(self.step_work.clone()) } else { None };
         let sweep_t0 = self.trace.as_ref().map(|_| Instant::now());
-        self.engine.fault_sweep = self.sweeps + 1; // fault clauses are 1-based
-                                                   // Share the step list by reference for the whole sweep — the hot
-                                                   // loop performs no per-step clones (steady-state sweeps are
-                                                   // allocation-free; see `tests/alloc_free.rs`).
+        // Fault clauses are 1-based.
+        self.engine.fault_sweep = self.sweeps + 1;
+        // Share the step list by reference for the whole sweep — the hot
+        // loop performs no per-step clones (steady-state sweeps are
+        // allocation-free; see `tests/alloc_free.rs`).
         let steps = Arc::clone(&self.steps);
         for (i, step) in steps.iter().enumerate() {
             self.current_step = i;

@@ -70,21 +70,6 @@ pub(crate) enum OwnVal {
     VecD(PoolVec),
 }
 
-/// One state mutation recorded by a worker engine during a parallel
-/// launch. The main thread replays worker logs in chunk order — which is
-/// exactly sequential iteration order — so floating-point accumulation
-/// order (and therefore every bit of the result) matches single-threaded
-/// execution. Thread-local scratch buffers are not logged.
-#[derive(Debug, Clone)]
-pub(crate) enum WriteOp {
-    /// A scalar cell write (`Set`) or increment (`Inc` carries the delta).
-    Cell { buf: BufId, idx: usize, op: AssignOp, val: f64 },
-    /// A scalar broadcast over a range (always `Set`).
-    Fill { buf: BufId, start: usize, len: usize, val: f64 },
-    /// A vector write; `Inc` carries the per-cell deltas.
-    Slice { buf: BufId, start: usize, op: AssignOp, vals: PoolVec },
-}
-
 /// An owned distribution argument.
 #[derive(Debug, Clone)]
 pub(crate) enum OwnArg {
@@ -154,9 +139,6 @@ pub struct Engine {
     pub(crate) threads: usize,
     /// The persistent worker pool, created lazily on first dispatch.
     pub(crate) pool: Option<crate::par::Pool>,
-    /// Present on worker engines: every state mutation is recorded here
-    /// for ordered replay on the main thread.
-    pub(crate) write_log: Option<Vec<WriteOp>>,
     /// Execution counters (proc calls, tape instructions, parallel
     /// dispatches); worker counters merge in chunk order.
     pub(crate) metrics: crate::metrics::EngineMetrics,
@@ -202,7 +184,6 @@ impl Engine {
             factors: Default::default(),
             threads: 1,
             pool: None,
-            write_log: None,
             metrics: crate::metrics::EngineMetrics::default(),
             profile_ops: false,
             fault: None,
@@ -231,138 +212,45 @@ impl Engine {
     }
 
     /// Clones this engine into a worker for one parallel launch: the
-    /// worker copies the cell arena and shares the bound data, the
-    /// per-thread-stream seed and launch bookkeeping carry over, and
-    /// every write is logged for ordered replay. Workers always run with
-    /// `threads = 1`.
-    pub(crate) fn fork_worker(&self) -> Engine {
+    /// worker copies the cell arena, the tape's scratch and the register
+    /// banks `f` and `v`, shares the bound data, and carries over the
+    /// per-thread-stream seed and launch bookkeeping. Workers run with
+    /// `threads = 1`, no native module (the dispatcher hands them tape
+    /// chunks) and no fault plan (injection is decided at the dispatch
+    /// site).
+    pub(crate) fn fork_worker(&self, f: &[f64], v: &[View]) -> Engine {
+        let device = Device::new(gpu_sim::DeviceConfig::host_cpu_like());
         Engine {
-            state: self.state.clone(),
-            rng: Prng::seed_from_u64(0),
-            device: Device::new(gpu_sim::DeviceConfig::host_cpu_like()),
-            mode: self.mode,
+            tape_fregs: f.to_vec(),
+            tape_vregs: v.to_vec(),
+            tape_scratch: self.tape_scratch.clone(),
             backend: self.backend,
-            // Workers run tape loop chunks handed to them by the
-            // dispatcher; the native module stays on the main engine.
-            native: None,
-            native_bufs: Default::default(),
-            native_master_rng: None,
             env: self.env.clone(),
-            work: 0,
-            atomics: Vec::new(),
-            record_atomics: false,
             master_seed: self.master_seed,
             launch_counter: self.launch_counter,
             in_parallel: true,
-            tape_fregs: Vec::new(),
-            tape_vregs: Vec::new(),
-            tape_scratch: Vec::new(),
-            tape_frames: Vec::new(),
-            factors: Default::default(),
-            threads: 1,
-            pool: None,
-            write_log: Some(Vec::new()),
-            metrics: crate::metrics::EngineMetrics::default(),
             profile_ops: self.profile_ops,
-            fault: None, // injection decisions are made at the dispatch site
             fault_sweep: self.fault_sweep,
+            ..Engine::new(self.state.clone(), Prng::seed_from_u64(0), device, self.mode)
         }
     }
 
-    /// Logs a scalar cell write on worker engines (no-op otherwise).
-    #[inline]
-    pub(crate) fn log_cell(&mut self, buf: BufId, idx: usize, op: AssignOp, val: f64) {
-        if let Some(log) = &mut self.write_log {
-            if !self.state.is_thread_local(buf) {
-                log.push(WriteOp::Cell { buf, idx, op, val });
-            }
-        }
-    }
-
-    /// Logs a broadcast fill on worker engines (no-op otherwise).
-    #[inline]
-    pub(crate) fn log_fill(&mut self, buf: BufId, start: usize, len: usize, val: f64) {
-        if let Some(log) = &mut self.write_log {
-            if !self.state.is_thread_local(buf) {
-                log.push(WriteOp::Fill { buf, start, len, val });
-            }
-        }
-    }
-
-    /// Logs a vector write on worker engines, taking ownership of the
-    /// values (no-op otherwise).
-    #[inline]
-    pub(crate) fn log_vals(&mut self, buf: BufId, start: usize, op: AssignOp, vals: PoolVec) {
-        if let Some(log) = &mut self.write_log {
-            if !self.state.is_thread_local(buf) {
-                log.push(WriteOp::Slice { buf, start, op, vals });
-            }
-        }
-    }
-
-    /// Logs the current contents of a just-written range (used after
-    /// in-place vector sampling, where the values only exist in the
-    /// state). No-op unless this is a logging worker.
-    pub(crate) fn log_written_range(&mut self, buf: BufId, start: usize, len: usize) {
-        if self.write_log.is_none() || self.state.is_thread_local(buf) {
-            return;
-        }
-        let vals = PoolVec::from_slice(&self.state.flat(buf)[start..start + len]);
-        if let Some(log) = &mut self.write_log {
-            log.push(WriteOp::Slice { buf, start, op: AssignOp::Set, vals });
-        }
-    }
-
-    /// Replays a worker's write log into this engine's cell arena. Raw
-    /// writes only: the worker already charged the work for these
-    /// mutations.
-    pub(crate) fn replay_writes(&mut self, log: Vec<WriteOp>) {
-        for entry in log {
-            match entry {
-                WriteOp::Cell { buf, idx, op, val } => {
-                    let cell = &mut self.state.flat_mut(buf)[idx];
-                    match op {
-                        AssignOp::Set => *cell = val,
-                        AssignOp::Inc => *cell += val,
-                    }
-                }
-                WriteOp::Fill { buf, start, len, val } => {
-                    for cell in &mut self.state.flat_mut(buf)[start..start + len] {
-                        *cell = val;
-                    }
-                }
-                WriteOp::Slice { buf, start, op, vals } => {
-                    let cells = &mut self.state.flat_mut(buf)[start..start + vals.len()];
-                    match op {
-                        AssignOp::Set => cells.copy_from_slice(&vals),
-                        AssignOp::Inc => {
-                            for (c, x) in cells.iter_mut().zip(&vals) {
-                                *c += x;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Takes over a worker's work and metrics and replays its logged
-    /// writes. Thread-local scratch is not logged: the dispatcher copies
-    /// it from the last chunk's worker ([`Engine::adopt_thread_locals`]),
-    /// which holds what sequential execution would have left in it.
-    pub(crate) fn merge_worker(&mut self, worker: &mut Engine) {
+    /// Takes over a worker's work and metrics, and the cells its chunk
+    /// `[a, b)` of a write-partitioned loop stored in each buffer in
+    /// `written`: those a store whose first index lies in `a..b` reaches
+    /// ([`State::row_cells`]), or all of a thread-local buffer. Merged in
+    /// chunk order, thread-local scratch ends as the last chunk left it,
+    /// which is what sequential execution leaves in it.
+    pub(crate) fn merge_worker(&mut self, worker: &Engine, written: &[BufId], (a, b): (i64, i64)) {
         self.work += worker.work;
         self.metrics.absorb(worker.metrics);
-        let log = worker.write_log.take().unwrap_or_default();
-        self.replay_writes(log);
-    }
-
-    /// Copies the cells of every thread-local buffer from `worker`.
-    pub(crate) fn adopt_thread_locals(&mut self, worker: &Engine) {
-        for id in 0..self.state.num_buffers() {
-            if self.state.is_thread_local(id) {
-                self.state.flat_mut(id).copy_from_slice(worker.state.flat(id));
-            }
+        for &buf in written {
+            let cells = if self.state.is_thread_local(buf) {
+                0..self.state.flat(buf).len()
+            } else {
+                self.state.row_cells(buf, a, b)
+            };
+            self.state.flat_mut(buf)[cells.clone()].copy_from_slice(&worker.state.flat(buf)[cells]);
         }
     }
 
@@ -996,7 +884,6 @@ impl Engine {
                         }
                     }
                 }
-                self.log_cell(buf, idx, op, x);
             }
             (Dest::Range { buf, start, len }, OwnVal::Num(x)) => {
                 self.work += len as u64;
@@ -1007,7 +894,6 @@ impl Engine {
                 for cell in &mut self.state.flat_mut(buf)[start..start + len] {
                     *cell = x;
                 }
-                self.log_fill(buf, start, len, x);
             }
             (Dest::Range { buf, start, len }, OwnVal::VecD(xs)) => {
                 assert_eq!(xs.len(), len, "store length mismatch");
@@ -1024,7 +910,6 @@ impl Engine {
                         }
                     }
                 }
-                self.log_vals(buf, start, op, xs);
             }
             (Dest::Cell { .. }, OwnVal::VecD(_)) => {
                 panic!("cannot store a vector into a scalar cell")

@@ -14,10 +14,10 @@
 //! counter — is *bit-identical* at any `AUGUR_THREADS` count and under
 //! either execution strategy, because the counters derive from the same
 //! deterministic RNG draws as the traces themselves, and worker-side
-//! counters merge in chunk order exactly like the write logs (see
-//! `DESIGN.md` § Deterministic metrics). Wall-clock fields and the
-//! execution-shape counters ([`ExecReport`]) are observability only and
-//! are deliberately excluded from the digest.
+//! counters merge in chunk order (see `DESIGN.md` § Deterministic
+//! metrics). Wall-clock fields and the execution-shape counters
+//! ([`ExecReport`]) are observability only and are deliberately excluded
+//! from the digest.
 
 use std::fmt;
 use std::fs::File;
@@ -146,7 +146,7 @@ pub const OP_CLASS_NAMES: [&str; N_OP_CLASSES] =
 /// (how work was fanned out) and therefore vary with the thread count —
 /// they live in [`ExecReport`], outside the determinism contract.
 /// Worker-side counters are merged into the parent engine in chunk
-/// order, the same discipline as the write logs.
+/// order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineMetrics {
     /// Compiled-procedure invocations.
@@ -166,7 +166,7 @@ pub struct EngineMetrics {
 
 impl EngineMetrics {
     /// Adds a worker engine's counters into this one (called from the
-    /// chunk-ordered merge alongside the write-log replay).
+    /// chunk-ordered merge, next to the copy-back of the chunk's rows).
     pub fn absorb(&mut self, worker: EngineMetrics) {
         self.proc_calls += worker.proc_calls;
         self.instrs_retired += worker.instrs_retired;

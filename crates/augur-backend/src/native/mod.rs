@@ -44,7 +44,7 @@ use std::path::{Path, PathBuf};
 use crate::compile::ProcTable;
 use crate::eval::{Engine, View};
 use crate::state::State;
-use crate::tape::{stored_buf, Tape};
+use crate::tape::{stored_buf, TInstr, Tape};
 
 pub use emit::CODEGEN_VERSION;
 
@@ -271,12 +271,16 @@ unsafe extern "C-unwind" fn rt_step(c: *mut AugCtx, pc: u32) {
         let def = if o.is_view() { regions[o.index()] } else { emit::NOT_REGION };
         if def != emit::NOT_REGION {
             let work = eng.work;
-            eng.exec_instr(&tape.instrs[def as usize], f, v, &mut 0);
+            v[o.index()] = match &tape.instrs[def as usize] {
+                TInstr::RefBufV { buf, .. } => eng.buf_view(*buf),
+                TInstr::LoadRow1 { buf, i, .. } => eng.load_row1(*buf, f[*i as usize], &mut 0),
+                other => unreachable!("{other:?} defines no region"),
+            };
             eng.work = work;
         }
     });
     let mut w = 0;
-    eng.exec_instr(instr, f, v, &mut w);
+    eng.step(instr, f, v, &mut w);
     eng.work += w;
 }
 

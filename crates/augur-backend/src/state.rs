@@ -345,8 +345,9 @@ impl State {
     }
 
     /// Marks a buffer as thread-local scratch (per-iteration temporaries
-    /// of `Par` kernels). Thread-local buffers are excluded from the
-    /// parallel write log — see `DESIGN.md` § Deterministic parallelism.
+    /// of `Par` kernels). A parallel loop may store to it in any
+    /// iteration and still run in chunks — see `DESIGN.md` §
+    /// Deterministic parallelism.
     pub fn mark_thread_local(&mut self, id: BufId) {
         Arc::make_mut(&mut self.layout).bufs[id].thread_local = true;
     }
@@ -396,6 +397,21 @@ impl State {
                 (offsets[i], offsets[i + 1])
             }
             other => panic!("buffer shape {other:?} has no rows"),
+        }
+    }
+
+    /// The cells a store whose first index lies in `a..b` can reach,
+    /// clamped to the buffer: rows `a..b` of a `Rows` buffer (its offset
+    /// range), and cells `a..b` of any other shape, where one index
+    /// addresses one cell (a matrix's in row-major order).
+    pub(crate) fn row_cells(&self, id: BufId, a: i64, b: i64) -> std::ops::Range<usize> {
+        let clamp = |x: i64, n: usize| x.clamp(0, n as i64) as usize;
+        match self.shape(id) {
+            Shape::Rows { offsets, .. } => {
+                let n = offsets.len() - 1;
+                offsets[clamp(a, n)]..offsets[clamp(b, n)]
+            }
+            shape => clamp(a, shape.num_cells())..clamp(b, shape.num_cells()),
         }
     }
 

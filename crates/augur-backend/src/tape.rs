@@ -414,8 +414,7 @@ pub enum TInstr {
     /// `OuterSub`, each element computed straight into the destination
     /// cells. Charges, computes and panics exactly like the
     /// [`TInstr::Op2`] + [`TInstr::Write`] pair it replaces, and takes
-    /// that pair's path when an operand shares the destination's buffer
-    /// or a worker must log the increments.
+    /// that pair's path when an operand shares the destination's buffer.
     AccStore {
         /// The destination.
         lhs: TDest,
@@ -477,11 +476,10 @@ pub enum TInstr {
         body: u32,
         /// Absolute index of the first instruction after the loop.
         exit: u32,
-        /// True when the loop region (body and nested loops) draws no
-        /// randomness and opens no fresh `Par` launch — the condition
-        /// under which an `AtmPar` loop may be chunked across worker
-        /// threads without perturbing the RNG or launch counter.
-        rng_free: bool,
+        /// True for a write-partitioned `Par` loop (`write_partitioned`):
+        /// its chunks write disjoint rows and read none another writes, so
+        /// a fresh one may run them on the worker pool.
+        split: bool,
     },
     /// Close the innermost loop: advance the index and jump back, or fall
     /// through when exhausted. `w` charges the work of instructions the
@@ -589,8 +587,8 @@ const _: () = assert!(std::mem::size_of::<TInstr>() == 48);
 /// ```
 ///
 /// whose loads' registers no other instruction reads. Each execution
-/// leaves the cell, the work counter and a worker's write log as that
-/// run does, after all of its bounds checks.
+/// leaves the cell and the work counter as that run does, after all of
+/// its bounds checks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Weight {
     /// The destination, a [`TDest::Cell1`] indexed by `k`.
@@ -770,21 +768,6 @@ impl TapeProc {
     }
 }
 
-/// Whether an instruction region draws randomness or opens a fresh `Par`
-/// launch. Regions that do neither can be partitioned across worker
-/// threads without the chunking being observable through the RNG streams
-/// or the launch counter.
-fn instrs_rng_free(instrs: &[TInstr]) -> bool {
-    !instrs.iter().any(|i| {
-        matches!(
-            i,
-            TInstr::Sample { .. }
-                | TInstr::SampleLogits { .. }
-                | TInstr::LoopStart { kind: LoopKind::Par, .. }
-        )
-    })
-}
-
 /// Visits every operand an instruction reads, in either bank.
 pub(crate) fn reads(i: &TInstr, out: &mut impl FnMut(Opd)) {
     let f = Opd::f;
@@ -944,24 +927,40 @@ pub(crate) fn region_len(state: &State, def: &TInstr) -> Option<(usize, bool)> {
     })
 }
 
-/// Every buffer a statement tree stores to, in emission order (with
-/// duplicates). The loop emitter pre-invalidates these so an entry
-/// defined before the loop can't serve iteration `n+1` a value that
-/// iteration `n` overwrote.
-fn written_bufs(s: &RStmt, out: &mut Vec<BufId>) {
+/// Every store destination of a statement tree, in emission order. The
+/// loop emitter pre-invalidates their buffers so an entry defined before
+/// the loop can't serve iteration `n+1` a value that iteration `n`
+/// overwrote, and tests them with [`write_partitioned`].
+fn store_dests<'a>(s: &'a RStmt, out: &mut Vec<&'a RLValue>) {
     match s {
-        RStmt::Seq(ss) => ss.iter().for_each(|s| written_bufs(s, out)),
+        RStmt::Seq(ss) => ss.iter().for_each(|s| store_dests(s, out)),
         RStmt::Assign { lhs, .. } | RStmt::Sample { lhs, .. } | RStmt::SampleLogits { lhs, .. } => {
-            out.push(lhs.buf)
+            out.push(lhs)
         }
         RStmt::IfEq { then, els, .. } => {
-            written_bufs(then, out);
+            store_dests(then, out);
             if let Some(e) = els {
-                written_bufs(e, out);
+                store_dests(e, out);
             }
         }
-        RStmt::Loop { body, .. } => written_bufs(body, out),
+        RStmt::Loop { body, .. } => store_dests(body, out),
     }
+}
+
+/// Whether a `Par` loop at nesting depth `depth` whose body stores to
+/// `dests` is write-partitioned: every store goes to thread-local
+/// scratch or has the loop's own variable as its first index (`z[n]`,
+/// `z[d][j]`, `mu[k]`), and no expression in the body reads a buffer it
+/// stores to outside thread-local scratch. Iterations then write
+/// disjoint rows and read no row another iteration writes, so a chunk of
+/// them run on a copy of the state leaves its rows exactly as the
+/// sequential run does. Decided on the slot-resolved body, before the
+/// optimizer hoists, fills or fuses anything that could hide a read.
+fn write_partitioned(state: &State, depth: usize, dests: &[&RLValue], body: &RStmt) -> bool {
+    let own_row = RExpr::Ref(RRef::Loop(depth));
+    let shared_store = |b| !state.is_thread_local(b) && dests.iter().any(|l| l.buf == b);
+    dests.iter().all(|l| !shared_store(l.buf) || l.indices.first() == Some(&own_row))
+        && !crate::compile::read_bufs(body).into_iter().any(shared_store)
 }
 
 /// Value-numbering key. Registers are SSA-like (each written by exactly
@@ -1076,6 +1075,8 @@ struct Emitter<'s> {
     /// `LoadRow1` destinations) — what a memoized dot over them reads.
     vreg_buf: std::collections::HashMap<u32, BufId>,
     pending_w: u32,
+    /// Loops enclosing the statement being emitted.
+    depth: usize,
 }
 
 impl<'s> Emitter<'s> {
@@ -1088,6 +1089,7 @@ impl<'s> Emitter<'s> {
             memo: std::collections::HashMap::new(),
             vreg_buf: std::collections::HashMap::new(),
             pending_w: 0,
+            depth: 0,
         }
     }
 
@@ -1591,20 +1593,24 @@ impl<'s> Emitter<'s> {
                 // Iteration n's stores must not leak stale loads into
                 // iteration n+1 through entries defined before the loop:
                 // pre-invalidate every buffer the body writes.
-                let mut written = Vec::new();
-                written_bufs(body, &mut written);
-                for b in written {
-                    self.invalidate_buf(b);
+                let mut dests = Vec::new();
+                store_dests(body, &mut dests);
+                for l in &dests {
+                    self.invalidate_buf(l.buf);
                 }
+                let split = *kind == LoopKind::Par
+                    && write_partitioned(self.state, self.depth, &dests, body);
                 let start = self.push(TInstr::LoopStart {
                     kind: *kind,
                     lo: rlo,
                     hi: rhi,
                     body: self.here() + 1,
                     exit: 0,
-                    rng_free: false,
+                    split,
                 });
+                self.depth += 1;
                 self.stmt(body);
+                self.depth -= 1;
                 let w = self.pending_w;
                 self.pending_w = 0;
                 self.push(TInstr::LoopEnd { w });
@@ -1614,11 +1620,6 @@ impl<'s> Emitter<'s> {
                 // body invalidated must stay invalid past it.
                 let cur = std::mem::replace(&mut self.memo, snap);
                 self.memo.retain(|k, r| cur.get(k) == Some(r));
-                // rng-freedom of the whole region, patched like `exit`.
-                let rf = instrs_rng_free(&self.instrs[start as usize + 1..]);
-                if let TInstr::LoopStart { rng_free, .. } = &mut self.instrs[start as usize] {
-                    *rng_free = rf;
-                }
                 self.patch_target(start, self.here());
             }
             RStmt::Sample { lhs, dist, args } => {
@@ -1946,30 +1947,23 @@ impl Engine {
                     pc = target;
                     continue;
                 }
-                (Flow::Loop, TInstr::LoopStart { kind, lo, hi, body, exit, rng_free }) => {
+                (Flow::Loop, TInstr::LoopStart { kind, lo, hi, body, exit, split }) => {
                     let lo = f[*lo as usize] as i64;
                     let hi = f[*hi as usize] as i64;
                     let fresh = *kind == LoopKind::Par && !self.in_parallel;
-                    // Parallel dispatch: fresh `Par` loops always qualify
-                    // (their per-thread streams are chunking-invariant);
-                    // `AtmPar` loops qualify when their region draws no
-                    // randomness. Workers run with `threads = 1`, so
+                    // Parallel dispatch: only a fresh write-partitioned
+                    // `Par` loop (its per-thread streams are
+                    // chunking-invariant, and its chunks write disjoint
+                    // rows). Every other loop, `AtmPar` included, runs
+                    // here; workers run inside a parallel region, so
                     // nested loops never re-dispatch.
-                    if self.threads > 1
-                        && hi - lo >= MIN_PAR_SPAN
-                        && (fresh || (*kind == LoopKind::AtmPar && !self.in_parallel && *rng_free))
-                    {
-                        let mut launch = 0;
-                        if fresh {
-                            // One kernel launch, exactly like the
-                            // sequential path; the master RNG is simply
-                            // never disturbed.
-                            self.launch_counter += 1;
-                            launch = self.launch_counter;
-                        }
+                    if self.threads > 1 && *split && fresh && hi - lo >= MIN_PAR_SPAN {
+                        // One kernel launch, exactly like the sequential
+                        // path; the master RNG is simply never disturbed.
+                        self.launch_counter += 1;
                         let span = (pc + 1, *body, *exit);
-                        retired +=
-                            self.dispatch_loop_chunks(tape, span, lo, hi, fresh, launch, &f, &v);
+                        let launch = self.launch_counter;
+                        retired += self.dispatch_loop_chunks(tape, span, (lo, hi), launch, &f, &v);
                         pc = *exit;
                         continue;
                     }
@@ -2254,7 +2248,6 @@ impl Engine {
                         dist.sample(&refs[..n], &mut self.rng, ValueMut::Scalar(&mut out))
                             .expect("sampling failed");
                         self.state.flat_mut(buf)[idx] = out;
-                        self.log_cell(buf, idx, AssignOp::Set, out);
                     }
                     crate::eval::Dest::Range { buf, start, len } => {
                         let slice = &mut self.state.flat_mut(buf)[start..start + len];
@@ -2266,7 +2259,6 @@ impl Engine {
                             _ => ValueMut::Vector(slice),
                         };
                         dist.sample(&refs[..n], &mut self.rng, out).expect("sampling failed");
-                        self.log_written_range(buf, start, len);
                     }
                 }
             }
@@ -2280,7 +2272,6 @@ impl Engine {
                 match self.tape_dest(lhs, f) {
                     crate::eval::Dest::Cell { buf, idx: cell } => {
                         self.state.flat_mut(buf)[cell] = idx as f64;
-                        self.log_cell(buf, cell, AssignOp::Set, idx as f64);
                     }
                     crate::eval::Dest::Range { .. } => panic!("SampleLogits writes a scalar"),
                 }
@@ -2365,7 +2356,7 @@ impl Engine {
     /// [`Engine::load_cell1`]: a `Rows` row straight from its offset
     /// table, anything else (and every panic) through `index_view`.
     #[inline(always)]
-    fn load_row1(&mut self, buf: BufId, i: f64, w: &mut u64) -> View {
+    pub(crate) fn load_row1(&mut self, buf: BufId, i: f64, w: &mut u64) -> View {
         *w += 2;
         let i = check_index(i);
         if let Shape::Rows { offsets, elem } = self.state.shape(buf) {
@@ -2387,10 +2378,9 @@ impl Engine {
     /// density's store is the first store — so a failed check stores
     /// nothing and raises the replaced instruction's message. Then the
     /// replaced run's charges, and its stores as one cell updated in its
-    /// order (the density reads no cell of the destination's buffer),
-    /// with a worker's write-log entry per store. The loads and the
-    /// density are the `LoadRow1`/`LoadCell1` and `LlStore` paths. Kept
-    /// out of line so the dispatch loop does not grow.
+    /// order (the density reads no cell of the destination's buffer). The
+    /// loads and the density are the `LoadRow1`/`LoadCell1` and `LlStore`
+    /// paths. Kept out of line so the dispatch loop does not grow.
     #[inline(never)]
     fn ll_weight(&mut self, wt: &Weight, f: &mut [f64], v: &mut [View], w: &mut u64) {
         let checked = if wt.dest_first() { self.tape_cell(&wt.lhs, f) } else { None };
@@ -2420,14 +2410,6 @@ impl Engine {
             match op {
                 AssignOp::Set => *c = x,
                 AssignOp::Inc => *c += x,
-            }
-        }
-        if self.write_log.is_some() {
-            if let Some(x) = wt.reset {
-                self.log_cell(buf, idx, AssignOp::Set, x);
-            }
-            for (op, x) in prior.into_iter().chain([(wt.op, ll)]) {
-                self.log_cell(buf, idx, op, x);
             }
         }
     }
@@ -2508,15 +2490,23 @@ impl Engine {
         }
     }
 
+    /// [`Engine::exec_instr`] out of line: the one instance that loop
+    /// preheaders and the native backend's `step` callback share, so a
+    /// build carries the interpreter twice — inlined in the dispatch loop
+    /// and here.
+    #[inline(never)]
+    pub(crate) fn step(&mut self, i: &TInstr, f: &mut [f64], v: &mut [View], w: &mut u64) -> Flow {
+        self.exec_instr(i, f, v, w)
+    }
+
     /// Runs a loop's preheader `[from, to)` before its first iteration.
     /// Hoisted instructions charge nothing here — the loop's `LoopEnd`
     /// pays their full per-iteration charge — so the work they (and the
     /// helpers they call) add is rolled back.
-    #[inline(never)]
     fn run_preheader(&mut self, tape: &Tape, from: u32, to: u32, f: &mut [f64], v: &mut [View]) {
         let work = self.work;
         for pc in from..to {
-            self.exec_instr(&tape.instrs[pc as usize], f, v, &mut 0);
+            self.step(&tape.instrs[pc as usize], f, v, &mut 0);
         }
         self.work = work;
     }
@@ -2536,16 +2526,16 @@ impl Engine {
 
     /// Stores a view (a `Write` whose source is a view register). A
     /// region of another buffer is added (or copied) straight from its
-    /// cells when the destination is a range of its length that
-    /// [`Engine::in_place`] allows; everything else is copied out
-    /// (`own_val`) and stored by `write_dest`, with its charges and
+    /// cells when the destination is a range of its length; everything
+    /// else, a region of the destination's own buffer included, is copied
+    /// out (`own_val`) and stored by `write_dest`, with its charges and
     /// panics.
     fn store_view(&mut self, lhs: &TDest, op: AssignOp, view: View, f: &[f64], w: &mut u64) {
         let dest = self.tape_dest(lhs, f);
         if let (Some((src, s0, n)), Dest::Range { buf, start, len }) =
             (state_range(&self.state, &view), dest)
         {
-            if n == len && self.in_place(buf, &[&view]) {
+            if n == len && src != buf {
                 *w += len as u64;
                 let (cells, rest) = self.state.split_mut(buf);
                 let (cells, xs) = (&mut cells[start..start + len], &rest.flat(src)[s0..s0 + len]);
@@ -2562,12 +2552,13 @@ impl Engine {
 
     /// An [`TInstr::AccStore`], `lhs += vop(a, b)`, after its unit. With
     /// well-formed operands and a range destination of the result's
-    /// length that [`Engine::in_place`] allows, each element is computed
-    /// straight into its cell — `cell += s * x[i]`, `cell += (a[i] -
-    /// b[i]) * (a[j] - b[j])`, the operations of the `Op2` + `Write` pair
-    /// in its order — charging the pair's `len` plus `len`. Anything
-    /// else runs the pair itself (`op_views`, then `write_dest`), which
-    /// raises its panics in its order: operand kind, destination, length.
+    /// length in a buffer no operand is a region of, each element is
+    /// computed straight into its cell — `cell += s * x[i]`, `cell +=
+    /// (a[i] - b[i]) * (a[j] - b[j])`, the operations of the `Op2` +
+    /// `Write` pair in its order — charging the pair's `len` plus `len`.
+    /// Anything else runs the pair itself (`op_views`, then `write_dest`),
+    /// which raises its panics in its order: operand kind, destination,
+    /// length.
     fn acc_store(&mut self, lhs: &TDest, vop: OpN, a: View, b: View, f: &[f64], w: &mut u64) {
         let vector = |x: &View| !matches!(x, View::Num(_));
         let n = match vop {
@@ -2580,7 +2571,8 @@ impl Engine {
         if let Some(n) = n {
             let dest = self.tape_dest(lhs, f);
             if let Dest::Range { buf, start, len } = dest {
-                if len == n && self.in_place(buf, &[&a, &b]) {
+                let apart = |x| state_range(&self.state, x).is_none_or(|(b, ..)| b != buf);
+                if len == n && apart(&a) && apart(&b) {
                     *w += 2 * n as u64;
                     let (cells, rest) = self.state.split_mut(buf);
                     let cells = &mut cells[start..start + n];
@@ -2607,15 +2599,6 @@ impl Engine {
         let val = self.own_val(val);
         let dest = self.tape_dest(lhs, f);
         self.write_dest(dest, AssignOp::Inc, val, false);
-    }
-
-    /// Whether a store into `buf` may compute straight into its cells:
-    /// no operand is a region of `buf` (the copy keeps such a store's
-    /// reads exact), and no worker log needs the stored values (workers
-    /// do not log thread-local buffers).
-    fn in_place(&self, buf: BufId, operands: &[&View]) -> bool {
-        (self.write_log.is_none() || self.state.is_thread_local(buf))
-            && operands.iter().all(|x| state_range(&self.state, x).is_none_or(|(b, ..)| b != buf))
     }
 
     /// Stores a scalar (`Write`/`WriteImm`/`LlStore`): directly-addressed
@@ -2661,8 +2644,7 @@ impl Engine {
         }
     }
 
-    /// Sets or increments one cell, recording the worker write log like
-    /// `write_dest`.
+    /// Sets or increments one cell.
     #[inline(always)]
     fn store_cell(&mut self, buf: BufId, idx: usize, op: AssignOp, x: f64) {
         let cell = &mut self.state.flat_mut(buf)[idx];
@@ -2670,7 +2652,6 @@ impl Engine {
             AssignOp::Set => *cell = x,
             AssignOp::Inc => *cell += x,
         }
-        self.log_cell(buf, idx, op, x);
     }
 
     /// Splits `[lo, hi)` into at most `k` contiguous non-empty chunks.
@@ -2691,23 +2672,21 @@ impl Engine {
         Some((0..n).map(|w| plan.panic_hits(w, self.fault_sweep)).collect())
     }
 
-    /// Fans the iterations of an embedded tape loop across the worker
-    /// pool. `span` is the loop's `(preheader, body, exit)` pcs. Each
-    /// worker gets a copy of the cell arena (the bound data is shared)
-    /// plus clones of the register banks and scratch, runs its chunk through
-    /// [`Engine::run_par_chunk`], and logs every state write; the main
-    /// thread replays logs in chunk order — sequential iteration order —
-    /// so results are bit-identical to the sequential path at any worker
-    /// count. Returns the retired-instruction count: the chunks' bodies
-    /// plus the preheader once.
-    #[allow(clippy::too_many_arguments)]
+    /// Fans the iterations of a write-partitioned `Par` loop (kernel
+    /// launch `launch`) across the worker pool. `span` is the loop's
+    /// `(preheader, body, exit)` pcs. Each worker gets a copy of the cell
+    /// arena (the bound data is shared) plus clones of the register banks
+    /// and scratch, and runs its chunk through [`Engine::run_par_chunk`].
+    /// Chunks are contiguous and in iteration order, and each one's rows
+    /// of the buffers the loop stores to are exactly the sequential run's,
+    /// so copying them back ([`Engine::merge_worker`]) gives the same
+    /// state at any worker count. Returns the retired-instruction count:
+    /// the chunks' bodies plus the preheader once.
     fn dispatch_loop_chunks(
         &mut self,
         tape: &Tape,
         span: (u32, u32, u32),
-        lo: i64,
-        hi: i64,
-        fresh: bool,
+        (lo, hi): (i64, i64),
         launch: u64,
         f: &[f64],
         v: &[View],
@@ -2715,16 +2694,7 @@ impl Engine {
         self.metrics.par_dispatches += 1;
         let pool = self.pool.take().unwrap_or_else(|| crate::par::Pool::new(self.threads));
         let chunks = Self::par_chunks(lo, hi, pool.threads());
-        let mut workers: Vec<Engine> = chunks
-            .iter()
-            .map(|_| {
-                let mut wk = self.fork_worker();
-                wk.tape_fregs = f.to_vec();
-                wk.tape_vregs = v.to_vec();
-                wk.tape_scratch = self.tape_scratch.clone();
-                wk
-            })
-            .collect();
+        let mut workers: Vec<Engine> = chunks.iter().map(|_| self.fork_worker(f, v)).collect();
         let bombs = self.chunk_bombs(chunks.len());
         let retireds: Vec<u64> = {
             let jobs: Vec<Box<dyn FnOnce() -> u64 + Send + '_>> = workers
@@ -2737,18 +2707,19 @@ impl Engine {
                         if bomb {
                             panic!("{} (worker {w})", crate::fault::INJECTED_PANIC);
                         }
-                        wk.run_par_chunk(tape, span, a, b, fresh, launch)
+                        wk.run_par_chunk(tape, span, a, b, launch)
                     }) as Box<dyn FnOnce() -> u64 + Send + '_>
                 })
                 .collect();
             pool.scatter(jobs)
         };
         self.pool = Some(pool);
-        for wk in &mut workers {
-            self.merge_worker(wk);
-        }
-        if let Some(last) = workers.last() {
-            self.adopt_thread_locals(last);
+        let body = &tape.instrs[span.1 as usize..span.2 as usize];
+        let mut written: Vec<BufId> = body.iter().filter_map(stored_buf).collect();
+        written.sort_unstable();
+        written.dedup();
+        for (wk, &chunk) in workers.iter().zip(&chunks) {
+            self.merge_worker(wk, &written, chunk);
         }
         retireds.iter().sum::<u64>() + self.retire_preheader(tape, span.0, span.1)
     }
@@ -2757,7 +2728,7 @@ impl Engine {
     /// worker engine: seed the chunk's first per-thread stream, pre-build
     /// the loop frame, run the loop's preheader, and re-enter the
     /// interpreter over the body span. The frame's `LoopEnd` handling
-    /// advances the index, reseeds fresh streams, and exits at `exit` —
+    /// advances the index, reseeds the streams, and exits at `exit` —
     /// identical bookkeeping to the sequential path, which is what makes
     /// the chunking invisible.
     fn run_par_chunk(
@@ -2766,23 +2737,20 @@ impl Engine {
         (pre_pc, body_pc, exit): (u32, u32, u32),
         chunk_lo: i64,
         chunk_hi: i64,
-        fresh: bool,
         launch: u64,
     ) -> u64 {
         self.metrics.par_chunks += 1;
-        if fresh {
-            self.rng = self.thread_rng(launch, chunk_lo);
-        }
+        self.rng = self.thread_rng(launch, chunk_lo);
         self.env.push(chunk_lo);
         let frame = TapeFrame {
             idx: chunk_lo,
             hi: chunk_hi,
             body_pc,
             exit,
-            fresh,
+            fresh: true,
             launch,
             // Placeholder master: the worker's RNG is discarded with it.
-            master: if fresh { Some(augur_dist::Prng::seed_from_u64(0)) } else { None },
+            master: Some(augur_dist::Prng::seed_from_u64(0)),
         };
         let mut f = std::mem::take(&mut self.tape_fregs);
         let mut v = std::mem::take(&mut self.tape_vregs);

@@ -323,7 +323,7 @@ pub(crate) fn optimize(tape: Tape, state: &State) -> Tape {
             continue;
         }
         match i {
-            TInstr::LoopStart { kind, lo, hi, exit, rng_free, .. } => {
+            TInstr::LoopStart { kind, lo, hi, exit, split, .. } => {
                 let l = next_loop;
                 next_loop += 1;
                 open.push(l);
@@ -334,7 +334,7 @@ pub(crate) fn optimize(tape: Tape, state: &State) -> Tape {
                     hi: *hi,
                     body,
                     exit: *exit,
-                    rng_free: *rng_free,
+                    split: *split,
                 });
                 out.append(&mut pre[l]);
                 out.append(&mut fills[l]);

@@ -125,11 +125,13 @@ impl RefExpr {
 ///
 /// A `flat` case stores `out[j]` instead, a vector every outer iteration
 /// overwrites, with a constant `e_inner`: over `w[i]` the two stores are
-/// a finite-sum weight, which the optimizer fuses.
+/// a finite-sum weight, which the optimizer fuses. A `mat_acc` case binds
+/// `acc` as a 3×3 matrix, whose one index addresses a cell, not a row.
 struct Case {
     n: usize,
     outer: LoopKind,
     inner: LoopKind,
+    mat_acc: bool,
     global_src: bool,
     /// `Some(c)`: the inner loop runs `0 until c`; `None`: `0 until len(src)`.
     const_hi: Option<usize>,
@@ -164,6 +166,7 @@ impl Case {
             n,
             outer: kinds[rng.below(3)],
             inner: kinds[rng.below(3)],
+            mat_acc: c % 3 == 1,
             global_src: c.is_multiple_of(2),
             const_hi: (c % 4 >= 2).then(|| rng.below(5)),
             flat: c >= N_NESTED,
@@ -220,7 +223,8 @@ impl Case {
             rows(&mut (0..self.n).map(|_| self.width()))
         };
         st.insert(format!("out{c}"), out);
-        st.insert(format!("acc{c}"), Shape::Vector(self.n));
+        let acc = if self.mat_acc { Shape::Matrix(3) } else { Shape::Vector(self.n) };
+        st.insert(format!("acc{c}"), acc);
     }
 
     fn proc_decl(&self, c: usize) -> ProcDecl {
@@ -298,6 +302,7 @@ impl Case {
                 *acc_i += self.e_invariant.eval(x, i, j);
             }
         }
+        acc.resize(if self.mat_acc { 9 } else { self.n }, 0.0);
         out.extend(acc);
         out
     }
@@ -373,6 +378,42 @@ fn run_lane(lane: Lane, st: &State, table: &ProcTable, n: usize) -> Option<Vec<R
 /// `flat`.
 const N_NESTED: usize = 48;
 
+/// Case `c` of the loop-nest batch after the generated ones: a `Par`
+/// loop with a loop-carried read, `acc[i] = acc[i - 1] * 0.5 + i` for
+/// `i` in `1..N_IN` over `acc[0] = 0.5` (and an empty `out`). It reads
+/// the buffer it writes, so it is not write-partitioned and runs
+/// sequentially at any thread count. Returns it with its reference.
+fn carried_case(c: usize, st: &mut State) -> (ProcDecl, Vec<f64>) {
+    st.insert(format!("out{c}"), Shape::Vector(0));
+    let acc = st.insert(format!("acc{c}"), Shape::Vector(N_IN));
+    st.flat_mut(acc)[0] = 0.5;
+    let bin = |op, a, b| Expr::Binop(op, Box::new(a), Box::new(b));
+    let acc = format!("acc{c}");
+    let prev = Expr::index(Expr::var(&acc), bin(BinOp::Sub, Expr::var("i"), Expr::Int(1)));
+    let rhs = bin(BinOp::Add, bin(BinOp::Mul, prev, Expr::Real(0.5)), Expr::var("i"));
+    let body = Stmt::Assign {
+        lhs: LValue { var: acc, indices: vec![Expr::var("i")] },
+        op: AssignOp::Set,
+        rhs,
+    };
+    let decl = ProcDecl {
+        name: format!("p{c}"),
+        body: Stmt::Loop {
+            kind: LoopKind::Par,
+            var: "i".into(),
+            lo: Expr::Int(1),
+            hi: Expr::Int(N_IN as i64),
+            body: Box::new(body),
+        },
+        ret: None,
+    };
+    let want = (1..N_IN).fold(vec![0.5], |mut w, i| {
+        w.push(w[i - 1] * 0.5 + i as f64);
+        w
+    });
+    (decl, want)
+}
+
 #[test]
 fn optimized_loop_nests_match_the_reference_on_every_engine() {
     let mut rng = Prng::seed_from_u64(0x1D7E_5EED);
@@ -381,9 +422,10 @@ fn optimized_loop_nests_match_the_reference_on_every_engine() {
     for (c, case) in cases.iter().enumerate() {
         case.bind(c, &mut st);
     }
+    let (carried, carried_want) = carried_case(cases.len(), &mut st);
+    let decls = cases.iter().enumerate().map(|(c, case)| case.proc_decl(c));
     let mut table = ProcTable::default();
-    for (c, case) in cases.iter().enumerate() {
-        let p = case.proc_decl(c);
+    for p in decls.chain([carried]) {
         let cpu = Compiler::new(&st).proc(&p);
         let gpu = Compiler::new(&st).blk_proc(&augur_blk::to_blocks(&p));
         table.insert(cpu, gpu, &st);
@@ -400,12 +442,16 @@ fn optimized_loop_nests_match_the_reference_on_every_engine() {
         "no instruction hoisted"
     );
 
-    let expected: Vec<Vec<u64>> =
-        cases.iter().map(|c| c.reference().iter().map(|x| x.to_bits()).collect()).collect();
-    let tree = run_lane(Lane::Tree, &st, &table, cases.len()).expect("tree lane");
-    let tape = run_lane(Lane::Tape(1), &st, &table, cases.len()).expect("tape lane");
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let mut expected: Vec<Vec<u64>> = cases.iter().map(|c| bits(&c.reference())).collect();
+    expected.push(bits(&carried_want));
+    let n = expected.len();
+    let tree = run_lane(Lane::Tree, &st, &table, n).expect("tree lane");
+    let tape = run_lane(Lane::Tape(1), &st, &table, n).expect("tape lane");
+    let mut dispatched = 0;
     for lane in [Lane::Tree, Lane::Tape(1), Lane::Tape(3), Lane::Native, Lane::Gpu] {
-        let Some(got) = run_lane(lane, &st, &table, cases.len()) else { continue };
+        let Some(got) = run_lane(lane, &st, &table, n) else { continue };
+        dispatched += got.iter().map(|(.., m)| m.par_dispatches).sum::<u64>();
         for (c, ((bits, work, metrics), want)) in got.iter().zip(&expected).enumerate() {
             assert_eq!(bits, want, "{lane:?}: case {c} differs from the reference");
             if lane != Lane::Gpu {
@@ -419,6 +465,7 @@ fn optimized_loop_nests_match_the_reference_on_every_engine() {
             }
         }
     }
+    assert!(dispatched > 0, "no loop of the batch fanned out on {:?}", Lane::Tape(3));
 }
 
 /// The right-hand side of a generated accumulate store.
@@ -450,14 +497,17 @@ enum Dst {
 ///
 /// ```text
 /// for i <- 0 until n:                  (kind; Seq when src aliases dst)
-///   dst[z[i]] op= rhs                  (dst unindexed unless Rows)
+///   dst[z[i]] op= rhs                  (dst unindexed unless Rows;
+///                                       dst[i] when direct)
 /// ```
 ///
 /// `src` is row `i` of `x`, or — `alias` — the destination's own cells:
 /// all of them, or row 0 of a `Rows` destination (of a matrix for an
 /// outer product). Each store covers `width` cells. In a `mismatch`
 /// case one row of `x` is a cell longer, so that iteration panics (the
-/// store's length check, or the outer product's operand check).
+/// store's length check, or the outer product's operand check). A
+/// `direct` case is a write-partitioned `Par` loop: iteration `i` stores
+/// row `i` of a `Rows` destination with `n` rows (and `z[i] = i`).
 struct AccCase {
     n: usize,
     kind: LoopKind,
@@ -466,6 +516,7 @@ struct AccCase {
     /// `Set` instead of `Inc` (state rows only).
     set: bool,
     alias: bool,
+    direct: bool,
     /// The outer product's dimension (`width = d * d`).
     d: usize,
     width: usize,
@@ -479,22 +530,27 @@ struct AccCase {
     init: Vec<f64>,
 }
 
+/// Cases of the accumulate-store batch that store through `z`; the rest
+/// are `direct`.
+const N_SHARED: usize = 48;
+
 impl AccCase {
     /// Case `c` of a batch: the right-hand side, destination and
     /// aliasing cycle with `c`, so every batch of 24 covers each
-    /// pairing.
+    /// pairing. Cases from [`N_SHARED`] on are `direct`.
     fn gen(rng: &mut Prng, c: usize) -> AccCase {
+        let direct = c >= N_SHARED;
         let rhs = [Rhs::Scale, Rhs::Grad, Rhs::Outer, Rhs::Row][c % 4];
-        let dst = [Dst::Vector, Dst::Matrix, Dst::Rows][c / 4 % 3];
+        let dst = if direct { Dst::Rows } else { [Dst::Vector, Dst::Matrix, Dst::Rows][c / 4 % 3] };
         // An outer product can alias only a matrix row.
-        let alias = c / 12 % 2 == 1 && (rhs != Rhs::Outer || dst == Dst::Matrix);
+        let alias = !direct && c / 12 % 2 == 1 && (rhs != Rhs::Outer || dst == Dst::Matrix);
         let d = if dst == Dst::Vector { rng.below(4) } else { 1 + rng.below(3) };
         let width = if rhs == Rhs::Outer || dst == Dst::Matrix { d * d } else { rng.below(5) };
         let src_len = if rhs == Rhs::Outer { d } else { width };
-        // Zero-trip loops about one case in seven; the parallel kinds
-        // fan out across workers from four iterations.
-        let n = rng.below(7);
-        let k = 1 + rng.below(3);
+        // Zero-trip loops about one case in seven; a direct case fans
+        // out across workers, from four iterations.
+        let n = if direct { 4 + rng.below(3) } else { rng.below(7) };
+        let k = if direct { n } else { 1 + rng.below(3) };
         let long = (!alias && c.is_multiple_of(5) && n > 0).then(|| rng.below(n));
         let draw =
             |rng: &mut Prng, len: usize| (0..len).map(|_| rng.uniform_range(-2.0, 2.0)).collect();
@@ -503,17 +559,24 @@ impl AccCase {
         let cells = if dst == Dst::Rows { k * width } else { width };
         AccCase {
             n,
-            kind: if alias { LoopKind::Seq } else { kinds[rng.below(3)] },
+            kind: if direct {
+                LoopKind::Par
+            } else if alias {
+                LoopKind::Seq
+            } else {
+                kinds[rng.below(3)]
+            },
             rhs,
             dst,
             set: rhs == Rhs::Row && rng.below(4) == 0,
             alias,
+            direct,
             d,
             width,
             k,
             x: (0..n).map(|i| draw(rng, src_len + usize::from(long == Some(i)))).collect(),
             y: (0..k).map(|_| draw(rng, y_len)).collect(),
-            z: (0..n).map(|_| rng.below(k) as f64).collect(),
+            z: (0..n).map(|i| if direct { i as f64 } else { rng.below(k) as f64 }).collect(),
             s: draw(rng, n),
             init: draw(rng, cells),
         }
@@ -574,7 +637,11 @@ impl AccCase {
             Rhs::Outer => Expr::Op(OpN::OuterSub, vec![src, Expr::index(var("ay"), at_i("az"))]),
             Rhs::Row => src,
         };
-        let indices = if self.dst == Dst::Rows { vec![at_i("az")] } else { vec![] };
+        let indices = match self.dst {
+            Dst::Rows if self.direct => vec![Expr::var("i")],
+            Dst::Rows => vec![at_i("az")],
+            _ => vec![],
+        };
         ProcDecl {
             name: format!("q{c}"),
             body: Stmt::Loop {
@@ -643,7 +710,8 @@ impl AccCase {
 }
 
 /// Runs procedure `c` on a fresh engine of one lane: the bits of
-/// buffers `bufs` and the work charged, or the panic message.
+/// buffers `bufs`, the work charged and the loops dispatched to the
+/// worker pool, or the panic message.
 fn run_caught(
     lane: Lane,
     st: &State,
@@ -651,7 +719,7 @@ fn run_caught(
     native: Option<&Arc<NativeModule>>,
     c: usize,
     bufs: &[String],
-) -> Result<(Vec<u64>, u64), String> {
+) -> Result<(Vec<u64>, u64, u64), String> {
     let mut eng = lane_engine(lane, st, native);
     catch_unwind(AssertUnwindSafe(|| eng.run_proc(table, c))).map_err(|payload| {
         payload
@@ -661,7 +729,7 @@ fn run_caught(
             .unwrap_or_default()
     })?;
     let bits = bufs.iter().flat_map(|b| eng.flat_of(b).iter().map(|x| x.to_bits())).collect();
-    Ok((bits, eng.work()))
+    Ok((bits, eng.work(), eng.metrics.par_dispatches))
 }
 
 /// [`run_caught`] on an accumulate-store case's destination.
@@ -671,22 +739,24 @@ fn run_acc(
     table: &ProcTable,
     native: Option<&Arc<NativeModule>>,
     c: usize,
-) -> Result<(Vec<u64>, u64), String> {
+) -> Result<(Vec<u64>, u64, u64), String> {
     run_caught(lane, st, table, native, c, &[format!("ad{c}")])
 }
 
 /// Checks every lane's runs of a batch against its reference results
 /// (`None` where the reference panics): equal bits and the tree's work,
-/// or the tree's panic message.
+/// or the tree's panic message; and that a lane (the three-thread tape,
+/// the only one with workers) fanned at least one loop out.
 fn check_lanes(
     st: &State,
     table: &ProcTable,
     expected: &[Option<Vec<f64>>],
-    run: impl Fn(Lane, Option<&Arc<NativeModule>>, usize) -> Result<(Vec<u64>, u64), String>,
+    run: impl Fn(Lane, Option<&Arc<NativeModule>>, usize) -> Result<(Vec<u64>, u64, u64), String>,
 ) {
     let native = native_module(table, st);
     let lanes = [Lane::Tree, Lane::Tape(1), Lane::Tape(3), Lane::Native];
     let tree: Vec<_> = (0..expected.len()).map(|c| run(Lane::Tree, None, c)).collect();
+    let mut dispatched = 0;
     for lane in lanes {
         if lane == Lane::Native && native.is_none() {
             continue;
@@ -694,10 +764,11 @@ fn check_lanes(
         for (c, want) in expected.iter().enumerate() {
             let got = run(lane, native.as_ref(), c);
             match (want, &got, &tree[c]) {
-                (Some(want), Ok((bits, work)), Ok((_, tree_work))) => {
+                (Some(want), Ok((bits, work, dispatches)), Ok((_, tree_work, _))) => {
                     let want: Vec<u64> = want.iter().map(|x| x.to_bits()).collect();
                     assert_eq!(*bits, want, "{lane:?}: case {c} differs from the reference");
                     assert_eq!(work, tree_work, "{lane:?}: case {c} charged different work");
+                    dispatched += dispatches;
                 }
                 (None, Err(msg), Err(tree_msg)) => {
                     assert_eq!(msg, tree_msg, "{lane:?}: case {c} panicked differently");
@@ -706,12 +777,13 @@ fn check_lanes(
             }
         }
     }
+    assert!(dispatched > 0, "no loop of the batch fanned out on {:?}", Lane::Tape(3));
 }
 
 #[test]
 fn accumulate_stores_match_the_reference_on_every_engine() {
     let mut rng = Prng::seed_from_u64(0xACC_5707E);
-    let cases: Vec<AccCase> = (0..48).map(|c| AccCase::gen(&mut rng, c)).collect();
+    let cases: Vec<AccCase> = (0..N_SHARED + 12).map(|c| AccCase::gen(&mut rng, c)).collect();
     let mut st = State::new();
     for (c, case) in cases.iter().enumerate() {
         case.bind(c, &mut st);
@@ -724,7 +796,8 @@ fn accumulate_stores_match_the_reference_on_every_engine() {
         table.insert(cpu, gpu, &st);
     }
     // The batch reaches both fused primitives and the in-place row add,
-    // in loops that fan out across workers and in ones that panic.
+    // in loops that fan out across workers, in `AtmPar` loops long
+    // enough to fan out, which run sequentially, and in ones that panic.
     let instrs = || table.tapes.iter().flat_map(|p| &p.tape.instrs);
     for vop in [OpN::VecScale, OpN::OuterSub] {
         let fused = instrs().any(|i| matches!(i, TInstr::AccStore { vop: v, .. } if *v == vop));
@@ -760,13 +833,15 @@ enum Dens {
 ///     wt[k] = reset                    (optional)
 ///     wt[k] += Categorical(g).ll(k)    (optional prior term)
 ///     wt[k] += dens(rows k; point i)
-///     acc[i] += wt[k]                  (with a reset, or in a Seq loop)
+///     acc[i] += wt[k]
 /// ```
 ///
 /// The parameters have `rows` rows and `wt` has `w_len` cells: `hi`, or
-/// one fewer, so that iteration panics at a row or at the store. Without
-/// a reset `wt[k]` sums over `i`, which only a sequential loop may read
-/// back.
+/// one fewer, so that iteration panics at a row or at the store. With a
+/// reset `wt` is thread-local scratch, as the compiler's weight vectors
+/// are, and a `Par` loop is write-partitioned; without one `wt[k]` sums
+/// over `i`, a loop-carried read that keeps every kind of loop
+/// sequential.
 struct WeightCase {
     n: usize,
     kind: LoopKind,
@@ -900,6 +975,9 @@ impl WeightCase {
             Dens::MvInv => put("ws", Shape::Matrix(self.d), &self.s[0]),
             Dens::Cat | Dens::Normal => {}
         }
+        if self.reset.is_some() {
+            st.mark_thread_local(st.expect_id(&format!("wt{c}")));
+        }
     }
 
     fn proc_decl(&self, c: usize) -> ProcDecl {
@@ -932,9 +1010,7 @@ impl WeightCase {
             body.push(store(AssignOp::Inc, prior));
         }
         body.push(store(AssignOp::Inc, Expr::DistLl { dist, args, point: Box::new(point) }));
-        if self.reads_back() {
-            body.push(Stmt::Assign { lhs: acc.clone(), op: AssignOp::Inc, rhs: at("wt", "k") });
-        }
+        body.push(Stmt::Assign { lhs: acc.clone(), op: AssignOp::Inc, rhs: at("wt", "k") });
         let hi =
             if self.prior { Expr::Len(Box::new(var("wg"))) } else { Expr::Int(self.hi as i64) };
         let inner = Stmt::Loop {
@@ -959,11 +1035,6 @@ impl WeightCase {
             },
             ret: None,
         }
-    }
-
-    /// Whether iteration `i` adds its weights into `acc[i]`.
-    fn reads_back(&self) -> bool {
-        self.reset.is_some() || self.kind == LoopKind::Seq
     }
 
     /// The final `wt` then `acc`, or `None` when an iteration panics.
@@ -1008,9 +1079,7 @@ impl WeightCase {
                     };
                 }
                 *cell += dens;
-                if self.reads_back() {
-                    *acc_i += *cell;
-                }
+                *acc_i += *cell;
             }
         }
         wt.extend(acc);

@@ -34,8 +34,11 @@
 # is one owned cell arena next to one shared data region, so the
 # per-buffer `Arc` store (`Vec<Arc<Vec<f64>>>`), the refcount swap that
 # adopted a worker's scratch (`adopt_buffer`) and the unused
-# `State::snapshot`/`restore` pair stay deleted. The checks grep neither
-# `.github/` nor `scripts/`, where these lines themselves live.
+# `State::snapshot`/`restore` pair stay deleted. Only write-partitioned
+# `Par` loops run on the worker pool, and workers copy back their own
+# rows, so the worker write log, its replay and the `AtmPar` dispatch
+# flag stay deleted. The checks grep neither `.github/` nor `scripts/`,
+# where these lines themselves live.
 #
 # `gone` fails on a match (a bare `! grep` does not trip `set -e`).
 set -euo pipefail
@@ -71,3 +74,5 @@ gone -E "fn (retry_or_fail|task_request_id|task_attempts|cancel_task)\b|workers_
     crates/augur-serve
 gone -E 'Home::Scalar|\bg\{' crates/augur-backend/src/native
 gone -E 'Vec<Arc<Vec<f64>>>|adopt_buffer|fn snapshot\(' crates/augur-backend/src/state.rs
+gone -wE "WriteOp|write_log|replay_writes|log_cell|log_fill|log_vals|log_written_range|rng_free" \
+    crates/augur-backend

@@ -5,6 +5,8 @@
 
 use augur::{Error, ExecBackend, FaultPlan, HostValue, McmcConfig, Model, Session, SessionConfig};
 use augur_backend::fault::{NanFault, PanicFault};
+use augurv2::models::hgmm_args;
+use augurv2::{models, workloads};
 
 const GAMMA_POISSON: &str = "(N, a, b) => {
     param r ~ Gamma(a, b) ;
@@ -23,6 +25,22 @@ fn gibbs_sampler(config: SessionConfig) -> Session {
             vec![HostValue::Int(6), HostValue::Real(2.0), HostValue::Real(1.0)],
             vec![("c", HostValue::VecF(vec![3.0, 5.0, 4.0, 2.0, 6.0, 4.0]))],
         )
+        .unwrap()
+        .session(config)
+        .unwrap();
+    s.init().unwrap();
+    s
+}
+
+/// A small HGMM whose `z` update is a write-partitioned loop of 60
+/// iterations: at two threads every sweep fans it out to the worker pool,
+/// where `panic@worker` clauses fire.
+fn hgmm_sampler(config: SessionConfig) -> Session {
+    let (k, d, n) = (2, 2, 60);
+    let data = workloads::hgmm_data(k, d, n, 42);
+    let mut s = Model::compile(models::HGMM)
+        .unwrap()
+        .plan(hgmm_args(k, d, n), vec![("y", HostValue::Ragged(data.points))])
         .unwrap()
         .session(config)
         .unwrap();
@@ -127,7 +145,7 @@ fn fault_plan_is_inert_before_its_sweep() {
 fn injected_worker_panic_is_isolated_to_a_typed_error() {
     let plan =
         FaultPlan { panics: vec![PanicFault { worker: 0, sweep: Some(3) }], ..Default::default() };
-    let mut s = gibbs_sampler(SessionConfig {
+    let mut s = hgmm_sampler(SessionConfig {
         backend: ExecBackend::Tape,
         threads: 2,
         fault: Some(plan),
@@ -155,14 +173,14 @@ fn injected_worker_panic_is_isolated_to_a_typed_error() {
 fn sample_surfaces_worker_panic_as_typed_error() {
     let plan =
         FaultPlan { panics: vec![PanicFault { worker: 0, sweep: Some(2) }], ..Default::default() };
-    let mut s = gibbs_sampler(SessionConfig {
+    let mut s = hgmm_sampler(SessionConfig {
         backend: ExecBackend::Tape,
         threads: 2,
         fault: Some(plan),
         checkpoint_every: 0,
         ..Default::default()
     });
-    match s.sample(5, &["r"]).map_err(Error::from) {
+    match s.sample(5, &["mu"]).map_err(Error::from) {
         Err(Error::WorkerPanic { detail, .. }) => {
             assert!(detail.contains("fault injection"), "payload lost: {detail}")
         }

@@ -160,6 +160,31 @@ fn hlr_tape_matches_tree_for_gradient_kernels() {
     }
 }
 
+/// Only write-partitioned `Par` loops fan out to the worker pool. At two
+/// threads each sweep dispatches HGMM's `z` loop (K = 3 keeps the `mu`
+/// and `Sigma` loops under the 4-iteration minimum span), LDA's θ and `z`
+/// loops over 10 documents (φ spans 3 topics), and nothing of HLR's HMC,
+/// whose loops are `AtmPar` reductions into shared cells.
+#[test]
+fn only_write_partitioned_loops_dispatch() {
+    let hgmm = workloads::hgmm_data(3, 2, 40, 91);
+    let corpus = workloads::lda_corpus(3, 10, 60, 20, 5);
+    let hlr = workloads::logistic_data(60, 4, 17);
+    let hlr_args = vec![1.0.into(), 60.into(), 4.into(), HostValue::Ragged(hlr.x)];
+    let cases = [
+        ("hgmm", models::HGMM, hgmm_args(3, 2, 40), ("y", HostValue::Ragged(hgmm.points)), 1),
+        ("lda", models::LDA, lda_args(3, &corpus), ("w", HostValue::RaggedI(corpus.docs)), 2),
+        ("hlr", models::HLR, hlr_args, ("y", HostValue::VecF(hlr.y)), 0),
+    ];
+    for (label, model, args, data, per_sweep) in cases {
+        let mut s = bind(model, None, args, vec![data], ExecBackend::Tape, 2, false);
+        s.init().unwrap();
+        let before = s.report().exec.par_dispatches;
+        (0..3).for_each(|_| s.sweep());
+        assert_eq!(s.report().exec.par_dispatches - before, 3 * per_sweep, "{label}");
+    }
+}
+
 /// (label, source, schedule, args, data, recorded params).
 type Case = (
     &'static str,
