@@ -971,6 +971,7 @@ impl Session {
                 instrs_retired: self.engine.metrics.instrs_retired,
                 par_dispatches: self.engine.metrics.par_dispatches,
                 par_chunks: self.engine.metrics.par_chunks,
+                scatter_iters: self.engine.metrics.scatter_iters,
                 total_wall_secs: self.stats.iter().map(|s| s.wall_secs).sum(),
             },
         }

@@ -157,6 +157,9 @@ pub struct EngineMetrics {
     pub par_dispatches: u64,
     /// Worker chunks executed across all dispatches.
     pub par_chunks: u64,
+    /// Statistic-loop iterations a scatter plan ran instead of the body's
+    /// instructions (see `TInstr::LoopStart`).
+    pub scatter_iters: u64,
     /// Retired tape instructions by class ([`OP_CLASS_NAMES`] order),
     /// populated only when the sampler was built with timers on. Zero
     /// under the tree-walker, so — like `instrs_retired` — these are
@@ -172,6 +175,7 @@ impl EngineMetrics {
         self.instrs_retired += worker.instrs_retired;
         self.par_dispatches += worker.par_dispatches;
         self.par_chunks += worker.par_chunks;
+        self.scatter_iters += worker.scatter_iters;
         for (a, b) in self.op_class.iter_mut().zip(worker.op_class) {
             *a += b;
         }
@@ -203,6 +207,8 @@ pub struct ExecReport {
     pub par_dispatches: u64,
     /// Worker chunks executed.
     pub par_chunks: u64,
+    /// Statistic-loop iterations run by their scatter plans.
+    pub scatter_iters: u64,
     /// Total wall time across all instrumented updates, in seconds.
     pub total_wall_secs: f64,
 }
@@ -529,6 +535,7 @@ mod tests {
                 instrs_retired: 10,
                 par_dispatches: 0,
                 par_chunks: chunks,
+                scatter_iters: 0,
                 total_wall_secs: wall,
             },
         };

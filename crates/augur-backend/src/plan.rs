@@ -590,13 +590,13 @@ fn build_artifact(lowered: &LoweredModel, state: &State, opt_flags: &OptFlags) -
     }
     blk_span.attr("total", opt_report.describe());
     let mut tape_span = Span::new("tape");
-    let counts = |[h, e, s, f]: [usize; 4]| {
-        format!("hoisted={h} expanded={e} inlined_samples={s} fused_weights={f}")
+    let counts = |[h, e, s, f, l]: [usize; 5]| {
+        format!("hoisted={h} expanded={e} inlined_samples={s} fused_weights={f} scatter_loops={l}")
     };
-    let mut total = [0; 4];
+    let mut total = [0; 5];
     for p in &table.tapes {
         let summary = crate::tape_opt::summary(&p.tape, state);
-        if summary != [0; 4] {
+        if summary != [0; 5] {
             tape_span.attr(&p.name, counts(summary));
         }
         total.iter_mut().zip(summary).for_each(|(t, x)| *t += x);

@@ -226,10 +226,50 @@ impl<'a> Rest<'a> {
     }
 }
 
+/// The whole state with the cell arena borrowed mutably ([`State::cells_mut`]):
+/// a tape statistic loop resolves every buffer it touches once per loop
+/// entry ([`Cells::locate`]), then reads and writes cells by index.
+pub(crate) struct Cells<'a> {
+    /// The cell arena.
+    pub(crate) arena: &'a mut [f64],
+    /// The shared data region.
+    pub(crate) data: &'a [f64],
+    bufs: &'a [Buf],
+}
+
+/// Where one buffer's cells lie: its region, first cell and length, and
+/// the row offsets of a `Rows` buffer (empty for any other shape).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Loc<'a> {
+    /// In the data region rather than the arena.
+    pub(crate) data: bool,
+    pub(crate) start: usize,
+    pub(crate) len: usize,
+    pub(crate) offsets: &'a [usize],
+}
+
+impl<'a> Cells<'a> {
+    /// Buffer `id`'s location.
+    pub(crate) fn locate(&self, id: BufId) -> Loc<'a> {
+        let b = &self.bufs[id];
+        let offsets = match &b.shape {
+            Shape::Rows { offsets, .. } => offsets.as_slice(),
+            _ => &[],
+        };
+        Loc { data: b.region == Region::Data, start: b.start, len: b.len, offsets }
+    }
+}
+
 impl State {
     /// An empty state.
     pub fn new() -> Self {
         State::default()
+    }
+
+    /// The cell arena, mutably, next to the data region and the offset
+    /// index.
+    pub(crate) fn cells_mut(&mut self) -> Cells<'_> {
+        Cells { arena: &mut self.cells, data: &self.data, bufs: &self.layout.bufs }
     }
 
     /// Allocates a zeroed buffer in the cell arena.

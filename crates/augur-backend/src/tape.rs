@@ -52,7 +52,7 @@ use crate::eval::{
     dest_index, dist_op_cost, sample_cost, slice_of, value_ref_of, view_cells, Dest, Engine,
     OwnArg, OwnVal, View,
 };
-use crate::state::{BufId, RowElem, Shape, State};
+use crate::state::{BufId, Cells, Loc, RowElem, Shape, State};
 
 /// Minimum iteration span worth fanning out to the worker pool. Kept low
 /// so small models still exercise (and differentially test) the parallel
@@ -690,6 +690,101 @@ impl WeightLoad {
     }
 }
 
+/// The most buffers one scatter plan resolves; a statistic loop that
+/// touches more keeps the instruction path.
+pub(crate) const MAX_SCATTER_BUFS: usize = 8;
+/// The most values one plan holds: the loop index, the registers it reads
+/// from before the loop, and its cell loads.
+pub(crate) const MAX_SCATTER_VALS: usize = 16;
+/// The most row loads, and the most stores, of one plan.
+pub(crate) const MAX_SCATTER_ROWS: usize = 8;
+
+/// The scatter plan of a statistic loop, the fourth rewrite of
+/// [`crate::tape_opt`]: its body as loads and `+=` stores over value
+/// slots, row slots and the buffers of `bufs`, which
+/// [`Engine::run_scatter`] resolves once per loop entry and runs an
+/// iteration at a time. Value slot 0 holds the loop index; `pre` names
+/// the registers defined before the loop and their slots, read at entry.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Scatter {
+    /// The loop's `LoopStart` pc.
+    pub(crate) pc: u32,
+    /// The buffers the plan reads and writes.
+    pub(crate) bufs: Vec<BufId>,
+    /// `(register, slot)` of every register read from before the loop.
+    pub(crate) pre: Vec<(u32, u8)>,
+    /// The body's loads, in body order.
+    pub(crate) loads: Vec<ScatterLoad>,
+    /// The body's stores, in body order.
+    pub(crate) stores: Vec<ScatterStore>,
+    /// Work charged per iteration to the dispatch loop's counter: every
+    /// static charge of the body and its `LoopEnd`.
+    pub(crate) work: u64,
+    /// Work charged per iteration to the engine's own counter, where the
+    /// loads' `index_view` charges it.
+    pub(crate) work_eng: u64,
+    /// Instructions retired per iteration (the body and its `LoopEnd`).
+    pub(crate) retired: u64,
+    /// Those instructions' op classes.
+    pub(crate) classes: [u64; crate::metrics::N_OP_CLASSES],
+}
+
+/// A load of a [`Scatter`]. Each reads buffer slot `buf` at the value in
+/// slot `i` (or `row`, `col`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum ScatterLoad {
+    /// A [`TInstr::LoadCell1`] of a vector into value slot `dst`.
+    Cell { dst: u8, buf: u8, i: u8 },
+    /// A [`TInstr::LoadCell2`] of rows of vectors into value slot `dst`.
+    Cell2 { dst: u8, buf: u8, row: u8, col: u8 },
+    /// A [`TInstr::LoadRow1`] of rows of vectors into row slot `dst`.
+    Row { dst: u8, buf: u8, i: u8 },
+}
+
+/// A `+=` store of a [`Scatter`]: where, and what.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ScatterStore {
+    pub(crate) dest: ScatterDest,
+    pub(crate) src: ScatterSrc,
+}
+
+/// The destination of a [`ScatterStore`], as its [`TDest`] with value
+/// slots for registers.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum ScatterDest {
+    Cell0 { buf: u8 },
+    Cell1 { buf: u8, i: u8, len: u32 },
+    Cell2 { buf: u8, row: u8, col: u8 },
+    Row1 { buf: u8, i: u8 },
+}
+
+/// The source of a [`ScatterStore`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum ScatterSrc {
+    /// A [`TInstr::WriteImm`]'s immediate.
+    Imm(f64),
+    /// A scalar [`TInstr::Write`] of a value slot.
+    Val(u8),
+    /// A view [`TInstr::Write`] of a row slot.
+    Row(u8),
+    /// An [`TInstr::AccStore`] of `OuterSub` over two row slots.
+    Outer(u8, u8),
+}
+
+/// `x` as an index below `len`, when `check_index` and the bounds check
+/// after it both accept it.
+#[inline(always)]
+fn scatter_index(x: f64, len: usize) -> Option<usize> {
+    (x >= 0.0 && (x as usize) < len).then_some(x as usize)
+}
+
+/// Row `x` of a `Rows` buffer's `offsets`, when the row checks accept it.
+#[inline(always)]
+fn scatter_row(x: f64, offsets: &[usize]) -> Option<(usize, usize)> {
+    let r = scatter_index(x, offsets.len().saturating_sub(1))?;
+    Some((offsets[r], offsets[r + 1]))
+}
+
 /// The profiler's op-class index of an instruction (see
 /// [`crate::metrics::OP_CLASS_NAMES`]): `load`, `arith`, `dist`,
 /// `sample`, `store`, or `control`.
@@ -743,6 +838,10 @@ pub struct Tape {
     pub tail_w: u32,
     /// Scratch cells the tape's [`TInstr::LlFill`] vectors occupy.
     pub n_scratch: usize,
+    /// The statistic loops' scatter plans, by ascending `LoopStart` pc
+    /// ([`crate::tape_opt`]). The instruction stream does not mention
+    /// them: only the interpreter's `LoopStart` looks one up.
+    pub(crate) scatters: Vec<Scatter>,
 }
 
 /// A procedure compiled for CPU tape execution.
@@ -1100,6 +1199,7 @@ impl<'s> Emitter<'s> {
             n_vregs: self.next_v as usize,
             tail_w: self.pending_w,
             n_scratch: 0,
+            scatters: Vec::new(),
         }
     }
 
@@ -1662,9 +1762,19 @@ pub(crate) struct TapeFrame {
 }
 
 impl Tape {
+    /// The scatter plan of the loop whose `LoopStart` is at `pc`.
+    #[inline]
+    fn scatter(&self, pc: u32) -> Option<&Scatter> {
+        if self.scatters.is_empty() {
+            return None;
+        }
+        self.scatters.binary_search_by_key(&pc, |s| s.pc).ok().map(|k| &self.scatters[k])
+    }
+
     /// Renders the tape as human-readable assembly, one instruction per
     /// line (`pc: OPCODE operands`). Scalar registers print as `fN`,
-    /// view registers as `vN`.
+    /// view registers as `vN`; a loop with a scatter plan ends its line
+    /// with `scatter`.
     pub fn disasm(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -1756,11 +1866,12 @@ impl Tape {
                 }
                 TInstr::Jump { target } => writeln!(out, "jmp     -> {target}"),
                 TInstr::LoopStart { kind, lo, hi, body, exit, .. } => {
-                    if *body as usize == pc + 1 {
-                        writeln!(out, "loop    {kind:?} f{lo}..f{hi} exit -> {exit}")
-                    } else {
-                        writeln!(out, "loop    {kind:?} f{lo}..f{hi} body -> {body} exit -> {exit}")
+                    let _ = write!(out, "loop    {kind:?} f{lo}..f{hi}");
+                    if *body as usize != pc + 1 {
+                        let _ = write!(out, " body -> {body}");
                     }
+                    let planned = if self.scatter(pc as u32).is_some() { " scatter" } else { "" };
+                    writeln!(out, " exit -> {exit}{planned}")
                 }
                 TInstr::LoopEnd { w } => {
                     if *w == 0 {
@@ -2001,6 +2112,19 @@ impl Engine {
                     if *body > pc + 1 {
                         self.run_preheader(tape, pc + 1, *body, &mut f, &mut v);
                         retired += self.retire_preheader(tape, pc + 1, *body);
+                    }
+                    // A statistic loop runs in its plan up to the first
+                    // iteration a check fails, which the body re-runs.
+                    if let Some(sc) = tape.scatter(pc) {
+                        let at = self.run_scatter(sc, (lo, hi), &f, &mut w, &mut retired, &mut ops);
+                        if at == hi {
+                            frames.pop();
+                            self.env.pop();
+                            pc = *exit;
+                            continue;
+                        }
+                        frames.last_mut().expect("the loop's frame").idx = at;
+                        *self.env.last_mut().expect("the loop's env slot") = at;
                     }
                     pc = *body;
                     continue;
@@ -2522,6 +2646,152 @@ impl Engine {
             }
         }
         (to - from) as u64
+    }
+
+    /// Runs iterations `lo..hi` of a statistic loop through its plan. The
+    /// plan's buffers are resolved once. Each iteration first evaluates
+    /// its loads and every check of the replaced instructions — exactly
+    /// the conditions under which each takes its fast path — and then
+    /// applies its stores in body order, with those instructions' IEEE
+    /// operations. At the first iteration a check fails it stops, before
+    /// any of that iteration's stores, and returns that iteration's index
+    /// (`hi` when all ran): the body's instructions re-run it, making its
+    /// earlier stores and raising the failing instruction's own panic.
+    /// Each completed iteration charges its work where the instructions
+    /// charge it, and retires them and their op classes. Kept out of line
+    /// so the dispatch loop does not grow.
+    #[inline(never)]
+    fn run_scatter(
+        &mut self,
+        sc: &Scatter,
+        (lo, hi): (i64, i64),
+        f: &[f64],
+        w: &mut u64,
+        retired: &mut u64,
+        ops: &mut [u64; crate::metrics::N_OP_CLASSES],
+    ) -> i64 {
+        let cells = self.state.cells_mut();
+        let mut bufs = [Loc::default(); MAX_SCATTER_BUFS];
+        for (b, &id) in bufs.iter_mut().zip(&sc.bufs) {
+            *b = cells.locate(id);
+        }
+        let Cells { arena, data, .. } = cells;
+        let get =
+            |arena: &[f64], region: bool, at: usize| if region { data[at] } else { arena[at] };
+        let mut vals = [0.0; MAX_SCATTER_VALS];
+        for &(r, slot) in &sc.pre {
+            vals[slot as usize] = f[r as usize];
+        }
+        // Row slots as (in the data region, first cell, length); each
+        // store's destination as (first arena cell, length).
+        let mut rows = [(false, 0, 0); MAX_SCATTER_ROWS];
+        let mut dests = [(0, 0); MAX_SCATTER_ROWS];
+        let (mut i, mut row_w) = (lo, 0);
+        'iters: while i < hi {
+            vals[0] = i as f64;
+            for ld in &sc.loads {
+                match *ld {
+                    ScatterLoad::Cell { dst, buf, i } => {
+                        let b = &bufs[buf as usize];
+                        let Some(k) = scatter_index(vals[i as usize], b.len) else { break 'iters };
+                        vals[dst as usize] = get(arena, b.data, b.start + k);
+                    }
+                    ScatterLoad::Cell2 { dst, buf, row, col } => {
+                        let b = &bufs[buf as usize];
+                        let Some((s, e)) = scatter_row(vals[row as usize], b.offsets) else {
+                            break 'iters;
+                        };
+                        let Some(k) = scatter_index(vals[col as usize], e - s) else {
+                            break 'iters;
+                        };
+                        vals[dst as usize] = get(arena, b.data, b.start + s + k);
+                    }
+                    ScatterLoad::Row { dst, buf, i } => {
+                        let b = &bufs[buf as usize];
+                        let Some((s, e)) = scatter_row(vals[i as usize], b.offsets) else {
+                            break 'iters;
+                        };
+                        rows[dst as usize] = (b.data, b.start + s, e - s);
+                    }
+                }
+            }
+            for (st, d) in sc.stores.iter().zip(&mut dests) {
+                *d = match st.dest {
+                    ScatterDest::Cell0 { buf } => (bufs[buf as usize].start, 1),
+                    ScatterDest::Cell1 { buf, i, len } => {
+                        let Some(k) = scatter_index(vals[i as usize], len as usize) else {
+                            break 'iters;
+                        };
+                        (bufs[buf as usize].start + k, 1)
+                    }
+                    ScatterDest::Cell2 { buf, row, col } => {
+                        let b = &bufs[buf as usize];
+                        let Some((s, e)) = scatter_row(vals[row as usize], b.offsets) else {
+                            break 'iters;
+                        };
+                        let Some(k) = scatter_index(vals[col as usize], e - s) else {
+                            break 'iters;
+                        };
+                        (b.start + s + k, 1)
+                    }
+                    ScatterDest::Row1 { buf, i } => {
+                        let b = &bufs[buf as usize];
+                        let Some((s, e)) = scatter_row(vals[i as usize], b.offsets) else {
+                            break 'iters;
+                        };
+                        (b.start + s, e - s)
+                    }
+                };
+                // `store_view` adds a row of the destination's length in
+                // place; `acc_store` an outer product of the destination's
+                // length whose second operand is no shorter than its first.
+                let fits = match st.src {
+                    ScatterSrc::Imm(_) | ScatterSrc::Val(_) => true,
+                    ScatterSrc::Row(r) => rows[r as usize].2 == d.1,
+                    ScatterSrc::Outer(a, b) => {
+                        let (la, lb) = (rows[a as usize].2, rows[b as usize].2);
+                        lb >= la && la * la == d.1
+                    }
+                };
+                if !fits {
+                    break 'iters;
+                }
+            }
+            for (st, &(d, n)) in sc.stores.iter().zip(&dests) {
+                match st.src {
+                    ScatterSrc::Imm(x) => arena[d] += x,
+                    ScatterSrc::Val(s) => arena[d] += vals[s as usize],
+                    ScatterSrc::Row(r) => {
+                        let (region, s0, _) = rows[r as usize];
+                        for k in 0..n {
+                            arena[d + k] += get(arena, region, s0 + k);
+                        }
+                        row_w += n as u64;
+                    }
+                    ScatterSrc::Outer(a, b) => {
+                        let ((ra, a0, la), (rb, b0, _)) = (rows[a as usize], rows[b as usize]);
+                        for r in 0..la {
+                            let di = get(arena, ra, a0 + r) - get(arena, rb, b0 + r);
+                            for c in 0..la {
+                                let dc = get(arena, ra, a0 + c) - get(arena, rb, b0 + c);
+                                arena[d + r * la + c] += di * dc;
+                            }
+                        }
+                        row_w += 2 * n as u64;
+                    }
+                }
+            }
+            i += 1;
+        }
+        let done = (i - lo) as u64;
+        *w += done * sc.work + row_w;
+        self.work += done * sc.work_eng;
+        *retired += done * sc.retired;
+        if self.profile_ops {
+            ops.iter_mut().zip(sc.classes).for_each(|(o, c)| *o += done * c);
+        }
+        self.metrics.scatter_iters += done;
+        i
     }
 
     /// Stores a view (a `Write` whose source is a view register). A

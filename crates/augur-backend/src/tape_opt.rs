@@ -3,7 +3,7 @@
 //! procedure. The interpreter, the native C printer and `disasm` all see
 //! its output; the tree-walker stays the unoptimized reference.
 //!
-//! It makes three rewrites, all legal by construction and all invisible
+//! It makes four rewrites, all legal by construction and all invisible
 //! to draws, RNG words and work accounting:
 //!
 //! * **Loop-invariant code motion.** A pure, statically charged
@@ -39,17 +39,36 @@
 //!   registers defined before the run. No other instruction may read a
 //!   load's register, no operand may be a region of the destination's
 //!   buffer, and control enters the run only at its first instruction.
+//! * **Statistic-loop scatter plans.** A conjugate Gibbs update's
+//!   sufficient statistics — HGMM's `n[z[i]] += 1`, `s[z[i]] += y[i]`,
+//!   `S[z[i]] += OuterSub(y[i], mu[z[i]])`, LDA's topic counts — are
+//!   `AtmPar` or `Seq` loops whose body only loads cells and rows and
+//!   `+=`s into buffers it never reads. Such a loop gets a [`Scatter`]
+//!   plan beside the tape (the instruction stream is unchanged), which
+//!   the interpreter runs in one out-of-line loop. The body may hold only
+//!   its own `LoopIdx`, `ChargeW`, `LoadCell1` of a vector, `LoadCell2`
+//!   and `LoadRow1` of rows of vectors, and `+=` stores into cell-arena
+//!   buffers no load of the body reads: a `WriteImm`, or a `Write` of a
+//!   cell load, into a `Cell0`/`Cell1`/`Cell2`; a `Write` of a row load,
+//!   or an `AccStore` of `OuterSub` over two row loads, into a `Row1`.
+//!   Every index is the loop index, a load earlier in the body, or a
+//!   register defined before the loop, and no instruction outside the
+//!   body reads a register the body defines. A plan checks an iteration
+//!   exactly as its instructions would and, at the first that fails,
+//!   hands it back to them.
 //!
 //! The pass is linear in tape length (store lookups add a logarithm).
 //! Registers are single-definition, so "defined outside the loop" is a
 //! range test on the defining instruction's position.
 
 use augur_dist::DistKind;
-use augur_low::il::AssignOp;
+use augur_low::il::{AssignOp, LoopKind, OpN};
 
-use crate::state::{BufId, Shape, State};
+use crate::state::{BufId, RowElem, Shape, State};
 use crate::tape::{
-    reads, region_len, stored_buf, writes, Opd, Prior, TDest, TInstr, Tape, Weight, WeightLoad,
+    op_class_of, reads, region_len, stored_buf, writes, Opd, Prior, Scatter, ScatterDest,
+    ScatterLoad, ScatterSrc, ScatterStore, TDest, TInstr, Tape, Weight, WeightLoad,
+    MAX_SCATTER_BUFS, MAX_SCATTER_ROWS, MAX_SCATTER_VALS,
 };
 
 /// The longest vector the pass and the C printer keep in scratch: the
@@ -131,8 +150,9 @@ pub(crate) fn inline_sample_len(
 
 /// Per-tape counts for the explain plan: instructions hoisted into
 /// preheaders, log-density vectors filled, categorical draws the native
-/// printer inlines, and fused log-weight stores.
-pub(crate) fn summary(tape: &Tape, state: &State) -> [usize; 4] {
+/// printer inlines, fused log-weight stores, and statistic loops with a
+/// scatter plan.
+pub(crate) fn summary(tape: &Tape, state: &State) -> [usize; 5] {
     let mut vdef = vec![NONE; tape.n_vregs];
     let (mut pre, mut fills, mut samples, mut weights) = (0, 0, 0, 0);
     for (pc, i) in tape.instrs.iter().enumerate() {
@@ -150,7 +170,7 @@ pub(crate) fn summary(tape: &Tape, state: &State) -> [usize; 4] {
             vdef[d.index()] = pc as u32;
         }
     }
-    [pre - fills, fills, samples, weights]
+    [pre - fills, fills, samples, weights, tape.scatters.len()]
 }
 
 /// Runs the pass over a freshly emitted tape.
@@ -355,7 +375,7 @@ pub(crate) fn optimize(tape: Tape, state: &State) -> Tape {
             _ => {}
         }
     }
-    fuse_weights(Tape { instrs: out, n_scratch, ..tape }, state)
+    plan_scatters(fuse_weights(Tape { instrs: out, n_scratch, ..tape }, state), state)
 }
 
 /// The most loads one fused weight takes: its density's operands.
@@ -503,6 +523,249 @@ fn fuse_weights(tape: Tape, state: &State) -> Tape {
         }
     }
     Tape { instrs: out, ..tape }
+}
+
+/// Statistic-loop scatter plans (the module docs' fourth rewrite), over
+/// the tape the first three produced. The instruction stream is
+/// unchanged: the plans go beside it, in `Tape::scatters`.
+fn plan_scatters(mut tape: Tape, state: &State) -> Tape {
+    let mut fdef = vec![NONE; tape.n_fregs];
+    for (pc, i) in tape.instrs.iter().enumerate() {
+        match writes(i) {
+            Some(d) if !d.is_view() => fdef[d.index()] = pc as u32,
+            _ => {}
+        }
+    }
+    let mut open = Vec::new();
+    let mut scatters = Vec::new();
+    for (pc, i) in tape.instrs.iter().enumerate() {
+        match i {
+            TInstr::LoopStart { .. } => open.push(pc),
+            TInstr::LoopEnd { .. } => {
+                let start = open.pop().expect("LoopEnd closes a LoopStart");
+                let level = open.len() as u32;
+                scatters.extend(scatter_plan(&tape.instrs, start, pc, level, &fdef, state));
+            }
+            _ => {}
+        }
+    }
+    scatters.sort_by_key(|s| s.pc);
+    tape.scatters = scatters;
+    tape
+}
+
+/// The plan of the loop `start..=end` at nesting `level`, when it is a
+/// statistic loop.
+fn scatter_plan(
+    instrs: &[TInstr],
+    start: usize,
+    end: usize,
+    level: u32,
+    fdef: &[u32],
+    state: &State,
+) -> Option<Scatter> {
+    let TInstr::LoopStart { kind: LoopKind::AtmPar | LoopKind::Seq, body, .. } = instrs[start]
+    else {
+        return None;
+    };
+    let TInstr::LoopEnd { w } = instrs[end] else { unreachable!("a loop ends in a LoopEnd") };
+    let body = body as usize;
+    let mut b = ScatterBuilder {
+        state,
+        fdef,
+        body: body as u32,
+        sc: Scatter {
+            pc: start as u32,
+            bufs: Vec::new(),
+            pre: Vec::new(),
+            loads: Vec::new(),
+            stores: Vec::new(),
+            work: w as u64,
+            work_eng: 0,
+            retired: (end + 1 - body) as u64,
+            classes: [0; crate::metrics::N_OP_CLASSES],
+        },
+        vals: vec![],
+        rows: vec![],
+        loaded: vec![],
+    };
+    for i in &instrs[body..=end] {
+        b.sc.classes[op_class_of(i)] += 1;
+    }
+    for i in &instrs[body..end] {
+        b.instr(i, level)?;
+    }
+    // A statistic loop stores, into cell-arena buffers its loads never
+    // read, and nothing after it reads a register its body defines.
+    let stored: Vec<BufId> = instrs[body..end].iter().filter_map(stored_buf).collect();
+    let loaded_bufs = b.sc.loads.iter().map(|l| match *l {
+        ScatterLoad::Cell { buf, .. }
+        | ScatterLoad::Cell2 { buf, .. }
+        | ScatterLoad::Row { buf, .. } => b.sc.bufs[buf as usize],
+    });
+    if stored.is_empty() || stored.iter().any(|&s| state.is_data(s)) {
+        return None;
+    }
+    if loaded_bufs.into_iter().any(|l| stored.contains(&l)) {
+        return None;
+    }
+    let defined: Vec<Opd> = instrs[body..end].iter().filter_map(writes).collect();
+    let mut escapes = false;
+    for (pc, i) in instrs.iter().enumerate() {
+        if !(body..end).contains(&pc) {
+            reads(i, &mut |o| escapes |= defined.contains(&o));
+        }
+    }
+    (!escapes).then_some(b.sc)
+}
+
+/// Builds a [`Scatter`] one body instruction at a time.
+struct ScatterBuilder<'a> {
+    state: &'a State,
+    fdef: &'a [u32],
+    body: u32,
+    sc: Scatter,
+    /// Scalar registers with a value slot, and view registers with a row
+    /// slot.
+    vals: Vec<(u32, u8)>,
+    rows: Vec<(u32, u8)>,
+    /// Registers a cell load defines.
+    loaded: Vec<u32>,
+}
+
+impl ScatterBuilder<'_> {
+    /// Adds body instruction `i` of a loop at nesting `level`; `None` when
+    /// the plan's grammar does not hold it.
+    fn instr(&mut self, i: &TInstr, level: u32) -> Option<()> {
+        let state = self.state;
+        let rows_of_vecs =
+            |b: BufId| matches!(state.shape(b), Shape::Rows { elem: RowElem::Vec, .. });
+        match *i {
+            TInstr::LoopIdx { dst, depth } if depth == level => {
+                self.sc.work += 1;
+                self.vals.push((dst, 0));
+            }
+            TInstr::ChargeW { n } => self.sc.work += n as u64,
+            TInstr::LoadCell1 { dst, buf, i } if matches!(state.shape(buf), Shape::Vector(_)) => {
+                let (i, buf) = (self.index(i)?, self.buf(buf)?);
+                let dst = self.val(dst)?;
+                self.sc.loads.push(ScatterLoad::Cell { dst, buf, i });
+                (self.sc.work, self.sc.work_eng) = (self.sc.work + 2, self.sc.work_eng + 1);
+            }
+            TInstr::LoadCell2 { dst, buf, row, col } if rows_of_vecs(buf) => {
+                let (row, col, buf) = (self.index(row)?, self.index(col)?, self.buf(buf)?);
+                let dst = self.val(dst)?;
+                self.sc.loads.push(ScatterLoad::Cell2 { dst, buf, row, col });
+                (self.sc.work, self.sc.work_eng) = (self.sc.work + 3, self.sc.work_eng + 2);
+            }
+            TInstr::LoadRow1 { dst, buf, i } if rows_of_vecs(buf) => {
+                let (i, buf) = (self.index(i)?, self.buf(buf)?);
+                let slot = self.rows.len() as u8;
+                (self.rows.len() < MAX_SCATTER_ROWS).then_some(())?;
+                self.rows.push((dst, slot));
+                self.sc.loads.push(ScatterLoad::Row { dst: slot, buf, i });
+                (self.sc.work, self.sc.work_eng) = (self.sc.work + 2, self.sc.work_eng + 1);
+            }
+            TInstr::WriteImm { lhs, op: AssignOp::Inc, val } => {
+                self.sc.work += 2;
+                self.store(lhs, ScatterSrc::Imm(val))?;
+            }
+            TInstr::Write { lhs, op: AssignOp::Inc, src } if !src.is_view() => {
+                let r = src.index() as u32;
+                self.loaded.contains(&r).then_some(())?;
+                self.sc.work += 1;
+                self.store(lhs, ScatterSrc::Val(self.slot(r)?))?;
+            }
+            TInstr::Write { lhs: lhs @ TDest::Row1 { .. }, op: AssignOp::Inc, src } => {
+                self.store(lhs, ScatterSrc::Row(self.row(src)?))?;
+            }
+            TInstr::AccStore { lhs: lhs @ TDest::Row1 { .. }, vop: OpN::OuterSub, a, b } => {
+                self.sc.work += 1;
+                self.store(lhs, ScatterSrc::Outer(self.row(a)?, self.row(b)?))?;
+            }
+            _ => return None,
+        }
+        Some(())
+    }
+
+    /// Adds a `+=` store of `src` into `lhs`.
+    fn store(&mut self, lhs: TDest, src: ScatterSrc) -> Option<()> {
+        let shape = |b: BufId| self.state.shape(b);
+        let dest = match lhs {
+            TDest::Cell0 { buf } if *shape(buf) == Shape::Num => {
+                ScatterDest::Cell0 { buf: self.buf(buf)? }
+            }
+            TDest::Cell1 { buf, i, len } if shape(buf).num_cells() == len as usize => {
+                ScatterDest::Cell1 { buf: self.buf(buf)?, i: self.index(i)?, len }
+            }
+            TDest::Cell2 { buf, row, col } if matches!(shape(buf), Shape::Rows { .. }) => {
+                let (row, col) = (self.index(row)?, self.index(col)?);
+                ScatterDest::Cell2 { buf: self.buf(buf)?, row, col }
+            }
+            TDest::Row1 { buf, i } if matches!(shape(buf), Shape::Rows { .. }) => {
+                ScatterDest::Row1 { buf: self.buf(buf)?, i: self.index(i)? }
+            }
+            _ => return None,
+        };
+        // A scalar goes into a cell, a row or an outer product into a row.
+        let scalar = matches!(src, ScatterSrc::Imm(_) | ScatterSrc::Val(_));
+        let cell = !matches!(dest, ScatterDest::Row1 { .. });
+        (scalar == cell && self.sc.stores.len() < MAX_SCATTER_ROWS).then_some(())?;
+        self.sc.stores.push(ScatterStore { dest, src });
+        Some(())
+    }
+
+    /// The value slot of scalar register `r`, if it has one.
+    fn slot(&self, r: u32) -> Option<u8> {
+        self.vals.iter().find(|&&(reg, _)| reg == r).map(|&(_, s)| s)
+    }
+
+    /// The value slot of an index register: the loop index, a load earlier
+    /// in the body, or a register defined before the loop (read at entry).
+    fn index(&mut self, r: u32) -> Option<u8> {
+        if let Some(s) = self.slot(r) {
+            return Some(s);
+        }
+        (self.fdef[r as usize] < self.body).then_some(())?;
+        let s = self.next_val()?;
+        self.vals.push((r, s));
+        self.sc.pre.push((r, s));
+        Some(s)
+    }
+
+    /// A new value slot for the cell load defining `r`.
+    fn val(&mut self, r: u32) -> Option<u8> {
+        let s = self.next_val()?;
+        self.vals.push((r, s));
+        self.loaded.push(r);
+        Some(s)
+    }
+
+    fn next_val(&self) -> Option<u8> {
+        // Slot 0 is the loop index's.
+        let n = 1 + self.vals.iter().filter(|&&(_, s)| s != 0).count();
+        (n < MAX_SCATTER_VALS).then_some(n as u8)
+    }
+
+    /// The row slot of a row load earlier in the body.
+    fn row(&self, o: Opd) -> Option<u8> {
+        let r = o.index() as u32;
+        o.is_view().then_some(())?;
+        self.rows.iter().find(|&&(reg, _)| reg == r).map(|&(_, s)| s)
+    }
+
+    /// The plan's slot of buffer `id`.
+    fn buf(&mut self, id: BufId) -> Option<u8> {
+        let bufs = &mut self.sc.bufs;
+        match bufs.iter().position(|&b| b == id) {
+            Some(k) => Some(k as u8),
+            None if bufs.len() < MAX_SCATTER_BUFS => {
+                bufs.push(id);
+                Some(bufs.len() as u8 - 1)
+            }
+            None => None,
+        }
+    }
 }
 
 #[cfg(test)]

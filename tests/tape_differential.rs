@@ -185,6 +185,49 @@ fn only_write_partitioned_loops_dispatch() {
     }
 }
 
+/// The statistic loops of the conjugate Gibbs updates run in scatter
+/// plans: `disasm` marks exactly HGMM's `pi`, `mu` and `Sigma` loops and
+/// LDA's two count loops — no `model_ll` loop and no HLR loop — and a
+/// sweep runs the planned ones.
+#[test]
+fn statistic_loops_carry_scatter_plans() {
+    let hgmm = workloads::hgmm_data(3, 2, 40, 91);
+    let corpus = workloads::lda_corpus(3, 10, 60, 20, 5);
+    let hlr = workloads::logistic_data(60, 4, 17);
+    let hlr_args = vec![1.0.into(), 60.into(), 4.into(), HostValue::Ragged(hlr.x)];
+    let hgmm_planned: &[&str] = &["u0_gibbs", "u1_gibbs", "u2_gibbs"];
+    let cases = [
+        (
+            "hgmm",
+            models::HGMM,
+            hgmm_args(3, 2, 40),
+            ("y", HostValue::Ragged(hgmm.points)),
+            hgmm_planned,
+        ),
+        (
+            "lda",
+            models::LDA,
+            lda_args(3, &corpus),
+            ("w", HostValue::RaggedI(corpus.docs)),
+            &["u0_gibbs", "u1_gibbs"],
+        ),
+        ("hlr", models::HLR, hlr_args, ("y", HostValue::VecF(hlr.y)), &[]),
+    ];
+    for (label, model, args, data, planned) in cases {
+        let mut s = bind(model, None, args, vec![data], ExecBackend::Tape, 1, false);
+        for name in s.proc_names() {
+            let disasm = s.disasm(name);
+            let marked = disasm.lines().filter(|l| l.ends_with(" scatter")).count();
+            assert_eq!(marked, usize::from(planned.contains(&name)), "{label} {name}:\n{disasm}");
+        }
+        s.init().unwrap();
+        let before = s.report().exec.scatter_iters;
+        s.sweep();
+        let ran = s.report().exec.scatter_iters - before;
+        assert_eq!(ran > 0, !planned.is_empty(), "{label}: {ran} iterations ran in plans");
+    }
+}
+
 /// (label, source, schedule, args, data, recorded params).
 type Case = (
     &'static str,
