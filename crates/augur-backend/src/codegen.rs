@@ -92,14 +92,11 @@ fn emit_sweep(out: &mut String, lowered: &LoweredModel) {
                     "  {proc_}(rng); /* Gibbs: resamples {target}, always accepted */"
                 );
             }
-            Step::Hmc { targets, ll_proc, grad_proc, nuts, .. } => {
+            Step::Hmc { targets, llgrad_proc, nuts, .. } => {
                 let names: Vec<&str> = targets.iter().map(|(t, _)| t.as_str()).collect();
                 let fun = if *nuts { "augur_nuts_update" } else { "augur_hmc_update" };
-                let _ = writeln!(
-                    out,
-                    "  {fun}(rng, {ll_proc}, {grad_proc}); /* block: {} */",
-                    names.join(", ")
-                );
+                let _ =
+                    writeln!(out, "  {fun}(rng, {llgrad_proc}); /* block: {} */", names.join(", "));
             }
             Step::Mala { targets, ll_proc, grad_proc, .. } => {
                 let names: Vec<&str> = targets.iter().map(|(t, _)| t.as_str()).collect();

@@ -290,7 +290,7 @@ impl From<UnknownParam> for RunError {
 #[derive(Debug, Clone)]
 pub(crate) enum CompiledStep {
     Gibbs { proc_: usize, target: BufId },
-    Hmc { targets: Vec<GradTarget>, ll: usize, grad: usize, nuts: bool },
+    Hmc { targets: Vec<GradTarget>, llgrad: usize, nuts: bool },
     SliceRefl { targets: Vec<GradTarget>, ll: usize, grad: usize },
     Mala { targets: Vec<GradTarget>, ll: usize, grad: usize },
     ESlice { target: BufId, lik: usize, psamp: usize, pmean: usize, aux: BufId, mean: BufId },
@@ -646,13 +646,10 @@ impl Session {
     fn update(&mut self, i: usize, step: &CompiledStep) -> UpdateOutcome {
         match step {
             CompiledStep::Gibbs { proc_, target } => self.gibbs_update(*proc_, *target),
-            CompiledStep::Hmc { targets, ll, grad, nuts } => {
+            CompiledStep::Hmc { targets, llgrad, nuts } => {
                 let cfg = self.effective_cfg(i);
-                if *nuts {
-                    mcmc::nuts_update(&mut self.engine, &self.table, *ll, *grad, targets, &cfg)
-                } else {
-                    mcmc::hmc_update(&mut self.engine, &self.table, *ll, *grad, targets, &cfg)
-                }
+                let update = if *nuts { mcmc::nuts_update } else { mcmc::hmc_update };
+                update(&mut self.engine, &self.table, *llgrad, targets, &cfg)
             }
             CompiledStep::SliceRefl { targets, ll, grad } => mcmc::reflective_slice_update(
                 &mut self.engine,
@@ -1121,7 +1118,7 @@ pub(crate) fn compile_step(state: &State, table: &ProcTable, s: &Step) -> Compil
         Step::Gibbs { proc_, target } => {
             CompiledStep::Gibbs { proc_: table.index(proc_), target: id(target) }
         }
-        Step::Hmc { targets, ll_proc, grad_proc, adj_bufs, nuts } => CompiledStep::Hmc {
+        Step::Hmc { targets, llgrad_proc, adj_bufs, nuts } => CompiledStep::Hmc {
             targets: targets
                 .iter()
                 .zip(adj_bufs)
@@ -1131,8 +1128,7 @@ pub(crate) fn compile_step(state: &State, table: &ProcTable, s: &Step) -> Compil
                     transform: *tr,
                 })
                 .collect(),
-            ll: table.index(ll_proc),
-            grad: table.index(grad_proc),
+            llgrad: table.index(llgrad_proc),
             nuts: *nuts,
         },
         Step::Mala { targets, ll_proc, grad_proc, adj_bufs } => CompiledStep::Mala {

@@ -2,7 +2,8 @@
 //! [`crate::mcmc`] replaced, kept as a test-only reference.
 //!
 //! Production HMC and NUTS carry each leapfrog gradient into the next step
-//! (and NUTS one per tree edge), reflective slice keeps its last in-loop
+//! (and NUTS one per tree edge), so they run their value-and-gradient
+//! procedure once per position; reflective slice keeps its last in-loop
 //! log-density, and elliptical slice carries the likelihood from slice to
 //! slice. Here every step recomputes what it needs, as it did before. Two
 //! identical sessions run in lockstep, one through each, and every update
@@ -10,6 +11,12 @@
 //! exactly the expected number of procedures. Bit-identity across engines
 //! cannot catch a carry bug (all three engines run the same `mcmc` code);
 //! this comparison can.
+//!
+//! The lockstep runs HMC and NUTS through the one value-and-gradient
+//! procedure they lower to, so it cannot catch a wrong one either. A
+//! second comparison lowers each block both ways — HMC (or NUTS) gives
+//! the fused procedure, MALA the `_ll`/`_grad` pair — and checks that the
+//! two agree bitwise at the same positions.
 
 use std::sync::Arc;
 
@@ -20,34 +27,44 @@ use super::{build_session, CompiledStep, Session, SessionConfig};
 use crate::compile::ProcTable;
 use crate::eval::Engine;
 use crate::mcmc::{
-    contain_nonfinite, gradient, log_density_flat, read_position, restore_targets,
-    snapshot_targets, write_position, GradTarget, McmcConfig,
+    contain_nonfinite, gradient, log_density_and_gradient, log_density_flat, read_position,
+    restore_targets, snapshot_targets, write_position, GradTarget, McmcConfig,
 };
 use crate::metrics::UpdateOutcome;
 use crate::state::{BufId, HostValue, Shape};
 use crate::tape::ExecBackend;
 
+/// The value-and-gradient procedure's log-density at `q`, its gradient
+/// dropped.
+fn log_density(
+    engine: &mut Engine,
+    table: &ProcTable,
+    llgrad: usize,
+    t: &[GradTarget],
+    q: &[f64],
+) -> f64 {
+    log_density_and_gradient(engine, table, llgrad, t, q, &mut PoolVec::zeroed(q.len()))
+}
+
 #[allow(clippy::too_many_arguments)]
 fn leapfrog(
     engine: &mut Engine,
     table: &ProcTable,
-    ll_proc: usize,
-    grad_proc: usize,
+    llgrad_proc: usize,
     targets: &[GradTarget],
     q: &mut [f64],
     p: &mut [f64],
     eps: f64,
 ) -> f64 {
-    write_position(engine, targets, q);
-    let g = gradient(engine, table, grad_proc, targets, q);
+    let mut g = PoolVec::zeroed(q.len());
+    log_density_and_gradient(engine, table, llgrad_proc, targets, q, &mut g);
     for (pi, gi) in p.iter_mut().zip(&g) {
         *pi += 0.5 * eps * gi;
     }
     for (qi, pi) in q.iter_mut().zip(p.iter()) {
         *qi += eps * pi;
     }
-    let ll = log_density_flat(engine, table, ll_proc, targets, q);
-    let g = gradient(engine, table, grad_proc, targets, q);
+    let ll = log_density_and_gradient(engine, table, llgrad_proc, targets, q, &mut g);
     for (pi, gi) in p.iter_mut().zip(&g) {
         *pi += 0.5 * eps * gi;
     }
@@ -57,8 +74,7 @@ fn leapfrog(
 fn hmc_update(
     engine: &mut Engine,
     table: &ProcTable,
-    ll_proc: usize,
-    grad_proc: usize,
+    llgrad_proc: usize,
     targets: &[GradTarget],
     cfg: &McmcConfig,
 ) -> UpdateOutcome {
@@ -67,14 +83,14 @@ fn hmc_update(
     let q0 = read_position(engine, targets);
     let mut q = q0.clone();
     let mut p = PoolVec::from_fn(q0.len(), |_| engine.rng.std_normal());
-    let h0 = log_density_flat(engine, table, ll_proc, targets, &q)
+    let h0 = log_density(engine, table, llgrad_proc, targets, &q)
         - 0.5 * p.iter().map(|x| x * x).sum::<f64>();
     if !h0.is_finite() {
         out.numerical_events += 1;
     }
     let mut ll = f64::NAN;
     for _ in 0..cfg.leapfrog_steps {
-        ll = leapfrog(engine, table, ll_proc, grad_proc, targets, &mut q, &mut p, cfg.step_size);
+        ll = leapfrog(engine, table, llgrad_proc, targets, &mut q, &mut p, cfg.step_size);
         out.leapfrogs += 1;
         if !ll.is_finite() {
             out.divergences += 1;
@@ -100,8 +116,7 @@ fn hmc_update(
 fn nuts_update(
     engine: &mut Engine,
     table: &ProcTable,
-    ll_proc: usize,
-    grad_proc: usize,
+    llgrad_proc: usize,
     targets: &[GradTarget],
     cfg: &McmcConfig,
 ) -> UpdateOutcome {
@@ -109,7 +124,7 @@ fn nuts_update(
     let saved = snapshot_targets(engine, targets);
     let q0 = read_position(engine, targets);
     let p0 = PoolVec::from_fn(q0.len(), |_| engine.rng.std_normal());
-    let h0 = log_density_flat(engine, table, ll_proc, targets, &q0)
+    let h0 = log_density(engine, table, llgrad_proc, targets, &q0)
         - 0.5 * p0.iter().map(|x| x * x).sum::<f64>();
     if !h0.is_finite() {
         out.numerical_events += 1;
@@ -128,16 +143,34 @@ fn nuts_update(
         let dir: f64 = if engine.rng.uniform() < 0.5 { -1.0 } else { 1.0 };
         let (q_prop, n_prop, ok) = if dir < 0.0 {
             let (qm, pm, _, _, qp, np, ok) = build_tree(
-                engine, table, ll_proc, grad_proc, targets, &q_minus, &p_minus, log_u, dir, depth,
-                cfg, &mut out,
+                engine,
+                table,
+                llgrad_proc,
+                targets,
+                &q_minus,
+                &p_minus,
+                log_u,
+                dir,
+                depth,
+                cfg,
+                &mut out,
             );
             q_minus = qm;
             p_minus = pm;
             (qp, np, ok)
         } else {
             let (_, _, qp2, pp2, qp, np, ok) = build_tree(
-                engine, table, ll_proc, grad_proc, targets, &q_plus, &p_plus, log_u, dir, depth,
-                cfg, &mut out,
+                engine,
+                table,
+                llgrad_proc,
+                targets,
+                &q_plus,
+                &p_plus,
+                log_u,
+                dir,
+                depth,
+                cfg,
+                &mut out,
             );
             q_plus = qp2;
             p_plus = pp2;
@@ -168,8 +201,7 @@ type Tree = (PoolVec, PoolVec, PoolVec, PoolVec, PoolVec, f64, bool);
 fn build_tree(
     engine: &mut Engine,
     table: &ProcTable,
-    ll_proc: usize,
-    grad_proc: usize,
+    llgrad_proc: usize,
     targets: &[GradTarget],
     q: &[f64],
     p: &[f64],
@@ -182,16 +214,8 @@ fn build_tree(
     if depth == 0 {
         let mut q1 = PoolVec::from_slice(q);
         let mut p1 = PoolVec::from_slice(p);
-        let ll = leapfrog(
-            engine,
-            table,
-            ll_proc,
-            grad_proc,
-            targets,
-            &mut q1,
-            &mut p1,
-            dir * cfg.step_size,
-        );
+        let ll =
+            leapfrog(engine, table, llgrad_proc, targets, &mut q1, &mut p1, dir * cfg.step_size);
         out.leapfrogs += 1;
         if !ll.is_finite() {
             out.numerical_events += 1;
@@ -208,27 +232,14 @@ fn build_tree(
         }
         (q1.clone(), p1.clone(), q1.clone(), p1.clone(), q1, n, ok)
     } else {
-        let (mut qm, mut pm, mut qp, mut pp, mut qn, mut n, ok) = build_tree(
-            engine,
-            table,
-            ll_proc,
-            grad_proc,
-            targets,
-            q,
-            p,
-            log_u,
-            dir,
-            depth - 1,
-            cfg,
-            out,
-        );
+        let (mut qm, mut pm, mut qp, mut pp, mut qn, mut n, ok) =
+            build_tree(engine, table, llgrad_proc, targets, q, p, log_u, dir, depth - 1, cfg, out);
         if ok {
             let (qn2, n2, ok2) = if dir < 0.0 {
                 let (qm2, pm2, _, _, qn2, n2, ok2) = build_tree(
                     engine,
                     table,
-                    ll_proc,
-                    grad_proc,
+                    llgrad_proc,
                     targets,
                     &qm,
                     &pm,
@@ -245,8 +256,7 @@ fn build_tree(
                 let (_, _, qp2, pp2, qn2, n2, ok2) = build_tree(
                     engine,
                     table,
-                    ll_proc,
-                    grad_proc,
+                    llgrad_proc,
                     targets,
                     &qp,
                     &pp,
@@ -401,10 +411,10 @@ fn num_slices(engine: &Engine, target: BufId) -> usize {
 /// exists, and through the production update otherwise.
 fn reference_update(s: &mut Session, i: usize, step: &CompiledStep) -> UpdateOutcome {
     match step {
-        CompiledStep::Hmc { targets, ll, grad, nuts } => {
+        CompiledStep::Hmc { targets, llgrad, nuts } => {
             let cfg = s.effective_cfg(i);
             let update = if *nuts { nuts_update } else { hmc_update };
-            update(&mut s.engine, &s.table, *ll, *grad, targets, &cfg)
+            update(&mut s.engine, &s.table, *llgrad, targets, &cfg)
         }
         CompiledStep::SliceRefl { targets, ll, grad } => {
             reflective_slice_update(&mut s.engine, &s.table, *ll, *grad, targets, &s.mcmc_cfg)
@@ -425,12 +435,12 @@ fn expected_proc_calls(
     reference: u64,
 ) -> u64 {
     match step {
-        // both run the initial log-density; the reference then runs a
-        // gradient, a log-density and a gradient per leapfrog, production
-        // one gradient up front and a log-density and gradient per leapfrog
+        // both run the value-and-gradient procedure at the start; the
+        // reference then runs it at both ends of every leapfrog,
+        // production only at the end
         CompiledStep::Hmc { .. } => {
-            assert_eq!(reference, 3 * out.leapfrogs + 1, "reference HMC/NUTS procedure runs");
-            2 * out.leapfrogs + 2
+            assert_eq!(reference, 2 * out.leapfrogs + 1, "reference HMC/NUTS procedure runs");
+            out.leapfrogs + 1
         }
         CompiledStep::SliceRefl { .. } => reference - 1,
         CompiledStep::ESlice { target, .. } => {
@@ -512,6 +522,56 @@ fn session_config(backend: ExecBackend, threads: usize, mcmc: McmcConfig) -> Ses
         fault: None,
         ..SessionConfig::default()
     }
+}
+
+/// Runs the value-and-gradient procedure of `fused` (an HMC or NUTS
+/// schedule) and the `_ll`/`_grad` pair of `pair` (MALA on the same
+/// block, step `step` of both) at every position of `probes`, on every
+/// CPU engine: the log-densities, gradients and adjoint buffers must be
+/// equal bit for bit.
+fn assert_fused_matches_pair(
+    label: &str,
+    make: &dyn Fn(&str, ExecBackend) -> Session,
+    (fused, pair): (&str, &str),
+    step: usize,
+    probes: &[Vec<f64>],
+) {
+    for backend in [ExecBackend::Tree, ExecBackend::Tape, ExecBackend::Native] {
+        let (mut f, mut p) = (make(fused, backend), make(pair, backend));
+        f.init().unwrap();
+        p.init().unwrap();
+        let at = format!("{label} {:?}", f.backend());
+        let (f_steps, p_steps) = (Arc::clone(&f.steps), Arc::clone(&p.steps));
+        let CompiledStep::Hmc { targets, llgrad, .. } = &f_steps[step] else {
+            panic!("{at}: step {step} of `{fused}` is not HMC/NUTS")
+        };
+        let CompiledStep::Mala { targets: p_targets, ll, grad } = &p_steps[step] else {
+            panic!("{at}: step {step} of `{pair}` is not MALA")
+        };
+        let (llgrad, ll, grad) = (*llgrad, *ll, *grad);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for q in probes {
+            let mut g = PoolVec::zeroed(q.len());
+            let ll_f =
+                log_density_and_gradient(&mut f.engine, &f.table, llgrad, targets, q, &mut g);
+            let ll_p = log_density_flat(&mut p.engine, &p.table, ll, p_targets, q);
+            let g_p = gradient(&mut p.engine, &p.table, grad, p_targets, q);
+            assert_eq!(ll_f.to_bits(), ll_p.to_bits(), "{at}: log-density at {q:?}");
+            assert_eq!(bits(&g), bits(&g_p), "{at}: gradient at {q:?}");
+            for (t, u) in targets.iter().zip(p_targets) {
+                let (a, b) = (t.adj.unwrap(), u.adj.unwrap());
+                let name = f.engine.state.names().nth(a).unwrap().0.to_owned();
+                let (a, b) = (f.engine.state.flat(a), p.engine.state.flat(b));
+                assert_eq!(bits(a), bits(b), "{at}: adjoint {name} at {q:?}");
+            }
+        }
+    }
+}
+
+/// `n` unconstrained positions of length `len`, seeded.
+fn random_probes(seed: u64, n: usize, len: usize, scale: f64) -> Vec<Vec<f64>> {
+    let mut rng = Prng::seed_from_u64(seed);
+    (0..n).map(|_| (0..len).map(|_| scale * rng.std_normal()).collect()).collect()
 }
 
 const HLR: &str = "(lambda, N, D, x) => {
@@ -604,4 +664,71 @@ fn hgmm_updates_match_reference_integrators() {
         let saved = assert_matches_reference(&format!("hgmm/{kernel}"), &make, 12);
         assert!(saved > 0, "hgmm/{kernel}: the production updates ran no fewer procedures");
     }
+}
+
+#[test]
+fn value_and_gradient_procedure_matches_the_pair_bitwise() {
+    // HLR at gradient_agreement's shape and probes, plus random ones
+    let (n, d) = (20, 3);
+    let mut rng = Prng::seed_from_u64(99);
+    let rows: Vec<Vec<f64>> = (0..n).map(|_| (0..d).map(|_| rng.std_normal()).collect()).collect();
+    let y: Vec<f64> = (0..n).map(|_| f64::from(rng.bernoulli(0.5))).collect();
+    let x = FlatRagged::from_rows(rows);
+    let hlr = |sched: &str, backend| {
+        build_session(
+            HLR,
+            Some(sched),
+            vec![
+                HostValue::Real(1.0),
+                HostValue::Int(n as i64),
+                HostValue::Int(d as i64),
+                HostValue::Ragged(x.clone()),
+            ],
+            vec![("y", HostValue::VecF(y.clone()))],
+            session_config(backend, 1, McmcConfig::default()),
+        )
+        .unwrap()
+    };
+    let mut probes = vec![
+        vec![0.0, 0.0, 0.0, 0.0, 0.0],
+        vec![0.5, -0.3, 0.7, -0.2, 0.1],
+        vec![-1.0, 0.4, -0.6, 0.9, -0.5],
+    ];
+    probes.extend(random_probes(7, 8, 2 + d, 1.5));
+    let pair = "MALA sigma2 b theta";
+    assert_fused_matches_pair("hlr/HMC", &hlr, ("HMC sigma2 b theta", pair), 0, &probes);
+    assert_fused_matches_pair("hlr/NUTS", &hlr, ("NUTS sigma2 b theta", pair), 0, &probes);
+
+    // HGMM's `mu`: the likelihood factor sits under `if k == z[n]`
+    let (k, d, n) = (3, 2, 40);
+    let mut rng = Prng::seed_from_u64(91);
+    let rows: Vec<Vec<f64>> = (0..n)
+        .map(|_| {
+            let c = rng.below(k) as f64;
+            (0..d).map(|_| 4.0 * (c - 1.0) + rng.std_normal()).collect()
+        })
+        .collect();
+    let points = FlatRagged::from_rows(rows);
+    let hgmm = |sched: &str, backend| {
+        build_session(
+            HGMM,
+            Some(sched),
+            vec![
+                HostValue::Int(k as i64),
+                HostValue::Int(n as i64),
+                HostValue::VecF(vec![1.0; k]),
+                HostValue::VecF(vec![0.0; d]),
+                HostValue::Mat(Matrix::identity(d).scale(50.0)),
+                HostValue::Real((d + 2) as f64),
+                HostValue::Mat(Matrix::identity(d)),
+            ],
+            vec![("y", HostValue::Ragged(points.clone()))],
+            session_config(backend, 1, McmcConfig::default()),
+        )
+        .unwrap()
+    };
+    let sched = |kernel: &str| format!("Gibbs pi (*) {kernel} mu (*) Gibbs Sigma (*) Gibbs z");
+    let probes = random_probes(13, 10, k * d, 4.0);
+    let (hmc, mala) = (sched("HMC"), sched("MALA"));
+    assert_fused_matches_pair("hgmm/HMC mu", &hgmm, (&hmc, &mala), 1, &probes);
 }

@@ -175,20 +175,14 @@ pub fn gradient(
     q: &[f64],
 ) -> PoolVec {
     let mut g = PoolVec::zeroed(q.len());
-    gradient_into(engine, table, grad_proc, targets, q, &mut g);
+    engine.run_proc(table, grad_proc);
+    chain_adjoints(engine, targets, q, &mut g);
     g
 }
 
-/// [`gradient`] written into `g` (one cell per position coordinate).
-fn gradient_into(
-    engine: &mut Engine,
-    table: &ProcTable,
-    grad_proc: usize,
-    targets: &[GradTarget],
-    q: &[f64],
-    g: &mut [f64],
-) {
-    engine.run_proc(table, grad_proc);
+/// Chains the adjoint buffers the last procedure run wrote through the
+/// transforms at `q` into `g`, the gradient in the unconstrained space.
+fn chain_adjoints(engine: &Engine, targets: &[GradTarget], q: &[f64], g: &mut [f64]) {
     let mut off = 0;
     for t in targets {
         let adj = engine.state.flat(t.adj.expect("gradient-based update has adjoint buffers"));
@@ -212,14 +206,13 @@ fn gradient_into(
 /// One leapfrog step from `(q, p)`: half-step momentum, full-step
 /// position, half-step momentum. `g` holds the gradient at `q` on entry
 /// and the gradient at the new `q` on return, so consecutive steps share
-/// it and each step runs the log-density and gradient procedures once,
-/// at the new position. Returns the new log-density.
+/// it and each step runs the value-and-gradient procedure once, at the
+/// new position. Returns the new log-density.
 #[allow(clippy::too_many_arguments)]
 fn leapfrog(
     engine: &mut Engine,
     table: &ProcTable,
-    ll_proc: usize,
-    grad_proc: usize,
+    llgrad_proc: usize,
     targets: &[GradTarget],
     q: &mut [f64],
     p: &mut [f64],
@@ -232,8 +225,7 @@ fn leapfrog(
     for (qi, pi) in q.iter_mut().zip(p.iter()) {
         *qi += eps * pi;
     }
-    let ll = log_density_flat(engine, table, ll_proc, targets, q);
-    gradient_into(engine, table, grad_proc, targets, q, g);
+    let ll = log_density_and_gradient(engine, table, llgrad_proc, targets, q, g);
     for (pi, gi) in p.iter_mut().zip(g.iter()) {
         *pi += 0.5 * eps * gi;
     }
@@ -252,6 +244,28 @@ pub fn log_density_flat(
 ) -> f64 {
     write_position(engine, targets, q);
     let ll = engine.run_proc(table, ll_proc).expect("ll proc returns a value");
+    ll + log_jacobian(engine, targets, q)
+}
+
+/// [`log_density_flat`] and [`gradient`] from one run of a
+/// value-and-gradient procedure: writes the position, runs the
+/// procedure, fills `g` and returns the log-density.
+pub fn log_density_and_gradient(
+    engine: &mut Engine,
+    table: &ProcTable,
+    llgrad_proc: usize,
+    targets: &[GradTarget],
+    q: &[f64],
+    g: &mut [f64],
+) -> f64 {
+    write_position(engine, targets, q);
+    let ll = engine.run_proc(table, llgrad_proc).expect("llgrad proc returns a value");
+    chain_adjoints(engine, targets, q, g);
+    ll + log_jacobian(engine, targets, q)
+}
+
+/// The log-Jacobian of the unconstraining transforms at `q`.
+fn log_jacobian(engine: &Engine, targets: &[GradTarget], q: &[f64]) -> f64 {
     let mut jac = 0.0;
     let mut off = 0;
     for t in targets {
@@ -268,7 +282,7 @@ pub fn log_density_flat(
         }
         off += len;
     }
-    ll + jac
+    jac
 }
 
 /// One HMC update of a block. Reports acceptance, the leapfrog steps
@@ -277,8 +291,7 @@ pub fn log_density_flat(
 pub fn hmc_update(
     engine: &mut Engine,
     table: &ProcTable,
-    ll_proc: usize,
-    grad_proc: usize,
+    llgrad_proc: usize,
     targets: &[GradTarget],
     cfg: &McmcConfig,
 ) -> UpdateOutcome {
@@ -286,10 +299,10 @@ pub fn hmc_update(
     let saved = snapshot_targets(engine, targets);
     let mut q = read_position(engine, targets);
     let mut p = PoolVec::from_fn(q.len(), |_| engine.rng.std_normal());
-    let h0 = log_density_flat(engine, table, ll_proc, targets, &q)
+    // the gradient at q0 starts the trajectory
+    let mut g = PoolVec::zeroed(q.len());
+    let h0 = log_density_and_gradient(engine, table, llgrad_proc, targets, &q, &mut g)
         - 0.5 * p.iter().map(|x| x * x).sum::<f64>();
-    // the state holds q0 now; its gradient starts the trajectory
-    let mut g = gradient(engine, table, grad_proc, targets, &q);
     if !h0.is_finite() {
         // current state already has a non-finite density (e.g. an injected
         // NaN): `ln(u) < h1 - h0` is then false/NaN → guaranteed rejection,
@@ -298,17 +311,7 @@ pub fn hmc_update(
     }
     let mut ll = f64::NAN;
     for _ in 0..cfg.leapfrog_steps {
-        ll = leapfrog(
-            engine,
-            table,
-            ll_proc,
-            grad_proc,
-            targets,
-            &mut q,
-            &mut p,
-            &mut g,
-            cfg.step_size,
-        );
+        ll = leapfrog(engine, table, llgrad_proc, targets, &mut q, &mut p, &mut g, cfg.step_size);
         out.leapfrogs += 1;
         if !ll.is_finite() {
             out.divergences += 1;
@@ -338,8 +341,7 @@ pub fn hmc_update(
 pub fn nuts_update(
     engine: &mut Engine,
     table: &ProcTable,
-    ll_proc: usize,
-    grad_proc: usize,
+    llgrad_proc: usize,
     targets: &[GradTarget],
     cfg: &McmcConfig,
 ) -> UpdateOutcome {
@@ -347,7 +349,9 @@ pub fn nuts_update(
     let saved = snapshot_targets(engine, targets);
     let q0 = read_position(engine, targets);
     let p0 = PoolVec::from_fn(q0.len(), |_| engine.rng.std_normal());
-    let h0 = log_density_flat(engine, table, ll_proc, targets, &q0)
+    // both edges start from the gradient at q0
+    let mut g0 = PoolVec::zeroed(q0.len());
+    let h0 = log_density_and_gradient(engine, table, llgrad_proc, targets, &q0, &mut g0)
         - 0.5 * p0.iter().map(|x| x * x).sum::<f64>();
     if !h0.is_finite() {
         out.numerical_events += 1;
@@ -355,8 +359,6 @@ pub fn nuts_update(
     // slice variable
     let log_u = h0 + engine.rng.uniform().max(1e-300).ln();
 
-    // the state holds q0 now; both edges start from its gradient
-    let g0 = gradient(engine, table, grad_proc, targets, &q0);
     let mut minus = Edge { q: q0.clone(), p: p0, g: g0 };
     let mut plus = minus.clone();
     let mut q_new = q0;
@@ -366,9 +368,8 @@ pub fn nuts_update(
     for depth in 0..cfg.max_tree_depth {
         let dir: f64 = if engine.rng.uniform() < 0.5 { -1.0 } else { 1.0 };
         let edge = if dir < 0.0 { &minus } else { &plus };
-        let t = build_tree(
-            engine, table, ll_proc, grad_proc, targets, edge, log_u, dir, depth, cfg, &mut out,
-        );
+        let t =
+            build_tree(engine, table, llgrad_proc, targets, edge, log_u, dir, depth, cfg, &mut out);
         if dir < 0.0 {
             minus = t.minus;
         } else {
@@ -394,7 +395,8 @@ pub fn nuts_update(
 }
 
 /// One end of a NUTS trajectory: position, momentum, and the gradient at
-/// the position, carried so that extending the edge runs one gradient.
+/// the position, carried so that extending the edge runs the
+/// value-and-gradient procedure once per step.
 #[derive(Clone)]
 struct Edge {
     q: PoolVec,
@@ -416,13 +418,12 @@ struct Tree {
 /// Builds a subtree of `2^depth` leapfrog steps from `edge` in direction
 /// `dir`. Each step starts from the gradient its edge carries and leaves
 /// the gradient at its end point on the new edge, so a subtree runs one
-/// log-density and one gradient per step.
+/// value-and-gradient procedure per step.
 #[allow(clippy::too_many_arguments)]
 fn build_tree(
     engine: &mut Engine,
     table: &ProcTable,
-    ll_proc: usize,
-    grad_proc: usize,
+    llgrad_proc: usize,
     targets: &[GradTarget],
     edge: &Edge,
     log_u: f64,
@@ -436,8 +437,7 @@ fn build_tree(
         let ll = leapfrog(
             engine,
             table,
-            ll_proc,
-            grad_proc,
+            llgrad_proc,
             targets,
             &mut e.q,
             &mut e.p,
@@ -460,36 +460,14 @@ fn build_tree(
         }
         return Tree { minus: e.clone(), proposal: e.q.clone(), plus: e, n, ok };
     }
-    let mut t = build_tree(
-        engine,
-        table,
-        ll_proc,
-        grad_proc,
-        targets,
-        edge,
-        log_u,
-        dir,
-        depth - 1,
-        cfg,
-        out,
-    );
+    let mut t =
+        build_tree(engine, table, llgrad_proc, targets, edge, log_u, dir, depth - 1, cfg, out);
     if !t.ok {
         return t;
     }
     let outer = if dir < 0.0 { &t.minus } else { &t.plus };
-    let t2 = build_tree(
-        engine,
-        table,
-        ll_proc,
-        grad_proc,
-        targets,
-        outer,
-        log_u,
-        dir,
-        depth - 1,
-        cfg,
-        out,
-    );
+    let t2 =
+        build_tree(engine, table, llgrad_proc, targets, outer, log_u, dir, depth - 1, cfg, out);
     if t2.ok && t.n + t2.n > 0.0 && engine.rng.uniform() < t2.n / (t.n + t2.n) {
         t.proposal = t2.proposal;
     }

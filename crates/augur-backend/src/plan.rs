@@ -661,14 +661,16 @@ fn assemble_explain(
     explain.root.child(size_span);
     let mut ad_span = Span::new("autodiff");
     ad_span.attr("procs", lowered.procs.len().to_string());
+    let adjoints: Vec<&str> =
+        lowered.allocs.iter().map(|a| a.name.as_str()).filter(|n| n.contains("_adj_")).collect();
     ad_span.attr(
         "grad_procs",
-        lowered.procs.iter().filter(|p| p.name.ends_with("_grad")).count().to_string(),
+        (lowered.procs.iter())
+            .filter(|p| p.body.written_vars().iter().any(|v| adjoints.contains(v)))
+            .count()
+            .to_string(),
     );
-    ad_span.attr(
-        "adjoint_buffers",
-        lowered.allocs.iter().filter(|a| a.name.contains("_adj_")).count().to_string(),
-    );
+    ad_span.attr("adjoint_buffers", adjoints.len().to_string());
     explain.root.child(ad_span);
     let mut codegen = Span::timed("codegen", setup_secs + artifact.codegen_secs);
     codegen.attr("procs", artifact.table.procs.len().to_string());
@@ -836,6 +838,8 @@ impl Plan {
             (false, format!("circuit breaker open: {reason}"))
         } else if !cfg!(feature = "native") {
             (false, "built without the `native` feature".to_string())
+        } else if let Err(reason) = crate::native::jit::cache_dir_usable() {
+            (false, reason)
         } else if let Some(so) = crate::native::jit::cached_artifact(
             &crate::native::emit::emit_module(&self.artifact.table, &self.state),
         ) {

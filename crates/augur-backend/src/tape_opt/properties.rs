@@ -1138,3 +1138,396 @@ fn fused_weights_match_the_reference_on_every_engine() {
         run_caught(lane, &st, &table, native, c, &[format!("wt{c}"), format!("wacc{c}")])
     });
 }
+
+/// A `+=` store of a generated statistic loop, and the plan destination
+/// it compiles to (nested in a `Par` loop over `p`, every destination
+/// gains `p` as its first index).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Stat {
+    /// `d[g] += 1`, a count: `Cell1` (nested `d[p][g]`, `Cell2`).
+    Count,
+    /// `d[g] += x[i]`, a cell sum: `Cell1` (nested `d[p][g]`, `Cell2`).
+    Sum,
+    /// `d += x[i]`, a total: `Cell0` (nested `d[p]`, `Cell1`).
+    Total,
+    /// `d[g][c[i]] += x[i]`, a cell of a row: `Cell2` (nested
+    /// `d[p][c[i]]`).
+    Cell,
+    /// `d[g] += y[i]`, a row sum: `Row1` (nested `d[p]`).
+    RowSum,
+    /// `d[g] += outer_sub(y[i], m[g])`, a scatter into a row of
+    /// matrices: `Row1` (nested `d[p]`).
+    Outer,
+}
+
+const STATS: [Stat; 6] =
+    [Stat::Count, Stat::Sum, Stat::Total, Stat::Cell, Stat::RowSum, Stat::Outer];
+
+/// How a faulty case breaks iteration `f`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fault {
+    /// `z[f] = -1`.
+    Negative,
+    /// `z[f] = NaN`.
+    Nan,
+    /// `z[f] = k`, one past the last group.
+    PastEnd,
+    /// `c[f] = w`, one past a `Cell` row.
+    PastRow,
+    /// Row `y[f]` is a cell longer than the others.
+    LongRow,
+}
+
+/// One generated statistic loop:
+///
+/// ```text
+/// [for p <- 0 until np:]              (Par, when nested: write-partitioned)
+///   for i <- 0 until n:               (Seq or AtmPar)
+///     d0[…] += …                      (one to three `Stat` stores, each
+///     …                                into its own buffer)
+/// ```
+///
+/// The group index `g` is a cell load `z[i]`, or the index `i` itself
+/// (which runs past the `k` groups when `n > k`). A `fault` breaks
+/// iteration `f` of every `p`.
+struct ScatterCase {
+    n: usize,
+    kind: LoopKind,
+    np: Option<usize>,
+    k: usize,
+    d: usize,
+    /// Row length of a `Cell` destination.
+    w: usize,
+    by_index: bool,
+    stats: Vec<Stat>,
+    fault: Option<(Fault, usize)>,
+    x: Vec<f64>,
+    z: Vec<f64>,
+    c: Vec<f64>,
+    y: Vec<Vec<f64>>,
+    m: Vec<Vec<f64>>,
+    /// Each destination's initial cells.
+    init: Vec<Vec<f64>>,
+}
+
+/// Generated statistic loops: every store form in flat and nested
+/// loops, faulty and not.
+const N_SCATTER: usize = 60;
+
+impl ScatterCase {
+    /// Case `c`: the first store cycles through every form, one case in
+    /// four is nested, one in three faulty (cycling through the faults),
+    /// one in seven a zero-trip loop.
+    fn gen(rng: &mut Prng, c: usize) -> ScatterCase {
+        let np = (c % 4 == 3).then(|| 4 + rng.below(3));
+        let n = if c.is_multiple_of(7) { 0 } else { 1 + rng.below(8) };
+        let (k, d, w) = (1 + rng.below(3), 1 + rng.below(3), 1 + rng.below(3));
+        let mut stats = vec![STATS[(c + c / 4) % 6]];
+        // At most three stores, so a plan's eight buffer slots suffice.
+        for _ in 0..rng.below(2) {
+            let s = STATS[rng.below(6)];
+            if !stats.contains(&s) {
+                stats.push(s);
+            }
+        }
+        let faults = [Fault::Negative, Fault::Nan, Fault::PastEnd, Fault::PastRow, Fault::LongRow];
+        let fault = (c % 3 == 1 && n > 0).then(|| (faults[c / 3 % 5], rng.below(n)));
+        match fault {
+            Some((Fault::PastRow, _)) if !stats.contains(&Stat::Cell) => stats.push(Stat::Cell),
+            Some((Fault::LongRow, _))
+                if !stats.contains(&Stat::RowSum) && !stats.contains(&Stat::Outer) =>
+            {
+                stats.push(Stat::RowSum)
+            }
+            _ => {}
+        }
+        let by_index = np.is_none() && fault.is_none() && rng.below(5) == 0;
+        let draw = |rng: &mut Prng, len: usize| -> Vec<f64> {
+            (0..len).map(|_| rng.uniform_range(-2.0, 2.0)).collect()
+        };
+        let mut z: Vec<f64> = (0..n).map(|_| rng.below(k) as f64).collect();
+        let mut cols: Vec<f64> = (0..n).map(|_| rng.below(w) as f64).collect();
+        let mut y: Vec<Vec<f64>> = (0..n).map(|_| draw(rng, d)).collect();
+        match fault {
+            Some((Fault::Negative, f)) => z[f] = -1.0,
+            Some((Fault::Nan, f)) => z[f] = f64::NAN,
+            Some((Fault::PastEnd, f)) => z[f] = k as f64,
+            Some((Fault::PastRow, f)) => cols[f] = w as f64,
+            Some((Fault::LongRow, f)) => y[f].push(0.5),
+            None => {}
+        }
+        let mut case = ScatterCase {
+            n,
+            kind: [LoopKind::Seq, LoopKind::AtmPar][rng.below(2)],
+            np,
+            k,
+            d,
+            w,
+            by_index,
+            stats,
+            fault,
+            x: draw(rng, n),
+            z,
+            c: cols,
+            y,
+            m: (0..k)
+                .map(|_| {
+                    let len = d + rng.below(2);
+                    draw(rng, len)
+                })
+                .collect(),
+            init: Vec::new(),
+        };
+        case.init =
+            (0..case.stats.len()).map(|s| draw(rng, case.dest_shape(s).num_cells())).collect();
+        case
+    }
+
+    /// Rows, or cells, of one destination per group (per `p` nested).
+    fn slots(&self) -> usize {
+        self.np.unwrap_or(self.k)
+    }
+
+    /// The shape of store `s`'s destination.
+    fn dest_shape(&self, s: usize) -> Shape {
+        let rows = |n: usize, len: usize, elem| Shape::Rows {
+            offsets: (0..=n).map(|r| r * len).collect(),
+            elem,
+        };
+        let nested = self.np.is_some();
+        match self.stats[s] {
+            Stat::Count | Stat::Sum if nested => rows(self.slots(), self.k, RowElem::Vec),
+            Stat::Count | Stat::Sum => Shape::Vector(self.k),
+            Stat::Total if nested => Shape::Vector(self.slots()),
+            Stat::Total => Shape::Num,
+            Stat::Cell => rows(self.slots(), self.w, RowElem::Vec),
+            Stat::RowSum => rows(self.slots(), self.d, RowElem::Vec),
+            Stat::Outer => rows(self.slots(), self.d * self.d, RowElem::Mat(self.d)),
+        }
+    }
+
+    /// Binds this case's buffers (suffixed `c`) into the shared state.
+    fn bind(&self, c: usize, st: &mut State) {
+        let mut put = |name: String, shape: Shape, cells: &[f64]| {
+            let id = st.insert(name, shape);
+            st.flat_mut(id).copy_from_slice(cells);
+        };
+        let rows = |rs: &[Vec<f64>]| {
+            let mut offsets = vec![0];
+            for r in rs {
+                offsets.push(offsets.last().unwrap() + r.len());
+            }
+            Shape::Rows { offsets, elem: RowElem::Vec }
+        };
+        put(format!("sx{c}"), Shape::Vector(self.n), &self.x);
+        put(format!("sz{c}"), Shape::Vector(self.n), &self.z);
+        put(format!("sc{c}"), Shape::Vector(self.n), &self.c);
+        put(format!("sy{c}"), rows(&self.y), &self.y.concat());
+        put(format!("sm{c}"), rows(&self.m), &self.m.concat());
+        for (s, init) in self.init.iter().enumerate() {
+            put(format!("sd{c}_{s}"), self.dest_shape(s), init);
+        }
+    }
+
+    fn dest_names(&self, c: usize) -> Vec<String> {
+        (0..self.stats.len()).map(|s| format!("sd{c}_{s}")).collect()
+    }
+
+    fn proc_decl(&self, c: usize) -> ProcDecl {
+        let var = |name: &str| Expr::var(format!("{name}{c}"));
+        let at_i = |name: &str| Expr::index(var(name), Expr::var("i"));
+        let g = if self.by_index { Expr::var("i") } else { at_i("sz") };
+        let slot = if self.np.is_some() { Expr::var("p") } else { g.clone() };
+        let cell = |mut idx: Vec<Expr>| {
+            if self.np.is_some() {
+                idx.insert(0, Expr::var("p"));
+            }
+            idx
+        };
+        let stores = self.stats.iter().enumerate().map(|(s, stat)| {
+            let (indices, rhs) = match stat {
+                Stat::Count => (cell(vec![g.clone()]), Expr::Real(1.0)),
+                Stat::Sum => (cell(vec![g.clone()]), at_i("sx")),
+                Stat::Total => (cell(vec![]), at_i("sx")),
+                Stat::Cell => (vec![slot.clone(), at_i("sc")], at_i("sx")),
+                Stat::RowSum => (vec![slot.clone()], at_i("sy")),
+                Stat::Outer => (
+                    vec![slot.clone()],
+                    Expr::Op(OpN::OuterSub, vec![at_i("sy"), Expr::index(var("sm"), g.clone())]),
+                ),
+            };
+            let lhs = LValue { var: format!("sd{c}_{s}"), indices };
+            Stmt::Assign { lhs, op: AssignOp::Inc, rhs }
+        });
+        let loop_ = |kind, var: &str, hi: usize, body| Stmt::Loop {
+            kind,
+            var: var.into(),
+            lo: Expr::Int(0),
+            hi: Expr::Int(hi as i64),
+            body: Box::new(body),
+        };
+        let inner = loop_(self.kind, "i", self.n, Stmt::seq(stores.collect()));
+        let body = match self.np {
+            Some(np) => loop_(LoopKind::Par, "p", np, inner),
+            None => inner,
+        };
+        ProcDecl { name: format!("s{c}"), body, ret: None }
+    }
+
+    /// The destinations' cells after the run, and whether it panics: the
+    /// run stops at the first store whose operands or destination fail,
+    /// after every earlier store (of that iteration too). Each store
+    /// evaluates its value, then its destination, then stores.
+    fn reference(&self) -> (Vec<Vec<f64>>, bool) {
+        let at = |x: f64, len: usize| (x >= 0.0 && (x as usize) < len).then_some(x as usize);
+        let mut dst = self.init.clone();
+        let (k, d, w) = (self.k, self.d, self.w);
+        for p in 0..self.np.unwrap_or(1) {
+            for i in 0..self.n {
+                let g = if self.by_index { i as f64 } else { self.z[i] };
+                for (s, stat) in self.stats.iter().enumerate() {
+                    let val = match stat {
+                        Stat::Count => vec![1.0],
+                        Stat::Sum | Stat::Total | Stat::Cell => vec![self.x[i]],
+                        Stat::RowSum => self.y[i].clone(),
+                        Stat::Outer => {
+                            let (a, Some(r)) = (&self.y[i], at(g, k)) else { return (dst, true) };
+                            if self.m[r].len() < a.len() {
+                                return (dst, true);
+                            }
+                            let diff: Vec<f64> =
+                                a.iter().zip(&self.m[r]).map(|(p, q)| p - q).collect();
+                            diff.iter().flat_map(|p| diff.iter().map(move |q| p * q)).collect()
+                        }
+                    };
+                    let nested = self.np.is_some();
+                    let group = if nested { Some(p) } else { at(g, k) };
+                    let range = match stat {
+                        Stat::Count | Stat::Sum if nested => at(g, k).map(|g| (p * k + g, 1)),
+                        Stat::Count | Stat::Sum => at(g, k).map(|g| (g, 1)),
+                        Stat::Total => Some((if nested { p } else { 0 }, 1)),
+                        Stat::Cell => group.zip(at(self.c[i], w)).map(|(r, col)| (r * w + col, 1)),
+                        Stat::RowSum => group.map(|r| (r * d, d)),
+                        Stat::Outer => group.map(|r| (r * d * d, d * d)),
+                    };
+                    let Some((start, len)) = range.filter(|&(_, len)| len == val.len()) else {
+                        return (dst, true);
+                    };
+                    for (cell, v) in dst[s][start..start + len].iter_mut().zip(&val) {
+                        *cell += v;
+                    }
+                }
+            }
+        }
+        (dst, false)
+    }
+}
+
+/// One run of a statistic-loop case: the panic message if it panicked,
+/// the destinations' bits, the work charged and the engine's metrics.
+type ScatterRun = (Option<String>, Vec<u64>, u64, EngineMetrics);
+
+fn run_scatter_case(
+    lane: Lane,
+    st: &State,
+    table: &ProcTable,
+    native: Option<&Arc<NativeModule>>,
+    c: usize,
+    bufs: &[String],
+) -> ScatterRun {
+    let mut eng = lane_engine(lane, st, native);
+    let panic = catch_unwind(AssertUnwindSafe(|| eng.run_proc(table, c))).err().map(|payload| {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    });
+    let bits = bufs.iter().flat_map(|b| eng.flat_of(b).iter().map(|x| x.to_bits())).collect();
+    (panic, bits, eng.work(), eng.metrics)
+}
+
+#[test]
+fn scatter_loops_match_the_reference_on_every_engine() {
+    let mut rng = Prng::seed_from_u64(0x5CA7_7E25);
+    let cases: Vec<ScatterCase> = (0..N_SCATTER).map(|c| ScatterCase::gen(&mut rng, c)).collect();
+    let mut st = State::new();
+    for (c, case) in cases.iter().enumerate() {
+        case.bind(c, &mut st);
+    }
+    // The same procedures twice: with their scatter plans, and without
+    // (every loop on the instruction path).
+    let (mut table, mut unplanned) = (ProcTable::default(), ProcTable::default());
+    for (c, case) in cases.iter().enumerate() {
+        let p = case.proc_decl(c);
+        for t in [&mut table, &mut unplanned] {
+            let cpu = Compiler::new(&st).proc(&p);
+            let gpu = Compiler::new(&st).blk_proc(&augur_blk::to_blocks(&p));
+            t.insert(cpu, gpu, &st);
+        }
+    }
+    for p in &mut unplanned.tapes {
+        p.tape.scatters.clear();
+    }
+    // Every generated loop is a statistic loop, and the batch covers
+    // every store form, flat and nested, faulty and zero-trip loops.
+    for (c, p) in table.tapes.iter().enumerate() {
+        assert_eq!(p.tape.scatters.len(), 1, "case {c} ({:?}) has no scatter plan", cases[c].stats);
+    }
+    for stat in STATS {
+        for nested in [false, true] {
+            let covered = cases.iter().any(|c| c.stats.contains(&stat) && c.np.is_some() == nested);
+            assert!(covered, "no {stat:?} store (nested: {nested})");
+        }
+    }
+    let expected: Vec<_> = cases.iter().map(ScatterCase::reference).collect();
+    assert!(expected.iter().filter(|(_, panics)| *panics).count() >= 10, "too few faulty cases");
+    assert!(cases.iter().any(|c| c.n == 0), "no zero-trip loop");
+
+    let native = native_module(&table, &st);
+    let bits = |cells: &[Vec<f64>]| cells.concat().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let run = |lane, table: &ProcTable, native, c: usize| {
+        run_scatter_case(lane, &st, table, native, c, &cases[c].dest_names(c))
+    };
+    let tree: Vec<ScatterRun> =
+        (0..cases.len()).map(|c| run(Lane::Tree, &table, None, c)).collect();
+    let reference: Vec<ScatterRun> =
+        (0..cases.len()).map(|c| run(Lane::Tape(1), &unplanned, None, c)).collect();
+    let mut planned_iters = [0; 2];
+    let mut dispatched = 0;
+    for lane in [Lane::Tree, Lane::Tape(1), Lane::Tape(3), Lane::Native] {
+        if lane == Lane::Native && native.is_none() {
+            continue;
+        }
+        for (c, ((want, panics), case)) in expected.iter().zip(&cases).enumerate() {
+            let (panic, got, work, metrics) = run(lane, &table, native.as_ref(), c);
+            let at = format!("{lane:?}: case {c} ({:?}, {:?})", case.stats, case.fault);
+            assert_eq!(panic.is_some(), *panics, "{at}: panicked {panic:?}");
+            assert_eq!(panic, tree[c].0, "{at}: panicked differently from the tree");
+            // A worker that panics hands nothing back, so a nested loop
+            // that panics at three threads leaves only what the main
+            // engine stored.
+            if !(lane == Lane::Tape(3) && case.np.is_some() && *panics) {
+                assert_eq!(got, bits(want), "{at}: state differs from the reference");
+            }
+            if !panics {
+                assert_eq!(work, tree[c].2, "{at}: charged different work");
+            }
+            if let Lane::Tape(threads) = lane {
+                let plain = &reference[c];
+                if threads == 1 || !panics {
+                    assert_eq!(work, plain.2, "{at}: work differs from the instruction path");
+                    let (a, b) = (&metrics, &plain.3);
+                    assert_eq!(a.instrs_retired, b.instrs_retired, "{at}: instructions retired");
+                    assert_eq!(a.op_class, b.op_class, "{at}: op classes");
+                }
+                planned_iters[threads / 3] += metrics.scatter_iters;
+                dispatched += metrics.par_dispatches;
+            }
+        }
+    }
+    assert!(planned_iters[0] > 0, "no scatter plan ran on {:?}", Lane::Tape(1));
+    assert!(planned_iters[1] > 0, "no scatter plan ran on {:?}", Lane::Tape(3));
+    assert!(dispatched > 0, "no nested loop fanned out on {:?}", Lane::Tape(3));
+    assert!(reference.iter().all(|r| r.3.scatter_iters == 0), "the instruction path ran a plan");
+}

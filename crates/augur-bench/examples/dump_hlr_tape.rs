@@ -1,8 +1,9 @@
 //! Disassembles every compiled HLR tape and prints the folded op-class
 //! profile after a few sweeps — the inspection loop used to find (and
 //! keep an eye on) redundant work in the tape emitter, e.g. the
-//! duplicated logit chain in `u0_grad` that value-numbering CSE now
-//! elides. Compare with `dump_lda` for the Gibbs-heavy models.
+//! duplicated logit chain in the row loop of `u0_llgrad` that
+//! value-numbering CSE shares between the log-density term and the
+//! gradient. Compare with `dump_lda` for the Gibbs-heavy models.
 
 use augur::prelude::*;
 use augurv2::{models, workloads};

@@ -126,6 +126,25 @@ fn optimize_parblk(
         unreachable!("optimize_parblk called with a non-parBlk")
     };
 
+    // 0. A value-and-gradient loop opens its body with the log-density
+    //    term `acc += d.ll(…)`, a reduction of its own: when it would be a
+    //    summation block alone, it becomes one, and the adjoint part is
+    //    optimized as the gradient loop it came from. The block program
+    //    then sums exactly as a separate likelihood loop did.
+    if flags.sum_blk && kind == LoopKind::AtmPar {
+        if let Some((acc, rhs, rest)) = leading_ll_reduction(&body, &var) {
+            if oracle.extent(&lo, &hi).is_some_and(|e| e >= flags.contention_ratio) {
+                report.converted_to_sum += 1;
+                let sum =
+                    Blk::SumBlk { acc, var: var.clone(), lo: lo.clone(), hi: hi.clone(), rhs };
+                let rest = Blk::ParBlk { kind, var, lo, hi, body: rest, inner_par };
+                let mut out = vec![sum];
+                out.extend(optimize_parblk(rest, oracle, flags, report));
+                return out;
+            }
+        }
+    }
+
     // 1. Summation-block conversion: `loop AtmPar { acc += e; … }` where
     //    every statement increments a location *fixed across threads* and
     //    the contention ratio is high (§5.4's estimate: threads divided by
@@ -243,6 +262,52 @@ fn fixed_location_increments(
         }
     }
     Some(incs)
+}
+
+/// Splits `{ acc += d.ll(…); rest… }` into the log-density increment and
+/// the rest when `acc` is fixed across threads and the rest neither
+/// mentions `acc` nor writes anything the increment reads, so summing
+/// the increments first changes no value.
+fn leading_ll_reduction(
+    body: &Stmt,
+    thread_var: &str,
+) -> Option<(augur_low::il::LValue, Expr, Stmt)> {
+    let Stmt::Seq(stmts) = body else { return None };
+    let (Stmt::Assign { lhs, op: AssignOp::Inc, rhs: rhs @ Expr::DistLl { .. } }, rest) =
+        stmts.split_first()?
+    else {
+        return None;
+    };
+    if rest.is_empty() || lhs.indices.iter().any(|i| mentions(i, thread_var)) {
+        return None;
+    }
+    let rest = Stmt::seq(rest.to_vec());
+    let reads_written = rest.written_vars().iter().any(|w| mentions(rhs, w));
+    if stmt_mentions(&rest, &lhs.var) || reads_written {
+        return None;
+    }
+    Some((lhs.clone(), rhs.clone(), rest))
+}
+
+/// True when any expression or destination in the statement tree
+/// mentions the variable.
+fn stmt_mentions(s: &Stmt, var: &str) -> bool {
+    let lv = |l: &augur_low::il::LValue| l.var == var || l.indices.iter().any(|i| mentions(i, var));
+    match s {
+        Stmt::Assign { lhs, rhs, .. } => lv(lhs) || mentions(rhs, var),
+        Stmt::Sample { lhs, args, .. } => lv(lhs) || args.iter().any(|a| mentions(a, var)),
+        Stmt::SampleLogits { lhs, weights } => lv(lhs) || mentions(weights, var),
+        Stmt::Seq(ss) => ss.iter().any(|t| stmt_mentions(t, var)),
+        Stmt::If { cond: augur_low::il::Cond::Eq(a, b), then, els } => {
+            mentions(a, var)
+                || mentions(b, var)
+                || stmt_mentions(then, var)
+                || els.as_deref().is_some_and(|e| stmt_mentions(e, var))
+        }
+        Stmt::Loop { lo, hi, body, .. } => {
+            mentions(lo, var) || mentions(hi, var) || stmt_mentions(body, var)
+        }
+    }
 }
 
 /// True when the statement tree contains a sampling operation.
@@ -390,6 +455,41 @@ mod tests {
         assert_eq!(r.converted_to_sum, 2);
         assert_eq!(p.blocks.len(), 2);
         assert!(p.blocks.iter().all(|b| b.kind_name() == "sumBlk"));
+    }
+
+    #[test]
+    fn value_and_gradient_loop_sums_its_log_density_apart() {
+        // { acc += ll; tmp = …; adj += tmp }: the log-density term becomes
+        // a sumBlk and the adjoint part stays the atomic loop it was.
+        let ll = Stmt::Assign {
+            lhs: LValue::name("acc"),
+            op: AssignOp::Inc,
+            rhs: Expr::DistLl {
+                dist: DistKind::Normal,
+                args: vec![Expr::var("m"), Expr::Real(1.0)],
+                point: Box::new(Expr::index(Expr::var("y"), Expr::var("n"))),
+            },
+        };
+        let tmp = Stmt::Assign { lhs: LValue::name("tmp"), op: AssignOp::Set, rhs: Expr::var("t") };
+        let fused = |first: Stmt, adj: &str| Stmt::Seq(vec![first, tmp.clone(), fixed_inc(adj)]);
+        let oracle = FixedOracle::new(&[("N", 50_000)]);
+        let run = |body: Stmt| {
+            let mut p = BlkProc {
+                name: "g".into(),
+                blocks: vec![parblk(LoopKind::AtmPar, "n", "N", body)],
+                ret: None,
+            };
+            let r = optimize(&mut p, &oracle, &OptFlags::default());
+            let kinds: Vec<&str> = p.blocks.iter().map(Blk::kind_name).collect();
+            (r.converted_to_sum, kinds.join(" "))
+        };
+        assert_eq!(run(fused(ll.clone(), "adj")), (1, "sumBlk parBlk".to_owned()));
+        // the adjoint part may not touch the accumulator …
+        assert_eq!(run(fused(ll.clone(), "acc")), (0, "parBlk".to_owned()));
+        // … nor write what the log-density reads
+        assert_eq!(run(fused(ll, "m")), (0, "parBlk".to_owned()));
+        // a gradient loop that opens with a plain increment is not split
+        assert_eq!(run(fused(fixed_inc("adj_b"), "adj")), (0, "parBlk".to_owned()));
     }
 
     #[test]

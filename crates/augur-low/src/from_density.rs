@@ -75,14 +75,18 @@ pub fn wrap_comps(comps: &[Comp], kind: LoopKind, body: Stmt) -> Stmt {
     out
 }
 
+/// `acc += ll`: one term of a factor's log-likelihood, at one point of
+/// its comprehensions.
+pub fn ll_inc(f: &Factor, acc: &str) -> Stmt {
+    Stmt::Assign { lhs: LValue::name(acc), op: AssignOp::Inc, rhs: atom_ll(f) }
+}
+
 /// Builds the statement that accumulates a factor's log-likelihood into
 /// `acc`: the paper's map-reduce reification of a likelihood (§4.4),
 /// annotated `AtmPar` because the increments must be atomic when
 /// parallelized.
 pub fn factor_ll_stmt(f: &Factor, acc: &str) -> Stmt {
-    let body =
-        wrap_inds(f, Stmt::Assign { lhs: LValue::name(acc), op: AssignOp::Inc, rhs: atom_ll(f) });
-    wrap_comps(&f.comps, LoopKind::AtmPar, body)
+    wrap_comps(&f.comps, LoopKind::AtmPar, wrap_inds(f, ll_inc(f, acc)))
 }
 
 /// Builds a whole log-likelihood procedure body over several factors,

@@ -13,7 +13,7 @@
 use augur_density::{CondFactor, Conditional, DExpr};
 use augur_lang::ast::{BinOp, Builtin};
 
-use crate::from_density::{lower_expr, stabilized_atom, wrap_comps, wrap_inds};
+use crate::from_density::{ll_inc, lower_expr, stabilized_atom, wrap_comps, wrap_inds};
 use crate::il::{AssignOp, Expr, LValue, LoopKind, OpN, ProcDecl, Stmt};
 use crate::shape::{AllocDecl, ShapeSpec};
 use crate::LowerError;
@@ -27,6 +27,13 @@ pub fn adj_name(prefix: &str, var: &str) -> String {
 /// `targets`, together with the adjoint buffers it writes (one per target,
 /// shaped like the target).
 ///
+/// With a log-density accumulator `ll_acc` the procedure also computes
+/// the conditional log-density, in the same pass (reverse-mode AD yields
+/// the value with its adjoints): it resets `ll_acc` with the adjoints,
+/// opens each factor's guarded body with the factor's `ll_acc += ll` term
+/// (the increments `factors_ll_body` makes, in its order), and returns
+/// `ll_acc`. The accumulator's buffer is the caller's to plan.
+///
 /// # Errors
 ///
 /// Returns [`LowerError::UnsupportedAd`] when an expression mentioning a
@@ -36,35 +43,46 @@ pub fn gen_grad_proc(
     proc_name: &str,
     cond: &Conditional,
     targets: &[String],
+    ll_acc: Option<&str>,
 ) -> Result<(Vec<AllocDecl>, ProcDecl), LowerError> {
     let mut allocs = Vec::new();
-    let mut stmts = Vec::new();
+    // Reset: broadcast stores of 0.0 over the accumulator and every
+    // adjoint buffer.
+    let reset = |var: &str| Stmt::Assign {
+        lhs: LValue::name(var),
+        op: AssignOp::Set,
+        rhs: Expr::Real(0.0),
+    };
+    let mut stmts: Vec<Stmt> = ll_acc.into_iter().map(reset).collect();
     for t in targets {
         let name = adj_name(prefix, t);
         allocs.push(AllocDecl::shared(&name, ShapeSpec::LikeVar(t.clone())));
-        // Reset: broadcast store of 0.0 over the whole adjoint buffer.
-        stmts.push(Stmt::Assign {
-            lhs: LValue::name(&name),
-            op: AssignOp::Set,
-            rhs: Expr::Real(0.0),
-        });
+        stmts.push(reset(&name));
     }
     for cf in &cond.factors {
-        stmts.push(factor_adjoint(prefix, cf, targets)?);
+        stmts.push(factor_adjoint(prefix, cf, targets, ll_acc)?);
     }
-    Ok((allocs, ProcDecl { name: proc_name.to_owned(), body: Stmt::seq(stmts), ret: None }))
+    let proc_ =
+        ProcDecl { name: proc_name.to_owned(), body: Stmt::seq(stmts), ret: ll_acc.map(Expr::var) };
+    Ok((allocs, proc_))
 }
 
 /// The adjoint of one factor: loops, guards, and per-atom chain-rule
 /// increments (Fig. 8b's `Π` rule composed with Fig. 8a's expression
-/// rules).
-fn factor_adjoint(prefix: &str, cf: &CondFactor, targets: &[String]) -> Result<Stmt, LowerError> {
+/// rules), after the factor's `ll_acc += ll` term when there is an
+/// accumulator.
+fn factor_adjoint(
+    prefix: &str,
+    cf: &CondFactor,
+    targets: &[String],
+    ll_acc: Option<&str>,
+) -> Result<Stmt, LowerError> {
     let f = &cf.factor;
     let (dist, args) = stabilized_atom(f);
     let largs: Vec<Expr> = args.iter().map(lower_expr).collect();
     let lpoint = lower_expr(&f.point);
 
-    let mut body = Vec::new();
+    let mut body: Vec<Stmt> = ll_acc.map(|acc| ll_inc(f, acc)).into_iter().collect();
     for (i, arg) in args.iter().enumerate() {
         if !mentions_any(arg, targets) {
             continue;
@@ -226,7 +244,7 @@ mod tests {
         }"#,
         );
         let cond = conditional(&dm, &["mu"]);
-        let (allocs, p) = gen_grad_proc("g0", "g0_grad", &cond, &["mu".to_owned()]).unwrap();
+        let (allocs, p) = gen_grad_proc("g0", "g0_grad", &cond, &["mu".to_owned()], None).unwrap();
         let s = crate::il::pretty_proc(&p);
         // the paper's §4.4 excerpt: an AtmPar loop over n incrementing
         // adj_mu[z[n]] with the mean-gradient of the likelihood
@@ -250,7 +268,7 @@ mod tests {
         );
         let targets = vec!["sigma2".to_owned(), "b".to_owned(), "theta".to_owned()];
         let cond = conditional(&dm, &["sigma2", "b", "theta"]);
-        let (allocs, p) = gen_grad_proc("g1", "g1_grad", &cond, &targets).unwrap();
+        let (allocs, p) = gen_grad_proc("g1", "g1_grad", &cond, &targets, None).unwrap();
         let s = crate::il::pretty_proc(&p);
         // the likelihood lowered to the stable logit form
         assert!(!s.contains("BernoulliLogit(dot(x[n], theta)).grad2(y[n])"), "{s}");
@@ -278,7 +296,7 @@ mod tests {
         // wrong): no increments should be produced for the z adjoint from
         // the likelihood's mean (z enters only through an index).
         let cond = conditional(&dm, &["mu"]);
-        let (_, p) = gen_grad_proc("g2", "g2_grad", &cond, &["mu".to_owned()]).unwrap();
+        let (_, p) = gen_grad_proc("g2", "g2_grad", &cond, &["mu".to_owned()], None).unwrap();
         let s = crate::il::pretty_proc(&p);
         assert!(!s.contains("adj_z"), "{s}");
     }
@@ -292,7 +310,7 @@ mod tests {
         }"#,
         );
         let cond = conditional(&dm, &["a"]);
-        let (_, p) = gen_grad_proc("g3", "g3_grad", &cond, &["a".to_owned()]).unwrap();
+        let (_, p) = gen_grad_proc("g3", "g3_grad", &cond, &["a".to_owned()], None).unwrap();
         let s = crate::il::pretty_proc(&p);
         assert!(s.contains("g3_adj_a += (Normal(exp(a), s2).grad2(y[n]) * exp(a));"), "{s}");
     }

@@ -247,6 +247,29 @@ impl Stmt {
             Stmt::Seq(stmts)
         }
     }
+
+    /// The variables the statement tree assigns or samples into, in
+    /// statement order (repeats kept).
+    pub fn written_vars(&self) -> Vec<&str> {
+        fn walk<'a>(s: &'a Stmt, out: &mut Vec<&'a str>) {
+            match s {
+                Stmt::Assign { lhs, .. }
+                | Stmt::Sample { lhs, .. }
+                | Stmt::SampleLogits { lhs, .. } => out.push(&lhs.var),
+                Stmt::Seq(ss) => ss.iter().for_each(|t| walk(t, out)),
+                Stmt::If { then, els, .. } => {
+                    walk(then, out);
+                    if let Some(e) = els {
+                        walk(e, out);
+                    }
+                }
+                Stmt::Loop { body, .. } => walk(body, out),
+            }
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out
+    }
 }
 
 /// A procedure (Fig. 6 `decl`): a body plus an optional returned scalar.

@@ -2,7 +2,9 @@
 //!
 //! Each base update becomes the procedures its MCMC primitive needs
 //! (Fig. 7): likelihood evaluation, closed-form conditional code, and/or a
-//! gradient procedure from the AD pass. The rest of each update — leapfrog
+//! gradient procedure from the AD pass. HMC and NUTS, which need both at
+//! every position, get one procedure that computes them in one pass over
+//! the data. The rest of each update — leapfrog
 //! integration, slice bracketing, acceptance ratios — is runtime *library
 //! code* in `augur-backend`, parameterized by these procedures, exactly as
 //! the paper splits responsibilities.
@@ -47,10 +49,9 @@ pub enum Step {
     Hmc {
         /// Targets with their transforms.
         targets: Vec<(String, Transform)>,
-        /// Conditional log-likelihood procedure.
-        ll_proc: String,
-        /// Gradient procedure (writes the adjoint buffers).
-        grad_proc: String,
+        /// Value-and-gradient procedure: returns the conditional
+        /// log-likelihood and writes the adjoint buffers in one pass.
+        llgrad_proc: String,
         /// Adjoint buffer per target, aligned with `targets`.
         adj_bufs: Vec<String>,
         /// Whether to use the No-U-Turn variant.
@@ -163,7 +164,27 @@ pub fn lower(model: &DensityModel, plan: &KernelPlan) -> Result<LoweredModel, Lo
                 steps.push(Step::Gibbs { proc_: code.proc_.name.clone(), target });
                 procs.push(code.proc_);
             }
-            UpdateKind::Hmc | UpdateKind::Nuts | UpdateKind::Mala | UpdateKind::ReflectiveSlice => {
+            UpdateKind::Hmc | UpdateKind::Nuts => {
+                // One procedure per position: the leapfrog needs the
+                // log-density and the gradient at every point it visits.
+                let targets = transforms_for(model, cond.targets.clone(), &prefix)?;
+                let acc = format!("{prefix}_llacc");
+                allocs.push(AllocDecl::shared(&acc, ShapeSpec::Scalar));
+                let llgrad_proc = format!("{prefix}_llgrad");
+                let (grad_allocs, proc_) =
+                    gen_grad_proc(&prefix, &llgrad_proc, cond, &cond.targets, Some(&acc))?;
+                allocs.extend(grad_allocs);
+                procs.push(proc_);
+                steps.push(Step::Hmc {
+                    targets,
+                    llgrad_proc,
+                    adj_bufs: cond.targets.iter().map(|t| adj_name(&prefix, t)).collect(),
+                    nuts: pu.base.kind == UpdateKind::Nuts,
+                });
+            }
+            UpdateKind::Mala | UpdateKind::ReflectiveSlice => {
+                // Two procedures: MALA and reflective slice evaluate the
+                // log-density at points where they take no gradient.
                 let targets = transforms_for(model, cond.targets.clone(), &prefix)?;
                 let ll_name = format!("{prefix}_ll");
                 let factors: Vec<&Factor> = cond.factors.iter().map(|cf| &cf.factor).collect();
@@ -175,30 +196,16 @@ pub fn lower(model: &DensityModel, plan: &KernelPlan) -> Result<LoweredModel, Lo
                 allocs.push(AllocDecl::shared(format!("{prefix}_llacc"), ShapeSpec::Scalar));
                 let grad_name = format!("{prefix}_grad");
                 let (grad_allocs, grad_proc) =
-                    gen_grad_proc(&prefix, &grad_name, cond, &cond.targets)?;
+                    gen_grad_proc(&prefix, &grad_name, cond, &cond.targets, None)?;
                 let adj_bufs: Vec<String> =
                     cond.targets.iter().map(|t| adj_name(&prefix, t)).collect();
                 allocs.extend(grad_allocs);
                 procs.push(grad_proc);
-                let step = match pu.base.kind {
-                    UpdateKind::ReflectiveSlice => Step::SliceRefl {
-                        targets,
-                        ll_proc: ll_name,
-                        grad_proc: grad_name,
-                        adj_bufs,
-                    },
-                    UpdateKind::Mala => {
-                        Step::Mala { targets, ll_proc: ll_name, grad_proc: grad_name, adj_bufs }
-                    }
-                    kind => Step::Hmc {
-                        targets,
-                        ll_proc: ll_name,
-                        grad_proc: grad_name,
-                        adj_bufs,
-                        nuts: kind == UpdateKind::Nuts,
-                    },
-                };
-                steps.push(step);
+                steps.push(if pu.base.kind == UpdateKind::Mala {
+                    Step::Mala { targets, ll_proc: ll_name, grad_proc: grad_name, adj_bufs }
+                } else {
+                    Step::SliceRefl { targets, ll_proc: ll_name, grad_proc: grad_name, adj_bufs }
+                });
             }
             UpdateKind::EllipticalSlice => {
                 let target = cond.targets[0].clone();
@@ -404,6 +411,36 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn hmc_gets_one_value_and_gradient_procedure_and_mala_two() {
+        let dm = build(HLR);
+        let lm = lower(&dm, &plan(&dm, &parse_schedule("HMC sigma2 b theta").unwrap()).unwrap())
+            .unwrap();
+        let names: Vec<&str> = lm.procs.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["u0_llgrad", "init_params", "model_ll"]);
+        assert!(
+            matches!(&lm.steps[0], Step::Hmc { llgrad_proc, .. } if llgrad_proc == "u0_llgrad")
+        );
+        let s = crate::il::pretty_proc(&lm.procs[0]);
+        assert!(s.starts_with("u0_llgrad() {"), "{s}");
+        assert!(s.contains("u0_llacc = 0.0;"), "{s}");
+        assert!(s.contains("ret u0_llacc;"), "{s}");
+        // the row's log-density term opens the body its adjoints share
+        let ll = s.find("u0_llacc += BernoulliLogit((dot(x[n], theta) + b)).ll(y[n]);").unwrap();
+        let adj = s.find("u0_adj_theta += vec_scale(").unwrap();
+        assert!(ll < adj, "{s}");
+        assert_eq!(s.matches("loop AtmPar (n <- 0 until N)").count(), 1, "{s}");
+        // allocation order: the accumulator, then the adjoints
+        let allocs: Vec<&str> = lm.allocs.iter().map(|a| a.name.as_str()).take(4).collect();
+        assert_eq!(allocs, ["u0_llacc", "u0_adj_sigma2", "u0_adj_b", "u0_adj_theta"]);
+
+        let lm = lower(&dm, &plan(&dm, &parse_schedule("MALA sigma2 b theta").unwrap()).unwrap())
+            .unwrap();
+        let names: Vec<&str> = lm.procs.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["u0_ll", "u0_grad", "init_params", "model_ll"]);
+        assert!(lm.procs[1].ret.is_none());
     }
 
     #[test]

@@ -37,7 +37,10 @@
 # `State::snapshot`/`restore` pair stay deleted. Only write-partitioned
 # `Par` loops run on the worker pool, and workers copy back their own
 # rows, so the worker write log, its replay and the `AtmPar` dispatch
-# flag stay deleted. The checks grep neither `.github/` nor `scripts/`,
+# flag stay deleted. HMC and NUTS run one value-and-gradient procedure
+# per position, so no `Step::Hmc`/`CompiledStep::Hmc` and no
+# `hmc_update`/`nuts_update` takes a separate log-density and gradient
+# procedure again. The checks grep neither `.github/` nor `scripts/`,
 # where these lines themselves live.
 #
 # `gone` fails on a match (a bare `! grep` does not trip `set -e`).
@@ -76,3 +79,6 @@ gone -E 'Home::Scalar|\bg\{' crates/augur-backend/src/native
 gone -E 'Vec<Arc<Vec<f64>>>|adopt_buffer|fn snapshot\(' crates/augur-backend/src/state.rs
 gone -wE "WriteOp|write_log|replay_writes|log_cell|log_fill|log_vals|log_written_range|rng_free" \
     crates/augur-backend
+gone -E 'Hmc \{[^}]*\b(ll|grad|ll_proc|grad_proc)\b' crates/augur-low/src crates/augur-backend/src
+gone -Pzo 'Hmc \{[^}]*\bgrad_proc\b' crates/augur-low/src/lower.rs
+gone -Pzo 'fn (hmc|nuts)_update\([^)]*\bgrad_proc\b' crates/augur-backend/src/mcmc.rs

@@ -91,13 +91,13 @@ fn injected_gibbs_nan_is_contained_as_a_numerical_event() {
     }
 }
 
-/// A NaN injected into an HMC log-likelihood procedure forces a rejection
+/// A NaN injected into an HMC value-and-gradient procedure forces a rejection
 /// and records numerical events; the chain state stays finite.
 #[test]
 fn injected_hmc_nan_rejects_and_stays_finite() {
     for exec in [ExecBackend::Tree, ExecBackend::Tape] {
         let plan = FaultPlan {
-            nan: vec![NanFault { proc_name: "u0_ll".to_owned(), sweep: Some(3) }],
+            nan: vec![NanFault { proc_name: "u0_llgrad".to_owned(), sweep: Some(3) }],
             ..Default::default()
         };
         let mut s = hmc_sampler(SessionConfig {

@@ -175,7 +175,7 @@ fn hmc_sweep_calls_library_update() {
         ],
         vec![("y", HostValue::VecF(data.y))],
     );
-    assert!(cu.contains("augur_hmc_update(rng, u0_ll, u0_grad)"), "{cu}");
+    assert!(cu.contains("augur_hmc_update(rng, u0_llgrad)"), "{cu}");
     assert!(cu.contains("/* block: sigma2, b, theta */"), "{cu}");
     // the AD-generated gradient calls the paper's grad primitives
     assert!(cu.contains("augur_bernoullilogit_grad2("), "{cu}");

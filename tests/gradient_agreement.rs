@@ -3,7 +3,7 @@
 //! posterior — two completely independent implementations.
 
 use augur::{HostValue, Model, SessionConfig};
-use augur_backend::mcmc::{gradient, log_density_flat, write_position, GradTarget};
+use augur_backend::mcmc::{log_density_and_gradient, GradTarget};
 use augur_stan::{HlrModel, StanModel, Tape};
 use augurv2::{models, workloads};
 
@@ -14,7 +14,7 @@ fn source_to_source_ad_matches_tape_ad_on_hlr() {
     let rows: Vec<Vec<f64>> = (0..n).map(|i| data.x.row(i).to_vec()).collect();
     let lambda = 1.0;
 
-    // --- AugurV2 side: compiled ll and grad procedures ---
+    // --- AugurV2 side: the compiled value-and-gradient procedure ---
     let model = Model::compile(models::HLR).unwrap();
     let mut sampler = model
         .plan(
@@ -62,9 +62,9 @@ fn source_to_source_ad_matches_tape_ad_on_hlr() {
     for q in probes {
         let (ll_a, g_a) = {
             let engine = sampler.engine_mut();
-            let ll = log_density_flat(engine, &table, table_index(&table, "u0_ll"), &ids, &q);
-            write_position(engine, &ids, &q);
-            let g = gradient(engine, &table, table_index(&table, "u0_grad"), &ids, &q);
+            let llgrad = table_index(&table, "u0_llgrad");
+            let mut g = vec![0.0; q.len()];
+            let ll = log_density_and_gradient(engine, &table, llgrad, &ids, &q, &mut g);
             (ll, g)
         };
         let (ll_s, g_s) = {

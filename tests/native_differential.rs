@@ -246,9 +246,10 @@ fn lda_native_matches_tree_and_tape() {
     }
 }
 
-/// HLR under every kernel flavor. The gradient — the `<- 0` resets of
-/// its adjoints, then the row loop's scalar gradient, `adj +=
-/// vec_scale(g, x[n])` and the bias term — runs in C with no callback.
+/// HLR under every kernel flavor. HMC's value-and-gradient procedure —
+/// the `<- 0` resets of its accumulator and adjoints, then the row loop's
+/// log-density term, scalar gradient, `adj += vec_scale(g, x[n])` and the
+/// bias term — runs in C with no callback.
 #[test]
 fn hlr_native_matches_tree_and_tape() {
     let d = 4;
@@ -263,10 +264,14 @@ fn hlr_native_matches_tree_and_tape() {
     };
     let y = || vec![("y", HostValue::VecF(data.y.clone()))];
     let c = emit_c(models::HLR, args(), y());
-    let rows = c_loop(&c, "u0_grad", 0, 1);
+    let rows = c_loop(&c, "u0_llgrad", 0, 1);
     assert!(rows.contains("* b"), "hlr: no inline vec_scale in the row loop:\n{rows}");
+    assert!(
+        rows.contains("aug_bernlogit_ll("),
+        "hlr: no inline log-density in the row loop:\n{rows}"
+    );
     assert!(!rows.contains("vt->step("), "hlr: the gradient's row loop calls back:\n{rows}");
-    let grad = c_proc(&c, "u0_grad");
+    let grad = c_proc(&c, "u0_llgrad");
     assert!(!grad.contains("vt->step("), "hlr: the gradient calls back:\n{grad}");
     let flavors: [(&str, Option<&str>); 5] = [
         ("hmc", None), // heuristic: blocked HMC over the continuous parameters
@@ -370,6 +375,49 @@ fn out_of_range_data_is_the_same_typed_error_on_every_backend() {
     assert_same_error("word id", &plan, "out-of-bounds access in");
 }
 
+/// A label one past the last component (`set_param` checks no range)
+/// makes HGMM's first statistic loop, which the tape runs as a scatter
+/// plan, count past its buffer at that point. Every backend fails the
+/// sweep with the tree's typed error, and the tape — whose plan hands
+/// the failing iteration back to its instructions — leaves every buffer
+/// exactly as the tree does.
+#[test]
+fn out_of_range_label_fails_alike_through_the_scatter_plans() {
+    let (k, d, n) = (3, 2, 40);
+    let data = workloads::hgmm_data(k, d, n, 7);
+    let plan = Model::compile(models::HGMM)
+        .unwrap()
+        .plan(hgmm_args(k, d, n), vec![("y", HostValue::Ragged(data.points))])
+        .unwrap();
+    let mut backends = vec![ExecBackend::Tree, ExecBackend::Tape];
+    if native_available() {
+        backends.push(ExecBackend::Native);
+    }
+    let runs: Vec<_> = backends
+        .into_iter()
+        .map(|backend| {
+            let mut s = plan.session(config(backend, 1)).unwrap();
+            assert_eq!(s.backend(), backend);
+            s.init().unwrap();
+            let mut z = s.param("z").unwrap().to_vec();
+            z[n / 2] = k as f64;
+            s.set_param("z", &z);
+            let e = augur::Error::from(s.try_sweep().expect_err("the sweep must fail"));
+            let scatter_iters = s.report().exec.scatter_iters;
+            (backend, (e.kind(), e.to_string()), s.checkpoint().buffers, scatter_iters)
+        })
+        .collect();
+    let (_, tree_err, tree_bufs, _) = &runs[0];
+    assert!(tree_err.1.contains("out-of-bounds access in"), "{}", tree_err.1);
+    for (backend, err, bufs, scatter_iters) in &runs {
+        assert_eq!(err, tree_err, "{backend:?} fails differently");
+        if *backend == ExecBackend::Tape {
+            assert!(*scatter_iters > 0, "no scatter plan ran before the fault");
+            assert!(bufs == tree_bufs, "the tape left other buffers than the tree");
+        }
+    }
+}
+
 /// A categorical draw from log weights that are all `-inf`, or that
 /// hold `+inf` or NaN, fails with the interpreter's typed error on
 /// every backend — natively drawn (`aug_cat_draw`) or not.
@@ -444,7 +492,7 @@ fn hoisted_loads_fail_only_in_loops_that_run() {
             .unwrap()
     };
     let hoisted = plan(2).session(config(ExecBackend::Tape, 1)).unwrap().explain().render();
-    assert!(hoisted.contains("u0_ll = hoisted=3 "), "c[idx] not hoisted:\n{hoisted}");
+    assert!(hoisted.contains("u0_llgrad = hoisted=3 "), "c[idx] not hoisted:\n{hoisted}");
     for (backend, e) in first_sweep_errors(&plan(0)) {
         assert_eq!(e, None, "{backend:?}: a zero-trip loop raised an error");
     }
